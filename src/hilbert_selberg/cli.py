@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Tuple
 from .cache import get_or_compute
 from .errors import (BudgetExceededError, HilbertSelbergError,
                      InvariantViolation, ValidationError)
-from .geodesics import (class_average_report, enumerate_geodesics,
+from .geodesics import (class_average_report, coverage, enumerate_geodesics,
                         pgt_report)
 from .modgroup import classify
 from .pellforms import class_number, form_to_matrix
@@ -180,7 +180,7 @@ def _cmd_pell(cfg: RunConfig, args) -> int:
     header = [f"d ({_w_convention(cfg.D)})", "eps_d", "t0", "u0", "h_K(d)"]
     rows = []
     records = []
-    for c in sorted(classes, key=lambda c: (c.norm, c.d.a, c.d.b)):
+    for c in classes:
         rec = c.record
         eps_d = math.sqrt(c.norm)
         rows.append([str(rec.d), _fmt(eps_d), str(rec.pell.t0),
@@ -215,33 +215,31 @@ def _cmd_geodesics(cfg: RunConfig, args) -> int:
     F = make_field(cfg.D)
     x = cfg.x_max
     classes = _classes(F, cfg, x)
-    ordered = sorted(classes, key=lambda c: (c.norm, c.d.a, c.d.b))
     if cfg.out_format == "csv":
         header = [f"d ({_w_convention(cfg.D)})", "norm", "angle",
                   "multiplicity"]
         rows = [[str(c.d), _fmt(c.norm), _fmt(c.angle),
-                 str(c.multiplicity)] for c in ordered]
+                 str(c.multiplicity)] for c in classes]
         _emit_csv(header, rows, cfg)
     else:
         _emit_json({"D": cfg.D, "x": x, "w": _w_convention(cfg.D),
                     "classes": [{"d": str(c.d), "norm": c.norm,
                                  "angle": c.angle,
                                  "multiplicity": c.multiplicity}
-                                for c in ordered]}, cfg)
+                                for c in classes]}, cfg)
     return 0
 
 
 def _cmd_zeta(cfg: RunConfig, args) -> int:
     F = make_field(cfg.D)
     classes = _classes(F, cfg)
-    coverage = max((c.norm for c in classes), default=0.0)
-    trunc = args.X if args.X is not None else (cfg.trunc_norm or coverage)
+    cov = coverage(classes)
+    trunc = args.X if args.X is not None else (cfg.trunc_norm or cov)
     # requested cutoffs beyond the enumerated window are clamped; the
     # effective cutoff is reported and the tail bound starts there
     params = ZetaParams(s=_parse_complex(args.s), m=args.m,
-                        trunc_norm=min(float(trunc), coverage),
-                        trunc_k=args.K)
-    val = selberg_zeta(params, classes, coverage=coverage)
+                        trunc_norm=min(float(trunc), cov), trunc_k=args.K)
+    val = selberg_zeta(params, classes, coverage=cov)
     _emit_json({
         "D": cfg.D, "m": args.m, "s": [params.s.real, params.s.imag],
         "trunc_norm": params.trunc_norm, "trunc_k": params.trunc_k,
@@ -304,7 +302,7 @@ def _cmd_heatfit(cfg: RunConfig, args) -> int:
     F = make_field(cfg.D)
     classes = _classes(F, cfg)
     betas = cfg.beta_grid
-    if getattr(args, "betas", None):
+    if args.betas:
         betas = tuple(float(p) for p in args.betas.split(","))
     report = heat_asymptotic_check(F, betas, classes)
     report["beta_grid"] = list(report["beta_grid"])
@@ -391,14 +389,13 @@ def _check_functional_identities(cfg: RunConfig) -> str:
 def _check_zeta_consistency(cfg: RunConfig) -> str:
     F = make_field(cfg.D)
     classes = _classes(F, cfg)
-    coverage = max(c.norm for c in classes)
     rng = random.Random(cfg.seed)
     worst = 0.0
     for _ in range(3):
         s = complex(rng.uniform(1.5, 3.0), rng.uniform(-2.0, 2.0))
         m = rng.choice((2, 4, 6))
         h = 1e-4
-        p = ZetaParams(s=s, m=m, trunc_norm=coverage, trunc_k=60)
+        p = ZetaParams(s=s, m=m, trunc_norm=coverage(classes), trunc_k=60)
         exact = selberg_log_deriv(p, classes).value
         lo = selberg_zeta(dataclasses.replace(p, s=s - h), classes)
         hi = selberg_zeta(dataclasses.replace(p, s=s + h), classes)
@@ -441,8 +438,7 @@ def _check_count_trend(cfg: RunConfig) -> str:
 def _check_truncation_stability(cfg: RunConfig) -> str:
     F = make_field(cfg.D)
     classes = _classes(F, cfg)
-    coverage = max(c.norm for c in classes)
-    p = ZetaParams(s=2.5, m=4, trunc_norm=coverage, trunc_k=40)
+    p = ZetaParams(s=2.5, m=4, trunc_norm=coverage(classes), trunc_k=40)
     a = selberg_zeta(p, classes)
     b = selberg_zeta(dataclasses.replace(p, trunc_k=80), classes)
     assert abs(a.value - b.value) <= a.tail_bound, (a, b)
@@ -528,8 +524,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--single", action="store_true",
                    help="single difference instead of double")
     p.add_argument("--betas", default=None)
-    p = sub.add_parser("heatfit", parents=[common])
-    p.add_argument("--betas", default=None)
     p = sub.add_parser("report", parents=[common])
     p.add_argument("mode", choices=("pgt", "classavg"))
     p.add_argument("--x-grid", dest="x_grid", default=None)
@@ -545,7 +539,6 @@ _COMMANDS = {
     "zeta": _cmd_zeta,
     "ledger": _cmd_ledger,
     "trace": _cmd_trace,
-    "heatfit": _cmd_heatfit,
     "report": _cmd_report,
     "check": _cmd_check,
 }

@@ -12,9 +12,9 @@ smaller than the (t, u) pair that produced the candidate.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, InvariantViolation, ValidationError
 from .pellforms import (DiscriminantRecord, class_number, in_Dpm,
                         pell_fundamental)
 from .quadfield import FieldCtx, QuadInt, canonical_disc, lattice_points
@@ -23,6 +23,8 @@ from .specfun import li
 __all__ = [
     "GeodesicClass", "CountReport", "square_divisor_quotients",
     "enumerate_geodesics", "pgt_report", "class_average_report",
+    "class_order", "coverage", "window", "count_constant",
+    "weighted_count_constant", "half_multiplicity",
 ]
 
 
@@ -52,6 +54,76 @@ class GeodesicClass:
     @property
     def log_eps(self) -> float:
         return 0.5 * math.log(self.norm)
+
+
+def class_order(c: GeodesicClass) -> Tuple[float, int, int]:
+    """The one class order: by norm, ties broken by the discriminant.
+    Class sums accumulate in this order, so results do not depend on
+    the order of the list handed in."""
+    return (c.norm, c.d.a, c.d.b)
+
+
+def coverage(classes: Sequence[GeodesicClass],
+             given: Optional[float] = None) -> float:
+    """Norm bound the class list is complete up to: `given` if set,
+    else the largest listed norm."""
+    if given is not None:
+        return float(given)
+    return max((c.norm for c in classes), default=0.0)
+
+
+def window(classes: Sequence[GeodesicClass], x: float,
+           given: Optional[float] = None) -> List[GeodesicClass]:
+    """Classes with norm <= x in class order; x must lie within the
+    list's coverage."""
+    cov = coverage(classes, given)
+    if x > cov * (1.0 + 1e-9):
+        raise ValidationError(
+            f"class list covers norms <= {cov:.6g} but trunc_norm={x:.6g}; "
+            f"enumerate geodesics to x >= {math.sqrt(x):.6g} first")
+    return [c for c in sorted(classes, key=class_order)
+            if c.norm <= x * (1.0 + 1e-12)]
+
+
+def count_constant(classes: Sequence[GeodesicClass]) -> float:
+    """Fitted C with #{N(p) <= T} <= C*li(T) over the supplied classes.
+
+    Diagnostic constant: fitted from the very list being truncated, with
+    a safety factor, not an a-priori bound.  With no listed norm >= 3
+    the fit falls back to C = 1.6 * 4.
+    """
+    cum = 0
+    best = 0.0
+    for c in sorted(classes, key=class_order):
+        cum += c.multiplicity
+        if c.norm >= 3.0:
+            best = max(best, cum / li(c.norm))
+    if best == 0.0:
+        best = 4.0
+    return 1.6 * best
+
+
+def weighted_count_constant(classes: Sequence[GeodesicClass]) -> float:
+    """Fitted C2 with sum_{N<=T} h*log N <= C2*T over the supplied list."""
+    cum = 0.0
+    best = 0.0
+    for c in sorted(classes, key=class_order):
+        cum += c.multiplicity * math.log(c.norm)
+        best = max(best, cum / c.norm)
+    if best == 0.0:
+        best = 4.0
+    return 1.5 * best
+
+
+def half_multiplicity(c: GeodesicClass) -> int:
+    """Number of inverse pairs in the family.  Classes pair with their
+    inverses (angle and its negative); an odd count would break the
+    pairing that keeps coefficients real."""
+    if c.multiplicity % 2:
+        raise InvariantViolation(
+            f"odd class multiplicity {c.multiplicity} at "
+            f"d=({c.d.a},{c.d.b}); inverse pairing broken")
+    return c.multiplicity // 2
 
 
 @dataclass(frozen=True)
@@ -137,10 +209,10 @@ def enumerate_geodesics(F: FieldCtx, x: float, height: float = 8.0,
                 angle=math.acos(t2 / 2.0),
                 multiplicity=rec.class_number, record=rec))
     except BudgetExceededError as exc:
-        exc.partial = tuple(sorted(classes, key=lambda c: (c.norm, c.d.a)))
+        exc.partial = tuple(sorted(classes, key=class_order))
         exc.incomplete = True
         raise
-    classes.sort(key=lambda c: (c.norm, c.d.a, c.d.b))
+    classes.sort(key=class_order)
     return classes
 
 

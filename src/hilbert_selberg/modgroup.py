@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
-from .quadfield import (FieldCtx, QuadInt, _omega_trace_norm, _sign_half,
-                        lattice_points)
+from .quadfield import (FieldCtx, QuadInt, _coord_mul, _embed_consts,
+                        _omega_trace_norm, _sign_half, lattice_points)
 
 Key = Tuple[int, int, int, int, int, int, int, int]
 
@@ -44,11 +45,6 @@ class GroupElem:
                     a, b, c, d = -a, -b, -c, -d
                 break
         return GroupElem(a, b, c, d)
-
-    @staticmethod
-    def identity(F: FieldCtx) -> "GroupElem":
-        one, zero = F.one, F.zero
-        return GroupElem(one, zero, zero, one)
 
     @property
     def D(self) -> int:
@@ -156,17 +152,12 @@ def _conj_neighbors(key: Key, D: int, t: int, n: int) -> List[Key]:
     S g S^{-1} = [[d, -c], [-b, a]]
     """
     aa, ab, ba, bb, ca, cb, da, db = key
-
-    def mul(xa, xb, ya, yb):
-        bd = xb * yb
-        return xa * ya - n * bd, xa * yb + xb * ya + t * bd
-
     out = [_normalize_key((da, db, -ca, -cb, -ba, -bb, aa, ab), D, t)]
     for ma, mb in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        mca, mcb = mul(ma, mb, ca, cb)
-        m2a, m2b = mul(ma, mb, ma, mb)
-        m2ca, m2cb = mul(m2a, m2b, ca, cb)
-        mda, mdb = mul(ma, mb, da - aa, db - ab)
+        mca, mcb = _coord_mul(ma, mb, ca, cb, t, n)
+        m2a, m2b = _coord_mul(ma, mb, ma, mb, t, n)
+        m2ca, m2cb = _coord_mul(m2a, m2b, ca, cb, t, n)
+        mda, mdb = _coord_mul(ma, mb, da - aa, db - ab, t, n)
         out.append(_normalize_key(
             (aa + mca, ab + mcb,
              ba + mda - m2ca, bb + mdb - m2cb,
@@ -175,19 +166,60 @@ def _conj_neighbors(key: Key, D: int, t: int, n: int) -> List[Key]:
     return out
 
 
-def _heights_ok(key: Key, w1: float, w2: float,
-                cap1: float, cap2: float) -> bool:
-    for i in range(4):
-        x, y = key[2 * i], key[2 * i + 1]
-        if abs(x + y * w1) > cap1 or abs(x + y * w2) > cap2:
-            return False
-    return True
+def height_predicate(D: int, cap1: float, cap2: float
+                     ) -> Callable[[tuple], bool]:
+    """Test that every coordinate pair (x, y) of a key, read as x + y*w,
+    has embeddings within (cap1, cap2); works for matrix and form keys."""
+    w1, w2 = _embed_consts(D)
+
+    def ok(key: tuple) -> bool:
+        for i in range(0, len(key), 2):
+            x, y = key[i], key[i + 1]
+            if abs(x + y * w1) > cap1 or abs(x + y * w2) > cap2:
+                return False
+        return True
+    return ok
 
 
-def _embed_consts(D: int) -> Tuple[float, float]:
-    t, _ = _omega_trace_norm(D)
-    sq = math.sqrt(D)
-    return (t + sq) / 2.0, (t - sq) / 2.0
+def capped_bfs(what: str, seed: tuple,
+               neighbors: Callable[[tuple], Iterable[tuple]],
+               height_ok: Callable[[tuple], bool], max_states: int,
+               targets: Optional[set] = None) -> Tuple[set, bool]:
+    """Height-capped BFS from seed; returns (visited, hit_target).
+
+    Each neighbor is checked in order: already visited, over the height
+    cap, a target (stop at once), then the state budget, which raises
+    BudgetExceededError for the `what` orbit.
+    """
+    visited = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for key in frontier:
+            for nb in neighbors(key):
+                if nb in visited or not height_ok(nb):
+                    continue
+                visited.add(nb)
+                if targets is not None and nb in targets:
+                    return visited, True
+                nxt.append(nb)
+                if len(visited) > max_states:
+                    raise BudgetExceededError(
+                        f"{what} orbit exceeded {max_states} states")
+        frontier = nxt
+    return visited, False
+
+
+def partition_orbits(keys: Iterable[tuple], orbit_of: Callable[[tuple], set]
+                     ) -> Iterator[Tuple[tuple, set]]:
+    """Split keys into orbits: yields (seed, orbit) with seed the least
+    key not yet covered; orbit_of(seed) must contain seed."""
+    remaining = sorted(set(keys))
+    while remaining:
+        seed = remaining[0]
+        orbit = orbit_of(seed)
+        yield seed, orbit
+        remaining = [k for k in remaining if k not in orbit]
 
 
 def conjugation_orbit(seed: Key, D: int, cap1: float, cap2: float,
@@ -199,28 +231,9 @@ def conjugation_orbit(seed: Key, D: int, cap1: float, cap2: float,
     budget is exhausted (the orbit is then reported incomplete).
     """
     t, n = _omega_trace_norm(D)
-    w1, w2 = _embed_consts(D)
-    seed = _normalize_key(seed, D, t)
-    visited = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt: List[Key] = []
-        for key in frontier:
-            for nb in _conj_neighbors(key, D, t, n):
-                if nb in visited:
-                    continue
-                if not _heights_ok(nb, w1, w2, cap1, cap2):
-                    continue
-                if targets is not None and nb in targets:
-                    visited.add(nb)
-                    return visited, True
-                visited.add(nb)
-                nxt.append(nb)
-                if len(visited) > max_states:
-                    raise BudgetExceededError(
-                        f"conjugation orbit exceeded {max_states} states")
-        frontier = nxt
-    return visited, False
+    return capped_bfs("conjugation", _normalize_key(seed, D, t),
+                      lambda key: _conj_neighbors(key, D, t, n),
+                      height_predicate(D, cap1, cap2), max_states, targets)
 
 
 def is_conjugate(g: GroupElem, h: GroupElem, search_bound: float = 40.0,
@@ -405,18 +418,13 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0,
     # partition each bucket by conjugation BFS, keeping the orbit sets
     records: List[dict] = []
     for bucket in buckets.values():
-        remaining = sorted(set(bucket))
-        while remaining:
-            seed = remaining[0]
-            orbit, _ = conjugation_orbit(seed, D, cap_bfs, cap_bfs,
-                                         max_states=max_states)
-            members = [k for k in remaining if k in orbit]
-            if seed not in members:
-                members.insert(0, seed)
-            remaining = [k for k in remaining if k not in orbit]
+        for seed, orbit in partition_orbits(
+                bucket, lambda k: conjugation_orbit(
+                    k, D, cap_bfs, cap_bfs, max_states=max_states)[0]):
             nu, tj, th1, th2 = meta[seed]
             records.append({"nu": nu, "tj": tj, "th1": th1, "th2": th2,
-                            "orbit": orbit, "members": members,
+                            "seed": seed, "orbit": orbit,
+                            "members": [k for k in bucket if k in orbit],
                             "primitive": True})
 
     # drop classes that are proper powers of a larger stabilizer generator
@@ -424,7 +432,7 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0,
         if not rec["primitive"]:
             continue
         nu = rec["nu"]
-        rep = GroupElem.from_key(min(rec["members"]), D)
+        rep = GroupElem.from_key(rec["seed"], D)
         for div in range(2, nu):
             if nu % div:
                 continue
@@ -453,7 +461,7 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0,
     for rec in records:
         if not rec["primitive"]:
             continue
-        rep = GroupElem.from_key(min(rec["members"]), D)
+        rep = GroupElem.from_key(rec["seed"], D)
         classes.append(EllipticClass(nu=rec["nu"], t=rec["tj"] % rec["nu"],
                                      rep=rep, theta1=rec["th1"],
                                      theta2=rec["th2"]))

@@ -11,14 +11,16 @@ generator map, and the two counts must agree.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
-from .modgroup import GroupElem, Key, conjugation_orbit, _normalize_key
+from .modgroup import (GroupElem, Key, capped_bfs, conjugation_orbit,
+                       height_predicate, partition_orbits, _matrices_with_trace,
+                       _normalize_key)
 from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
-                        _omega_trace_norm)
+                        _coord_mul, _embed_consts, _omega_trace_norm)
 
 __all__ = [
     "FormOverOK", "PellSolution", "DiscriminantRecord", "content",
@@ -149,12 +151,12 @@ def _square_in_OK(d: QuadInt) -> Optional[QuadInt]:
     e1, e2 = d.embed(1), d.embed(2)
     if e1 < 0 or e2 < 0:
         return None
-    t, _ = _omega_trace_norm(d.D)
+    w1, _ = _embed_consts(d.D)
     sq = math.sqrt(d.D)
     r1 = math.sqrt(e1)
     for s2 in (math.sqrt(e2), -math.sqrt(e2)):
         bf = (r1 - s2) / sq
-        af = r1 - bf * (t + sq) / 2.0
+        af = r1 - bf * w1
         for aa in (math.floor(af), math.ceil(af)):
             for bb in (math.floor(bf), math.ceil(bf)):
                 x = QuadInt(d.D, int(aa), int(bb))
@@ -186,17 +188,6 @@ def in_Dpm(d: QuadInt, F: Optional[FieldCtx] = None) -> bool:
     return False
 
 
-def _witness_b(d: QuadInt) -> QuadInt:
-    D = d.D
-    four = QuadInt(D, 4, 0)
-    for ba in (0, 1):
-        for bb in (0, 1):
-            b = QuadInt(D, ba, bb)
-            if four.divides(d - b * b):
-                return b
-    raise ValidationError(f"{d} has no square residue witness mod 4")
-
-
 # ---------------------------------------------------------- Pell solver
 
 
@@ -214,9 +205,8 @@ def pell_fundamental(d: QuadInt, F: FieldCtx,
     cap1 = 2.0 * eps_cap / math.sqrt(d1)
     cap2 = 2.0 / math.sqrt(-d2) + 1e-9
     four = QuadInt(D, 4, 0)
-    t, _ = _omega_trace_norm(D)
     sq = math.sqrt(D)
-    w1, w2 = (t + sq) / 2.0, (t - sq) / 2.0
+    w1, _ = _embed_consts(D)
     best: Optional[Tuple[float, QuadInt, QuadInt]] = None
     for u in lattice_points(D, cap1, cap2):
         if u.is_zero() or u.embed(1) <= 0:
@@ -257,52 +247,24 @@ def _form_neighbors(key: FormKey, D: int, t: int, n: int) -> List[FormKey]:
     (a, b, c) -> (c, -b, a)                            [x,y -> -y,x]
     """
     aa, ab, ba, bb, ca, cb = key
-
-    def mul(xa, xb, ya, yb):
-        bd = xb * yb
-        return xa * ya - n * bd, xa * yb + xb * ya + t * bd
-
     out = [(ca, cb, -ba, -bb, aa, ab)]
     for ma, mb in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        m2a, m2b = mul(ma, mb, ma, mb)
-        ta, tb = mul(2 * aa, 2 * ab, ma, mb)
-        bma, bmb = mul(ba, bb, ma, mb)
-        am2a, am2b = mul(aa, ab, m2a, m2b)
+        m2a, m2b = _coord_mul(ma, mb, ma, mb, t, n)
+        ta, tb = _coord_mul(2 * aa, 2 * ab, ma, mb, t, n)
+        bma, bmb = _coord_mul(ba, bb, ma, mb, t, n)
+        am2a, am2b = _coord_mul(aa, ab, m2a, m2b, t, n)
         out.append((aa, ab, ba + ta, bb + tb,
                     ca + bma + am2a, cb + bmb + am2b))
     return out
-
-
-def _form_heights_ok(key: FormKey, w1: float, w2: float,
-                     cap1: float, cap2: float) -> bool:
-    for i in range(3):
-        x, y = key[2 * i], key[2 * i + 1]
-        if abs(x + y * w1) > cap1 or abs(x + y * w2) > cap2:
-            return False
-    return True
 
 
 def form_orbit(seed: FormKey, D: int, cap1: float, cap2: float,
                max_states: int = 400000) -> Set[FormKey]:
     """Height-capped BFS orbit of the form under the generator action."""
     t, n = _omega_trace_norm(D)
-    sq = math.sqrt(D)
-    w1, w2 = (t + sq) / 2.0, (t - sq) / 2.0
-    visited = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt: List[FormKey] = []
-        for key in frontier:
-            for nb in _form_neighbors(key, D, t, n):
-                if nb in visited or \
-                        not _form_heights_ok(nb, w1, w2, cap1, cap2):
-                    continue
-                visited.add(nb)
-                nxt.append(nb)
-                if len(visited) > max_states:
-                    raise BudgetExceededError(
-                        f"form orbit exceeded {max_states} states")
-        frontier = nxt
+    visited, _ = capped_bfs("form", seed,
+                            lambda key: _form_neighbors(key, D, t, n),
+                            height_predicate(D, cap1, cap2), max_states)
     return visited
 
 
@@ -327,8 +289,7 @@ def enumerate_forms(d: QuadInt, F: FieldCtx,
         return []
     xa = np.array([p.a for p in pts], dtype=np.int64)
     xb = np.array([p.b for p in pts], dtype=np.int64)
-    sq = math.sqrt(D)
-    w1, w2 = (t + sq) / 2.0, (t - sq) / 2.0
+    w1, w2 = _embed_consts(D)
     # num = b^2 - d for the whole b-column at once
     numa = xa * xa - n * xb * xb - d.a
     numb = 2 * xa * xb + t * xb * xb - d.b
@@ -383,7 +344,6 @@ def _matrix_class_count(dc: QuadInt, pell: PellSolution, F: FieldCtx,
     (C, E - A, -B); dividing out the content leaves a primitive form
     whose discriminant must canonicalize to dc.
     """
-    from .modgroup import _matrices_with_trace
     D = F.D
     t, _ = _omega_trace_norm(D)
     keys: List[Key] = []
@@ -403,15 +363,9 @@ def _matrix_class_count(dc: QuadInt, pell: PellSolution, F: FieldCtx,
         if canonical_disc(disc, F) != dc:
             continue
         keys.append(_normalize_key(key, D, t))
-    count = 0
-    remaining = sorted(set(keys))
-    while remaining:
-        seed = remaining[0]
-        orbit, _ = conjugation_orbit(seed, D, cap1, cap2,
-                                     max_states=max_states)
-        remaining = [k for k in remaining if k not in orbit and k != seed]
-        count += 1
-    return count
+    return sum(1 for _ in partition_orbits(
+        keys, lambda k: conjugation_orbit(k, D, cap1, cap2,
+                                          max_states=max_states)[0]))
 
 
 # ------------------------------------------------------- class numbers
@@ -435,13 +389,9 @@ def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
     cap1, cap2 = bfs_factor * h1, bfs_factor * h2
 
     forms = enumerate_forms(dc, F, height=height)
-    reps: List[FormKey] = []
-    remaining = sorted(f.key() for f in forms)
-    while remaining:
-        seed = remaining[0]
-        orbit = form_orbit(seed, D, cap1, cap2, max_states=max_states)
-        reps.append(min(k for k in remaining if k in orbit))
-        remaining = [k for k in remaining if k not in orbit]
+    reps = [seed for seed, _ in partition_orbits(
+        (f.key() for f in forms),
+        lambda k: form_orbit(k, D, cap1, cap2, max_states=max_states))]
     h_orbit = len(reps)
 
     m1, m2 = _matrix_boxes(pell, height)
@@ -457,7 +407,7 @@ def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
         raise InvariantViolation(f"no forms found for d={dc}")
     return DiscriminantRecord(
         d=dc, pell=pell, class_number=h_orbit,
-        forms=tuple(FormOverOK.from_key(k, D) for k in sorted(reps)))
+        forms=tuple(FormOverOK.from_key(k, D) for k in reps))
 
 
 def form_to_matrix(Q: FormOverOK, pell: PellSolution) -> GroupElem:

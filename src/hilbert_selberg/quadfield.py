@@ -60,6 +60,20 @@ def _omega_trace_norm(D: int) -> Tuple[int, int]:
     return 0, -(D // 4)
 
 
+def _embed_consts(D: int) -> Tuple[float, float]:
+    """The two real embeddings (w1, w2) of w."""
+    t, _ = _omega_trace_norm(D)
+    sq = math.sqrt(D)
+    return (t + sq) / 2.0, (t - sq) / 2.0
+
+
+def _coord_mul(xa: int, xb: int, ya: int, yb: int,
+               t: int, n: int) -> Tuple[int, int]:
+    """Coordinates of (xa + xb*w)(ya + yb*w), where w^2 = t*w - n."""
+    bd = xb * yb
+    return xa * ya - n * bd, xa * yb + xb * ya + t * bd
+
+
 def _sign_half(A: int, b: int, D: int) -> int:
     """Exact sign of (A + b*sqrt(D))/2 for integers A, b and nonsquare D."""
     if b == 0:
@@ -512,14 +526,11 @@ def lattice_points(D: int, bound1: float, bound2: float) -> Iterator[QuadInt]:
     (x1 - x2) = b*sqrt(D); iterate b, then a, exact boundary checks left
     to the caller when it matters.
     """
-    t, _ = _omega_trace_norm(D)
-    sqrtD = math.sqrt(D)
-    bmax = math.floor((bound1 + bound2) / sqrtD + 1e-12)
+    w1, w2 = _embed_consts(D)
+    bmax = math.floor((bound1 + bound2) / math.sqrt(D) + 1e-12)
     for b in range(-bmax, bmax + 1):
-        w1 = b * (t + sqrtD) / 2.0
-        w2 = b * (t - sqrtD) / 2.0
-        lo = max(-bound1 - w1, -bound2 - w2)
-        hi = min(bound1 - w1, bound2 - w2)
+        lo = max(-bound1 - b * w1, -bound2 - b * w2)
+        hi = min(bound1 - b * w1, bound2 - b * w2)
         if lo > hi:
             continue
         for a in range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Callable, Literal
+from typing import Literal
 
 import mpmath as mp
 import numpy as np

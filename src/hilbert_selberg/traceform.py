@@ -15,15 +15,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.integrate as integrate
 
 from .errors import InvariantViolation, ValidationError
-from .geodesics import GeodesicClass
+from .geodesics import (GeodesicClass, count_constant,
+                        coverage as class_coverage, half_multiplicity, window)
 from .quadfield import FieldCtx
-from .specfun import digamma, li
+from .specfun import digamma
 from .zetafun import ZetaParams, alpha_table, selberg_log_deriv
 
 
@@ -188,13 +189,6 @@ def _elliptic_integral(tf: TestFunctionPair,
 
 # ------------------------------------------------------------ shared pieces
 
-def _coverage(classes: Sequence[GeodesicClass],
-              coverage: Optional[float]) -> float:
-    if coverage is not None:
-        return float(coverage)
-    return max((c.norm for c in classes), default=0.0)
-
-
 def _check_gaussian_window(tf: TestFunctionPair, cov: float) -> None:
     if tf.kind != "gaussian":
         return
@@ -211,23 +205,12 @@ def _check_gaussian_window(tf: TestFunctionPair, cov: float) -> None:
             f"geodesics to x >= {math.sqrt(needed):.4g}")
 
 
-def _count_fit(classes: Sequence[GeodesicClass]) -> float:
-    """Diagnostic constant C with class counts <= C*li(T), fitted."""
-    cum = 0
-    best = 0.0
-    for c in sorted(classes, key=lambda c: c.norm):
-        cum += c.multiplicity
-        if c.norm >= 3.0:
-            best = max(best, cum / li(c.norm))
-    return 1.6 * best if best else 4.0
-
-
 def _he_tail(classes: Sequence[GeodesicClass], cov: float,
              tf: TestFunctionPair) -> float:
     """Count-model bound on classes beyond the coverage window."""
     if cov <= 3.0:
         return math.inf
-    c_fit = _count_fit(classes)
+    c_fit = count_constant(classes)
     u_top = math.log(cov) + float(tf.metadata["u_cut"]) + 5.0
 
     def f(u: float) -> float:
@@ -245,14 +228,8 @@ def _hyp_ell_sum(m: int, tf: TestFunctionPair,
     to cosines (double difference) or Chebyshev ratios (difference)."""
     u_cut = float(tf.metadata["u_cut"])
     acc = 0.0 + 0.0j
-    for c in sorted(classes, key=lambda c: (c.norm, c.d.a, c.d.b)):
-        if c.norm > cov * (1.0 + 1e-12):
-            continue
-        if c.multiplicity % 2:
-            raise InvariantViolation(
-                f"odd class multiplicity {c.multiplicity} at "
-                f"d=({c.d.a},{c.d.b}); inverse pairing broken")
-        half = c.multiplicity // 2
+    for c in window(classes, cov, cov):
+        half = half_multiplicity(c)
         log_n = math.log(c.norm)
         ell = 1
         while ell * log_n <= u_cut:
@@ -338,7 +315,7 @@ def geom_side_double_difference(m: int, tf: TestFunctionPair, F: FieldCtx,
     """Geometric side of the double-difference formula at even weight m."""
     if m % 2:
         raise ValidationError(f"weight m={m} must be even")
-    cov = _coverage(classes, coverage)
+    cov = class_coverage(classes, coverage)
     _check_gaussian_window(tf, cov)
     zeta_m1 = float(F.zeta_minus_one)
 
@@ -376,7 +353,7 @@ def geom_side_difference(m: int, tf: TestFunctionPair, F: FieldCtx,
     second-slot weight; defined for every even m, including m <= 0."""
     if m % 2:
         raise ValidationError(f"weight m={m} must be even")
-    cov = _coverage(classes, coverage)
+    cov = class_coverage(classes, coverage)
     _check_gaussian_window(tf, cov)
     zeta_m1 = float(F.zeta_minus_one)
 
@@ -449,7 +426,7 @@ def double_difference_closed_forms(m: int, s: complex, beta1: float,
                     inner += coef * digamma((pt + l) / e.nu)
         ell_closed += w * inner
 
-    cov = _coverage(classes, coverage)
+    cov = class_coverage(classes, coverage)
     he_closed = 0.0 + 0.0j
     for pt, w, _ in weights:
         p = ZetaParams(s=pt, m=m, trunc_norm=cov, trunc_k=40)

@@ -18,15 +18,16 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import scipy.special as sp
 
 from .errors import InvariantViolation, ValidationError
-from .geodesics import GeodesicClass
+from .geodesics import (GeodesicClass, count_constant,
+                        coverage as class_coverage, half_multiplicity,
+                        weighted_count_constant, window)
 from .quadfield import FieldCtx
-from .specfun import li, loggamma2, xi_ratio, zeta_eps
+from .specfun import loggamma2, xi_ratio, zeta_eps
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,10 +45,6 @@ def _pairwise_sum(terms: Sequence[complex]) -> complex:
             nxt.append(vals[-1])
         vals = nxt
     return vals[0]
-
-
-def _sorted_classes(classes: Sequence[GeodesicClass]) -> List[GeodesicClass]:
-    return sorted(classes, key=lambda c: (c.norm, c.d.a, c.d.b))
 
 
 # ------------------------------------------------------------ parameters
@@ -99,39 +96,10 @@ class RuelleValue:
 
 # ------------------------------------------------------------ tail bounds
 
-def _count_constant(classes: Sequence[GeodesicClass]) -> float:
-    """Fitted C with #{N(p) <= T} <= C*li(T) over the supplied classes.
-
-    Diagnostic constant: fitted from the very list being truncated, with
-    a safety factor, not an a-priori bound.
-    """
-    cum = 0
-    best = 0.0
-    for c in _sorted_classes(classes):
-        cum += c.multiplicity
-        if c.norm >= 3.0:
-            best = max(best, cum / li(c.norm))
-    if best == 0.0:
-        best = 4.0
-    return 1.6 * best
-
-
-def _weighted_count_constant(classes: Sequence[GeodesicClass]) -> float:
-    """Fitted C2 with sum_{N<=T} h*log N <= C2*T over the supplied list."""
-    cum = 0.0
-    best = 0.0
-    for c in _sorted_classes(classes):
-        cum += c.multiplicity * math.log(c.norm)
-        best = max(best, cum / c.norm)
-    if best == 0.0:
-        best = 4.0
-    return 1.5 * best
-
-
 def _norm_tail(classes: Sequence[GeodesicClass], x: float,
                sigma: float) -> float:
     """Bound the k-summed log-tail of classes with norm beyond x."""
-    c_fit = _count_constant(classes)
+    c_fit = count_constant(classes)
     return (1.9 * c_fit * x ** (1.0 - sigma) / math.log(x)
             * (1.2 + 1.0 / (sigma - 1.0)))
 
@@ -143,34 +111,6 @@ def _k_tail(kept: Sequence[GeodesicClass], sigma: float, k_cut: int) -> float:
         total += (1.22 * c.multiplicity
                   * c.norm ** (-(k_cut + 1 + sigma)) / (1.0 - 1.0 / c.norm))
     return total
-
-
-def _coverage(classes: Sequence[GeodesicClass],
-              coverage: Optional[float]) -> float:
-    if coverage is not None:
-        return float(coverage)
-    return max((c.norm for c in classes), default=0.0)
-
-
-def _kept_classes(classes: Sequence[GeodesicClass], x: float,
-                  coverage: Optional[float]) -> List[GeodesicClass]:
-    cov = _coverage(classes, coverage)
-    if x > cov * (1.0 + 1e-9):
-        raise ValidationError(
-            f"class list covers norms <= {cov:.6g} but trunc_norm={x:.6g}; "
-            f"enumerate geodesics to x >= {math.sqrt(x):.6g} first")
-    return [c for c in _sorted_classes(classes)
-            if c.norm <= x * (1.0 + 1e-12)]
-
-
-def _half_multiplicity(c: GeodesicClass) -> int:
-    # classes pair with their inverses (angle and its negative); an odd
-    # count would break the pairing that keeps coefficients real
-    if c.multiplicity % 2:
-        raise InvariantViolation(
-            f"odd class multiplicity {c.multiplicity} at "
-            f"d=({c.d.a},{c.d.b}); inverse pairing broken")
-    return c.multiplicity // 2
 
 
 # ------------------------------------------------------------ Euler products
@@ -189,11 +129,11 @@ def selberg_zeta(p: ZetaParams, classes: Sequence[GeodesicClass],
     if s.real <= 1.0:
         raise ValidationError(
             f"Euler product needs Re(s) > 1, got s={p.s}")
-    kept = _kept_classes(classes, p.trunc_norm, coverage)
+    kept = window(classes, p.trunc_norm, coverage)
     phase_mult = p.m - 2
     terms: List[complex] = []
     for c in kept:
-        half = _half_multiplicity(c)
+        half = half_multiplicity(c)
         log_n = math.log(c.norm)
         rot = cmath.exp(1j * phase_mult * c.angle)
         acc = 0.0 + 0.0j
@@ -216,13 +156,13 @@ def selberg_log_deriv(p: ZetaParams, classes: Sequence[GeodesicClass],
     if s.real <= 1.0:
         raise ValidationError(
             f"log-derivative series needs Re(s) > 1, got s={p.s}")
-    kept = _kept_classes(classes, p.trunc_norm, coverage)
+    kept = window(classes, p.trunc_norm, coverage)
     phase_mult = p.m - 2
     sigma = s.real
     terms: List[complex] = []
     power_tail = 0.0
     for c in kept:
-        half = _half_multiplicity(c)
+        half = half_multiplicity(c)
         log_n = math.log(c.norm)
         acc = 0.0 + 0.0j
         ell = 1
@@ -238,7 +178,7 @@ def selberg_log_deriv(p: ZetaParams, classes: Sequence[GeodesicClass],
         power_tail += (1.5 * c.multiplicity * log_n * drop
                        / (1.0 - c.norm ** (-sigma)))
     total = _pairwise_sum(terms)
-    c2_fit = _weighted_count_constant(classes)
+    c2_fit = weighted_count_constant(classes)
     unseen = (1.5 * c2_fit * sigma / (sigma - 1.0)
               * p.trunc_norm ** (1.0 - sigma))
     return ZetaValue(value=total, log_value=total,
@@ -257,14 +197,15 @@ def ruelle(s: complex, classes: Sequence[GeodesicClass],
     s = complex(s)
     if s.real <= 1.0:
         raise ValidationError(f"ruelle product needs Re(s) > 1, got s={s}")
-    x = trunc_norm if trunc_norm is not None else _coverage(classes, coverage)
+    x = (trunc_norm if trunc_norm is not None
+         else class_coverage(classes, coverage))
     pa = ZetaParams(s=s, m=2, trunc_norm=x, trunc_k=trunc_k)
     pb = ZetaParams(s=s + 1.0, m=2, trunc_norm=x, trunc_k=trunc_k)
     za = selberg_zeta(pa, classes, coverage=coverage)
     zb = selberg_zeta(pb, classes, coverage=coverage)
     ratio = cmath.exp(za.log_value - zb.log_value)
 
-    kept = _kept_classes(classes, x, coverage)
+    kept = window(classes, x, coverage)
     terms = [-c.multiplicity * cmath.log(1.0 - cmath.exp(-s * math.log(c.norm)))
              for c in kept]
     direct = cmath.exp(_pairwise_sum(terms))

@@ -2,11 +2,14 @@ import math
 
 import pytest
 
-from hilbert_selberg.errors import InvariantViolation, ValidationError
+from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
+                                    ValidationError)
 from hilbert_selberg.modgroup import (
     GroupElem, classify, conjugation_orbit, elliptic_census,
-    enumerate_elliptic, is_conjugate, _normalize_key,
+    enumerate_elliptic, height_predicate, is_conjugate, _conj_neighbors,
+    _normalize_key,
 )
+from hilbert_selberg.pellforms import enumerate_forms, form_orbit, _form_neighbors
 from hilbert_selberg.quadfield import QuadInt, make_field, _omega_trace_norm
 
 
@@ -113,6 +116,50 @@ class TestConjugacy:
             assert classify(h).kind == "elliptic"
             tr = h.trace()
             assert tr == g.trace() or tr == -g.trace()
+
+
+def _orbit_case(kind):
+    """(seed, orbit(seed, cap, max_states), neighbor map) over Q(sqrt 5)."""
+    D = 5
+    if kind == "conjugation":
+        g = elem(D, ((0, 0), (-1, 0), (1, 0), (1, 0)))
+        seed = _normalize_key(g.key(), D, _omega_trace_norm(D)[0])
+        return (seed,
+                lambda cap, ms: conjugation_orbit(seed, D, cap, cap,
+                                                  max_states=ms)[0],
+                _conj_neighbors)
+    seed = min(f.key() for f in enumerate_forms(QuadInt(D, -7, 5),
+                                                make_field(D)))
+    return (seed,
+            lambda cap, ms: form_orbit(seed, D, cap, cap, max_states=ms),
+            _form_neighbors)
+
+
+@pytest.mark.parametrize("kind", ["conjugation", "form"])
+class TestOrbitEngine:
+    CAP = 12.0
+
+    def test_closed_under_neighbors_within_caps(self, kind):
+        D = 5
+        t, n = _omega_trace_norm(D)
+        seed, orbit_of, neighbors = _orbit_case(kind)
+        orbit = orbit_of(self.CAP, 400000)
+        assert seed in orbit and len(orbit) > 1
+        inside = height_predicate(D, self.CAP, self.CAP)
+        for key in orbit:
+            assert inside(key)
+            for nb in neighbors(key, D, t, n):
+                assert nb in orbit or not inside(nb)
+
+    def test_budget_trips_at_the_state_count(self, kind):
+        seed, orbit_of, _ = _orbit_case(kind)
+        full = orbit_of(self.CAP, 400000)
+        assert orbit_of(self.CAP, len(full)) == full
+        with pytest.raises(BudgetExceededError,
+                           match=f"{kind} orbit exceeded {len(full) - 1} "):
+            orbit_of(self.CAP, len(full) - 1)
+        with pytest.raises(BudgetExceededError):
+            orbit_of(self.CAP, 3)
 
 
 class TestCensus:

@@ -19,6 +19,8 @@ from hilbert_selberg.traceform import (
     heat_asymptotic_check,
     rational_testfunction,
 )
+from hilbert_selberg.zetafun import (ZetaParams, selberg_log_deriv,
+                                     selberg_zeta)
 
 # high-precision re-evaluation of the same sums, 30 digits
 GAUSS_TOTALS_D5_BETA01 = {
@@ -234,6 +236,22 @@ def test_gaussian_window_requires_enough_classes(d5):
     thin = enumerate_geodesics(F, 3.0)
     with pytest.raises(ValidationError, match="enumerate"):
         geom_side_double_difference(2, gaussian_testfunction(0.2), F, thin)
+
+
+def test_class_order_is_independent_of_list_order(d5):
+    F, classes = d5
+    shuffled = list(classes)
+    random.Random(7).shuffle(shuffled)
+    assert shuffled != list(classes)
+    for m, s in ((2, 1.7 + 0.4j), (4, 2.5), (6, 1.4 - 2.0j)):
+        p = ZetaParams(s=s, m=m, trunc_norm=90.0, trunc_k=40)
+        for fn in (selberg_zeta, selberg_log_deriv):
+            assert fn(p, shuffled) == fn(p, classes)
+        tf = gaussian_testfunction(0.1)
+        a = geom_side_double_difference(m, tf, F, shuffled)
+        b = geom_side_double_difference(m, tf, F, classes)
+        assert _families(a) == _families(b)
+        assert a.diagnostics == b.diagnostics
 
 
 def test_odd_multiplicity_rejected(d5):
