@@ -4,8 +4,8 @@ Group elements are 2x2 matrices over O_K of determinant 1, acting on
 H x H through the pair (gamma, gamma') of real embeddings.  Conjugacy
 searches walk the Cayley graph of conjugation by a fixed generator set
 (translations by +-1, +-w and the inversion S), with per-embedding
-height caps; they therefore return "unknown" rather than "no" when a
-cap is exhausted without a meeting point.
+height caps, so a target missed within the caps proves nothing about
+conjugacy.
 """
 
 from __future__ import annotations
@@ -236,32 +236,6 @@ def conjugation_orbit(seed: Key, D: int, cap1: float, cap2: float,
                       height_predicate(D, cap1, cap2), max_states, targets)
 
 
-def is_conjugate(g: GroupElem, h: GroupElem, search_bound: float = 40.0,
-                 max_states: int = 400000) -> str:
-    """'yes' / 'no' / 'unknown' for PSL conjugacy of g and h.
-
-    'no' is only returned on an exact invariant mismatch (trace up to
-    sign); an exhausted height-capped search yields 'unknown'.
-    """
-    if g.D != h.D:
-        raise ValidationError("elements of different fields")
-    tg, th = g.trace(), h.trace()
-    if tg != th and tg != -th:
-        return "no"
-    D = g.D
-    t, _ = _omega_trace_norm(D)
-    gk = _normalize_key(g.key(), D, t)
-    hk = _normalize_key(h.key(), D, t)
-    if gk == hk:
-        return "yes"
-    try:
-        _, hit = conjugation_orbit(gk, D, search_bound, search_bound,
-                                   max_states=max_states, targets={hk})
-    except BudgetExceededError:
-        return "unknown"
-    return "yes" if hit else "unknown"
-
-
 # ------------------------------------------------------- elliptic census
 
 
@@ -355,9 +329,8 @@ def _signed_angle(tr_embed: float, c_sign: int) -> float:
     return theta if c_sign > 0 else -theta
 
 
-def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0,
-                       bfs_factor: float = 2.5,
-                       max_states: int = 400000) -> Tuple[EllipticClass, ...]:
+def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0
+                       ) -> Tuple[EllipticClass, ...]:
     """Primitive elliptic conjugacy classes (rotation pair (pi/nu, t*pi/nu)).
 
     Brute enumeration over admissible traces and height-bounded entries,
@@ -371,7 +344,7 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0,
     D = F.D
     t, n = _omega_trace_norm(D)
     two_cos = _two_cos_table(F)
-    cap_bfs = height_bound * bfs_factor
+    cap_bfs = height_bound * 2.5
     w1, w2 = _embed_consts(D)
 
     # collect candidate matrices, bucketed by PSL trace
@@ -419,8 +392,8 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0,
     records: List[dict] = []
     for bucket in buckets.values():
         for seed, orbit in partition_orbits(
-                bucket, lambda k: conjugation_orbit(
-                    k, D, cap_bfs, cap_bfs, max_states=max_states)[0]):
+                bucket,
+                lambda k: conjugation_orbit(k, D, cap_bfs, cap_bfs)[0]):
             nu, tj, th1, th2 = meta[seed]
             records.append({"nu": nu, "tj": tj, "th1": th1, "th2": th2,
                             "seed": seed, "orbit": orbit,
@@ -445,9 +418,7 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0,
                     abs(pkey[2 * i] + pkey[2 * i + 1] * wj)
                     for i in range(4) for wj in (w1, w2)))
                 tgt = {k for r in sub for k in r["members"]}
-                porb, hit = conjugation_orbit(pkey, D, pcap, pcap,
-                                              max_states=max_states,
-                                              targets=tgt)
+                porb, hit = conjugation_orbit(pkey, D, pcap, pcap, targets=tgt)
                 if hit:
                     hk = next(iter(porb & tgt))
                     owner = next(r for r in sub if hk in r["members"])
@@ -476,12 +447,10 @@ _CENSUS_ORDERS = {
     12: (2, 2, 2, 3, 3, 6),
 }
 
-_DEFAULT_CENSUS_HEIGHT = {5: 8.0, 8: 8.0, 12: 8.0}
-
 _census_memo: Dict[Tuple[int, float], Tuple[Tuple[int, int, int], ...]] = {}
 
 
-def elliptic_census(F: FieldCtx, height_bound: Optional[float] = None
+def elliptic_census(F: FieldCtx, height_bound: float = 8.0
                     ) -> Tuple[Tuple[int, int, int], ...]:
     """(nu, t, count) census of primitive elliptic classes.
 
@@ -490,8 +459,6 @@ def elliptic_census(F: FieldCtx, height_bound: Optional[float] = None
     height bound missed a representative), too many raises
     InvariantViolation (the BFS failed to merge equivalent elements).
     """
-    if height_bound is None:
-        height_bound = _DEFAULT_CENSUS_HEIGHT.get(F.D, 8.0)
     memo_key = (F.D, float(height_bound))
     if memo_key in _census_memo:
         return _census_memo[memo_key]

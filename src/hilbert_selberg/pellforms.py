@@ -32,7 +32,7 @@ __all__ = [
 # ------------------------------------------------------------ gcd helpers
 
 
-def euclid_gcd(x: QuadInt, y: QuadInt, max_steps: int = 200) -> QuadInt:
+def euclid_gcd(x: QuadInt, y: QuadInt) -> QuadInt:
     """gcd in O_K by nearest-lattice division with a neighbor rescue.
 
     Nearest rounding strictly shrinks |N(r)| in the norm-Euclidean
@@ -42,7 +42,7 @@ def euclid_gcd(x: QuadInt, y: QuadInt, max_steps: int = 200) -> QuadInt:
     if x.D != y.D:
         raise ValidationError("gcd of elements from different fields")
     D = x.D
-    for _ in range(max_steps):
+    for _ in range(200):
         if y.is_zero():
             return x
         q = x.round_div(y)
@@ -70,10 +70,6 @@ def content(a: QuadInt, b: QuadInt, c: QuadInt) -> QuadInt:
     return euclid_gcd(g, c)
 
 
-def _is_unit(x: QuadInt) -> bool:
-    return not x.is_zero() and abs(x.norm()) == 1
-
-
 # ------------------------------------------------------------ form type
 
 
@@ -91,7 +87,7 @@ class FormOverOK:
     def __post_init__(self):
         if not (self.a.D == self.b.D == self.c.D):
             raise ValidationError("form coefficients from different fields")
-        if not _is_unit(content(self.a, self.b, self.c)):
+        if not content(self.a, self.b, self.c).is_unit():
             raise ValidationError("form is not primitive")
 
     @property
@@ -314,7 +310,7 @@ def enumerate_forms(d: QuadInt, F: FieldCtx,
             i = idx[j]
             b = QuadInt(D, int(xa[i]), int(xb[i]))
             c = QuadInt(D, int(ca[j]), int(cb[j]))
-            if _is_unit(content(a, b, c)):
+            if content(a, b, c).is_unit():
                 out.append(FormOverOK(a, b, c))
     return out
 
@@ -335,8 +331,7 @@ def _matrix_boxes(pell: PellSolution, height: float) -> Tuple[float, float]:
 
 
 def _matrix_class_count(dc: QuadInt, pell: PellSolution, F: FieldCtx,
-                        m1: float, m2: float, cap1: float, cap2: float,
-                        max_states: int) -> int:
+                        m1: float, m2: float, cap1: float, cap2: float) -> int:
     """Count HE conjugacy classes whose primitive form content matches dc.
 
     This walks the stabilizer-generator correspondence backwards:
@@ -364,16 +359,14 @@ def _matrix_class_count(dc: QuadInt, pell: PellSolution, F: FieldCtx,
             continue
         keys.append(_normalize_key(key, D, t))
     return sum(1 for _ in partition_orbits(
-        keys, lambda k: conjugation_orbit(k, D, cap1, cap2,
-                                          max_states=max_states)[0]))
+        keys, lambda k: conjugation_orbit(k, D, cap1, cap2)[0]))
 
 
 # ------------------------------------------------------- class numbers
 
 
-def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
-                 bfs_factor: float = 3.0,
-                 max_states: int = 400000) -> DiscriminantRecord:
+def class_number(d: QuadInt, F: FieldCtx,
+                 height: float = 8.0) -> DiscriminantRecord:
     """Dual-route class count for the canonical associate of d.
 
     The orbit partition of height-bounded primitive forms is the
@@ -386,23 +379,22 @@ def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
     pell = pell_fundamental(dc, F)
     D = F.D
     h1, h2 = _form_boxes(dc, height)
-    cap1, cap2 = bfs_factor * h1, bfs_factor * h2
+    cap1, cap2 = 3.0 * h1, 3.0 * h2
 
     forms = enumerate_forms(dc, F, height=height)
     reps = [seed for seed, _ in partition_orbits(
         (f.key() for f in forms),
-        lambda k: form_orbit(k, D, cap1, cap2, max_states=max_states))]
+        lambda k: form_orbit(k, D, cap1, cap2))]
     h_orbit = len(reps)
 
     m1, m2 = _matrix_boxes(pell, height)
     mcap1, mcap2 = max(cap1, 1.5 * m1), max(cap2, 1.5 * m2)
-    h_matrix = _matrix_class_count(dc, pell, F, m1, m2, mcap1, mcap2,
-                                   max_states)
+    h_matrix = _matrix_class_count(dc, pell, F, m1, m2, mcap1, mcap2)
     if h_orbit != h_matrix:
         raise InvariantViolation(
             f"ambiguous class count for d={dc}: form orbits give "
             f"{h_orbit}, matrix conjugacy gives {h_matrix}; "
-            f"height={height}, bfs_factor={bfs_factor}")
+            f"height={height}, bfs_factor=3.0")
     if h_orbit < 1:
         raise InvariantViolation(f"no forms found for d={dc}")
     return DiscriminantRecord(

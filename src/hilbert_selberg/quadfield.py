@@ -169,9 +169,6 @@ class QuadInt:
     def is_one(self) -> bool:
         return self.a == 1 and self.b == 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def is_unit(self) -> bool:
         return abs(self.norm()) == 1
 
@@ -241,10 +238,8 @@ class QuadInt:
         return f"QuadInt(D={self.D}, {format_quadint(self)})"
 
 
-def format_quadint(x: QuadInt, explicit: bool = False) -> str:
-    """Render a + b*w.  explicit=True always prints both coordinates."""
-    if explicit:
-        return f"{x.a}{x.b:+d}*w"
+def format_quadint(x: QuadInt) -> str:
+    """Render a + b*w, dropping zero and unit coefficients."""
     if x.b == 0:
         return str(x.a)
     if x.b == 1:
@@ -375,7 +370,7 @@ def bernoulli_L_minus_one(D: int) -> Fraction:
     return -b2chi / 2
 
 
-def fundamental_unit(D: int, max_steps: int = 20000) -> QuadInt:
+def fundamental_unit(D: int) -> QuadInt:
     """Fundamental unit eps > 1 of O_K via the continued fraction of w.
 
     Runs the exact (P, Q) recurrence for the quadratic irrational
@@ -389,7 +384,7 @@ def fundamental_unit(D: int, max_steps: int = 20000) -> QuadInt:
     P, Q = t, 2
     p, p_prev = 1, 0  # p_{-1}, p_{-2}
     q, q_prev = 0, 1
-    for _ in range(max_steps):
+    for _ in range(20000):
         a = (P + sqrtD) // Q
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
@@ -399,7 +394,7 @@ def fundamental_unit(D: int, max_steps: int = 20000) -> QuadInt:
         P = a * Q - P
         Q = (D - P * P) // Q
     raise BudgetExceededError(f"no fundamental unit found for D={D} "
-                              f"within {max_steps} continued-fraction steps")
+                              "within 20000 continued-fraction steps")
 
 
 @dataclass(frozen=True)
@@ -426,10 +421,6 @@ class FieldCtx:
     @property
     def one(self) -> QuadInt:
         return QuadInt(self.D, 1, 0)
-
-    @property
-    def zero(self) -> QuadInt:
-        return QuadInt(self.D, 0, 0)
 
     @property
     def eps1(self) -> float:
@@ -468,8 +459,7 @@ class FieldCtx:
 _FIELD_MEMO: dict = {}
 
 
-def make_field(D: int, with_census: Optional[bool] = None,
-               census_height: Optional[int] = None) -> FieldCtx:
+def make_field(D: int, with_census: Optional[bool] = None) -> FieldCtx:
     """Build the FieldCtx for a whitelisted fundamental discriminant.
 
     with_census defaults to True for D in {5, 8, 12} (the fields whose
@@ -488,7 +478,7 @@ def make_field(D: int, with_census: Optional[bool] = None,
             f"(supported D <= 100: {sorted(CLASS_NUMBER_ONE)})")
     if with_census is None:
         with_census = D in _SUPPORTED_CENSUS
-    key = (D, bool(with_census), census_height)
+    key = (D, bool(with_census))
     if key in _FIELD_MEMO:
         return _FIELD_MEMO[key]
 
@@ -510,7 +500,7 @@ def make_field(D: int, with_census: Optional[bool] = None,
     if with_census:
         from . import modgroup  # deferred: modgroup depends on this module
 
-        census = modgroup.elliptic_census(ctx, height_bound=census_height)
+        census = modgroup.elliptic_census(ctx)
         euler = 2 * zeta
         for nu, _t, count in census:
             euler += count * Fraction(nu - 1, nu)
@@ -535,28 +525,6 @@ def lattice_points(D: int, bound1: float, bound2: float) -> Iterator[QuadInt]:
             continue
         for a in range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1):
             yield QuadInt(D, a, b)
-
-
-def unit_reduce(x: QuadInt, F: FieldCtx) -> QuadInt:
-    """Canonical associate of x: the unit multiple +-x*eps^k with positive
-    first embedding lying in [1, eps).  Idempotent; norm is preserved up
-    to sign.
-    """
-    if x.is_zero():
-        raise ValidationError("zero has no canonical associate")
-    y = x if x.sign_embed(1) > 0 else -x
-    eps, one = F.eps, F.one
-    eps_inv = eps.inverse_unit()
-    # float first guess, then exact correction
-    k = -math.floor(math.log(abs(y.embed(1))) / F.regulator) if y.embed(1) > 0 else 0
-    y = y * (eps ** k) if k >= 0 else y * (eps_inv ** (-k))
-    while y.compare_embed(one, 1) < 0:
-        y = y * eps
-    while (y - eps).sign_embed(1) >= 0:
-        y = y * eps_inv
-    if y.sign_embed(1) <= 0:
-        raise ValidationError(f"unit reduction failed on {x}")
-    return y
 
 
 def canonical_disc(d: QuadInt, F: FieldCtx) -> QuadInt:

@@ -1,4 +1,4 @@
-"""Special functions: digamma, double Gamma, Dirichlet L, li, unit zeta.
+"""Special functions: digamma, double Gamma, li, unit zeta.
 
 Everything returns complex doubles.  The double Gamma is normalized by
 Gamma2(1) = 1 together with the ladder
@@ -16,15 +16,12 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Literal
 
-import mpmath as mp
-import numpy as np
 from scipy import integrate
 from scipy import special as sp
 
 from .errors import ValidationError
-from .quadfield import FieldCtx, bernoulli_L_minus_one, chi_D
+from .quadfield import FieldCtx
 
 TWO_PI = 2.0 * math.pi
 LOG_TWO_PI = math.log(TWO_PI)
@@ -108,61 +105,6 @@ def xi_ratio(s: complex) -> complex:
                      - loggamma2(s) - loggamma2(-s))
 
 
-def g_nu(s: complex, nu: int) -> complex:
-    """G_nu(s) = prod_{l=0}^{nu-1} Gamma((s+l)/nu)^((nu-1-2l)/nu).
-
-    nu = 1 yields the empty exponent pattern, so G_1 = 1 identically.
-    """
-    if nu < 1:
-        raise ValidationError("nu must be >= 1")
-    acc = 0.0 + 0.0j
-    for l in range(nu):
-        acc += ((nu - 1 - 2 * l) / nu) * sp.loggamma((s + l) / nu)
-    return cmath.exp(acc)
-
-
-def dirichlet_L(s: complex, D: int,
-                mode: Literal["hurwitz", "dirichlet"] = "hurwitz",
-                terms: int = 200000) -> complex:
-    """L(s, chi_D) for the real character chi_D = (D|.).
-
-    hurwitz mode: L(s) = D^(-s) * sum_a chi(a) zeta_H(s, a/D), valid for
-    all s (chi is nonprincipal, so the a-sum of chi kills the pole).
-    dirichlet mode: direct sum, requires Re(s) > 1.
-    """
-    s = complex(s)
-    chi = chi_D(D)
-    if mode == "hurwitz":
-        with mp.workdps(30):
-            acc = mp.mpc(0)
-            ms = mp.mpc(s.real, s.imag)
-            for a in range(1, D + 1):
-                c = chi(a)
-                if c:
-                    acc += c * mp.zeta(ms, mp.mpf(a) / D)
-            val = mp.power(D, -ms) * acc
-            return complex(val)
-    if mode == "dirichlet":
-        if s.real <= 1.0:
-            raise ValidationError(
-                "dirichlet mode needs Re(s) > 1; use mode='hurwitz'")
-        n = np.arange(1, terms + 1)
-        coeffs = np.array([chi(int(k)) for k in range(terms + 1)])
-        vals = coeffs[1:] * np.exp(-s * np.log(n))
-        return complex(vals.sum())
-    raise ValidationError(f"unknown dirichlet_L mode {mode!r}")
-
-
-def dedekind_zeta(s: complex, D: int) -> complex:
-    """zeta_K(s) = zeta(s) * L(s, chi_D); pole at s = 1 raises."""
-    s = complex(s)
-    if abs(s - 1.0) < 1e-12:
-        raise ValidationError("dedekind zeta pole at s=1")
-    with mp.workdps(30):
-        riemann = complex(mp.zeta(mp.mpc(s.real, s.imag)))
-    return riemann * dirichlet_L(s, D, mode="hurwitz")
-
-
 def li(x: float) -> float:
     """Offset logarithmic integral li(x) = integral_2^x dt/log(t)."""
     x = float(x)
@@ -189,25 +131,12 @@ def zeta_eps(s: complex, F: FieldCtx) -> complex:
     return 1.0 / denom
 
 
-def log_zeta_eps(s: complex, F: FieldCtx) -> complex:
-    s = complex(s)
-    x = cmath.exp(-2.0 * s * F.regulator)
-    if abs(1.0 - x) < 1e-13:
-        raise ValidationError(f"zeta_eps pole at s={s}")
-    return -cmath.log(1.0 - x)
-
-
 __all__ = [
     "ZETA_PRIME_MINUS_ONE",
-    "bernoulli_L_minus_one",
-    "dedekind_zeta",
     "digamma",
-    "dirichlet_L",
-    "g_nu",
     "gamma2",
     "li",
     "log_barnes_g",
-    "log_zeta_eps",
     "loggamma2",
     "xi_ratio",
     "zeta_eps",

@@ -307,41 +307,49 @@ def _elliptic_sum(m: int, tf: TestFunctionPair, F: FieldCtx,
 
 # ------------------------------------------------------------ evaluators
 
-def geom_side_double_difference(m: int, tf: TestFunctionPair, F: FieldCtx,
-                                classes: Sequence[GeodesicClass],
-                                coverage: Optional[float] = None,
-                                eps_terms: Optional[int] = None
-                                ) -> GeomSideBreakdown:
-    """Geometric side of the double-difference formula at even weight m."""
+def _geom_side(m: int, tf: TestFunctionPair, F: FieldCtx,
+               classes: Sequence[GeodesicClass], coverage: Optional[float],
+               eps_terms: Optional[int], single: bool) -> GeomSideBreakdown:
+    """Both evaluators: the difference (single) scales the identity and
+    HE tail by (m - 1)/2, the double difference by 1."""
     if m % 2:
         raise ValidationError(f"weight m={m} must be even")
     cov = class_coverage(classes, coverage)
     _check_gaussian_window(tf, cov)
-    zeta_m1 = float(F.zeta_minus_one)
+    scale = (m - 1) * 0.5 if single else 1.0
 
     id_int, id_err = _identity_integral(tf)
-    identity = zeta_m1 * id_int
-    elliptic, ell_err = _elliptic_sum(m, tf, F, single=False)
-    hyp_ell = _hyp_ell_sum(m, tf, classes, cov, single=False)
-    par = (-F.regulator * tf.g1(0.0)
-           * (_sgn(m - 1) - _sgn(m - 3)))
-    eps_val, eps_tail, k_cut = _eps_series(m, tf, F, False, eps_terms)
+    identity = scale * float(F.zeta_minus_one) * id_int
+    elliptic, ell_err = _elliptic_sum(m, tf, F, single)
+    hyp_ell = _hyp_ell_sum(m, tf, classes, cov, single)
+    par = (-_sgn(m - 1) * F.regulator * tf.g1(0.0) if single else
+           -F.regulator * tf.g1(0.0) * (_sgn(m - 1) - _sgn(m - 3)))
+    eps_val, eps_tail, k_cut = _eps_series(m, tf, F, single, eps_terms)
 
     diag: Dict[str, object] = {
         "coverage": cov,
-        "he_tail": _he_tail(classes, cov, tf),
+        "he_tail": abs(scale) * _he_tail(classes, cov, tf),
         "eps_tail": eps_tail,
         "eps_terms": k_cut,
         "identity_quad_err": id_err,
         "elliptic_quad_err": ell_err,
     }
-    if m == 2:
+    if m == 2 and not single:
         diag["spectral_constant"] = -2.0 * tf.h1(0.5j)
     total = _ordered_total(identity, elliptic, hyp_ell, par, eps_val)
     return GeomSideBreakdown(identity_term=identity, elliptic_term=elliptic,
                              hyp_ell_term=hyp_ell, par_sct_term=par,
                              hyp2_sct_term=eps_val, total=total,
                              diagnostics=diag)
+
+
+def geom_side_double_difference(m: int, tf: TestFunctionPair, F: FieldCtx,
+                                classes: Sequence[GeodesicClass],
+                                coverage: Optional[float] = None,
+                                eps_terms: Optional[int] = None
+                                ) -> GeomSideBreakdown:
+    """Geometric side of the double-difference formula at even weight m."""
+    return _geom_side(m, tf, F, classes, coverage, eps_terms, single=False)
 
 
 def geom_side_difference(m: int, tf: TestFunctionPair, F: FieldCtx,
@@ -351,32 +359,7 @@ def geom_side_difference(m: int, tf: TestFunctionPair, F: FieldCtx,
                          ) -> GeomSideBreakdown:
     """Geometric side of the difference formula, divided through by the
     second-slot weight; defined for every even m, including m <= 0."""
-    if m % 2:
-        raise ValidationError(f"weight m={m} must be even")
-    cov = class_coverage(classes, coverage)
-    _check_gaussian_window(tf, cov)
-    zeta_m1 = float(F.zeta_minus_one)
-
-    id_int, id_err = _identity_integral(tf)
-    identity = (m - 1) * 0.5 * zeta_m1 * id_int
-    elliptic, ell_err = _elliptic_sum(m, tf, F, single=True)
-    hyp_ell = _hyp_ell_sum(m, tf, classes, cov, single=True)
-    par = -_sgn(m - 1) * F.regulator * tf.g1(0.0)
-    eps_val, eps_tail, k_cut = _eps_series(m, tf, F, True, eps_terms)
-
-    diag: Dict[str, object] = {
-        "coverage": cov,
-        "he_tail": abs(m - 1) * 0.5 * _he_tail(classes, cov, tf),
-        "eps_tail": eps_tail,
-        "eps_terms": k_cut,
-        "identity_quad_err": id_err,
-        "elliptic_quad_err": ell_err,
-    }
-    total = _ordered_total(identity, elliptic, hyp_ell, par, eps_val)
-    return GeomSideBreakdown(identity_term=identity, elliptic_term=elliptic,
-                             hyp_ell_term=hyp_ell, par_sct_term=par,
-                             hyp2_sct_term=eps_val, total=total,
-                             diagnostics=diag)
+    return _geom_side(m, tf, F, classes, coverage, eps_terms, single=True)
 
 
 # ------------------------------------------------------------ closed forms
@@ -486,8 +469,7 @@ def elliptic_zero_width_limit(F: FieldCtx) -> float:
 
 def heat_asymptotic_check(F: FieldCtx, beta_grid: Optional[Sequence[float]],
                           classes: Sequence[GeodesicClass],
-                          coverage: Optional[float] = None,
-                          a_tol: float = 0.02, b_tol: float = 0.05
+                          coverage: Optional[float] = None
                           ) -> Dict[str, object]:
     """Fit the small-width expansion of the weight-two geometric side.
 
@@ -498,7 +480,7 @@ def heat_asymptotic_check(F: FieldCtx, beta_grid: Optional[Sequence[float]],
     the evaluator computes exactly, so they are removed from the fitted
     data and reported alongside; the rest is fitted against
     a/beta + b/sqrt(beta) + c + d*beta.  a must land on zeta_K(-1) and
-    b on -2 log(eps)/sqrt(4 pi) within the stated tolerances.
+    b on -2 log(eps)/sqrt(4 pi) within relative errors 0.02 and 0.05.
     """
     if beta_grid is None:
         beta_grid = (0.2, 0.1, 0.05, 0.025)
@@ -541,6 +523,6 @@ def heat_asymptotic_check(F: FieldCtx, beta_grid: Optional[Sequence[float]],
         "removed_families": tuple(removed),
         "elliptic_limit": elliptic_zero_width_limit(F),
     }
-    if report["a_rel_err"] > a_tol or report["b_rel_err"] > b_tol:
+    if report["a_rel_err"] > 0.02 or report["b_rel_err"] > 0.05:
         raise InvariantViolation(f"heat expansion drifted: {report}")
     return report

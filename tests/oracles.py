@@ -9,8 +9,6 @@ two is a genuine cross-check and not a tautology.
 import math
 from fractions import Fraction
 
-import mpmath as mp
-
 
 def kronecker_ref(a: int, b: int) -> int:
     """Kronecker symbol (a|b) via the classical reciprocity algorithm."""
@@ -64,7 +62,6 @@ def zeta_K_minus_one_ref(D: int) -> Fraction:
 
 def li_gauss_legendre(x: float, panels: int = 64) -> float:
     """Logarithmic integral from 2 by composite 20-point Gauss-Legendre."""
-    nodes, weights = [], []
     import numpy.polynomial.legendre as lg
     xs, ws = lg.leggauss(20)
     total = 0.0
@@ -75,34 +72,3 @@ def li_gauss_legendre(x: float, panels: int = 64) -> float:
         for xi, wi in zip(xs, ws):
             total += wi * half / math.log(mid + half * xi)
     return total
-
-
-def fd_logderiv(f, s: complex, h: float = 1e-4) -> complex:
-    """Richardson-extrapolated central difference of log f at s."""
-    def d(hh):
-        return (f(s + hh) - f(s - hh)) / (2.0 * hh)
-    d1, d2 = d(h), d(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0 / f(s)
-
-
-def dedekind_coeffs(D: int, nmax: int) -> list:
-    """Dirichlet coefficients of zeta_K = zeta * L(chi_D):
-    a_n = sum_{d | n} chi_D(d), accumulated by a divisor sieve."""
-    out = [0] * (nmax + 1)
-    for d in range(1, nmax + 1):
-        c = kronecker_ref(D, d)
-        if c:
-            for m in range(d, nmax + 1, d):
-                out[m] += c
-    return out
-
-
-def barnes_g_ref(z: complex) -> complex:
-    """Barnes G via mpmath, as an arbitrary-precision oracle."""
-    return complex(mp.barnesg(z))
-
-
-def dedekind_zeta_series(s: complex, D: int, nmax: int = 400000) -> complex:
-    """Direct Dirichlet series for zeta_K(s), Re(s) > 1 only."""
-    co = dedekind_coeffs(D, nmax)
-    return sum(co[n] * n ** (-complex(s)) for n in range(1, nmax + 1))

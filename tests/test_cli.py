@@ -6,9 +6,13 @@ with the same configuration must give byte-identical output.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hilbert_selberg
 from hilbert_selberg.cli import RunConfig, main
 
 
@@ -16,6 +20,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+# ---------------------------------------------------------------- imports
+
+def test_cli_import_leaves_mpmath_out():
+    # mpmath is a test-only oracle; a fresh interpreter must not load it
+    src = os.path.dirname(os.path.dirname(hilbert_selberg.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, hilbert_selberg.cli; sys.exit('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0
 
 
 # ---------------------------------------------------------------- config

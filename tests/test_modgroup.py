@@ -6,7 +6,7 @@ from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
                                     ValidationError)
 from hilbert_selberg.modgroup import (
     GroupElem, classify, conjugation_orbit, elliptic_census,
-    enumerate_elliptic, height_predicate, is_conjugate, _conj_neighbors,
+    enumerate_elliptic, height_predicate, _conj_neighbors,
     _normalize_key,
 )
 from hilbert_selberg.pellforms import enumerate_forms, form_orbit, _form_neighbors
@@ -87,22 +87,12 @@ class TestClassify:
 class TestConjugacy:
     def test_direct_conjugates_are_reached(self):
         D = 8
-        t, _ = _omega_trace_norm(D)
         g = elem(D, ((0, 0), (-1, 0), (1, 0), (0, 0)))
         u = elem(D, ((1, 0), (2, 1), (0, 0), (1, 0)))
         h = u * g * u.inverse()
-        assert is_conjugate(g, h, search_bound=30.0) == "yes"
-
-    def test_trace_mismatch_is_no(self):
-        g = elem(5, ((0, 0), (-1, 0), (1, 0), (0, 0)))
-        h = elem(5, ((0, 0), (-1, 0), (1, 0), (1, 0)))
-        assert is_conjugate(g, h) == "no"
-
-    def test_field_mismatch_raises(self):
-        g = elem(5, ((0, 0), (-1, 0), (1, 0), (0, 0)))
-        h = elem(8, ((0, 0), (-1, 0), (1, 0), (0, 0)))
-        with pytest.raises(ValidationError):
-            is_conjugate(g, h)
+        _, hit = conjugation_orbit(g.key(), D, 30.0, 30.0,
+                                   targets={h.key()})
+        assert hit
 
     def test_orbit_is_conjugation_closed(self):
         D = 5
@@ -197,9 +187,9 @@ class TestCensus:
         for q in four:
             sq = q.rep * q.rep
             assert sq.psl_order() == 2
-            verdicts = {is_conjugate(sq, c.rep, search_bound=25.0)
-                        for c in twos}
-            assert "yes" not in verdicts
+            _, hit = conjugation_orbit(sq.key(), 8, 25.0, 25.0,
+                                       targets={c.rep.key() for c in twos})
+            assert not hit
 
     def test_census_memoized_and_certified(self):
         F = make_field(12)
