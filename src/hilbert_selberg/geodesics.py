@@ -10,6 +10,7 @@ The Pell step recovers the true fundamental solution, which may be
 smaller than the (t, u) pair that produced the candidate.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -85,6 +86,12 @@ def window(classes: Sequence[GeodesicClass], x: float,
             if c.norm <= x * (1.0 + 1e-12)]
 
 
+def _norms_and_multiplicities(classes: Sequence[GeodesicClass]
+                              ) -> Tuple[Tuple[float, int], ...]:
+    return tuple((c.norm, c.multiplicity)
+                 for c in sorted(classes, key=class_order))
+
+
 def count_constant(classes: Sequence[GeodesicClass]) -> float:
     """Fitted C with #{N(p) <= T} <= C*li(T) over the supplied classes.
 
@@ -92,12 +99,17 @@ def count_constant(classes: Sequence[GeodesicClass]) -> float:
     a safety factor, not an a-priori bound.  With no listed norm >= 3
     the fit falls back to C = 1.6 * 4.
     """
+    return _count_fit(_norms_and_multiplicities(classes))
+
+
+@functools.lru_cache(maxsize=8)
+def _count_fit(pairs: Tuple[Tuple[float, int], ...]) -> float:
     cum = 0
     best = 0.0
-    for c in sorted(classes, key=class_order):
-        cum += c.multiplicity
-        if c.norm >= 3.0:
-            best = max(best, cum / li(c.norm))
+    for norm, mult in pairs:
+        cum += mult
+        if norm >= 3.0:
+            best = max(best, cum / li(norm))
     if best == 0.0:
         best = 4.0
     return 1.6 * best
@@ -105,11 +117,16 @@ def count_constant(classes: Sequence[GeodesicClass]) -> float:
 
 def weighted_count_constant(classes: Sequence[GeodesicClass]) -> float:
     """Fitted C2 with sum_{N<=T} h*log N <= C2*T over the supplied list."""
+    return _weighted_count_fit(_norms_and_multiplicities(classes))
+
+
+@functools.lru_cache(maxsize=8)
+def _weighted_count_fit(pairs: Tuple[Tuple[float, int], ...]) -> float:
     cum = 0.0
     best = 0.0
-    for c in sorted(classes, key=class_order):
-        cum += c.multiplicity * math.log(c.norm)
-        best = max(best, cum / c.norm)
+    for norm, mult in pairs:
+        cum += mult * math.log(norm)
+        best = max(best, cum / norm)
     if best == 0.0:
         best = 4.0
     return 1.5 * best

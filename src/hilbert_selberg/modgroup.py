@@ -145,68 +145,156 @@ def _normalize_key(key: Key, D: int, t: int) -> Key:
     raise ValidationError("zero matrix cannot be normalized")
 
 
-def _conj_neighbors(key: Key, D: int, t: int, n: int) -> List[Key]:
-    """Conjugates of the matrix by the five generators, sign-normalized.
+def _normalize_rows(rows: np.ndarray, D: int, t: int) -> np.ndarray:
+    """Row version of _normalize_key: negate, in place, every row whose
+    first nonzero coordinate pair has negative first embedding."""
+    x, y = rows[:, 0::2], rows[:, 1::2]
+    nz = (x != 0) | (y != 0)
+    if not nz.any(axis=1).all():
+        raise ValidationError("zero matrix cannot be normalized")
+    r = np.arange(len(rows))
+    i = nz.argmax(axis=1)
+    A, b = 2 * x[r, i] + t * y[r, i], y[r, i]
+    # sign of (A + b*sqrt(D))/2: that of A when A^2 > b^2 D, else of b
+    lhs, rhs = A * A, b * b * D
+    if np.any((lhs == rhs) & (b != 0)):
+        raise ValidationError(
+            f"D={D} is a perfect square; field is not quadratic")
+    neg = np.where(lhs > rhs, A < 0, b < 0)
+    return np.negative(rows, out=rows, where=neg[:, None])
+
+
+# the translation generators mu = +1, -1, +w, -w as coordinate columns
+_MU_A = np.array([[1], [-1], [0], [0]])
+_MU_B = np.array([[0], [0], [1], [-1]])
+
+
+def _conj_neighbors(rows: np.ndarray, D: int, t: int, n: int) -> np.ndarray:
+    """Conjugates of each row by the five generators, sign-normalized;
+    row i's images are rows 5i..5i+4, in the order S, T_1, T_-1, T_w, T_-w.
 
     T_mu g T_mu^{-1} = [[a + mu c, b + mu(d - a) - mu^2 c], [c, d - mu c]]
     S g S^{-1} = [[d, -c], [-b, a]]
     """
-    aa, ab, ba, bb, ca, cb, da, db = key
-    out = [_normalize_key((da, db, -ca, -cb, -ba, -bb, aa, ab), D, t)]
-    for ma, mb in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        mca, mcb = _coord_mul(ma, mb, ca, cb, t, n)
-        m2a, m2b = _coord_mul(ma, mb, ma, mb, t, n)
-        m2ca, m2cb = _coord_mul(m2a, m2b, ca, cb, t, n)
-        mda, mdb = _coord_mul(ma, mb, da - aa, db - ab, t, n)
-        out.append(_normalize_key(
-            (aa + mca, ab + mcb,
-             ba + mda - m2ca, bb + mdb - m2cb,
-             ca, cb,
-             da - mca, db - mcb), D, t))
-    return out
+    aa, ab, ba, bb, ca, cb, da, db = rows.T
+    out = np.repeat(rows[:, None], 5, axis=1)
+    out[:, 0] = rows[:, [6, 7, 4, 5, 2, 3, 0, 1]] * [1, 1, -1, -1, -1, -1, 1, 1]
+    mca, mcb = _coord_mul(_MU_A, _MU_B, ca, cb, t, n)
+    m2a, m2b = _coord_mul(_MU_A, _MU_B, _MU_A, _MU_B, t, n)
+    m2ca, m2cb = _coord_mul(m2a, m2b, ca, cb, t, n)
+    mda, mdb = _coord_mul(_MU_A, _MU_B, da - aa, db - ab, t, n)
+    T = out[:, 1:]  # the T_mu images, (N, 4, 8), start as copies of the row
+    T[..., 0] += mca.T
+    T[..., 1] += mcb.T
+    T[..., 2] += (mda - m2ca).T
+    T[..., 3] += (mdb - m2cb).T
+    T[..., 6] -= mca.T
+    T[..., 7] -= mcb.T
+    return _normalize_rows(out.reshape(-1, 8), D, t)
 
 
 def height_predicate(D: int, cap1: float, cap2: float
-                     ) -> Callable[[tuple], bool]:
-    """Test that every coordinate pair (x, y) of a key, read as x + y*w,
-    has embeddings within (cap1, cap2); works for matrix and form keys."""
+                     ) -> Callable[[np.ndarray], np.ndarray]:
+    """Row mask: every coordinate pair (x, y) of a row, read as x + y*w,
+    has embeddings within (cap1, cap2); works for matrix and form rows."""
     w1, w2 = _embed_consts(D)
 
-    def ok(key: tuple) -> bool:
-        for i in range(0, len(key), 2):
-            x, y = key[i], key[i + 1]
-            if abs(x + y * w1) > cap1 or abs(x + y * w2) > cap2:
-                return False
-        return True
+    def ok(rows: np.ndarray) -> np.ndarray:
+        x, y = rows[:, 0::2], rows[:, 1::2]
+        return ((np.abs(x + y * w1) <= cap1)
+                & (np.abs(x + y * w2) <= cap2)).all(axis=1)
     return ok
 
 
+def _row_packer(what: str, D: int, cap1: float, cap2: float, seed: tuple
+                ) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact complex128 sort keys for in-cap rows of 6 or 8 entries.
+
+    An in-cap pair x + y*w has |2x + t*y| <= cap1 + cap2 and
+    |y| sqrt(D) <= cap1 + cap2, so it has an offset index below R in that
+    box; two indices go into each float64 half, exact while R^2 < 2^53.
+    Raises BudgetExceededError up front when the caps break that, or
+    when the neighbour maps could reach 2^62 in int64 arithmetic.
+    """
+    t, n = _omega_trace_norm(D)
+    A = math.floor(cap1 + cap2) + 1
+    B = math.floor((cap1 + cap2) / math.sqrt(D)) + 1
+    R = (2 * A + 1) * (2 * B + 1)
+    if R * R >= 2 ** 53:
+        raise BudgetExceededError(
+            f"{what} orbit caps ({cap1:.6g}, {cap2:.6g}) too large for "
+            "exact packed keys")
+    # in-cap coordinates are at most cap1 + cap2; one generator step
+    # multiplies that by at most 4|n| + 8, and the sign test squares it
+    M = (4 * abs(n) + 8) * max(A, max(abs(v) for v in seed))
+    if M * M * max(9, D) >= 2 ** 62:
+        raise BudgetExceededError(
+            f"{what} orbit caps ({cap1:.6g}, {cap2:.6g}) or seed overflow "
+            "int64 arithmetic")
+
+    def pack(rows: np.ndarray) -> np.ndarray:
+        x, y = rows[:, 0::2], rows[:, 1::2]
+        idx = (2 * x + t * y + A) * (2 * B + 1) + (y + B)
+        keys = np.empty(len(rows), dtype=np.complex128)
+        keys.real = idx[:, 0] * R + idx[:, 1]
+        keys.imag = idx[:, 2] * R + (idx[:, 3] if idx.shape[1] > 3 else 0)
+        return keys
+    return pack
+
+
+def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of the keys present in the sorted key array."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[pos] == keys
+
+
 def capped_bfs(what: str, seed: tuple,
-               neighbors: Callable[[tuple], Iterable[tuple]],
-               height_ok: Callable[[tuple], bool], max_states: int,
+               neighbors: Callable[[np.ndarray], np.ndarray],
+               D: int, cap1: float, cap2: float, max_states: int,
                targets: Optional[set] = None) -> Tuple[set, bool]:
     """Height-capped BFS from seed; returns (visited, hit_target).
 
-    Each neighbor is checked in order: already visited, over the height
-    cap, a target (stop at once), then the state budget, which raises
-    BudgetExceededError for the `what` orbit.
+    The frontier is expanded a whole level at a time: `neighbors` maps
+    an (N, k) int64 array to its (m*N, k) images, row i's images in
+    rows m*i..m*i+m-1.  The new states of a level are the first
+    occurrences, in that order, of in-cap images not yet visited, so
+    visited sets, target hits and the state at which the budget trips
+    are those of a key-by-key walk that checks each neighbour in turn:
+    already visited, over the height cap, a target (stop at once), then
+    the state budget, which raises BudgetExceededError for the `what`
+    orbit.
     """
+    height_ok = height_predicate(D, cap1, cap2)
+    pack = _row_packer(what, D, cap1, cap2, seed)
+    frontier = np.array([seed], dtype=np.int64)
     visited = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for key in frontier:
-            for nb in neighbors(key):
-                if nb in visited or not height_ok(nb):
-                    continue
-                visited.add(nb)
-                if targets is not None and nb in targets:
-                    return visited, True
-                nxt.append(nb)
-                if len(visited) > max_states:
-                    raise BudgetExceededError(
-                        f"{what} orbit exceeded {max_states} states")
-        frontier = nxt
+    seen = pack(frontier[height_ok(frontier)])
+    while len(frontier):
+        images = neighbors(frontier)
+        images = images[height_ok(images)]
+        keys, first = np.unique(pack(images), return_index=True)
+        unseen = ~_in_sorted(seen, keys)
+        fresh = np.zeros(len(images), dtype=bool)
+        fresh[first[unseen]] = True
+        frontier = images[fresh]
+        states = list(zip(*frontier.T.tolist()))
+        # a key-by-key walk checks states[trip] against the targets, then
+        # raises because adding it took the count past max_states
+        trip = max(0, max_states - len(visited))
+        if targets is not None:
+            hit = next((i for i, key in enumerate(states[:trip + 1])
+                        if key in targets), None)
+            if hit is not None:
+                visited.update(states[:hit + 1])
+                return visited, True
+        if trip < len(states):
+            raise BudgetExceededError(
+                f"{what} orbit exceeded {max_states} states")
+        visited.update(states)
+        seen = np.insert(seen, np.searchsorted(seen, keys[unseen]),
+                         keys[unseen])
     return visited, False
 
 
@@ -232,8 +320,8 @@ def conjugation_orbit(seed: Key, D: int, cap1: float, cap2: float,
     """
     t, n = _omega_trace_norm(D)
     return capped_bfs("conjugation", _normalize_key(seed, D, t),
-                      lambda key: _conj_neighbors(key, D, t, n),
-                      height_predicate(D, cap1, cap2), max_states, targets)
+                      lambda rows: _conj_neighbors(rows, D, t, n),
+                      D, cap1, cap2, max_states, targets)
 
 
 # ------------------------------------------------------- elliptic census
@@ -280,6 +368,14 @@ def _matrices_with_trace(F: FieldCtx, tr: QuadInt,
     heights within (cap1, cap2); vectorized divisor scan over (a, b)."""
     D = F.D
     t, n = _omega_trace_norm(D)
+    # box coordinates are at most H, those of tr - A at most T, those of
+    # P at most Pmax; the products below stay under (|n| + 4) H Pmax
+    H = math.floor(cap1 + cap2) + 1
+    T = H + max(abs(tr.a), abs(tr.b))
+    Pmax = (abs(n) + 3) * H * T + 1
+    if (abs(n) + 4) * H * Pmax >= 2 ** 62:
+        raise BudgetExceededError(
+            f"entry boxes ({cap1:.6g}, {cap2:.6g}) overflow int64 arithmetic")
     pts = list(lattice_points(D, cap1, cap2))
     if not pts:
         return []

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
 from .modgroup import (GroupElem, Key, capped_bfs, conjugation_orbit,
-                       height_predicate, partition_orbits, _matrices_with_trace,
-                       _normalize_key)
+                       partition_orbits, _matrices_with_trace, _normalize_key,
+                       _MU_A, _MU_B)
 from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
                         _coord_mul, _embed_consts, _omega_trace_norm)
 
@@ -32,36 +32,52 @@ __all__ = [
 # ------------------------------------------------------------ gcd helpers
 
 
-def euclid_gcd(x: QuadInt, y: QuadInt) -> QuadInt:
-    """gcd in O_K by nearest-lattice division with a neighbor rescue.
+def _gcd_coords(xa: int, xb: int, ya: int, yb: int,
+                t: int, n: int) -> Tuple[int, int]:
+    """Coordinates of a gcd of xa + xb*w and ya + yb*w in O_K, where
+    w^2 = t*w - n, by nearest-lattice division with a neighbor rescue.
 
     Nearest rounding strictly shrinks |N(r)| in the norm-Euclidean
     fields; elsewhere a small offset scan usually rescues the step, and
     a budget error is raised if it cannot.
     """
-    if x.D != y.D:
-        raise ValidationError("gcd of elements from different fields")
-    D = x.D
+    def norm(a: int, b: int) -> int:
+        return abs(a * a + t * a * b + n * b * b)
+
     for _ in range(200):
-        if y.is_zero():
-            return x
-        q = x.round_div(y)
-        r = x - q * y
-        if abs(r.norm()) >= abs(y.norm()):
+        if ya == 0 and yb == 0:
+            return xa, xb
+        ny = ya * ya + t * ya * yb + n * yb * yb
+        # nearest quotient: x * conj(y) / N(y), conj(y) = (ya + t*yb, -yb)
+        numa, numb = _coord_mul(xa, xb, ya + t * yb, -yb, t, n)
+        sgn, m = (1, ny) if ny > 0 else (-1, -ny)
+        qa = (2 * sgn * numa + m) // (2 * m)
+        qb = (2 * sgn * numb + m) // (2 * m)
+        pa, pb = _coord_mul(qa, qb, ya, yb, t, n)
+        ra, rb = xa - pa, xb - pb
+        if norm(ra, rb) >= m:
             best = None
             for da in (-1, 0, 1):
                 for db in (-1, 0, 1):
-                    q2 = q + QuadInt(D, da, db)
-                    r2 = x - q2 * y
-                    if best is None or abs(r2.norm()) < abs(best.norm()):
-                        best = r2
-            r = best
-            if abs(r.norm()) >= abs(y.norm()):
-                raise BudgetExceededError(
-                    f"euclidean step stalled for D={D}; "
+                    pa, pb = _coord_mul(qa + da, qb + db, ya, yb, t, n)
+                    r2 = norm(xa - pa, xb - pb)
+                    if best is None or r2 < best[0]:
+                        best = (r2, xa - pa, xb - pb)
+            _, ra, rb = best
+            if best[0] >= m:
+                raise BudgetExceededError(  # t^2 - 4n is the field's D
+                    f"euclidean step stalled for D={t * t - 4 * n}; "
                     "field may not admit nearest-lattice division")
-        x, y = y, r
+        xa, xb, ya, yb = ya, yb, ra, rb
     raise BudgetExceededError("gcd iteration budget exhausted")
+
+
+def euclid_gcd(x: QuadInt, y: QuadInt) -> QuadInt:
+    """gcd in O_K (any associate); see _gcd_coords."""
+    if x.D != y.D:
+        raise ValidationError("gcd of elements from different fields")
+    t, n = _omega_trace_norm(x.D)
+    return QuadInt(x.D, *_gcd_coords(x.a, x.b, y.a, y.b, t, n))
 
 
 def content(a: QuadInt, b: QuadInt, c: QuadInt) -> QuadInt:
@@ -236,22 +252,26 @@ def pell_fundamental(d: QuadInt, F: FieldCtx,
 # --------------------------------------------------------- form orbits
 
 
-def _form_neighbors(key: FormKey, D: int, t: int, n: int) -> List[FormKey]:
-    """Images of the form under the translation and swap generators.
+def _form_neighbors(rows: np.ndarray, D: int, t: int, n: int) -> np.ndarray:
+    """Images of each form row under the swap and translation generators;
+    row i's images are rows 5i..5i+4, in the order S, T_1, T_-1, T_w, T_-w.
 
     (a, b, c) -> (a, b + 2 a mu, c + b mu + a mu^2)   [x -> x + mu y]
     (a, b, c) -> (c, -b, a)                            [x,y -> -y,x]
     """
-    aa, ab, ba, bb, ca, cb = key
-    out = [(ca, cb, -ba, -bb, aa, ab)]
-    for ma, mb in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        m2a, m2b = _coord_mul(ma, mb, ma, mb, t, n)
-        ta, tb = _coord_mul(2 * aa, 2 * ab, ma, mb, t, n)
-        bma, bmb = _coord_mul(ba, bb, ma, mb, t, n)
-        am2a, am2b = _coord_mul(aa, ab, m2a, m2b, t, n)
-        out.append((aa, ab, ba + ta, bb + tb,
-                    ca + bma + am2a, cb + bmb + am2b))
-    return out
+    aa, ab, ba, bb, ca, cb = rows.T
+    out = np.repeat(rows[:, None], 5, axis=1)
+    out[:, 0] = rows[:, [4, 5, 2, 3, 0, 1]] * [1, 1, -1, -1, 1, 1]
+    m2a, m2b = _coord_mul(_MU_A, _MU_B, _MU_A, _MU_B, t, n)
+    ta, tb = _coord_mul(2 * aa, 2 * ab, _MU_A, _MU_B, t, n)
+    bma, bmb = _coord_mul(ba, bb, _MU_A, _MU_B, t, n)
+    am2a, am2b = _coord_mul(aa, ab, m2a, m2b, t, n)
+    T = out[:, 1:]  # the T_mu images, (N, 4, 6), start as copies of the row
+    T[..., 2] += ta.T
+    T[..., 3] += tb.T
+    T[..., 4] += (bma + am2a).T
+    T[..., 5] += (bmb + am2b).T
+    return out.reshape(-1, 6)
 
 
 def form_orbit(seed: FormKey, D: int, cap1: float, cap2: float,
@@ -259,8 +279,8 @@ def form_orbit(seed: FormKey, D: int, cap1: float, cap2: float,
     """Height-capped BFS orbit of the form under the generator action."""
     t, n = _omega_trace_norm(D)
     visited, _ = capped_bfs("form", seed,
-                            lambda key: _form_neighbors(key, D, t, n),
-                            height_predicate(D, cap1, cap2), max_states)
+                            lambda rows: _form_neighbors(rows, D, t, n),
+                            D, cap1, cap2, max_states)
     return visited
 
 
@@ -274,12 +294,19 @@ def _form_boxes(d: QuadInt, height: float) -> Tuple[float, float]:
 
 
 def enumerate_forms(d: QuadInt, F: FieldCtx,
-                    height: float = 8.0) -> List[FormOverOK]:
-    """All primitive forms of discriminant d with coefficient heights
-    inside the per-embedding boxes derived from d and `height`."""
+                    height: float = 8.0) -> List[FormKey]:
+    """Keys of all primitive forms of discriminant d with coefficient
+    heights inside the per-embedding boxes derived from d and `height`."""
     D = d.D
     t, n = _omega_trace_norm(D)
     h1, h2 = _form_boxes(d, height)
+    # box coordinates are at most H, |b^2 - d| at most N; the products
+    # below stay under 4(|n| + 4) H N
+    H = math.floor(h1 + h2) + 1
+    N = (abs(n) + 3) * H * H + abs(d.a) + abs(d.b)
+    if 4 * (abs(n) + 4) * H * N >= 2 ** 62:
+        raise BudgetExceededError(
+            f"form boxes ({h1:.6g}, {h2:.6g}) overflow int64 arithmetic")
     pts = list(lattice_points(D, h1, h2))
     if not pts:
         return []
@@ -289,7 +316,7 @@ def enumerate_forms(d: QuadInt, F: FieldCtx,
     # num = b^2 - d for the whole b-column at once
     numa = xa * xa - n * xb * xb - d.a
     numb = 2 * xa * xb + t * xb * xb - d.b
-    out: List[FormOverOK] = []
+    out: List[FormKey] = []
     for a in pts:
         if a.is_zero():
             continue
@@ -308,10 +335,11 @@ def enumerate_forms(d: QuadInt, F: FieldCtx,
         keep = (np.abs(ca + cb * w1) <= h1) & (np.abs(ca + cb * w2) <= h2)
         for j in np.nonzero(keep)[0]:
             i = idx[j]
-            b = QuadInt(D, int(xa[i]), int(xb[i]))
-            c = QuadInt(D, int(ca[j]), int(cb[j]))
-            if content(a, b, c).is_unit():
-                out.append(FormOverOK(a, b, c))
+            key = (a.a, a.b, int(xa[i]), int(xb[i]), int(ca[j]), int(cb[j]))
+            g = _gcd_coords(*key[:4], t, n)
+            ga, gb = _gcd_coords(*g, *key[4:], t, n)
+            if abs(ga * ga + t * ga * gb + n * gb * gb) == 1:
+                out.append(key)
     return out
 
 
@@ -342,6 +370,7 @@ def _matrix_class_count(dc: QuadInt, pell: PellSolution, F: FieldCtx,
     D = F.D
     t, _ = _omega_trace_norm(D)
     keys: List[Key] = []
+    canonical = {}  # few distinct discriminants recur many times
     tr = pell.t0
     for key in _matrices_with_trace(F, tr, m1, m2):
         aa, ab, ba, bb, ca, cb, da, db = key
@@ -350,12 +379,15 @@ def _matrix_class_count(dc: QuadInt, pell: PellSolution, F: FieldCtx,
         fc = QuadInt(D, -ba, -bb)
         if fa.is_zero() and fc.is_zero():
             continue
+        # the primitive form is (fa, fb, fc) / k, of discriminant
+        # disc(fa, fb, fc) / k^2
         k = content(fa, fb, fc)
-        qa, qb, qc = fa.exact_div(k), fb.exact_div(k), fc.exact_div(k)
-        disc = qb * qb - 4 * (qa * qc)
+        disc = (fb * fb - 4 * (fa * fc)).exact_div(k * k)
         if disc.sign_embed(1) <= 0 or disc.sign_embed(2) >= 0:
             continue
-        if canonical_disc(disc, F) != dc:
+        if (disc.a, disc.b) not in canonical:
+            canonical[disc.a, disc.b] = canonical_disc(disc, F)
+        if canonical[disc.a, disc.b] != dc:
             continue
         keys.append(_normalize_key(key, D, t))
     return sum(1 for _ in partition_orbits(
@@ -383,8 +415,7 @@ def class_number(d: QuadInt, F: FieldCtx,
 
     forms = enumerate_forms(dc, F, height=height)
     reps = [seed for seed, _ in partition_orbits(
-        (f.key() for f in forms),
-        lambda k: form_orbit(k, D, cap1, cap2))]
+        forms, lambda k: form_orbit(k, D, cap1, cap2))]
     h_orbit = len(reps)
 
     m1, m2 = _matrix_boxes(pell, height)

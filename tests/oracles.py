@@ -72,3 +72,67 @@ def li_gauss_legendre(x: float, panels: int = 64) -> float:
         for xi, wi in zip(xs, ws):
             total += wi * half / math.log(mid + half * xi)
     return total
+
+
+def capped_bfs_ref(seed, neighbors, height_ok, max_states, targets=None):
+    """Key-by-key height-capped BFS: returns (visit order, hit_target).
+
+    Each neighbour is checked in turn: already visited, over the height
+    cap, a target (stop at once), then the state budget, which raises.
+    """
+    from hilbert_selberg.errors import BudgetExceededError
+    order, seen, frontier = [seed], {seed}, [seed]
+    while frontier:
+        nxt = []
+        for key in frontier:
+            for nb in neighbors(key):
+                if nb in seen or not height_ok(nb):
+                    continue
+                seen.add(nb)
+                order.append(nb)
+                if targets is not None and nb in targets:
+                    return order, True
+                nxt.append(nb)
+                if len(order) > max_states:
+                    raise BudgetExceededError(
+                        f"orbit exceeded {max_states} states")
+        frontier = nxt
+    return order, False
+
+
+def height_ok_ref(D, cap1, cap2):
+    """Every pair (x, y) of a key has |x + y*w_j| within cap_j."""
+    t = 1 if D % 4 == 1 else 0
+    w1, w2 = (t + math.sqrt(D)) / 2.0, (t - math.sqrt(D)) / 2.0
+    return lambda key: all(
+        abs(x + y * w1) <= cap1 and abs(x + y * w2) <= cap2
+        for x, y in zip(key[0::2], key[1::2]))
+
+
+def _translations(D):
+    from hilbert_selberg.quadfield import QuadInt
+    return [QuadInt(D, 1, 0), QuadInt(D, -1, 0), QuadInt(D, 0, 1),
+            QuadInt(D, 0, -1)]
+
+
+def conj_neighbors_ref(D):
+    """Conjugates h g h^-1 by S, T_1, T_-1, T_w, T_-w, in group arithmetic."""
+    from hilbert_selberg.modgroup import GroupElem
+    from hilbert_selberg.quadfield import QuadInt
+    zero, one = QuadInt(D, 0, 0), QuadInt(D, 1, 0)
+    gens = [GroupElem.make(zero, -one, one, zero)] + [
+        GroupElem.make(one, mu, zero, one) for mu in _translations(D)]
+    return lambda key: [(h * GroupElem.from_key(key, D) * h.inverse()).key()
+                        for h in gens]
+
+
+def form_neighbors_ref(D):
+    """Images of (a, b, c) under x,y -> -y,x and x -> x + mu y."""
+    from hilbert_selberg.quadfield import QuadInt
+
+    def nbrs(key):
+        a, b, c = (QuadInt(D, key[i], key[i + 1]) for i in (0, 2, 4))
+        images = [(c, -b, a)] + [(a, b + 2 * a * mu, c + b * mu + a * mu * mu)
+                                 for mu in _translations(D)]
+        return [(p.a, p.b, q.a, q.b, r.a, r.b) for p, q, r in images]
+    return nbrs

@@ -1,16 +1,23 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hilbert_selberg import modgroup, pellforms
 from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
                                     ValidationError)
 from hilbert_selberg.modgroup import (
     GroupElem, classify, conjugation_orbit, elliptic_census,
     enumerate_elliptic, height_predicate, _conj_neighbors,
-    _normalize_key,
+    _matrices_with_trace, _normalize_key, _normalize_rows, _row_packer,
 )
 from hilbert_selberg.pellforms import enumerate_forms, form_orbit, _form_neighbors
-from hilbert_selberg.quadfield import QuadInt, make_field, _omega_trace_norm
+from hilbert_selberg.quadfield import (QuadInt, lattice_points, make_field,
+                                       _omega_trace_norm)
+
+from oracles import (capped_bfs_ref, conj_neighbors_ref, form_neighbors_ref,
+                     height_ok_ref)
 
 
 def elem(D, rows):
@@ -118,8 +125,7 @@ def _orbit_case(kind):
                 lambda cap, ms: conjugation_orbit(seed, D, cap, cap,
                                                   max_states=ms)[0],
                 _conj_neighbors)
-    seed = min(f.key() for f in enumerate_forms(QuadInt(D, -7, 5),
-                                                make_field(D)))
+    seed = min(enumerate_forms(QuadInt(D, -7, 5), make_field(D)))
     return (seed,
             lambda cap, ms: form_orbit(seed, D, cap, cap, max_states=ms),
             _form_neighbors)
@@ -137,9 +143,10 @@ class TestOrbitEngine:
         assert seed in orbit and len(orbit) > 1
         inside = height_predicate(D, self.CAP, self.CAP)
         for key in orbit:
-            assert inside(key)
-            for nb in neighbors(key, D, t, n):
-                assert nb in orbit or not inside(nb)
+            row = np.array([key])
+            assert inside(row)[0]
+            for nb in neighbors(row, D, t, n):
+                assert tuple(nb.tolist()) in orbit or not inside(nb[None])[0]
 
     def test_budget_trips_at_the_state_count(self, kind):
         seed, orbit_of, _ = _orbit_case(kind)
@@ -150,6 +157,115 @@ class TestOrbitEngine:
             orbit_of(self.CAP, len(full) - 1)
         with pytest.raises(BudgetExceededError):
             orbit_of(self.CAP, 3)
+
+
+def _reference_case(kind):
+    """(engine(max_states, targets), reference(max_states, targets))."""
+    if kind == "form":
+        D, cap = 5, 12.0
+        seed = min(enumerate_forms(QuadInt(D, -7, 5), make_field(D)))
+        return (lambda ms, tg: (form_orbit(seed, D, cap, cap, ms), False),
+                lambda ms, tg: capped_bfs_ref(seed, form_neighbors_ref(D),
+                                              height_ok_ref(D, cap, cap), ms))
+    # the D = 8 orbit of test_direct_conjugates_are_reached
+    D, cap = 8, 30.0
+    seed = elem(D, ((0, 0), (-1, 0), (1, 0), (0, 0))).key()
+    return (lambda ms, tg: conjugation_orbit(seed, D, cap, cap, ms, tg),
+            lambda ms, tg: capped_bfs_ref(seed, conj_neighbors_ref(D),
+                                          height_ok_ref(D, cap, cap), ms, tg))
+
+
+def _outcome(run, max_states, targets=None):
+    try:
+        return run(max_states, targets)
+    except BudgetExceededError:
+        return "budget"
+
+
+@pytest.mark.parametrize("kind", ["conjugation", "form"])
+class TestEngineMatchesKeyByKeyBFS:
+    def test_visited_set(self, kind):
+        engine, ref = _reference_case(kind)
+        order, hit = ref(400000, None)
+        assert engine(400000, None) == (set(order), hit)
+        assert hit is False and len(order) > 100
+
+    def test_budget_trip_point(self, kind):
+        engine, ref = _reference_case(kind)
+        n = len(ref(400000, None)[0])
+        for ms in (0, 1, 2, 7, n // 3, n - 2, n - 1, n):
+            got, want = _outcome(engine, ms), _outcome(ref, ms)
+            assert got == (want if want == "budget"
+                           else (set(want[0]), want[1]))
+
+
+
+def test_engine_target_hits_match_key_by_key_bfs():
+    engine, ref = _reference_case("conjugation")
+    order, _ = ref(400000, None)
+    D = 8
+    g = elem(D, ((0, 0), (-1, 0), (1, 0), (0, 0)))
+    u = elem(D, ((1, 0), (2, 1), (0, 0), (1, 0)))
+    direct = (u * g * u.inverse()).key()
+    for pos in (1, 5, 6, len(order) // 2, len(order) - 1):
+        targets = {order[pos], direct}
+        for ms in (pos - 2, pos - 1, pos, pos + 1, 400000):
+            got, want = (_outcome(engine, ms, targets),
+                         _outcome(ref, ms, targets))
+            assert got == (want if want == "budget"
+                           else (set(want[0]), want[1]))
+
+
+class TestArithmeticGuards:
+    """Caps or seeds that could overflow int64 fail before any search:
+    each test patches out the function a search would call first."""
+
+    def test_orbit_seed_too_large(self, monkeypatch):
+        monkeypatch.setattr(modgroup, "_conj_neighbors", None)
+        with pytest.raises(BudgetExceededError, match="int64"):
+            conjugation_orbit((1, 0, 2 ** 40, 0, 0, 0, 1, 0), 5, 12.0, 12.0)
+
+    def test_orbit_caps_too_large_to_pack(self, monkeypatch):
+        monkeypatch.setattr(pellforms, "_form_neighbors", None)
+        with pytest.raises(BudgetExceededError, match="packed keys"):
+            form_orbit((1, 0, 1, 0, -1, 1), 5, 1e5, 1e5)
+
+    def test_matrix_boxes(self, monkeypatch):
+        monkeypatch.setattr(modgroup, "lattice_points", None)
+        F = make_field(5, with_census=False)
+        with pytest.raises(BudgetExceededError, match="int64"):
+            _matrices_with_trace(F, QuadInt(5, 3, 1), 1e9, 1e9)
+
+    def test_form_boxes(self, monkeypatch):
+        monkeypatch.setattr(pellforms, "lattice_points", None)
+        F = make_field(5, with_census=False)
+        with pytest.raises(BudgetExceededError, match="int64"):
+            enumerate_forms(QuadInt(5, -7, 5), F, height=1e9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([5, 8, 13]), st.floats(1.0, 40.0),
+       st.floats(1.0, 40.0), st.sampled_from([6, 8]), st.data())
+def test_packed_keys_injective_on_in_cap_rows(D, cap1, cap2, width, data):
+    pts = [(p.a, p.b) for p in lattice_points(D, cap1, cap2)]
+    picks = st.lists(st.sampled_from(pts), min_size=width // 2,
+                     max_size=width // 2)
+    rows = np.array([sum(data.draw(picks), ()) for _ in range(12)]
+                    + [sum(data.draw(picks), ())] * 2, dtype=np.int64)
+    rows = rows[height_predicate(D, cap1, cap2)(rows)]
+    keys = _row_packer("test", D, cap1, cap2, (0,) * width)(rows)
+    assert len(set(keys.tolist())) == len({tuple(r) for r in rows.tolist()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([5, 8, 12]),
+       st.lists(st.integers(-50, 50), min_size=8, max_size=8)
+       .filter(any))
+def test_row_normalization_matches_key_normalization(D, key):
+    t, _ = _omega_trace_norm(D)
+    rows = _normalize_rows(np.array([key, [-v for v in key]]), D, t)
+    want = _normalize_key(tuple(key), D, t)
+    assert [tuple(r) for r in rows.tolist()] == [want, want]
 
 
 class TestCensus:

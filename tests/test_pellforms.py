@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
                                     ValidationError)
@@ -219,8 +220,8 @@ def test_enumerate_forms_disc_exact():
     d = QuadInt(5, 1, 8)
     forms = enumerate_forms(d, F)
     assert forms
-    for Q in forms:
-        assert Q.disc == d
+    for k in forms:
+        assert FormOverOK.from_key(k, 5).disc == d
 
 
 def test_principal_form_from_witness(sweep5):
@@ -256,3 +257,22 @@ def test_content_divides_all():
     k = content(a, b, c)
     assert all(k.divides(x) for x in (a, b, c))
     assert abs(k.norm()) == 4
+
+
+def _quadints(D):
+    return st.builds(lambda a, b: QuadInt(D, a, b),
+                     st.integers(-60, 60), st.integers(-60, 60))
+
+
+def _associates(x, y):
+    return x.divides(y) and y.divides(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([5, 8]).flatmap(
+    lambda D: st.tuples(_quadints(D), _quadints(D), _quadints(D))))
+def test_euclid_gcd_divides_and_scales(xyz):
+    x, y, z = xyz
+    g = euclid_gcd(x, y)
+    assert g.divides(x) and g.divides(y)
+    assert _associates(euclid_gcd(z * x, z * y), z * g)
