@@ -109,15 +109,26 @@ def _parse_config_value(key: str, val: str):
     if val.lower() == "none":
         return None
     if key in ("D", "trunc_k", "seed"):
-        return int(val)
+        return _parse_number(val, key, int)
     if key in ("x_max", "height", "trunc_norm"):
-        return float(val)
+        return _parse_number(val, key)
     if key == "beta_grid":
-        return tuple(float(p) for p in val.split(",") if p.strip())
+        return _parse_numbers(val, key)
     return val
 
 
 # ------------------------------------------------------------ small helpers
+
+def _parse_number(text: str, what: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"cannot parse {what} {text!r}")
+
+
+def _parse_numbers(text: str, what: str) -> Tuple[float, ...]:
+    return tuple(_parse_number(p, what) for p in text.split(",") if p.strip())
+
 
 def _parse_complex(text: str) -> complex:
     cleaned = text.strip().replace(" ", "").replace("i", "j")
@@ -238,7 +249,8 @@ def _cmd_zeta(cfg: RunConfig, args) -> int:
     # requested cutoffs beyond the enumerated window are clamped; the
     # effective cutoff is reported and the tail bound starts there
     params = ZetaParams(s=_parse_complex(args.s), m=args.m,
-                        trunc_norm=min(float(trunc), cov), trunc_k=args.K)
+                        trunc_norm=min(float(trunc), cov),
+                        trunc_k=cfg.trunc_k if args.K is None else args.K)
     val = selberg_zeta(params, classes, coverage=cov)
     _emit_json({
         "D": cfg.D, "m": args.m, "s": [params.s.real, params.s.imag],
@@ -270,22 +282,23 @@ def _parse_testfunction(text: str):
     if kind == "gaussian":
         if set(kv) != {"beta"}:
             raise ValidationError("gaussian takes exactly beta=...")
-        return gaussian_testfunction(float(kv["beta"]))
+        return gaussian_testfunction(_parse_number(kv["beta"], "beta"))
     if kind == "rational":
         if set(kv) != {"s", "beta1", "beta2"}:
             raise ValidationError(
                 "rational takes s=..., beta1=..., beta2=...")
         return rational_testfunction(_parse_complex(kv["s"]),
-                                     float(kv["beta1"]), float(kv["beta2"]))
+                                     _parse_number(kv["beta1"], "beta1"),
+                                     _parse_number(kv["beta2"], "beta2"))
     raise ValidationError(f"unknown test function kind {kind!r}")
 
 
 def _cmd_trace(cfg: RunConfig, args) -> int:
     if args.mode == "heatfit":
         return _cmd_heatfit(cfg, args)
+    tf = _parse_testfunction(args.test)
     F = make_field(cfg.D)
     classes = _classes(F, cfg)
-    tf = _parse_testfunction(args.test)
     evaluator = (geom_side_difference if args.single
                  else geom_side_double_difference)
     bd = evaluator(args.m, tf, F, classes)
@@ -299,11 +312,9 @@ def _cmd_trace(cfg: RunConfig, args) -> int:
 
 
 def _cmd_heatfit(cfg: RunConfig, args) -> int:
+    betas = _parse_numbers(args.betas, "beta") if args.betas else cfg.beta_grid
     F = make_field(cfg.D)
     classes = _classes(F, cfg)
-    betas = cfg.beta_grid
-    if args.betas:
-        betas = tuple(float(p) for p in args.betas.split(","))
     report = heat_asymptotic_check(F, betas, classes)
     report["beta_grid"] = list(report["beta_grid"])
     report["removed_families"] = list(report["removed_families"])
@@ -317,8 +328,7 @@ def _cmd_report(cfg: RunConfig, args) -> int:
     if args.mode == "classavg":
         reports = [class_average_report(F, cfg.x_max, height=cfg.height)]
     else:
-        grid = ([float(p) for p in args.x_grid.split(",")]
-                if args.x_grid else [5.0, 10.0, 15.0, 20.0])
+        grid = _parse_numbers(args.x_grid or "5,10,15,20", "x grid entry")
         reports = pgt_report(F, grid, height=cfg.height)
     if cfg.out_format == "csv":
         header = ["x", "psi_sum", "pi_sum", "psi_main", "pi_main",
@@ -513,7 +523,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", required=True, help='complex, e.g. "2.0+0.5i"')
     p.add_argument("--X", type=float, default=None, help="norm truncation")
-    p.add_argument("--K", type=int, default=40, help="k truncation")
+    p.add_argument("--K", type=int, default=None, help="k truncation")
     p = sub.add_parser("ledger", parents=[common])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--kmax", type=int, default=20)

@@ -203,7 +203,7 @@ def enumerate_geodesics(F: FieldCtx, x: float, height: float = 8.0,
             continue
         P = t * t - four
         for d in square_divisor_quotients(P, F):
-            if not in_Dpm(d, F):
+            if not in_Dpm(d):
                 continue
             dc = canonical_disc(d, F)
             cands.setdefault((dc.a, dc.b), dc)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
 from .quadfield import (FieldCtx, QuadInt, _coord_mul, _embed_consts,
-                        _omega_trace_norm, _sign_half, lattice_points)
+                        _omega_trace_norm, lattice_points)
 
 Key = Tuple[int, int, int, int, int, int, int, int]
 
@@ -135,32 +135,27 @@ def classify(g: GroupElem) -> ElementClass:
 # ---------------------------------------------------------------- BFS core
 
 
-def _normalize_key(key: Key, D: int, t: int) -> Key:
-    for i in range(4):
-        x, y = key[2 * i], key[2 * i + 1]
-        if x or y:
-            if _sign_half(2 * x + t * y, y, D) < 0:
-                return tuple(-v for v in key)  # type: ignore[return-value]
-            return key
-    raise ValidationError("zero matrix cannot be normalized")
+def _sign_rows(A: np.ndarray, b: np.ndarray, D: int) -> np.ndarray:
+    """Row version of quadfield._sign_half: exact signs of (A + b*sqrt(D))/2
+    for int64 arrays A, b whose A^2 and b^2 D stay inside int64."""
+    lhs, rhs = A * A, b * b * D
+    if np.any((lhs == rhs) & (b != 0)):
+        raise ValidationError(
+            f"D={D} is a perfect square; field is not quadratic")
+    # that of A when A^2 > b^2 D, else that of b
+    return np.where(lhs > rhs, np.sign(A), np.sign(b))
 
 
 def _normalize_rows(rows: np.ndarray, D: int, t: int) -> np.ndarray:
-    """Row version of _normalize_key: negate, in place, every row whose
-    first nonzero coordinate pair has negative first embedding."""
+    """Negate, in place, every row whose first nonzero coordinate pair
+    (x, y), read as x + y*w, has negative first embedding."""
     x, y = rows[:, 0::2], rows[:, 1::2]
     nz = (x != 0) | (y != 0)
     if not nz.any(axis=1).all():
         raise ValidationError("zero matrix cannot be normalized")
     r = np.arange(len(rows))
     i = nz.argmax(axis=1)
-    A, b = 2 * x[r, i] + t * y[r, i], y[r, i]
-    # sign of (A + b*sqrt(D))/2: that of A when A^2 > b^2 D, else of b
-    lhs, rhs = A * A, b * b * D
-    if np.any((lhs == rhs) & (b != 0)):
-        raise ValidationError(
-            f"D={D} is a perfect square; field is not quadratic")
-    neg = np.where(lhs > rhs, A < 0, b < 0)
+    neg = _sign_rows(2 * x[r, i] + t * y[r, i], y[r, i], D) < 0
     return np.negative(rows, out=rows, where=neg[:, None])
 
 
@@ -319,7 +314,8 @@ def conjugation_orbit(seed: Key, D: int, cap1: float, cap2: float,
     budget is exhausted (the orbit is then reported incomplete).
     """
     t, n = _omega_trace_norm(D)
-    return capped_bfs("conjugation", _normalize_key(seed, D, t),
+    seed = _normalize_rows(np.array([seed], dtype=np.int64), D, t)[0]
+    return capped_bfs("conjugation", tuple(seed.tolist()),
                       lambda rows: _conj_neighbors(rows, D, t, n),
                       D, cap1, cap2, max_states, targets)
 
@@ -363,9 +359,10 @@ def _two_cos_table(F: FieldCtx) -> Dict[int, QuadInt]:
 
 
 def _matrices_with_trace(F: FieldCtx, tr: QuadInt,
-                         cap1: float, cap2: float) -> List[Key]:
+                         cap1: float, cap2: float) -> np.ndarray:
     """All det-1 matrices with the given trace and per-embedding entry
-    heights within (cap1, cap2); vectorized divisor scan over (a, b)."""
+    heights within (cap1, cap2), as the rows of an (N, 8) int64 array;
+    vectorized divisor scan over (a, b)."""
     D = F.D
     t, n = _omega_trace_norm(D)
     # box coordinates are at most H, those of tr - A at most T, those of
@@ -377,15 +374,11 @@ def _matrices_with_trace(F: FieldCtx, tr: QuadInt,
         raise BudgetExceededError(
             f"entry boxes ({cap1:.6g}, {cap2:.6g}) overflow int64 arithmetic")
     pts = list(lattice_points(D, cap1, cap2))
-    if not pts:
-        return []
     pa = np.array([p.a for p in pts], dtype=np.int64)
     pb = np.array([p.b for p in pts], dtype=np.int64)
     w1, w2 = _embed_consts(D)
-    e1 = pa + pb * w1
-    e2 = pa + pb * w2
     nonzero = (pa != 0) | (pb != 0)
-    out: List[Key] = []
+    out = [np.empty((0, 8), dtype=np.int64)]
     for A in pts:
         da, db = tr.a - A.a, tr.b - A.b
         # P = A*(tr - A) - 1
@@ -408,15 +401,13 @@ def _matrices_with_trace(F: FieldCtx, tr: QuadInt,
             continue
         ca = numa[idx] // NB[idx]
         cb = numb[idx] // NB[idx]
-        ce1 = ca + cb * w1
-        ce2 = ca + cb * w2
-        keep = (np.abs(ce1) <= cap1) & (np.abs(ce2) <= cap2)
-        for j, cia, cib in zip(idx[keep], ca[keep], cb[keep]):
-            out.append((A.a, A.b, int(pa[j]), int(pb[j]),
-                        int(cia), int(cib), da, db))
+        keep = (np.abs(ca + cb * w1) <= cap1) & (np.abs(ca + cb * w2) <= cap2)
+        j = idx[keep]
+        out.append(np.column_stack(np.broadcast_arrays(
+            A.a, A.b, pa[j], pb[j], ca[keep], cb[keep], da, db)))
     # triangular cases (b*c = 0) are never elliptic: a real matrix with
     # c = 0 has |trace| >= 2 in each embedding, likewise b = 0 after S.
-    return out
+    return np.concatenate(out)
 
 
 def _signed_angle(tr_embed: float, c_sign: int) -> float:
@@ -438,7 +429,6 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0
     trace but belong to a point of larger isotropy and are dropped.
     """
     D = F.D
-    t, n = _omega_trace_norm(D)
     two_cos = _two_cos_table(F)
     cap_bfs = height_bound * 2.5
     w1, w2 = _embed_consts(D)
@@ -460,8 +450,9 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0
                 break
         if nu is None:
             continue  # power-only trace values
-        for key in _matrices_with_trace(F, tr, height_bound, height_bound):
-            g = GroupElem.from_key(key, D)
+        for key in _matrices_with_trace(F, tr, height_bound,
+                                        height_bound).tolist():
+            g = GroupElem.from_key(key, D)  # signs as in _normalize_rows
             order = g.psl_order()
             if order != nu:
                 raise InvariantViolation(
@@ -480,7 +471,7 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0
                     or tj % 2 == 0:
                 raise InvariantViolation(
                     f"bad rotation angle {theta2} for nu={nu}")
-            nk = _normalize_key(key, D, t)
+            nk = g.key()
             buckets.setdefault(psl_tr + (nu,), []).append(nk)
             meta[nk] = (nu, tj, math.acos(tr1.embed(1) / 2.0), theta2)
 
@@ -505,8 +496,7 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0
         for div in range(2, nu):
             if nu % div:
                 continue
-            power = rep ** (nu // div)
-            pkey = _normalize_key(power.key(), D, t)
+            pkey = (rep ** (nu // div)).key()
             sub = [r for r in records if r["nu"] == div]
             owner = next((r for r in sub if pkey in r["orbit"]), None)
             if owner is None:

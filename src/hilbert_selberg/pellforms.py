@@ -17,73 +17,83 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
 from .modgroup import (GroupElem, Key, capped_bfs, conjugation_orbit,
-                       partition_orbits, _matrices_with_trace, _normalize_key,
-                       _MU_A, _MU_B)
+                       partition_orbits, _matrices_with_trace, _normalize_rows,
+                       _sign_rows, _MU_A, _MU_B)
 from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
                         _coord_mul, _embed_consts, _omega_trace_norm)
 
 __all__ = [
-    "FormOverOK", "PellSolution", "DiscriminantRecord", "content",
-    "euclid_gcd", "in_Dpm", "pell_fundamental", "class_number",
-    "form_to_matrix", "enumerate_forms",
+    "FormOverOK", "PellSolution", "DiscriminantRecord", "content", "in_Dpm",
+    "pell_fundamental", "class_number", "form_to_matrix", "enumerate_forms",
 ]
 
 
-# ------------------------------------------------------------ gcd helpers
+# ------------------------------------------------------------ gcd kernel
 
 
-def _gcd_coords(xa: int, xb: int, ya: int, yb: int,
-                t: int, n: int) -> Tuple[int, int]:
-    """Coordinates of a gcd of xa + xb*w and ya + yb*w in O_K, where
-    w^2 = t*w - n, by nearest-lattice division with a neighbor rescue.
+def _gcd_rows(xa: np.ndarray, xb: np.ndarray, ya: np.ndarray,
+              yb: np.ndarray, t: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-wise coordinates of a gcd of xa + xb*w and ya + yb*w in O_K,
+    where w^2 = t*w - n, by nearest-lattice division with a neighbor
+    rescue, on int64 arrays.
 
     Nearest rounding strictly shrinks |N(r)| in the norm-Euclidean
     fields; elsewhere a small offset scan usually rescues the step, and
-    a budget error is raised if it cannot.
+    a budget error is raised if it cannot, or if a product of the step
+    could reach 2^62.
     """
-    def norm(a: int, b: int) -> int:
-        return abs(a * a + t * a * b + n * b * b)
+    def norm(a, b):
+        return np.abs(a * a + t * a * b + n * b * b)
 
+    xa, xb, ya, yb = (np.array(v, dtype=np.int64) for v in (xa, xb, ya, yb))
     for _ in range(200):
-        if ya == 0 and yb == 0:
+        live = np.nonzero((ya != 0) | (yb != 0))[0]
+        if not live.size:
             return xa, xb
-        ny = ya * ya + t * ya * yb + n * yb * yb
+        xl, xm, yl, ym = xa[live], xb[live], ya[live], yb[live]
+        # q*y, with q up to (|n| + 4) M^2 + 3, is the largest product;
+        # remainders are (x/y - q)*y, x/y - q of coordinates up to 3/2
+        M = max(int(np.abs(v).max()) for v in (xl, xm, yl, ym))
+        if (abs(n) + 4) ** 3 * (M + 2) ** 3 >= 2 ** 62:
+            raise BudgetExceededError(
+                f"gcd coordinates up to {M} overflow int64 arithmetic")
+        ny = yl * yl + t * yl * ym + n * ym * ym
         # nearest quotient: x * conj(y) / N(y), conj(y) = (ya + t*yb, -yb)
-        numa, numb = _coord_mul(xa, xb, ya + t * yb, -yb, t, n)
-        sgn, m = (1, ny) if ny > 0 else (-1, -ny)
+        numa, numb = _coord_mul(xl, xm, yl + t * ym, -ym, t, n)
+        sgn, m = np.sign(ny), np.abs(ny)
         qa = (2 * sgn * numa + m) // (2 * m)
         qb = (2 * sgn * numb + m) // (2 * m)
-        pa, pb = _coord_mul(qa, qb, ya, yb, t, n)
-        ra, rb = xa - pa, xb - pb
-        if norm(ra, rb) >= m:
-            best = None
-            for da in (-1, 0, 1):
-                for db in (-1, 0, 1):
-                    pa, pb = _coord_mul(qa + da, qb + db, ya, yb, t, n)
-                    r2 = norm(xa - pa, xb - pb)
-                    if best is None or r2 < best[0]:
-                        best = (r2, xa - pa, xb - pb)
-            _, ra, rb = best
-            if best[0] >= m:
+        pa, pb = _coord_mul(qa, qb, yl, ym, t, n)
+        ra, rb = xl - pa, xm - pb
+        bad = np.nonzero(norm(ra, rb) >= m)[0]
+        if bad.size:
+            # argmin keeps the first minimum of the 3x3 scan, da-major
+            da, db = np.divmod(np.arange(9), 3)
+            pa, pb = _coord_mul(qa[bad, None] + da - 1, qb[bad, None] + db - 1,
+                                yl[bad, None], ym[bad, None], t, n)
+            sa, sb = xl[bad, None] - pa, xm[bad, None] - pb
+            best = norm(sa, sb).argmin(axis=1)
+            r = np.arange(bad.size)
+            ra[bad], rb[bad] = sa[r, best], sb[r, best]
+            if np.any(norm(ra[bad], rb[bad]) >= m[bad]):
                 raise BudgetExceededError(  # t^2 - 4n is the field's D
                     f"euclidean step stalled for D={t * t - 4 * n}; "
                     "field may not admit nearest-lattice division")
-        xa, xb, ya, yb = ya, yb, ra, rb
+        xa[live], xb[live], ya[live], yb[live] = yl, ym, ra, rb
     raise BudgetExceededError("gcd iteration budget exhausted")
 
 
-def euclid_gcd(x: QuadInt, y: QuadInt) -> QuadInt:
-    """gcd in O_K (any associate); see _gcd_coords."""
-    if x.D != y.D:
-        raise ValidationError("gcd of elements from different fields")
-    t, n = _omega_trace_norm(x.D)
-    return QuadInt(x.D, *_gcd_coords(x.a, x.b, y.a, y.b, t, n))
+def _content_rows(rows: np.ndarray, t: int, n: int
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-wise gcd of the three coordinate pairs of (N, 6) form rows."""
+    return _gcd_rows(*_gcd_rows(*rows[:, :4].T, t, n), *rows[:, 4:].T, t, n)
 
 
 def content(a: QuadInt, b: QuadInt, c: QuadInt) -> QuadInt:
     """gcd of the three coefficients (any associate)."""
-    g = euclid_gcd(a, b)
-    return euclid_gcd(g, c)
+    t, n = _omega_trace_norm(a.D)
+    ka, kb = _content_rows(np.array([[a.a, a.b, b.a, b.b, c.a, c.b]]), t, n)
+    return QuadInt(a.D, int(ka[0]), int(kb[0]))
 
 
 # ------------------------------------------------------------ form type
@@ -177,7 +187,7 @@ def _square_in_OK(d: QuadInt) -> Optional[QuadInt]:
     return None
 
 
-def in_Dpm(d: QuadInt, F: Optional[FieldCtx] = None) -> bool:
+def in_Dpm(d: QuadInt) -> bool:
     """Membership in the mixed-sign discriminant set.
 
     Requires embed(d,1) > 0 > embed(d,2), d not a square, and a witness
@@ -210,7 +220,7 @@ def pell_fundamental(d: QuadInt, F: FieldCtx,
     The second embedding forces t'^2 + |d'| u'^2 = 4, so |u'| lives in
     a fixed tiny interval; the first is bounded through the eps cap.
     """
-    if not in_Dpm(d, F):
+    if not in_Dpm(d):
         raise ValidationError(f"{d} is not a mixed-sign discriminant")
     D = d.D
     d1, d2 = d.embed(1), d.embed(2)
@@ -308,15 +318,13 @@ def enumerate_forms(d: QuadInt, F: FieldCtx,
         raise BudgetExceededError(
             f"form boxes ({h1:.6g}, {h2:.6g}) overflow int64 arithmetic")
     pts = list(lattice_points(D, h1, h2))
-    if not pts:
-        return []
     xa = np.array([p.a for p in pts], dtype=np.int64)
     xb = np.array([p.b for p in pts], dtype=np.int64)
     w1, w2 = _embed_consts(D)
     # num = b^2 - d for the whole b-column at once
     numa = xa * xa - n * xb * xb - d.a
     numb = 2 * xa * xb + t * xb * xb - d.b
-    out: List[FormKey] = []
+    out = [np.empty((0, 6), dtype=np.int64)]
     for a in pts:
         if a.is_zero():
             continue
@@ -326,21 +334,17 @@ def enumerate_forms(d: QuadInt, F: FieldCtx,
         cx, cy = fa + t * fb, -fb
         pa = numa * cx - n * (numb * cy)
         pb = numa * cy + numb * cx + t * (numb * cy)
-        ok = (pa % nf == 0) & (pb % nf == 0)
-        idx = np.nonzero(ok)[0]
-        if idx.size == 0:
-            continue
+        idx = np.nonzero((pa % nf == 0) & (pb % nf == 0))[0]
         ca = pa[idx] // nf
         cb = pb[idx] // nf
         keep = (np.abs(ca + cb * w1) <= h1) & (np.abs(ca + cb * w2) <= h2)
-        for j in np.nonzero(keep)[0]:
-            i = idx[j]
-            key = (a.a, a.b, int(xa[i]), int(xb[i]), int(ca[j]), int(cb[j]))
-            g = _gcd_coords(*key[:4], t, n)
-            ga, gb = _gcd_coords(*g, *key[4:], t, n)
-            if abs(ga * ga + t * ga * gb + n * gb * gb) == 1:
-                out.append(key)
-    return out
+        j = idx[keep]
+        out.append(np.column_stack(np.broadcast_arrays(
+            a.a, a.b, xa[j], xb[j], ca[keep], cb[keep])))
+    rows = np.concatenate(out)
+    ka, kb = _content_rows(rows, t, n)
+    unit = np.abs(ka * ka + t * ka * kb + n * kb * kb) == 1
+    return list(map(tuple, rows[unit].tolist()))
 
 
 # ------------------------------------------------- matrix-count oracle
@@ -358,40 +362,46 @@ def _matrix_boxes(pell: PellSolution, height: float) -> Tuple[float, float]:
     return out[0], out[1]
 
 
-def _matrix_class_count(dc: QuadInt, pell: PellSolution, F: FieldCtx,
-                        m1: float, m2: float, cap1: float, cap2: float) -> int:
-    """Count HE conjugacy classes whose primitive form content matches dc.
+def _matrix_keys(dc: QuadInt, pell: PellSolution, F: FieldCtx,
+                 m1: float, m2: float) -> List[Key]:
+    """Sign-normalized keys of the oracle's matrices: those of trace t0
+    in the entry boxes whose primitive form content matches dc.
 
     This walks the stabilizer-generator correspondence backwards:
     a matrix [[A, B], [C, E]] of trace t0 carries the form
-    (C, E - A, -B); dividing out the content leaves a primitive form
+    (C, E - A, -B); dividing out the content k leaves a primitive form
     whose discriminant must canonicalize to dc.
     """
     D = F.D
-    t, _ = _omega_trace_norm(D)
-    keys: List[Key] = []
-    canonical = {}  # few distinct discriminants recur many times
-    tr = pell.t0
-    for key in _matrices_with_trace(F, tr, m1, m2):
-        aa, ab, ba, bb, ca, cb, da, db = key
-        fa = QuadInt(D, ca, cb)
-        fb = QuadInt(D, da - aa, db - ab)
-        fc = QuadInt(D, -ba, -bb)
-        if fa.is_zero() and fc.is_zero():
-            continue
-        # the primitive form is (fa, fb, fc) / k, of discriminant
-        # disc(fa, fb, fc) / k^2
-        k = content(fa, fb, fc)
-        disc = (fb * fb - 4 * (fa * fc)).exact_div(k * k)
-        if disc.sign_embed(1) <= 0 or disc.sign_embed(2) >= 0:
-            continue
-        if (disc.a, disc.b) not in canonical:
-            canonical[disc.a, disc.b] = canonical_disc(disc, F)
-        if canonical[disc.a, disc.b] != dc:
-            continue
-        keys.append(_normalize_key(key, D, t))
-    return sum(1 for _ in partition_orbits(
-        keys, lambda k: conjugation_orbit(k, D, cap1, cap2)[0]))
+    t, n = _omega_trace_norm(D)
+    rows = _matrices_with_trace(F, pell.t0, m1, m2)
+    aa, ab, ba, bb, ca, cb, ea, eb = rows.T
+    # disc = (E - A)^2 + 4BC fits int64 as the boxes hold t0; the sign
+    # tests square it, and disc * conj(k^2) / N(k)^2 divides by k^2
+    sa, sb = _coord_mul(ea - aa, eb - ab, ea - aa, eb - ab, t, n)
+    pa, pb = _coord_mul(ba, bb, ca, cb, t, n)
+    da, db = sa + 4 * pa, sb + 4 * pb
+    ka, kb = _content_rows(
+        np.column_stack([ca, cb, ea - aa, eb - ab, -ba, -bb]), t, n)
+    Md, Mk = (int(np.abs(v).max(initial=0)) for v in ((da, db), (ka, kb)))
+    if (max(9, D) * Md * Md >= 2 ** 62
+            or 2 * (abs(n) + 3) ** 2 * Mk * Mk * max(Md, Mk * Mk) >= 2 ** 62):
+        raise BudgetExceededError(
+            f"matrix boxes ({m1:.6g}, {m2:.6g}) overflow int64 arithmetic")
+    # k^2 is totally positive, so disc / k^2 has the signs of disc
+    A = 2 * da + t * db
+    mixed = (_sign_rows(A, db, D) > 0) & (_sign_rows(A, -db, D) < 0)
+    rows, da, db, ka, kb = (v[mixed] for v in (rows, da, db, ka, kb))
+    k2a, k2b = _coord_mul(ka, kb, ka, kb, t, n)
+    na, nb = _coord_mul(da, db, k2a + t * k2b, -k2b, t, n)
+    nk2 = (ka * ka + t * ka * kb + n * kb * kb) ** 2
+    # few distinct discriminants recur many times
+    discs, inv = np.unique(np.column_stack([na // nk2, nb // nk2]), axis=0,
+                           return_inverse=True)
+    match = np.array([canonical_disc(QuadInt(D, a, b), F) == dc
+                      for a, b in discs.tolist()], dtype=bool)
+    keys = _normalize_rows(rows[match[inv.reshape(-1)]], D, t)
+    return list(map(tuple, keys.tolist()))
 
 
 # ------------------------------------------------------- class numbers
@@ -405,7 +415,7 @@ def class_number(d: QuadInt, F: FieldCtx,
     primary algorithm; the conjugacy-class count through the stabilizer
     map is the oracle.  A mismatch raises instead of picking a side.
     """
-    if not in_Dpm(d, F):
+    if not in_Dpm(d):
         raise ValidationError(f"{d} is not a mixed-sign discriminant")
     dc = canonical_disc(d, F)
     pell = pell_fundamental(dc, F)
@@ -420,7 +430,9 @@ def class_number(d: QuadInt, F: FieldCtx,
 
     m1, m2 = _matrix_boxes(pell, height)
     mcap1, mcap2 = max(cap1, 1.5 * m1), max(cap2, 1.5 * m2)
-    h_matrix = _matrix_class_count(dc, pell, F, m1, m2, mcap1, mcap2)
+    h_matrix = sum(1 for _ in partition_orbits(
+        _matrix_keys(dc, pell, F, m1, m2),
+        lambda k: conjugation_orbit(k, D, mcap1, mcap2)[0]))
     if h_orbit != h_matrix:
         raise InvariantViolation(
             f"ambiguous class count for d={dc}: form orbits give "

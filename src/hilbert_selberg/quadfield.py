@@ -219,18 +219,6 @@ class QuadInt:
         num = other * self.conj()
         return num.a % n == 0 and num.b % n == 0
 
-    def round_div(self, other: "QuadInt") -> "QuadInt":
-        """Nearest-lattice-point quotient self/other (for Euclidean steps)."""
-        self._check(other)
-        n = other.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in O_K")
-        num = self * other.conj()
-        sgn, m = (1, n) if n > 0 else (-1, -n)
-        qa = (2 * sgn * num.a + m) // (2 * m)
-        qb = (2 * sgn * num.b + m) // (2 * m)
-        return QuadInt(self.D, qa, qb)
-
     def __str__(self) -> str:
         return format_quadint(self)
 

@@ -136,3 +136,80 @@ def form_neighbors_ref(D):
                                  for mu in _translations(D)]
         return [(p.a, p.b, q.a, q.b, r.a, r.b) for p, q, r in images]
     return nbrs
+
+
+def gcd_coords_ref(xa, xb, ya, yb, t, n):
+    """Scalar gcd in O_K, w^2 = t*w - n: nearest-lattice division with a
+    3x3 rescue scan (first minimum) and a 200-step budget."""
+    from hilbert_selberg.errors import BudgetExceededError
+
+    def mul(xa, xb, ya, yb):
+        bd = xb * yb
+        return xa * ya - n * bd, xa * yb + xb * ya + t * bd
+
+    def norm(a, b):
+        return abs(a * a + t * a * b + n * b * b)
+
+    for _ in range(200):
+        if ya == 0 and yb == 0:
+            return xa, xb
+        ny = ya * ya + t * ya * yb + n * yb * yb
+        numa, numb = mul(xa, xb, ya + t * yb, -yb)
+        sgn, m = (1, ny) if ny > 0 else (-1, -ny)
+        qa = (2 * sgn * numa + m) // (2 * m)
+        qb = (2 * sgn * numb + m) // (2 * m)
+        pa, pb = mul(qa, qb, ya, yb)
+        ra, rb = xa - pa, xb - pb
+        if norm(ra, rb) >= m:
+            best = None
+            for da in (-1, 0, 1):
+                for db in (-1, 0, 1):
+                    pa, pb = mul(qa + da, qb + db, ya, yb)
+                    r2 = norm(xa - pa, xb - pb)
+                    if best is None or r2 < best[0]:
+                        best = (r2, xa - pa, xb - pb)
+            _, ra, rb = best
+            if best[0] >= m:
+                raise BudgetExceededError(
+                    f"euclidean step stalled for D={t * t - 4 * n}; "
+                    "field may not admit nearest-lattice division")
+        xa, xb, ya, yb = ya, yb, ra, rb
+    raise BudgetExceededError("gcd iteration budget exhausted")
+
+
+def normalize_key_ref(key, D):
+    """Negate the key when its first nonzero entry x + y*w has negative
+    first embedding (QuadInt.sign_embed)."""
+    from hilbert_selberg.quadfield import QuadInt
+    for x, y in zip(key[0::2], key[1::2]):
+        if x or y:
+            if QuadInt(D, x, y).sign_embed(1) < 0:
+                return tuple(-v for v in key)
+            return tuple(key)
+    raise ValueError("zero key")
+
+
+def matrix_filter_ref(rows, dc, F):
+    """Per-matrix oracle filter in QuadInt arithmetic: the normalized keys
+    of the matrices [[A, B], [C, E]] whose form (C, E - A, -B), divided
+    by its content k, has a mixed-sign discriminant canonicalizing to dc."""
+    from hilbert_selberg.quadfield import QuadInt, canonical_disc
+    D = F.D
+    t = D % 2
+    n = (1 - D) // 4 if D % 4 == 1 else -(D // 4)
+    keys = set()
+    for key in rows:
+        aa, ab, ba, bb, ca, cb, da, db = key
+        fa = QuadInt(D, ca, cb)
+        fb = QuadInt(D, da - aa, db - ab)
+        fc = QuadInt(D, -ba, -bb)
+        if fa.is_zero() and fc.is_zero():
+            continue
+        g = gcd_coords_ref(fa.a, fa.b, fb.a, fb.b, t, n)
+        k = QuadInt(D, *gcd_coords_ref(*g, fc.a, fc.b, t, n))
+        disc = (fb * fb - 4 * (fa * fc)).exact_div(k * k)
+        if disc.sign_embed(1) <= 0 or disc.sign_embed(2) >= 0:
+            continue
+        if canonical_disc(disc, F) == dc:
+            keys.add(normalize_key_ref(key, D))
+    return keys

@@ -134,7 +134,7 @@ def test_class_number_cross_check():
         if t.embed(1) <= 2.0 or abs(t.embed(2)) >= 2.0:
             continue
         d = t * t - four
-        if not in_Dpm(d, F):
+        if not in_Dpm(d):
             continue
         dc = canonical_disc(d, F)
         seen.setdefault((dc.a, dc.b), dc)

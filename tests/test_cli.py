@@ -74,6 +74,24 @@ def test_exit_codes(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
 
+@pytest.mark.parametrize("argv,config", [
+    (("report", "pgt", "--x-grid", "5,abc"), None),
+    (("trace", "heatfit", "--betas", "0.1,x"), None),
+    (("trace", "--test", "gaussian:beta=abc"), None),
+    (("trace", "--test", "rational:s=2,beta1=2,beta2=x"), None),
+    (("field",), "x_max = abc\n"),
+    (("field",), "D = 5.5\n"),
+])
+def test_malformed_numbers_are_validation_errors(argv, config, tmp_path,
+                                                 capsys):
+    if config is not None:
+        path = tmp_path / "bad.cfg"
+        path.write_text(config)
+        argv += ("--config", str(path))
+    assert main(list(argv)) == 1
+    assert capsys.readouterr().err.startswith("error: cannot parse ")
+
+
 # ---------------------------------------------------------------- field
 
 def test_field_json(capsys):
@@ -154,6 +172,15 @@ def test_zeta_json(capsys):
     assert blob["trunc_norm"] <= 100.0
     value = complex(*blob["value"])
     assert 0.5 < abs(value) < 1.5
+
+
+def test_zeta_trunc_k_from_config(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("trunc_k = 80\n")
+    argv = ("zeta", "--D", "5", "--x", "6", "--m", "4", "--s", "2.5",
+            "--config", str(path))
+    assert json.loads(run_cli(capsys, *argv)[1])["trunc_k"] == 80
+    assert json.loads(run_cli(capsys, *argv, "--K", "50")[1])["trunc_k"] == 50
 
 
 def test_zeta_m2_real(capsys):

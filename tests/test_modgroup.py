@@ -10,14 +10,16 @@ from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
 from hilbert_selberg.modgroup import (
     GroupElem, classify, conjugation_orbit, elliptic_census,
     enumerate_elliptic, height_predicate, _conj_neighbors,
-    _matrices_with_trace, _normalize_key, _normalize_rows, _row_packer,
+    _matrices_with_trace, _normalize_rows, _row_packer,
 )
-from hilbert_selberg.pellforms import enumerate_forms, form_orbit, _form_neighbors
+from hilbert_selberg.pellforms import (enumerate_forms, form_orbit,
+                                       _form_neighbors, _gcd_rows,
+                                       _matrix_keys)
 from hilbert_selberg.quadfield import (QuadInt, lattice_points, make_field,
                                        _omega_trace_norm)
 
 from oracles import (capped_bfs_ref, conj_neighbors_ref, form_neighbors_ref,
-                     height_ok_ref)
+                     height_ok_ref, normalize_key_ref)
 
 
 def elem(D, rows):
@@ -105,8 +107,7 @@ class TestConjugacy:
         D = 5
         g = elem(D, ((0, 0), (-1, 0), (1, 0), (1, 0)))
         orbit, _ = conjugation_orbit(g.key(), D, 12.0, 12.0)
-        t, _ = _omega_trace_norm(D)
-        assert _normalize_key(g.key(), D, t) in orbit
+        assert normalize_key_ref(g.key(), D) in orbit
         # every member has the same PSL trace and classification
         for key in list(orbit)[:50]:
             h = GroupElem.from_key(key, D)
@@ -120,7 +121,7 @@ def _orbit_case(kind):
     D = 5
     if kind == "conjugation":
         g = elem(D, ((0, 0), (-1, 0), (1, 0), (1, 0)))
-        seed = _normalize_key(g.key(), D, _omega_trace_norm(D)[0])
+        seed = normalize_key_ref(g.key(), D)
         return (seed,
                 lambda cap, ms: conjugation_orbit(seed, D, cap, cap,
                                                   max_states=ms)[0],
@@ -242,6 +243,23 @@ class TestArithmeticGuards:
         with pytest.raises(BudgetExceededError, match="int64"):
             enumerate_forms(QuadInt(5, -7, 5), F, height=1e9)
 
+    def test_gcd_rows(self, monkeypatch):
+        monkeypatch.setattr(pellforms, "_coord_mul", None)
+        with pytest.raises(BudgetExceededError, match="int64"):
+            _gcd_rows([3], [1], [2 ** 20], [5], 1, -1)
+
+    def test_oracle_filter(self, monkeypatch):
+        # the gcd kernel takes these entries, but the sign tests would
+        # square discriminant coordinates past int64
+        big = np.array([[2 ** 15, 0, 1, 0, 1, 0, -2 ** 15, 0]])
+        monkeypatch.setattr(pellforms, "_matrices_with_trace",
+                            lambda *args: big)
+        monkeypatch.setattr(pellforms, "_sign_rows", None)
+        F = make_field(5, with_census=False)
+        pell = pellforms.pell_fundamental(QuadInt(5, 1, 8), F)
+        with pytest.raises(BudgetExceededError, match="matrix boxes"):
+            _matrix_keys(pell.d, pell, F, 10.0, 10.0)
+
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([5, 8, 13]), st.floats(1.0, 40.0),
@@ -264,7 +282,7 @@ def test_packed_keys_injective_on_in_cap_rows(D, cap1, cap2, width, data):
 def test_row_normalization_matches_key_normalization(D, key):
     t, _ = _omega_trace_norm(D)
     rows = _normalize_rows(np.array([key, [-v for v in key]]), D, t)
-    want = _normalize_key(tuple(key), D, t)
+    want = normalize_key_ref(key, D)
     assert [tuple(r) for r in rows.tolist()] == [want, want]
 
 

@@ -3,19 +3,23 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
                                     ValidationError)
-from hilbert_selberg.modgroup import GroupElem, classify
+from hilbert_selberg.geodesics import enumerate_geodesics
+from hilbert_selberg.modgroup import GroupElem, classify, _matrices_with_trace
 from hilbert_selberg.pellforms import (FormOverOK, class_number, content,
-                                       enumerate_forms, euclid_gcd,
-                                       form_to_matrix, in_Dpm,
-                                       pell_fundamental)
+                                       enumerate_forms, form_to_matrix, in_Dpm,
+                                       pell_fundamental, _gcd_rows,
+                                       _matrix_boxes, _matrix_keys)
 from hilbert_selberg.quadfield import (QuadInt, canonical_disc,
                                        fundamental_unit, lattice_points,
-                                       make_field)
+                                       make_field, _omega_trace_norm)
+
+from oracles import gcd_coords_ref, matrix_filter_ref
 
 # Canonical mixed-sign discriminants with eps_K(d) <= 15 over Q(sqrt(5)),
 # with class numbers confirmed by both the form-orbit partition and the
@@ -39,7 +43,7 @@ def _sweep_discs(D, x):
         if t.embed(1) <= 2.0 or abs(t.embed(2)) >= 2.0:
             continue
         d = t * t - four
-        if not in_Dpm(d, F):
+        if not in_Dpm(d):
             continue
         dc = canonical_disc(d, F)
         seen.setdefault((dc.a, dc.b), dc)
@@ -53,14 +57,13 @@ def sweep5():
 
 
 def test_in_Dpm_hand_examples():
-    F = make_field(5)
     t = QuadInt(5, 1, 2)  # 2 + sqrt(5)
-    assert in_Dpm(t * t - QuadInt(5, 4, 0), F)
-    assert not in_Dpm(QuadInt(5, 4, 0), F)
-    assert not in_Dpm(QuadInt(5, -1, 2), F)  # sqrt(5) itself
+    assert in_Dpm(t * t - QuadInt(5, 4, 0))
+    assert not in_Dpm(QuadInt(5, 4, 0))
+    assert not in_Dpm(QuadInt(5, -1, 2))  # sqrt(5) itself
 
 
-def _in_Dpm_oracle(d, F):
+def _in_Dpm_oracle(d):
     # independent residue scan: b over all 16 classes of O_K / 4O_K
     if d.sign_embed(1) <= 0 or d.sign_embed(2) >= 0:
         return False
@@ -75,11 +78,10 @@ def _in_Dpm_oracle(d, F):
 
 @pytest.mark.parametrize("D", [5, 8, 12])
 def test_in_Dpm_matches_residue_oracle(D):
-    F = make_field(D)
     for a in range(-6, 7):
         for b in range(-6, 7):
             d = QuadInt(D, a, b)
-            assert in_Dpm(d, F) == _in_Dpm_oracle(d, F), d
+            assert in_Dpm(d) == _in_Dpm_oracle(d), d
 
 
 def test_pell_hand_example():
@@ -245,10 +247,15 @@ def test_principal_form_from_witness(sweep5):
         assert Q.disc == d
 
 
-def test_euclid_gcd_basics():
-    g = euclid_gcd(QuadInt(5, 4, 8), QuadInt(5, 6, 0))
+def _gcd(x, y):
+    ga, gb = _gcd_rows([x.a], [x.b], [y.a], [y.b], *_omega_trace_norm(x.D))
+    return QuadInt(x.D, int(ga[0]), int(gb[0]))
+
+
+def test_gcd_rows_basics():
+    g = _gcd(QuadInt(5, 4, 8), QuadInt(5, 6, 0))
     assert abs(g.norm()) == 4  # associate of 2
-    u = euclid_gcd(QuadInt(5, 0, 1), QuadInt(5, 1, 0))
+    u = _gcd(QuadInt(5, 0, 1), QuadInt(5, 1, 0))
     assert abs(u.norm()) == 1
 
 
@@ -271,8 +278,42 @@ def _associates(x, y):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([5, 8]).flatmap(
     lambda D: st.tuples(_quadints(D), _quadints(D), _quadints(D))))
-def test_euclid_gcd_divides_and_scales(xyz):
+def test_gcd_rows_divides_and_scales(xyz):
     x, y, z = xyz
-    g = euclid_gcd(x, y)
+    g = _gcd(x, y)
     assert g.divides(x) and g.divides(y)
-    assert _associates(euclid_gcd(z * x, z * y), z * g)
+    assert _associates(_gcd(z * x, z * y), z * g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([5, 8, 12, 29, 69]),
+       st.lists(st.tuples(*[st.integers(-60, 60)] * 4), min_size=1,
+                max_size=40))
+@example(69, [(-31, -17, 36, 1)])  # the nearest step and its rescue stall
+def test_gcd_rows_matches_scalar_reference(D, rows):
+    t, n = _omega_trace_norm(D)
+    want, errors = [], set()
+    for row in rows:
+        try:
+            want.append(gcd_coords_ref(*row, t, n))
+        except BudgetExceededError as exc:
+            errors.add(str(exc))
+    if errors:
+        with pytest.raises(BudgetExceededError) as exc:
+            _gcd_rows(*np.array(rows).T, t, n)
+        assert str(exc.value) in errors
+    else:
+        ga, gb = _gcd_rows(*np.array(rows).T, t, n)
+        assert list(zip(ga.tolist(), gb.tolist())) == want
+
+
+@pytest.mark.parametrize("D,x", [(5, 12.0), (8, 10.0), (12, 10.0)])
+def test_row_filter_matches_matrix_filter_ref(D, x):
+    F = make_field(D)
+    for c in enumerate_geodesics(F, x):
+        pell = c.record.pell
+        m1, m2 = _matrix_boxes(pell, 8.0)
+        rows = _matrices_with_trace(F, pell.t0, m1, m2).tolist()
+        keys = _matrix_keys(c.record.d, pell, F, m1, m2)
+        assert len(keys) == len(set(keys))
+        assert set(keys) == matrix_filter_ref(rows, c.record.d, F)
