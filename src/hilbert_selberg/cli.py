@@ -62,6 +62,12 @@ class RunConfig:
     seed: int = 20240
 
     def validate(self) -> None:
+        for key in ("x_max", "height", "trunc_norm", "beta_grid"):
+            val = getattr(self, key)
+            for v in val if isinstance(val, tuple) else (val,):
+                if v is not None and not math.isfinite(v):
+                    raise ValidationError(
+                        f"cannot parse {key} {v!r}: not a finite number")
         if self.D <= 0:
             raise ValidationError(f"D={self.D} must be positive")
         if self.x_max <= 0 or self.height <= 0:
@@ -106,7 +112,8 @@ class RunConfig:
 
 
 def _parse_config_value(key: str, val: str):
-    if val.lower() == "none":
+    if val.lower() == "none" and key in ("trunc_norm", "out_path",
+                                         "cache_dir"):
         return None
     if key in ("D", "trunc_k", "seed"):
         return _parse_number(val, key, int)

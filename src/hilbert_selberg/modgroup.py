@@ -18,8 +18,9 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
-from .quadfield import (FieldCtx, QuadInt, _coord_mul, _embed_consts,
-                        _omega_trace_norm, lattice_points)
+from .quadfield import (FieldCtx, QuadInt, _box_rows, _coord_mul,
+                        _embed_consts, _factor_pairs, _omega_trace_norm,
+                        lattice_points)
 
 Key = Tuple[int, int, int, int, int, int, int, int]
 
@@ -361,53 +362,26 @@ def _two_cos_table(F: FieldCtx) -> Dict[int, QuadInt]:
 def _matrices_with_trace(F: FieldCtx, tr: QuadInt,
                          cap1: float, cap2: float) -> np.ndarray:
     """All det-1 matrices with the given trace and per-embedding entry
-    heights within (cap1, cap2), as the rows of an (N, 8) int64 array;
-    vectorized divisor scan over (a, b)."""
+    heights within (cap1, cap2), as the rows of an (N, 8) int64 array,
+    ordered by a, then b, in box order."""
     D = F.D
     t, n = _omega_trace_norm(D)
-    # box coordinates are at most H, those of tr - A at most T, those of
-    # P at most Pmax; the products below stay under (|n| + 4) H Pmax
+    # box coordinates are at most H, those of tr - a at most T, those of
+    # b*c at most Pmax; the products of the scan stay under (|n| + 4) H Pmax
     H = math.floor(cap1 + cap2) + 1
     T = H + max(abs(tr.a), abs(tr.b))
     Pmax = (abs(n) + 3) * H * T + 1
     if (abs(n) + 4) * H * Pmax >= 2 ** 62:
         raise BudgetExceededError(
             f"entry boxes ({cap1:.6g}, {cap2:.6g}) overflow int64 arithmetic")
-    pts = list(lattice_points(D, cap1, cap2))
-    pa = np.array([p.a for p in pts], dtype=np.int64)
-    pb = np.array([p.b for p in pts], dtype=np.int64)
-    w1, w2 = _embed_consts(D)
-    nonzero = (pa != 0) | (pb != 0)
-    out = [np.empty((0, 8), dtype=np.int64)]
-    for A in pts:
-        da, db = tr.a - A.a, tr.b - A.b
-        # P = A*(tr - A) - 1
-        bd = A.b * db
-        Pa = A.a * da - n * bd - 1
-        Pb = A.a * db + A.b * da + t * bd
-        if Pa == 0 and Pb == 0:
-            continue  # b*c = 0: degenerate triangular family, c=0 or b=0
-        # try every b in the box: c = P / b where divisible
-        NB = pa * pa + t * pa * pb + n * pb * pb
-        # P * conj(b) with conj(b) = (pa + t*pb, -pb)
-        cba = pa + t * pb
-        cbb = -pb
-        numa = Pa * cba - n * (Pb * cbb)
-        numb = Pa * cbb + Pb * cba + t * (Pb * cbb)
-        ok = nonzero & (numa % np.where(NB == 0, 1, NB) == 0) \
-            & (numb % np.where(NB == 0, 1, NB) == 0) & (NB != 0)
-        idx = np.nonzero(ok)[0]
-        if idx.size == 0:
-            continue
-        ca = numa[idx] // NB[idx]
-        cb = numb[idx] // NB[idx]
-        keep = (np.abs(ca + cb * w1) <= cap1) & (np.abs(ca + cb * w2) <= cap2)
-        j = idx[keep]
-        out.append(np.column_stack(np.broadcast_arrays(
-            A.a, A.b, pa[j], pb[j], ca[keep], cb[keep], da, db)))
-    # triangular cases (b*c = 0) are never elliptic: a real matrix with
-    # c = 0 has |trace| >= 2 in each embedding, likewise b = 0 after S.
-    return np.concatenate(out)
+    box = _box_rows(D, cap1, cap2)
+    # b*c = a*d - 1 with d = tr - a, for every a in the box; the scan
+    # skips b*c = 0, triangular matrices, which are never elliptic: c = 0
+    # gives |trace| >= 2 in each embedding, likewise b = 0 after S
+    d = [tr.a, tr.b] - box
+    bc = np.column_stack(_coord_mul(*box.T, *d.T, t, n)) - [1, 0]
+    i, b, c = _factor_pairs(bc, box, D, cap1, cap2)
+    return np.column_stack([box[i], b, c, d[i]])
 
 
 def _signed_angle(tr_embed: float, c_sign: int) -> float:

@@ -20,7 +20,8 @@ from .modgroup import (GroupElem, Key, capped_bfs, conjugation_orbit,
                        partition_orbits, _matrices_with_trace, _normalize_rows,
                        _sign_rows, _MU_A, _MU_B)
 from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
-                        _coord_mul, _embed_consts, _omega_trace_norm)
+                        _box_rows, _coord_mul, _embed_consts, _factor_pairs,
+                        _omega_trace_norm)
 
 __all__ = [
     "FormOverOK", "PellSolution", "DiscriminantRecord", "content", "in_Dpm",
@@ -168,37 +169,16 @@ class DiscriminantRecord:
 # ------------------------------------------------------- membership test
 
 
-def _square_in_OK(d: QuadInt) -> Optional[QuadInt]:
-    """Exact square root of d in O_K if one exists."""
-    e1, e2 = d.embed(1), d.embed(2)
-    if e1 < 0 or e2 < 0:
-        return None
-    w1, _ = _embed_consts(d.D)
-    sq = math.sqrt(d.D)
-    r1 = math.sqrt(e1)
-    for s2 in (math.sqrt(e2), -math.sqrt(e2)):
-        bf = (r1 - s2) / sq
-        af = r1 - bf * w1
-        for aa in (math.floor(af), math.ceil(af)):
-            for bb in (math.floor(bf), math.ceil(bf)):
-                x = QuadInt(d.D, int(aa), int(bb))
-                if x * x == d:
-                    return x
-    return None
-
-
 def in_Dpm(d: QuadInt) -> bool:
     """Membership in the mixed-sign discriminant set.
 
-    Requires embed(d,1) > 0 > embed(d,2), d not a square, and a witness
-    b with d = b^2 (mod 4).  Since b^2 mod 4 only depends on b mod 2,
-    the witness search runs over the four residues of O_K / 2O_K; this
-    is equivalent to scanning all sixteen residues mod 4.
+    Requires embed(d,1) > 0 > embed(d,2), which rules out squares, and
+    a witness b with d = b^2 (mod 4).  Since b^2 mod 4 only depends on
+    b mod 2, the witness search runs over the four residues of
+    O_K / 2O_K; this is equivalent to scanning all sixteen residues
+    mod 4.
     """
     if d.sign_embed(1) <= 0 or d.sign_embed(2) >= 0:
-        return False
-    # the sign pattern already excludes squares; keep the check explicit
-    if _square_in_OK(d) is not None:
         return False
     D = d.D
     four = QuadInt(D, 4, 0)
@@ -311,37 +291,18 @@ def enumerate_forms(d: QuadInt, F: FieldCtx,
     t, n = _omega_trace_norm(D)
     h1, h2 = _form_boxes(d, height)
     # box coordinates are at most H, |b^2 - d| at most N; the products
-    # below stay under 4(|n| + 4) H N
+    # of the scan stay under 4(|n| + 4) H N
     H = math.floor(h1 + h2) + 1
     N = (abs(n) + 3) * H * H + abs(d.a) + abs(d.b)
     if 4 * (abs(n) + 4) * H * N >= 2 ** 62:
         raise BudgetExceededError(
             f"form boxes ({h1:.6g}, {h2:.6g}) overflow int64 arithmetic")
-    pts = list(lattice_points(D, h1, h2))
-    xa = np.array([p.a for p in pts], dtype=np.int64)
-    xb = np.array([p.b for p in pts], dtype=np.int64)
-    w1, w2 = _embed_consts(D)
-    # num = b^2 - d for the whole b-column at once
-    numa = xa * xa - n * xb * xb - d.a
-    numb = 2 * xa * xb + t * xb * xb - d.b
-    out = [np.empty((0, 6), dtype=np.int64)]
-    for a in pts:
-        if a.is_zero():
-            continue
-        fa, fb = 4 * a.a, 4 * a.b
-        nf = fa * fa + t * fa * fb + n * fb * fb
-        # num * conj(4a), conj(x + y*w) = (x + t*y, -y)
-        cx, cy = fa + t * fb, -fb
-        pa = numa * cx - n * (numb * cy)
-        pb = numa * cy + numb * cx + t * (numb * cy)
-        idx = np.nonzero((pa % nf == 0) & (pb % nf == 0))[0]
-        ca = pa[idx] // nf
-        cb = pb[idx] // nf
-        keep = (np.abs(ca + cb * w1) <= h1) & (np.abs(ca + cb * w2) <= h2)
-        j = idx[keep]
-        out.append(np.column_stack(np.broadcast_arrays(
-            a.a, a.b, xa[j], xb[j], ca[keep], cb[keep])))
-    rows = np.concatenate(out)
+    box = _box_rows(D, h1, h2)
+    # a*c = (b^2 - d)/4 for every b in the box with b^2 = d (mod 4)
+    num = np.column_stack(_coord_mul(*box.T, *box.T, t, n)) - [d.a, d.b]
+    j = np.nonzero((num % 4 == 0).all(axis=1))[0]
+    i, a, c = _factor_pairs(num[j] // 4, box, D, h1, h2)
+    rows = np.column_stack([a, box[j[i]], c])
     ka, kb = _content_rows(rows, t, n)
     unit = np.abs(ka * ka + t * ka * kb + n * kb * kb) == 1
     return list(map(tuple, rows[unit].tolist()))

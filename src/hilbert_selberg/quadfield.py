@@ -7,8 +7,8 @@ fundamental discriminant, written on the integral basis {1, w} with
     w = sqrt(D/4)         if D = 0 (mod 4),
 
 equivalently w = (t + sqrt(D))/2 where t = D mod 2 is the trace of w.
-Ring operations are exact (Python integers, fractions).  Floating point
-enters only through the two real embeddings.
+Ring operations are exact (Python integers, fractions, guarded int64
+box scans).  Floating point enters only through the real embeddings.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
+
+import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 
@@ -513,6 +515,43 @@ def lattice_points(D: int, bound1: float, bound2: float) -> Iterator[QuadInt]:
             continue
         for a in range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1):
             yield QuadInt(D, a, b)
+
+
+def _box_rows(D: int, bound1: float, bound2: float) -> np.ndarray:
+    """lattice_points(D, bound1, bound2) as an (N, 2) int64 array of
+    coordinate rows (a, b), in the same order."""
+    return np.array([(p.a, p.b) for p in lattice_points(D, bound1, bound2)],
+                    dtype=np.int64).reshape(-1, 2)
+
+
+# entries of one P-by-box block in _factor_pairs
+_FACTOR_BLOCK = 1 << 14
+
+
+def _factor_pairs(P: np.ndarray, box: np.ndarray, D: int, cap1: float,
+                  cap2: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every factorisation P[i] = y*z of a nonzero row of the (M, 2) array
+    P with y a row of box and |embed(z, j)| <= cap_j, as (i, y, z): row
+    indices and (K, 2) coordinate rows, ordered by i, then by y's place
+    in box.  The caller keeps the products P * conj(y) inside int64."""
+    t, n = _omega_trace_norm(D)
+    w1, w2 = _embed_consts(D)
+    j = np.nonzero(box.any(axis=1))[0]
+    ya, yb = box[j].T
+    ny = ya * ya + t * ya * yb + n * yb * yb
+    rows = np.nonzero(P.any(axis=1))[0]
+    step = max(1, _FACTOR_BLOCK // max(1, len(j)))
+    out = [np.empty((0, 4), dtype=np.int64)]
+    for s in range(0, len(rows), step):
+        r = rows[s:s + step]
+        # P * conj(y), conj(y) = (ya + t*yb, -yb)
+        numa, numb = _coord_mul(P[r, :1], P[r, 1:], ya + t * yb, -yb, t, n)
+        ri, k = np.nonzero((numa % ny == 0) & (numb % ny == 0))
+        za, zb = numa[ri, k] // ny[k], numb[ri, k] // ny[k]
+        keep = (np.abs(za + zb * w1) <= cap1) & (np.abs(za + zb * w2) <= cap2)
+        out.append(np.column_stack([r[ri], k, za, zb])[keep])
+    i, k, za, zb = np.concatenate(out).T
+    return i, box[j[k]], np.column_stack([za, zb])
 
 
 def canonical_disc(d: QuadInt, F: FieldCtx) -> QuadInt:

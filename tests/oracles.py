@@ -213,3 +213,91 @@ def matrix_filter_ref(rows, dc, F):
         if canonical_disc(disc, F) == dc:
             keys.add(normalize_key_ref(key, D))
     return keys
+
+
+def _within_caps(z, cap1, cap2):
+    """|embed(z, j)| <= cap_j, by exact embedding signs against the
+    float caps read as exact rationals."""
+    for j, cap in ((1, cap1), (2, cap2)):
+        p, q = Fraction(cap).as_integer_ratio()
+        if (z * q).compare_embed(p, j) > 0 or (z * q).compare_embed(-p, j) < 0:
+            return False
+    return True
+
+
+def factor_pairs_ref(P, box, D, cap1, cap2):
+    """(i, ya, yb, za, zb) for every P[i] = y*z with P[i] nonzero, y in
+    box and z within the caps, in QuadInt arithmetic; ordered by i, then
+    by y's place in box."""
+    from hilbert_selberg.quadfield import QuadInt
+    out = []
+    for i, (pa, pb) in enumerate(P):
+        p = QuadInt(D, int(pa), int(pb))
+        if p.is_zero():
+            continue
+        for ya, yb in box:
+            y = QuadInt(D, int(ya), int(yb))
+            if y.is_zero() or not y.divides(p):
+                continue
+            z = p.exact_div(y)
+            if _within_caps(z, cap1, cap2):
+                out.append((i, y.a, y.b, z.a, z.b))
+    return out
+
+
+def matrices_with_trace_ref(F, tr, cap1, cap2):
+    """The per-A divisor loop that _matrices_with_trace replaced: for each
+    A in the box, every b in the box dividing P = A*(tr - A) - 1 with
+    c = P/b in the box, as (A, b, c, tr - A) rows."""
+    import numpy as np
+    from hilbert_selberg.quadfield import lattice_points
+    D = F.D
+    t = D % 2
+    n = (1 - D) // 4 if D % 4 == 1 else -(D // 4)
+    w1, w2 = (t + math.sqrt(D)) / 2.0, (t - math.sqrt(D)) / 2.0
+    pts = list(lattice_points(D, cap1, cap2))
+    pa = np.array([p.a for p in pts], dtype=np.int64)
+    pb = np.array([p.b for p in pts], dtype=np.int64)
+    out = [np.empty((0, 8), dtype=np.int64)]
+    for A in pts:
+        da, db = tr.a - A.a, tr.b - A.b
+        bd = A.b * db
+        Pa = A.a * da - n * bd - 1
+        Pb = A.a * db + A.b * da + t * bd
+        if Pa == 0 and Pb == 0:
+            continue
+        NB = pa * pa + t * pa * pb + n * pb * pb
+        safe = np.where(NB == 0, 1, NB)
+        numa = Pa * (pa + t * pb) - n * (Pb * -pb)
+        numb = Pa * -pb + Pb * (pa + t * pb) + t * (Pb * -pb)
+        idx = np.nonzero((NB != 0) & (numa % safe == 0)
+                         & (numb % safe == 0))[0]
+        ca, cb = numa[idx] // NB[idx], numb[idx] // NB[idx]
+        keep = (np.abs(ca + cb * w1) <= cap1) & (np.abs(ca + cb * w2) <= cap2)
+        j = idx[keep]
+        out.append(np.column_stack(np.broadcast_arrays(
+            A.a, A.b, pa[j], pb[j], ca[keep], cb[keep], da, db)))
+    return np.concatenate(out)
+
+
+def primitive_forms_ref(d, h1, h2):
+    """Keys (a, b, c) of the primitive forms b^2 - 4ac = d with a, b, c
+    in the per-embedding boxes, by brute force over (a, b) in QuadInt
+    arithmetic."""
+    from hilbert_selberg.quadfield import QuadInt, lattice_points
+    D = d.D
+    t = D % 2
+    n = (1 - D) // 4 if D % 4 == 1 else -(D // 4)
+    pts = list(lattice_points(D, h1, h2))
+    keys = set()
+    for a in pts:
+        for b in pts:
+            if a.is_zero() or not (4 * a).divides(b * b - d):
+                continue
+            c = (b * b - d).exact_div(4 * a)
+            if abs(c.embed(1)) > h1 or abs(c.embed(2)) > h2:
+                continue
+            g = gcd_coords_ref(a.a, a.b, b.a, b.b, t, n)
+            if QuadInt(D, *gcd_coords_ref(*g, c.a, c.b, t, n)).is_unit():
+                keys.add((a.a, a.b, b.a, b.b, c.a, c.b))
+    return keys

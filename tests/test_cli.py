@@ -81,6 +81,13 @@ def test_exit_codes(capsys):
     (("trace", "--test", "rational:s=2,beta1=2,beta2=x"), None),
     (("field",), "x_max = abc\n"),
     (("field",), "D = 5.5\n"),
+    (("field",), "D = none\n"),
+    (("field",), "x_max = none\n"),
+    (("field",), "beta_grid = none\n"),
+    (("field",), "seed = none\n"),
+    (("field", "--x", "nan"), None),
+    (("field", "--x", "inf"), None),
+    (("field", "--height", "nan"), None),
 ])
 def test_malformed_numbers_are_validation_errors(argv, config, tmp_path,
                                                  capsys):

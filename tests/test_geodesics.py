@@ -8,7 +8,8 @@ from hilbert_selberg.errors import ValidationError
 from hilbert_selberg.geodesics import (class_average_report,
                                        enumerate_geodesics, pgt_report,
                                        square_divisor_quotients)
-from hilbert_selberg.quadfield import QuadInt, make_field
+from hilbert_selberg.pellforms import content, form_to_matrix
+from hilbert_selberg.quadfield import QuadInt, canonical_disc, make_field
 from hilbert_selberg.specfun import li
 
 # D=5, eps <= 10, ordered by norm; (d coords, multiplicity) frozen after
@@ -32,6 +33,21 @@ def test_frozen_list_x10(d5_x10):
     F, cls = d5_x10
     assert [((c.d.a, c.d.b), c.multiplicity) for c in cls] == X10_D5
     assert sum(c.multiplicity for c in cls) == 48
+
+
+def test_form_matrix_round_trip(d5_x10):
+    # [[A, B], [C, E]] = form_to_matrix(Q) carries the form (C, E - A, -B),
+    # which is u0 * Q; dividing by its content leaves a unit multiple of Q
+    F, cls = d5_x10
+    for c in cls:
+        for Q in c.record.forms:
+            g = form_to_matrix(Q, c.record.pell)
+            form = (g.c, g.d - g.a, -g.b)
+            k = content(*form)
+            qa, qb, qc = (x.exact_div(k) for x in form)
+            u = qa.exact_div(Q.a)
+            assert u.is_unit() and qb == u * Q.b and qc == u * Q.c
+            assert canonical_disc(qb * qb - 4 * (qa * qc), F) == c.d
 
 
 def test_class_invariants(d5_x10):

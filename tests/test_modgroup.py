@@ -19,7 +19,8 @@ from hilbert_selberg.quadfield import (QuadInt, lattice_points, make_field,
                                        _omega_trace_norm)
 
 from oracles import (capped_bfs_ref, conj_neighbors_ref, form_neighbors_ref,
-                     height_ok_ref, normalize_key_ref)
+                     height_ok_ref, matrices_with_trace_ref,
+                     normalize_key_ref)
 
 
 def elem(D, rows):
@@ -232,13 +233,13 @@ class TestArithmeticGuards:
             form_orbit((1, 0, 1, 0, -1, 1), 5, 1e5, 1e5)
 
     def test_matrix_boxes(self, monkeypatch):
-        monkeypatch.setattr(modgroup, "lattice_points", None)
+        monkeypatch.setattr(modgroup, "_box_rows", None)
         F = make_field(5, with_census=False)
         with pytest.raises(BudgetExceededError, match="int64"):
             _matrices_with_trace(F, QuadInt(5, 3, 1), 1e9, 1e9)
 
     def test_form_boxes(self, monkeypatch):
-        monkeypatch.setattr(pellforms, "lattice_points", None)
+        monkeypatch.setattr(pellforms, "_box_rows", None)
         F = make_field(5, with_census=False)
         with pytest.raises(BudgetExceededError, match="int64"):
             enumerate_forms(QuadInt(5, -7, 5), F, height=1e9)
@@ -259,6 +260,18 @@ class TestArithmeticGuards:
         pell = pellforms.pell_fundamental(QuadInt(5, 1, 8), F)
         with pytest.raises(BudgetExceededError, match="matrix boxes"):
             _matrix_keys(pell.d, pell, F, 10.0, 10.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([5, 8, 12, 13]), st.integers(-9, 9), st.integers(-5, 5),
+       st.floats(1.0, 12.0), st.floats(1.0, 12.0))
+def test_matrices_with_trace_match_per_a_loop(D, ta, tb, cap1, cap2):
+    F = make_field(D, with_census=False)
+    tr = QuadInt(D, ta, tb)
+    got = _matrices_with_trace(F, tr, cap1, cap2)
+    want = matrices_with_trace_ref(F, tr, cap1, cap2)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert (got == want).all()
 
 
 @settings(max_examples=100, deadline=None)

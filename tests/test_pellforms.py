@@ -13,13 +13,13 @@ from hilbert_selberg.geodesics import enumerate_geodesics
 from hilbert_selberg.modgroup import GroupElem, classify, _matrices_with_trace
 from hilbert_selberg.pellforms import (FormOverOK, class_number, content,
                                        enumerate_forms, form_to_matrix, in_Dpm,
-                                       pell_fundamental, _gcd_rows,
-                                       _matrix_boxes, _matrix_keys)
+                                       pell_fundamental, _form_boxes,
+                                       _gcd_rows, _matrix_boxes, _matrix_keys)
 from hilbert_selberg.quadfield import (QuadInt, canonical_disc,
                                        fundamental_unit, lattice_points,
                                        make_field, _omega_trace_norm)
 
-from oracles import gcd_coords_ref, matrix_filter_ref
+from oracles import gcd_coords_ref, matrix_filter_ref, primitive_forms_ref
 
 # Canonical mixed-sign discriminants with eps_K(d) <= 15 over Q(sqrt(5)),
 # with class numbers confirmed by both the form-orbit partition and the
@@ -224,6 +224,20 @@ def test_enumerate_forms_disc_exact():
     assert forms
     for k in forms:
         assert FormOverOK.from_key(k, 5).disc == d
+
+
+@pytest.mark.parametrize("D,d,height", [
+    (5, (-7, 5), 4.0), (5, (-19, 13), 3.0), (5, (1, 8), 8.0),
+    (8, (-1, 2), 4.0), (8, (-9, 10), 3.0), (12, (0, 2), 4.0),
+    (12, (-12, 8), 3.0), (13, (-7, 4), 3.0),
+])
+def test_enumerate_forms_matches_brute_force(D, d, height):
+    F = make_field(D, with_census=False)
+    d = QuadInt(D, *d)
+    assert in_Dpm(d)
+    keys = enumerate_forms(d, F, height=height)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == primitive_forms_ref(d, *_form_boxes(d, height))
 
 
 def test_principal_form_from_witness(sweep5):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,10 +10,11 @@ from hilbert_selberg.quadfield import (
     CLASS_NUMBER_ONE, FieldCtx, QuadInt, canonical_disc, chi_D,
     format_quadint, fundamental_unit, is_fundamental_discriminant,
     kronecker, lattice_points, make_field, parse_quadint, sigma1,
-    zeta_minus_one, bernoulli_L_minus_one,
+    zeta_minus_one, bernoulli_L_minus_one, _box_rows, _factor_pairs,
 )
 
-from oracles import kronecker_ref, L_minus_one_ref, zeta_K_minus_one_ref
+from oracles import (factor_pairs_ref, kronecker_ref, L_minus_one_ref,
+                     zeta_K_minus_one_ref)
 
 
 # frozen from the generalized Bernoulli route (independent oracle)
@@ -218,3 +220,54 @@ class TestCanonicalization:
             assert abs(p.embed(1)) <= 3.0 + 1e-9
             assert abs(p.embed(2)) <= 3.0 + 1e-9
         assert QuadInt(5, 1, 1) in pts
+
+
+class TestCanonicalDiscProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([5, 8, 12, 13]), st.integers(-60, 60),
+           st.integers(-60, 60), st.integers(-3, 3))
+    def test_idempotent_and_square_unit_invariant(self, D, a, b, k):
+        d = QuadInt(D, a, b)
+        if d.is_zero() or d.sign_embed(1) <= 0:
+            return
+        F = make_field(D, with_census=False)
+        base = canonical_disc(d, F)
+        assert canonical_disc(base, F) == base
+        assert canonical_disc(d * (F.eps * F.eps) ** k, F) == base
+
+
+def _factor_rows(D):
+    """Rows P: products y*z of small elements, units, rows with a zero
+    coordinate, arbitrary rows and zero rows."""
+    small = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+    def product(yz):
+        (ya, yb), (za, zb) = yz
+        p = QuadInt(D, ya, yb) * QuadInt(D, za, zb)
+        return p.a, p.b
+
+    def unit(ks):
+        sign, k = ks
+        u = fundamental_unit(D) ** k * sign
+        return u.a, u.b
+
+    row = st.one_of(
+        st.tuples(small, small).map(product),
+        st.tuples(st.sampled_from([1, -1]), st.integers(-2, 2)).map(unit),
+        st.tuples(st.integers(-30, 30), st.just(0)),
+        st.tuples(st.just(0), st.integers(-30, 30)),
+        st.tuples(st.integers(-30, 30), st.integers(-30, 30)))
+    return st.lists(row, min_size=1, max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([5, 8, 12, 13]), st.floats(1.5, 6.0),
+       st.floats(1.5, 6.0), st.floats(1.0, 12.0), st.floats(1.0, 12.0),
+       st.data())
+def test_factor_pairs_matches_quadint_reference(D, b1, b2, cap1, cap2, data):
+    P = np.array(data.draw(_factor_rows(D)), dtype=np.int64).reshape(-1, 2)
+    box = _box_rows(D, b1, b2)
+    i, y, z = _factor_pairs(P, box, D, cap1, cap2)
+    got = [(r, *yy, *zz) for r, yy, zz in zip(i.tolist(), y.tolist(),
+                                              z.tolist())]
+    assert got == factor_pairs_ref(P.tolist(), box.tolist(), D, cap1, cap2)
