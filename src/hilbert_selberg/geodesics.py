@@ -219,7 +219,7 @@ def enumerate_geodesics(F: FieldCtx, x: float, height: float = 8.0,
                 continue
             if pell.eps_d > x * (1.0 + 1e-12):
                 continue
-            rec = class_number(dc, F, height=height)
+            rec = class_number(dc, F, height=height, pell=pell)
             t2 = rec.pell.t0.embed(2)
             classes.append(GeodesicClass(
                 d=rec.d, norm=rec.pell.eps_d ** 2,

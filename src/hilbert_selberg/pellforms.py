@@ -368,18 +368,24 @@ def _matrix_keys(dc: QuadInt, pell: PellSolution, F: FieldCtx,
 # ------------------------------------------------------- class numbers
 
 
-def class_number(d: QuadInt, F: FieldCtx,
-                 height: float = 8.0) -> DiscriminantRecord:
+def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
+                 pell: Optional[PellSolution] = None) -> DiscriminantRecord:
     """Dual-route class count for the canonical associate of d.
 
     The orbit partition of height-bounded primitive forms is the
     primary algorithm; the conjugacy-class count through the stabilizer
     map is the oracle.  A mismatch raises instead of picking a side.
+    A caller that has already solved Pell for the canonical associate
+    passes that solution as `pell`; otherwise it is solved here.
     """
     if not in_Dpm(d):
         raise ValidationError(f"{d} is not a mixed-sign discriminant")
     dc = canonical_disc(d, F)
-    pell = pell_fundamental(dc, F)
+    if pell is None:
+        pell = pell_fundamental(dc, F)
+    elif pell.d != dc:
+        raise ValidationError(
+            f"Pell solution for {pell.d} passed for discriminant {dc}")
     D = F.D
     h1, h2 = _form_boxes(dc, height)
     cap1, cap2 = 3.0 * h1, 3.0 * h2

@@ -1,6 +1,14 @@
-"""Special functions: digamma, double Gamma, li, unit zeta.
+"""Special functions: log Gamma, digamma, double Gamma, li, unit zeta.
 
-Everything returns complex doubles.  The double Gamma is normalized by
+Everything is plain cmath/math code and returns complex doubles (li a
+float).  log Gamma and digamma shift the argument up by the recurrence
+until Re z >= 8 and then sum ten terms of the Stirling series.  The
+recurrence uses principal-branch logs, so
+
+    loggamma(z + 1) = loggamma(z) + log z
+
+holds exactly as in scipy.special.loggamma: the branch is continuous
+off the negative real axis.  The double Gamma is normalized by
 Gamma2(1) = 1 together with the ladder
 
     Gamma2(s+1) / Gamma2(s) = sqrt(2*pi) / Gamma(s),
@@ -8,7 +16,8 @@ Gamma2(1) = 1 together with the ladder
 computed in log space from the Barnes-G asymptotic series plus the
 recurrence log G(z) = log G(z+n) - sum_j log Gamma(z+j).  Only ratios of
 Gamma2 values are ever consumed downstream, so the normalization washes
-out of every identity.
+out of every identity.  li(x) is Ei(ln x) - Ei(ln 2) from the power
+series of the exponential integral.
 """
 
 from __future__ import annotations
@@ -17,15 +26,26 @@ import cmath
 import math
 from fractions import Fraction
 
-from scipy import integrate
-from scipy import special as sp
-
 from .errors import ValidationError
 from .quadfield import FieldCtx
 
 TWO_PI = 2.0 * math.pi
 LOG_TWO_PI = math.log(TWO_PI)
 ZETA_PRIME_MINUS_ONE = -0.16542114370045092921391966024278064276
+LOG_TWO = math.log(2.0)
+
+# B_2, B_4, ..., B_20
+_BERNOULLI = (
+    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6),
+    Fraction(-3617, 510), Fraction(43867, 798), Fraction(-174611, 330),
+)
+# Stirling series: B_2k / (2k (2k-1)) for log Gamma, B_2k / (2k) for psi
+_LOGGAMMA_COEFFS = tuple(float(b / (2 * k * (2 * k - 1)))
+                         for k, b in enumerate(_BERNOULLI, 1))
+_DIGAMMA_COEFFS = tuple(float(b / (2 * k))
+                        for k, b in enumerate(_BERNOULLI, 1))
+_STIRLING_RE = 8.0
 
 # B_{2k+2} / (4k(k+1)) for k = 1..6
 _BARNES_COEFFS = (
@@ -44,12 +64,43 @@ def _near_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
     return abs(z - round(z.real)) < tol and round(z.real) <= 0
 
 
+def _shift(z: complex) -> int:
+    return max(0, int(math.ceil(_STIRLING_RE - z.real)))
+
+
+def loggamma(z: complex) -> complex:
+    """log Gamma(z) on scipy's branch; the poles z = 0, -1, -2, ... raise."""
+    z = complex(z)
+    if _near_nonpositive_integer(z, tol=1e-12):
+        raise ValidationError(f"loggamma pole at z={z}")
+    acc = 0.0 + 0.0j
+    for _ in range(_shift(z)):
+        acc += cmath.log(z)
+        z += 1.0
+    w = 1.0 / z
+    w2 = w * w
+    series = 0.0 + 0.0j
+    for c in reversed(_LOGGAMMA_COEFFS):
+        series = series * w2 + c
+    return ((z - 0.5) * cmath.log(z) - z + 0.5 * LOG_TWO_PI
+            + series * w - acc)
+
+
 def digamma(z: complex) -> complex:
     """psi(z) for complex z; errors at the poles instead of returning NaN."""
     z = complex(z)
     if _near_nonpositive_integer(z, tol=1e-10):
         raise ValidationError(f"digamma pole at z={z}")
-    out = complex(sp.digamma(z))
+    acc = 0.0 + 0.0j
+    for _ in range(_shift(z)):
+        acc += 1.0 / z
+        z += 1.0
+    w = 1.0 / z
+    w2 = w * w
+    series = 0.0 + 0.0j
+    for c in reversed(_DIGAMMA_COEFFS):
+        series = series * w2 + c
+    out = cmath.log(z) - 0.5 * w - series * w2 - acc
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise ValidationError(f"digamma failed to evaluate at z={z}")
     return out
@@ -78,9 +129,11 @@ def log_barnes_g(z: complex) -> complex:
     if _near_nonpositive_integer(z, tol=1e-12):
         raise ValidationError(f"Barnes G zero (log diverges) at z={z}")
     shift = max(0, int(math.ceil(26.0 - z.real)))
+    lg = loggamma(z)
     acc = 0.0 + 0.0j
     for j in range(shift):
-        acc += sp.loggamma(z + j)
+        acc += lg
+        lg += cmath.log(z + j)
     return _log_barnes_g_asymptotic(z + shift) - acc
 
 
@@ -105,6 +158,20 @@ def xi_ratio(s: complex) -> complex:
                      - loggamma2(s) - loggamma2(-s))
 
 
+def _ei_series(u: float) -> float:
+    """Ei(u) - gamma - ln u = sum_k u^k / (k k!) for u > 0."""
+    acc = 0.0
+    term = 1.0
+    k = 1
+    while True:
+        term *= u / k
+        inc = term / k
+        acc += inc
+        if inc <= 1e-17 * acc:
+            return acc
+        k += 1
+
+
 def li(x: float) -> float:
     """Offset logarithmic integral li(x) = integral_2^x dt/log(t)."""
     x = float(x)
@@ -112,11 +179,11 @@ def li(x: float) -> float:
         raise ValidationError("li(x) needs x > 1 (integrand pole at t=1)")
     if x == 2.0:
         return 0.0
-    val, err = integrate.quad(lambda t: 1.0 / math.log(t), 2.0, x,
-                              epsabs=1e-12, epsrel=1e-12, limit=200)
-    if err > 1e-9:
-        raise ValidationError(f"li({x}) quadrature error {err:.2e} too large")
-    return val
+    u = math.log(x)
+    return math.log(u / LOG_TWO) + (_ei_series(u) - _EI_SERIES_LOG_TWO)
+
+
+_EI_SERIES_LOG_TWO = _ei_series(LOG_TWO)
 
 
 def zeta_eps(s: complex, F: FieldCtx) -> complex:
@@ -137,6 +204,7 @@ __all__ = [
     "gamma2",
     "li",
     "log_barnes_g",
+    "loggamma",
     "loggamma2",
     "xi_ratio",
     "zeta_eps",

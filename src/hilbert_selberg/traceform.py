@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.integrate as integrate
 
+from . import integrate
 from .errors import InvariantViolation, ValidationError
 from .geodesics import (GeodesicClass, count_constant,
                         coverage as class_coverage, half_multiplicity, window)
@@ -39,9 +39,11 @@ class TestFunctionPair:
     """Even transform pair (h1, g1) with decay metadata.
 
     g1 is the Fourier transform of h1 normalized so that
-    h1(r) = integral of g1(u) e^{iru} du.  metadata carries the decay
-    certificates the evaluators use to place cutoffs: u_cut is the
-    point beyond which g1 is machine-negligible.
+    h1(r) = integral of g1(u) e^{iru} du.  Both are numpy expressions
+    that take a scalar or an array and return a value of the same
+    shape.  metadata carries the decay certificates the evaluators
+    use to place cutoffs: u_cut is the point beyond which g1 is
+    machine-negligible.
     """
 
     kind: str
@@ -57,11 +59,13 @@ def gaussian_testfunction(beta: float) -> TestFunctionPair:
         raise ValidationError(f"gaussian width beta={beta} must be positive")
     norm = 1.0 / math.sqrt(4.0 * math.pi * beta)
 
-    def h1(r: complex) -> complex:
-        return cmath.exp(-beta * complex(r) ** 2)
+    def h1(r):
+        r = np.asarray(r, dtype=complex)
+        return np.exp(-beta * r * r)
 
-    def g1(u: float) -> complex:
-        return complex(norm * math.exp(-u * u / (4.0 * beta)))
+    def g1(u):
+        u = np.asarray(u, dtype=float)
+        return norm * np.exp(-u * u / (4.0 * beta))
 
     u_cut = math.sqrt(4.0 * beta * 46.0) + 6.0
     return TestFunctionPair(kind="gaussian", h1=h1, g1=g1,
@@ -89,17 +93,17 @@ def rational_testfunction(s: complex, beta1: float,
     c1 = (a * a - beta2 * beta2) / (beta2 * beta2 - beta1 * beta1)
     c2 = -1.0 - c1
 
-    def h1(r: complex) -> complex:
-        r = complex(r)
-        return (1.0 / (r * r + a * a)
-                + c1 / (r * r + beta1 * beta1)
-                + c2 / (r * r + beta2 * beta2))
+    def h1(r):
+        r2 = np.asarray(r, dtype=complex) ** 2
+        return (1.0 / (r2 + a * a)
+                + c1 / (r2 + beta1 * beta1)
+                + c2 / (r2 + beta2 * beta2))
 
-    def g1(u: float) -> complex:
-        x = abs(u)
-        return (cmath.exp(-a * x) / (2.0 * s - 1.0)
-                + c1 * math.exp(-beta1 * x) / (2.0 * beta1)
-                + c2 * math.exp(-beta2 * x) / (2.0 * beta2))
+    def g1(u):
+        x = np.abs(np.asarray(u, dtype=float))
+        return (np.exp(-a * x) / (2.0 * s - 1.0)
+                + c1 * np.exp(-beta1 * x) / (2.0 * beta1)
+                + c2 * np.exp(-beta2 * x) / (2.0 * beta2))
 
     kappa = min(s.real - 0.5, beta1, beta2)
     return TestFunctionPair(
@@ -146,28 +150,25 @@ def _ordered_total(idn: complex, ell: complex, he: complex,
 
 # ------------------------------------------------------------ quadrature
 
-def _complex_quad(f: Callable[[float], complex], lo: float,
-                  hi: float) -> Tuple[complex, float]:
-    re, re_err = integrate.quad(lambda x: f(x).real, lo, hi,
-                                epsabs=1e-13, epsrel=1e-11, limit=300)
-    im, im_err = integrate.quad(lambda x: f(x).imag, lo, hi,
-                                epsabs=1e-13, epsrel=1e-11, limit=300)
-    return complex(re, im), re_err + im_err
-
-
 def _identity_integral(tf: TestFunctionPair) -> Tuple[complex, float]:
     """integral over R of r h1(r) tanh(pi r) dr (even integrand)."""
 
-    def f(r: float) -> complex:
-        return r * tf.h1(r) * math.tanh(math.pi * r)
+    def f(r: np.ndarray) -> np.ndarray:
+        return r * tf.h1(r) * np.tanh(np.pi * r)
 
-    val, err = _complex_quad(f, 0.0, np.inf)
-    return 2.0 * val, 2.0 * err
+    val, err = integrate.quad(f, 0.0, np.inf,
+                              epsabs=1e-13, epsrel=1e-11, limit=300)
+    return 2.0 * complex(val), 2.0 * float(err)
 
 
-def _elliptic_integral(tf: TestFunctionPair,
-                       theta1: float) -> Tuple[complex, float]:
-    """integral of g1(u) e^{-u/2} (e^u - e^{2i theta1})/(cosh u - cos 2 theta1)."""
+def _elliptic_integrals(tf: TestFunctionPair, theta1: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """integral of g1(u) e^{-u/2} (e^u - e^{2i theta1})/(cosh u - cos 2 theta1)
+    for every angle theta1 at once, with a per-angle error estimate.
+
+    The kernel is evaluated with numerator and denominator scaled by
+    e^{-|u|}, so no exponential overflows however far u_cut reaches.
+    """
     u_cut = float(tf.metadata["u_cut"])
     if tf.kind == "rational":
         # net decay of the integrand is kappa - 1/2 on the u > 0 side
@@ -177,14 +178,16 @@ def _elliptic_integral(tf: TestFunctionPair,
                 "rational pair decays too slowly for the elliptic "
                 f"integral (kappa={tf.metadata['kappa']})")
         u_cut = min(48.0 / net, 3000.0)
-    rot = cmath.exp(2.0j * theta1)
-    cos2 = math.cos(2.0 * theta1)
+    rot = np.exp(2.0j * theta1)[:, None]
+    cos2 = np.cos(2.0 * theta1)[:, None]
 
-    def f(u: float) -> complex:
-        return (tf.g1(u) * cmath.exp(-u / 2.0) * (cmath.exp(u) - rot)
-                / (math.cosh(u) - cos2))
+    def f(u: np.ndarray) -> np.ndarray:
+        e = np.exp(-np.abs(u))
+        num = np.exp(0.5 * u - np.abs(u)) - rot * np.exp(-0.5 * u - np.abs(u))
+        return tf.g1(u) * num / (0.5 * (1.0 + e * e) - cos2 * e)
 
-    return _complex_quad(f, -u_cut, u_cut)
+    return integrate.quad(f, -u_cut, u_cut,
+                          epsabs=1e-13, epsrel=1e-11, limit=300)
 
 
 # ------------------------------------------------------------ shared pieces
@@ -213,12 +216,12 @@ def _he_tail(classes: Sequence[GeodesicClass], cov: float,
     c_fit = count_constant(classes)
     u_top = math.log(cov) + float(tf.metadata["u_cut"]) + 5.0
 
-    def f(u: float) -> float:
-        return math.exp(u / 2.0) * abs(tf.g1(u))
+    def f(u: np.ndarray) -> np.ndarray:
+        return np.exp(u / 2.0) * np.abs(tf.g1(u))
 
     val, _ = integrate.quad(f, math.log(cov), u_top,
                             epsabs=1e-14, epsrel=1e-9, limit=200)
-    return 1.6 * c_fit * val
+    return 1.6 * c_fit * float(val)
 
 
 def _hyp_ell_sum(m: int, tf: TestFunctionPair,
@@ -227,7 +230,7 @@ def _hyp_ell_sum(m: int, tf: TestFunctionPair,
     """HE class/power sum; classes pair with inverses, so phases fold
     to cosines (double difference) or Chebyshev ratios (difference)."""
     u_cut = float(tf.metadata["u_cut"])
-    acc = 0.0 + 0.0j
+    weights, us = [], []
     for c in window(classes, cov, cov):
         half = half_multiplicity(c)
         log_n = math.log(c.norm)
@@ -244,9 +247,10 @@ def _hyp_ell_sum(m: int, tf: TestFunctionPair,
                 osc = -math.sin((m - 1) * lam) / sl
             else:
                 osc = -2.0 * math.cos((m - 2) * lam)
-            acc += half * w * osc * tf.g1(ell * log_n)
+            weights.append(half * w * osc)
+            us.append(ell * log_n)
             ell += 1
-    return acc
+    return complex(np.dot(weights, tf.g1(us))) if us else 0.0 + 0.0j
 
 
 def _eps_series(m: int, tf: TestFunctionPair, F: FieldCtx, single: bool,
@@ -261,7 +265,7 @@ def _eps_series(m: int, tf: TestFunctionPair, F: FieldCtx, single: bool,
     k = 1
     last = math.inf
     while True:
-        g = tf.g1(2.0 * k * log_eps)
+        g = complex(tf.g1(2.0 * k * log_eps))
         if single:
             term = -2.0 * e1 * log_eps * g * F.eps1 ** (-k * p1)
         else:
@@ -282,17 +286,18 @@ def _eps_series(m: int, tf: TestFunctionPair, F: FieldCtx, single: bool,
 def _elliptic_sum(m: int, tf: TestFunctionPair, F: FieldCtx,
                   single: bool) -> Tuple[complex, float]:
     """Finite-order class sum over each primitive class's power set."""
-    cache: Dict[Tuple[int, int], Tuple[complex, float]] = {}
+    classes = F.census_classes()
+    keys = sorted({(nu, ell) for nu, _ in classes for ell in range(1, nu)})
+    ints, errs = _elliptic_integrals(
+        tf, np.array([ell * math.pi / nu for nu, ell in keys]))
+    quad = {k: (complex(v), float(e)) for k, v, e in zip(keys, ints, errs)}
     acc = 0.0 + 0.0j
     err = 0.0
-    for nu, t in F.census_classes():
+    for nu, t in classes:
         for ell in range(1, nu):
             th1 = ell * math.pi / nu
             th2 = ((ell * t) % nu) * math.pi / nu
-            key = (nu, ell)
-            if key not in cache:
-                cache[key] = _elliptic_integral(tf, th1)
-            integral, quad_err = cache[key]
+            integral, quad_err = quad[nu, ell]
             if single:
                 coef = (-cmath.exp(-1j * th1 + 1j * (m - 1) * th2)
                         / (8.0 * nu * math.sin(th1) * math.sin(th2)))
@@ -322,8 +327,9 @@ def _geom_side(m: int, tf: TestFunctionPair, F: FieldCtx,
     identity = scale * float(F.zeta_minus_one) * id_int
     elliptic, ell_err = _elliptic_sum(m, tf, F, single)
     hyp_ell = _hyp_ell_sum(m, tf, classes, cov, single)
-    par = (-_sgn(m - 1) * F.regulator * tf.g1(0.0) if single else
-           -F.regulator * tf.g1(0.0) * (_sgn(m - 1) - _sgn(m - 3)))
+    g0 = complex(tf.g1(0.0))
+    par = (-_sgn(m - 1) * F.regulator * g0 if single else
+           -F.regulator * g0 * (_sgn(m - 1) - _sgn(m - 3)))
     eps_val, eps_tail, k_cut = _eps_series(m, tf, F, single, eps_terms)
 
     diag: Dict[str, object] = {
@@ -335,7 +341,7 @@ def _geom_side(m: int, tf: TestFunctionPair, F: FieldCtx,
         "elliptic_quad_err": ell_err,
     }
     if m == 2 and not single:
-        diag["spectral_constant"] = -2.0 * tf.h1(0.5j)
+        diag["spectral_constant"] = -2.0 * complex(tf.h1(0.5j))
     total = _ordered_total(identity, elliptic, hyp_ell, par, eps_val)
     return GeomSideBreakdown(identity_term=identity, elliptic_term=elliptic,
                              hyp_ell_term=hyp_ell, par_sct_term=par,

@@ -20,14 +20,12 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import scipy.special as sp
-
 from .errors import InvariantViolation, ValidationError
 from .geodesics import (GeodesicClass, count_constant,
                         coverage as class_coverage, half_multiplicity,
                         weighted_count_constant, window)
 from .quadfield import FieldCtx
-from .specfun import loggamma2, xi_ratio, zeta_eps
+from .specfun import loggamma, loggamma2, xi_ratio, zeta_eps
 
 TWO_PI = 2.0 * math.pi
 
@@ -307,7 +305,7 @@ def completed_factors(s: complex, m: int,
                 raise ValidationError(
                     f"Z_ell pole at s={s}: Gamma({arg}) pole from class "
                     f"(nu={e.nu}, t={e.t}), l={l}, exponent {w}")
-            log_ell += w * sp.loggamma(arg)
+            log_ell += w * loggamma(arg)
 
     if m >= 4:
         z_par = 1.0 + 0.0j
@@ -558,9 +556,9 @@ def _gnu_reflection_ratio(s: complex, nu: int) -> complex:
         w = (nu - 1 - 2 * l) / nu
         if w == 0.0:
             continue
-        log_acc += w * (sp.loggamma((1.0 + s + l) / nu)
-                        + sp.loggamma((1.0 - s + l) / nu)
-                        - sp.loggamma((s + l) / nu)
-                        - sp.loggamma((-s + l) / nu))
+        log_acc += w * (loggamma((1.0 + s + l) / nu)
+                        + loggamma((1.0 - s + l) / nu)
+                        - loggamma((s + l) / nu)
+                        - loggamma((-s + l) / nu))
     log_acc -= ((nu - 1) / nu) * cmath.log(xi_ratio(s))
     return cmath.exp(log_acc)

@@ -24,14 +24,69 @@ def run_cli(capsys, *argv):
 
 # ---------------------------------------------------------------- imports
 
-def test_cli_import_leaves_mpmath_out():
-    # mpmath is a test-only oracle; a fresh interpreter must not load it
+def _package_env():
     src = os.path.dirname(os.path.dirname(hilbert_selberg.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = "import sys, hilbert_selberg.cli; sys.exit('mpmath' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code],
-                          env=dict(os.environ, PYTHONPATH=path))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_cli_import_leaves_mpmath_out():
+    # mpmath and scipy are test-only oracles; a fresh interpreter must
+    # load neither
+    code = ("import sys, hilbert_selberg.cli; "
+            "sys.exit('mpmath' in sys.modules or 'scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env())
     assert proc.returncode == 0
+
+
+# every command that reaches the special functions or the quadrature
+_ANALYTIC_COMMANDS = (
+    ("field", "--D", "5"),
+    ("zeta", "--D", "5", "--m", "4", "--s", "2.0+0.5i"),
+    ("ledger", "--D", "5", "--m", "2"),
+    ("trace", "--D", "5", "--m", "4", "--test", "gaussian:beta=0.05"),
+    ("trace", "--D", "5", "--m", "4", "--single",
+     "--test", "gaussian:beta=0.05"),
+    ("trace", "--D", "5", "--m", "4",
+     "--test", "rational:s=2.5,beta1=2.5,beta2=3.5"),
+    ("trace", "--D", "5", "--m", "4", "--single",
+     "--test", "rational:s=2.5,beta1=2.5,beta2=3.5"),
+    ("trace", "heatfit", "--D", "5", "--betas", "0.2,0.1,0.05,0.025"),
+)
+
+_BLOCKED_RUNNER = """
+import contextlib, io, json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from hilbert_selberg.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_analytic_commands_run_without_scipy(tmp_path, capsys):
+    cache = ("--cache-dir", str(tmp_path / "cache"))
+    argvs = [list(argv) + list(cache) for argv in _ANALYTIC_COMMANDS]
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCKED_RUNNER, json.dumps(argvs)],
+        env=_package_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    blocked = json.loads(proc.stdout)
+    for argv, (code, out) in zip(argvs, blocked):
+        assert code == 0, argv
+        assert (0, out) == run_cli(capsys, *argv), argv
 
 
 # ---------------------------------------------------------------- config

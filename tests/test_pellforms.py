@@ -138,6 +138,16 @@ def test_class_number_sweep_frozen(sweep5):
     assert sum(r.class_number for r in recs.values()) == 94
 
 
+def test_class_number_reuses_given_pell(sweep5):
+    F, recs = sweep5
+    (ka, rec_a), (kb, rec_b) = list(recs.items())[:2]
+    d = QuadInt(5, *ka)
+    again = class_number(d, F, pell=pell_fundamental(d, F, eps_cap=30.0))
+    assert again == rec_a
+    with pytest.raises(ValidationError, match="Pell solution for"):
+        class_number(d, F, pell=rec_b.pell)
+
+
 def test_doubling_stability(sweep5):
     F, recs = sweep5
     for key in ((-135, 85), (-126, 79)):

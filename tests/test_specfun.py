@@ -4,12 +4,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from hilbert_selberg.errors import ValidationError
 from hilbert_selberg.quadfield import make_field
 from hilbert_selberg.specfun import (
-    ZETA_PRIME_MINUS_ONE, digamma, gamma2, li, log_barnes_g, loggamma2,
-    xi_ratio, zeta_eps,
+    ZETA_PRIME_MINUS_ONE, digamma, gamma2, li, log_barnes_g, loggamma,
+    loggamma2, xi_ratio, zeta_eps,
 )
 
 from oracles import li_gauss_legendre
@@ -61,29 +62,87 @@ class TestBarnesDoubleGamma:
         assert cmath.exp(loggamma2(z)) == pytest.approx(gamma2(z), rel=1e-12)
 
 
+def _oracle_points():
+    """Random points of Re z in [-30, 30], |Im z| <= 50, plus points on
+    both sides of the negative real axis down to |Im z| = 1e-12."""
+    rng = np.random.default_rng(20261018)
+    pts = [complex(rng.uniform(-30.0, 30.0), rng.uniform(-50.0, 50.0))
+           for _ in range(200)]
+    for re in (-29.5, -7.25, -2.5, -0.3, 0.4, 3.7):
+        for im in (1e-12, 1e-9, 1e-6, 1e-3, 0.5):
+            pts += [complex(re, im), complex(re, -im)]
+    return pts
+
+
+def _close(got: complex, ref: complex) -> bool:
+    return abs(got - ref) <= 2e-14 * (1.0 + abs(ref))
+
+
+class TestLoggamma:
+    def test_against_scipy_and_mpmath(self):
+        for z in _oracle_points():
+            got = loggamma(z)
+            assert _close(got, complex(sp.loggamma(z))), z
+            with mp.workdps(30):
+                assert _close(got, complex(mp.loggamma(mp.mpc(z)))), z
+
+    def test_branch_follows_the_recurrence(self):
+        # the branch is continuous off the negative real axis and
+        # log Gamma(z + 1) = log Gamma(z) + log z holds across it
+        for z in (-3.5 + 1e-12j, -3.5 - 1e-12j, -0.5 + 2.0j, 4.0 - 3.0j):
+            assert loggamma(z + 1) == pytest.approx(
+                loggamma(z) + cmath.log(z), abs=1e-13)
+        assert loggamma(-2.5 + 1e-12j).imag == pytest.approx(-3 * math.pi)
+        assert loggamma(-2.5 - 1e-12j).imag == pytest.approx(3 * math.pi)
+
+    def test_pole_guard(self):
+        for z in (0.0, -1.0, -4.0, -17.0 + 1e-13j):
+            with pytest.raises(ValidationError, match="pole"):
+                loggamma(complex(z))
+
+
 class TestDigamma:
     def test_against_mpmath(self):
         for z in (0.3, 2.0 + 1.0j, -1.5 + 0.2j, 17.0):
             assert digamma(complex(z)) == pytest.approx(
                 complex(mp.digamma(mp.mpc(z))), rel=1e-12)
 
+    def test_against_scipy_and_mpmath(self):
+        for z in _oracle_points():
+            got = digamma(z)
+            assert _close(got, complex(sp.digamma(z))), z
+            with mp.workdps(30):
+                assert _close(got, complex(mp.digamma(mp.mpc(z)))), z
+
     def test_pole_guard(self):
-        with pytest.raises(ValidationError):
-            digamma(-2.0 + 0j)
+        for z in (-2.0, 0.0, -11.0 - 1e-11j):
+            with pytest.raises(ValidationError, match="digamma pole"):
+                digamma(complex(z))
 
 
 class TestLi:
     def test_li_values(self):
-        assert li(2.0) == pytest.approx(0.0, abs=1e-14)
+        assert li(2.0) == 0.0
         assert li(10.0) == pytest.approx(li_gauss_legendre(10.0), rel=1e-9)
         assert li(1000.0) == pytest.approx(li_gauss_legendre(1000.0),
                                            rel=1e-9)
 
+    def test_against_oracles(self):
+        rng = np.random.default_rng(5)
+        xs = [1.0001, 1.5, 2.0001, 3.0, 1e4]
+        xs += list(np.exp(rng.uniform(1e-4, math.log(1e4), 40)))
+        for x in xs:
+            with mp.workdps(30):
+                ref = float(mp.li(x) - mp.li(2))
+            assert abs(li(x) - ref) <= 1e-14 * (1.0 + abs(ref)), x
+        for x in (3.0, 1e3, 1e4):
+            assert li(x) == pytest.approx(
+                li_gauss_legendre(x, panels=1024), rel=1e-12)
+
     def test_li_domain(self):
-        with pytest.raises(ValidationError):
-            li(1.0)
-        with pytest.raises(ValidationError):
-            li(0.5)
+        for x in (1.0, 0.5):
+            with pytest.raises(ValidationError, match="x > 1"):
+                li(x)
 
 
 class TestZetaEps:
