@@ -6,7 +6,7 @@ from hilbert_selberg.zetafun import ZetaParams, divisor_ledger, selberg_zeta
 
 F = make_field(5)
 classes = enumerate_geodesics(F, 10.0)
-coverage = max(c.norm for c in classes)
+coverage = classes.coverage
 
 print("truncated Euler product along Re(s), weight m = 4")
 for sigma in (1.5, 2.0, 2.5, 3.0, 4.0):

@@ -19,7 +19,7 @@ from typing import Callable, Optional, TypeVar
 
 from . import __version__
 
-_FORMAT = 1
+_FORMAT = 2
 
 T = TypeVar("T")
 

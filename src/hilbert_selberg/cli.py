@@ -30,8 +30,7 @@ from typing import Optional, Sequence, Tuple
 from .cache import get_or_compute
 from .errors import (BudgetExceededError, HilbertSelbergError,
                      InvariantViolation, ValidationError)
-from .geodesics import (class_average_report, coverage, enumerate_geodesics,
-                        pgt_report)
+from .geodesics import class_average_report, enumerate_geodesics, pgt_report
 from .modgroup import classify
 from .pellforms import class_number, form_to_matrix
 from .quadfield import field_to_json_str, make_field, parse_quadint
@@ -251,14 +250,14 @@ def _cmd_geodesics(cfg: RunConfig, args) -> int:
 def _cmd_zeta(cfg: RunConfig, args) -> int:
     F = make_field(cfg.D)
     classes = _classes(F, cfg)
-    cov = coverage(classes)
+    cov = classes.coverage
     trunc = args.X if args.X is not None else (cfg.trunc_norm or cov)
     # requested cutoffs beyond the enumerated window are clamped; the
     # effective cutoff is reported and the tail bound starts there
     params = ZetaParams(s=_parse_complex(args.s), m=args.m,
                         trunc_norm=min(float(trunc), cov),
                         trunc_k=cfg.trunc_k if args.K is None else args.K)
-    val = selberg_zeta(params, classes, coverage=cov)
+    val = selberg_zeta(params, classes)
     _emit_json({
         "D": cfg.D, "m": args.m, "s": [params.s.real, params.s.imag],
         "trunc_norm": params.trunc_norm, "trunc_k": params.trunc_k,
@@ -412,7 +411,7 @@ def _check_zeta_consistency(cfg: RunConfig) -> str:
         s = complex(rng.uniform(1.5, 3.0), rng.uniform(-2.0, 2.0))
         m = rng.choice((2, 4, 6))
         h = 1e-4
-        p = ZetaParams(s=s, m=m, trunc_norm=coverage(classes), trunc_k=60)
+        p = ZetaParams(s=s, m=m, trunc_norm=classes.coverage, trunc_k=60)
         exact = selberg_log_deriv(p, classes).value
         lo = selberg_zeta(dataclasses.replace(p, s=s - h), classes)
         hi = selberg_zeta(dataclasses.replace(p, s=s + h), classes)
@@ -455,7 +454,7 @@ def _check_count_trend(cfg: RunConfig) -> str:
 def _check_truncation_stability(cfg: RunConfig) -> str:
     F = make_field(cfg.D)
     classes = _classes(F, cfg)
-    p = ZetaParams(s=2.5, m=4, trunc_norm=coverage(classes), trunc_k=40)
+    p = ZetaParams(s=2.5, m=4, trunc_norm=classes.coverage, trunc_k=40)
     a = selberg_zeta(p, classes)
     b = selberg_zeta(dataclasses.replace(p, trunc_k=80), classes)
     assert abs(a.value - b.value) <= a.tail_bound, (a, b)

@@ -13,7 +13,7 @@ smaller than the (t, u) pair that produced the candidate.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
 from .pellforms import (DiscriminantRecord, class_number, in_Dpm,
@@ -22,10 +22,9 @@ from .quadfield import FieldCtx, QuadInt, canonical_disc, lattice_points
 from .specfun import li
 
 __all__ = [
-    "GeodesicClass", "CountReport", "square_divisor_quotients",
-    "enumerate_geodesics", "pgt_report", "class_average_report",
-    "class_order", "coverage", "window", "count_constant",
-    "weighted_count_constant", "half_multiplicity",
+    "GeodesicClass", "GeodesicWindow", "CountReport",
+    "square_divisor_quotients", "enumerate_geodesics", "pgt_report",
+    "class_average_report",
 ]
 
 
@@ -52,95 +51,83 @@ class GeodesicClass:
         if self.multiplicity < 1:
             raise ValidationError("multiplicity must be positive")
 
-    @property
-    def log_eps(self) -> float:
-        return 0.5 * math.log(self.norm)
 
-
-def class_order(c: GeodesicClass) -> Tuple[float, int, int]:
-    """The one class order: by norm, ties broken by the discriminant.
-    Class sums accumulate in this order, so results do not depend on
-    the order of the list handed in."""
+def _class_order(c: GeodesicClass) -> Tuple[float, int, int]:
     return (c.norm, c.d.a, c.d.b)
 
 
-def coverage(classes: Sequence[GeodesicClass],
-             given: Optional[float] = None) -> float:
-    """Norm bound the class list is complete up to: `given` if set,
-    else the largest listed norm."""
-    if given is not None:
-        return float(given)
-    return max((c.norm for c in classes), default=0.0)
+@dataclass(frozen=True, init=False)
+class GeodesicWindow(Sequence[GeodesicClass]):
+    """A class list and the norm bound it is complete up to.
 
-
-def window(classes: Sequence[GeodesicClass], x: float,
-           given: Optional[float] = None) -> List[GeodesicClass]:
-    """Classes with norm <= x in class order; x must lie within the
-    list's coverage."""
-    cov = coverage(classes, given)
-    if x > cov * (1.0 + 1e-9):
-        raise ValidationError(
-            f"class list covers norms <= {cov:.6g} but trunc_norm={x:.6g}; "
-            f"enumerate geodesics to x >= {math.sqrt(x):.6g} first")
-    return [c for c in sorted(classes, key=class_order)
-            if c.norm <= x * (1.0 + 1e-12)]
-
-
-def _norms_and_multiplicities(classes: Sequence[GeodesicClass]
-                              ) -> Tuple[Tuple[float, int], ...]:
-    return tuple((c.norm, c.multiplicity)
-                 for c in sorted(classes, key=class_order))
-
-
-def count_constant(classes: Sequence[GeodesicClass]) -> float:
-    """Fitted C with #{N(p) <= T} <= C*li(T) over the supplied classes.
-
-    Diagnostic constant: fitted from the very list being truncated, with
-    a safety factor, not an a-priori bound.  With no listed norm >= 3
-    the fit falls back to C = 1.6 * 4.
+    Classes are held in the one class order: by norm, ties broken by
+    the discriminant.  Class sums accumulate in this order, so results
+    do not depend on the order the classes were handed in.  Classes
+    pair with their inverses (angle and its negative), so every
+    multiplicity must be even; that is checked once, here.  coverage
+    defaults to the largest listed norm.
     """
-    return _count_fit(_norms_and_multiplicities(classes))
 
+    classes: Tuple[GeodesicClass, ...]
+    coverage: float
 
-@functools.lru_cache(maxsize=8)
-def _count_fit(pairs: Tuple[Tuple[float, int], ...]) -> float:
-    cum = 0
-    best = 0.0
-    for norm, mult in pairs:
-        cum += mult
-        if norm >= 3.0:
-            best = max(best, cum / li(norm))
-    if best == 0.0:
-        best = 4.0
-    return 1.6 * best
+    def __init__(self, classes: Iterable[GeodesicClass],
+                 coverage: Optional[float] = None) -> None:
+        ordered = tuple(sorted(classes, key=_class_order))
+        for c in ordered:
+            if c.multiplicity % 2:
+                raise InvariantViolation(
+                    f"odd class multiplicity {c.multiplicity} at "
+                    f"d=({c.d.a},{c.d.b}); inverse pairing broken")
+        if coverage is None:
+            coverage = max((c.norm for c in ordered), default=0.0)
+        object.__setattr__(self, "classes", ordered)
+        object.__setattr__(self, "coverage", float(coverage))
 
+    def __len__(self) -> int:
+        return len(self.classes)
 
-def weighted_count_constant(classes: Sequence[GeodesicClass]) -> float:
-    """Fitted C2 with sum_{N<=T} h*log N <= C2*T over the supplied list."""
-    return _weighted_count_fit(_norms_and_multiplicities(classes))
+    def __getitem__(self, i):
+        return self.classes[i]
 
+    def __iter__(self) -> Iterator[GeodesicClass]:
+        return iter(self.classes)
 
-@functools.lru_cache(maxsize=8)
-def _weighted_count_fit(pairs: Tuple[Tuple[float, int], ...]) -> float:
-    cum = 0.0
-    best = 0.0
-    for norm, mult in pairs:
-        cum += mult * math.log(norm)
-        best = max(best, cum / norm)
-    if best == 0.0:
-        best = 4.0
-    return 1.5 * best
+    def upto(self, x: float) -> Tuple[GeodesicClass, ...]:
+        """Classes with norm <= x; x must lie within the coverage."""
+        if x > self.coverage * (1.0 + 1e-9):
+            raise ValidationError(
+                f"class list covers norms <= {self.coverage:.6g} but "
+                f"trunc_norm={x:.6g}; enumerate geodesics to "
+                f"x >= {math.sqrt(x):.6g} first")
+        return tuple(c for c in self.classes if c.norm <= x * (1.0 + 1e-12))
 
+    @functools.cached_property
+    def count_constant(self) -> float:
+        """Fitted C with #{N(p) <= T} <= C*li(T) over the listed classes.
 
-def half_multiplicity(c: GeodesicClass) -> int:
-    """Number of inverse pairs in the family.  Classes pair with their
-    inverses (angle and its negative); an odd count would break the
-    pairing that keeps coefficients real."""
-    if c.multiplicity % 2:
-        raise InvariantViolation(
-            f"odd class multiplicity {c.multiplicity} at "
-            f"d=({c.d.a},{c.d.b}); inverse pairing broken")
-    return c.multiplicity // 2
+        Diagnostic constant: fitted from the very list being truncated,
+        with a safety factor, not an a-priori bound.  With no listed
+        norm >= 3 the fit falls back to C = 1.6 * 4.
+        """
+        cum = 0
+        best = 0.0
+        for c in self.classes:
+            cum += c.multiplicity
+            if c.norm >= 3.0:
+                best = max(best, cum / li(c.norm))
+        return 1.6 * (best or 4.0)
+
+    @functools.cached_property
+    def weighted_count_constant(self) -> float:
+        """Fitted C2 with sum_{N<=T} h*log N <= C2*T over the listed
+        classes."""
+        cum = 0.0
+        best = 0.0
+        for c in self.classes:
+            cum += c.multiplicity * math.log(c.norm)
+            best = max(best, cum / c.norm)
+        return 1.5 * (best or 4.0)
 
 
 @dataclass(frozen=True)
@@ -183,8 +170,9 @@ def square_divisor_quotients(P: QuadInt, F: FieldCtx) -> List[QuadInt]:
 
 
 def enumerate_geodesics(F: FieldCtx, x: float, height: float = 8.0,
-                        trace_bound: float = None) -> List[GeodesicClass]:
-    """All classes with eps_K(d) <= x, sorted by norm.
+                        trace_bound: float = None) -> GeodesicWindow:
+    """All classes with eps_K(d) <= x, as a window covering the largest
+    listed norm.
 
     trace_bound overrides the first-embedding box edge x + 1/x; any
     larger value returns the identical list, since candidates whose
@@ -226,11 +214,10 @@ def enumerate_geodesics(F: FieldCtx, x: float, height: float = 8.0,
                 angle=math.acos(t2 / 2.0),
                 multiplicity=rec.class_number, record=rec))
     except BudgetExceededError as exc:
-        exc.partial = tuple(sorted(classes, key=class_order))
+        exc.partial = tuple(sorted(classes, key=_class_order))
         exc.incomplete = True
         raise
-    classes.sort(key=class_order)
-    return classes
+    return GeodesicWindow(classes)
 
 
 def _report(x: float, classes: Sequence[GeodesicClass],

@@ -3,9 +3,10 @@
 Two test-function families are supported: heat Gaussians and the
 three-pole rational pair built from (s, beta1, beta2).  The evaluators
 return a per-family breakdown whose total is the plain ordered sum of
-the parts.  HE sums run over the enumerated classes and their prime
-powers to the depth where the transform is machine-negligible; the
-unit-factor series and elliptic integrals carry explicit cutoffs.
+the parts.  HE sums run over a GeodesicWindow's classes and their prime
+powers to the depth where the transform is machine-negligible, and the
+window's coverage places the HE tail estimate; the unit-factor series
+and elliptic integrals carry explicit cutoffs.
 Closed-form twins (digamma sums, log-derivative values, geometric unit
 series) are provided for cross-checking the quadrature route.
 """
@@ -21,8 +22,7 @@ import numpy as np
 
 from . import integrate
 from .errors import InvariantViolation, ValidationError
-from .geodesics import (GeodesicClass, count_constant,
-                        coverage as class_coverage, half_multiplicity, window)
+from .geodesics import GeodesicWindow
 from .quadfield import FieldCtx
 from .specfun import digamma
 from .zetafun import ZetaParams, alpha_table, selberg_log_deriv
@@ -208,12 +208,11 @@ def _check_gaussian_window(tf: TestFunctionPair, cov: float) -> None:
             f"geodesics to x >= {math.sqrt(needed):.4g}")
 
 
-def _he_tail(classes: Sequence[GeodesicClass], cov: float,
-             tf: TestFunctionPair) -> float:
-    """Count-model bound on classes beyond the coverage window."""
+def _he_tail(classes: GeodesicWindow, tf: TestFunctionPair) -> float:
+    """Count-model bound on classes beyond the window's coverage."""
+    cov = classes.coverage
     if cov <= 3.0:
         return math.inf
-    c_fit = count_constant(classes)
     u_top = math.log(cov) + float(tf.metadata["u_cut"]) + 5.0
 
     def f(u: np.ndarray) -> np.ndarray:
@@ -221,18 +220,17 @@ def _he_tail(classes: Sequence[GeodesicClass], cov: float,
 
     val, _ = integrate.quad(f, math.log(cov), u_top,
                             epsabs=1e-14, epsrel=1e-9, limit=200)
-    return 1.6 * c_fit * float(val)
+    return 1.6 * classes.count_constant * float(val)
 
 
-def _hyp_ell_sum(m: int, tf: TestFunctionPair,
-                 classes: Sequence[GeodesicClass], cov: float,
+def _hyp_ell_sum(m: int, tf: TestFunctionPair, classes: GeodesicWindow,
                  single: bool) -> complex:
     """HE class/power sum; classes pair with inverses, so phases fold
     to cosines (double difference) or Chebyshev ratios (difference)."""
     u_cut = float(tf.metadata["u_cut"])
     weights, us = [], []
-    for c in window(classes, cov, cov):
-        half = half_multiplicity(c)
+    for c in classes.upto(classes.coverage):
+        half = c.multiplicity // 2
         log_n = math.log(c.norm)
         ell = 1
         while ell * log_n <= u_cut:
@@ -313,28 +311,27 @@ def _elliptic_sum(m: int, tf: TestFunctionPair, F: FieldCtx,
 # ------------------------------------------------------------ evaluators
 
 def _geom_side(m: int, tf: TestFunctionPair, F: FieldCtx,
-               classes: Sequence[GeodesicClass], coverage: Optional[float],
-               eps_terms: Optional[int], single: bool) -> GeomSideBreakdown:
+               classes: GeodesicWindow, eps_terms: Optional[int],
+               single: bool) -> GeomSideBreakdown:
     """Both evaluators: the difference (single) scales the identity and
     HE tail by (m - 1)/2, the double difference by 1."""
     if m % 2:
         raise ValidationError(f"weight m={m} must be even")
-    cov = class_coverage(classes, coverage)
-    _check_gaussian_window(tf, cov)
+    _check_gaussian_window(tf, classes.coverage)
     scale = (m - 1) * 0.5 if single else 1.0
 
     id_int, id_err = _identity_integral(tf)
     identity = scale * float(F.zeta_minus_one) * id_int
     elliptic, ell_err = _elliptic_sum(m, tf, F, single)
-    hyp_ell = _hyp_ell_sum(m, tf, classes, cov, single)
+    hyp_ell = _hyp_ell_sum(m, tf, classes, single)
     g0 = complex(tf.g1(0.0))
     par = (-_sgn(m - 1) * F.regulator * g0 if single else
            -F.regulator * g0 * (_sgn(m - 1) - _sgn(m - 3)))
     eps_val, eps_tail, k_cut = _eps_series(m, tf, F, single, eps_terms)
 
     diag: Dict[str, object] = {
-        "coverage": cov,
-        "he_tail": abs(scale) * _he_tail(classes, cov, tf),
+        "coverage": classes.coverage,
+        "he_tail": abs(scale) * _he_tail(classes, tf),
         "eps_tail": eps_tail,
         "eps_terms": k_cut,
         "identity_quad_err": id_err,
@@ -350,22 +347,20 @@ def _geom_side(m: int, tf: TestFunctionPair, F: FieldCtx,
 
 
 def geom_side_double_difference(m: int, tf: TestFunctionPair, F: FieldCtx,
-                                classes: Sequence[GeodesicClass],
-                                coverage: Optional[float] = None,
+                                classes: GeodesicWindow,
                                 eps_terms: Optional[int] = None
                                 ) -> GeomSideBreakdown:
     """Geometric side of the double-difference formula at even weight m."""
-    return _geom_side(m, tf, F, classes, coverage, eps_terms, single=False)
+    return _geom_side(m, tf, F, classes, eps_terms, single=False)
 
 
 def geom_side_difference(m: int, tf: TestFunctionPair, F: FieldCtx,
-                         classes: Sequence[GeodesicClass],
-                         coverage: Optional[float] = None,
+                         classes: GeodesicWindow,
                          eps_terms: Optional[int] = None
                          ) -> GeomSideBreakdown:
     """Geometric side of the difference formula, divided through by the
     second-slot weight; defined for every even m, including m <= 0."""
-    return _geom_side(m, tf, F, classes, coverage, eps_terms, single=True)
+    return _geom_side(m, tf, F, classes, eps_terms, single=True)
 
 
 # ------------------------------------------------------------ closed forms
@@ -377,8 +372,7 @@ def _unit_q(x: float, F: FieldCtx) -> float:
 
 def double_difference_closed_forms(m: int, s: complex, beta1: float,
                                    beta2: float, F: FieldCtx,
-                                   classes: Sequence[GeodesicClass],
-                                   coverage: Optional[float] = None
+                                   classes: GeodesicWindow
                                    ) -> Dict[str, Dict[str, complex]]:
     """Family-by-family comparison of the quadrature evaluator against
     the digamma / log-derivative / unit-series closed forms.
@@ -389,7 +383,7 @@ def double_difference_closed_forms(m: int, s: complex, beta1: float,
     if m < 2 or m % 2:
         raise ValidationError(f"closed forms need even m >= 2, got {m}")
     tf = rational_testfunction(s, beta1, beta2)
-    geom = geom_side_double_difference(m, tf, F, classes, coverage)
+    geom = geom_side_double_difference(m, tf, F, classes)
     s = complex(s)
     c1 = complex(tf.metadata["c1"])
     c2 = complex(tf.metadata["c2"])
@@ -415,11 +409,10 @@ def double_difference_closed_forms(m: int, s: complex, beta1: float,
                     inner += coef * digamma((pt + l) / e.nu)
         ell_closed += w * inner
 
-    cov = class_coverage(classes, coverage)
     he_closed = 0.0 + 0.0j
     for pt, w, _ in weights:
-        p = ZetaParams(s=pt, m=m, trunc_norm=cov, trunc_k=40)
-        he_closed += w * selberg_log_deriv(p, classes, coverage=cov).value
+        p = ZetaParams(s=pt, m=m, trunc_norm=classes.coverage, trunc_k=40)
+        he_closed += w * selberg_log_deriv(p, classes).value
 
     unit_closed = 0.0 + 0.0j
     for pt, w, b in weights:
@@ -474,9 +467,7 @@ def elliptic_zero_width_limit(F: FieldCtx) -> float:
 
 
 def heat_asymptotic_check(F: FieldCtx, beta_grid: Optional[Sequence[float]],
-                          classes: Sequence[GeodesicClass],
-                          coverage: Optional[float] = None
-                          ) -> Dict[str, object]:
+                          classes: GeodesicWindow) -> Dict[str, object]:
     """Fit the small-width expansion of the weight-two geometric side.
 
     Mirrors the expansion argument: the identity family carries the
@@ -500,7 +491,7 @@ def heat_asymptotic_check(F: FieldCtx, beta_grid: Optional[Sequence[float]],
     removed = []
     for beta in betas:
         tf = gaussian_testfunction(beta)
-        bd = geom_side_double_difference(2, tf, F, classes, coverage)
+        bd = geom_side_double_difference(2, tf, F, classes)
         if abs(bd.total.imag) > 1e-9 * (1.0 + abs(bd.total.real)):
             raise InvariantViolation(
                 f"heat total not real at beta={beta}: {bd.total}")

@@ -1,15 +1,16 @@
 """Zeta functions attached to the geodesic class data.
 
 selberg_zeta and selberg_log_deriv evaluate the weighted Euler product
-in its convergence half-plane Re(s) > 1, with truncation tail bounds
-derived from a fitted geodesic counting constant.  ruelle evaluates the
-weight-2 ratio and cross-checks it against the direct product.  The
+over a GeodesicWindow in its convergence half-plane Re(s) > 1, with
+truncation tail bounds derived from the window's fitted counting
+constants.  ruelle evaluates the weight-2 ratio up to the window's
+coverage and cross-checks it against the direct product.  The
 remaining operations are exact bookkeeping: residue exponent tables,
 completed factors, the trivial zero/pole ledger, the leading term at
 s = 0, and the sine/Gamma factor identities of the functional equation.
 
-Class sums are accumulated over a fixed class order with a pairwise
-reduction tree, so results are reproducible run to run.
+Class sums are accumulated over the window's class order with a
+pairwise reduction tree, so results are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, ValidationError
-from .geodesics import (GeodesicClass, count_constant,
-                        coverage as class_coverage, half_multiplicity,
-                        weighted_count_constant, window)
+from .geodesics import GeodesicClass, GeodesicWindow
 from .quadfield import FieldCtx
 from .specfun import loggamma, loggamma2, xi_ratio, zeta_eps
 
@@ -94,11 +93,9 @@ class RuelleValue:
 
 # ------------------------------------------------------------ tail bounds
 
-def _norm_tail(classes: Sequence[GeodesicClass], x: float,
-               sigma: float) -> float:
+def _norm_tail(classes: GeodesicWindow, x: float, sigma: float) -> float:
     """Bound the k-summed log-tail of classes with norm beyond x."""
-    c_fit = count_constant(classes)
-    return (1.9 * c_fit * x ** (1.0 - sigma) / math.log(x)
+    return (1.9 * classes.count_constant * x ** (1.0 - sigma) / math.log(x)
             * (1.2 + 1.0 / (sigma - 1.0)))
 
 
@@ -113,25 +110,23 @@ def _k_tail(kept: Sequence[GeodesicClass], sigma: float, k_cut: int) -> float:
 
 # ------------------------------------------------------------ Euler products
 
-def selberg_zeta(p: ZetaParams, classes: Sequence[GeodesicClass],
-                 coverage: Optional[float] = None) -> ZetaValue:
+def selberg_zeta(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
     """Weighted product over classes with N <= trunc_norm, k <= trunc_k.
 
     Each listed class of multiplicity h contributes h/2 conjugate factor
     pairs (phase +angle and -angle), so values are conjugate-symmetric
-    in s.  coverage is the norm bound the class list is complete up to;
-    it defaults to the largest listed norm.
+    in s.  trunc_norm must lie within the window's coverage.
     """
     p.validate()
     s = complex(p.s)
     if s.real <= 1.0:
         raise ValidationError(
             f"Euler product needs Re(s) > 1, got s={p.s}")
-    kept = window(classes, p.trunc_norm, coverage)
+    kept = classes.upto(p.trunc_norm)
     phase_mult = p.m - 2
     terms: List[complex] = []
     for c in kept:
-        half = half_multiplicity(c)
+        half = c.multiplicity // 2
         log_n = math.log(c.norm)
         rot = cmath.exp(1j * phase_mult * c.angle)
         acc = 0.0 + 0.0j
@@ -146,21 +141,20 @@ def selberg_zeta(p: ZetaParams, classes: Sequence[GeodesicClass],
                      tail_bound=tail)
 
 
-def selberg_log_deriv(p: ZetaParams, classes: Sequence[GeodesicClass],
-                      coverage: Optional[float] = None) -> ZetaValue:
+def selberg_log_deriv(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
     """d/ds of log selberg_zeta: prime-power sum with N(power) <= trunc_norm."""
     p.validate()
     s = complex(p.s)
     if s.real <= 1.0:
         raise ValidationError(
             f"log-derivative series needs Re(s) > 1, got s={p.s}")
-    kept = window(classes, p.trunc_norm, coverage)
+    kept = classes.upto(p.trunc_norm)
     phase_mult = p.m - 2
     sigma = s.real
     terms: List[complex] = []
     power_tail = 0.0
     for c in kept:
-        half = half_multiplicity(c)
+        half = c.multiplicity // 2
         log_n = math.log(c.norm)
         acc = 0.0 + 0.0j
         ell = 1
@@ -176,34 +170,31 @@ def selberg_log_deriv(p: ZetaParams, classes: Sequence[GeodesicClass],
         power_tail += (1.5 * c.multiplicity * log_n * drop
                        / (1.0 - c.norm ** (-sigma)))
     total = _pairwise_sum(terms)
-    c2_fit = weighted_count_constant(classes)
-    unseen = (1.5 * c2_fit * sigma / (sigma - 1.0)
+    unseen = (1.5 * classes.weighted_count_constant * sigma / (sigma - 1.0)
               * p.trunc_norm ** (1.0 - sigma))
     return ZetaValue(value=total, log_value=total,
                      tail_bound=power_tail + unseen)
 
 
-def ruelle(s: complex, classes: Sequence[GeodesicClass],
-           coverage: Optional[float] = None,
-           trunc_norm: Optional[float] = None,
-           trunc_k: int = 80) -> RuelleValue:
+def ruelle(s: complex, classes: GeodesicWindow) -> RuelleValue:
     """Weight-2 ratio Z(s;2)/Z(s+1;2), checked against the direct product.
 
-    The two evaluations must agree within the combined tail bounds;
-    disagreement raises, since both are computed from the same classes.
+    Both run over the whole window, up to its coverage, with inner
+    depth 80.  The two evaluations must agree within the combined tail
+    bounds; disagreement raises, since both are computed from the same
+    classes.
     """
     s = complex(s)
     if s.real <= 1.0:
         raise ValidationError(f"ruelle product needs Re(s) > 1, got s={s}")
-    x = (trunc_norm if trunc_norm is not None
-         else class_coverage(classes, coverage))
-    pa = ZetaParams(s=s, m=2, trunc_norm=x, trunc_k=trunc_k)
-    pb = ZetaParams(s=s + 1.0, m=2, trunc_norm=x, trunc_k=trunc_k)
-    za = selberg_zeta(pa, classes, coverage=coverage)
-    zb = selberg_zeta(pb, classes, coverage=coverage)
+    x = classes.coverage
+    za = selberg_zeta(ZetaParams(s=s, m=2, trunc_norm=x, trunc_k=80),
+                      classes)
+    zb = selberg_zeta(ZetaParams(s=s + 1.0, m=2, trunc_norm=x, trunc_k=80),
+                      classes)
     ratio = cmath.exp(za.log_value - zb.log_value)
 
-    kept = window(classes, x, coverage)
+    kept = classes.upto(x)
     terms = [-c.multiplicity * cmath.log(1.0 - cmath.exp(-s * math.log(c.norm)))
              for c in kept]
     direct = cmath.exp(_pairwise_sum(terms))

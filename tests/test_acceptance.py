@@ -198,7 +198,7 @@ def test_reflection_and_ladder_identities():
 
 def test_zeta_log_derivative_consistency(d5):
     F, classes = d5
-    coverage = max(c.norm for c in classes)
+    coverage = classes.coverage
     rng = random.Random(61234)
     worst = 0.0
     for _ in range(10):
@@ -329,7 +329,7 @@ def test_bound_doubling_stability(d5):
     ok &= [(c.d.a, c.d.b, c.multiplicity) for c in base] == \
         [(c.d.a, c.d.b, c.multiplicity) for c in deep]
 
-    coverage = max(c.norm for c in classes)
+    coverage = classes.coverage
     p = ZetaParams(s=2.2 + 0.7j, m=4, trunc_norm=coverage, trunc_k=40)
     za = selberg_zeta(p, classes)
     zb = selberg_zeta(dataclasses.replace(p, trunc_k=80), classes)

@@ -13,7 +13,9 @@ import sys
 import pytest
 
 import hilbert_selberg
-from hilbert_selberg.cli import RunConfig, main
+from hilbert_selberg.cli import RunConfig, _classes, main
+from hilbert_selberg.geodesics import GeodesicWindow, enumerate_geodesics
+from hilbert_selberg.quadfield import make_field
 
 
 def run_cli(capsys, *argv):
@@ -331,6 +333,13 @@ def test_cache_round_trip(tmp_path, capsys):
     assert entries, "expected a cache entry"
     _, second = run_cli(capsys, *args)
     assert first == second
+    # a hit hands back the whole window, coverage included
+    F = make_field(5)
+    hit = _classes(F, RunConfig(x_max=6.0, cache_dir=str(cache)))
+    assert sorted(cache.rglob("*.pkl")) == sorted(entries)
+    miss = enumerate_geodesics(F, 6.0)
+    assert isinstance(hit, GeodesicWindow)
+    assert hit == miss and hit.coverage == miss.coverage
     # different bound -> different key, no stale reuse
     _, third = run_cli(capsys, "geodesics", "--D", "5", "--x", "7.0",
                        "--format", "csv", "--cache-dir", str(cache))

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from hilbert_selberg.errors import ValidationError
-from hilbert_selberg.geodesics import (class_average_report,
+from hilbert_selberg.geodesics import (GeodesicWindow, class_average_report,
                                        enumerate_geodesics, pgt_report,
                                        square_divisor_quotients)
 from hilbert_selberg.pellforms import content, form_to_matrix
@@ -70,6 +70,39 @@ def test_sorted_by_norm(d5_x10):
     assert norms == sorted(norms)
 
 
+def test_window_coverage_and_cut(d5_x10):
+    F, cls = d5_x10
+    assert isinstance(cls, GeodesicWindow)
+    assert cls.coverage == max(c.norm for c in cls) <= 100.0
+    assert cls.upto(cls.coverage) == cls.classes
+    low = cls.upto(50.0)
+    assert low == cls.classes[:len(low)]
+    assert all(c.norm <= 50.0 for c in low) and cls[len(low)].norm > 50.0
+    with pytest.raises(ValidationError, match="geodesics to x >= 20 first"):
+        cls.upto(400.0)
+    wide = GeodesicWindow(cls, coverage=400.0)
+    assert wide.upto(400.0) == cls.classes
+    assert wide.coverage == 400.0 and wide != cls
+
+
+def test_window_count_constants(d5_x10):
+    # the fits: largest running count over li(N), and running
+    # h*log N over N, each with its safety factor
+    F, cls = d5_x10
+    counts, logs = 0, 0.0
+    c1 = c2 = 0.0
+    for c in cls:
+        counts += c.multiplicity
+        logs += c.multiplicity * math.log(c.norm)
+        c1 = max(c1, counts / li(c.norm)) if c.norm >= 3.0 else c1
+        c2 = max(c2, logs / c.norm)
+    assert cls.count_constant == 1.6 * c1
+    assert cls.weighted_count_constant == 1.5 * c2
+    empty = GeodesicWindow([])
+    assert empty.count_constant == 1.6 * 4.0
+    assert empty.weighted_count_constant == 1.5 * 4.0
+
+
 def test_trace_box_doubling_stable(d5_x10):
     F, cls = d5_x10
     wide = enumerate_geodesics(F, 10.0, trace_bound=2 * (10.0 + 0.1))
@@ -79,7 +112,8 @@ def test_trace_box_doubling_stable(d5_x10):
 
 def test_empty_below_first_geodesic():
     F = make_field(5)
-    assert enumerate_geodesics(F, 2.0) == []
+    empty = enumerate_geodesics(F, 2.0)
+    assert len(empty) == 0 and empty.coverage == 0.0
 
 
 def test_cutoff_validation():

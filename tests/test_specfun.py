@@ -123,9 +123,9 @@ class TestDigamma:
 class TestLi:
     def test_li_values(self):
         assert li(2.0) == 0.0
-        assert li(10.0) == pytest.approx(li_gauss_legendre(10.0), rel=1e-9)
+        assert li(10.0) == pytest.approx(li_gauss_legendre(10.0), rel=1e-12)
         assert li(1000.0) == pytest.approx(li_gauss_legendre(1000.0),
-                                           rel=1e-9)
+                                           rel=1e-12)
 
     def test_against_oracles(self):
         rng = np.random.default_rng(5)
@@ -136,8 +136,7 @@ class TestLi:
                 ref = float(mp.li(x) - mp.li(2))
             assert abs(li(x) - ref) <= 1e-14 * (1.0 + abs(ref)), x
         for x in (3.0, 1e3, 1e4):
-            assert li(x) == pytest.approx(
-                li_gauss_legendre(x, panels=1024), rel=1e-12)
+            assert li(x) == pytest.approx(li_gauss_legendre(x), rel=1e-12)
 
     def test_li_domain(self):
         for x in (1.0, 0.5):

@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate as integrate
 
 from hilbert_selberg.errors import InvariantViolation, ValidationError
-from hilbert_selberg.geodesics import enumerate_geodesics
+from hilbert_selberg.geodesics import GeodesicWindow, enumerate_geodesics
 from hilbert_selberg.quadfield import make_field
 from hilbert_selberg.traceform import (
     GeomSideBreakdown,
@@ -240,9 +240,11 @@ def test_gaussian_window_requires_enough_classes(d5):
 
 def test_class_order_is_independent_of_list_order(d5):
     F, classes = d5
-    shuffled = list(classes)
-    random.Random(7).shuffle(shuffled)
-    assert shuffled != list(classes)
+    order = list(classes)
+    random.Random(7).shuffle(order)
+    assert order != list(classes)
+    shuffled = GeodesicWindow(order)
+    assert shuffled == classes
     for m, s in ((2, 1.7 + 0.4j), (4, 2.5), (6, 1.4 - 2.0j)):
         p = ZetaParams(s=s, m=m, trunc_norm=90.0, trunc_k=40)
         for fn in (selberg_zeta, selberg_log_deriv):
@@ -255,11 +257,10 @@ def test_class_order_is_independent_of_list_order(d5):
 
 
 def test_odd_multiplicity_rejected(d5):
-    F, classes = d5
+    _, classes = d5
     bad = [dataclasses.replace(classes[0], multiplicity=3)]
-    with pytest.raises(InvariantViolation, match="multiplicity"):
-        geom_side_double_difference(4, rational_testfunction(2.5, 2.5, 3.5),
-                                    F, bad, coverage=100.0)
+    with pytest.raises(InvariantViolation, match="odd class multiplicity 3"):
+        GeodesicWindow(bad, coverage=100.0)
 
 
 def test_heat_fit_lands_on_targets(d5):

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from hilbert_selberg.errors import InvariantViolation, ValidationError
-from hilbert_selberg.geodesics import enumerate_geodesics
+from hilbert_selberg.geodesics import GeodesicWindow, enumerate_geodesics
 from hilbert_selberg.quadfield import make_field
 from hilbert_selberg.zetafun import (AlphaTable, ZetaParams, alpha_table,
                                      completed_factors, divisor_ledger,
@@ -44,23 +44,20 @@ COVERAGE = 100.0
 @pytest.fixture(scope="module")
 def d5():
     F = make_field(5)
-    return F, enumerate_geodesics(F, 10.0)
+    return F, GeodesicWindow(enumerate_geodesics(F, 10.0), coverage=COVERAGE)
 
 
 def test_empty_product_limit(d5):
     F, cls = d5
-    v = selberg_zeta(ZetaParams(50.0 + 0j, 4, 100.0, 40), cls,
-                     coverage=COVERAGE)
+    v = selberg_zeta(ZetaParams(50.0 + 0j, 4, 100.0, 40), cls)
     assert abs(v.value - 1.0) < 1e-12
 
 
 def test_weight_two_real_on_real_axis(d5):
     F, cls = d5
-    v = selberg_zeta(ZetaParams(2.2 + 0j, 2, 100.0, 40), cls,
-                     coverage=COVERAGE)
+    v = selberg_zeta(ZetaParams(2.2 + 0j, 2, 100.0, 40), cls)
     assert v.value.imag == pytest.approx(0.0, abs=1e-14)
-    ld = selberg_log_deriv(ZetaParams(3.0 + 0j, 2, 100.0, 40), cls,
-                           coverage=COVERAGE)
+    ld = selberg_log_deriv(ZetaParams(3.0 + 0j, 2, 100.0, 40), cls)
     assert ld.value.imag == pytest.approx(0.0, abs=1e-14)
 
 
@@ -75,25 +72,22 @@ def test_log_deriv_matches_finite_difference(d5):
     for s, m in points:
         p = ZetaParams(s, m, 100.0, 60)
         f = lambda z: selberg_zeta(
-            ZetaParams(z, m, 100.0, 60), cls, coverage=COVERAGE).log_value
+            ZetaParams(z, m, 100.0, 60), cls).log_value
         fd = (f(s + h) - f(s - h)) / (2.0 * h)
-        ld = selberg_log_deriv(p, cls, coverage=COVERAGE).value
+        ld = selberg_log_deriv(p, cls).value
         assert abs(fd - ld) <= 1e-6 * abs(ld)
 
 
 def test_log_deriv_decays_far_right(d5):
     F, cls = d5
-    v = selberg_log_deriv(ZetaParams(40.0 + 0j, 4, 100.0, 40), cls,
-                          coverage=COVERAGE)
+    v = selberg_log_deriv(ZetaParams(40.0 + 0j, 4, 100.0, 40), cls)
     assert abs(v.value) < 1e-15
 
 
 def test_deeper_inner_product_stays_within_tail(d5):
     F, cls = d5
-    a = selberg_zeta(ZetaParams(2.0 + 0.5j, 4, 100.0, 8), cls,
-                     coverage=COVERAGE)
-    b = selberg_zeta(ZetaParams(2.0 + 0.5j, 4, 100.0, 16), cls,
-                     coverage=COVERAGE)
+    a = selberg_zeta(ZetaParams(2.0 + 0.5j, 4, 100.0, 8), cls)
+    b = selberg_zeta(ZetaParams(2.0 + 0.5j, 4, 100.0, 16), cls)
     assert abs(a.log_value - b.log_value) <= a.tail_bound
 
 
@@ -102,10 +96,8 @@ def test_conjugation_symmetry(d5):
     rng = random.Random(11)
     for m in (2, 4, 6):
         s = complex(rng.uniform(1.5, 3.0), rng.uniform(0.2, 1.5))
-        za = selberg_zeta(ZetaParams(s, m, 100.0, 40), cls,
-                          coverage=COVERAGE)
-        zb = selberg_zeta(ZetaParams(s.conjugate(), m, 100.0, 40), cls,
-                          coverage=COVERAGE)
+        za = selberg_zeta(ZetaParams(s, m, 100.0, 40), cls)
+        zb = selberg_zeta(ZetaParams(s.conjugate(), m, 100.0, 40), cls)
         assert abs(za.value - zb.value.conjugate()) < 1e-12 * abs(za.value)
 
 
@@ -113,24 +105,20 @@ def test_weight_reflection_at_two(d5):
     # m = 2 is the self-paired weight: Z(s;2) = conj(Z(conj(s); 4-2))
     F, cls = d5
     s = 1.8 + 0.9j
-    za = selberg_zeta(ZetaParams(s, 2, 100.0, 40), cls, coverage=COVERAGE)
-    zb = selberg_zeta(ZetaParams(s.conjugate(), 2, 100.0, 40), cls,
-                      coverage=COVERAGE)
+    za = selberg_zeta(ZetaParams(s, 2, 100.0, 40), cls)
+    zb = selberg_zeta(ZetaParams(s.conjugate(), 2, 100.0, 40), cls)
     assert abs(za.value - zb.value.conjugate()) < 1e-12 * abs(za.value)
 
 
 def test_domain_and_window_errors(d5):
     F, cls = d5
     with pytest.raises(ValidationError):
-        selberg_zeta(ZetaParams(0.8 + 0j, 4, 100.0, 40), cls,
-                     coverage=COVERAGE)
+        selberg_zeta(ZetaParams(0.8 + 0j, 4, 100.0, 40), cls)
     with pytest.raises(ValidationError):
-        selberg_log_deriv(ZetaParams(1.0 + 2j, 4, 100.0, 40), cls,
-                          coverage=COVERAGE)
+        selberg_log_deriv(ZetaParams(1.0 + 2j, 4, 100.0, 40), cls)
     # window reaching past what the class list covers
     with pytest.raises(ValidationError):
-        selberg_zeta(ZetaParams(2.5 + 0j, 4, 400.0, 40), cls,
-                     coverage=COVERAGE)
+        selberg_zeta(ZetaParams(2.5 + 0j, 4, 400.0, 40), cls)
     with pytest.raises(ValidationError):
         ZetaParams(2.5 + 0j, 3, 100.0, 40).validate()
     with pytest.raises(ValidationError):
@@ -142,11 +130,11 @@ def test_ruelle_dual_evaluation(d5):
     rng = random.Random(3)
     for _ in range(10):
         s = complex(rng.uniform(1.5, 3.5), rng.uniform(-1.0, 1.0))
-        r = ruelle(s, cls, coverage=COVERAGE)
+        r = ruelle(s, cls)
         assert abs(r.value - r.direct) <= r.tail_bound + 1e-11 * abs(r.value)
-    r = ruelle(2.2 + 0j, cls, coverage=COVERAGE)
+    r = ruelle(2.2 + 0j, cls)
     assert r.value.imag == pytest.approx(0.0, abs=1e-14)
-    far = ruelle(50.0 + 0j, cls, coverage=COVERAGE)
+    far = ruelle(50.0 + 0j, cls)
     assert abs(far.value - 1.0) < 1e-12
 
 
