@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -354,7 +355,7 @@ def _cmd_report(cfg: RunConfig, args) -> int:
 
 # ------------------------------------------------------------ check suite
 
-def _check_exact_constants(cfg: RunConfig) -> str:
+def _check_exact_constants(cfg: RunConfig, window) -> str:
     expected = {5: Fraction(1, 30), 8: Fraction(1, 12), 12: Fraction(1, 6)}
     for D, want in expected.items():
         F = make_field(D)
@@ -363,7 +364,7 @@ def _check_exact_constants(cfg: RunConfig) -> str:
     return "zeta_K(-1) = 1/30, 1/12, 1/6; Euler characteristic 4"
 
 
-def _check_census_orders(cfg: RunConfig) -> str:
+def _check_census_orders(cfg: RunConfig, window) -> str:
     expected = {5: [2, 2, 3, 3, 5, 5], 8: [2, 2, 3, 3, 4, 4],
                 12: [2, 2, 2, 3, 3, 6]}
     for D, want in expected.items():
@@ -373,7 +374,7 @@ def _check_census_orders(cfg: RunConfig) -> str:
     return "stabilizer order multisets match for D = 5, 8, 12"
 
 
-def _check_leading_terms(cfg: RunConfig) -> str:
+def _check_leading_terms(cfg: RunConfig, window) -> str:
     prefactors = {5: 900, 8: 576, 12: 432}
     for D, want in prefactors.items():
         info = ruelle_leading(make_field(D))
@@ -382,7 +383,7 @@ def _check_leading_terms(cfg: RunConfig) -> str:
     return "central order 6; stabilizer products 900, 576, 432"
 
 
-def _check_class_numbers(cfg: RunConfig) -> str:
+def _check_class_numbers(cfg: RunConfig, window) -> str:
     F = make_field(cfg.D)
     classes = _classes(F, cfg, min(cfg.x_max, 8.0))
     assert classes, "no classes enumerated"
@@ -395,16 +396,15 @@ def _check_class_numbers(cfg: RunConfig) -> str:
     return f"{len(classes)} classes; form matrices classify with N = eps^2"
 
 
-def _check_functional_identities(cfg: RunConfig) -> str:
+def _check_functional_identities(cfg: RunConfig, window) -> str:
     report = fe_identity_checks(make_field(cfg.D), seed=cfg.seed)
     worst = max(report["xi_max_err"], report["gnu_ratio_max_err"])
     assert worst <= 1e-8, report
     return f"reflection identities hold, max err {worst:.2e}"
 
 
-def _check_zeta_consistency(cfg: RunConfig) -> str:
-    F = make_field(cfg.D)
-    classes = _classes(F, cfg)
+def _check_zeta_consistency(cfg: RunConfig, window) -> str:
+    classes = window()
     rng = random.Random(cfg.seed)
     worst = 0.0
     for _ in range(3):
@@ -423,24 +423,24 @@ def _check_zeta_consistency(cfg: RunConfig) -> str:
     return f"log-derivative matches finite differences, rel err {worst:.2e}"
 
 
-def _check_trace_closed_forms(cfg: RunConfig) -> str:
+def _check_trace_closed_forms(cfg: RunConfig, window) -> str:
     F = make_field(cfg.D)
-    classes = _classes(F, cfg)
+    classes = window()
     report = double_difference_closed_forms(4, 2.5, 2.5, 3.5, F, classes)
     worst = max(e["diff"] for e in report.values())
     assert worst <= 1e-7, report
     return f"integral and closed forms agree, max diff {worst:.2e}"
 
 
-def _check_heat_fit(cfg: RunConfig) -> str:
+def _check_heat_fit(cfg: RunConfig, window) -> str:
     F = make_field(cfg.D)
-    classes = _classes(F, cfg)
+    classes = window()
     report = heat_asymptotic_check(F, cfg.beta_grid, classes)
     return (f"a rel err {report['a_rel_err']:.2e}, "
             f"b rel err {report['b_rel_err']:.2e}")
 
 
-def _check_count_trend(cfg: RunConfig) -> str:
+def _check_count_trend(cfg: RunConfig, window) -> str:
     F = make_field(cfg.D)
     reports = pgt_report(F, [5.0, 10.0, 15.0, 20.0], height=cfg.height)
     last = reports[-1]
@@ -451,9 +451,9 @@ def _check_count_trend(cfg: RunConfig) -> str:
     return f"x=20 ratios: psi {psi:.3f}, pi {pi:.3f} within [0.75, 1.25]"
 
 
-def _check_truncation_stability(cfg: RunConfig) -> str:
+def _check_truncation_stability(cfg: RunConfig, window) -> str:
     F = make_field(cfg.D)
-    classes = _classes(F, cfg)
+    classes = window()
     p = ZetaParams(s=2.5, m=4, trunc_norm=classes.coverage, trunc_k=40)
     a = selberg_zeta(p, classes)
     b = selberg_zeta(dataclasses.replace(p, trunc_k=80), classes)
@@ -480,11 +480,14 @@ _CHECKS = [
 
 
 def _cmd_check(cfg: RunConfig, args) -> int:
+    # the x_max window, enumerated once on first use and shared by the
+    # rows; a failed enumeration is retried, so each row reports it
+    window = functools.cache(lambda: _classes(make_field(cfg.D), cfg))
     failures = 0
     lines = []
     for name, fn in _CHECKS:
         try:
-            detail = fn(cfg)
+            detail = fn(cfg, window)
             lines.append(f"PASS  {name:24s} {detail}")
         except (AssertionError, HilbertSelbergError) as exc:
             failures += 1

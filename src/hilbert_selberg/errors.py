@@ -1,6 +1,6 @@
 """Error taxonomy shared across the package.
 
-Exit-code mapping used by the command line front end:
+Exit-code mapping used by the command line front end (cli.main):
     0  success
     1  validation failure (bad input, unsupported field, domain error)
     2  computational budget exceeded (bound exhausted, enumeration incomplete)
@@ -9,16 +9,16 @@ Exit-code mapping used by the command line front end:
 
 
 class HilbertSelbergError(Exception):
-    exit_code = 1
+    """Base of every error the package raises."""
 
 
 class ValidationError(HilbertSelbergError):
-    exit_code = 1
+    """Bad input, unsupported field or domain error."""
 
 
 class BudgetExceededError(HilbertSelbergError):
-    exit_code = 2
+    """A search bound ran out before the computation was complete."""
 
 
 class InvariantViolation(HilbertSelbergError):
-    exit_code = 3
+    """Two independent routes disagree, or a certified result fails."""

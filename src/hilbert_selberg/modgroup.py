@@ -500,14 +500,12 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0
     return tuple(classes)
 
 
-# certified order multisets for the fully supported fields
-_CENSUS_ORDERS = {
+# certified order multisets: the fields that carry an elliptic census
+CENSUS_ORDERS = {
     5: (2, 2, 3, 3, 5, 5),
     8: (2, 2, 3, 3, 4, 4),
     12: (2, 2, 2, 3, 3, 6),
 }
-
-_census_memo: Dict[Tuple[int, float], Tuple[Tuple[int, int, int], ...]] = {}
 
 
 def elliptic_census(F: FieldCtx, height_bound: float = 8.0
@@ -519,17 +517,14 @@ def elliptic_census(F: FieldCtx, height_bound: float = 8.0
     height bound missed a representative), too many raises
     InvariantViolation (the BFS failed to merge equivalent elements).
     """
-    memo_key = (F.D, float(height_bound))
-    if memo_key in _census_memo:
-        return _census_memo[memo_key]
     classes = enumerate_elliptic(F, height_bound=height_bound)
     counts: Dict[Tuple[int, int], int] = {}
     for cl in classes:
         counts[(cl.nu, cl.t)] = counts.get((cl.nu, cl.t), 0) + 1
     census = tuple((nu, tj, c) for (nu, tj), c in sorted(counts.items()))
-    if F.D in _CENSUS_ORDERS:
+    if F.D in CENSUS_ORDERS:
         got = tuple(sorted(cl.nu for cl in classes))
-        want = _CENSUS_ORDERS[F.D]
+        want = CENSUS_ORDERS[F.D]
         if got != want:
             if len(got) < len(want) or set(got) < set(want):
                 raise BudgetExceededError(
@@ -537,5 +532,4 @@ def elliptic_census(F: FieldCtx, height_bound: float = 8.0
                     f"expected {want}; raise height_bound > {height_bound}")
             raise InvariantViolation(
                 f"census mismatch for D={F.D}: orders {got}, expected {want}")
-    _census_memo[memo_key] = census
     return census

@@ -13,10 +13,11 @@ box scans).  Floating point enters only through the real embeddings.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
@@ -31,8 +32,6 @@ CLASS_NUMBER_ONE = frozenset(
     {5, 8, 12, 13, 17, 21, 24, 28, 29, 33, 37, 41, 44, 53, 56, 57,
      61, 69, 73, 76, 77, 88, 89, 92, 93, 97}
 )
-
-_SUPPORTED_CENSUS = (5, 8, 12)
 
 
 def _squarefree(n: int) -> bool:
@@ -393,16 +392,32 @@ class FieldCtx:
 
     elliptic_census is a tuple of (nu, t, count) triples describing the
     conjugacy classes of primitive elliptic pairs with rotation angles
-    (pi/nu, t*pi/nu); it is None when no census has been attached.
-    euler_char = 2*zeta_K(-1) + sum over classes of (nu-1)/nu.
+    (pi/nu, t*pi/nu).  It is computed and certified on first use for
+    D in {5, 8, 12}, the fields with a certified census in modgroup,
+    and is None elsewhere.  euler_char = 2*zeta_K(-1) + sum over classes
+    of (nu-1)/nu, None without a census.
     """
 
     D: int
     eps: QuadInt
     regulator: float
     zeta_minus_one: Fraction
-    elliptic_census: Optional[Tuple[Tuple[int, int, int], ...]]
-    euler_char: Optional[Fraction]
+
+    @functools.cached_property
+    def elliptic_census(self) -> Optional[Tuple[Tuple[int, int, int], ...]]:
+        from . import modgroup  # deferred: modgroup depends on this module
+
+        if self.D not in modgroup.CENSUS_ORDERS:
+            return None
+        return modgroup.elliptic_census(self)
+
+    @functools.cached_property
+    def euler_char(self) -> Optional[Fraction]:
+        if self.elliptic_census is None:
+            return None
+        return 2 * self.zeta_minus_one + sum(
+            count * Fraction(nu - 1, nu)
+            for nu, _t, count in self.elliptic_census)
 
     @property
     def omega(self) -> QuadInt:
@@ -449,13 +464,13 @@ class FieldCtx:
 _FIELD_MEMO: dict = {}
 
 
-def make_field(D: int, with_census: Optional[bool] = None) -> FieldCtx:
-    """Build the FieldCtx for a whitelisted fundamental discriminant.
+def make_field(D: int) -> FieldCtx:
+    """The FieldCtx of a whitelisted fundamental discriminant, one per D.
 
-    with_census defaults to True for D in {5, 8, 12} (the fields whose
-    census the enumeration can certify) and False otherwise.  The
-    rational constant zeta_K(-1) is computed twice, through the divisor
-    sum and through zeta(-1) * L(-1, chi_D), and the two must agree.
+    The rational constant zeta_K(-1) is computed twice, through the
+    divisor sum and through zeta(-1) * L(-1, chi_D), and the two must
+    agree.  The elliptic census is not built here: it is computed on
+    first use for D in {5, 8, 12} and is None elsewhere.
     """
     if not isinstance(D, int):
         raise ValidationError(f"D must be an integer, got {D!r}")
@@ -466,11 +481,8 @@ def make_field(D: int, with_census: Optional[bool] = None) -> FieldCtx:
         raise ValidationError(
             f"D={D} rejected: class number of Q(sqrt({D})) is not 1 "
             f"(supported D <= 100: {sorted(CLASS_NUMBER_ONE)})")
-    if with_census is None:
-        with_census = D in _SUPPORTED_CENSUS
-    key = (D, bool(with_census))
-    if key in _FIELD_MEMO:
-        return _FIELD_MEMO[key]
+    if D in _FIELD_MEMO:
+        return _FIELD_MEMO[D]
 
     zeta = zeta_minus_one(D)
     cross = Fraction(-1, 12) * bernoulli_L_minus_one(D)
@@ -479,23 +491,9 @@ def make_field(D: int, with_census: Optional[bool] = None) -> FieldCtx:
             f"zeta_K(-1) routes disagree for D={D}: divisor sum {zeta}, "
             f"Bernoulli route {cross}")
     eps = fundamental_unit(D)
-    ctx = FieldCtx(
-        D=D,
-        eps=eps,
-        regulator=math.log(eps.embed(1)),
-        zeta_minus_one=zeta,
-        elliptic_census=None,
-        euler_char=None,
-    )
-    if with_census:
-        from . import modgroup  # deferred: modgroup depends on this module
-
-        census = modgroup.elliptic_census(ctx)
-        euler = 2 * zeta
-        for nu, _t, count in census:
-            euler += count * Fraction(nu - 1, nu)
-        ctx = replace(ctx, elliptic_census=census, euler_char=euler)
-    _FIELD_MEMO[key] = ctx
+    ctx = FieldCtx(D=D, eps=eps, regulator=math.log(eps.embed(1)),
+                   zeta_minus_one=zeta)
+    _FIELD_MEMO[D] = ctx
     return ctx
 
 

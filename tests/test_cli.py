@@ -13,7 +13,9 @@ import sys
 import pytest
 
 import hilbert_selberg
+from hilbert_selberg import cli, modgroup, quadfield
 from hilbert_selberg.cli import RunConfig, _classes, main
+from hilbert_selberg.errors import BudgetExceededError, InvariantViolation
 from hilbert_selberg.geodesics import GeodesicWindow, enumerate_geodesics
 from hilbert_selberg.quadfield import make_field
 
@@ -131,6 +133,23 @@ def test_exit_codes(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
 
+@pytest.mark.parametrize("error,code,prefix", [
+    (BudgetExceededError, 2, "budget exceeded: "),
+    (InvariantViolation, 3, "invariant violation: "),
+])
+def test_search_failure_exit_codes(error, code, prefix, capsys,
+                                   monkeypatch):
+    def fail(*args, **kwargs):
+        raise error("window not enumerated")
+
+    monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    monkeypatch.setattr(cli, "enumerate_geodesics", fail)
+    assert main(["geodesics", "--D", "5", "--x", "6"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{prefix}window not enumerated\n"
+
+
 @pytest.mark.parametrize("argv,config", [
     (("report", "pgt", "--x-grid", "5,abc"), None),
     (("trace", "heatfit", "--betas", "0.1,x"), None),
@@ -167,6 +186,26 @@ def test_field_json(capsys):
     assert blob["eps"] == [0, 1]
     assert sorted(tuple(r[:2]) for r in blob["elliptic_census"]) == \
         [(2, 1), (3, 1), (3, 2), (5, 2), (5, 3)]
+
+
+# ---------------------------------------------------------------- census
+
+def test_census_computed_only_on_use(capsys, monkeypatch):
+    def no_census(F, *args, **kwargs):
+        raise InvariantViolation("census computed")
+
+    monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    monkeypatch.setattr(quadfield, "_FIELD_MEMO", {})
+    monkeypatch.setattr(modgroup, "elliptic_census", no_census)
+    for argv in (("pell", "--D", "5", "--x", "6"),
+                 ("geodesics", "--D", "5", "--x", "6"),
+                 ("forms", "--D", "5", "--d=-7+5*w"),
+                 ("zeta", "--D", "5", "--x", "6", "--m", "4", "--s", "2.0"),
+                 ("report", "classavg", "--D", "5", "--x", "6")):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    # the census is read through the module attribute, so the patch bites
+    assert main(["field", "--D", "5"]) == 3
+    assert capsys.readouterr().err == "invariant violation: census computed\n"
 
 
 # ---------------------------------------------------------------- geodesics
@@ -352,3 +391,49 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HILBERT_SELBERG_CACHE", str(cache))
     run_cli(capsys, "geodesics", "--D", "5", "--x", "6.0")
     assert list(cache.rglob("*.pkl"))
+
+
+# ---------------------------------------------------------------- check
+
+def test_check_passes_and_enumerates_window_once(capsys, monkeypatch):
+    bounds = []
+
+    def counted(F, x, **kwargs):
+        bounds.append(x)
+        return enumerate_geodesics(F, x, **kwargs)
+
+    monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    monkeypatch.setattr(cli, "enumerate_geodesics", counted)
+    code, out = run_cli(capsys, "check", "--D", "5")
+    assert code == 0
+    lines = out.splitlines()
+    assert [ln[:6] for ln in lines] == ["PASS  "] * len(cli._CHECKS)
+    assert [ln[6:30].rstrip() for ln in lines] == \
+        [name for name, _ in cli._CHECKS]
+    # class numbers at min(x, 8), the shared x window, two reruns at 6
+    assert bounds == [8.0, 10.0, 6.0, 6.0]
+
+
+def test_check_failing_row_exits_3(capsys, monkeypatch):
+    def broken(cfg, window):
+        raise AssertionError("row broken")
+
+    monkeypatch.setattr(cli, "_CHECKS", [("exact constants", broken)])
+    code, out = run_cli(capsys, "check", "--D", "5")
+    assert code == 3
+    assert out == f"FAIL  {'exact constants':24s} row broken\n"
+
+
+def test_check_window_failure_fails_each_row(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise BudgetExceededError("window not enumerated")
+
+    rows = [row for row in cli._CHECKS
+            if row[0] in ("zeta consistency", "trace closed forms")]
+    monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    monkeypatch.setattr(cli, "enumerate_geodesics", fail)
+    monkeypatch.setattr(cli, "_CHECKS", rows)
+    code, out = run_cli(capsys, "check", "--D", "5")
+    assert code == 3
+    assert out == "".join(f"FAIL  {name:24s} window not enumerated\n"
+                          for name, _ in rows)

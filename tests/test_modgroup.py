@@ -73,7 +73,7 @@ class TestClassify:
             == "hyperbolic"
 
     def test_mixed_kinds(self):
-        F = make_field(5, with_census=False)
+        F = make_field(5)
         # companion matrix of trace 1 + omega: embeddings ~ 2.618, 0.382
         g = elem(5, ((1, 1), (-1, 0), (1, 0), (0, 0)))
         c = classify(g)
@@ -234,13 +234,13 @@ class TestArithmeticGuards:
 
     def test_matrix_boxes(self, monkeypatch):
         monkeypatch.setattr(modgroup, "_box_rows", None)
-        F = make_field(5, with_census=False)
+        F = make_field(5)
         with pytest.raises(BudgetExceededError, match="int64"):
             _matrices_with_trace(F, QuadInt(5, 3, 1), 1e9, 1e9)
 
     def test_form_boxes(self, monkeypatch):
         monkeypatch.setattr(pellforms, "_box_rows", None)
-        F = make_field(5, with_census=False)
+        F = make_field(5)
         with pytest.raises(BudgetExceededError, match="int64"):
             enumerate_forms(QuadInt(5, -7, 5), F, height=1e9)
 
@@ -256,7 +256,7 @@ class TestArithmeticGuards:
         monkeypatch.setattr(pellforms, "_matrices_with_trace",
                             lambda *args: big)
         monkeypatch.setattr(pellforms, "_sign_rows", None)
-        F = make_field(5, with_census=False)
+        F = make_field(5)
         pell = pellforms.pell_fundamental(QuadInt(5, 1, 8), F)
         with pytest.raises(BudgetExceededError, match="matrix boxes"):
             _matrix_keys(pell.d, pell, F, 10.0, 10.0)
@@ -266,7 +266,7 @@ class TestArithmeticGuards:
 @given(st.sampled_from([5, 8, 12, 13]), st.integers(-9, 9), st.integers(-5, 5),
        st.floats(1.0, 12.0), st.floats(1.0, 12.0))
 def test_matrices_with_trace_match_per_a_loop(D, ta, tb, cap1, cap2):
-    F = make_field(D, with_census=False)
+    F = make_field(D)
     tr = QuadInt(D, ta, tb)
     got = _matrices_with_trace(F, tr, cap1, cap2)
     want = matrices_with_trace_ref(F, tr, cap1, cap2)
@@ -302,19 +302,19 @@ def test_row_normalization_matches_key_normalization(D, key):
 class TestCensus:
     @pytest.mark.parametrize("D", [5, 8, 12])
     def test_certified_tables(self, D):
-        F = make_field(D, with_census=False)
+        F = make_field(D)
         classes = enumerate_elliptic(F, height_bound=6.0)
         assert [(c.nu, c.t) for c in classes] == CENSUS[D]
 
     @pytest.mark.parametrize("D", [5, 8, 12])
     def test_stability_under_larger_bound(self, D):
-        F = make_field(D, with_census=False)
+        F = make_field(D)
         a = [(c.nu, c.t) for c in enumerate_elliptic(F, height_bound=6.0)]
         b = [(c.nu, c.t) for c in enumerate_elliptic(F, height_bound=9.0)]
         assert a == b
 
     def test_reps_have_advertised_invariants(self):
-        F = make_field(8, with_census=False)
+        F = make_field(8)
         for c in enumerate_elliptic(F, height_bound=6.0):
             assert c.rep.psl_order() == c.nu
             assert math.gcd(c.t, c.nu) == 1 and 0 < c.t < c.nu
@@ -326,7 +326,7 @@ class TestCensus:
     def test_powers_are_not_primitive(self):
         # the square of an order-4 class lands on an order-2 point with
         # isotropy 4; it must not enlarge the census
-        F = make_field(8, with_census=False)
+        F = make_field(8)
         classes = enumerate_elliptic(F, height_bound=6.0)
         four = [c for c in classes if c.nu == 4]
         twos = [c for c in classes if c.nu == 2]

@@ -242,7 +242,7 @@ def test_enumerate_forms_disc_exact():
     (12, (-12, 8), 3.0), (13, (-7, 4), 3.0),
 ])
 def test_enumerate_forms_matches_brute_force(D, d, height):
-    F = make_field(D, with_census=False)
+    F = make_field(D)
     d = QuadInt(D, *d)
     assert in_Dpm(d)
     keys = enumerate_forms(d, F, height=height)

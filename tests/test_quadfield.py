@@ -74,7 +74,7 @@ class TestQuadIntRing:
             assert x.sign_embed(1) == int(ref)
 
     def test_powers_and_unit_inverse(self):
-        F = make_field(8, with_census=False)
+        F = make_field(8)
         eps = F.eps
         assert eps ** 3 == eps * eps * eps
         assert (eps ** -2) * eps ** 2 == F.one
@@ -176,7 +176,7 @@ class TestFieldCtx:
             make_field(40)
 
     def test_regulator(self):
-        F = make_field(12, with_census=False)
+        F = make_field(12)
         assert F.regulator == pytest.approx(math.log(2.0 + math.sqrt(3.0)))
 
     def test_census_and_euler_characteristic(self):
@@ -192,7 +192,7 @@ class TestFieldCtx:
             assert F.euler_char == 4
 
     def test_census_unavailable_elsewhere(self):
-        F = make_field(13, with_census=False)
+        F = make_field(13)
         assert F.elliptic_census is None
         assert F.euler_char is None
 
@@ -206,7 +206,7 @@ class TestFieldCtx:
 
 class TestCanonicalization:
     def test_canonical_disc_stable_under_square_units(self):
-        F = make_field(12, with_census=False)
+        F = make_field(12)
         eps2 = F.eps * F.eps
         d = QuadInt(12, 13, 4)
         base = canonical_disc(d, F)
@@ -230,7 +230,7 @@ class TestCanonicalDiscProperties:
         d = QuadInt(D, a, b)
         if d.is_zero() or d.sign_embed(1) <= 0:
             return
-        F = make_field(D, with_census=False)
+        F = make_field(D)
         base = canonical_disc(d, F)
         assert canonical_disc(base, F) == base
         assert canonical_disc(d * (F.eps * F.eps) ** k, F) == base

@@ -146,7 +146,7 @@ class TestLi:
 
 class TestZetaEps:
     def test_geometric_series_identity(self):
-        F = make_field(5, with_census=False)
+        F = make_field(5)
         s = 1.3 + 0.7j
         eps1 = F.eps.embed(1)
         direct = sum(eps1 ** (-2 * s * k) for k in range(200))
@@ -154,7 +154,7 @@ class TestZetaEps:
 
     def test_pole_guard_names_lattice(self):
         # poles of (1 - eps^{-2s})^{-1} sit at s = i pi k / (2 log eps) * 2
-        F = make_field(5, with_census=False)
+        F = make_field(5)
         with pytest.raises(ValidationError):
             zeta_eps(complex(0.0, math.pi / F.regulator), F)
         with pytest.raises(ValidationError):
