@@ -6,6 +6,21 @@ searches walk the Cayley graph of conjugation by a fixed generator set
 (translations by +-1, +-w and the inversion S), with per-embedding
 height caps, so a target missed within the caps proves nothing about
 conjugacy.
+
+One orbit engine, `capped_bfs`, serves matrix conjugation here and the
+form action in `pellforms`.  States are int64 coordinate rows, a level
+at a time; a visited orbit is an `Orbit`, the sorted array of the exact
+complex128 keys its in-cap states pack to, so tuples are built only for
+seeds and representatives.  Each level's images are deduplicated
+against the current and the previous level alone.  That is exact
+because the capped generator graph is undirected: S is an involution
+(on forms, and under conjugation since S^2 = -1 is central),
+T_mu^-1 = T_-mu, and the height test is a property of the state, so a
+neighbour of a level-k state lies on level k - 1, k or k + 1.
+Conjugation states are PSL(2, O_K) elements: each pair index of a key
+maps to R - 1 - idx under negation, so key(-g) = (R^2 - 1 - re,
+R^2 - 1 - im), and the smaller of key(g) and key(-g) keys both signs
+without sign-normalizing any image.
 """
 
 from __future__ import annotations
@@ -166,7 +181,7 @@ _MU_B = np.array([[0], [0], [1], [-1]])
 
 
 def _conj_neighbors(rows: np.ndarray, D: int, t: int, n: int) -> np.ndarray:
-    """Conjugates of each row by the five generators, sign-normalized;
+    """Conjugates of each row by the five generators, with the row's sign;
     row i's images are rows 5i..5i+4, in the order S, T_1, T_-1, T_w, T_-w.
 
     T_mu g T_mu^{-1} = [[a + mu c, b + mu(d - a) - mu^2 c], [c, d - mu c]]
@@ -186,7 +201,7 @@ def _conj_neighbors(rows: np.ndarray, D: int, t: int, n: int) -> np.ndarray:
     T[..., 3] += (mdb - m2cb).T
     T[..., 6] -= mca.T
     T[..., 7] -= mcb.T
-    return _normalize_rows(out.reshape(-1, 8), D, t)
+    return out.reshape(-1, 8)
 
 
 def height_predicate(D: int, cap1: float, cap2: float
@@ -202,15 +217,18 @@ def height_predicate(D: int, cap1: float, cap2: float
     return ok
 
 
-def _row_packer(what: str, D: int, cap1: float, cap2: float, seed: tuple
-                ) -> Callable[[np.ndarray], np.ndarray]:
+def _row_packer(what: str, D: int, cap1: float, cap2: float, seed: tuple,
+                psl: bool = False) -> Callable[[np.ndarray], np.ndarray]:
     """Exact complex128 sort keys for in-cap rows of 6 or 8 entries.
 
     An in-cap pair x + y*w has |2x + t*y| <= cap1 + cap2 and
     |y| sqrt(D) <= cap1 + cap2, so it has an offset index below R in that
     box; two indices go into each float64 half, exact while R^2 < 2^53.
-    Raises BudgetExceededError up front when the caps break that, or
-    when the neighbour maps could reach 2^62 in int64 arithmetic.
+    Negating a pair maps its index to R - 1 - idx, so an 8-entry row
+    -g packs to (R^2 - 1 - re, R^2 - 1 - im); with `psl` set, a row
+    packs to the smaller of key(g) and key(-g), one key for both signs.
+    Raises BudgetExceededError up front when the caps break exactness,
+    or when the neighbour maps could reach 2^62 in int64 arithmetic.
     """
     t, n = _omega_trace_norm(D)
     A = math.floor(cap1 + cap2) + 1
@@ -227,13 +245,19 @@ def _row_packer(what: str, D: int, cap1: float, cap2: float, seed: tuple
         raise BudgetExceededError(
             f"{what} orbit caps ({cap1:.6g}, {cap2:.6g}) or seed overflow "
             "int64 arithmetic")
+    top = R * R - 1
 
     def pack(rows: np.ndarray) -> np.ndarray:
         x, y = rows[:, 0::2], rows[:, 1::2]
         idx = (2 * x + t * y + A) * (2 * B + 1) + (y + B)
+        re = idx[:, 0] * R + idx[:, 1]
+        im = idx[:, 2] * R + (idx[:, 3] if idx.shape[1] > 3 else 0)
+        if psl:
+            flip = (2 * re > top) | ((2 * re == top) & (2 * im > top))
+            re = np.where(flip, top - re, re)
+            im = np.where(flip, top - im, im)
         keys = np.empty(len(rows), dtype=np.complex128)
-        keys.real = idx[:, 0] * R + idx[:, 1]
-        keys.imag = idx[:, 2] * R + (idx[:, 3] if idx.shape[1] > 3 else 0)
+        keys.real, keys.imag = re, im
         return keys
     return pack
 
@@ -246,70 +270,113 @@ def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return sorted_keys[pos] == keys
 
 
+class Orbit:
+    """The states one capped_bfs run visited.
+
+    `keys` is the sorted array of the packed keys of its in-cap states;
+    a seed outside the caps is kept as a row (with its negative for a
+    PSL orbit).  len() is the state count, `contains` tests the rows of
+    an (N, k) array at once and `in` tests one key.
+    """
+
+    __slots__ = ("keys", "_pack", "_inside", "_outside")
+
+    def __init__(self, keys: np.ndarray, pack: Callable, inside: Callable,
+                 outside: np.ndarray):
+        self.keys, self._pack = keys, pack
+        self._inside, self._outside = inside, outside
+
+    def __len__(self) -> int:
+        return len(self.keys) + (len(self._outside) > 0)
+
+    def contains(self, rows: np.ndarray) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.int64)
+        inside = self._inside(rows)
+        out = (rows[:, None] == self._outside).all(axis=2).any(axis=1)
+        out[inside] = _in_sorted(self.keys, self._pack(rows[inside]))
+        return out
+
+    def __contains__(self, key: tuple) -> bool:
+        return bool(self.contains(np.array([key], dtype=np.int64))[0])
+
+
 def capped_bfs(what: str, seed: tuple,
                neighbors: Callable[[np.ndarray], np.ndarray],
                D: int, cap1: float, cap2: float, max_states: int,
-               targets: Optional[set] = None) -> Tuple[set, bool]:
-    """Height-capped BFS from seed; returns (visited, hit_target).
+               targets: Optional[Iterable[tuple]] = None,
+               psl: bool = False) -> Tuple[Orbit, bool]:
+    """Height-capped BFS from seed; returns (orbit, hit_target).
 
     The frontier is expanded a whole level at a time: `neighbors` maps
     an (N, k) int64 array to its (m*N, k) images, row i's images in
     rows m*i..m*i+m-1.  The new states of a level are the first
-    occurrences, in that order, of in-cap images not yet visited, so
-    visited sets, target hits and the state at which the budget trips
-    are those of a key-by-key walk that checks each neighbour in turn:
-    already visited, over the height cap, a target (stop at once), then
-    the state budget, which raises BudgetExceededError for the `what`
-    orbit.
+    occurrences, in that order, of in-cap images on neither the current
+    nor the previous level (exact on the undirected capped graph, see
+    the module docstring), so orbits, target hits and the state at
+    which the budget trips are those of a key-by-key walk that checks
+    each neighbour in turn: already visited, over the height cap, a
+    target (stop at once), then the state budget, which raises
+    BudgetExceededError for the `what` orbit.  With `psl` set, g and
+    -g are one state.
     """
     height_ok = height_predicate(D, cap1, cap2)
-    pack = _row_packer(what, D, cap1, cap2, seed)
+    pack = _row_packer(what, D, cap1, cap2, seed, psl)
     frontier = np.array([seed], dtype=np.int64)
-    visited = {seed}
-    seen = pack(frontier[height_ok(frontier)])
+    prev = np.empty(0, dtype=np.complex128)
+    curr = pack(frontier[height_ok(frontier)])
+    outside = (frontier[:0] if len(curr) else
+               np.concatenate([frontier, -frontier]) if psl else frontier)
+    goal = None
+    if targets is not None:
+        rows = np.array(list(targets), dtype=np.int64).reshape(-1, len(seed))
+        goal = np.unique(pack(rows[height_ok(rows)]))
+    levels, count, hit = [curr], 1, False
     while len(frontier):
         images = neighbors(frontier)
         images = images[height_ok(images)]
-        keys, first = np.unique(pack(images), return_index=True)
-        unseen = ~_in_sorted(seen, keys)
-        fresh = np.zeros(len(images), dtype=bool)
-        fresh[first[unseen]] = True
-        frontier = images[fresh]
-        states = list(zip(*frontier.T.tolist()))
-        # a key-by-key walk checks states[trip] against the targets, then
+        keys = pack(images)
+        uniq, first = np.unique(keys, return_index=True)
+        new = ~(_in_sorted(curr, uniq) | _in_sorted(prev, uniq))
+        fresh = np.sort(first[new])  # the level's new states, in walk order
+        # a key-by-key walk checks state `trip` against the targets, then
         # raises because adding it took the count past max_states
-        trip = max(0, max_states - len(visited))
-        if targets is not None:
-            hit = next((i for i, key in enumerate(states[:trip + 1])
-                        if key in targets), None)
-            if hit is not None:
-                visited.update(states[:hit + 1])
-                return visited, True
-        if trip < len(states):
+        trip = max(0, max_states - count)
+        if goal is not None:
+            at = np.flatnonzero(_in_sorted(goal, keys[fresh[:trip + 1]]))
+            if len(at):
+                levels.append(keys[fresh[:at[0] + 1]])
+                hit = True
+                break
+        if trip < len(fresh):
             raise BudgetExceededError(
                 f"{what} orbit exceeded {max_states} states")
-        visited.update(states)
-        seen = np.insert(seen, np.searchsorted(seen, keys[unseen]),
-                         keys[unseen])
-    return visited, False
+        frontier = images[fresh]
+        prev, curr = curr, uniq[new]
+        levels.append(curr)
+        count += len(curr)
+    return Orbit(np.sort(np.concatenate(levels)), pack, height_ok,
+                 outside), hit
 
 
-def partition_orbits(keys: Iterable[tuple], orbit_of: Callable[[tuple], set]
-                     ) -> Iterator[Tuple[tuple, set]]:
-    """Split keys into orbits: yields (seed, orbit) with seed the least
-    key not yet covered; orbit_of(seed) must contain seed."""
-    remaining = sorted(set(keys))
-    while remaining:
-        seed = remaining[0]
+def partition_orbits(rows: np.ndarray, orbit_of: Callable[[tuple], Orbit]
+                     ) -> Iterator[Tuple[tuple, Orbit]]:
+    """Split the rows of an (N, k) key array into orbits: yields
+    (seed, orbit) with seed the least row, as a tuple, not yet covered;
+    orbit_of(seed) must contain seed."""
+    remaining = np.unique(rows, axis=0)
+    while len(remaining):
+        seed = tuple(remaining[0].tolist())
         orbit = orbit_of(seed)
         yield seed, orbit
-        remaining = [k for k in remaining if k not in orbit]
+        remaining = remaining[~orbit.contains(remaining)]
 
 
 def conjugation_orbit(seed: Key, D: int, cap1: float, cap2: float,
                       max_states: int = 400000,
-                      targets: Optional[set] = None) -> Tuple[set, bool]:
-    """Height-capped BFS orbit of conjugation; returns (visited, hit_target).
+                      targets: Optional[Iterable[Key]] = None
+                      ) -> Tuple[Orbit, bool]:
+    """Height-capped BFS orbit of conjugation in PSL(2, O_K); returns
+    (orbit, hit_target).
 
     Stops early when any target key is reached.  Raises when the state
     budget is exhausted (the orbit is then reported incomplete).
@@ -318,7 +385,7 @@ def conjugation_orbit(seed: Key, D: int, cap1: float, cap2: float,
     seed = _normalize_rows(np.array([seed], dtype=np.int64), D, t)[0]
     return capped_bfs("conjugation", tuple(seed.tolist()),
                       lambda rows: _conj_neighbors(rows, D, t, n),
-                      D, cap1, cap2, max_states, targets)
+                      D, cap1, cap2, max_states, targets, psl=True)
 
 
 # ------------------------------------------------------- elliptic census
@@ -449,16 +516,17 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0
             buckets.setdefault(psl_tr + (nu,), []).append(nk)
             meta[nk] = (nu, tj, math.acos(tr1.embed(1) / 2.0), theta2)
 
-    # partition each bucket by conjugation BFS, keeping the orbit sets
+    # partition each bucket by conjugation BFS, keeping the orbits
     records: List[dict] = []
     for bucket in buckets.values():
+        rows = np.array(bucket, dtype=np.int64)
         for seed, orbit in partition_orbits(
-                bucket,
+                rows,
                 lambda k: conjugation_orbit(k, D, cap_bfs, cap_bfs)[0]):
             nu, tj, th1, th2 = meta[seed]
             records.append({"nu": nu, "tj": tj, "th1": th1, "th2": th2,
                             "seed": seed, "orbit": orbit,
-                            "members": [k for k in bucket if k in orbit],
+                            "members": rows[orbit.contains(rows)],
                             "primitive": True})
 
     # drop classes that are proper powers of a larger stabilizer generator
@@ -477,11 +545,12 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0
                 pcap = max(cap_bfs, 1.5 * max(
                     abs(pkey[2 * i] + pkey[2 * i + 1] * wj)
                     for i in range(4) for wj in (w1, w2)))
-                tgt = {k for r in sub for k in r["members"]}
+                tgt = np.concatenate([np.empty((0, 8), dtype=np.int64)]
+                                     + [r["members"] for r in sub])
                 porb, hit = conjugation_orbit(pkey, D, pcap, pcap, targets=tgt)
                 if hit:
-                    hk = next(iter(porb & tgt))
-                    owner = next(r for r in sub if hk in r["members"])
+                    owners = [r for r in sub for _ in r["members"]]
+                    owner = owners[np.flatnonzero(porb.contains(tgt))[0]]
             if owner is None:
                 raise InvariantViolation(
                     f"order-{div} power of an order-{nu} class not located "

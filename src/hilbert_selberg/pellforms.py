@@ -11,12 +11,12 @@ generator map, and the two counts must agree.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
-from .modgroup import (GroupElem, Key, capped_bfs, conjugation_orbit,
+from .modgroup import (GroupElem, Orbit, capped_bfs, conjugation_orbit,
                        partition_orbits, _matrices_with_trace, _normalize_rows,
                        _sign_rows, _MU_A, _MU_B)
 from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
@@ -265,13 +265,12 @@ def _form_neighbors(rows: np.ndarray, D: int, t: int, n: int) -> np.ndarray:
 
 
 def form_orbit(seed: FormKey, D: int, cap1: float, cap2: float,
-               max_states: int = 400000) -> Set[FormKey]:
+               max_states: int = 400000) -> Orbit:
     """Height-capped BFS orbit of the form under the generator action."""
     t, n = _omega_trace_norm(D)
-    visited, _ = capped_bfs("form", seed,
-                            lambda rows: _form_neighbors(rows, D, t, n),
-                            D, cap1, cap2, max_states)
-    return visited
+    return capped_bfs("form", seed,
+                      lambda rows: _form_neighbors(rows, D, t, n),
+                      D, cap1, cap2, max_states)[0]
 
 
 def _form_boxes(d: QuadInt, height: float) -> Tuple[float, float]:
@@ -284,9 +283,10 @@ def _form_boxes(d: QuadInt, height: float) -> Tuple[float, float]:
 
 
 def enumerate_forms(d: QuadInt, F: FieldCtx,
-                    height: float = 8.0) -> List[FormKey]:
-    """Keys of all primitive forms of discriminant d with coefficient
-    heights inside the per-embedding boxes derived from d and `height`."""
+                    height: float = 8.0) -> np.ndarray:
+    """All primitive forms of discriminant d with coefficient heights
+    inside the per-embedding boxes derived from d and `height`, as the
+    key rows of an (N, 6) int64 array."""
     D = d.D
     t, n = _omega_trace_norm(D)
     h1, h2 = _form_boxes(d, height)
@@ -305,7 +305,7 @@ def enumerate_forms(d: QuadInt, F: FieldCtx,
     rows = np.column_stack([a, box[j[i]], c])
     ka, kb = _content_rows(rows, t, n)
     unit = np.abs(ka * ka + t * ka * kb + n * kb * kb) == 1
-    return list(map(tuple, rows[unit].tolist()))
+    return rows[unit]
 
 
 # ------------------------------------------------- matrix-count oracle
@@ -324,9 +324,10 @@ def _matrix_boxes(pell: PellSolution, height: float) -> Tuple[float, float]:
 
 
 def _matrix_keys(dc: QuadInt, pell: PellSolution, F: FieldCtx,
-                 m1: float, m2: float) -> List[Key]:
-    """Sign-normalized keys of the oracle's matrices: those of trace t0
-    in the entry boxes whose primitive form content matches dc.
+                 m1: float, m2: float) -> np.ndarray:
+    """Sign-normalized key rows, (N, 8), of the oracle's matrices: those
+    of trace t0 in the entry boxes whose primitive form content matches
+    dc.
 
     This walks the stabilizer-generator correspondence backwards:
     a matrix [[A, B], [C, E]] of trace t0 carries the form
@@ -361,8 +362,7 @@ def _matrix_keys(dc: QuadInt, pell: PellSolution, F: FieldCtx,
                            return_inverse=True)
     match = np.array([canonical_disc(QuadInt(D, a, b), F) == dc
                       for a, b in discs.tolist()], dtype=bool)
-    keys = _normalize_rows(rows[match[inv.reshape(-1)]], D, t)
-    return list(map(tuple, keys.tolist()))
+    return _normalize_rows(rows[match[inv.reshape(-1)]], D, t)
 
 
 # ------------------------------------------------------- class numbers
@@ -404,7 +404,8 @@ def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
         raise InvariantViolation(
             f"ambiguous class count for d={dc}: form orbits give "
             f"{h_orbit}, matrix conjugacy gives {h_matrix}; "
-            f"height={height}, bfs_factor=3.0")
+            f"height={height}, form caps ({cap1:.6g}, {cap2:.6g}), "
+            f"matrix caps ({mcap1:.6g}, {mcap2:.6g})")
     if h_orbit < 1:
         raise InvariantViolation(f"no forms found for d={dc}")
     return DiscriminantRecord(

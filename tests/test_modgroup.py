@@ -109,8 +109,11 @@ class TestConjugacy:
         g = elem(D, ((0, 0), (-1, 0), (1, 0), (1, 0)))
         orbit, _ = conjugation_orbit(g.key(), D, 12.0, 12.0)
         assert normalize_key_ref(g.key(), D) in orbit
+        members, _ = capped_bfs_ref(g.key(), conj_neighbors_ref(D),
+                                    height_ok_ref(D, 12.0, 12.0), 400000)
+        assert _agrees((orbit, False), (members, False))
         # every member has the same PSL trace and classification
-        for key in list(orbit)[:50]:
+        for key in members[:50]:
             h = GroupElem.from_key(key, D)
             assert classify(h).kind == "elliptic"
             tr = h.trace()
@@ -127,7 +130,8 @@ def _orbit_case(kind):
                 lambda cap, ms: conjugation_orbit(seed, D, cap, cap,
                                                   max_states=ms)[0],
                 _conj_neighbors)
-    seed = min(enumerate_forms(QuadInt(D, -7, 5), make_field(D)))
+    seed = min(map(tuple, enumerate_forms(QuadInt(D, -7, 5),
+                                          make_field(D)).tolist()))
     return (seed,
             lambda cap, ms: form_orbit(seed, D, cap, cap, max_states=ms),
             _form_neighbors)
@@ -143,17 +147,26 @@ class TestOrbitEngine:
         seed, orbit_of, neighbors = _orbit_case(kind)
         orbit = orbit_of(self.CAP, 400000)
         assert seed in orbit and len(orbit) > 1
+        # the orbit's states, listed by the key-by-key walk
+        ref_map = (conj_neighbors_ref if kind == "conjugation"
+                   else form_neighbors_ref)
+        members, _ = capped_bfs_ref(seed, ref_map(D),
+                                    height_ok_ref(D, self.CAP, self.CAP),
+                                    400000)
+        assert _agrees((orbit, False), (members, False))
         inside = height_predicate(D, self.CAP, self.CAP)
-        for key in orbit:
-            row = np.array([key])
-            assert inside(row)[0]
-            for nb in neighbors(row, D, t, n):
-                assert tuple(nb.tolist()) in orbit or not inside(nb[None])[0]
+        rows = np.array(members)
+        assert inside(rows).all()
+        images = neighbors(rows, D, t, n)
+        assert (orbit.contains(images) | ~inside(images)).all()
 
     def test_budget_trips_at_the_state_count(self, kind):
         seed, orbit_of, _ = _orbit_case(kind)
         full = orbit_of(self.CAP, 400000)
-        assert orbit_of(self.CAP, len(full)) == full
+        # same seed and caps, so the packed keys compare directly
+        at_budget = orbit_of(self.CAP, len(full))
+        assert len(at_budget) == len(full)
+        assert np.array_equal(at_budget.keys, full.keys)
         with pytest.raises(BudgetExceededError,
                            match=f"{kind} orbit exceeded {len(full) - 1} "):
             orbit_of(self.CAP, len(full) - 1)
@@ -161,20 +174,45 @@ class TestOrbitEngine:
             orbit_of(self.CAP, 3)
 
 
+REFERENCE_CASES = ["conjugation", "form", "outside-seed", "d12"]
+
+
 def _reference_case(kind):
-    """(engine(max_states, targets), reference(max_states, targets))."""
+    """(engine(max_states, targets), reference(max_states, targets),
+    extra targets) for one orbit."""
     if kind == "form":
         D, cap = 5, 12.0
-        seed = min(enumerate_forms(QuadInt(D, -7, 5), make_field(D)))
+        seed = min(map(tuple, enumerate_forms(QuadInt(D, -7, 5),
+                                              make_field(D)).tolist()))
         return (lambda ms, tg: (form_orbit(seed, D, cap, cap, ms), False),
                 lambda ms, tg: capped_bfs_ref(seed, form_neighbors_ref(D),
-                                              height_ok_ref(D, cap, cap), ms))
-    # the D = 8 orbit of test_direct_conjugates_are_reached
-    D, cap = 8, 30.0
-    seed = elem(D, ((0, 0), (-1, 0), (1, 0), (0, 0))).key()
+                                              height_ok_ref(D, cap, cap), ms),
+                set())
+    if kind == "conjugation":
+        # the D = 8 orbit of test_direct_conjugates_are_reached, with its
+        # direct conjugate as an extra target
+        D, cap = 8, 30.0
+        g = elem(D, ((0, 0), (-1, 0), (1, 0), (0, 0)))
+        u = elem(D, ((1, 0), (2, 1), (0, 0), (1, 0)))
+        seed, extra = g.key(), {(u * g * u.inverse()).key()}
+    elif kind == "outside-seed":
+        # T_mu S T_-mu with mu = 2 + 3w has an entry -23 - 12 sqrt 2
+        # beyond the cap; its T_-1 conjugate is inside
+        D, cap = 8, 30.0
+        s = elem(D, ((0, 0), (-1, 0), (1, 0), (0, 0)))
+        mu = elem(D, ((1, 0), (2, 3), (0, 0), (1, 0)))
+        seed = (mu * s * mu.inverse()).key()
+        assert not height_ok_ref(D, cap, cap)(seed)
+        extra = {seed}
+    else:
+        # D = 12, where w = sqrt 3 has trace t = 0: an order-6 rotation
+        D, cap = 12, 30.0
+        seed = elem(D, ((0, 1), (-1, 0), (1, 0), (0, 0))).key()
+        extra = {seed}
     return (lambda ms, tg: conjugation_orbit(seed, D, cap, cap, ms, tg),
             lambda ms, tg: capped_bfs_ref(seed, conj_neighbors_ref(D),
-                                          height_ok_ref(D, cap, cap), ms, tg))
+                                          height_ok_ref(D, cap, cap), ms, tg),
+            extra)
 
 
 def _outcome(run, max_states, targets=None):
@@ -184,38 +222,52 @@ def _outcome(run, max_states, targets=None):
         return "budget"
 
 
-@pytest.mark.parametrize("kind", ["conjugation", "form"])
+def _agrees(got, want):
+    """An engine outcome, (orbit, hit) or "budget", against a reference
+    one, (visit order, hit) or "budget".  The reference lists distinct
+    states, so equal counts and every listed state a member mean equal
+    state sets."""
+    if isinstance(got, str) or isinstance(want, str):
+        return got == want
+    (orbit, hit), (order, want_hit) = got, want
+    return (hit == want_hit and len(orbit) == len(order)
+            and orbit.contains(np.array(order)).all())
+
+
+@pytest.mark.parametrize("kind", REFERENCE_CASES)
 class TestEngineMatchesKeyByKeyBFS:
     def test_visited_set(self, kind):
-        engine, ref = _reference_case(kind)
+        engine, ref, _ = _reference_case(kind)
         order, hit = ref(400000, None)
-        assert engine(400000, None) == (set(order), hit)
+        assert _agrees(engine(400000, None), (order, hit))
         assert hit is False and len(order) > 100
 
     def test_budget_trip_point(self, kind):
-        engine, ref = _reference_case(kind)
+        engine, ref, _ = _reference_case(kind)
         n = len(ref(400000, None)[0])
         for ms in (0, 1, 2, 7, n // 3, n - 2, n - 1, n):
-            got, want = _outcome(engine, ms), _outcome(ref, ms)
-            assert got == (want if want == "budget"
-                           else (set(want[0]), want[1]))
-
+            assert _agrees(_outcome(engine, ms), _outcome(ref, ms)), ms
 
 
 def test_engine_target_hits_match_key_by_key_bfs():
-    engine, ref = _reference_case("conjugation")
-    order, _ = ref(400000, None)
-    D = 8
-    g = elem(D, ((0, 0), (-1, 0), (1, 0), (0, 0)))
-    u = elem(D, ((1, 0), (2, 1), (0, 0), (1, 0)))
-    direct = (u * g * u.inverse()).key()
-    for pos in (1, 5, 6, len(order) // 2, len(order) - 1):
-        targets = {order[pos], direct}
-        for ms in (pos - 2, pos - 1, pos, pos + 1, 400000):
-            got, want = (_outcome(engine, ms, targets),
-                         _outcome(ref, ms, targets))
-            assert got == (want if want == "budget"
-                           else (set(want[0]), want[1]))
+    for kind in ("conjugation", "outside-seed", "d12"):
+        engine, ref, extra = _reference_case(kind)
+        order, _ = ref(400000, None)
+        for pos in (1, 5, 6, len(order) // 2, len(order) - 1):
+            targets = {order[pos]} | extra
+            for ms in (pos - 2, pos - 1, pos, pos + 1, 400000):
+                got, want = (_outcome(engine, ms, targets),
+                             _outcome(ref, ms, targets))
+                assert _agrees(got, want), (kind, pos, ms)
+
+
+@pytest.mark.parametrize("kind", REFERENCE_CASES)
+def test_orbit_len_is_the_state_count(kind):
+    # bench/spans.py counts states as len(conjugation_orbit(...)[0]) and
+    # len(form_orbit(...))
+    engine, ref, _ = _reference_case(kind)
+    orbit, _ = engine(400000, None)
+    assert len(orbit) == len(ref(400000, None)[0])
 
 
 class TestArithmeticGuards:
@@ -286,6 +338,30 @@ def test_packed_keys_injective_on_in_cap_rows(D, cap1, cap2, width, data):
     rows = rows[height_predicate(D, cap1, cap2)(rows)]
     keys = _row_packer("test", D, cap1, cap2, (0,) * width)(rows)
     assert len(set(keys.tolist())) == len({tuple(r) for r in rows.tolist()})
+    if width == 6:
+        return
+    # rows whose first two pairs vanish tie with their negatives on the
+    # real half of the key
+    tied = rows.copy()
+    tied[:, :4] = 0
+    rows = np.concatenate([rows, tied])
+    pack = _row_packer("test", D, cap1, cap2, (0,) * width)
+    keys, neg = pack(rows), pack(-rows)
+    # every pair index maps to R - 1 - idx under negation
+    A = math.floor(cap1 + cap2) + 1
+    B = math.floor((cap1 + cap2) / math.sqrt(D)) + 1
+    top = ((2 * A + 1) * (2 * B + 1)) ** 2 - 1
+    assert (neg.real == top - keys.real).all()
+    assert (neg.imag == top - keys.imag).all()
+    # the PSL key is the smaller of key(g) and key(-g): one per sign pair
+    canon = _row_packer("test", D, cap1, cap2, (0,) * width, psl=True)
+    assert (canon(rows) == canon(-rows)).all()
+    assert [min(k, m, key=lambda z: (z.real, z.imag))
+            for k, m in zip(keys.tolist(), neg.tolist())] \
+        == canon(rows).tolist()
+    both = np.concatenate([rows, -rows])
+    pairs = {min(tuple(r), tuple(-v for v in r)) for r in both.tolist()}
+    assert len(set(canon(both).tolist())) == len(pairs)
 
 
 @settings(max_examples=100, deadline=None)

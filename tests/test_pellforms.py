@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hilbert_selberg import pellforms
+from hilbert_selberg.cli import main
 from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
                                     ValidationError)
 from hilbert_selberg.geodesics import enumerate_geodesics
-from hilbert_selberg.modgroup import GroupElem, classify, _matrices_with_trace
+from hilbert_selberg.modgroup import (GroupElem, capped_bfs, classify,
+                                      _matrices_with_trace)
 from hilbert_selberg.pellforms import (FormOverOK, class_number, content,
                                        enumerate_forms, form_to_matrix, in_Dpm,
                                        pell_fundamental, _form_boxes,
@@ -148,6 +151,34 @@ def test_class_number_reuses_given_pell(sweep5):
         class_number(d, F, pell=rec_b.pell)
 
 
+def test_route_mismatch_names_the_caps(capsys, monkeypatch):
+    # singleton form orbits make the form route count every form, so the
+    # two routes disagree; the message names the caps each route used
+    def lone_form_orbit(seed, D, cap1, cap2):
+        return capped_bfs("form", seed, lambda rows: rows[:0],
+                          D, cap1, cap2, 1)[0]
+
+    monkeypatch.setattr(pellforms, "form_orbit", lone_form_orbit)
+    F = make_field(5)
+    d = QuadInt(5, -126, 79)  # h = 8; the two routes' caps differ
+    h1, h2 = _form_boxes(d, 8.0)
+    m1, m2 = _matrix_boxes(pell_fundamental(d, F), 8.0)
+    caps = (f"form caps ({3 * h1:.6g}, {3 * h2:.6g}), matrix caps "
+            f"({max(3 * h1, 1.5 * m1):.6g}, {max(3 * h2, 1.5 * m2):.6g})")
+    assert caps == "form caps (24, 68.4996), matrix caps (38.1201, 68.4996)"
+    with pytest.raises(InvariantViolation) as exc:
+        class_number(d, F)
+    assert (f"form orbits give {len(enumerate_forms(d, F))}, matrix "
+            "conjugacy gives 8; ") in str(exc.value)
+    assert str(exc.value).endswith(f"height=8.0, {caps}")
+    monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    assert main(["forms", "--D", "5", "--d=-126+79*w"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("invariant violation: ambiguous class count")
+    assert out.err.endswith(f"{caps}\n")
+
+
 def test_doubling_stability(sweep5):
     F, recs = sweep5
     for key in ((-135, 85), (-126, 79)):
@@ -231,8 +262,8 @@ def test_enumerate_forms_disc_exact():
     F = make_field(5)
     d = QuadInt(5, 1, 8)
     forms = enumerate_forms(d, F)
-    assert forms
-    for k in forms:
+    assert forms.shape[0] > 0 and forms.shape[1] == 6
+    for k in forms.tolist():
         assert FormOverOK.from_key(k, 5).disc == d
 
 
@@ -245,7 +276,7 @@ def test_enumerate_forms_matches_brute_force(D, d, height):
     F = make_field(D)
     d = QuadInt(D, *d)
     assert in_Dpm(d)
-    keys = enumerate_forms(d, F, height=height)
+    keys = list(map(tuple, enumerate_forms(d, F, height=height).tolist()))
     assert len(keys) == len(set(keys))
     assert set(keys) == primitive_forms_ref(d, *_form_boxes(d, height))
 
@@ -338,6 +369,7 @@ def test_row_filter_matches_matrix_filter_ref(D, x):
         pell = c.record.pell
         m1, m2 = _matrix_boxes(pell, 8.0)
         rows = _matrices_with_trace(F, pell.t0, m1, m2).tolist()
-        keys = _matrix_keys(c.record.d, pell, F, m1, m2)
+        keys = list(map(tuple, _matrix_keys(c.record.d, pell, F, m1,
+                                            m2).tolist()))
         assert len(keys) == len(set(keys))
         assert set(keys) == matrix_filter_ref(rows, c.record.d, F)
