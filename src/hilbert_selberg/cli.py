@@ -454,9 +454,11 @@ def _check_count_trend(cfg: RunConfig, window) -> str:
 def _check_truncation_stability(cfg: RunConfig, window) -> str:
     F = make_field(cfg.D)
     classes = window()
-    p = ZetaParams(s=2.5, m=4, trunc_norm=classes.coverage, trunc_k=40)
+    # both depths lie below selberg_zeta's machine-negligible cut, so
+    # the doubling compares products that really differ
+    p = ZetaParams(s=2.5, m=4, trunc_norm=classes.coverage, trunc_k=8)
     a = selberg_zeta(p, classes)
-    b = selberg_zeta(dataclasses.replace(p, trunc_k=80), classes)
+    b = selberg_zeta(dataclasses.replace(p, trunc_k=16), classes)
     assert abs(a.value - b.value) <= a.tail_bound, (a, b)
     again = enumerate_geodesics(F, 6.0, height=cfg.height)
     twice = enumerate_geodesics(F, 6.0, height=cfg.height)

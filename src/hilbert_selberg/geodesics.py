@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
 from .pellforms import (DiscriminantRecord, class_number, in_Dpm,
                         pell_fundamental)
@@ -56,6 +58,12 @@ def _class_order(c: GeodesicClass) -> Tuple[float, int, int]:
     return (c.norm, c.d.a, c.d.b)
 
 
+def _column(values: Iterable[float]) -> np.ndarray:
+    col = np.array(list(values), dtype=float)
+    col.setflags(write=False)
+    return col
+
+
 @dataclass(frozen=True, init=False)
 class GeodesicWindow(Sequence[GeodesicClass]):
     """A class list and the norm bound it is complete up to.
@@ -66,6 +74,11 @@ class GeodesicWindow(Sequence[GeodesicClass]):
     pair with their inverses (angle and its negative), so every
     multiplicity must be even; that is checked once, here.  coverage
     defaults to the largest listed norm.
+
+    The array evaluators read the window as read-only float columns in
+    class order: norms, log_norms, angles and halves (h/2).  Columns
+    and fitted constants are derived on first use and left out of the
+    pickle, so a cached window rebuilds them after a load.
     """
 
     classes: Tuple[GeodesicClass, ...]
@@ -93,14 +106,39 @@ class GeodesicWindow(Sequence[GeodesicClass]):
     def __iter__(self) -> Iterator[GeodesicClass]:
         return iter(self.classes)
 
-    def upto(self, x: float) -> Tuple[GeodesicClass, ...]:
-        """Classes with norm <= x; x must lie within the coverage."""
+    def __getstate__(self) -> Dict[str, object]:
+        return {"classes": self.classes, "coverage": self.coverage}
+
+    def count_upto(self, x: float) -> int:
+        """Number of leading classes with norm <= x, the one cut every
+        truncated sum takes; x must lie within the coverage."""
         if x > self.coverage * (1.0 + 1e-9):
             raise ValidationError(
                 f"class list covers norms <= {self.coverage:.6g} but "
                 f"trunc_norm={x:.6g}; enumerate geodesics to "
                 f"x >= {math.sqrt(x):.6g} first")
-        return tuple(c for c in self.classes if c.norm <= x * (1.0 + 1e-12))
+        return int(np.searchsorted(self.norms, x * (1.0 + 1e-12),
+                                   side="right"))
+
+    def upto(self, x: float) -> Tuple[GeodesicClass, ...]:
+        """Classes with norm <= x; x must lie within the coverage."""
+        return self.classes[:self.count_upto(x)]
+
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        return _column(c.norm for c in self.classes)
+
+    @functools.cached_property
+    def log_norms(self) -> np.ndarray:
+        return _column(math.log(c.norm) for c in self.classes)
+
+    @functools.cached_property
+    def angles(self) -> np.ndarray:
+        return _column(c.angle for c in self.classes)
+
+    @functools.cached_property
+    def halves(self) -> np.ndarray:
+        return _column(c.multiplicity // 2 for c in self.classes)
 
     @functools.cached_property
     def count_constant(self) -> float:

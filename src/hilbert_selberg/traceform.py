@@ -228,27 +228,29 @@ def _hyp_ell_sum(m: int, tf: TestFunctionPair, classes: GeodesicWindow,
     """HE class/power sum; classes pair with inverses, so phases fold
     to cosines (double difference) or Chebyshev ratios (difference)."""
     u_cut = float(tf.metadata["u_cut"])
-    weights, us = [], []
-    for c in classes.upto(classes.coverage):
-        half = c.multiplicity // 2
-        log_n = math.log(c.norm)
-        ell = 1
-        while ell * log_n <= u_cut:
-            w = log_n / (c.norm ** (ell / 2.0) - c.norm ** (-ell / 2.0))
-            lam = ell * c.angle
-            if single:
-                sl = math.sin(lam)
-                if abs(sl) < 1e-9:
-                    raise InvariantViolation(
-                        f"degenerate power angle at d=({c.d.a},{c.d.b}), "
-                        f"l={ell}")
-                osc = -math.sin((m - 1) * lam) / sl
-            else:
-                osc = -2.0 * math.cos((m - 2) * lam)
-            weights.append(half * w * osc)
-            us.append(ell * log_n)
-            ell += 1
-    return complex(np.dot(weights, tf.g1(us))) if us else 0.0 + 0.0j
+    n = classes.count_upto(classes.coverage)
+    if n == 0:
+        return 0.0 + 0.0j
+    # (class, power) pairs with ell * log N <= u_cut, in class order and
+    # then power order
+    powers = np.arange(1, math.floor(u_cut / classes.log_norms[0]) + 2)
+    row, col = np.nonzero(powers * classes.log_norms[:n, None] <= u_cut)
+    ell = powers[col]
+    norm, log_n = classes.norms[row], classes.log_norms[row]
+    w = log_n / (norm ** (ell / 2.0) - norm ** (-ell / 2.0))
+    lam = ell * classes.angles[row]
+    if single:
+        sl = np.sin(lam)
+        bad = np.flatnonzero(np.abs(sl) < 1e-9)
+        if bad.size:
+            d = classes[row[bad[0]]].d
+            raise InvariantViolation(
+                f"degenerate power angle at d=({d.a},{d.b}), "
+                f"l={ell[bad[0]]}")
+        osc = -np.sin((m - 1) * lam) / sl
+    else:
+        osc = -2.0 * np.cos((m - 2) * lam)
+    return complex(np.dot(classes.halves[row] * w * osc, tf.g1(ell * log_n)))
 
 
 def _eps_series(m: int, tf: TestFunctionPair, F: FieldCtx, single: bool,

@@ -9,8 +9,12 @@ remaining operations are exact bookkeeping: residue exponent tables,
 completed factors, the trivial zero/pole ledger, the leading term at
 s = 0, and the sine/Gamma factor identities of the functional equation.
 
-Class sums are accumulated over the window's class order with a
-pairwise reduction tree, so results are reproducible run to run.
+The products are array expressions over the window's columns: one
+(class x power) array, summed over the powers of each class and then
+with np.sum over the classes in the window's class order, so results
+are reproducible run to run.  selberg_zeta stops the inner product at
+the depth where every further power is below 2^-60 of its class's
+leading term, which is below the rounding the sum already has.
 """
 
 from __future__ import annotations
@@ -21,27 +25,18 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import InvariantViolation, ValidationError
-from .geodesics import GeodesicClass, GeodesicWindow
+from .geodesics import GeodesicWindow
 from .quadfield import FieldCtx
 from .specfun import loggamma, loggamma2, xi_ratio, zeta_eps
 
 TWO_PI = 2.0 * math.pi
 
 
-def _pairwise_sum(terms: Sequence[complex]) -> complex:
-    """Reduce a fixed-order term list as a balanced binary tree."""
-    vals = list(terms)
-    if not vals:
-        return 0.0 + 0.0j
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+# powers past this log-size are below 2^-60 of their class's leading term
+_NEGLIGIBLE = 60.0 * math.log(2.0)
 
 
 # ------------------------------------------------------------ parameters
@@ -99,12 +94,14 @@ def _norm_tail(classes: GeodesicWindow, x: float, sigma: float) -> float:
             * (1.2 + 1.0 / (sigma - 1.0)))
 
 
-def _k_tail(kept: Sequence[GeodesicClass], sigma: float, k_cut: int) -> float:
-    """Bound the inner-product tail k > k_cut over the kept classes."""
+def _k_tail(classes: GeodesicWindow, n: int, sigma: float,
+            k_cut: int) -> float:
+    """Bound the inner-product tail k > k_cut over the first n classes."""
     total = 0.0
-    for c in kept:
-        total += (1.22 * c.multiplicity
-                  * c.norm ** (-(k_cut + 1 + sigma)) / (1.0 - 1.0 / c.norm))
+    for half, norm in zip(classes.halves[:n].tolist(),
+                          classes.norms[:n].tolist()):
+        total += (1.22 * (2.0 * half)
+                  * norm ** (-(k_cut + 1 + sigma)) / (1.0 - 1.0 / norm))
     return total
 
 
@@ -116,26 +113,31 @@ def selberg_zeta(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
     Each listed class of multiplicity h contributes h/2 conjugate factor
     pairs (phase +angle and -angle), so values are conjugate-symmetric
     in s.  trunc_norm must lie within the window's coverage.
+
+    The inner product is evaluated to depth min(trunc_k, K0) with
+    K0 = ceil(60 ln 2 / ln N_min), N_min the smallest kept norm.  Power
+    k of a class of norm N has size N^-(k+sigma), so every power past
+    K0 is below 2^-60 of its class's leading term N^-sigma, and all of
+    them together below 2^-60/(N-1) of it: less than the rounding the
+    sum already carries.  tail_bound is still placed at the requested
+    trunc_k, so a depth beyond machine negligibility costs nothing.
     """
     p.validate()
     s = complex(p.s)
     if s.real <= 1.0:
         raise ValidationError(
             f"Euler product needs Re(s) > 1, got s={p.s}")
-    kept = classes.upto(p.trunc_norm)
-    phase_mult = p.m - 2
-    terms: List[complex] = []
-    for c in kept:
-        half = c.multiplicity // 2
-        log_n = math.log(c.norm)
-        rot = cmath.exp(1j * phase_mult * c.angle)
-        acc = 0.0 + 0.0j
-        for k in range(p.trunc_k + 1):
-            z = cmath.exp(-(k + s) * log_n)
-            acc += cmath.log(1.0 - rot * z) + cmath.log(1.0 - rot.conjugate() * z)
-        terms.append(-half * acc)
-    log_z = _pairwise_sum(terms)
-    tail = (_k_tail(kept, s.real, p.trunc_k)
+    n = classes.count_upto(p.trunc_norm)
+    log_n = classes.log_norms[:n, None]
+    log_z = 0.0 + 0.0j
+    if n:
+        depth = min(p.trunc_k, math.ceil(_NEGLIGIBLE / log_n[0, 0]))
+        z = np.exp(-(np.arange(depth + 1) + s) * log_n)
+        rot = np.exp(1j * (p.m - 2) * classes.angles[:n, None])
+        acc = np.sum(np.log(1.0 - rot * z) + np.log(1.0 - rot.conj() * z),
+                     axis=1)
+        log_z = complex(np.sum(-classes.halves[:n] * acc))
+    tail = (_k_tail(classes, n, s.real, p.trunc_k)
             + _norm_tail(classes, p.trunc_norm, s.real))
     return ZetaValue(value=cmath.exp(log_z), log_value=log_z,
                      tail_bound=tail)
@@ -148,28 +150,25 @@ def selberg_log_deriv(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
     if s.real <= 1.0:
         raise ValidationError(
             f"log-derivative series needs Re(s) > 1, got s={p.s}")
-    kept = classes.upto(p.trunc_norm)
-    phase_mult = p.m - 2
+    n = classes.count_upto(p.trunc_norm)
+    norm, log_n = classes.norms[:n, None], classes.log_norms[:n, None]
     sigma = s.real
-    terms: List[complex] = []
+    total = 0.0 + 0.0j
     power_tail = 0.0
-    for c in kept:
-        half = c.multiplicity // 2
-        log_n = math.log(c.norm)
-        acc = 0.0 + 0.0j
-        ell = 1
-        # run each class's power series to machine-negligible depth so
-        # this is the exact derivative of the truncated product
-        while ell * sigma * log_n <= 44.0:
-            weight = log_n / (1.0 - c.norm ** (-ell))
-            osc = 2.0 * math.cos(phase_mult * ell * c.angle)
-            acc += weight * osc * cmath.exp(-ell * s * log_n)
-            ell += 1
-        terms.append(-half * acc)
-        drop = c.norm ** (-ell * sigma)
-        power_tail += (1.5 * c.multiplicity * log_n * drop
-                       / (1.0 - c.norm ** (-sigma)))
-    total = _pairwise_sum(terms)
+    if n:
+        # run each class's power series to machine-negligible depth
+        # (power ell while ell*sigma*log N <= 44) so this is the exact
+        # derivative of the truncated product
+        ell = np.arange(1, math.floor(44.0 / (sigma * log_n[0, 0])) + 2)
+        live = ell * sigma * log_n <= 44.0
+        terms = (log_n / (1.0 - norm ** (-ell))
+                 * np.cos((p.m - 2) * ell * classes.angles[:n, None])
+                 * np.exp(-ell * s * log_n))
+        total = complex((-2.0 * classes.halves[:n])
+                        @ np.sum(terms, axis=1, where=live))
+        drop = norm ** (-(np.sum(live, axis=1, keepdims=True) + 1) * sigma)
+        power_tail = float(np.sum(3.0 * classes.halves[:n, None] * log_n
+                                  * drop / (1.0 - norm ** (-sigma))))
     unseen = (1.5 * classes.weighted_count_constant * sigma / (sigma - 1.0)
               * p.trunc_norm ** (1.0 - sigma))
     return ZetaValue(value=total, log_value=total,
@@ -179,10 +178,11 @@ def selberg_log_deriv(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
 def ruelle(s: complex, classes: GeodesicWindow) -> RuelleValue:
     """Weight-2 ratio Z(s;2)/Z(s+1;2), checked against the direct product.
 
-    Both run over the whole window, up to its coverage, with inner
-    depth 80.  The two evaluations must agree within the combined tail
-    bounds; disagreement raises, since both are computed from the same
-    classes.
+    Both run over the whole window, up to its coverage; the ratio form
+    asks for inner depth 80, which selberg_zeta cuts where further
+    powers are machine-negligible.  The two evaluations must agree
+    within the combined tail bounds; disagreement raises, since both
+    are computed from the same classes.
     """
     s = complex(s)
     if s.real <= 1.0:
@@ -194,10 +194,12 @@ def ruelle(s: complex, classes: GeodesicWindow) -> RuelleValue:
                       classes)
     ratio = cmath.exp(za.log_value - zb.log_value)
 
-    kept = classes.upto(x)
-    terms = [-c.multiplicity * cmath.log(1.0 - cmath.exp(-s * math.log(c.norm)))
-             for c in kept]
-    direct = cmath.exp(_pairwise_sum(terms))
+    n = classes.count_upto(x)
+    log_direct = 0.0 + 0.0j
+    for half, log_n in zip(classes.halves[:n].tolist(),
+                           classes.log_norms[:n].tolist()):
+        log_direct -= 2.0 * half * cmath.log(1.0 - cmath.exp(-s * log_n))
+    direct = cmath.exp(log_direct)
     direct_tail = _norm_tail(classes, x, s.real)
 
     combined = za.tail_bound + zb.tail_bound + direct_tail

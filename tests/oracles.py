@@ -304,3 +304,137 @@ def primitive_forms_ref(d, h1, h2):
             if QuadInt(D, *gcd_coords_ref(*g, c.a, c.b, t, n)).is_unit():
                 keys.add((a.a, a.b, b.a, b.b, c.a, c.b))
     return keys
+
+
+def _pairwise_sum_ref(terms):
+    """Reduce a fixed-order term list as a balanced binary tree."""
+    vals = list(terms)
+    if not vals:
+        return 0.0 + 0.0j
+    while len(vals) > 1:
+        nxt = []
+        for i in range(0, len(vals) - 1, 2):
+            nxt.append(vals[i] + vals[i + 1])
+        if len(vals) % 2:
+            nxt.append(vals[-1])
+        vals = nxt
+    return vals[0]
+
+
+def _upto_ref(classes, x):
+    """Classes with norm <= x, by the per-class test GeodesicWindow.upto
+    made before the prefix count; x must lie within the coverage."""
+    from hilbert_selberg.errors import ValidationError
+    if x > classes.coverage * (1.0 + 1e-9):
+        raise ValidationError(f"trunc_norm={x} beyond the coverage")
+    return tuple(c for c in classes.classes if c.norm <= x * (1.0 + 1e-12))
+
+
+def _k_tail_ref(kept, sigma, k_cut):
+    total = 0.0
+    for c in kept:
+        total += (1.22 * c.multiplicity
+                  * c.norm ** (-(k_cut + 1 + sigma)) / (1.0 - 1.0 / c.norm))
+    return total
+
+
+def selberg_zeta_ref(p, classes):
+    """The class-by-class, power-by-power Euler product that
+    zetafun.selberg_zeta replaced, at the full requested depth trunc_k:
+    a ZetaValue with the same tail bound."""
+    import cmath
+    from hilbert_selberg.zetafun import ZetaValue, _norm_tail
+    s = complex(p.s)
+    kept = _upto_ref(classes, p.trunc_norm)
+    phase_mult = p.m - 2
+    terms = []
+    for c in kept:
+        half = c.multiplicity // 2
+        log_n = math.log(c.norm)
+        rot = cmath.exp(1j * phase_mult * c.angle)
+        acc = 0.0 + 0.0j
+        for k in range(p.trunc_k + 1):
+            z = cmath.exp(-(k + s) * log_n)
+            acc += cmath.log(1.0 - rot * z) + cmath.log(1.0 - rot.conjugate() * z)
+        terms.append(-half * acc)
+    log_z = _pairwise_sum_ref(terms)
+    tail = (_k_tail_ref(kept, s.real, p.trunc_k)
+            + _norm_tail(classes, p.trunc_norm, s.real))
+    return ZetaValue(value=cmath.exp(log_z), log_value=log_z,
+                     tail_bound=tail)
+
+
+def selberg_log_deriv_ref(p, classes):
+    """The per-class power loop that zetafun.selberg_log_deriv replaced."""
+    import cmath
+    from hilbert_selberg.zetafun import ZetaValue
+    s = complex(p.s)
+    kept = _upto_ref(classes, p.trunc_norm)
+    phase_mult = p.m - 2
+    sigma = s.real
+    terms = []
+    power_tail = 0.0
+    for c in kept:
+        half = c.multiplicity // 2
+        log_n = math.log(c.norm)
+        acc = 0.0 + 0.0j
+        ell = 1
+        while ell * sigma * log_n <= 44.0:
+            weight = log_n / (1.0 - c.norm ** (-ell))
+            osc = 2.0 * math.cos(phase_mult * ell * c.angle)
+            acc += weight * osc * cmath.exp(-ell * s * log_n)
+            ell += 1
+        terms.append(-half * acc)
+        drop = c.norm ** (-ell * sigma)
+        power_tail += (1.5 * c.multiplicity * log_n * drop
+                       / (1.0 - c.norm ** (-sigma)))
+    total = _pairwise_sum_ref(terms)
+    unseen = (1.5 * classes.weighted_count_constant * sigma / (sigma - 1.0)
+              * p.trunc_norm ** (1.0 - sigma))
+    return ZetaValue(value=total, log_value=total,
+                     tail_bound=power_tail + unseen)
+
+
+def ruelle_ref(s, classes):
+    """(ratio, direct): the weight-2 ratio of two depth-80 reference
+    products, and the class-by-class direct product, over the window."""
+    import cmath
+    from hilbert_selberg.zetafun import ZetaParams
+    s = complex(s)
+    x = classes.coverage
+    za = selberg_zeta_ref(ZetaParams(s=s, m=2, trunc_norm=x, trunc_k=80),
+                          classes)
+    zb = selberg_zeta_ref(ZetaParams(s=s + 1.0, m=2, trunc_norm=x,
+                                     trunc_k=80), classes)
+    ratio = cmath.exp(za.log_value - zb.log_value)
+    terms = [-c.multiplicity * cmath.log(1.0 - cmath.exp(-s * math.log(c.norm)))
+             for c in _upto_ref(classes, x)]
+    return ratio, cmath.exp(_pairwise_sum_ref(terms))
+
+
+def hyp_ell_sum_ref(m, tf, classes, single):
+    """The per-class power loop that traceform._hyp_ell_sum replaced."""
+    import numpy as np
+    from hilbert_selberg.errors import InvariantViolation
+    u_cut = float(tf.metadata["u_cut"])
+    weights, us = [], []
+    for c in _upto_ref(classes, classes.coverage):
+        half = c.multiplicity // 2
+        log_n = math.log(c.norm)
+        ell = 1
+        while ell * log_n <= u_cut:
+            w = log_n / (c.norm ** (ell / 2.0) - c.norm ** (-ell / 2.0))
+            lam = ell * c.angle
+            if single:
+                sl = math.sin(lam)
+                if abs(sl) < 1e-9:
+                    raise InvariantViolation(
+                        f"degenerate power angle at d=({c.d.a},{c.d.b}), "
+                        f"l={ell}")
+                osc = -math.sin((m - 1) * lam) / sl
+            else:
+                osc = -2.0 * math.cos((m - 2) * lam)
+            weights.append(half * w * osc)
+            us.append(ell * log_n)
+            ell += 1
+    return complex(np.dot(weights, tf.g1(us))) if us else 0.0 + 0.0j

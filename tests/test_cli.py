@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -284,6 +285,21 @@ def test_zeta_trunc_k_from_config(tmp_path, capsys):
             "--config", str(path))
     assert json.loads(run_cli(capsys, *argv)[1])["trunc_k"] == 80
     assert json.loads(run_cli(capsys, *argv, "--K", "50")[1])["trunc_k"] == 50
+
+
+def test_zeta_depth_beyond_negligible_is_free(capsys):
+    argv = ["zeta", "--D", "5", "--m", "4", "--s", "2.0+0.5i"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbert_selberg", *argv, "--K", "1000000000"],
+        env=_package_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - t0 < 5.0
+    deep = json.loads(proc.stdout)
+    base = json.loads(run_cli(capsys, *argv, "--K", "40")[1])
+    assert deep["trunc_k"] == 1000000000
+    assert complex(*deep["log_value"]) == pytest.approx(
+        complex(*base["log_value"]), rel=1e-15, abs=0.0)
 
 
 def test_zeta_m2_real(capsys):

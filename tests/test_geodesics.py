@@ -80,6 +80,13 @@ def test_window_coverage_and_cut(d5_x10):
     assert all(c.norm <= 50.0 for c in low) and cls[len(low)].norm > 50.0
     with pytest.raises(ValidationError, match="geodesics to x >= 20 first"):
         cls.upto(400.0)
+    # the prefix count carries the cut's slack: 1e-9 past the coverage,
+    # 1e-12 below a listed norm
+    assert cls.count_upto(cls.coverage * (1.0 + 0.9e-9)) == len(cls)
+    with pytest.raises(ValidationError):
+        cls.count_upto(cls.coverage * (1.0 + 1.1e-9))
+    assert cls.count_upto(cls[3].norm * (1.0 - 0.9e-12)) == 4
+    assert cls.count_upto(cls[3].norm * (1.0 - 1.1e-12)) == 3
     wide = GeodesicWindow(cls, coverage=400.0)
     assert wide.upto(400.0) == cls.classes
     assert wide.coverage == 400.0 and wide != cls

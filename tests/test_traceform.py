@@ -11,6 +11,7 @@ from hilbert_selberg.geodesics import GeodesicWindow, enumerate_geodesics
 from hilbert_selberg.quadfield import make_field
 from hilbert_selberg.traceform import (
     GeomSideBreakdown,
+    _hyp_ell_sum,
     double_difference_closed_forms,
     elliptic_zero_width_limit,
     gaussian_testfunction,
@@ -21,6 +22,7 @@ from hilbert_selberg.traceform import (
 )
 from hilbert_selberg.zetafun import (ZetaParams, selberg_log_deriv,
                                      selberg_zeta)
+from oracles import hyp_ell_sum_ref
 
 # high-precision re-evaluation of the same sums, 30 digits
 GAUSS_TOTALS_D5_BETA01 = {
@@ -261,6 +263,33 @@ def test_odd_multiplicity_rejected(d5):
     bad = [dataclasses.replace(classes[0], multiplicity=3)]
     with pytest.raises(InvariantViolation, match="odd class multiplicity 3"):
         GeodesicWindow(bad, coverage=100.0)
+
+
+@pytest.mark.parametrize("single", [True, False])
+def test_hyp_ell_sum_matches_scalar_loop(window10, single):
+    for tf in (gaussian_testfunction(0.05), gaussian_testfunction(2.0),
+               rational_testfunction(2.5 + 0.3j, 2.5, 3.5),
+               rational_testfunction(1.3, 2.0, 4.0)):
+        for m in (2, 4, 6):
+            got = _hyp_ell_sum(m, tf, window10, single)
+            want = hyp_ell_sum_ref(m, tf, window10, single)
+            assert abs(got - want) <= max(1e-13 * abs(want), 1e-15), \
+                (tf.kind, tf.metadata, m, got, want)
+
+
+def test_degenerate_power_angle_names_class_and_power(d5):
+    # angle pi/2: sin(2 * pi/2) vanishes at the second power
+    F, cls = d5
+    c = cls[0]
+    bad = GeodesicWindow([dataclasses.replace(c, angle=math.pi / 2.0),
+                          *cls[1:]], coverage=cls.coverage)
+    tf = gaussian_testfunction(0.05)
+    with pytest.raises(InvariantViolation,
+                       match=rf"degenerate power angle at "
+                             rf"d=\({c.d.a},{c.d.b}\), l=2$"):
+        geom_side_difference(4, tf, F, bad)
+    # the double difference folds to cosines and has no such pole
+    assert math.isfinite(abs(geom_side_double_difference(4, tf, F, bad).total))
 
 
 def test_heat_fit_lands_on_targets(d5):

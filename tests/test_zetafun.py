@@ -7,11 +7,14 @@ here; the leading coefficients come from the closed form evaluated at
 """
 
 import cmath
+import dataclasses
 import math
 import random
+import time
 
 import pytest
 
+from hilbert_selberg.cache import get_or_compute
 from hilbert_selberg.errors import InvariantViolation, ValidationError
 from hilbert_selberg.geodesics import GeodesicWindow, enumerate_geodesics
 from hilbert_selberg.quadfield import make_field
@@ -19,8 +22,10 @@ from hilbert_selberg.zetafun import (AlphaTable, ZetaParams, alpha_table,
                                      completed_factors, divisor_ledger,
                                      fe_identity_checks, fe_rhs, order_at,
                                      residue_point_order, ruelle,
+                                     _norm_tail,
                                      ruelle_leading, selberg_log_deriv,
                                      selberg_zeta)
+from oracles import (ruelle_ref, selberg_log_deriv_ref, selberg_zeta_ref)
 
 # residue-point orders at s = -k, k = 0..7
 RESIDUE_ORDERS = {
@@ -89,6 +94,22 @@ def test_deeper_inner_product_stays_within_tail(d5):
     a = selberg_zeta(ZetaParams(2.0 + 0.5j, 4, 100.0, 8), cls)
     b = selberg_zeta(ZetaParams(2.0 + 0.5j, 4, 100.0, 16), cls)
     assert abs(a.log_value - b.log_value) <= a.tail_bound
+
+
+def test_depth_beyond_negligible_costs_nothing(d5):
+    # 10^9 powers would be hours of work and about 200 GB as one array;
+    # past the cut every power is below the sum's rounding
+    F, cls = d5
+    p = ZetaParams(2.0 + 0.5j, 4, 100.0, 40)
+    t0 = time.perf_counter()
+    deep = selberg_zeta(dataclasses.replace(p, trunc_k=10 ** 9), cls)
+    assert time.perf_counter() - t0 < 5.0
+    base = selberg_zeta(p, cls)
+    assert abs(deep.log_value - base.log_value) \
+        <= 1e-15 * abs(base.log_value)
+    # the tail is still placed at the requested depth, where the k-tail
+    # underflows and only the norm tail is left
+    assert deep.tail_bound == _norm_tail(cls, 100.0, 2.0)
 
 
 def test_conjugation_symmetry(d5):
@@ -299,3 +320,63 @@ def test_fe_identity_checks(d5):
     report = fe_identity_checks(F, n_points=20, nus=(2, 3, 5, 6))
     assert report["xi_max_err"] <= 1e-8
     assert report["gnu_ratio_max_err"] <= 1e-8
+
+
+# ------------------------------------------------------------ scalar oracles
+
+SIGMAS = (1.05, 2.0, 40.0)
+
+
+def _close(got, want, floor=1e-15):
+    return abs(got - want) <= max(1e-13 * abs(want), floor)
+
+
+def _cuts(cls):
+    """trunc_norm at each listed norm, just below it, and at the coverage."""
+    cuts = [x for c in cls for x in (c.norm, math.nextafter(c.norm, 0.0))]
+    return [x for x in cuts if x >= 3.0] + [cls.coverage]
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_products_match_scalar_loops(window10, m):
+    for sigma in SIGMAS:
+        s = complex(sigma, 0.5)
+        for x in _cuts(window10):
+            for k in (0, 1, 5, 40, 80):
+                p = ZetaParams(s, m, x, k)
+                got = selberg_zeta(p, window10)
+                want = selberg_zeta_ref(p, window10)
+                assert _close(got.log_value, want.log_value), (p, got, want)
+                assert _close(got.value, want.value), (p, got, want)
+                assert _close(got.tail_bound, want.tail_bound, 0.0), \
+                    (p, got, want)
+            got = selberg_log_deriv(p, window10)
+            want = selberg_log_deriv_ref(p, window10)
+            assert _close(got.value, want.value), (p, got, want)
+            assert _close(got.tail_bound, want.tail_bound, 0.0), \
+                (p, got, want)
+
+
+def test_ruelle_matches_scalar_loops(window10):
+    for sigma in SIGMAS:
+        r = ruelle(complex(sigma, 0.5), window10)
+        ratio, direct = ruelle_ref(complex(sigma, 0.5), window10)
+        assert _close(r.value, ratio), (sigma, r, ratio)
+        assert _close(r.direct, direct), (sigma, r, direct)
+
+
+def test_cached_window_gives_identical_values(d5, tmp_path):
+    _, fresh = d5
+    assert fresh.norms[0] == fresh[0].norm  # columns built before the store
+    key = ("geodesics", {"D": 5, "x": 10.0})
+    get_or_compute(*key, lambda: fresh, cache_dir=str(tmp_path))
+    loaded = get_or_compute(*key, lambda: pytest.fail("expected a hit"),
+                            cache_dir=str(tmp_path))
+    # the columns are derived again after the load, not pickled
+    assert set(vars(loaded)) == {"classes", "coverage"}
+    assert loaded == fresh
+    for m in (2, 4, 6):
+        p = ZetaParams(2.0 + 0.5j, m, fresh.coverage, 40)
+        assert selberg_zeta(p, loaded) == selberg_zeta(p, fresh)
+        assert selberg_log_deriv(p, loaded) == selberg_log_deriv(p, fresh)
+    assert ruelle(2.5, loaded) == ruelle(2.5, fresh)
