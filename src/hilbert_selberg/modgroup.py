@@ -34,8 +34,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
 from .quadfield import (FieldCtx, QuadInt, _box_rows, _coord_mul,
-                        _embed_consts, _factor_pairs, _omega_trace_norm,
-                        lattice_points)
+                        _embed_consts, _factor_pairs, _omega_trace_norm)
 
 Key = Tuple[int, int, int, int, int, int, int, int]
 
@@ -404,16 +403,6 @@ class EllipticClass:
     theta2: float
 
 
-def _elliptic_traces(F: FieldCtx) -> List[QuadInt]:
-    """All t in O_K with |embed(t, j)| < 2 exactly, j = 1, 2."""
-    out = []
-    for t in lattice_points(F.D, 2.0 + 1e-9, 2.0 + 1e-9):
-        if (t - 2).sign_embed(1) < 0 and (t + 2).sign_embed(1) > 0 \
-                and (t - 2).sign_embed(2) < 0 and (t + 2).sign_embed(2) > 0:
-            out.append(t)
-    return out
-
-
 def _two_cos_table(F: FieldCtx) -> Dict[int, QuadInt]:
     """Exact 2cos(pi/nu) as elements of O_K, for the nu possible in K."""
     table = {2: F.elem(0), 3: F.elem(1)}
@@ -474,23 +463,11 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0
     cap_bfs = height_bound * 2.5
     w1, w2 = _embed_consts(D)
 
-    # collect candidate matrices, bucketed by PSL trace
-    buckets: Dict[Key, List[Key]] = {}
+    # collect candidate matrices, one bucket per order; trace -tr gives
+    # the negatives of the trace-tr matrices, the same PSL elements
+    buckets: Dict[int, List[Key]] = {}
     meta: Dict[Key, Tuple[int, int, float, float]] = {}
-    seen_traces = set()
-    for tr in _elliptic_traces(F):
-        psl_tr = min((tr.a, tr.b), (-tr.a, -tr.b))
-        if psl_tr in seen_traces:
-            continue
-        seen_traces.add(psl_tr)
-        # which nu (if any) makes this an admissible generator trace
-        nu = None
-        for cand_nu, ct in two_cos.items():
-            if tr == ct or tr == -ct:
-                nu = cand_nu
-                break
-        if nu is None:
-            continue  # power-only trace values
+    for nu, tr in two_cos.items():
         for key in _matrices_with_trace(F, tr, height_bound,
                                         height_bound).tolist():
             g = GroupElem.from_key(key, D)  # signs as in _normalize_rows
@@ -513,7 +490,7 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0
                 raise InvariantViolation(
                     f"bad rotation angle {theta2} for nu={nu}")
             nk = g.key()
-            buckets.setdefault(psl_tr + (nu,), []).append(nk)
+            buckets.setdefault(nu, []).append(nk)
             meta[nk] = (nu, tj, math.acos(tr1.embed(1) / 2.0), theta2)
 
     # partition each bucket by conjugation BFS, keeping the orbits

@@ -7,6 +7,12 @@ b^2 - 4ac = d fall into finitely many SL(2, O_K)-orbits; the class
 number h_K(d) is computed twice, by a direct orbit partition of the
 forms and by counting matrix conjugacy classes through the stabilizer
 generator map, and the two counts must agree.
+
+Primitivity is one exact test on both routes: a form (a, b, c) is
+primitive when the ideal (a, b, c) is all of O_K, that is, when its
+index in O_K, the gcd of the 2x2 minors of its Z-generators, is 1.  No
+gcd element is ever needed, so there is no division step to stall and
+no search.
 """
 
 import math
@@ -18,83 +24,48 @@ import numpy as np
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
 from .modgroup import (GroupElem, Orbit, capped_bfs, conjugation_orbit,
                        partition_orbits, _matrices_with_trace, _normalize_rows,
-                       _sign_rows, _MU_A, _MU_B)
+                       _MU_A, _MU_B)
 from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
                         _box_rows, _coord_mul, _embed_consts, _factor_pairs,
                         _omega_trace_norm)
 
 __all__ = [
-    "FormOverOK", "PellSolution", "DiscriminantRecord", "content", "in_Dpm",
-    "pell_fundamental", "class_number", "form_to_matrix", "enumerate_forms",
+    "FormOverOK", "PellSolution", "DiscriminantRecord", "content_norm",
+    "in_Dpm", "pell_fundamental", "class_number", "form_to_matrix",
+    "enumerate_forms",
 ]
 
 
-# ------------------------------------------------------------ gcd kernel
+# ------------------------------------------------------- content ideal
 
 
-def _gcd_rows(xa: np.ndarray, xb: np.ndarray, ya: np.ndarray,
-              yb: np.ndarray, t: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-wise coordinates of a gcd of xa + xb*w and ya + yb*w in O_K,
-    where w^2 = t*w - n, by nearest-lattice division with a neighbor
-    rescue, on int64 arrays.
+def _content_norm_rows(rows: np.ndarray, t: int, n: int) -> np.ndarray:
+    """Index in O_K of the ideal spanned by the three coordinate pairs of
+    each (N, 6) form row, where w^2 = t*w - n: the norm of the content
+    ideal, 1 exactly when the form is primitive, 0 for the zero form.
 
-    Nearest rounding strictly shrinks |N(r)| in the norm-Euclidean
-    fields; elsewhere a small offset scan usually rescues the step, and
-    a budget error is raised if it cannot, or if a product of the step
-    could reach 2^62.
+    As a Z-lattice in O_K = Z + Zw the ideal is spanned by each
+    coefficient x + y*w and its product with w, -n*y + (x + t*y)*w, and
+    the index of a lattice spanned by vectors of Z^2 is the gcd of their
+    2x2 minors (Cohen, GTM 138, 2.4).  Exact on int64 rows while the
+    minors stay inside int64, and on object rows of Python ints for any
+    size.
     """
-    def norm(a, b):
-        return np.abs(a * a + t * a * b + n * b * b)
-
-    xa, xb, ya, yb = (np.array(v, dtype=np.int64) for v in (xa, xb, ya, yb))
-    for _ in range(200):
-        live = np.nonzero((ya != 0) | (yb != 0))[0]
-        if not live.size:
-            return xa, xb
-        xl, xm, yl, ym = xa[live], xb[live], ya[live], yb[live]
-        # q*y, with q up to (|n| + 4) M^2 + 3, is the largest product;
-        # remainders are (x/y - q)*y, x/y - q of coordinates up to 3/2
-        M = max(int(np.abs(v).max()) for v in (xl, xm, yl, ym))
-        if (abs(n) + 4) ** 3 * (M + 2) ** 3 >= 2 ** 62:
-            raise BudgetExceededError(
-                f"gcd coordinates up to {M} overflow int64 arithmetic")
-        ny = yl * yl + t * yl * ym + n * ym * ym
-        # nearest quotient: x * conj(y) / N(y), conj(y) = (ya + t*yb, -yb)
-        numa, numb = _coord_mul(xl, xm, yl + t * ym, -ym, t, n)
-        sgn, m = np.sign(ny), np.abs(ny)
-        qa = (2 * sgn * numa + m) // (2 * m)
-        qb = (2 * sgn * numb + m) // (2 * m)
-        pa, pb = _coord_mul(qa, qb, yl, ym, t, n)
-        ra, rb = xl - pa, xm - pb
-        bad = np.nonzero(norm(ra, rb) >= m)[0]
-        if bad.size:
-            # argmin keeps the first minimum of the 3x3 scan, da-major
-            da, db = np.divmod(np.arange(9), 3)
-            pa, pb = _coord_mul(qa[bad, None] + da - 1, qb[bad, None] + db - 1,
-                                yl[bad, None], ym[bad, None], t, n)
-            sa, sb = xl[bad, None] - pa, xm[bad, None] - pb
-            best = norm(sa, sb).argmin(axis=1)
-            r = np.arange(bad.size)
-            ra[bad], rb[bad] = sa[r, best], sb[r, best]
-            if np.any(norm(ra[bad], rb[bad]) >= m[bad]):
-                raise BudgetExceededError(  # t^2 - 4n is the field's D
-                    f"euclidean step stalled for D={t * t - 4 * n}; "
-                    "field may not admit nearest-lattice division")
-        xa[live], xb[live], ya[live], yb[live] = yl, ym, ra, rb
-    raise BudgetExceededError("gcd iteration budget exhausted")
+    x, y = rows[:, 0::2], rows[:, 1::2]
+    u = np.concatenate([x, -n * y], axis=1)
+    v = np.concatenate([y, x + t * y], axis=1)
+    g = 0  # one minor at a time: no (N, 15) temporaries
+    for i, j in zip(*np.triu_indices(6, 1)):
+        g = np.gcd(g, u[:, i] * v[:, j] - u[:, j] * v[:, i])
+    return g
 
 
-def _content_rows(rows: np.ndarray, t: int, n: int
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-wise gcd of the three coordinate pairs of (N, 6) form rows."""
-    return _gcd_rows(*_gcd_rows(*rows[:, :4].T, t, n), *rows[:, 4:].T, t, n)
-
-
-def content(a: QuadInt, b: QuadInt, c: QuadInt) -> QuadInt:
-    """gcd of the three coefficients (any associate)."""
+def content_norm(a: QuadInt, b: QuadInt, c: QuadInt) -> int:
+    """Norm of the ideal (a, b, c) of O_K; 1 exactly when the form with
+    these coefficients is primitive.  Exact for coefficients of any size."""
     t, n = _omega_trace_norm(a.D)
-    ka, kb = _content_rows(np.array([[a.a, a.b, b.a, b.b, c.a, c.b]]), t, n)
-    return QuadInt(a.D, int(ka[0]), int(kb[0]))
+    row = np.array([[a.a, a.b, b.a, b.b, c.a, c.b]], dtype=object)
+    return int(_content_norm_rows(row, t, n)[0])
 
 
 # ------------------------------------------------------------ form type
@@ -114,7 +85,7 @@ class FormOverOK:
     def __post_init__(self):
         if not (self.a.D == self.b.D == self.c.D):
             raise ValidationError("form coefficients from different fields")
-        if not content(self.a, self.b, self.c).is_unit():
+        if content_norm(self.a, self.b, self.c) != 1:
             raise ValidationError("form is not primitive")
 
     @property
@@ -291,7 +262,8 @@ def enumerate_forms(d: QuadInt, F: FieldCtx,
     t, n = _omega_trace_norm(D)
     h1, h2 = _form_boxes(d, height)
     # box coordinates are at most H, |b^2 - d| at most N; the products
-    # of the scan stay under 4(|n| + 4) H N
+    # of the scan stay under 4(|n| + 4) H N, and so do the primitivity
+    # minors, which are at most 2((|n| + 2) H)^2 as N >= (|n| + 3) H^2
     H = math.floor(h1 + h2) + 1
     N = (abs(n) + 3) * H * H + abs(d.a) + abs(d.b)
     if 4 * (abs(n) + 4) * H * N >= 2 ** 62:
@@ -303,9 +275,7 @@ def enumerate_forms(d: QuadInt, F: FieldCtx,
     j = np.nonzero((num % 4 == 0).all(axis=1))[0]
     i, a, c = _factor_pairs(num[j] // 4, box, D, h1, h2)
     rows = np.column_stack([a, box[j[i]], c])
-    ka, kb = _content_rows(rows, t, n)
-    unit = np.abs(ka * ka + t * ka * kb + n * kb * kb) == 1
-    return rows[unit]
+    return rows[_content_norm_rows(rows, t, n) == 1]
 
 
 # ------------------------------------------------- matrix-count oracle
@@ -323,46 +293,43 @@ def _matrix_boxes(pell: PellSolution, height: float) -> Tuple[float, float]:
     return out[0], out[1]
 
 
-def _matrix_keys(dc: QuadInt, pell: PellSolution, F: FieldCtx,
+def _matrix_keys(pell: PellSolution, F: FieldCtx,
                  m1: float, m2: float) -> np.ndarray:
     """Sign-normalized key rows, (N, 8), of the oracle's matrices: those
-    of trace t0 in the entry boxes whose primitive form content matches
-    dc.
+    of trace t0 in the entry boxes whose form is u0 times a primitive
+    form.
 
-    This walks the stabilizer-generator correspondence backwards:
-    a matrix [[A, B], [C, E]] of trace t0 carries the form
-    (C, E - A, -B); dividing out the content k leaves a primitive form
-    whose discriminant must canonicalize to dc.
+    This walks the stabilizer-generator correspondence backwards.  A
+    matrix [[A, B], [C, E]] of trace t0 and determinant 1 carries the
+    form (C, E - A, -B), of discriminant (E - A)^2 + 4BC = t0^2 - 4 =
+    dc u0^2 by the Pell relation, dc = pell.d.  Dividing by its content
+    k leaves a primitive form of discriminant dc (u0/k)^2, which is
+    mixed-sign as dc is and (u0/k)^2 is totally positive.
+    canonical_disc identifies d with d eps^(2j) only, so that
+    discriminant canonicalizes to dc exactly when (u0/k)^2 = eps^(2j),
+    that is, when u0/k is a unit.  Equivalently, u0 divides C, E - A
+    and B, and the quotient form is primitive.
     """
     D = F.D
     t, n = _omega_trace_norm(D)
     rows = _matrices_with_trace(F, pell.t0, m1, m2)
     aa, ab, ba, bb, ca, cb, ea, eb = rows.T
-    # disc = (E - A)^2 + 4BC fits int64 as the boxes hold t0; the sign
-    # tests square it, and disc * conj(k^2) / N(k)^2 divides by k^2
-    sa, sb = _coord_mul(ea - aa, eb - ab, ea - aa, eb - ab, t, n)
-    pa, pb = _coord_mul(ba, bb, ca, cb, t, n)
-    da, db = sa + 4 * pa, sb + 4 * pb
-    ka, kb = _content_rows(
-        np.column_stack([ca, cb, ea - aa, eb - ab, -ba, -bb]), t, n)
-    Md, Mk = (int(np.abs(v).max(initial=0)) for v in ((da, db), (ka, kb)))
-    if (max(9, D) * Md * Md >= 2 ** 62
-            or 2 * (abs(n) + 3) ** 2 * Mk * Mk * max(Md, Mk * Mk) >= 2 ** 62):
+    form = np.column_stack([ca, cb, ea - aa, eb - ab, -ba, -bb])
+    # x / u0 = x conj(u0) / N(u0); with form coordinates up to M and
+    # those of conj(u0) up to U the products stay under P, and so do
+    # the quotient's, whose primitivity minors stay under 2(|n| + 3)^2 P^2
+    ua, ub = pell.u0.a + t * pell.u0.b, -pell.u0.b
+    norm_u0 = pell.u0.norm()
+    M = int(np.abs(form).max(initial=0))
+    P = (abs(n) + 3) * M * max(abs(ua), abs(ub))
+    if 2 * (abs(n) + 3) ** 2 * P * P >= 2 ** 62:
         raise BudgetExceededError(
             f"matrix boxes ({m1:.6g}, {m2:.6g}) overflow int64 arithmetic")
-    # k^2 is totally positive, so disc / k^2 has the signs of disc
-    A = 2 * da + t * db
-    mixed = (_sign_rows(A, db, D) > 0) & (_sign_rows(A, -db, D) < 0)
-    rows, da, db, ka, kb = (v[mixed] for v in (rows, da, db, ka, kb))
-    k2a, k2b = _coord_mul(ka, kb, ka, kb, t, n)
-    na, nb = _coord_mul(da, db, k2a + t * k2b, -k2b, t, n)
-    nk2 = (ka * ka + t * ka * kb + n * kb * kb) ** 2
-    # few distinct discriminants recur many times
-    discs, inv = np.unique(np.column_stack([na // nk2, nb // nk2]), axis=0,
-                           return_inverse=True)
-    match = np.array([canonical_disc(QuadInt(D, a, b), F) == dc
-                      for a, b in discs.tolist()], dtype=bool)
-    return _normalize_rows(rows[match[inv.reshape(-1)]], D, t)
+    prod = np.stack(_coord_mul(form[:, 0::2], form[:, 1::2], ua, ub, t, n),
+                    axis=2).reshape(-1, 6)
+    keep = (prod % norm_u0 == 0).all(axis=1)
+    keep[keep] = _content_norm_rows(prod[keep] // norm_u0, t, n) == 1
+    return _normalize_rows(rows[keep], D, t)
 
 
 # ------------------------------------------------------- class numbers
@@ -398,7 +365,7 @@ def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
     m1, m2 = _matrix_boxes(pell, height)
     mcap1, mcap2 = max(cap1, 1.5 * m1), max(cap2, 1.5 * m2)
     h_matrix = sum(1 for _ in partition_orbits(
-        _matrix_keys(dc, pell, F, m1, m2),
+        _matrix_keys(pell, F, m1, m2),
         lambda k: conjugation_orbit(k, D, mcap1, mcap2)[0]))
     if h_orbit != h_matrix:
         raise InvariantViolation(

@@ -180,6 +180,25 @@ def gcd_coords_ref(xa, xb, ya, yb, t, n):
     raise BudgetExceededError("gcd iteration budget exhausted")
 
 
+def ideal_index_ref(row, t, n):
+    """Index in O_K = Z + Zw, w^2 = t*w - n, of the ideal spanned by the
+    three coordinate pairs of a form row, by integer Hermite reduction
+    of its 2x6 generator matrix (columns x and x*w = (-n*y, x + t*y)).
+    Euclid's column steps on the first row leave one pivot column (p, s)
+    and columns (0, r_i); the lattice is then spanned by (p, s) and
+    (0, gcd r_i), of index |p * gcd r_i|."""
+    cols = []
+    for x, y in zip(row[0::2], row[1::2]):
+        cols += [(x, y), (-n * y, x + t * y)]
+    pivot, rest = (0, 0), 0
+    for col in cols:
+        while col[0]:
+            q = pivot[0] // col[0]
+            pivot, col = col, (pivot[0] - q * col[0], pivot[1] - q * col[1])
+        rest = math.gcd(rest, col[1])
+    return abs(pivot[0] * rest)
+
+
 def normalize_key_ref(key, D):
     """Negate the key when its first nonzero entry x + y*w has negative
     first embedding (QuadInt.sign_embed)."""

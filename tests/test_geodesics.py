@@ -8,8 +8,8 @@ from hilbert_selberg.errors import ValidationError
 from hilbert_selberg.geodesics import (GeodesicWindow, class_average_report,
                                        enumerate_geodesics, pgt_report,
                                        square_divisor_quotients)
-from hilbert_selberg.pellforms import content, form_to_matrix
-from hilbert_selberg.quadfield import QuadInt, canonical_disc, make_field
+from hilbert_selberg.pellforms import content_norm, form_to_matrix
+from hilbert_selberg.quadfield import QuadInt, make_field
 from hilbert_selberg.specfun import li
 
 # D=5, eps <= 10, ordered by norm; (d coords, multiplicity) frozen after
@@ -37,17 +37,16 @@ def test_frozen_list_x10(d5_x10):
 
 def test_form_matrix_round_trip(d5_x10):
     # [[A, B], [C, E]] = form_to_matrix(Q) carries the form (C, E - A, -B),
-    # which is u0 * Q; dividing by its content leaves a unit multiple of Q
+    # which is exactly u0 * Q up to the sign of g; Q is primitive
     F, cls = d5_x10
     for c in cls:
+        t0, u0 = c.record.pell.t0, c.record.pell.u0
         for Q in c.record.forms:
             g = form_to_matrix(Q, c.record.pell)
-            form = (g.c, g.d - g.a, -g.b)
-            k = content(*form)
-            qa, qb, qc = (x.exact_div(k) for x in form)
-            u = qa.exact_div(Q.a)
-            assert u.is_unit() and qb == u * Q.b and qc == u * Q.c
-            assert canonical_disc(qb * qb - 4 * (qa * qc), F) == c.d
+            su0 = u0 if g.trace() == t0 else -u0
+            assert (g.c, g.d - g.a, -g.b) == (su0 * Q.a, su0 * Q.b, su0 * Q.c)
+            assert content_norm(Q.a, Q.b, Q.c) == 1
+            assert Q.disc == c.d
 
 
 def test_class_invariants(d5_x10):

@@ -13,8 +13,7 @@ from hilbert_selberg.modgroup import (
     _matrices_with_trace, _normalize_rows, _row_packer,
 )
 from hilbert_selberg.pellforms import (enumerate_forms, form_orbit,
-                                       _form_neighbors, _gcd_rows,
-                                       _matrix_keys)
+                                       _form_neighbors, _matrix_keys)
 from hilbert_selberg.quadfield import (QuadInt, lattice_points, make_field,
                                        _omega_trace_norm)
 
@@ -296,22 +295,17 @@ class TestArithmeticGuards:
         with pytest.raises(BudgetExceededError, match="int64"):
             enumerate_forms(QuadInt(5, -7, 5), F, height=1e9)
 
-    def test_gcd_rows(self, monkeypatch):
-        monkeypatch.setattr(pellforms, "_coord_mul", None)
-        with pytest.raises(BudgetExceededError, match="int64"):
-            _gcd_rows([3], [1], [2 ** 20], [5], 1, -1)
-
     def test_oracle_filter(self, monkeypatch):
-        # the gcd kernel takes these entries, but the sign tests would
-        # square discriminant coordinates past int64
-        big = np.array([[2 ** 15, 0, 1, 0, 1, 0, -2 ** 15, 0]])
+        # the products with conj(u0) fit int64, but the primitivity minors
+        # of the quotient would square its coordinates past int64
+        F = make_field(5)
+        pell = pellforms.pell_fundamental(QuadInt(5, 1, 8), F)  # u0 = 1
+        big = np.array([[2 ** 31, 0, 1, 0, 1, 0, -2 ** 31, 0]])
         monkeypatch.setattr(pellforms, "_matrices_with_trace",
                             lambda *args: big)
-        monkeypatch.setattr(pellforms, "_sign_rows", None)
-        F = make_field(5)
-        pell = pellforms.pell_fundamental(QuadInt(5, 1, 8), F)
+        monkeypatch.setattr(pellforms, "_coord_mul", None)
         with pytest.raises(BudgetExceededError, match="matrix boxes"):
-            _matrix_keys(pell.d, pell, F, 10.0, 10.0)
+            _matrix_keys(pell, F, 10.0, 10.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,15 +14,19 @@ from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
 from hilbert_selberg.geodesics import enumerate_geodesics
 from hilbert_selberg.modgroup import (GroupElem, capped_bfs, classify,
                                       _matrices_with_trace)
-from hilbert_selberg.pellforms import (FormOverOK, class_number, content,
-                                       enumerate_forms, form_to_matrix, in_Dpm,
-                                       pell_fundamental, _form_boxes,
-                                       _gcd_rows, _matrix_boxes, _matrix_keys)
-from hilbert_selberg.quadfield import (QuadInt, canonical_disc,
-                                       fundamental_unit, lattice_points,
-                                       make_field, _omega_trace_norm)
+from hilbert_selberg.pellforms import (FormOverOK, class_number,
+                                       content_norm, enumerate_forms,
+                                       form_to_matrix, in_Dpm,
+                                       pell_fundamental, _content_norm_rows,
+                                       _form_boxes, _matrix_boxes,
+                                       _matrix_keys)
+from hilbert_selberg.quadfield import (CLASS_NUMBER_ONE, QuadInt,
+                                       canonical_disc, fundamental_unit,
+                                       lattice_points, make_field,
+                                       _omega_trace_norm)
 
-from oracles import gcd_coords_ref, matrix_filter_ref, primitive_forms_ref
+from oracles import (gcd_coords_ref, ideal_index_ref, matrix_filter_ref,
+                     primitive_forms_ref)
 
 # Canonical mixed-sign discriminants with eps_K(d) <= 15 over Q(sqrt(5)),
 # with class numbers confirmed by both the form-orbit partition and the
@@ -302,64 +306,59 @@ def test_principal_form_from_witness(sweep5):
         assert Q.disc == d
 
 
-def _gcd(x, y):
-    ga, gb = _gcd_rows([x.a], [x.b], [y.a], [y.b], *_omega_trace_norm(x.D))
-    return QuadInt(x.D, int(ga[0]), int(gb[0]))
-
-
-def test_gcd_rows_basics():
-    g = _gcd(QuadInt(5, 4, 8), QuadInt(5, 6, 0))
-    assert abs(g.norm()) == 4  # associate of 2
-    u = _gcd(QuadInt(5, 0, 1), QuadInt(5, 1, 0))
-    assert abs(u.norm()) == 1
-
-
 def test_content_divides_all():
     a, b, c = QuadInt(5, 6, 0), QuadInt(5, 2, 4), QuadInt(5, 0, 2)
-    k = content(a, b, c)
-    assert all(k.divides(x) for x in (a, b, c))
-    assert abs(k.norm()) == 4
-
-
-def _quadints(D):
-    return st.builds(lambda a, b: QuadInt(D, a, b),
-                     st.integers(-60, 60), st.integers(-60, 60))
-
-
-def _associates(x, y):
-    return x.divides(y) and y.divides(x)
+    assert content_norm(a, b, c) == 4  # (a, b, c) = 2 * (3, 1+2w, w)
+    assert content_norm(*(x.exact_div(QuadInt(5, 2, 0))
+                          for x in (a, b, c))) == 1
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([5, 8]).flatmap(
-    lambda D: st.tuples(_quadints(D), _quadints(D), _quadints(D))))
-def test_gcd_rows_divides_and_scales(xyz):
-    x, y, z = xyz
-    g = _gcd(x, y)
-    assert g.divides(x) and g.divides(y)
-    assert _associates(_gcd(z * x, z * y), z * g)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([5, 8, 12, 29, 69]),
-       st.lists(st.tuples(*[st.integers(-60, 60)] * 4), min_size=1,
-                max_size=40))
-@example(69, [(-31, -17, 36, 1)])  # the nearest step and its rescue stall
-def test_gcd_rows_matches_scalar_reference(D, rows):
+@given(st.sampled_from(sorted(CLASS_NUMBER_ONE)),
+       st.lists(st.tuples(*[st.integers(-60, 60)] * 6), min_size=1,
+                max_size=20),
+       st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
+@example(69, [(-31, -17, 36, 1, 0, 0)], (1, 0))  # the Euclidean step stalls
+def test_content_norm_is_the_ideal_index(D, rows, z):
+    # the norm of the ideal (a, b, c), on int64 rows and on QuadInts; it
+    # is |N| of a gcd wherever the Euclidean reference finds one, and
+    # scales by |N(z)| when every coefficient is multiplied by z
     t, n = _omega_trace_norm(D)
-    want, errors = [], set()
-    for row in rows:
+    want = [ideal_index_ref(row, t, n) for row in rows]
+    assert _content_norm_rows(np.array(rows), t, n).tolist() == want
+    z = QuadInt(D, *z)
+    scaled = []
+    for row, k in zip(rows, want):
+        a, b, c = (QuadInt(D, row[i], row[i + 1]) for i in (0, 2, 4))
+        assert content_norm(a, b, c) == k
+        scaled.append([v for x in (a, b, c) for v in ((z * x).a, (z * x).b)])
         try:
-            want.append(gcd_coords_ref(*row, t, n))
-        except BudgetExceededError as exc:
-            errors.add(str(exc))
-    if errors:
-        with pytest.raises(BudgetExceededError) as exc:
-            _gcd_rows(*np.array(rows).T, t, n)
-        assert str(exc.value) in errors
-    else:
-        ga, gb = _gcd_rows(*np.array(rows).T, t, n)
-        assert list(zip(ga.tolist(), gb.tolist())) == want
+            g = gcd_coords_ref(*gcd_coords_ref(*row[:4], t, n), *row[4:],
+                               t, n)
+        except BudgetExceededError:
+            pass  # nearest-quotient division stalls in this field
+        else:
+            assert abs(QuadInt(D, *g).norm()) == k
+        assert content_norm(z * a, z * b, z * c) == abs(z.norm()) * k
+    assert (_content_norm_rows(np.array(scaled), t, n).tolist()
+            == [abs(z.norm()) * k for k in want])
+
+
+# fields whose form route at height 8 still finds fewer classes than the
+# matrix route at x = 8 (ROADMAP item 7's form boxes)
+ROUTE_MISMATCH_X8 = {17, 21, 24, 28, 29, 33, 37, 41, 44, 53, 56, 57, 61, 69,
+                     73, 76, 77, 88, 92}
+
+
+@pytest.mark.parametrize("D", [
+    pytest.param(D, marks=pytest.mark.xfail(
+        strict=True, raises=InvariantViolation,
+        reason="form boxes miss classes")) if D in ROUTE_MISMATCH_X8 else D
+    for D in sorted(CLASS_NUMBER_ONE)])
+def test_every_field_enumerates_within_budget(D):
+    # no class-number-one field runs out of a search or arithmetic budget
+    window = enumerate_geodesics(make_field(D), 8.0)
+    assert all(c.norm <= 64.0 * (1 + 1e-12) for c in window)
 
 
 @pytest.mark.parametrize("D,x", [(5, 12.0), (8, 10.0), (12, 10.0)])
@@ -369,7 +368,6 @@ def test_row_filter_matches_matrix_filter_ref(D, x):
         pell = c.record.pell
         m1, m2 = _matrix_boxes(pell, 8.0)
         rows = _matrices_with_trace(F, pell.t0, m1, m2).tolist()
-        keys = list(map(tuple, _matrix_keys(c.record.d, pell, F, m1,
-                                            m2).tolist()))
+        keys = list(map(tuple, _matrix_keys(pell, F, m1, m2).tolist()))
         assert len(keys) == len(set(keys))
         assert set(keys) == matrix_filter_ref(rows, c.record.d, F)

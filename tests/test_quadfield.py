@@ -1,6 +1,8 @@
+import functools
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,9 @@ from hilbert_selberg.quadfield import (
     format_quadint, fundamental_unit, is_fundamental_discriminant,
     kronecker, lattice_points, make_field, parse_quadint, sigma1,
     zeta_minus_one, bernoulli_L_minus_one, _box_rows, _factor_pairs,
+    _omega_trace_norm,
 )
+from hilbert_selberg.modgroup import _sign_rows
 
 from oracles import (factor_pairs_ref, kronecker_ref, L_minus_one_ref,
                      zeta_K_minus_one_ref)
@@ -271,3 +275,68 @@ def test_factor_pairs_matches_quadint_reference(D, b1, b2, cap1, cap2, data):
     got = [(r, *yy, *zz) for r, yy, zz in zip(i.tolist(), y.tolist(),
                                               z.tolist())]
     assert got == factor_pairs_ref(P.tolist(), box.tolist(), D, cap1, cap2)
+
+
+@functools.lru_cache(maxsize=None)
+def _near_zero(D):
+    """(tiny, fits): elements of O_K whose first embedding is below 1e-9,
+    and the ten deepest whose (A, b) = (2a + t*b, b) are inside
+    _sign_rows' int64 precondition.  Drawn from p - q*sqrt(D) for the
+    continued-fraction convergents p/q of sqrt(D) and from the conjugates
+    of the powers of the fundamental unit, up to coordinates 10^24."""
+    t, _ = _omega_trace_norm(D)
+    r = math.isqrt(D)
+    cands = []
+    m, d, a = 0, 1, r
+    p, p_prev, q, q_prev = r, 1, 1, 0
+    while q < 10 ** 24:
+        cands.append(QuadInt(D, p + q * t, -2 * q))  # p - q*sqrt(D)
+        m = d * a - m
+        d = (D - m * m) // d
+        a = (r + m) // d
+        p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
+    eps, u = fundamental_unit(D), QuadInt(D, 1, 0)
+    while abs(u.a) < 10 ** 24:
+        u = u * eps
+        cands.append(u.conj())
+    tiny = [x for x in cands if abs(_embed_mp(x, 1)) < 1e-9]
+    fits = [x for x in cands if (2 * x.a + t * x.b) ** 2 < 2 ** 63
+            and x.b * x.b * D < 2 ** 63]
+    fits.sort(key=lambda x: abs(x.a))
+    return tiny, fits[-10:]
+
+
+def _embed_mp(x, j):
+    t, _ = _omega_trace_norm(x.D)
+    with mp.workdps(60):
+        s = mp.sqrt(x.D) if j == 1 else -mp.sqrt(x.D)
+        return x.a + x.b * (t + s) / 2
+
+
+@pytest.mark.parametrize("D", sorted(CLASS_NUMBER_ONE))
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6),
+                          st.sampled_from([1, 2]), st.sampled_from([1, -1])),
+                min_size=1, max_size=6),
+       st.integers(-50, 50), st.integers(-50, 50))
+def test_exact_signs_near_the_boundary(D, picks, za, zb):
+    # exact embedding signs against mpmath at 60 digits, at both slots,
+    # on elements whose embedding at `slot` nearly vanishes
+    t, _ = _omega_trace_norm(D)
+    tiny, fits = _near_zero(D)
+    z = QuadInt(D, za, zb)
+    rows = []
+    for deep, k, slot, sign in picks:
+        pool = fits if deep else tiny
+        x = sign * pool[k % len(pool)]
+        x = x if slot == 1 else x.conj()
+        for j in (1, 2):
+            ref = int(mp.sign(_embed_mp(x, j)))
+            assert x.sign_embed(j) == ref
+            assert (x + z).compare_embed(z, j) == ref
+            assert (x + za).compare_embed(za, j) == ref
+            if deep:
+                rows.append((2 * x.a + t * x.b, x.b if j == 1 else -x.b, ref))
+    if rows:
+        A, b, ref = np.array(rows, dtype=np.int64).T
+        assert (_sign_rows(A, b, D) == ref).all()
