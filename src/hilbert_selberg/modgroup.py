@@ -7,32 +7,20 @@ searches walk the Cayley graph of conjugation by a fixed generator set
 height caps, so a target missed within the caps proves nothing about
 conjugacy.
 
-One orbit engine, `capped_bfs`, serves matrix conjugation here and the
-form action in `pellforms`.  States are int64 coordinate rows, a level
-at a time; a visited orbit is an `Orbit`, the sorted array of the exact
-complex128 keys its in-cap states pack to, so tuples are built only for
-seeds and representatives.  Each level's images are deduplicated
-against the current and the previous level alone.  That is exact
-because the capped generator graph is undirected: S is an involution
-(on forms, and under conjugation since S^2 = -1 is central),
-T_mu^-1 = T_-mu, and the height test is a property of the state, so a
-neighbour of a level-k state lies on level k - 1, k or k + 1.
-Conjugation states are PSL(2, O_K) elements: each pair index of a key
-maps to R - 1 - idx under negation, so key(-g) = (R^2 - 1 - re,
-R^2 - 1 - im), and the smaller of key(g) and key(-g) keys both signs
-without sign-normalizing any image.
+Conjugation orbits run on the orbit engine of `orbits`, with PSL(2, O_K)
+elements as states: g and -g share one packed key.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Tuple)
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
+from .orbits import Orbit, capped_bfs, partition_orbits
 from .quadfield import (FieldCtx, QuadInt, _box_rows, _coord_mul,
                         _embed_consts, _factor_pairs, _omega_trace_norm)
 
@@ -147,7 +135,7 @@ def classify(g: GroupElem) -> ElementClass:
                         norm=N, omega=math.acos(t1 / 2.0))
 
 
-# ---------------------------------------------------------------- BFS core
+# ---------------------------------------------------- conjugation orbits
 
 
 def _sign_rows(A: np.ndarray, b: np.ndarray, D: int) -> np.ndarray:
@@ -203,188 +191,22 @@ def _conj_neighbors(rows: np.ndarray, D: int, t: int, n: int) -> np.ndarray:
     return out.reshape(-1, 8)
 
 
-def height_predicate(D: int, cap1: float, cap2: float
-                     ) -> Callable[[np.ndarray], np.ndarray]:
-    """Row mask: every coordinate pair (x, y) of a row, read as x + y*w,
-    has embeddings within (cap1, cap2); works for matrix and form rows."""
-    w1, w2 = _embed_consts(D)
-
-    def ok(rows: np.ndarray) -> np.ndarray:
-        x, y = rows[:, 0::2], rows[:, 1::2]
-        return ((np.abs(x + y * w1) <= cap1)
-                & (np.abs(x + y * w2) <= cap2)).all(axis=1)
-    return ok
-
-
-def _row_packer(what: str, D: int, cap1: float, cap2: float, seed: tuple,
-                psl: bool = False) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact complex128 sort keys for in-cap rows of 6 or 8 entries.
-
-    An in-cap pair x + y*w has |2x + t*y| <= cap1 + cap2 and
-    |y| sqrt(D) <= cap1 + cap2, so it has an offset index below R in that
-    box; two indices go into each float64 half, exact while R^2 < 2^53.
-    Negating a pair maps its index to R - 1 - idx, so an 8-entry row
-    -g packs to (R^2 - 1 - re, R^2 - 1 - im); with `psl` set, a row
-    packs to the smaller of key(g) and key(-g), one key for both signs.
-    Raises BudgetExceededError up front when the caps break exactness,
-    or when the neighbour maps could reach 2^62 in int64 arithmetic.
-    """
-    t, n = _omega_trace_norm(D)
-    A = math.floor(cap1 + cap2) + 1
-    B = math.floor((cap1 + cap2) / math.sqrt(D)) + 1
-    R = (2 * A + 1) * (2 * B + 1)
-    if R * R >= 2 ** 53:
-        raise BudgetExceededError(
-            f"{what} orbit caps ({cap1:.6g}, {cap2:.6g}) too large for "
-            "exact packed keys")
-    # in-cap coordinates are at most cap1 + cap2; one generator step
-    # multiplies that by at most 4|n| + 8, and the sign test squares it
-    M = (4 * abs(n) + 8) * max(A, max(abs(v) for v in seed))
-    if M * M * max(9, D) >= 2 ** 62:
-        raise BudgetExceededError(
-            f"{what} orbit caps ({cap1:.6g}, {cap2:.6g}) or seed overflow "
-            "int64 arithmetic")
-    top = R * R - 1
-
-    def pack(rows: np.ndarray) -> np.ndarray:
-        x, y = rows[:, 0::2], rows[:, 1::2]
-        idx = (2 * x + t * y + A) * (2 * B + 1) + (y + B)
-        re = idx[:, 0] * R + idx[:, 1]
-        im = idx[:, 2] * R + (idx[:, 3] if idx.shape[1] > 3 else 0)
-        if psl:
-            flip = (2 * re > top) | ((2 * re == top) & (2 * im > top))
-            re = np.where(flip, top - re, re)
-            im = np.where(flip, top - im, im)
-        keys = np.empty(len(rows), dtype=np.complex128)
-        keys.real, keys.imag = re, im
-        return keys
-    return pack
-
-
-def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Mask of the keys present in the sorted key array."""
-    if not len(sorted_keys):
-        return np.zeros(len(keys), dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return sorted_keys[pos] == keys
-
-
-class Orbit:
-    """The states one capped_bfs run visited.
-
-    `keys` is the sorted array of the packed keys of its in-cap states;
-    a seed outside the caps is kept as a row (with its negative for a
-    PSL orbit).  len() is the state count, `contains` tests the rows of
-    an (N, k) array at once and `in` tests one key.
-    """
-
-    __slots__ = ("keys", "_pack", "_inside", "_outside")
-
-    def __init__(self, keys: np.ndarray, pack: Callable, inside: Callable,
-                 outside: np.ndarray):
-        self.keys, self._pack = keys, pack
-        self._inside, self._outside = inside, outside
-
-    def __len__(self) -> int:
-        return len(self.keys) + (len(self._outside) > 0)
-
-    def contains(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        inside = self._inside(rows)
-        out = (rows[:, None] == self._outside).all(axis=2).any(axis=1)
-        out[inside] = _in_sorted(self.keys, self._pack(rows[inside]))
-        return out
-
-    def __contains__(self, key: tuple) -> bool:
-        return bool(self.contains(np.array([key], dtype=np.int64))[0])
-
-
-def capped_bfs(what: str, seed: tuple,
-               neighbors: Callable[[np.ndarray], np.ndarray],
-               D: int, cap1: float, cap2: float, max_states: int,
-               targets: Optional[Iterable[tuple]] = None,
-               psl: bool = False) -> Tuple[Orbit, bool]:
-    """Height-capped BFS from seed; returns (orbit, hit_target).
-
-    The frontier is expanded a whole level at a time: `neighbors` maps
-    an (N, k) int64 array to its (m*N, k) images, row i's images in
-    rows m*i..m*i+m-1.  The new states of a level are the first
-    occurrences, in that order, of in-cap images on neither the current
-    nor the previous level (exact on the undirected capped graph, see
-    the module docstring), so orbits, target hits and the state at
-    which the budget trips are those of a key-by-key walk that checks
-    each neighbour in turn: already visited, over the height cap, a
-    target (stop at once), then the state budget, which raises
-    BudgetExceededError for the `what` orbit.  With `psl` set, g and
-    -g are one state.
-    """
-    height_ok = height_predicate(D, cap1, cap2)
-    pack = _row_packer(what, D, cap1, cap2, seed, psl)
-    frontier = np.array([seed], dtype=np.int64)
-    prev = np.empty(0, dtype=np.complex128)
-    curr = pack(frontier[height_ok(frontier)])
-    outside = (frontier[:0] if len(curr) else
-               np.concatenate([frontier, -frontier]) if psl else frontier)
-    goal = None
-    if targets is not None:
-        rows = np.array(list(targets), dtype=np.int64).reshape(-1, len(seed))
-        goal = np.unique(pack(rows[height_ok(rows)]))
-    levels, count, hit = [curr], 1, False
-    while len(frontier):
-        images = neighbors(frontier)
-        images = images[height_ok(images)]
-        keys = pack(images)
-        uniq, first = np.unique(keys, return_index=True)
-        new = ~(_in_sorted(curr, uniq) | _in_sorted(prev, uniq))
-        fresh = np.sort(first[new])  # the level's new states, in walk order
-        # a key-by-key walk checks state `trip` against the targets, then
-        # raises because adding it took the count past max_states
-        trip = max(0, max_states - count)
-        if goal is not None:
-            at = np.flatnonzero(_in_sorted(goal, keys[fresh[:trip + 1]]))
-            if len(at):
-                levels.append(keys[fresh[:at[0] + 1]])
-                hit = True
-                break
-        if trip < len(fresh):
-            raise BudgetExceededError(
-                f"{what} orbit exceeded {max_states} states")
-        frontier = images[fresh]
-        prev, curr = curr, uniq[new]
-        levels.append(curr)
-        count += len(curr)
-    return Orbit(np.sort(np.concatenate(levels)), pack, height_ok,
-                 outside), hit
-
-
-def partition_orbits(rows: np.ndarray, orbit_of: Callable[[tuple], Orbit]
-                     ) -> Iterator[Tuple[tuple, Orbit]]:
-    """Split the rows of an (N, k) key array into orbits: yields
-    (seed, orbit) with seed the least row, as a tuple, not yet covered;
-    orbit_of(seed) must contain seed."""
-    remaining = np.unique(rows, axis=0)
-    while len(remaining):
-        seed = tuple(remaining[0].tolist())
-        orbit = orbit_of(seed)
-        yield seed, orbit
-        remaining = remaining[~orbit.contains(remaining)]
-
-
-def conjugation_orbit(seed: Key, D: int, cap1: float, cap2: float,
+def conjugation_orbit(seeds, D: int, cap1: float, cap2: float,
                       max_states: int = 400000,
-                      targets: Optional[Iterable[Key]] = None
-                      ) -> Tuple[Orbit, bool]:
-    """Height-capped BFS orbit of conjugation in PSL(2, O_K); returns
-    (orbit, hit_target).
+                      targets: Optional[Iterable[Key]] = None,
+                      keep_states: bool = True) -> Tuple[Orbit, bool]:
+    """Height-capped BFS orbits of conjugation in PSL(2, O_K) from one
+    key or an (S, 8) array of them; returns (orbit, hit_target).
 
-    Stops early when any target key is reached.  Raises when the state
-    budget is exhausted (the orbit is then reported incomplete).
+    Stops early when any target key is reached (one seed only).  Raises
+    when the state budget is exhausted (the orbit is then reported
+    incomplete).
     """
     t, n = _omega_trace_norm(D)
-    seed = _normalize_rows(np.array([seed], dtype=np.int64), D, t)[0]
-    return capped_bfs("conjugation", tuple(seed.tolist()),
+    return capped_bfs("conjugation", seeds,
                       lambda rows: _conj_neighbors(rows, D, t, n),
-                      D, cap1, cap2, max_states, targets, psl=True)
+                      D, cap1, cap2, max_states, targets, psl=True,
+                      keep_states=keep_states)
 
 
 # ------------------------------------------------------- elliptic census
@@ -493,17 +315,22 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0
             buckets.setdefault(nu, []).append(nk)
             meta[nk] = (nu, tj, math.acos(tr1.embed(1) / 2.0), theta2)
 
-    # partition each bucket by conjugation BFS, keeping the orbits
+    # one conjugation search per bucket; its components are the classes
     records: List[dict] = []
-    for bucket in buckets.values():
-        rows = np.array(bucket, dtype=np.int64)
-        for seed, orbit in partition_orbits(
-                rows,
-                lambda k: conjugation_orbit(k, D, cap_bfs, cap_bfs)[0]):
+    for order, bucket in buckets.items():
+        # only a bucket that a larger order's power can land in is asked
+        # which class holds a key
+        queried = any(m > order and m % order == 0 for m in buckets)
+        seeds, orbit = partition_orbits(
+            np.array(bucket, dtype=np.int64),
+            lambda s: conjugation_orbit(s, D, cap_bfs, cap_bfs,
+                                        keep_states=queried)[0])
+        for root in orbit.reps:
+            seed = tuple(seeds[root].tolist())
             nu, tj, th1, th2 = meta[seed]
             records.append({"nu": nu, "tj": tj, "th1": th1, "th2": th2,
-                            "seed": seed, "orbit": orbit,
-                            "members": rows[orbit.contains(rows)],
+                            "seed": seed, "orbit": orbit, "root": root,
+                            "members": seeds[orbit.roots == root],
                             "primitive": True})
 
     # drop classes that are proper powers of a larger stabilizer generator
@@ -517,7 +344,9 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0
                 continue
             pkey = (rep ** (nu // div)).key()
             sub = [r for r in records if r["nu"] == div]
-            owner = next((r for r in sub if pkey in r["orbit"]), None)
+            # the class whose component at cap_bfs holds the power
+            owner = next((r for r in sub if r["orbit"].component(
+                np.array([pkey]))[0] == r["root"]), None)
             if owner is None:
                 pcap = max(cap_bfs, 1.5 * max(
                     abs(pkey[2 * i] + pkey[2 * i + 1] * wj)

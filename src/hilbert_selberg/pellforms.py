@@ -22,9 +22,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
-from .modgroup import (GroupElem, Orbit, capped_bfs, conjugation_orbit,
-                       partition_orbits, _matrices_with_trace, _normalize_rows,
-                       _MU_A, _MU_B)
+from .modgroup import (GroupElem, conjugation_orbit, _matrices_with_trace,
+                       _normalize_rows, _MU_A, _MU_B)
+from .orbits import Orbit, capped_bfs, partition_orbits
 from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
                         _box_rows, _coord_mul, _embed_consts, _factor_pairs,
                         _omega_trace_norm)
@@ -235,13 +235,15 @@ def _form_neighbors(rows: np.ndarray, D: int, t: int, n: int) -> np.ndarray:
     return out.reshape(-1, 6)
 
 
-def form_orbit(seed: FormKey, D: int, cap1: float, cap2: float,
-               max_states: int = 400000) -> Orbit:
-    """Height-capped BFS orbit of the form under the generator action."""
+def form_orbit(seeds, D: int, cap1: float, cap2: float,
+               max_states: int = 400000, keep_states: bool = True) -> Orbit:
+    """Height-capped BFS orbits under the generator action from one form
+    key or an (S, 6) array of them."""
     t, n = _omega_trace_norm(D)
-    return capped_bfs("form", seed,
+    return capped_bfs("form", seeds,
                       lambda rows: _form_neighbors(rows, D, t, n),
-                      D, cap1, cap2, max_states)[0]
+                      D, cap1, cap2, max_states,
+                      keep_states=keep_states)[0]
 
 
 def _form_boxes(d: QuadInt, height: float) -> Tuple[float, float]:
@@ -341,7 +343,8 @@ def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
 
     The orbit partition of height-bounded primitive forms is the
     primary algorithm; the conjugacy-class count through the stabilizer
-    map is the oracle.  A mismatch raises instead of picking a side.
+    map is the oracle.  Each route is one capped search from all of its
+    rows at once.  A mismatch raises instead of picking a side.
     A caller that has already solved Pell for the canonical associate
     passes that solution as `pell`; otherwise it is solved here.
     """
@@ -357,16 +360,19 @@ def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
     h1, h2 = _form_boxes(dc, height)
     cap1, cap2 = 3.0 * h1, 3.0 * h2
 
-    forms = enumerate_forms(dc, F, height=height)
-    reps = [seed for seed, _ in partition_orbits(
-        forms, lambda k: form_orbit(k, D, cap1, cap2))]
+    seeds, orbit = partition_orbits(
+        enumerate_forms(dc, F, height=height),
+        lambda s: form_orbit(s, D, cap1, cap2, keep_states=False))
+    reps = seeds[orbit.reps]
     h_orbit = len(reps)
 
     m1, m2 = _matrix_boxes(pell, height)
     mcap1, mcap2 = max(cap1, 1.5 * m1), max(cap2, 1.5 * m2)
-    h_matrix = sum(1 for _ in partition_orbits(
+    _, orbit = partition_orbits(
         _matrix_keys(pell, F, m1, m2),
-        lambda k: conjugation_orbit(k, D, mcap1, mcap2)[0]))
+        lambda s: conjugation_orbit(s, D, mcap1, mcap2,
+                                    keep_states=False)[0])
+    h_matrix = len(orbit.reps)
     if h_orbit != h_matrix:
         raise InvariantViolation(
             f"ambiguous class count for d={dc}: form orbits give "
@@ -377,7 +383,7 @@ def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
         raise InvariantViolation(f"no forms found for d={dc}")
     return DiscriminantRecord(
         d=dc, pell=pell, class_number=h_orbit,
-        forms=tuple(FormOverOK.from_key(k, D) for k in reps))
+        forms=tuple(FormOverOK.from_key(k, D) for k in reps.tolist()))
 
 
 def form_to_matrix(Q: FormOverOK, pell: PellSolution) -> GroupElem:

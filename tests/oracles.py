@@ -103,6 +103,29 @@ def capped_bfs_ref(seed, neighbors, height_ok, max_states, targets=None):
     return order, False
 
 
+def partition_ref(rows, neighbors, height_ok, max_states, canon=tuple):
+    """The seed-by-seed partition that one multi-source search replaced:
+    the least row not yet covered seeds a capped_bfs_ref walk, and the
+    rows among its states, compared through canon (sign normalization
+    for PSL keys), join that orbit.  Returns (reps, rep_of, sizes): the
+    seed rows in order, the seed row of each row's orbit, and the state
+    count of each orbit."""
+    rows = sorted(set(map(tuple, rows)))
+    reps, rep_of, sizes = [], {}, []
+    for row in rows:
+        if row in rep_of:
+            continue
+        order, _ = capped_bfs_ref(canon(row), neighbors, height_ok,
+                                  max_states)
+        members = {canon(key) for key in order}
+        for other in rows:
+            if other not in rep_of and canon(other) in members:
+                rep_of[other] = row
+        reps.append(row)
+        sizes.append(len(order))
+    return reps, rep_of, sizes
+
+
 def height_ok_ref(D, cap1, cap2):
     """Every pair (x, y) of a key has |x + y*w_j| within cap_j."""
     t = 1 if D % 4 == 1 else 0
@@ -211,14 +234,30 @@ def normalize_key_ref(key, D):
     raise ValueError("zero key")
 
 
+def content_generator_ref(f, F):
+    """A generator k of the content ideal (f0, f1, f2) of a nonzero form,
+    K of class number one: an element of norm +-N, N the ideal index,
+    dividing every coefficient.  Multiplying by a power of eps_K brings
+    some generator to |k_1|^2, |k_2|^2 <= N eps_K, so the search over
+    that box is finite and exact."""
+    from hilbert_selberg.quadfield import fundamental_unit, lattice_points
+    D = F.D
+    t = D % 2
+    n = (1 - D) // 4 if D % 4 == 1 else -(D // 4)
+    N = ideal_index_ref(tuple(v for x in f for v in (x.a, x.b)), t, n)
+    bound = math.sqrt(N * fundamental_unit(D).embed(1)) + 1e-9
+    for k in lattice_points(D, bound, bound):
+        if abs(k.norm()) == N and all(k.divides(x) for x in f):
+            return k
+    raise AssertionError(f"no generator of norm {N} found")
+
+
 def matrix_filter_ref(rows, dc, F):
     """Per-matrix oracle filter in QuadInt arithmetic: the normalized keys
     of the matrices [[A, B], [C, E]] whose form (C, E - A, -B), divided
     by its content k, has a mixed-sign discriminant canonicalizing to dc."""
     from hilbert_selberg.quadfield import QuadInt, canonical_disc
     D = F.D
-    t = D % 2
-    n = (1 - D) // 4 if D % 4 == 1 else -(D // 4)
     keys = set()
     for key in rows:
         aa, ab, ba, bb, ca, cb, da, db = key
@@ -227,8 +266,7 @@ def matrix_filter_ref(rows, dc, F):
         fc = QuadInt(D, -ba, -bb)
         if fa.is_zero() and fc.is_zero():
             continue
-        g = gcd_coords_ref(fa.a, fa.b, fb.a, fb.b, t, n)
-        k = QuadInt(D, *gcd_coords_ref(*g, fc.a, fc.b, t, n))
+        k = content_generator_ref((fa, fb, fc), F)
         disc = (fb * fb - 4 * (fa * fc)).exact_div(k * k)
         if disc.sign_embed(1) <= 0 or disc.sign_embed(2) >= 0:
             continue
@@ -306,7 +344,7 @@ def primitive_forms_ref(d, h1, h2):
     """Keys (a, b, c) of the primitive forms b^2 - 4ac = d with a, b, c
     in the per-embedding boxes, by brute force over (a, b) in QuadInt
     arithmetic."""
-    from hilbert_selberg.quadfield import QuadInt, lattice_points
+    from hilbert_selberg.quadfield import lattice_points
     D = d.D
     t = D % 2
     n = (1 - D) // 4 if D % 4 == 1 else -(D // 4)
@@ -319,9 +357,9 @@ def primitive_forms_ref(d, h1, h2):
             c = (b * b - d).exact_div(4 * a)
             if abs(c.embed(1)) > h1 or abs(c.embed(2)) > h2:
                 continue
-            g = gcd_coords_ref(a.a, a.b, b.a, b.b, t, n)
-            if QuadInt(D, *gcd_coords_ref(*g, c.a, c.b, t, n)).is_unit():
-                keys.add((a.a, a.b, b.a, b.b, c.a, c.b))
+            key = (a.a, a.b, b.a, b.b, c.a, c.b)
+            if ideal_index_ref(key, t, n) == 1:
+                keys.add(key)
     return keys
 
 

@@ -9,17 +9,22 @@ from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
                                     ValidationError)
 from hilbert_selberg.modgroup import (
     GroupElem, classify, conjugation_orbit, elliptic_census,
-    enumerate_elliptic, height_predicate, _conj_neighbors,
-    _matrices_with_trace, _normalize_rows, _row_packer,
+    enumerate_elliptic, _conj_neighbors, _matrices_with_trace,
+    _normalize_rows,
 )
+from hilbert_selberg.orbits import (height_predicate, partition_orbits,
+                                    _row_packer)
 from hilbert_selberg.pellforms import (enumerate_forms, form_orbit,
-                                       _form_neighbors, _matrix_keys)
-from hilbert_selberg.quadfield import (QuadInt, lattice_points, make_field,
+                                       pell_fundamental, _form_boxes,
+                                       _form_neighbors, _matrix_boxes,
+                                       _matrix_keys)
+from hilbert_selberg.quadfield import (QuadInt, canonical_disc,
+                                       lattice_points, make_field,
                                        _omega_trace_norm)
 
 from oracles import (capped_bfs_ref, conj_neighbors_ref, form_neighbors_ref,
                      height_ok_ref, matrices_with_trace_ref,
-                     normalize_key_ref)
+                     normalize_key_ref, partition_ref)
 
 
 def elem(D, rows):
@@ -162,10 +167,11 @@ class TestOrbitEngine:
     def test_budget_trips_at_the_state_count(self, kind):
         seed, orbit_of, _ = _orbit_case(kind)
         full = orbit_of(self.CAP, 400000)
-        # same seed and caps, so the packed keys compare directly
+        # same seed and caps, so the packed keys compare level by level
         at_budget = orbit_of(self.CAP, len(full))
         assert len(at_budget) == len(full)
-        assert np.array_equal(at_budget.keys, full.keys)
+        assert all(np.array_equal(a, b) for (a, _), (b, _)
+                   in zip(at_budget.levels, full.levels, strict=True))
         with pytest.raises(BudgetExceededError,
                            match=f"{kind} orbit exceeded {len(full) - 1} "):
             orbit_of(self.CAP, len(full) - 1)
@@ -260,13 +266,106 @@ def test_engine_target_hits_match_key_by_key_bfs():
                 assert _agrees(got, want), (kind, pos, ms)
 
 
-@pytest.mark.parametrize("kind", REFERENCE_CASES)
+# one small discriminant per field: its forms at height 3, and the
+# oracle's matrices for its Pell solution, split into a few orbits
+PARTITION_CASES = [(5, (-3, 4)), (8, (0, 4)), (12, (0, 2)), (13, (-1, 1)),
+                   (17, (-3, 3))]
+
+
+def _partition_case(kind, D, d):
+    """(rows, engine(rows, max_states, keep_states) -> (seeds, orbit),
+    reference(rows, max_states) -> partition_ref result) with the caps
+    1.5 times the boxes that bound the rows; like class_number, the
+    engine keeps only roots unless asked."""
+    F = make_field(D)
+    d = canonical_disc(QuadInt(D, *d), F)
+    if kind == "form":
+        cap1, cap2 = (1.5 * h for h in _form_boxes(d, 3.0))
+        rows = enumerate_forms(d, F, height=3.0)
+        orbit_of, ref_map, canon = form_orbit, form_neighbors_ref(D), tuple
+    else:
+        pell = pell_fundamental(d, F)
+        m1, m2 = _matrix_boxes(pell, 3.0)
+        cap1, cap2 = 1.5 * m1, 1.5 * m2
+        rows = _matrix_keys(pell, F, m1, m2)
+        rows = np.concatenate([rows, -rows[::3]])  # -g is g in PSL(2, O_K)
+
+        def orbit_of(seeds, D, cap1, cap2, max_states, keep_states):
+            return conjugation_orbit(seeds, D, cap1, cap2, max_states,
+                                     keep_states=keep_states)[0]
+        ref_map = conj_neighbors_ref(D)
+
+        def canon(key):
+            return normalize_key_ref(key, D)
+    return (rows,
+            lambda rows, ms, keep=False: partition_orbits(
+                rows, lambda s: orbit_of(s, D, cap1, cap2, ms, keep)),
+            lambda rows, ms: partition_ref(rows.tolist(), ref_map,
+                                           height_ok_ref(D, cap1, cap2),
+                                           ms, canon))
+
+
+def _engine_partition(seeds, orbit):
+    """(reps, rep_of) of an engine partition, as partition_ref gives."""
+    keys = list(map(tuple, seeds.tolist()))
+    return ([keys[i] for i in orbit.reps],
+            {k: keys[r] for k, r in zip(keys, orbit.roots)})
+
+
+@pytest.mark.parametrize("D,d", PARTITION_CASES)
+@pytest.mark.parametrize("kind", ["form", "matrix"])
+def test_partition_matches_seed_by_seed_reference(kind, D, d):
+    rows, engine, ref = _partition_case(kind, D, d)
+    reps, rep_of, sizes = ref(rows, 400000)
+    seeds, orbit = engine(rows, 400000)
+    assert _engine_partition(seeds, orbit) == (reps, rep_of)
+    assert len(seeds) > 30 and len(reps) > 1
+    with pytest.raises(ValueError, match="only the roots"):
+        orbit.contains(seeds)
+    # the input order does not matter
+    perm = np.random.default_rng(D).permutation(len(rows))
+    assert _engine_partition(*engine(rows[perm], 400000)) == (reps, rep_of)
+    # the search raises exactly when some orbit of the loop exceeds the
+    # state budget
+    for ms in sorted({0, 1, min(sizes) - 1, min(sizes), max(sizes) - 1,
+                      max(sizes)}):
+        raised = any(size > max(ms, 1) for size in sizes)
+        if raised:
+            with pytest.raises(BudgetExceededError,
+                               match=f"orbit exceeded {ms} states"):
+                engine(rows, ms)
+        else:
+            assert len(engine(rows, ms)[1]) == sum(sizes)
+
+
+def test_several_seeds_lie_inside_the_caps_and_take_no_targets():
+    # the outside seed of _reference_case("outside-seed")
+    D, cap = 8, 30.0
+    s = elem(D, ((0, 0), (-1, 0), (1, 0), (0, 0)))
+    mu = elem(D, ((1, 0), (2, 3), (0, 0), (1, 0)))
+    outside = (mu * s * mu.inverse()).key()
+    with pytest.raises(ValidationError, match="inside the caps"):
+        conjugation_orbit([s.key(), outside], D, cap, cap)
+    with pytest.raises(ValidationError, match="no targets"):
+        conjugation_orbit([s.key(), s.key()], D, cap, cap,
+                          targets={s.key()})
+
+
+@pytest.mark.parametrize("kind", REFERENCE_CASES + ["form-rows",
+                                                    "matrix-rows"])
 def test_orbit_len_is_the_state_count(kind):
     # bench/spans.py counts states as len(conjugation_orbit(...)[0]) and
-    # len(form_orbit(...))
-    engine, ref, _ = _reference_case(kind)
-    orbit, _ = engine(400000, None)
-    assert len(orbit) == len(ref(400000, None)[0])
+    # len(form_orbit(...)); from many seeds, that is the sum of the sizes
+    # of the orbits the seed-by-seed loop visits
+    if kind in REFERENCE_CASES:
+        engine, ref, _ = _reference_case(kind)
+        orbit, _ = engine(400000, None)
+        assert len(orbit) == len(ref(400000, None)[0])
+        return
+    rows, engine, ref = _partition_case(kind[:-5], *PARTITION_CASES[0])
+    want = sum(ref(rows, 400000)[2])
+    for keep in (False, True):
+        assert len(engine(rows, 400000, keep)[1]) == want
 
 
 class TestArithmeticGuards:
@@ -330,8 +429,12 @@ def test_packed_keys_injective_on_in_cap_rows(D, cap1, cap2, width, data):
     rows = np.array([sum(data.draw(picks), ()) for _ in range(12)]
                     + [sum(data.draw(picks), ())] * 2, dtype=np.int64)
     rows = rows[height_predicate(D, cap1, cap2)(rows)]
-    keys = _row_packer("test", D, cap1, cap2, (0,) * width)(rows)
+    zero = np.zeros((1, width), dtype=np.int64)
+    pack, unpack = _row_packer("test", D, cap1, cap2, zero)
+    keys = pack(rows)
     assert len(set(keys.tolist())) == len({tuple(r) for r in rows.tolist()})
+    # the frontier is kept as keys: in-cap rows come back exactly
+    assert np.array_equal(unpack(keys), rows)
     if width == 6:
         return
     # rows whose first two pairs vanish tie with their negatives on the
@@ -339,7 +442,6 @@ def test_packed_keys_injective_on_in_cap_rows(D, cap1, cap2, width, data):
     tied = rows.copy()
     tied[:, :4] = 0
     rows = np.concatenate([rows, tied])
-    pack = _row_packer("test", D, cap1, cap2, (0,) * width)
     keys, neg = pack(rows), pack(-rows)
     # every pair index maps to R - 1 - idx under negation
     A = math.floor(cap1 + cap2) + 1
@@ -348,8 +450,11 @@ def test_packed_keys_injective_on_in_cap_rows(D, cap1, cap2, width, data):
     assert (neg.real == top - keys.real).all()
     assert (neg.imag == top - keys.imag).all()
     # the PSL key is the smaller of key(g) and key(-g): one per sign pair
-    canon = _row_packer("test", D, cap1, cap2, (0,) * width, psl=True)
+    canon, uncanon = _row_packer("test", D, cap1, cap2, zero, psl=True)
     assert (canon(rows) == canon(-rows)).all()
+    # a PSL key unpacks to one of the two signs
+    back = uncanon(canon(rows))
+    assert ((back == rows).all(axis=1) | (back == -rows).all(axis=1)).all()
     assert [min(k, m, key=lambda z: (z.real, z.imag))
             for k, m in zip(keys.tolist(), neg.tolist())] \
         == canon(rows).tolist()

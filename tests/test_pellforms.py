@@ -12,8 +12,9 @@ from hilbert_selberg.cli import main
 from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
                                     ValidationError)
 from hilbert_selberg.geodesics import enumerate_geodesics
-from hilbert_selberg.modgroup import (GroupElem, capped_bfs, classify,
+from hilbert_selberg.modgroup import (GroupElem, classify,
                                       _matrices_with_trace)
+from hilbert_selberg.orbits import capped_bfs
 from hilbert_selberg.pellforms import (FormOverOK, class_number,
                                        content_norm, enumerate_forms,
                                        form_to_matrix, in_Dpm,
@@ -156,11 +157,12 @@ def test_class_number_reuses_given_pell(sweep5):
 
 
 def test_route_mismatch_names_the_caps(capsys, monkeypatch):
-    # singleton form orbits make the form route count every form, so the
-    # two routes disagree; the message names the caps each route used
-    def lone_form_orbit(seed, D, cap1, cap2):
-        return capped_bfs("form", seed, lambda rows: rows[:0],
-                          D, cap1, cap2, 1)[0]
+    # a search without edges leaves every seed form its own component, so
+    # the form route counts every form and the two routes disagree; the
+    # message names the caps each route used
+    def lone_form_orbit(seeds, D, cap1, cap2, keep_states):
+        return capped_bfs("form", seeds, lambda rows: rows[:0],
+                          D, cap1, cap2, 1, keep_states=keep_states)[0]
 
     monkeypatch.setattr(pellforms, "form_orbit", lone_form_orbit)
     F = make_field(5)
@@ -274,7 +276,8 @@ def test_enumerate_forms_disc_exact():
 @pytest.mark.parametrize("D,d,height", [
     (5, (-7, 5), 4.0), (5, (-19, 13), 3.0), (5, (1, 8), 8.0),
     (8, (-1, 2), 4.0), (8, (-9, 10), 3.0), (12, (0, 2), 4.0),
-    (12, (-12, 8), 3.0), (13, (-7, 4), 3.0),
+    (12, (-12, 8), 3.0), (13, (-7, 4), 3.0), (17, (1, 3), 3.0),
+    (69, (1, 1), 3.0),  # nearest-quotient division stalls in this field
 ])
 def test_enumerate_forms_matches_brute_force(D, d, height):
     F = make_field(D)
@@ -361,13 +364,19 @@ def test_every_field_enumerates_within_budget(D):
     assert all(c.norm <= 64.0 * (1 + 1e-12) for c in window)
 
 
-@pytest.mark.parametrize("D,x", [(5, 12.0), (8, 10.0), (12, 10.0)])
+@pytest.mark.parametrize("D,x", [(5, 12.0), (8, 10.0), (12, 10.0), (69, None)])
 def test_row_filter_matches_matrix_filter_ref(D, x):
     F = make_field(D)
-    for c in enumerate_geodesics(F, x):
-        pell = c.record.pell
+    if x is None:
+        # the class-count routes disagree in this field (ROUTE_MISMATCH_X8),
+        # so take the Pell solutions of two small discriminants directly
+        pells = [pell_fundamental(QuadInt(D, *d), F)
+                 for d in ((1, 1), (-3, 1))]
+    else:
+        pells = [c.record.pell for c in enumerate_geodesics(F, x)]
+    for pell in pells:
         m1, m2 = _matrix_boxes(pell, 8.0)
         rows = _matrices_with_trace(F, pell.t0, m1, m2).tolist()
         keys = list(map(tuple, _matrix_keys(pell, F, m1, m2).tolist()))
         assert len(keys) == len(set(keys))
-        assert set(keys) == matrix_filter_ref(rows, c.record.d, F)
+        assert set(keys) == matrix_filter_ref(rows, pell.d, F)
