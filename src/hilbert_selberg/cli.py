@@ -26,6 +26,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 from .cache import get_or_compute
@@ -161,8 +162,12 @@ def _classes(F, cfg: RunConfig, x: Optional[float] = None):
 
 def _emit(text: str, cfg: RunConfig) -> None:
     if cfg.out_path:
-        with open(cfg.out_path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out_path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot write output {cfg.out_path}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -566,8 +571,14 @@ _COMMANDS = {
 
 
 def _merge_config(args) -> RunConfig:
-    cfg = (RunConfig.from_text(open(args.config).read())
-           if args.config else RunConfig())
+    try:
+        cfg = (RunConfig.from_text(Path(args.config).read_text("utf-8"))
+               if args.config else RunConfig())
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot read config {args.config}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read config {args.config}: {exc}")
     for name in ("D", "x_max", "height", "out_format", "out_path",
                  "cache_dir", "seed"):
         val = getattr(args, name, None)

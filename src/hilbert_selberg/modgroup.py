@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
-from .orbits import Orbit, capped_bfs, partition_orbits
+from .orbits import Orbit, capped_bfs
 from .quadfield import (FieldCtx, QuadInt, _box_rows, _coord_mul,
                         _embed_consts, _factor_pairs, _omega_trace_norm)
 
@@ -89,10 +89,10 @@ class GroupElem:
         return (self.b.is_zero() and self.c.is_zero()
                 and self.a == self.d and abs(self.a.a) == 1 and self.a.b == 0)
 
-    def psl_order(self, cap: int = 14) -> Optional[int]:
-        """Order in PSL(2, O_K), or None if it exceeds cap."""
+    def psl_order(self) -> Optional[int]:
+        """Order in PSL(2, O_K), or None if it exceeds 14."""
         p = self
-        for k in range(1, cap + 1):
+        for k in range(1, 15):
             if p.is_identity_psl():
                 return k
             p = p * self
@@ -262,74 +262,78 @@ def _matrices_with_trace(F: FieldCtx, tr: QuadInt,
     return np.column_stack([box[i], b, c, d[i]])
 
 
-def _signed_angle(tr_embed: float, c_sign: int) -> float:
-    """Rotation angle in (-pi, pi) \\ {0} from trace embedding and sign of c."""
-    theta = math.acos(max(-1.0, min(1.0, tr_embed / 2.0)))
-    return theta if c_sign > 0 else -theta
+def _elliptic_candidates(F: FieldCtx, height_bound: float
+                         ) -> Dict[int, np.ndarray]:
+    """Candidate rows per order nu, sign-normalized, distinct and in
+    increasing order: the entry-bounded matrices of trace 2cos(pi/nu)
+    whose c has positive first embedding (all of them for nu = 2, of
+    trace 0); one with c < 0 is the negative of a theta1-normalized
+    element of trace -2cos(pi/nu), a candidate of the inverse class."""
+    D = F.D
+    t, _ = _omega_trace_norm(D)
+    out: Dict[int, np.ndarray] = {}
+    for nu, tr in _two_cos_table(F).items():
+        rows = _matrices_with_trace(F, tr, height_bound, height_bound)
+        if nu != 2:
+            rows = rows[_sign_rows(2 * rows[:, 4] + t * rows[:, 5],
+                                   rows[:, 5], D) > 0]
+        if len(rows):
+            out[nu] = np.unique(_normalize_rows(rows, D, t), axis=0)
+    return out
 
 
-def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0
+def enumerate_elliptic(F: FieldCtx, height_bound: float
                        ) -> Tuple[EllipticClass, ...]:
     """Primitive elliptic conjugacy classes (rotation pair (pi/nu, t*pi/nu)).
 
     Brute enumeration over admissible traces and height-bounded entries,
-    then partition by conjugation BFS.  Candidates are elements whose
-    theta1-normalized trace equals 2cos(pi/nu) exactly; a candidate class
-    is kept only when its elements generate the full point stabilizer.
-    Proper powers of a higher-order generator (the square of an order-4
-    rotation is an order-2 rotation about the same point) carry the right
-    trace but belong to a point of larger isotropy and are dropped.
+    then partition by conjugation BFS.  The candidates of order nu are one
+    row filter, `_elliptic_candidates`, on the (N, 8) scan of trace
+    2cos(pi/nu): the rows whose c has positive first embedding (every row
+    for nu = 2), sign-normalized.  A class is kept only when it generates
+    the full point stabilizer: proper powers of a higher-order generator
+    (the square of an order-4 rotation is an order-2 rotation about the
+    same point) carry the right trace but have a point of larger isotropy.
+
+    The PSL order and rotation angles are checked once per class.  By
+    Cayley-Hamilton every g of trace tau has g^k = a_k(tau) g + b_k(tau) I,
+    so all candidates of one order share the representative's order, and
+    the direction of rotation in each embedding is a conjugacy invariant.
     """
     D = F.D
     two_cos = _two_cos_table(F)
     cap_bfs = height_bound * 2.5
     w1, w2 = _embed_consts(D)
 
-    # collect candidate matrices, one bucket per order; trace -tr gives
-    # the negatives of the trace-tr matrices, the same PSL elements
-    buckets: Dict[int, List[Key]] = {}
-    meta: Dict[Key, Tuple[int, int, float, float]] = {}
-    for nu, tr in two_cos.items():
-        for key in _matrices_with_trace(F, tr, height_bound,
-                                        height_bound).tolist():
-            g = GroupElem.from_key(key, D)  # signs as in _normalize_rows
-            order = g.psl_order()
+    # one conjugation search per order; its components are the classes
+    candidates = _elliptic_candidates(F, height_bound)
+    records: List[dict] = []
+    for nu, seeds in candidates.items():
+        # only an order that a larger order's power can land in is asked
+        # which class holds a key
+        queried = any(m > nu and m % nu == 0 for m in candidates)
+        orbit, _ = conjugation_orbit(seeds, D, cap_bfs, cap_bfs,
+                                     keep_states=queried)
+        tr = two_cos[nu]
+        th1 = math.acos(tr.embed(1) / 2.0)
+        for root in orbit.reps:
+            rep = GroupElem.from_key(tuple(seeds[root].tolist()), D)
+            order = rep.psl_order()
             if order != nu:
                 raise InvariantViolation(
                     f"element with trace {tr} has PSL order {order}, "
                     f"expected {nu}")
-            # theta1 normalization: representative with embed(c, 1) > 0
-            ga = g if g.c.sign_embed(1) > 0 else \
-                GroupElem(-g.a, -g.b, -g.c, -g.d)
-            tr1 = ga.trace()
-            if not (tr1 == two_cos[nu]):
-                continue  # theta1 = pi - pi/nu variant; inverse class rep
-            theta2 = _signed_angle(tr1.embed(2), ga.c.sign_embed(2)) \
+            # sign of c in embedding 2 once theta1-normalized (c_1 > 0)
+            c2 = rep.c.sign_embed(1) * rep.c.sign_embed(2)
+            th2 = math.copysign(math.acos(tr.embed(2) / 2.0), c2) \
                 % (2.0 * math.pi)
-            tj = round(theta2 * nu / math.pi)
-            if abs(theta2 - tj * math.pi / nu) > 1e-9 or math.gcd(tj, nu) != 1 \
+            tj = round(th2 * nu / math.pi)
+            if abs(th2 - tj * math.pi / nu) > 1e-9 or math.gcd(tj, nu) != 1 \
                     or tj % 2 == 0:
                 raise InvariantViolation(
-                    f"bad rotation angle {theta2} for nu={nu}")
-            nk = g.key()
-            buckets.setdefault(nu, []).append(nk)
-            meta[nk] = (nu, tj, math.acos(tr1.embed(1) / 2.0), theta2)
-
-    # one conjugation search per bucket; its components are the classes
-    records: List[dict] = []
-    for order, bucket in buckets.items():
-        # only a bucket that a larger order's power can land in is asked
-        # which class holds a key
-        queried = any(m > order and m % order == 0 for m in buckets)
-        seeds, orbit = partition_orbits(
-            np.array(bucket, dtype=np.int64),
-            lambda s: conjugation_orbit(s, D, cap_bfs, cap_bfs,
-                                        keep_states=queried)[0])
-        for root in orbit.reps:
-            seed = tuple(seeds[root].tolist())
-            nu, tj, th1, th2 = meta[seed]
+                    f"bad rotation angle {th2} for nu={nu}")
             records.append({"nu": nu, "tj": tj, "th1": th1, "th2": th2,
-                            "seed": seed, "orbit": orbit, "root": root,
+                            "rep": rep, "orbit": orbit, "root": root,
                             "members": seeds[orbit.roots == root],
                             "primitive": True})
 
@@ -338,11 +342,10 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0
         if not rec["primitive"]:
             continue
         nu = rec["nu"]
-        rep = GroupElem.from_key(rec["seed"], D)
         for div in range(2, nu):
             if nu % div:
                 continue
-            pkey = (rep ** (nu // div)).key()
+            pkey = (rec["rep"] ** (nu // div)).key()
             sub = [r for r in records if r["nu"] == div]
             # the class whose component at cap_bfs holds the power
             owner = next((r for r in sub if r["orbit"].component(
@@ -363,14 +366,9 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float = 10.0
                     "among the enumerated classes")
             owner["primitive"] = False
 
-    classes: List[EllipticClass] = []
-    for rec in records:
-        if not rec["primitive"]:
-            continue
-        rep = GroupElem.from_key(rec["seed"], D)
-        classes.append(EllipticClass(nu=rec["nu"], t=rec["tj"] % rec["nu"],
-                                     rep=rep, theta1=rec["th1"],
-                                     theta2=rec["th2"]))
+    classes = [EllipticClass(nu=r["nu"], t=r["tj"] % r["nu"], rep=r["rep"],
+                             theta1=r["th1"], theta2=r["th2"])
+               for r in records if r["primitive"]]
     classes.sort(key=lambda c: (c.nu, c.t, c.rep.key()))
     return tuple(classes)
 

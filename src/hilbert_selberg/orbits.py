@@ -26,7 +26,9 @@ whose root is always the least seed.  That sees every edge between
 visited states: one within a level from either end, one between
 levels k and k + 1 when level k is expanded.  So the components are
 exactly the orbits the seed-by-seed loop (least row not yet covered,
-then its orbit) visits, and their least seeds are its representatives.
+then its orbit) visits, and with the seeds the distinct rows in
+increasing order, as `np.unique(rows, axis=0)` gives them, their least
+seeds are its representatives.
 Several seeds must lie inside the caps: a seed outside them has edges
 that run one way only.  A search whose caller needs only the roots and
 the state count holds just the last two levels.
@@ -349,13 +351,3 @@ def capped_bfs(what: str, seeds,
     return Orbit(levels if keep_states else None, parent, int(counts.sum()),
                  pack, height_ok, outside), hit
 
-
-def partition_orbits(rows: np.ndarray, orbit_of: Callable[[np.ndarray], Orbit]
-                     ) -> Tuple[np.ndarray, Orbit]:
-    """Split the rows of an (N, k) key array into orbits with one search:
-    returns (seeds, orbit), seeds the distinct rows in increasing order
-    and orbit = orbit_of(seeds), whose roots[i] is the index of the
-    least seed in seed i's component; the seeds at orbit.reps represent
-    the orbits, in row order."""
-    seeds = np.unique(rows, axis=0)
-    return seeds, orbit_of(seeds)

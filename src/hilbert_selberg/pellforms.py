@@ -24,7 +24,7 @@ import numpy as np
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
 from .modgroup import (GroupElem, conjugation_orbit, _matrices_with_trace,
                        _normalize_rows, _MU_A, _MU_B)
-from .orbits import Orbit, capped_bfs, partition_orbits
+from .orbits import Orbit, capped_bfs
 from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
                         _box_rows, _coord_mul, _embed_consts, _factor_pairs,
                         _omega_trace_norm)
@@ -360,18 +360,15 @@ def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
     h1, h2 = _form_boxes(dc, height)
     cap1, cap2 = 3.0 * h1, 3.0 * h2
 
-    seeds, orbit = partition_orbits(
-        enumerate_forms(dc, F, height=height),
-        lambda s: form_orbit(s, D, cap1, cap2, keep_states=False))
-    reps = seeds[orbit.reps]
+    seeds = np.unique(enumerate_forms(dc, F, height=height), axis=0)
+    reps = seeds[form_orbit(seeds, D, cap1, cap2, keep_states=False).reps]
     h_orbit = len(reps)
 
     m1, m2 = _matrix_boxes(pell, height)
     mcap1, mcap2 = max(cap1, 1.5 * m1), max(cap2, 1.5 * m2)
-    _, orbit = partition_orbits(
-        _matrix_keys(pell, F, m1, m2),
-        lambda s: conjugation_orbit(s, D, mcap1, mcap2,
-                                    keep_states=False)[0])
+    orbit, _ = conjugation_orbit(
+        np.unique(_matrix_keys(pell, F, m1, m2), axis=0), D, mcap1, mcap2,
+        keep_states=False)
     h_matrix = len(orbit.reps)
     if h_orbit != h_matrix:
         raise InvariantViolation(

@@ -340,6 +340,26 @@ def matrices_with_trace_ref(F, tr, cap1, cap2):
     return np.concatenate(out)
 
 
+def elliptic_candidates_ref(F, height_bound):
+    """The per-candidate loop that _elliptic_candidates replaced: for each
+    order nu, every matrix of trace 2cos(pi/nu) in the entry boxes as a
+    GroupElem, its PSL order asserted to be nu, kept when its
+    theta1-normalized sign (c with positive first embedding) still has
+    trace 2cos(pi/nu); returns {nu: set of sign-normalized keys}."""
+    from hilbert_selberg.modgroup import GroupElem, _two_cos_table
+    out = {}
+    for nu, tr in _two_cos_table(F).items():
+        for key in matrices_with_trace_ref(F, tr, height_bound,
+                                           height_bound).tolist():
+            g = GroupElem.from_key(tuple(key), F.D)
+            assert g.psl_order() == nu, (key, nu)
+            ga = g if g.c.sign_embed(1) > 0 else \
+                GroupElem(-g.a, -g.b, -g.c, -g.d)
+            if ga.trace() == tr:
+                out.setdefault(nu, set()).add(g.key())
+    return out
+
+
 def primitive_forms_ref(d, h1, h2):
     """Keys (a, b, c) of the primitive forms b^2 - 4ac = d with a, b, c
     in the per-embedding boxes, by brute force over (a, b) in QuadInt

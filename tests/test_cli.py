@@ -123,6 +123,19 @@ def test_config_file_feeds_commands(tmp_path, capsys):
     assert json.loads(out)["D"] == 5
 
 
+@pytest.mark.parametrize("name,content", [("missing.cfg", None), (".", None),
+                                          ("latin1.cfg", b"D = 5 # \xe9\n")])
+def test_unreadable_config_is_a_validation_error(name, content, tmp_path,
+                                                 capsys):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    code = main(["field", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot read config {path}: ")
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_exit_codes(capsys):
@@ -375,6 +388,16 @@ def test_out_path_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["D"] == 5
+
+
+def test_out_path_into_missing_directory_is_a_validation_error(tmp_path,
+                                                               capsys):
+    target = tmp_path / "missing" / "field.json"
+    code = main(["field", "--D", "5", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write output {target}: ")
+    assert not target.parent.exists()
 
 
 # ---------------------------------------------------------------- cache

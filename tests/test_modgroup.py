@@ -5,24 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbert_selberg import modgroup, pellforms
-from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
-                                    ValidationError)
+from hilbert_selberg.errors import BudgetExceededError, ValidationError
 from hilbert_selberg.modgroup import (
-    GroupElem, classify, conjugation_orbit, elliptic_census,
-    enumerate_elliptic, _conj_neighbors, _matrices_with_trace,
+    GroupElem, classify, conjugation_orbit, enumerate_elliptic,
+    _conj_neighbors, _elliptic_candidates, _matrices_with_trace,
     _normalize_rows,
 )
-from hilbert_selberg.orbits import (height_predicate, partition_orbits,
-                                    _row_packer)
+from hilbert_selberg.orbits import height_predicate, _row_packer
 from hilbert_selberg.pellforms import (enumerate_forms, form_orbit,
                                        pell_fundamental, _form_boxes,
                                        _form_neighbors, _matrix_boxes,
                                        _matrix_keys)
-from hilbert_selberg.quadfield import (QuadInt, canonical_disc,
-                                       lattice_points, make_field,
-                                       _omega_trace_norm)
+from hilbert_selberg.quadfield import (CLASS_NUMBER_ONE, QuadInt,
+                                       canonical_disc, lattice_points,
+                                       make_field, _omega_trace_norm)
 
-from oracles import (capped_bfs_ref, conj_neighbors_ref, form_neighbors_ref,
+from oracles import (capped_bfs_ref, conj_neighbors_ref,
+                     elliptic_candidates_ref, form_neighbors_ref,
                      height_ok_ref, matrices_with_trace_ref,
                      normalize_key_ref, partition_ref)
 
@@ -297,9 +296,12 @@ def _partition_case(kind, D, d):
 
         def canon(key):
             return normalize_key_ref(key, D)
-    return (rows,
-            lambda rows, ms, keep=False: partition_orbits(
-                rows, lambda s: orbit_of(s, D, cap1, cap2, ms, keep)),
+
+    def engine(rows, ms, keep=False):
+        seeds = np.unique(rows, axis=0)
+        return seeds, orbit_of(seeds, D, cap1, cap2, ms, keep)
+
+    return (rows, engine,
             lambda rows, ms: partition_ref(rows.tolist(), ref_map,
                                            height_ok_ref(D, cap1, cap2),
                                            ms, canon))
@@ -472,6 +474,20 @@ def test_row_normalization_matches_key_normalization(D, key):
     rows = _normalize_rows(np.array([key, [-v for v in key]]), D, t)
     want = normalize_key_ref(key, D)
     assert [tuple(r) for r in rows.tolist()] == [want, want]
+
+
+@pytest.mark.parametrize("D,height_bound",
+                         [(D, 6.0) for D in sorted(CLASS_NUMBER_ONE)]
+                         + [(5, 8.0), (8, 8.0), (12, 8.0)])
+def test_elliptic_candidates_match_per_candidate_reference(D, height_bound):
+    # the reference asserts the PSL order of every candidate, which the
+    # census checks on one representative per class
+    F = make_field(D)
+    got = _elliptic_candidates(F, height_bound)
+    for rows in got.values():
+        assert np.array_equal(rows, np.unique(rows, axis=0))
+    assert {nu: set(map(tuple, rows.tolist())) for nu, rows in got.items()} \
+        == elliptic_candidates_ref(F, height_bound)
 
 
 class TestCensus:
