@@ -8,7 +8,12 @@ height caps, so a target missed within the caps proves nothing about
 conjugacy.
 
 Conjugation orbits run on the orbit engine of `orbits`, with PSL(2, O_K)
-elements as states: g and -g share one packed key.
+elements as states.  Conjugation keeps the trace, so one search runs in
+the slice of its seeds' trace tr: a state is keyed by the int64 index of
+its entries a, b and c alone (d = tr - a), the representative of trace
+tr stands for g and -g, and for tr = 0 the smaller key of the two does.
+The generators' integer matrix is applied as one float64 product, exact
+because the engine's int64 guard keeps every coordinate below 2^31.
 """
 
 from __future__ import annotations
@@ -198,9 +203,10 @@ def conjugation_orbit(seeds, D: int, cap1: float, cap2: float,
     """Height-capped BFS orbits of conjugation in PSL(2, O_K) from one
     key or an (S, 8) array of them; returns (orbit, hit_target).
 
-    Stops early when any target key is reached (one seed only).  Raises
-    when the state budget is exhausted (the orbit is then reported
-    incomplete).
+    The seeds must share one trace up to sign; ValidationError
+    otherwise.  Stops early when any target key is reached (one seed
+    only).  Raises when the state budget is exhausted (the orbit is then
+    reported incomplete).
     """
     t, n = _omega_trace_norm(D)
     return capped_bfs("conjugation", seeds,

@@ -2,19 +2,32 @@
 coordinate rows, shared by matrix conjugation (`modgroup`) and the form
 action (`pellforms`).
 
-States are int64 coordinate rows; a level is the sorted array of the
-exact complex128 keys its in-cap states pack to, and the frontier is
-unpacked from it a block of rows at a time, so tuples are built only
-for seeds and representatives.  Each level's images are deduplicated
+States are int64 coordinate rows; a level is the sorted int64 array of
+the exact keys its in-cap states pack to, and the frontier is unpacked
+from it a block of rows at a time, so tuples are built only for seeds
+and representatives.  Each level's images are deduplicated
 against the current and the previous level alone.  That is exact
 because the capped generator graph is undirected: S is an involution
 (on forms, and under conjugation since S^2 = -1 is central),
 T_mu^-1 = T_-mu, and the height test is a property of the state, so a
 neighbour of a level-k state lies on level k - 1, k or k + 1.
-Conjugation states are PSL(2, O_K) elements: each pair index of a key
-maps to R - 1 - idx under negation, so key(-g) = (R^2 - 1 - re,
-R^2 - 1 - im), and the smaller of key(g) and key(-g) keys both signs
-without sign-normalizing any image.
+
+A state's key is one int64: the base-R number whose digits are the box
+indices of its first three coordinate pairs (see _row_packer).  A form
+has three pairs.  A conjugation state [[A, B], [C, E]] has four, but
+conjugation keeps the trace, so every state of one search has the
+seeds' trace tr: E = tr - A is left out of the key and restored on
+unpacking.  States are PSL(2, O_K) elements, g and -g one state.  For
+tr != 0 exactly one of them has trace tr, so seeds and queried rows of
+trace -tr are negated and no image is ever sign-normalized.  For
+tr = 0 both have it; a pair index maps to R - 1 - idx under negation,
+so key(-g) = R^3 - 1 - key(g), and the smaller of the two keys both.
+
+The generators act Z-linearly, so a block's images are one product of
+its rows with the map's integer matrix.  It is computed in float64,
+where BLAS runs it, and is exact: the int64 guard of _row_packer keeps
+every image coordinate, and every partial sum forming it, an integer
+below 2^31, and float64 holds integers exactly to 2^53.
 
 One search partitions a whole set of rows: it starts from all of them
 at once, so a level is the set of states at distance k from the seed
@@ -62,63 +75,81 @@ def height_predicate(D: int, cap1: float, cap2: float
 
 
 def _row_packer(what: str, D: int, cap1: float, cap2: float,
-                seeds: np.ndarray, psl: bool = False
+                seed_max: int = 0, trace: Optional[np.ndarray] = None
                 ) -> Tuple[Callable[[np.ndarray], np.ndarray],
                            Callable[[np.ndarray], np.ndarray]]:
-    """(pack, unpack): exact complex128 sort keys for in-cap rows of the
-    width of `seeds`, 6 or 8 entries, and the rows back from their keys.
+    """(pack, unpack): exact int64 sort keys for in-cap rows and the rows
+    back from their keys.  Rows are forms, 6 entries, or with `trace`
+    set, PSL(2, O_K) elements [[A, B], [C, E]] of that trace, 8 entries.
 
     An in-cap pair x + y*w has |2x + t*y| <= cap1 + cap2 and
     |y| sqrt(D) <= cap1 + cap2, so it has an offset index below R in that
-    box; two indices go into each float64 half, exact while R^2 < 2^53,
-    so packing is a bijection on in-cap rows.
-    Negating a pair maps its index to R - 1 - idx, so an 8-entry row
-    -g packs to (R^2 - 1 - re, R^2 - 1 - im); with `psl` set, a row
-    packs to the smaller of key(g) and key(-g), one key for both signs,
-    and unpacks to one of g and -g.
+    box; the indices of a row's first three pairs are the digits of one
+    base-R key below R^3, exact in int64 while R^3 < 2^63, so packing is
+    a bijection on in-cap rows.  A matrix's fourth pair is E = trace - A,
+    which unpacking restores.  Negating a pair maps its index to
+    R - 1 - idx, so -g packs to R^3 - 1 - key(g); for trace 0, where g
+    and -g share the trace, a row packs to the smaller of the two, one
+    key for both signs, and unpacks to one of g and -g.
     Raises BudgetExceededError up front when the caps break exactness,
-    or when the neighbour maps could reach 2^62 in int64 arithmetic.
+    or when the neighbour maps could leave 2^31 from a row whose
+    coordinates are in-cap or at most seed_max.
     """
     t, n = _omega_trace_norm(D)
     A = math.floor(cap1 + cap2) + 1
     B = math.floor((cap1 + cap2) / math.sqrt(D)) + 1
-    R = (2 * A + 1) * (2 * B + 1)
-    if R * R >= 2 ** 53:
+    rad = 2 * B + 1
+    R = (2 * A + 1) * rad
+    if R ** 3 >= 2 ** 63:
         raise BudgetExceededError(
             f"{what} orbit caps ({cap1:.6g}, {cap2:.6g}) too large for "
             "exact packed keys")
-    # in-cap coordinates are at most cap1 + cap2; one generator step
-    # multiplies that by at most 4|n| + 8, and the sign test squares it
-    M = (4 * abs(n) + 8) * max(A, int(np.abs(seeds).max(initial=0)))
+    # in-cap coordinates are below A, and every column of a generator
+    # map's integer matrix has absolute sum at most 4|n| + 8; so every
+    # image coordinate, and every partial sum of the float64 product that
+    # forms it, is an integer of absolute value at most M, and the test
+    # below keeps M < 2^31, far inside the 2^53 where float64 holds
+    # integers exactly
+    M = (4 * abs(n) + 8) * max(A, seed_max)
     if M * M * max(9, D) >= 2 ** 62:
         raise BudgetExceededError(
             f"{what} orbit caps ({cap1:.6g}, {cap2:.6g}) or seed overflow "
             "int64 arithmetic")
-    top = R * R - 1
-    width = seeds.shape[1]
+    top = R ** 3 - 1
+    # key = sum of idx_j R^(2 - j) with idx = (2x + t*y + A)(2B + 1) + y + B
+    # for the first three pairs (x, y): one weight per coordinate.  An
+    # in-cap pair's two terms together stay below R^3 / 2 in absolute
+    # value, so no partial sum leaves int64
+    weights = np.array([[2 * rad * R ** p, (t * rad + 1) * R ** p]
+                        for p in (2, 1, 0)]).ravel()
+    base = (A * rad + B) * (R * R + R + 1)
+    trace0 = trace is not None and not np.any(trace)
 
     def pack(rows: np.ndarray) -> np.ndarray:
-        x, y = rows[:, 0::2], rows[:, 1::2]
-        idx = (2 * x + t * y + A) * (2 * B + 1) + (y + B)
-        re = idx[:, 0] * R + idx[:, 1]
-        im = idx[:, 2] * R + (idx[:, 3] if width > 6 else 0)
-        if psl:
-            flip = (2 * re > top) | ((2 * re == top) & (2 * im > top))
-            re = np.where(flip, top - re, re)
-            im = np.where(flip, top - im, im)
-        keys = np.empty(len(rows), dtype=np.complex128)
-        keys.real, keys.imag = re, im
-        return keys
+        keys = rows[:, :6] @ weights + base
+        return np.minimum(keys, top - keys) if trace0 else keys
 
     def unpack(keys: np.ndarray) -> np.ndarray:
-        re, im = keys.real.astype(np.int64), keys.imag.astype(np.int64)
-        idx = np.column_stack([re // R, re % R, im // R, im % R])
-        y = idx[:, :width // 2] % (2 * B + 1) - B
-        rows = np.empty((len(keys), width), dtype=np.int64)
-        rows[:, 1::2] = y
-        rows[:, 0::2] = (idx[:, :width // 2] // (2 * B + 1) - A - t * y) // 2
+        idx = np.column_stack([keys // (R * R), keys // R % R, keys % R])
+        y = idx % rad - B
+        rows = np.empty((len(keys), 6 if trace is None else 8),
+                        dtype=np.int64)
+        rows[:, 1:6:2] = y
+        rows[:, 0:6:2] = (idx // rad - A - t * y) // 2
+        if trace is not None:
+            rows[:, 6:8] = trace - rows[:, 0:2]
         return rows
     return pack, unpack
+
+
+def _to_trace(rows: np.ndarray, trace: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """(rows, ok): the matrix rows with those of trace -trace negated, the
+    same elements of PSL(2, O_K), and which rows now have trace `trace`."""
+    tr = rows[:, 0:2] + rows[:, 6:8]
+    flip = (tr == -trace).all(axis=1)
+    return (np.where(flip[:, None], -rows, rows),
+            flip | (tr == trace).all(axis=1))
 
 
 def _lookup(sorted_keys: np.ndarray, keys: np.ndarray
@@ -173,18 +204,20 @@ class Orbit:
     keys of its in-cap states and, for each, a seed of its component; a
     lone seed outside the caps is kept as a row (with its negative for
     a PSL orbit).  Then `component` maps the rows of an (N, k) array to
-    their components' roots, `contains` tests them for membership and
-    `in` tests one key.  `reps` lists the seeds that are roots.
+    their components' roots (a PSL row of trace -tr through its
+    negative, one of any other trace to -1), `contains` tests them for
+    membership and `in` tests one key.  `reps` lists the seeds that are
+    roots.
     """
 
-    __slots__ = ("levels", "roots", "_count", "_pack", "_inside",
+    __slots__ = ("levels", "roots", "_count", "_pack", "_admit",
                  "_outside")
 
     def __init__(self, levels: Optional[List[Tuple[np.ndarray, np.ndarray]]],
                  roots: np.ndarray, count: int, pack: Callable,
-                 inside: Callable, outside: np.ndarray):
+                 admit: Callable, outside: np.ndarray):
         self.levels, self.roots, self._count = levels, roots, count
-        self._pack, self._inside, self._outside = pack, inside, outside
+        self._pack, self._admit, self._outside = pack, admit, outside
 
     def __len__(self) -> int:
         return self._count
@@ -195,9 +228,9 @@ class Orbit:
         if self.levels is None:
             raise ValueError("the search kept only the roots")
         rows = np.asarray(rows, dtype=np.int64)
-        inside = self._inside(rows)
         out = np.where(
             (rows[:, None] == self._outside).all(axis=2).any(axis=1), 0, -1)
+        rows, inside = self._admit(rows)
         keys = self._pack(rows[inside])
         roots = np.full(len(keys), -1)
         for level, labels in self.levels:
@@ -236,10 +269,10 @@ def capped_bfs(what: str, seeds,
     `neighbors` maps an (N, k) int64 array to its (m*N, k) images, row
     i's images in rows m*i..m*i+m-1, and must be Z-linear: the search
     reads its matrix off the unit rows once and applies that to each
-    block of rows.  The new states of a level are the
-    first occurrences, in that order, of in-cap images on neither the
-    current nor the previous level (exact on the undirected capped
-    graph, see the module docstring).  Each state carries a seed of its
+    block of rows as an exact float64 product.  The new states of a
+    level are the first occurrences, in that order, of in-cap images on
+    neither the current nor the previous level (exact on the undirected
+    capped graph, see the module docstring).  Each state carries a seed of its
     component; an image that meets a state of another component on the
     current level, or the same new state as one, joins the two (see
     _merge).
@@ -251,14 +284,34 @@ def capped_bfs(what: str, seeds,
     BudgetExceededError for the `what` orbit.  Several seeds must lie
     inside the caps (the edges of a seed outside them run one way only)
     and take no targets; the search then raises exactly when some
-    component exceeds max_states states.  With `psl` set, g and -g are
-    one state.  Without `keep_states`, only the last two levels are
-    held, and the orbit keeps its roots and state count alone.
+    component exceeds max_states states.  With `psl` set, rows are
+    8-entry matrices [[A, B], [C, E]], g and -g are one state, and the
+    seeds must share one trace up to sign (ValidationError otherwise);
+    targets of another trace are never reached.  Without `keep_states`,
+    only the last two levels are held, and the orbit keeps its roots and
+    state count alone.
     """
     seeds = np.atleast_2d(np.asarray(seeds, dtype=np.int64))
     S, k = seeds.shape
+    trace = None
+    if psl:  # conjugation keeps the trace: search the seeds' trace slice
+        trace = seeds[0, 0:2] + seeds[0, 6:8] if S else np.zeros(2, int)
+        seeds, same = _to_trace(seeds, trace)
+        if not same.all():
+            raise ValidationError(
+                f"{what} seeds must share one trace up to sign")
     height_ok = height_predicate(D, cap1, cap2)
-    pack, unpack = _row_packer(what, D, cap1, cap2, seeds, psl)
+
+    def admit(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(rows, ok): the rows as states of the search's slice, and
+        which of them lie in the slice and inside the caps."""
+        if trace is None:
+            return rows, height_ok(rows)
+        rows, ok = _to_trace(rows, trace)
+        return rows, ok & height_ok(rows)
+
+    pack, unpack = _row_packer(what, D, cap1, cap2,
+                               int(np.abs(seeds).max(initial=0)), trace)
     inside = height_ok(seeds)
     if S > 1 and (targets is not None or not inside.all()):
         raise ValidationError(
@@ -271,15 +324,16 @@ def capped_bfs(what: str, seeds,
                np.concatenate([seeds, -seeds]) if psl else seeds)
     goal = None
     if targets is not None:
-        rows = np.array(list(targets), dtype=np.int64)
-        rows = rows.reshape(-1, k)
-        goal = np.unique(pack(rows[height_ok(rows)]))
+        rows, ok = admit(np.array(list(targets), dtype=np.int64)
+                         .reshape(-1, k))
+        goal = np.unique(pack(rows[ok]))
     # states per label; a component's size is the sum over its labels
     counts = np.bincount(levels[0][1], minlength=S) + (len(outside) > 0)
 
     # the neighbour map is Z-linear, so one matrix product writes a
-    # block's images, with no temporaries
-    M = neighbors(np.eye(k, dtype=np.int64)).reshape(k, -1)
+    # block's images; in float64 it runs on BLAS and is exact (see the
+    # int64 guard of _row_packer)
+    M = neighbors(np.eye(k, dtype=np.int64)).reshape(k, -1).astype(float)
 
     def expand(rows: np.ndarray, labs: np.ndarray, lo: int
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -288,11 +342,10 @@ def capped_bfs(what: str, seeds,
         their sorted keys, each one's first place among the level's
         images and a label.  Joins the components that a repeated image
         or an image on the current level shows adjacent."""
-        images = (rows @ M).reshape(-1, k)
+        images = (rows.astype(float) @ M).reshape(-1, k)
         m = len(images) // len(rows)
         where = np.flatnonzero(height_ok(images))
-        images = images[where]
-        keys = pack(images)
+        keys = pack(images[where].astype(np.int64))
         del images
         uniq, first, labs = _dedup(
             keys, np.repeat(parent[labs], m)[where], parent)
@@ -349,5 +402,5 @@ def capped_bfs(what: str, seeds,
             del levels[:-2]
         front = walk
     return Orbit(levels if keep_states else None, parent, int(counts.sum()),
-                 pack, height_ok, outside), hit
+                 pack, admit, outside), hit
 

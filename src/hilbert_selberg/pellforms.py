@@ -24,7 +24,7 @@ import numpy as np
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
 from .modgroup import (GroupElem, conjugation_orbit, _matrices_with_trace,
                        _normalize_rows, _MU_A, _MU_B)
-from .orbits import Orbit, capped_bfs
+from .orbits import Orbit, capped_bfs, _row_packer
 from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
                         _box_rows, _coord_mul, _embed_consts, _factor_pairs,
                         _omega_trace_norm)
@@ -345,6 +345,8 @@ def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
     primary algorithm; the conjugacy-class count through the stabilizer
     map is the oracle.  Each route is one capped search from all of its
     rows at once.  A mismatch raises instead of picking a side.
+    Caps that either search would refuse raise BudgetExceededError
+    before any box is scanned.
     A caller that has already solved Pell for the canonical associate
     passes that solution as `pell`; otherwise it is solved here.
     """
@@ -359,13 +361,17 @@ def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
     D = F.D
     h1, h2 = _form_boxes(dc, height)
     cap1, cap2 = 3.0 * h1, 3.0 * h2
+    m1, m2 = _matrix_boxes(pell, height)
+    mcap1, mcap2 = max(cap1, 1.5 * m1), max(cap2, 1.5 * m2)
+    # both searches' key limits and int64 guards, before either box scan:
+    # their seeds lie inside the caps
+    _row_packer("form", D, cap1, cap2)
+    _row_packer("conjugation", D, mcap1, mcap2)
 
     seeds = np.unique(enumerate_forms(dc, F, height=height), axis=0)
     reps = seeds[form_orbit(seeds, D, cap1, cap2, keep_states=False).reps]
     h_orbit = len(reps)
 
-    m1, m2 = _matrix_boxes(pell, height)
-    mcap1, mcap2 = max(cap1, 1.5 * m1), max(cap2, 1.5 * m2)
     orbit, _ = conjugation_orbit(
         np.unique(_matrix_keys(pell, F, m1, m2), axis=0), D, mcap1, mcap2,
         keep_states=False)

@@ -10,11 +10,12 @@ completed factors, the trivial zero/pole ledger, the leading term at
 s = 0, and the sine/Gamma factor identities of the functional equation.
 
 The products are array expressions over the window's columns: one
-(class x power) array, summed over the powers of each class and then
-with np.sum over the classes in the window's class order, so results
-are reproducible run to run.  selberg_zeta stops the inner product at
-the depth where every further power is below 2^-60 of its class's
-leading term, which is below the rounding the sum already has.
+array of (class, power) terms, summed over the powers of each class and
+then with np.sum over the classes in the window's class order, so
+results are reproducible run to run.  selberg_zeta stops each class's
+inner product at the depth where every further power is below 2^-60 of
+that class's leading term, which is below the rounding the sum already
+has.
 """
 
 from __future__ import annotations
@@ -114,13 +115,13 @@ def selberg_zeta(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
     pairs (phase +angle and -angle), so values are conjugate-symmetric
     in s.  trunc_norm must lie within the window's coverage.
 
-    The inner product is evaluated to depth min(trunc_k, K0) with
-    K0 = ceil(60 ln 2 / ln N_min), N_min the smallest kept norm.  Power
-    k of a class of norm N has size N^-(k+sigma), so every power past
-    K0 is below 2^-60 of its class's leading term N^-sigma, and all of
-    them together below 2^-60/(N-1) of it: less than the rounding the
-    sum already carries.  tail_bound is still placed at the requested
-    trunc_k, so a depth beyond machine negligibility costs nothing.
+    The inner product of a class of norm N is evaluated to depth
+    min(trunc_k, K) with K = ceil(60 ln 2 / ln N).  Power k has size
+    N^-(k+sigma), so every power past K is below 2^-60 of the class's
+    leading term N^-sigma, and all of them together below 2^-60/(N-1)
+    of it: less than the rounding the sum already carries.  tail_bound
+    is still placed at the requested trunc_k, so a depth beyond machine
+    negligibility costs nothing.
     """
     p.validate()
     s = complex(p.s)
@@ -128,14 +129,18 @@ def selberg_zeta(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
         raise ValidationError(
             f"Euler product needs Re(s) > 1, got s={p.s}")
     n = classes.count_upto(p.trunc_norm)
-    log_n = classes.log_norms[:n, None]
     log_z = 0.0 + 0.0j
     if n:
-        depth = min(p.trunc_k, math.ceil(_NEGLIGIBLE / log_n[0, 0]))
-        z = np.exp(-(np.arange(depth + 1) + s) * log_n)
-        rot = np.exp(1j * (p.m - 2) * classes.angles[:n, None])
-        acc = np.sum(np.log(1.0 - rot * z) + np.log(1.0 - rot.conj() * z),
-                     axis=1)
+        log_n = classes.log_norms[:n]
+        depth = np.minimum(p.trunc_k, np.ceil(_NEGLIGIBLE / log_n))
+        # (class, power) pairs with power <= the class's depth, in class
+        # order and then power order
+        row, col = np.nonzero(np.arange(depth.max() + 1) <= depth[:, None])
+        z = np.exp(-(col + s) * log_n[row])
+        rot = np.exp(1j * (p.m - 2) * classes.angles[:n])[row]
+        acc = np.add.reduceat(
+            np.log(1.0 - rot * z) + np.log(1.0 - rot.conj() * z),
+            np.flatnonzero(col == 0))
         log_z = complex(np.sum(-classes.halves[:n] * acc))
     tail = (_k_tail(classes, n, s.real, p.trunc_k)
             + _norm_tail(classes, p.trunc_norm, s.real))

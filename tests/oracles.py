@@ -441,6 +441,31 @@ def selberg_zeta_ref(p, classes):
                      tail_bound=tail)
 
 
+def selberg_zeta_uniform_ref(p, classes):
+    """The array product that zetafun.selberg_zeta replaced: every class
+    to the one depth min(trunc_k, ceil(60 ln 2 / ln N_min)) set by the
+    smallest kept norm, as a (class x power) array."""
+    import cmath
+    import numpy as np
+    from hilbert_selberg.zetafun import (ZetaValue, _NEGLIGIBLE, _k_tail,
+                                         _norm_tail)
+    s = complex(p.s)
+    n = classes.count_upto(p.trunc_norm)
+    log_n = classes.log_norms[:n, None]
+    log_z = 0.0 + 0.0j
+    if n:
+        depth = min(p.trunc_k, math.ceil(_NEGLIGIBLE / log_n[0, 0]))
+        z = np.exp(-(np.arange(depth + 1) + s) * log_n)
+        rot = np.exp(1j * (p.m - 2) * classes.angles[:n, None])
+        acc = np.sum(np.log(1.0 - rot * z) + np.log(1.0 - rot.conj() * z),
+                     axis=1)
+        log_z = complex(np.sum(-classes.halves[:n] * acc))
+    tail = (_k_tail(classes, n, s.real, p.trunc_k)
+            + _norm_tail(classes, p.trunc_norm, s.real))
+    return ZetaValue(value=cmath.exp(log_z), log_value=log_z,
+                     tail_bound=tail)
+
+
 def selberg_log_deriv_ref(p, classes):
     """The per-class power loop that zetafun.selberg_log_deriv replaced."""
     import cmath

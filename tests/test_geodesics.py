@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from hilbert_selberg import pellforms
 from hilbert_selberg.errors import ValidationError
 from hilbert_selberg.geodesics import (GeodesicWindow, class_average_report,
                                        enumerate_geodesics, pgt_report,
@@ -33,6 +34,32 @@ def test_frozen_list_x10(d5_x10):
     F, cls = d5_x10
     assert [((c.d.a, c.d.b), c.multiplicity) for c in cls] == X10_D5
     assert sum(c.multiplicity for c in cls) == 48
+
+
+def test_x12_work_counts(monkeypatch):
+    # the states both class-count routes visit on D = 5 at x = 12, one
+    # search per route and family; a change to the state graph (the
+    # generators, the caps or the PSL identification) moves these sums
+    states = {"conjugation": [], "form": []}
+    conj, form = pellforms.conjugation_orbit, pellforms.form_orbit
+
+    def counted_conj(*args, **kwargs):
+        out = conj(*args, **kwargs)
+        states["conjugation"].append(len(out[0]))
+        return out
+
+    def counted_form(*args, **kwargs):
+        out = form(*args, **kwargs)
+        states["form"].append(len(out))
+        return out
+
+    monkeypatch.setattr(pellforms, "conjugation_orbit", counted_conj)
+    monkeypatch.setattr(pellforms, "form_orbit", counted_form)
+    cls = enumerate_geodesics(make_field(5), 12.0)
+    assert sum(c.multiplicity for c in cls) == 60
+    assert [len(v) for v in states.values()] == [16, 16]
+    assert sum(states["conjugation"]) == 259056
+    assert sum(states["form"]) == 112824
 
 
 def test_form_matrix_round_trip(d5_x10):

@@ -11,7 +11,7 @@ from hilbert_selberg.modgroup import (
     _conj_neighbors, _elliptic_candidates, _matrices_with_trace,
     _normalize_rows,
 )
-from hilbert_selberg.orbits import height_predicate, _row_packer
+from hilbert_selberg.orbits import height_predicate, _row_packer, _to_trace
 from hilbert_selberg.pellforms import (enumerate_forms, form_orbit,
                                        pell_fundamental, _form_boxes,
                                        _form_neighbors, _matrix_boxes,
@@ -370,6 +370,48 @@ def test_orbit_len_is_the_state_count(kind):
         assert len(engine(rows, 400000, keep)[1]) == want
 
 
+def _guard_limit(D):
+    """The largest seed coordinate the int64 guard of _row_packer lets
+    through, by bisection."""
+    lo, hi = 0, 2 ** 31
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _row_packer("test", D, 1.0, 1.0, mid)
+            lo = mid
+        except BudgetExceededError:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("D", [5, 8, 12, 13])
+@pytest.mark.parametrize("kind", ["form", "conjugation"])
+def test_float64_neighbour_product_is_exact(kind, D):
+    t, n = _omega_trace_norm(D)
+    k, neighbors = ((6, _form_neighbors) if kind == "form"
+                    else (8, _conj_neighbors))
+    M = neighbors(np.eye(k, dtype=np.int64), D, t, n).reshape(k, -1)
+    big = _guard_limit(D)
+    # every product and partial sum of an image coordinate is at most
+    # 4|n| + 8 times the largest coordinate (see the test below)
+    assert (4 * abs(n) + 8) * big < 2 ** 31
+    rng = np.random.default_rng(D)
+    rows = np.concatenate([
+        rng.choice([-big, -big + 1, -1, 0, 1, big - 1, big], (2048, k)),
+        rng.integers(-big, big, (2048, k), endpoint=True)])
+    images = (rows.astype(float) @ M.astype(float)).astype(np.int64)
+    assert np.array_equal(images, rows @ M)
+
+
+@pytest.mark.parametrize("D", sorted(CLASS_NUMBER_ONE))
+def test_neighbour_matrices_respect_the_guard_bound(D):
+    # the exactness argument of the float64 product on every field
+    t, n = _omega_trace_norm(D)
+    for k, neighbors in ((6, _form_neighbors), (8, _conj_neighbors)):
+        M = neighbors(np.eye(k, dtype=np.int64), D, t, n).reshape(k, -1)
+        assert np.abs(M).sum(axis=0).max() <= 4 * abs(n) + 8
+
+
 class TestArithmeticGuards:
     """Caps or seeds that could overflow int64 fail before any search:
     each test patches out the function a search would call first."""
@@ -422,47 +464,97 @@ def test_matrices_with_trace_match_per_a_loop(D, ta, tb, cap1, cap2):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from([5, 8, 13]), st.floats(1.0, 40.0),
+@given(st.sampled_from([5, 8, 12, 13]), st.floats(1.0, 40.0),
        st.floats(1.0, 40.0), st.sampled_from([6, 8]), st.data())
 def test_packed_keys_injective_on_in_cap_rows(D, cap1, cap2, width, data):
     pts = [(p.a, p.b) for p in lattice_points(D, cap1, cap2)]
-    picks = st.lists(st.sampled_from(pts), min_size=width // 2,
-                     max_size=width // 2)
-    rows = np.array([sum(data.draw(picks), ()) for _ in range(12)]
+    picks = st.lists(st.sampled_from(pts), min_size=3, max_size=3)
+    rows = np.array([sum(data.draw(picks), ()) for _ in range(16)]
                     + [sum(data.draw(picks), ())] * 2, dtype=np.int64)
-    rows = rows[height_predicate(D, cap1, cap2)(rows)]
-    zero = np.zeros((1, width), dtype=np.int64)
-    pack, unpack = _row_packer("test", D, cap1, cap2, zero)
-    keys = pack(rows)
-    assert len(set(keys.tolist())) == len({tuple(r) for r in rows.tolist()})
-    # the frontier is kept as keys: in-cap rows come back exactly
-    assert np.array_equal(unpack(keys), rows)
     if width == 6:
+        pack, unpack = _row_packer("test", D, cap1, cap2)
+        keys = pack(rows)
+        assert keys.dtype == np.int64
+        assert len(set(keys.tolist())) \
+            == len({tuple(r) for r in rows.tolist()})
+        # the frontier is kept as keys: in-cap rows come back exactly
+        assert np.array_equal(unpack(keys), rows)
         return
-    # rows whose first two pairs vanish tie with their negatives on the
-    # real half of the key
-    tied = rows.copy()
-    tied[:, :4] = 0
-    rows = np.concatenate([rows, tied])
-    keys, neg = pack(rows), pack(-rows)
-    # every pair index maps to R - 1 - idx under negation
+    # a slice of matrices [[A, B], [C, E]] of one trace: E = tr - A is
+    # not in the key, and only rows with E inside the caps are states
+    tr = np.array(data.draw(st.sampled_from([(0, 0)] + pts)))
+    rows = np.column_stack([rows, tr - rows[:, 0:2]])
+    rows = rows[height_predicate(D, cap1, cap2)(rows)]
+    pack, unpack = _row_packer("test", D, cap1, cap2, trace=tr)
+    keys = pack(rows)
+    back = unpack(keys)
+    # every unpacked row has the slice's trace: E restored exactly
+    assert (back[:, 0:2] + back[:, 6:8] == tr).all()
+    # a query of trace -tr is negated into the slice; other traces fall out
+    signed, ok = _to_trace(-rows, tr)
+    assert ok.all() and np.array_equal(signed, rows)
+    if tr.any():
+        assert not _to_trace(rows + [0, 0, 0, 0, 0, 0, 1, 0], tr)[1].any()
+        # one element of trace tr for each sign pair: keys are injective
+        assert len(set(keys.tolist())) \
+            == len({tuple(r) for r in rows.tolist()})
+        assert np.array_equal(back, rows)
+        return
+    # trace 0: g and -g share the trace and one key, the smaller of
+    # key(g) and key(-g) = R^3 - 1 - key(g), and unpack to one of them
     A = math.floor(cap1 + cap2) + 1
     B = math.floor((cap1 + cap2) / math.sqrt(D)) + 1
-    top = ((2 * A + 1) * (2 * B + 1)) ** 2 - 1
-    assert (neg.real == top - keys.real).all()
-    assert (neg.imag == top - keys.imag).all()
-    # the PSL key is the smaller of key(g) and key(-g): one per sign pair
-    canon, uncanon = _row_packer("test", D, cap1, cap2, zero, psl=True)
-    assert (canon(rows) == canon(-rows)).all()
-    # a PSL key unpacks to one of the two signs
-    back = uncanon(canon(rows))
+    top = ((2 * A + 1) * (2 * B + 1)) ** 3 - 1
+    assert (pack(-rows) == keys).all()
     assert ((back == rows).all(axis=1) | (back == -rows).all(axis=1)).all()
-    assert [min(k, m, key=lambda z: (z.real, z.imag))
-            for k, m in zip(keys.tolist(), neg.tolist())] \
-        == canon(rows).tolist()
+    plain, _ = _row_packer("test", D, cap1, cap2)
+    assert (keys == np.minimum(plain(rows[:, :6]), top - plain(rows[:, :6]))
+            ).all()
     both = np.concatenate([rows, -rows])
     pairs = {min(tuple(r), tuple(-v for v in r)) for r in both.tolist()}
-    assert len(set(canon(both).tolist())) == len(pairs)
+    assert len(set(pack(both).tolist())) == len(pairs)
+
+
+@pytest.mark.parametrize("D", [5, 8, 12, 13])
+def test_packer_raises_exactly_when_the_radix_product_reaches_2_63(D):
+    # the radix R of a pair index is (2A + 1)(2B + 1); near R = 2^21 the
+    # cap sum steps A and B across the limit R^3 < 2^63
+    mid = math.sqrt(2 ** 19 * math.sqrt(D))
+    raised = []
+    for total in np.arange(mid - 6.0, mid + 6.0, 0.25):
+        A = math.floor(total) + 1
+        B = math.floor(total / math.sqrt(D)) + 1
+        R = (2 * A + 1) * (2 * B + 1)
+        try:
+            _row_packer("test", D, total / 2, total / 2)
+            raised.append(False)
+        except BudgetExceededError as exc:
+            assert "exact packed keys" in str(exc)
+            raised.append(True)
+        assert raised[-1] == (R ** 3 >= 2 ** 63), total
+    assert True in raised and False in raised
+
+
+def test_psl_queries_find_the_negation():
+    # the D = 5 order-5 orbit of test_orbit_is_conjugation_closed, with
+    # trace 1: its states answer for their negatives, which have trace
+    # -1, and a row of another trace is never a member
+    D, cap = 5, 12.0
+    g = elem(D, ((0, 0), (-1, 0), (1, 0), (1, 0)))
+    members, _ = capped_bfs_ref(g.key(), conj_neighbors_ref(D),
+                                height_ok_ref(D, cap, cap), 400000)
+    rows = np.array(members)
+    for seed in (rows[:1], -rows[:1]):
+        orbit, _ = conjugation_orbit(seed, D, cap, cap)
+        assert orbit.contains(rows).all() and orbit.contains(-rows).all()
+        assert (orbit.component(-rows) == 0).all()
+        other = rows.copy()
+        other[:, 6] += 1  # trace 2 + w
+        assert not orbit.contains(other).any()
+        _, hit = conjugation_orbit(seed, D, cap, cap, targets=-rows[-1:])
+        assert hit
+    with pytest.raises(ValidationError, match="one trace up to sign"):
+        conjugation_orbit(np.concatenate([rows[:1], other[:1]]), D, cap, cap)
 
 
 @settings(max_examples=100, deadline=None)

@@ -156,6 +156,34 @@ def test_class_number_reuses_given_pell(sweep5):
         class_number(d, F, pell=rec_b.pell)
 
 
+@pytest.mark.parametrize("route", ["form", "conjugation"])
+def test_class_number_budget_before_the_scans(route, monkeypatch):
+    # caps that a route's search would refuse fail before either box scan
+    def never(*args, **kwargs):
+        pytest.fail("a box was scanned")
+
+    monkeypatch.setattr(pellforms, "enumerate_forms", never)
+    monkeypatch.setattr(pellforms, "_matrix_keys", never)
+    height = 400.0
+    if route == "conjugation":
+        # the form caps of height 8 pass; the matrix boxes are too large
+        height = 8.0
+        monkeypatch.setattr(pellforms, "_matrix_boxes",
+                            lambda pell, height: (1e4, 1e4))
+    with pytest.raises(BudgetExceededError,
+                       match=f"^{route} orbit caps .* exact packed keys$"):
+        class_number(QuadInt(5, -7, 5), make_field(5), height=height)
+
+
+def test_cli_budget_before_the_form_scan(capsys, monkeypatch):
+    monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    assert main(["forms", "--D", "5", "--d=-7+5*w", "--height", "400"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("budget exceeded: form orbit caps (1200, 1200) too "
+                       "large for exact packed keys\n")
+
+
 def test_route_mismatch_names_the_caps(capsys, monkeypatch):
     # a search without edges leaves every seed form its own component, so
     # the form route counts every form and the two routes disagree; the

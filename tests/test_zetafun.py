@@ -25,7 +25,8 @@ from hilbert_selberg.zetafun import (AlphaTable, ZetaParams, alpha_table,
                                      _norm_tail,
                                      ruelle_leading, selberg_log_deriv,
                                      selberg_zeta)
-from oracles import (ruelle_ref, selberg_log_deriv_ref, selberg_zeta_ref)
+from oracles import (ruelle_ref, selberg_log_deriv_ref, selberg_zeta_ref,
+                     selberg_zeta_uniform_ref)
 
 # residue-point orders at s = -k, k = 0..7
 RESIDUE_ORDERS = {
@@ -355,6 +356,27 @@ def test_products_match_scalar_loops(window10, m):
             assert _close(got.value, want.value), (p, got, want)
             assert _close(got.tail_bound, want.tail_bound, 0.0), \
                 (p, got, want)
+
+
+@pytest.fixture(scope="module")
+def window20():
+    return enumerate_geodesics(make_field(5), 20.0)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_per_class_depth_matches_uniform_depth(window10, window20, m):
+    # each class is cut at its own negligible depth; the powers between
+    # that and the smallest norm's depth are below the sum's rounding
+    for cls in (window10, window20):
+        for s in (1.05 + 0.5j, 1.3, 2.0 + 3.0j, 2.9 - 7.0j, 40.0 + 0.5j):
+            for x in (3.0, 10.0, cls.coverage):
+                for k in (0, 1, 5, 40, 10 ** 9):
+                    p = ZetaParams(s, m, x, k)
+                    got = selberg_zeta(p, cls)
+                    want = selberg_zeta_uniform_ref(p, cls)
+                    assert abs(got.value - want.value) \
+                        <= 1e-15 * abs(want.value), (p, got, want)
+                    assert got.tail_bound == want.tail_bound
 
 
 def test_ruelle_matches_scalar_loops(window10):
