@@ -49,7 +49,7 @@ from .zetafun import (ZetaParams, divisor_ledger, fe_identity_checks,
 
 @dataclasses.dataclass
 class RunConfig:
-    """Run-wide parameters; round-trips losslessly through key=value text."""
+    """Run-wide parameters, read from key = value text by from_text."""
 
     D: int = 5
     x_max: float = 10.0
@@ -81,19 +81,6 @@ class RunConfig:
             raise ValidationError("beta grid entries must be positive")
         if self.out_format not in ("json", "csv"):
             raise ValidationError(f"unknown format {self.out_format!r}")
-
-    def to_text(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                v = "none"
-            elif isinstance(v, tuple):
-                v = ",".join(repr(x) for x in v)
-            elif isinstance(v, float):
-                v = repr(v)
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":

@@ -4,8 +4,8 @@ Group elements are 2x2 matrices over O_K of determinant 1, acting on
 H x H through the pair (gamma, gamma') of real embeddings.  Conjugacy
 searches walk the Cayley graph of conjugation by a fixed generator set
 (translations by +-1, +-w and the inversion S), with per-embedding
-height caps, so a target missed within the caps proves nothing about
-conjugacy.
+height caps, so two elements in different components within the caps
+are not thereby proved non-conjugate.
 
 Conjugation orbits run on the orbit engine of `orbits`, with PSL(2, O_K)
 elements as states.  Conjugation keeps the trace, so one search runs in
@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
-from .orbits import Orbit, capped_bfs
+from .orbits import Orbit, capped_bfs, height_predicate
 from .quadfield import (FieldCtx, QuadInt, _box_rows, _coord_mul,
                         _embed_consts, _factor_pairs, _omega_trace_norm)
 
@@ -197,22 +197,22 @@ def _conj_neighbors(rows: np.ndarray, D: int, t: int, n: int) -> np.ndarray:
 
 
 def conjugation_orbit(seeds, D: int, cap1: float, cap2: float,
-                      max_states: int = 400000,
-                      targets: Optional[Iterable[Key]] = None,
-                      keep_states: bool = True) -> Tuple[Orbit, bool]:
+                      max_states: int = 400000
+                      ) -> Tuple[Orbit, np.ndarray]:
     """Height-capped BFS orbits of conjugation in PSL(2, O_K) from one
-    key or an (S, 8) array of them; returns (orbit, hit_target).
+    key or an (S, 8) array of them; returns (orbit, reps), reps the
+    seed rows that are their components' roots.
 
-    The seeds must share one trace up to sign; ValidationError
-    otherwise.  Stops early when any target key is reached (one seed
-    only).  Raises when the state budget is exhausted (the orbit is then
-    reported incomplete).
+    The seeds must share one trace up to sign and lie inside the caps;
+    ValidationError otherwise.  Raises when some component exceeds the
+    state budget (the orbit is then reported incomplete).
     """
+    seeds = np.atleast_2d(np.asarray(seeds, dtype=np.int64))
     t, n = _omega_trace_norm(D)
-    return capped_bfs("conjugation", seeds,
-                      lambda rows: _conj_neighbors(rows, D, t, n),
-                      D, cap1, cap2, max_states, targets, psl=True,
-                      keep_states=keep_states)
+    orbit = capped_bfs("conjugation", seeds,
+                       lambda rows: _conj_neighbors(rows, D, t, n),
+                       D, cap1, cap2, max_states, psl=True)
+    return orbit, seeds[orbit.reps]
 
 
 # ------------------------------------------------------- elliptic census
@@ -300,6 +300,14 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
     the full point stabilizer: proper powers of a higher-order generator
     (the square of an order-4 rotation is an order-2 rotation about the
     same point) carry the right trace but have a point of larger isotropy.
+    Orders are searched largest first, one search per order, whose
+    components are the classes.  The powers of the larger orders'
+    primitive classes that land at an order and lie inside its caps are
+    seeded into its search after the candidates, so a power in a
+    candidate's component has that candidate as its root.  A power
+    outside the caps, or in no candidate's component, gets one search at
+    a cap that holds it, from the candidates and the power; if its root
+    is still no candidate, InvariantViolation is raised.
 
     The PSL order and rotation angles are checked once per class.  By
     Cayley-Hamilton every g of trace tau has g^k = a_k(tau) g + b_k(tau) I,
@@ -310,20 +318,27 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
     two_cos = _two_cos_table(F)
     cap_bfs = height_bound * 2.5
     w1, w2 = _embed_consts(D)
+    inside = height_predicate(D, cap_bfs, cap_bfs)
 
-    # one conjugation search per order; its components are the classes
     candidates = _elliptic_candidates(F, height_bound)
     records: List[dict] = []
-    for nu, seeds in candidates.items():
-        # only an order that a larger order's power can land in is asked
-        # which class holds a key
-        queried = any(m > nu and m % nu == 0 for m in candidates)
-        orbit, _ = conjugation_orbit(seeds, D, cap_bfs, cap_bfs,
-                                     keep_states=queried)
+    for nu in sorted(two_cos, reverse=True):
+        cands = candidates.get(nu, np.empty((0, 8), dtype=np.int64))
+        S = len(cands)
+        powers = [(r["nu"], (r["rep"] ** (r["nu"] // nu)).key())
+                  for r in records if r["primitive"] and r["nu"] % nu == 0]
+        prows = np.array([key for _, key in powers],
+                         dtype=np.int64).reshape(-1, 8)
+        near = inside(prows)
+        orbit, reps = conjugation_orbit(np.concatenate([cands, prows[near]]),
+                                        D, cap_bfs, cap_bfs)
         tr = two_cos[nu]
         th1 = math.acos(tr.embed(1) / 2.0)
-        for root in orbit.reps:
-            rep = GroupElem.from_key(tuple(seeds[root].tolist()), D)
+        by_root: Dict[int, dict] = {}
+        for root, row in zip(orbit.reps.tolist(), reps.tolist()):
+            if root >= S:  # a power's own component, not a class
+                break
+            rep = GroupElem.from_key(tuple(row), D)
             order = rep.psl_order()
             if order != nu:
                 raise InvariantViolation(
@@ -338,39 +353,28 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
                     or tj % 2 == 0:
                 raise InvariantViolation(
                     f"bad rotation angle {th2} for nu={nu}")
-            records.append({"nu": nu, "tj": tj, "th1": th1, "th2": th2,
-                            "rep": rep, "orbit": orbit, "root": root,
-                            "members": seeds[orbit.roots == root],
-                            "primitive": True})
+            by_root[root] = {"nu": nu, "tj": tj, "th1": th1, "th2": th2,
+                             "rep": rep, "primitive": True}
+        records.extend(by_root.values())
 
-    # drop classes that are proper powers of a larger stabilizer generator
-    for rec in sorted(records, key=lambda r: -r["nu"]):
-        if not rec["primitive"]:
-            continue
-        nu = rec["nu"]
-        for div in range(2, nu):
-            if nu % div:
-                continue
-            pkey = (rec["rep"] ** (nu // div)).key()
-            sub = [r for r in records if r["nu"] == div]
-            # the class whose component at cap_bfs holds the power
-            owner = next((r for r in sub if r["orbit"].component(
-                np.array([pkey]))[0] == r["root"]), None)
-            if owner is None:
+        # drop the classes that are proper powers of a larger stabilizer
+        # generator
+        roots = np.full(len(prows), -1)
+        roots[near] = orbit.roots[S:]
+        for (m, pkey), prow, root in zip(powers, prows, roots.tolist()):
+            if not 0 <= root < S:
                 pcap = max(cap_bfs, 1.5 * max(
                     abs(pkey[2 * i] + pkey[2 * i + 1] * wj)
                     for i in range(4) for wj in (w1, w2)))
-                tgt = np.concatenate([np.empty((0, 8), dtype=np.int64)]
-                                     + [r["members"] for r in sub])
-                porb, hit = conjugation_orbit(pkey, D, pcap, pcap, targets=tgt)
-                if hit:
-                    owners = [r for r in sub for _ in r["members"]]
-                    owner = owners[np.flatnonzero(porb.contains(tgt))[0]]
-            if owner is None:
-                raise InvariantViolation(
-                    f"order-{div} power of an order-{nu} class not located "
-                    "among the enumerated classes")
-            owner["primitive"] = False
+                porb, _ = conjugation_orbit(np.concatenate([cands, [prow]]),
+                                            D, pcap, pcap)
+                root = int(porb.roots[S])
+                if root >= S:
+                    raise InvariantViolation(
+                        f"order-{nu} power of an order-{m} class not "
+                        "located among the enumerated classes")
+                root = int(orbit.roots[root])
+            by_root[root]["primitive"] = False
 
     classes = [EllipticClass(nu=r["nu"], t=r["tj"] % r["nu"], rep=r["rep"],
                              theta1=r["th1"], theta2=r["th2"])

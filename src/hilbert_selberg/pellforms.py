@@ -236,14 +236,13 @@ def _form_neighbors(rows: np.ndarray, D: int, t: int, n: int) -> np.ndarray:
 
 
 def form_orbit(seeds, D: int, cap1: float, cap2: float,
-               max_states: int = 400000, keep_states: bool = True) -> Orbit:
+               max_states: int = 400000) -> Orbit:
     """Height-capped BFS orbits under the generator action from one form
-    key or an (S, 6) array of them."""
+    key or an (S, 6) array of them, all inside the caps."""
     t, n = _omega_trace_norm(D)
     return capped_bfs("form", seeds,
                       lambda rows: _form_neighbors(rows, D, t, n),
-                      D, cap1, cap2, max_states,
-                      keep_states=keep_states)[0]
+                      D, cap1, cap2, max_states)
 
 
 def _form_boxes(d: QuadInt, height: float) -> Tuple[float, float]:
@@ -369,13 +368,12 @@ def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
     _row_packer("conjugation", D, mcap1, mcap2)
 
     seeds = np.unique(enumerate_forms(dc, F, height=height), axis=0)
-    reps = seeds[form_orbit(seeds, D, cap1, cap2, keep_states=False).reps]
+    reps = seeds[form_orbit(seeds, D, cap1, cap2).reps]
     h_orbit = len(reps)
 
-    orbit, _ = conjugation_orbit(
-        np.unique(_matrix_keys(pell, F, m1, m2), axis=0), D, mcap1, mcap2,
-        keep_states=False)
-    h_matrix = len(orbit.reps)
+    _, classes = conjugation_orbit(
+        np.unique(_matrix_keys(pell, F, m1, m2), axis=0), D, mcap1, mcap2)
+    h_matrix = len(classes)
     if h_orbit != h_matrix:
         raise InvariantViolation(
             f"ambiguous class count for d={dc}: form orbits give "

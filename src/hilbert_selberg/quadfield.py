@@ -170,9 +170,6 @@ class QuadInt:
     def is_one(self) -> bool:
         return self.a == 1 and self.b == 0
 
-    def is_unit(self) -> bool:
-        return abs(self.norm()) == 1
-
     def inverse_unit(self) -> "QuadInt":
         n = self.norm()
         if abs(n) != 1:

@@ -77,11 +77,11 @@ def li_gauss_legendre(x: float) -> float:
     return total
 
 
-def capped_bfs_ref(seed, neighbors, height_ok, max_states, targets=None):
-    """Key-by-key height-capped BFS: returns (visit order, hit_target).
+def capped_bfs_ref(seed, neighbors, height_ok, max_states):
+    """Key-by-key height-capped BFS: returns the visit order.
 
     Each neighbour is checked in turn: already visited, over the height
-    cap, a target (stop at once), then the state budget, which raises.
+    cap, then the state budget, which raises.
     """
     from hilbert_selberg.errors import BudgetExceededError
     order, seen, frontier = [seed], {seed}, [seed]
@@ -93,14 +93,12 @@ def capped_bfs_ref(seed, neighbors, height_ok, max_states, targets=None):
                     continue
                 seen.add(nb)
                 order.append(nb)
-                if targets is not None and nb in targets:
-                    return order, True
                 nxt.append(nb)
                 if len(order) > max_states:
                     raise BudgetExceededError(
                         f"orbit exceeded {max_states} states")
         frontier = nxt
-    return order, False
+    return order
 
 
 def partition_ref(rows, neighbors, height_ok, max_states, canon=tuple):
@@ -115,8 +113,8 @@ def partition_ref(rows, neighbors, height_ok, max_states, canon=tuple):
     for row in rows:
         if row in rep_of:
             continue
-        order, _ = capped_bfs_ref(canon(row), neighbors, height_ok,
-                                  max_states)
+        order = capped_bfs_ref(canon(row), neighbors, height_ok,
+                               max_states)
         members = {canon(key) for key in order}
         for other in rows:
             if other not in rep_of and canon(other) in members:

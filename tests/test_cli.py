@@ -5,6 +5,7 @@ files, and exit codes.  Determinism matters here: rerunning a command
 with the same configuration must give byte-identical output.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -97,11 +98,15 @@ def test_analytic_commands_run_without_scipy(tmp_path, capsys):
 # ---------------------------------------------------------------- config
 
 def test_config_round_trip():
-    cfg = RunConfig(D=8, x_max=12.5, height=7.25, trunc_norm=None,
-                    trunc_k=55, beta_grid=(0.2, 0.07), out_format="csv",
-                    out_path=None, cache_dir="/tmp/hs", seed=7)
-    again = RunConfig.from_text(cfg.to_text())
-    assert again == cfg
+    text = ("D = 8\nx_max = 12.5\nheight = 7.25\ntrunc_norm = none\n"
+            "trunc_k = 55\nbeta_grid = 0.2,0.07\nout_format = csv\n"
+            "out_path = none\ncache_dir = /tmp/hs\nseed = 7\n")
+    assert [ln.split(" = ")[0] for ln in text.splitlines()] \
+        == [f.name for f in dataclasses.fields(RunConfig)]
+    assert RunConfig.from_text(text) == RunConfig(
+        D=8, x_max=12.5, height=7.25, trunc_norm=None, trunc_k=55,
+        beta_grid=(0.2, 0.07), out_format="csv", out_path=None,
+        cache_dir="/tmp/hs", seed=7)
 
 
 def test_config_comments_and_unknown_key(tmp_path):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilbert_selberg import modgroup, pellforms
-from hilbert_selberg.errors import BudgetExceededError, ValidationError
+from hilbert_selberg import modgroup, orbits, pellforms
+from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
+                                    ValidationError)
 from hilbert_selberg.modgroup import (
     GroupElem, classify, conjugation_orbit, enumerate_elliptic,
     _conj_neighbors, _elliptic_candidates, _matrices_with_trace,
@@ -103,18 +104,17 @@ class TestConjugacy:
         g = elem(D, ((0, 0), (-1, 0), (1, 0), (0, 0)))
         u = elem(D, ((1, 0), (2, 1), (0, 0), (1, 0)))
         h = u * g * u.inverse()
-        _, hit = conjugation_orbit(g.key(), D, 30.0, 30.0,
-                                   targets={h.key()})
-        assert hit
+        _, reps = conjugation_orbit([g.key(), h.key()], D, 30.0, 30.0)
+        assert len(reps) == 1
 
     def test_orbit_is_conjugation_closed(self):
-        D = 5
+        D, cap = 5, 12.0
         g = elem(D, ((0, 0), (-1, 0), (1, 0), (1, 0)))
-        orbit, _ = conjugation_orbit(g.key(), D, 12.0, 12.0)
-        assert normalize_key_ref(g.key(), D) in orbit
-        members, _ = capped_bfs_ref(g.key(), conj_neighbors_ref(D),
-                                    height_ok_ref(D, 12.0, 12.0), 400000)
-        assert _agrees((orbit, False), (members, False))
+        members = capped_bfs_ref(g.key(), conj_neighbors_ref(D),
+                                 height_ok_ref(D, cap, cap), 400000)
+        assert _is_the_orbit(
+            lambda seeds: conjugation_orbit(seeds, D, cap, cap)[0],
+            members, _conj_neighbors, D, cap)
         # every member has the same PSL trace and classification
         for key in members[:50]:
             h = GroupElem.from_key(key, D)
@@ -123,21 +123,35 @@ class TestConjugacy:
             assert tr == g.trace() or tr == -g.trace()
 
 
+def _is_the_orbit(orbit_of, members, neighbors, D, cap):
+    """Seeded with the states of a reference orbit and their in-cap
+    neighbour images, the engine finds one component with the
+    reference's state count: it visits the same states, and they are
+    closed under the neighbour map inside the caps."""
+    t, n = _omega_trace_norm(D)
+    rows = np.array(members)
+    images = neighbors(rows, D, t, n)
+    images = images[height_predicate(D, cap, cap)(images)]
+    orbit = orbit_of(np.unique(np.concatenate([rows, images]), axis=0))
+    return len(orbit.reps) == 1 and len(orbit) == len(members)
+
+
 def _orbit_case(kind):
-    """(seed, orbit(seed, cap, max_states), neighbor map) over Q(sqrt 5)."""
+    """(seed, orbit(seeds, cap, max_states), neighbor map, reference
+    map) over Q(sqrt 5)."""
     D = 5
     if kind == "conjugation":
         g = elem(D, ((0, 0), (-1, 0), (1, 0), (1, 0)))
-        seed = normalize_key_ref(g.key(), D)
-        return (seed,
-                lambda cap, ms: conjugation_orbit(seed, D, cap, cap,
-                                                  max_states=ms)[0],
-                _conj_neighbors)
+        return (normalize_key_ref(g.key(), D),
+                lambda seeds, cap, ms: conjugation_orbit(
+                    seeds, D, cap, cap, max_states=ms)[0],
+                _conj_neighbors, conj_neighbors_ref(D))
     seed = min(map(tuple, enumerate_forms(QuadInt(D, -7, 5),
                                           make_field(D)).tolist()))
     return (seed,
-            lambda cap, ms: form_orbit(seed, D, cap, cap, max_states=ms),
-            _form_neighbors)
+            lambda seeds, cap, ms: form_orbit(seeds, D, cap, cap,
+                                              max_states=ms),
+            _form_neighbors, form_neighbors_ref(D))
 
 
 @pytest.mark.parametrize("kind", ["conjugation", "form"])
@@ -146,123 +160,79 @@ class TestOrbitEngine:
 
     def test_closed_under_neighbors_within_caps(self, kind):
         D = 5
-        t, n = _omega_trace_norm(D)
-        seed, orbit_of, neighbors = _orbit_case(kind)
-        orbit = orbit_of(self.CAP, 400000)
-        assert seed in orbit and len(orbit) > 1
+        seed, orbit_of, neighbors, ref_map = _orbit_case(kind)
         # the orbit's states, listed by the key-by-key walk
-        ref_map = (conj_neighbors_ref if kind == "conjugation"
-                   else form_neighbors_ref)
-        members, _ = capped_bfs_ref(seed, ref_map(D),
-                                    height_ok_ref(D, self.CAP, self.CAP),
-                                    400000)
-        assert _agrees((orbit, False), (members, False))
-        inside = height_predicate(D, self.CAP, self.CAP)
-        rows = np.array(members)
-        assert inside(rows).all()
-        images = neighbors(rows, D, t, n)
-        assert (orbit.contains(images) | ~inside(images)).all()
+        members = capped_bfs_ref(seed, ref_map,
+                                 height_ok_ref(D, self.CAP, self.CAP), 400000)
+        assert len(members) > 1
+        assert _is_the_orbit(lambda seeds: orbit_of(seeds, self.CAP, 400000),
+                             members, neighbors, D, self.CAP)
 
     def test_budget_trips_at_the_state_count(self, kind):
-        seed, orbit_of, _ = _orbit_case(kind)
-        full = orbit_of(self.CAP, 400000)
-        # same seed and caps, so the packed keys compare level by level
-        at_budget = orbit_of(self.CAP, len(full))
-        assert len(at_budget) == len(full)
-        assert all(np.array_equal(a, b) for (a, _), (b, _)
-                   in zip(at_budget.levels, full.levels, strict=True))
+        seed, orbit_of, _, _ = _orbit_case(kind)
+        full = orbit_of(seed, self.CAP, 400000)
+        assert len(orbit_of(seed, self.CAP, len(full))) == len(full)
         with pytest.raises(BudgetExceededError,
                            match=f"{kind} orbit exceeded {len(full) - 1} "):
-            orbit_of(self.CAP, len(full) - 1)
+            orbit_of(seed, self.CAP, len(full) - 1)
         with pytest.raises(BudgetExceededError):
-            orbit_of(self.CAP, 3)
+            orbit_of(seed, self.CAP, 3)
 
 
-REFERENCE_CASES = ["conjugation", "form", "outside-seed", "d12"]
+REFERENCE_CASES = ["conjugation", "form", "d12"]
 
 
 def _reference_case(kind):
-    """(engine(max_states, targets), reference(max_states, targets),
-    extra targets) for one orbit."""
+    """(engine(seeds, max_states), reference(max_states), seed) for one
+    orbit: the engine's orbit and the key-by-key walk's visit order."""
     if kind == "form":
         D, cap = 5, 12.0
         seed = min(map(tuple, enumerate_forms(QuadInt(D, -7, 5),
                                               make_field(D)).tolist()))
-        return (lambda ms, tg: (form_orbit(seed, D, cap, cap, ms), False),
-                lambda ms, tg: capped_bfs_ref(seed, form_neighbors_ref(D),
-                                              height_ok_ref(D, cap, cap), ms),
-                set())
+        return (lambda seeds, ms: form_orbit(seeds, D, cap, cap, ms),
+                lambda ms: capped_bfs_ref(seed, form_neighbors_ref(D),
+                                          height_ok_ref(D, cap, cap), ms),
+                seed)
     if kind == "conjugation":
-        # the D = 8 orbit of test_direct_conjugates_are_reached, with its
-        # direct conjugate as an extra target
+        # the D = 8 orbit of test_direct_conjugates_are_reached
         D, cap = 8, 30.0
-        g = elem(D, ((0, 0), (-1, 0), (1, 0), (0, 0)))
-        u = elem(D, ((1, 0), (2, 1), (0, 0), (1, 0)))
-        seed, extra = g.key(), {(u * g * u.inverse()).key()}
-    elif kind == "outside-seed":
-        # T_mu S T_-mu with mu = 2 + 3w has an entry -23 - 12 sqrt 2
-        # beyond the cap; its T_-1 conjugate is inside
-        D, cap = 8, 30.0
-        s = elem(D, ((0, 0), (-1, 0), (1, 0), (0, 0)))
-        mu = elem(D, ((1, 0), (2, 3), (0, 0), (1, 0)))
-        seed = (mu * s * mu.inverse()).key()
-        assert not height_ok_ref(D, cap, cap)(seed)
-        extra = {seed}
+        seed = elem(D, ((0, 0), (-1, 0), (1, 0), (0, 0))).key()
     else:
         # D = 12, where w = sqrt 3 has trace t = 0: an order-6 rotation
         D, cap = 12, 30.0
         seed = elem(D, ((0, 1), (-1, 0), (1, 0), (0, 0))).key()
-        extra = {seed}
-    return (lambda ms, tg: conjugation_orbit(seed, D, cap, cap, ms, tg),
-            lambda ms, tg: capped_bfs_ref(seed, conj_neighbors_ref(D),
-                                          height_ok_ref(D, cap, cap), ms, tg),
-            extra)
+    return (lambda seeds, ms: conjugation_orbit(seeds, D, cap, cap, ms)[0],
+            lambda ms: capped_bfs_ref(seed, conj_neighbors_ref(D),
+                                      height_ok_ref(D, cap, cap), ms),
+            seed)
 
 
-def _outcome(run, max_states, targets=None):
+def _outcome(run):
+    """The state count of a run, or "budget" if it raised."""
     try:
-        return run(max_states, targets)
+        return len(run())
     except BudgetExceededError:
         return "budget"
-
-
-def _agrees(got, want):
-    """An engine outcome, (orbit, hit) or "budget", against a reference
-    one, (visit order, hit) or "budget".  The reference lists distinct
-    states, so equal counts and every listed state a member mean equal
-    state sets."""
-    if isinstance(got, str) or isinstance(want, str):
-        return got == want
-    (orbit, hit), (order, want_hit) = got, want
-    return (hit == want_hit and len(orbit) == len(order)
-            and orbit.contains(np.array(order)).all())
 
 
 @pytest.mark.parametrize("kind", REFERENCE_CASES)
 class TestEngineMatchesKeyByKeyBFS:
     def test_visited_set(self, kind):
+        # the reference lists distinct states, so one component of as
+        # many states from all of them is exactly the reference's set
         engine, ref, _ = _reference_case(kind)
-        order, hit = ref(400000, None)
-        assert _agrees(engine(400000, None), (order, hit))
-        assert hit is False and len(order) > 100
+        order = ref(400000)
+        assert len(order) > 100
+        orbit = engine(np.unique(order, axis=0), 400000)
+        assert len(orbit.reps) == 1 and len(orbit) == len(order)
 
     def test_budget_trip_point(self, kind):
-        engine, ref, _ = _reference_case(kind)
-        n = len(ref(400000, None)[0])
+        # both raise exactly when the state count exceeds the budget
+        engine, ref, seed = _reference_case(kind)
+        n = len(ref(400000))
         for ms in (0, 1, 2, 7, n // 3, n - 2, n - 1, n):
-            assert _agrees(_outcome(engine, ms), _outcome(ref, ms)), ms
-
-
-def test_engine_target_hits_match_key_by_key_bfs():
-    for kind in ("conjugation", "outside-seed", "d12"):
-        engine, ref, extra = _reference_case(kind)
-        order, _ = ref(400000, None)
-        for pos in (1, 5, 6, len(order) // 2, len(order) - 1):
-            targets = {order[pos]} | extra
-            for ms in (pos - 2, pos - 1, pos, pos + 1, 400000):
-                got, want = (_outcome(engine, ms, targets),
-                             _outcome(ref, ms, targets))
-                assert _agrees(got, want), (kind, pos, ms)
+            assert (_outcome(lambda: engine(seed, ms))
+                    == _outcome(lambda: ref(ms))), ms
 
 
 # one small discriminant per field: its forms at height 3, and the
@@ -272,10 +242,9 @@ PARTITION_CASES = [(5, (-3, 4)), (8, (0, 4)), (12, (0, 2)), (13, (-1, 1)),
 
 
 def _partition_case(kind, D, d):
-    """(rows, engine(rows, max_states, keep_states) -> (seeds, orbit),
+    """(rows, engine(rows, max_states) -> (seeds, orbit),
     reference(rows, max_states) -> partition_ref result) with the caps
-    1.5 times the boxes that bound the rows; like class_number, the
-    engine keeps only roots unless asked."""
+    1.5 times the boxes that bound the rows."""
     F = make_field(D)
     d = canonical_disc(QuadInt(D, *d), F)
     if kind == "form":
@@ -289,17 +258,16 @@ def _partition_case(kind, D, d):
         rows = _matrix_keys(pell, F, m1, m2)
         rows = np.concatenate([rows, -rows[::3]])  # -g is g in PSL(2, O_K)
 
-        def orbit_of(seeds, D, cap1, cap2, max_states, keep_states):
-            return conjugation_orbit(seeds, D, cap1, cap2, max_states,
-                                     keep_states=keep_states)[0]
+        def orbit_of(seeds, D, cap1, cap2, max_states):
+            return conjugation_orbit(seeds, D, cap1, cap2, max_states)[0]
         ref_map = conj_neighbors_ref(D)
 
         def canon(key):
             return normalize_key_ref(key, D)
 
-    def engine(rows, ms, keep=False):
+    def engine(rows, ms):
         seeds = np.unique(rows, axis=0)
-        return seeds, orbit_of(seeds, D, cap1, cap2, ms, keep)
+        return seeds, orbit_of(seeds, D, cap1, cap2, ms)
 
     return (rows, engine,
             lambda rows, ms: partition_ref(rows.tolist(), ref_map,
@@ -322,8 +290,6 @@ def test_partition_matches_seed_by_seed_reference(kind, D, d):
     seeds, orbit = engine(rows, 400000)
     assert _engine_partition(seeds, orbit) == (reps, rep_of)
     assert len(seeds) > 30 and len(reps) > 1
-    with pytest.raises(ValueError, match="only the roots"):
-        orbit.contains(seeds)
     # the input order does not matter
     perm = np.random.default_rng(D).permutation(len(rows))
     assert _engine_partition(*engine(rows[perm], 400000)) == (reps, rep_of)
@@ -341,16 +307,15 @@ def test_partition_matches_seed_by_seed_reference(kind, D, d):
 
 
 def test_several_seeds_lie_inside_the_caps_and_take_no_targets():
-    # the outside seed of _reference_case("outside-seed")
+    # T_mu S T_-mu with mu = 2 + 3w has an entry -23 - 12 sqrt 2 beyond
+    # the cap; its edges to in-cap states would run one way only
     D, cap = 8, 30.0
     s = elem(D, ((0, 0), (-1, 0), (1, 0), (0, 0)))
     mu = elem(D, ((1, 0), (2, 3), (0, 0), (1, 0)))
     outside = (mu * s * mu.inverse()).key()
+    assert not height_ok_ref(D, cap, cap)(outside)
     with pytest.raises(ValidationError, match="inside the caps"):
         conjugation_orbit([s.key(), outside], D, cap, cap)
-    with pytest.raises(ValidationError, match="no targets"):
-        conjugation_orbit([s.key(), s.key()], D, cap, cap,
-                          targets={s.key()})
 
 
 @pytest.mark.parametrize("kind", REFERENCE_CASES + ["form-rows",
@@ -360,28 +325,26 @@ def test_orbit_len_is_the_state_count(kind):
     # len(form_orbit(...)); from many seeds, that is the sum of the sizes
     # of the orbits the seed-by-seed loop visits
     if kind in REFERENCE_CASES:
-        engine, ref, _ = _reference_case(kind)
-        orbit, _ = engine(400000, None)
-        assert len(orbit) == len(ref(400000, None)[0])
+        engine, ref, seed = _reference_case(kind)
+        assert len(engine(seed, 400000)) == len(ref(400000))
         return
     rows, engine, ref = _partition_case(kind[:-5], *PARTITION_CASES[0])
-    want = sum(ref(rows, 400000)[2])
-    for keep in (False, True):
-        assert len(engine(rows, 400000, keep)[1]) == want
+    assert len(engine(rows, 400000)[1]) == sum(ref(rows, 400000)[2])
 
 
 def _guard_limit(D):
-    """The largest seed coordinate the int64 guard of _row_packer lets
-    through, by bisection."""
-    lo, hi = 0, 2 ** 31
+    """The bound A = floor(cap1 + cap2) + 1 on in-cap coordinates at the
+    largest caps whose keys _row_packer accepts, by bisection on the
+    integer cap sums."""
+    lo, hi = 0, 2 ** 20
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _row_packer("test", D, 1.0, 1.0, mid)
+            _row_packer("test", D, mid / 2, mid / 2)
             lo = mid
         except BudgetExceededError:
             hi = mid
-    return lo
+    return lo + 1
 
 
 @pytest.mark.parametrize("D", [5, 8, 12, 13])
@@ -413,12 +376,14 @@ def test_neighbour_matrices_respect_the_guard_bound(D):
 
 
 class TestArithmeticGuards:
-    """Caps or seeds that could overflow int64 fail before any search:
-    each test patches out the function a search would call first."""
+    """Caps or seeds that a search refuses, or that could overflow int64,
+    fail before any search: each test patches out the function a search
+    would call first."""
 
-    def test_orbit_seed_too_large(self, monkeypatch):
+    def test_orbit_seed_outside_the_caps(self, monkeypatch):
         monkeypatch.setattr(modgroup, "_conj_neighbors", None)
-        with pytest.raises(BudgetExceededError, match="int64"):
+        monkeypatch.setattr(orbits, "_row_packer", None)
+        with pytest.raises(ValidationError, match="inside the caps"):
             conjugation_orbit((1, 0, 2 ** 40, 0, 0, 0, 1, 0), 5, 12.0, 12.0)
 
     def test_orbit_caps_too_large_to_pack(self, monkeypatch):
@@ -536,23 +501,20 @@ def test_packer_raises_exactly_when_the_radix_product_reaches_2_63(D):
 
 
 def test_psl_queries_find_the_negation():
-    # the D = 5 order-5 orbit of test_orbit_is_conjugation_closed, with
-    # trace 1: its states answer for their negatives, which have trace
-    # -1, and a row of another trace is never a member
+    # the D = 5 order-3 orbit of test_orbit_is_conjugation_closed, with
+    # trace 1: its states stand for their negatives, which have trace
+    # -1, from either sign of the first seed; a row of another trace is
+    # refused
     D, cap = 5, 12.0
     g = elem(D, ((0, 0), (-1, 0), (1, 0), (1, 0)))
-    members, _ = capped_bfs_ref(g.key(), conj_neighbors_ref(D),
-                                height_ok_ref(D, cap, cap), 400000)
-    rows = np.array(members)
-    for seed in (rows[:1], -rows[:1]):
-        orbit, _ = conjugation_orbit(seed, D, cap, cap)
-        assert orbit.contains(rows).all() and orbit.contains(-rows).all()
-        assert (orbit.component(-rows) == 0).all()
-        other = rows.copy()
-        other[:, 6] += 1  # trace 2 + w
-        assert not orbit.contains(other).any()
-        _, hit = conjugation_orbit(seed, D, cap, cap, targets=-rows[-1:])
-        assert hit
+    rows = np.array(capped_bfs_ref(g.key(), conj_neighbors_ref(D),
+                                   height_ok_ref(D, cap, cap), 400000))
+    for seeds in (np.concatenate([rows, -rows]),
+                  np.concatenate([-rows, rows])):
+        orbit, reps = conjugation_orbit(seeds, D, cap, cap)
+        assert len(reps) == 1 and len(orbit) == len(rows)
+    other = rows.copy()
+    other[:, 6] += 1  # trace 2 + w
     with pytest.raises(ValidationError, match="one trace up to sign"):
         conjugation_orbit(np.concatenate([rows[:1], other[:1]]), D, cap, cap)
 
@@ -617,9 +579,43 @@ class TestCensus:
         for q in four:
             sq = q.rep * q.rep
             assert sq.psl_order() == 2
-            _, hit = conjugation_orbit(sq.key(), 8, 25.0, 25.0,
-                                       targets={c.rep.key() for c in twos})
-            assert not hit
+            # the square's root among [two reps..., square] is its own
+            orbit, _ = conjugation_orbit(
+                [c.rep.key() for c in twos] + [sq.key()], 8, 25.0, 25.0)
+            assert orbit.roots[-1] == len(twos)
+
+    # (nu, t) of every class at heights 2, 3, 4, 6 and 9.  The powers of
+    # the order-4 classes (D = 8) and of the order-6 class (D = 12) land
+    # at smaller orders; at D = 8 and height 3 an order-2 power lies in no
+    # candidate's component, also at a cap that holds it (None)
+    GRID = {
+        5: ["2/1 2/1 3/1 3/2 5/2 5/3"] * 5,
+        8: ["2/1 3/1 4/3", None] + ["2/1 2/1 3/1 3/2 4/1 4/3"] * 3,
+        12: ["2/1 3/1 6/5", "2/1 2/1 3/1 6/5"]
+        + ["2/1 2/1 2/1 3/1 3/1 6/5"] * 3,
+        13: ["2/1 3/1", "2/1 3/1 3/1 3/2"]
+        + ["2/1 2/1 3/1 3/1 3/2 3/2"] * 3,
+        17: ["2/1 3/1", "2/1 3/1", "2/1 2/1 3/1", "2/1 2/1 2/1 2/1 3/1",
+             "2/1 2/1 2/1 2/1 3/1 3/2"],
+        21: ["2/1 3/1", "2/1 2/1 2/1 3/1 3/1 3/1",
+             "2/1 2/1 2/1 3/1 3/1 3/1 3/2",
+             "2/1 2/1 2/1 2/1 3/1 3/1 3/1 3/1 3/2 3/2",
+             "2/1 2/1 2/1 2/1 2/1 2/1 3/1 3/1 3/1 3/1 3/1 3/1 3/2 3/2"],
+    }
+
+    @pytest.mark.parametrize("D", sorted(GRID))
+    def test_census_grid_frozen(self, D):
+        F = make_field(D)
+        for height, want in zip((2.0, 3.0, 4.0, 6.0, 9.0), self.GRID[D]):
+            if want is None:
+                with pytest.raises(InvariantViolation,
+                                   match="order-2 power of an order-4 class "
+                                         "not located"):
+                    enumerate_elliptic(F, height)
+                continue
+            got = " ".join(f"{c.nu}/{c.t}"
+                           for c in enumerate_elliptic(F, height))
+            assert got == want, height
 
     def test_census_memoized_and_certified(self):
         F = make_field(12)

@@ -188,9 +188,9 @@ def test_route_mismatch_names_the_caps(capsys, monkeypatch):
     # a search without edges leaves every seed form its own component, so
     # the form route counts every form and the two routes disagree; the
     # message names the caps each route used
-    def lone_form_orbit(seeds, D, cap1, cap2, keep_states):
+    def lone_form_orbit(seeds, D, cap1, cap2):
         return capped_bfs("form", seeds, lambda rows: rows[:0],
-                          D, cap1, cap2, 1, keep_states=keep_states)[0]
+                          D, cap1, cap2, 1)
 
     monkeypatch.setattr(pellforms, "form_orbit", lone_form_orbit)
     F = make_field(5)
