@@ -11,9 +11,13 @@ Finite intervals use the QUADPACK 21-point Kronrod rule; [a, inf) uses
 the 15-point rule after the map x = a + (1 - t)/t on t in (0, 1].  Each
 panel's error is QUADPACK's heuristic: |Kronrod - Gauss| rescaled by
 the panel's mean absolute deviation, and never below 50 machine
-epsilons of its absolute integral.  Unlike QUADPACK, which bisects the
-single worst panel at a time, every panel whose error is needed to
-reach a component's tolerance is bisected in the same level.
+epsilons of its absolute integral.  Unlike QUADPACK, which starts from
+one panel and bisects the single worst panel at a time, the first level
+is a uniform mesh of FIRST_MESH panels (at most `limit`), and every
+panel whose error is needed to reach a component's tolerance is bisected
+in the same level.  QUADPACK's first-panel test applies to every panel
+of the first mesh: a panel whose error estimate is saturated at its
+whole deviation in some component is bisected whatever the tolerance.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ import numpy as np
 
 _EPMACH = float(np.finfo(float).eps)
 _UFLOW = float(np.finfo(float).tiny)
+# panels of the uniform first mesh: the geometric sides' integrands need
+# at least this resolution, which bisection from one panel reaches only
+# after three levels
+FIRST_MESH = 8
 
 
 def _rule(xgk, wgk, wg) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -112,19 +120,20 @@ def quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         raise ValueError(f"quad needs finite a < b or b = +inf, "
                          f"got [{a}, {b}]")
     rule = GK15 if infinite else GK21
-    lo = np.array([0.0 if infinite else a])
-    hi = np.array([1.0 if infinite else b])
+    edges = np.linspace(0.0 if infinite else a, 1.0 if infinite else b,
+                        max(1, min(FIRST_MESH, limit)) + 1)
+    lo, hi = edges[:-1], edges[1:]
     res, err, resasc, shape = _panels(f, lo, hi, rule, a, infinite)
     # QUADPACK's first-panel test: an error estimate saturated at the
-    # panel's whole deviation says nothing, so that component is refined
-    open_ = (err[:, 0] == resasc[:, 0]) & (err[:, 0] != 0.0)
+    # panel's whole deviation says nothing, so that panel is refined
+    saturated = ((err == resasc) & (err != 0.0)).any(axis=0)
     while True:
         total = res.sum(axis=1)
         errsum = err.sum(axis=1)
         tol = np.maximum(epsabs, epsrel * np.abs(total))
-        open_ |= errsum > tol
+        open_ = errsum > tol
         room = limit - lo.size
-        if not open_.any() or room <= 0:
+        if not (open_.any() or saturated.any()) or room <= 0:
             return total.reshape(shape), errsum.reshape(shape)
         # for each open component, the worst panels whose errors together
         # leave less than half of its tolerance to the rest
@@ -133,7 +142,7 @@ def quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         rest = np.cumsum(worst_first[:, ::-1], axis=1)[:, ::-1]
         k = (rest > 0.5 * tol[open_, None]).sum(axis=1)
         cut = worst_first[np.arange(k.size), k - 1]
-        split = (e >= cut[:, None]).any(axis=0) & (
+        split = (saturated | (e >= cut[:, None]).any(axis=0)) & (
             hi - lo > 200.0 * _EPMACH * np.maximum(np.abs(lo), np.abs(hi))
             + 1000.0 * _UFLOW)
         idx = np.flatnonzero(split)
@@ -153,4 +162,4 @@ def quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         hi = np.concatenate([hi[keep], new_hi])
         res = np.concatenate([res[:, keep], new_res], axis=1)
         err = np.concatenate([err[:, keep], new_err], axis=1)
-        open_ = np.zeros_like(open_)
+        saturated = np.zeros(lo.size, dtype=bool)

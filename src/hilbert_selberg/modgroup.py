@@ -306,8 +306,10 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
     seeded into its search after the candidates, so a power in a
     candidate's component has that candidate as its root.  A power
     outside the caps, or in no candidate's component, gets one search at
-    a cap that holds it, from the candidates and the power; if its root
-    is still no candidate, InvariantViolation is raised.
+    a cap that holds it, from the candidates and the power.  If its root
+    is still no candidate, the height bound was too small when the power
+    lies outside the candidate box (BudgetExceededError), and the search
+    failed when it lies inside (InvariantViolation).
 
     The PSL order and rotation angles are checked once per class.  By
     Cayley-Hamilton every g of trace tau has g^k = a_k(tau) g + b_k(tau) I,
@@ -319,6 +321,7 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
     cap_bfs = height_bound * 2.5
     w1, w2 = _embed_consts(D)
     inside = height_predicate(D, cap_bfs, cap_bfs)
+    in_box = height_predicate(D, height_bound, height_bound)
 
     candidates = _elliptic_candidates(F, height_bound)
     records: List[dict] = []
@@ -370,6 +373,12 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
                                             D, pcap, pcap)
                 root = int(porb.roots[S])
                 if root >= S:
+                    if not in_box(prow[None])[0]:
+                        # its class may have no element inside the box
+                        raise BudgetExceededError(
+                            f"order-{nu} power of an order-{m} class lies "
+                            f"outside the candidate box; raise "
+                            f"height_bound > {height_bound}")
                     raise InvariantViolation(
                         f"order-{nu} power of an order-{m} class not "
                         "located among the enumerated classes")

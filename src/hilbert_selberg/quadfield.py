@@ -424,7 +424,7 @@ class FieldCtx:
     def one(self) -> QuadInt:
         return QuadInt(self.D, 1, 0)
 
-    @property
+    @functools.cached_property
     def eps1(self) -> float:
         return self.eps.embed(1)
 

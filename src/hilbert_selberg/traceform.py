@@ -6,7 +6,9 @@ return a per-family breakdown whose total is the plain ordered sum of
 the parts.  HE sums run over a GeodesicWindow's classes and their prime
 powers to the depth where the transform is machine-negligible, and the
 window's coverage places the HE tail estimate; the unit-factor series
-and elliptic integrals carry explicit cutoffs.
+and elliptic integrals carry explicit cutoffs.  The sides of several
+test functions (the heat fit's beta grid) are evaluated together, with
+one stacked quadrature per integral family.
 Closed-form twins (digamma sums, log-derivative values, geometric unit
 series) are provided for cross-checking the quadrature route.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -150,44 +152,61 @@ def _ordered_total(idn: complex, ell: complex, he: complex,
 
 # ------------------------------------------------------------ quadrature
 
-def _identity_integral(tf: TestFunctionPair) -> Tuple[complex, float]:
-    """integral over R of r h1(r) tanh(pi r) dr (even integrand)."""
+def _identity_integrals(tfs: Sequence[TestFunctionPair]
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """integral over R of r h1(r) tanh(pi r) dr (even integrand) for
+    every test function at once, with a per-function error estimate."""
 
     def f(r: np.ndarray) -> np.ndarray:
-        return r * tf.h1(r) * np.tanh(np.pi * r)
+        return np.stack([r * tf.h1(r) for tf in tfs]) * np.tanh(np.pi * r)
 
     val, err = integrate.quad(f, 0.0, np.inf,
                               epsabs=1e-13, epsrel=1e-11, limit=300)
-    return 2.0 * complex(val), 2.0 * float(err)
+    return 2.0 * val, 2.0 * err
 
 
-def _elliptic_integrals(tf: TestFunctionPair, theta1: np.ndarray
-                        ) -> Tuple[np.ndarray, np.ndarray]:
+def _elliptic_cut(tf: TestFunctionPair) -> float:
+    """Half-width of the elliptic integral's range for one pair."""
+    if tf.kind != "rational":
+        return float(tf.metadata["u_cut"])
+    # net decay of the integrand is kappa - 1/2 on the u > 0 side
+    net = float(tf.metadata["kappa"]) - 0.5
+    if net <= 0.01:
+        raise ValidationError(
+            "rational pair decays too slowly for the elliptic "
+            f"integral (kappa={tf.metadata['kappa']})")
+    return min(48.0 / net, 3000.0)
+
+
+def _elliptic_integrals(tfs: Sequence[TestFunctionPair], F: FieldCtx
+                        ) -> List[Dict[Tuple[int, int],
+                                       Tuple[complex, float]]]:
     """integral of g1(u) e^{-u/2} (e^u - e^{2i theta1})/(cosh u - cos 2 theta1)
-    for every angle theta1 at once, with a per-angle error estimate.
+    for every test function and every census angle theta1 = ell pi/nu at
+    once: per function, (nu, ell) -> (integral, error estimate).
 
-    The kernel is evaluated with numerator and denominator scaled by
-    e^{-|u|}, so no exponential overflows however far u_cut reaches.
+    The range is the widest of the functions' cuts; beyond its own cut
+    each function's integrand is machine-negligible.  The kernel is
+    evaluated with numerator and denominator scaled by e^{-|u|}, so no
+    exponential overflows however far the range reaches.
     """
-    u_cut = float(tf.metadata["u_cut"])
-    if tf.kind == "rational":
-        # net decay of the integrand is kappa - 1/2 on the u > 0 side
-        net = float(tf.metadata["kappa"]) - 0.5
-        if net <= 0.01:
-            raise ValidationError(
-                "rational pair decays too slowly for the elliptic "
-                f"integral (kappa={tf.metadata['kappa']})")
-        u_cut = min(48.0 / net, 3000.0)
+    u_cut = max(_elliptic_cut(tf) for tf in tfs)
+    keys = sorted({(nu, ell) for nu, _ in F.census_classes()
+                   for ell in range(1, nu)})
+    theta1 = np.array([ell * math.pi / nu for nu, ell in keys])
     rot = np.exp(2.0j * theta1)[:, None]
     cos2 = np.cos(2.0 * theta1)[:, None]
 
     def f(u: np.ndarray) -> np.ndarray:
         e = np.exp(-np.abs(u))
         num = np.exp(0.5 * u - np.abs(u)) - rot * np.exp(-0.5 * u - np.abs(u))
-        return tf.g1(u) * num / (0.5 * (1.0 + e * e) - cos2 * e)
+        return (np.stack([tf.g1(u) for tf in tfs])[:, None] * num
+                / (0.5 * (1.0 + e * e) - cos2 * e))
 
-    return integrate.quad(f, -u_cut, u_cut,
-                          epsabs=1e-13, epsrel=1e-11, limit=300)
+    ints, errs = integrate.quad(f, -u_cut, u_cut,
+                                epsabs=1e-13, epsrel=1e-11, limit=300)
+    return [{k: (complex(v), float(e)) for k, v, e in zip(keys, iv, ie)}
+            for iv, ie in zip(ints, errs)]
 
 
 # ------------------------------------------------------------ shared pieces
@@ -208,19 +227,22 @@ def _check_gaussian_window(tf: TestFunctionPair, cov: float) -> None:
             f"geodesics to x >= {math.sqrt(needed):.4g}")
 
 
-def _he_tail(classes: GeodesicWindow, tf: TestFunctionPair) -> float:
-    """Count-model bound on classes beyond the window's coverage."""
+def _he_tails(classes: GeodesicWindow, tfs: Sequence[TestFunctionPair]
+              ) -> np.ndarray:
+    """Count-model bound on classes beyond the window's coverage, for
+    every test function at once; the range ends past the widest cut."""
     cov = classes.coverage
     if cov <= 3.0:
-        return math.inf
-    u_top = math.log(cov) + float(tf.metadata["u_cut"]) + 5.0
+        return np.full(len(tfs), math.inf)
+    u_top = math.log(cov) + max(float(tf.metadata["u_cut"])
+                                for tf in tfs) + 5.0
 
     def f(u: np.ndarray) -> np.ndarray:
-        return np.exp(u / 2.0) * np.abs(tf.g1(u))
+        return np.exp(u / 2.0) * np.abs(np.stack([tf.g1(u) for tf in tfs]))
 
     val, _ = integrate.quad(f, math.log(cov), u_top,
                             epsabs=1e-14, epsrel=1e-9, limit=200)
-    return 1.6 * classes.count_constant * float(val)
+    return 1.6 * classes.count_constant * val
 
 
 def _hyp_ell_sum(m: int, tf: TestFunctionPair, classes: GeodesicWindow,
@@ -283,17 +305,13 @@ def _eps_series(m: int, tf: TestFunctionPair, F: FieldCtx, single: bool,
     return acc, tail, k
 
 
-def _elliptic_sum(m: int, tf: TestFunctionPair, F: FieldCtx,
-                  single: bool) -> Tuple[complex, float]:
-    """Finite-order class sum over each primitive class's power set."""
-    classes = F.census_classes()
-    keys = sorted({(nu, ell) for nu, _ in classes for ell in range(1, nu)})
-    ints, errs = _elliptic_integrals(
-        tf, np.array([ell * math.pi / nu for nu, ell in keys]))
-    quad = {k: (complex(v), float(e)) for k, v, e in zip(keys, ints, errs)}
+def _elliptic_sum(m: int, quad: Dict[Tuple[int, int], Tuple[complex, float]],
+                  F: FieldCtx, single: bool) -> Tuple[complex, float]:
+    """Finite-order class sum over each primitive class's power set,
+    from one test function's elliptic integrals."""
     acc = 0.0 + 0.0j
     err = 0.0
-    for nu, t in classes:
+    for nu, t in F.census_classes():
         for ell in range(1, nu):
             th1 = ell * math.pi / nu
             th2 = ((ell * t) % nu) * math.pi / nu
@@ -312,40 +330,50 @@ def _elliptic_sum(m: int, tf: TestFunctionPair, F: FieldCtx,
 
 # ------------------------------------------------------------ evaluators
 
-def _geom_side(m: int, tf: TestFunctionPair, F: FieldCtx,
-               classes: GeodesicWindow, eps_terms: Optional[int],
-               single: bool) -> GeomSideBreakdown:
-    """Both evaluators: the difference (single) scales the identity and
-    HE tail by (m - 1)/2, the double difference by 1."""
+def _geom_sides(m: int, tfs: Sequence[TestFunctionPair], F: FieldCtx,
+                classes: GeodesicWindow, eps_terms: Optional[int],
+                single: bool) -> List[GeomSideBreakdown]:
+    """Both evaluators, for a list of test functions: the integrals of
+    all of them are one stacked quadrature per family, each function's
+    components meeting their own tolerance.  The difference (single)
+    scales the identity and HE tail by (m - 1)/2, the double difference
+    by 1."""
     if m % 2:
         raise ValidationError(f"weight m={m} must be even")
-    _check_gaussian_window(tf, classes.coverage)
+    for tf in tfs:
+        _check_gaussian_window(tf, classes.coverage)
     scale = (m - 1) * 0.5 if single else 1.0
 
-    id_int, id_err = _identity_integral(tf)
-    identity = scale * float(F.zeta_minus_one) * id_int
-    elliptic, ell_err = _elliptic_sum(m, tf, F, single)
-    hyp_ell = _hyp_ell_sum(m, tf, classes, single)
-    g0 = complex(tf.g1(0.0))
-    par = (-_sgn(m - 1) * F.regulator * g0 if single else
-           -F.regulator * g0 * (_sgn(m - 1) - _sgn(m - 3)))
-    eps_val, eps_tail, k_cut = _eps_series(m, tf, F, single, eps_terms)
+    id_ints, id_errs = _identity_integrals(tfs)
+    ell_quads = _elliptic_integrals(tfs, F)
+    he_tails = _he_tails(classes, tfs)
+    sides = []
+    for tf, id_int, id_err, ell_quad, he_tail in zip(
+            tfs, id_ints, id_errs, ell_quads, he_tails):
+        identity = scale * float(F.zeta_minus_one) * complex(id_int)
+        elliptic, ell_err = _elliptic_sum(m, ell_quad, F, single)
+        hyp_ell = _hyp_ell_sum(m, tf, classes, single)
+        g0 = complex(tf.g1(0.0))
+        par = (-_sgn(m - 1) * F.regulator * g0 if single else
+               -F.regulator * g0 * (_sgn(m - 1) - _sgn(m - 3)))
+        eps_val, eps_tail, k_cut = _eps_series(m, tf, F, single, eps_terms)
 
-    diag: Dict[str, object] = {
-        "coverage": classes.coverage,
-        "he_tail": abs(scale) * _he_tail(classes, tf),
-        "eps_tail": eps_tail,
-        "eps_terms": k_cut,
-        "identity_quad_err": id_err,
-        "elliptic_quad_err": ell_err,
-    }
-    if m == 2 and not single:
-        diag["spectral_constant"] = -2.0 * complex(tf.h1(0.5j))
-    total = _ordered_total(identity, elliptic, hyp_ell, par, eps_val)
-    return GeomSideBreakdown(identity_term=identity, elliptic_term=elliptic,
-                             hyp_ell_term=hyp_ell, par_sct_term=par,
-                             hyp2_sct_term=eps_val, total=total,
-                             diagnostics=diag)
+        diag: Dict[str, object] = {
+            "coverage": classes.coverage,
+            "he_tail": abs(scale) * float(he_tail),
+            "eps_tail": eps_tail,
+            "eps_terms": k_cut,
+            "identity_quad_err": float(id_err),
+            "elliptic_quad_err": ell_err,
+        }
+        if m == 2 and not single:
+            diag["spectral_constant"] = -2.0 * complex(tf.h1(0.5j))
+        total = _ordered_total(identity, elliptic, hyp_ell, par, eps_val)
+        sides.append(GeomSideBreakdown(
+            identity_term=identity, elliptic_term=elliptic,
+            hyp_ell_term=hyp_ell, par_sct_term=par, hyp2_sct_term=eps_val,
+            total=total, diagnostics=diag))
+    return sides
 
 
 def geom_side_double_difference(m: int, tf: TestFunctionPair, F: FieldCtx,
@@ -353,7 +381,7 @@ def geom_side_double_difference(m: int, tf: TestFunctionPair, F: FieldCtx,
                                 eps_terms: Optional[int] = None
                                 ) -> GeomSideBreakdown:
     """Geometric side of the double-difference formula at even weight m."""
-    return _geom_side(m, tf, F, classes, eps_terms, single=False)
+    return _geom_sides(m, [tf], F, classes, eps_terms, single=False)[0]
 
 
 def geom_side_difference(m: int, tf: TestFunctionPair, F: FieldCtx,
@@ -362,7 +390,7 @@ def geom_side_difference(m: int, tf: TestFunctionPair, F: FieldCtx,
                          ) -> GeomSideBreakdown:
     """Geometric side of the difference formula, divided through by the
     second-slot weight; defined for every even m, including m <= 0."""
-    return _geom_side(m, tf, F, classes, eps_terms, single=True)
+    return _geom_sides(m, [tf], F, classes, eps_terms, single=True)[0]
 
 
 # ------------------------------------------------------------ closed forms
@@ -480,6 +508,7 @@ def heat_asymptotic_check(F: FieldCtx, beta_grid: Optional[Sequence[float]],
     data and reported alongside; the rest is fitted against
     a/beta + b/sqrt(beta) + c + d*beta.  a must land on zeta_K(-1) and
     b on -2 log(eps)/sqrt(4 pi) within relative errors 0.02 and 0.05.
+    The sides of the whole grid are evaluated in one call.
     """
     if beta_grid is None:
         beta_grid = (0.2, 0.1, 0.05, 0.025)
@@ -491,9 +520,9 @@ def heat_asymptotic_check(F: FieldCtx, beta_grid: Optional[Sequence[float]],
 
     ys = []
     removed = []
-    for beta in betas:
-        tf = gaussian_testfunction(beta)
-        bd = geom_side_double_difference(2, tf, F, classes)
+    sides = _geom_sides(2, [gaussian_testfunction(b) for b in betas], F,
+                        classes, None, single=False)
+    for beta, bd in zip(betas, sides):
         if abs(bd.total.imag) > 1e-9 * (1.0 + abs(bd.total.real)):
             raise InvariantViolation(
                 f"heat total not real at beta={beta}: {bd.total}")

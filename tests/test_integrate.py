@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hilbert_selberg.integrate import GK15, GK21, quad
+from hilbert_selberg import integrate, traceform
+from hilbert_selberg.geodesics import enumerate_geodesics
+from hilbert_selberg.integrate import FIRST_MESH, GK15, GK21, quad
+from hilbert_selberg.quadfield import make_field
 
 
 @pytest.mark.parametrize("rule, n", [(GK21, 10), (GK15, 7)])
@@ -84,3 +87,77 @@ def test_interval_validation():
     for a, b in ((1.0, 1.0), (2.0, 1.0), (-np.inf, 0.0), (0.0, -np.inf)):
         with pytest.raises(ValueError):
             quad(np.exp, a, b)
+
+
+@pytest.mark.parametrize("limit", [1, 3, FIRST_MESH, 40])
+@pytest.mark.parametrize("b", [2.0, np.inf])
+def test_first_mesh_is_uniform_and_within_limit(limit, b):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0 / (1e-3 + (x - 0.7) ** 2)
+
+    quad(f, 0.0, b, epsabs=1e-14, epsrel=1e-14, limit=limit)
+    panels = min(FIRST_MESH, limit)
+    n = 21 if math.isfinite(b) else 15
+    assert calls[0].size == panels * n
+    if math.isfinite(b):
+        mids = calls[0].reshape(panels, n)[:, n // 2]
+        assert np.allclose(mids, (np.arange(panels) + 0.5) * b / panels)
+    # every later level bisects panels, and never beyond the budget
+    assert sum(x.size for x in calls) <= (2 * limit - panels) * n
+
+
+def test_saturated_panel_of_first_mesh_is_refined():
+    # a narrow bump inside [5, 6], zero elsewhere, that the 8-panel mesh
+    # of [0, 8] under-resolves: the tolerance is met at once, and only
+    # the saturation test refines that one panel
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.maximum(0.0, 1.0 - ((x - 5.37) / 0.05) ** 2) ** 2
+
+    quad(f, 0.0, 8.0, epsabs=1.0, epsrel=0.0)
+    assert len(calls) >= 2
+    assert calls[1].size == 2 * 21
+    assert np.all((calls[1] > 5.0) & (calls[1] < 6.0))
+
+
+# the geometric sides' test functions in the benchmark's analytic pool
+POOL = ([traceform.gaussian_testfunction(b)
+         for b in (0.025, 0.03, 0.035, 0.05, 0.07, 0.08, 0.1, 0.12, 0.15,
+                   0.2)]
+        + [traceform.rational_testfunction(*r)
+           for r in ((1.6, 2.5, 3.5), (2.0, 2.0, 3.0), (2.5, 3.0, 4.5),
+                     (2.9 + 1j, 2.5, 4.0))])
+
+
+def test_geometric_side_integrands_finish_in_few_levels(monkeypatch):
+    F = make_field(5)
+    classes = enumerate_geodesics(F, 10.0)
+    plain = integrate.quad
+    levels = []
+
+    def counted(f, *args, **kwargs):
+        n = [0]
+
+        def g(x):
+            n[0] += 1
+            return f(x)
+
+        out = plain(g, *args, **kwargs)
+        levels.append(n[0])
+        return out
+
+    monkeypatch.setattr(integrate, "quad", counted)
+    worst = np.zeros(3, dtype=int)
+    for tf in POOL:
+        levels.clear()
+        traceform.geom_side_double_difference(2, tf, F, classes)
+        # identity, elliptic and HE-tail integrals, in that order
+        assert len(levels) == 3
+        worst = np.maximum(worst, levels)
+    # from one panel they took up to 7, 8 and 5 levels
+    assert np.all(worst <= [4, 5, 2])

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbert_selberg import modgroup, orbits, pellforms
-from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
-                                    ValidationError)
+from hilbert_selberg.errors import BudgetExceededError, ValidationError
 from hilbert_selberg.modgroup import (
     GroupElem, classify, conjugation_orbit, enumerate_elliptic,
     _conj_neighbors, _elliptic_candidates, _matrices_with_trace,
@@ -586,8 +585,9 @@ class TestCensus:
 
     # (nu, t) of every class at heights 2, 3, 4, 6 and 9.  The powers of
     # the order-4 classes (D = 8) and of the order-6 class (D = 12) land
-    # at smaller orders; at D = 8 and height 3 an order-2 power lies in no
-    # candidate's component, also at a cap that holds it (None)
+    # at smaller orders; at D = 8 and height 3 an order-2 power outside
+    # the candidate box lies in no candidate's component, also at a cap
+    # that holds it, so the height is too small (None)
     GRID = {
         5: ["2/1 2/1 3/1 3/2 5/2 5/3"] * 5,
         8: ["2/1 3/1 4/3", None] + ["2/1 2/1 3/1 3/2 4/1 4/3"] * 3,
@@ -608,9 +608,10 @@ class TestCensus:
         F = make_field(D)
         for height, want in zip((2.0, 3.0, 4.0, 6.0, 9.0), self.GRID[D]):
             if want is None:
-                with pytest.raises(InvariantViolation,
+                with pytest.raises(BudgetExceededError,
                                    match="order-2 power of an order-4 class "
-                                         "not located"):
+                                         "lies outside the candidate box; "
+                                         "raise height_bound > 3.0"):
                     enumerate_elliptic(F, height)
                 continue
             got = " ".join(f"{c.nu}/{c.t}"

@@ -11,6 +11,7 @@ from hilbert_selberg.geodesics import GeodesicWindow, enumerate_geodesics
 from hilbert_selberg.quadfield import make_field
 from hilbert_selberg.traceform import (
     GeomSideBreakdown,
+    _geom_sides,
     _hyp_ell_sum,
     double_difference_closed_forms,
     elliptic_zero_width_limit,
@@ -312,6 +313,46 @@ def test_heat_fit_validation(d5):
         heat_asymptotic_check(F, (0.2, 0.1, 0.05), classes)
     with pytest.raises(ValidationError):
         heat_asymptotic_check(F, (0.3, 0.1, 0.05, 0.025), classes)
+
+
+@pytest.mark.parametrize("single, m", [(False, 2), (True, 4)])
+def test_stacked_grid_matches_one_member_sides(d5, single, m):
+    F, classes = d5
+    tfs = [gaussian_testfunction(b) for b in (0.2, 0.1, 0.05, 0.025)]
+    stacked = _geom_sides(m, tfs, F, classes, None, single)
+    side = geom_side_difference if single else geom_side_double_difference
+    for tf, got in zip(tfs, stacked):
+        want = side(m, tf, F, classes)
+        for fam in ("identity", "elliptic"):
+            err = (got.diagnostics[f"{fam}_quad_err"]
+                   + want.diagnostics[f"{fam}_quad_err"])
+            assert abs(getattr(got, f"{fam}_term")
+                       - getattr(want, f"{fam}_term")) <= err, (tf, fam)
+        # the finite sums do not depend on the other members
+        assert (got.hyp_ell_term, got.par_sct_term, got.hyp2_sct_term) == \
+            (want.hyp_ell_term, want.par_sct_term, want.hyp2_sct_term)
+        assert got.diagnostics["he_tail"] == pytest.approx(
+            want.diagnostics["he_tail"], rel=1e-6)
+
+
+def test_heat_grid_names_the_first_under_covered_beta(d5):
+    F, _ = d5
+    thin = enumerate_geodesics(F, 6.0)
+    grid = (0.1, 0.2, 0.05, 0.15)
+    # what the per-beta loop raised: the first beta in grid order whose
+    # Gaussian tail outruns the window
+    want = None
+    for beta in grid:
+        try:
+            geom_side_double_difference(2, gaussian_testfunction(beta), F,
+                                        thin)
+        except ValidationError as exc:
+            want = str(exc)
+            break
+    assert want is not None and "beta=0.2 " in want
+    with pytest.raises(ValidationError) as info:
+        heat_asymptotic_check(F, grid, thin)
+    assert str(info.value) == want
 
 
 def test_breakdown_json_shape(d5):
