@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
-from .orbits import Orbit, capped_bfs, height_predicate
+from .orbits import Orbit, capped_bfs, height_predicate, unique_rows
 from .quadfield import (FieldCtx, QuadInt, _box_rows, _coord_mul,
                         _embed_consts, _factor_pairs, _omega_trace_norm)
 
@@ -252,10 +252,11 @@ def _matrices_with_trace(F: FieldCtx, tr: QuadInt,
     t, n = _omega_trace_norm(D)
     # box coordinates are at most H, those of tr - a at most T, those of
     # b*c at most Pmax; the products of the scan stay under (|n| + 4) H Pmax
+    # and the norms of the b*c under (|n| + 2) Pmax^2
     H = math.floor(cap1 + cap2) + 1
     T = H + max(abs(tr.a), abs(tr.b))
     Pmax = (abs(n) + 3) * H * T + 1
-    if (abs(n) + 4) * H * Pmax >= 2 ** 62:
+    if max((abs(n) + 4) * H, (abs(n) + 2) * Pmax) * Pmax >= 2 ** 62:
         raise BudgetExceededError(
             f"entry boxes ({cap1:.6g}, {cap2:.6g}) overflow int64 arithmetic")
     box = _box_rows(D, cap1, cap2)
@@ -284,7 +285,7 @@ def _elliptic_candidates(F: FieldCtx, height_bound: float
             rows = rows[_sign_rows(2 * rows[:, 4] + t * rows[:, 5],
                                    rows[:, 5], D) > 0]
         if len(rows):
-            out[nu] = np.unique(_normalize_rows(rows, D, t), axis=0)
+            out[nu] = unique_rows(_normalize_rows(rows, D, t))
     return out
 
 

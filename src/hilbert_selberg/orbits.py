@@ -2,9 +2,11 @@
 coordinate rows, shared by matrix conjugation (`modgroup`) and the form
 action (`pellforms`).
 
-States are int64 coordinate rows; a level is the sorted int64 array of
-the exact keys its in-cap states pack to, and the frontier is unpacked
-from it a block of rows at a time, so no tuple is built per state.
+States are integer coordinate rows; a level is the sorted int64 array of
+the exact keys its in-cap states pack to, and it carries each state's
+label and coordinate row, as int32, so the frontier is expanded a block
+of rows at a time and no tuple is built per state, nor a row rebuilt
+from its key.
 Each level's images are deduplicated against the current and the
 previous level alone.  That is exact because the capped generator graph
 is undirected: S is an involution (on forms, and under conjugation
@@ -16,18 +18,22 @@ A state's key is one int64: the base-R number whose digits are the box
 indices of its first three coordinate pairs (see _row_packer).  A form
 has three pairs.  A conjugation state [[A, B], [C, E]] has four, but
 conjugation keeps the trace, so every state of one search has the
-seeds' trace tr: E = tr - A is left out of the key and restored on
-unpacking.  States are PSL(2, O_K) elements, g and -g one state.  For
-tr != 0 exactly one of them has trace tr, so seeds of trace -tr are
-negated and no image is ever sign-normalized.  For tr = 0 both have
-it; a pair index maps to R - 1 - idx under negation, so
-key(-g) = R^3 - 1 - key(g), and the smaller of the two keys both.
+seeds' trace tr: E = tr - A is left out of the key.  States are
+PSL(2, O_K) elements, g and -g one state.  For tr != 0 exactly one of
+them has trace tr, so seeds of trace -tr are negated and no image is
+ever sign-normalized.  For tr = 0 both have it; a pair index maps to
+R - 1 - idx under negation, so key(-g) = R^3 - 1 - key(g), and the
+smaller of the two keys both.  The row a level carries is then either
+sign, which the keys, the height test and the images up to sign do not
+see.
 
 The generators act Z-linearly, so a block's images are one product of
-its rows with the map's integer matrix.  It is computed in float64,
-where BLAS runs it, and is exact: the int64 guard of _row_packer keeps
-every image coordinate, and every partial sum forming it, an integer
-below 2^31, and float64 holds integers exactly to 2^53.
+the map's integer matrix with its rows, and one height test covers
+every coordinate pair of every image.  The product is computed in
+float64, where BLAS runs it, and is exact: the int64 guard of
+_row_packer keeps every image coordinate, and every partial sum forming
+it, an integer below 2^31, and float64 holds integers exactly to 2^53.
+The seeds and the images go through the same height test.
 
 One search partitions a whole set of rows: it starts from all of them
 at once, so a level is the set of states at distance k from the seed
@@ -40,8 +46,8 @@ visited states: one within a level from either end, one between
 levels k and k + 1 when level k is expanded.  So the components are
 exactly the orbits the seed-by-seed loop (least row not yet covered,
 then its orbit) visits, and with the seeds the distinct rows in
-increasing order, as `np.unique(rows, axis=0)` gives them, their least
-seeds are its representatives.
+increasing order, as `unique_rows` gives them, their least seeds are
+its representatives.
 Every seed must lie inside the caps: a seed outside them has edges that
 run one way only.  A search returns the roots and the state count and
 holds just the last two levels; neither, nor the budget test on each
@@ -61,37 +67,42 @@ from .quadfield import _embed_consts, _omega_trace_norm
 
 def height_predicate(D: int, cap1: float, cap2: float
                      ) -> Callable[[np.ndarray], np.ndarray]:
-    """Row mask: every coordinate pair (x, y) of a row, read as x + y*w,
-    has embeddings within (cap1, cap2); works for matrix and form rows."""
+    """Mask over the rows of an array whose last axis holds coordinate
+    rows: every pair (x, y) of a row, read as x + y*w, has embeddings
+    within (cap1, cap2); works for matrix and form rows, and for a
+    strided view such as the search's images."""
     w1, w2 = _embed_consts(D)
 
     def ok(rows: np.ndarray) -> np.ndarray:
-        mask = np.ones(len(rows), dtype=bool)
-        for j in range(0, rows.shape[1], 2):  # one pair at a time
-            x, y = rows[:, j], rows[:, j + 1]
-            mask &= np.abs(x + y * w1) <= cap1
-            mask &= np.abs(x + y * w2) <= cap2
-        return mask
+        x, y = rows[..., 0::2], rows[..., 1::2]
+        # every pair at once, in a buffer laid out like x
+        emb = np.empty_like(x, dtype=float)
+
+        def embedding(w: float) -> np.ndarray:  # |x + y*w| into emb
+            np.multiply(y, w, out=emb)
+            return np.abs(np.add(x, emb, out=emb), out=emb)
+        mask = np.less_equal(embedding(w1), cap1,
+                             out=np.empty_like(x, dtype=bool))
+        mask &= embedding(w2) <= cap2
+        return mask.all(axis=-1)
     return ok
 
 
 def _row_packer(what: str, D: int, cap1: float, cap2: float,
                 trace: Optional[np.ndarray] = None
-                ) -> Tuple[Callable[[np.ndarray], np.ndarray],
-                           Callable[[np.ndarray], np.ndarray]]:
-    """(pack, unpack): exact int64 sort keys for in-cap rows and the rows
-    back from their keys.  Rows are forms, 6 entries, or with `trace`
-    set, PSL(2, O_K) elements [[A, B], [C, E]] of that trace, 8 entries.
+                ) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact int64 sort keys for in-cap rows.  Rows are forms, 6
+    entries, or with `trace` set, PSL(2, O_K) elements [[A, B], [C, E]]
+    of that trace, 8 entries.
 
     An in-cap pair x + y*w has |2x + t*y| <= cap1 + cap2 and
     |y| sqrt(D) <= cap1 + cap2, so it has an offset index below R in that
     box; the indices of a row's first three pairs are the digits of one
     base-R key below R^3, exact in int64 while R^3 < 2^63, so packing is
-    a bijection on in-cap rows.  A matrix's fourth pair is E = trace - A,
-    which unpacking restores.  Negating a pair maps its index to
-    R - 1 - idx, so -g packs to R^3 - 1 - key(g); for trace 0, where g
-    and -g share the trace, a row packs to the smaller of the two, one
-    key for both signs, and unpacks to one of g and -g.
+    injective on in-cap rows.  A matrix's fourth pair is E = trace - A.
+    Negating a pair maps its index to R - 1 - idx, so -g packs to
+    R^3 - 1 - key(g); for trace 0, where g and -g share the trace, a row
+    packs to the smaller of the two, one key for both signs.
     Raises BudgetExceededError up front when the caps break exactness,
     or when the neighbour maps could leave 2^31 from an in-cap row.
     """
@@ -109,7 +120,8 @@ def _row_packer(what: str, D: int, cap1: float, cap2: float,
     # image coordinate, and every partial sum of the float64 product that
     # forms it, is an integer of absolute value at most M, and the test
     # below keeps M < 2^31, far inside the 2^53 where float64 holds
-    # integers exactly
+    # integers exactly.  A fortiori A < 2^31: a level's in-cap rows are
+    # exact in int32
     M = (4 * abs(n) + 8) * A
     if M * M * max(9, D) >= 2 ** 62:
         raise BudgetExceededError(
@@ -128,18 +140,16 @@ def _row_packer(what: str, D: int, cap1: float, cap2: float,
     def pack(rows: np.ndarray) -> np.ndarray:
         keys = rows[:, :6] @ weights + base
         return np.minimum(keys, top - keys) if trace0 else keys
+    return pack
 
-    def unpack(keys: np.ndarray) -> np.ndarray:
-        idx = np.column_stack([keys // (R * R), keys // R % R, keys % R])
-        y = idx % rad - B
-        rows = np.empty((len(keys), 6 if trace is None else 8),
-                        dtype=np.int64)
-        rows[:, 1:6:2] = y
-        rows[:, 0:6:2] = (idx // rad - A - t * y) // 2
-        if trace is not None:
-            rows[:, 6:8] = trace - rows[:, 0:2]
-        return rows
-    return pack, unpack
+
+def unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D integer array in increasing signed
+    lexicographic order, as np.unique(rows, axis=0) gives them."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
 
 
 def _to_trace(rows: np.ndarray, trace: np.ndarray
@@ -182,15 +192,16 @@ def _merge(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _dedup(keys: np.ndarray, labs: np.ndarray, parent: np.ndarray
-           ) -> Tuple[np.ndarray, np.ndarray]:
-    """(uniq, labels): the sorted distinct keys and a label each one
-    carries; joins the components of the labels that share a key."""
+           ) -> np.ndarray:
+    """The index of one entry per distinct key, in increasing key order;
+    joins the components of the labels that share a key."""
     perm = np.argsort(keys)
     keys, labs = keys[perm], labs[perm]
-    same = keys[1:] == keys[:-1]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    same = ~first[1:]
     _merge(parent, labs[1:][same], labs[:-1][same])
-    first = np.concatenate([[True], ~same])[:len(keys)]
-    return keys[first], labs[first]
+    return perm[first]
 
 
 class Orbit:
@@ -214,8 +225,8 @@ class Orbit:
         return np.flatnonzero(self.roots == np.arange(len(self.roots)))
 
 
-# frontier rows unpacked and expanded at a time: bounds the transient
-# image arrays of a wide level
+# frontier rows expanded at a time: bounds the transient image arrays
+# of a wide level
 _BFS_BLOCK = 768
 
 
@@ -234,14 +245,15 @@ def capped_bfs(what: str, seeds,
     the unit rows once and applies that to each block of rows as an
     exact float64 product.  A level is the sorted keys of the in-cap
     images on neither the current nor the previous level (exact on the
-    undirected capped graph, see the module docstring).  Each state
-    carries a seed of its component; an image that meets a state of
-    another component on the current level, or the same new state as
-    one, joins the two (see _merge).  The search raises
-    BudgetExceededError for the `what` orbit exactly when some
-    component exceeds max_states states.  With `psl` set, rows are
-    8-entry matrices [[A, B], [C, E]], g and -g are one state, and the
-    seeds must share one trace up to sign (ValidationError otherwise).
+    undirected capped graph, see the module docstring), with a label
+    and the int32 coordinate row of each.  Each state carries a seed of
+    its component; an image that meets a state of another component on
+    the current level, or the same new state as one, joins the two (see
+    _merge).  The search raises BudgetExceededError for the `what` orbit
+    exactly when some component exceeds max_states states.  With `psl`
+    set, rows are 8-entry matrices [[A, B], [C, E]], g and -g are one
+    state, and the seeds must share one trace up to sign
+    (ValidationError otherwise).
     """
     seeds = np.atleast_2d(np.asarray(seeds, dtype=np.int64))
     S, k = seeds.shape
@@ -255,46 +267,53 @@ def capped_bfs(what: str, seeds,
     height_ok = height_predicate(D, cap1, cap2)
     if not height_ok(seeds).all():
         raise ValidationError(f"{what} seeds must lie inside the caps")
-    pack, unpack = _row_packer(what, D, cap1, cap2, trace)
+    pack = _row_packer(what, D, cap1, cap2, trace)
     parent = np.arange(S, dtype=np.int32)
     prev = np.empty(0, dtype=np.int64)
-    curr, labels = _dedup(pack(seeds), parent.copy(), parent)
+    keys = pack(seeds)
+    keep = _dedup(keys, parent.copy(), parent)  # labels: the seed indices
+    curr, labels = keys[keep], keep.astype(np.int32)
+    rows = seeds[keep].astype(np.int32)  # exact, see the _row_packer guard
     # states per label; a component's size is the sum over its labels
     counts = np.bincount(labels, minlength=S)
 
     # the neighbour map is Z-linear, so one matrix product writes a
-    # block's images; in float64 it runs on BLAS and is exact (see the
-    # int64 guard of _row_packer)
-    M = neighbors(np.eye(k, dtype=np.int64)).reshape(k, -1).astype(float)
+    # block's images, generator j's in Mt[j*k:(j+1)*k]; in float64 it
+    # runs on BLAS and is exact (see the int64 guard of _row_packer)
+    Mt = np.ascontiguousarray(
+        neighbors(np.eye(k, dtype=np.int64)).reshape(k, -1).T, dtype=float)
+    m = len(Mt) // k
 
-    def expand(rows: np.ndarray, labs: np.ndarray
-               ) -> Tuple[np.ndarray, np.ndarray]:
-        """(keys, labels) of the new states among the in-cap images of
-        a block of frontier rows: their sorted keys and a label each.
-        Joins the components that a repeated image or an image on the
-        current level shows adjacent."""
-        images = (rows.astype(float) @ M).reshape(-1, k)
-        m = len(images) // len(rows)
-        where = np.flatnonzero(height_ok(images))
-        keys = pack(images[where].astype(np.int64))
+    def expand(block: np.ndarray, labs: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, labels, rows) of the new states among the in-cap images
+        of a block of frontier rows, in key order.  Joins the components
+        that a repeated image or an image on the current level shows
+        adjacent."""
+        images = (Mt @ block.T).reshape(m, k, len(block))
+        # in-cap images in row order, row i's generator by generator
+        i, j = np.nonzero(height_ok(images.transpose(0, 2, 1)).T)
+        found = images[j, :, i].astype(np.int64)
         del images
-        uniq, labs = _dedup(keys, np.repeat(parent[labs], m)[where], parent)
-        found, pos = _lookup(curr, uniq)
-        _merge(parent, labs[found], labels[pos[found]])
+        keys, labs = pack(found), parent[labs[i]]
+        keep = _dedup(keys, labs, parent)
+        hit, pos = _lookup(curr, keys[keep])
+        _merge(parent, labs[keep[hit]], labels[pos[hit]])
+        keep = keep[~hit]
         # an edge to the previous level was seen from its other end, as
         # the parent of a new state, so a hit there joins nothing new
-        found |= _lookup(prev, uniq)[0]
-        return uniq[~found], labs[~found]
+        keep = keep[~_lookup(prev, keys[keep])[0]]
+        return keys[keep], labs[keep], found[keep].astype(np.int32)
 
     while len(curr):
-        blocks = [expand(unpack(curr[lo:lo + _BFS_BLOCK]),
-                         labels[lo:lo + _BFS_BLOCK])
+        blocks = [expand(rows[lo:lo + _BFS_BLOCK], labels[lo:lo + _BFS_BLOCK])
                   for lo in range(0, len(curr), _BFS_BLOCK)]
         if len(blocks) == 1:
-            (uniq, labs), = blocks
+            (keys, labs, new), = blocks
         else:
-            uniq, labs = _dedup(*(np.concatenate(part)
-                                  for part in zip(*blocks)), parent)
+            keys, labs, new = (np.concatenate(part) for part in zip(*blocks))
+            keep = _dedup(keys, labs, parent)
+            keys, labs, new = keys[keep], labs[keep], new[keep]
         del blocks
         counts += np.bincount(labs, minlength=S)
         limit = max(max_states, 1)  # no component exceeds the total
@@ -302,5 +321,5 @@ def capped_bfs(what: str, seeds,
                 parent, weights=counts, minlength=S) > limit).any():
             raise BudgetExceededError(
                 f"{what} orbit exceeded {max_states} states")
-        prev, curr, labels = curr, uniq, labs
+        prev, curr, labels, rows = curr, keys, labs, new
     return Orbit(parent, int(counts.sum()))

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
 from .modgroup import (GroupElem, conjugation_orbit, _matrices_with_trace,
                        _normalize_rows, _MU_A, _MU_B)
-from .orbits import Orbit, capped_bfs, _row_packer
+from .orbits import Orbit, capped_bfs, unique_rows, _row_packer
 from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
                         _box_rows, _coord_mul, _embed_consts, _factor_pairs,
                         _omega_trace_norm)
@@ -264,10 +264,11 @@ def enumerate_forms(d: QuadInt, F: FieldCtx,
     h1, h2 = _form_boxes(d, height)
     # box coordinates are at most H, |b^2 - d| at most N; the products
     # of the scan stay under 4(|n| + 4) H N, and so do the primitivity
-    # minors, which are at most 2((|n| + 2) H)^2 as N >= (|n| + 3) H^2
+    # minors, which are at most 2((|n| + 2) H)^2 as N >= (|n| + 3) H^2;
+    # the norms of the (b^2 - d)/4 stay under (|n| + 2) N^2
     H = math.floor(h1 + h2) + 1
     N = (abs(n) + 3) * H * H + abs(d.a) + abs(d.b)
-    if 4 * (abs(n) + 4) * H * N >= 2 ** 62:
+    if max(4 * (abs(n) + 4) * H, (abs(n) + 2) * N) * N >= 2 ** 62:
         raise BudgetExceededError(
             f"form boxes ({h1:.6g}, {h2:.6g}) overflow int64 arithmetic")
     box = _box_rows(D, h1, h2)
@@ -367,12 +368,12 @@ def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
     _row_packer("form", D, cap1, cap2)
     _row_packer("conjugation", D, mcap1, mcap2)
 
-    seeds = np.unique(enumerate_forms(dc, F, height=height), axis=0)
+    seeds = unique_rows(enumerate_forms(dc, F, height=height))
     reps = seeds[form_orbit(seeds, D, cap1, cap2).reps]
     h_orbit = len(reps)
 
     _, classes = conjugation_orbit(
-        np.unique(_matrix_keys(pell, F, m1, m2), axis=0), D, mcap1, mcap2)
+        unique_rows(_matrix_keys(pell, F, m1, m2)), D, mcap1, mcap2)
     h_matrix = len(classes)
     if h_orbit != h_matrix:
         raise InvariantViolation(

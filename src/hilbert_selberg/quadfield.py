@@ -494,29 +494,40 @@ def make_field(D: int) -> FieldCtx:
     return ctx
 
 
-def lattice_points(D: int, bound1: float, bound2: float) -> Iterator[QuadInt]:
-    """All x in O_K with |embed(x,1)| <= bound1 and |embed(x,2)| <= bound2.
+def _lattice_ranges(D: int, bound1: float, bound2: float
+                    ) -> Iterator[Tuple[int, int, int]]:
+    """(b, lo, hi) for each b, in increasing order, such that the points
+    a + b*w of lattice_points(D, bound1, bound2) are lo <= a <= hi.
 
     Embedding coordinates: x = a + b*w gives (x1 + x2) = 2a + t*b and
-    (x1 - x2) = b*sqrt(D); iterate b, then a, exact boundary checks left
-    to the caller when it matters.
+    (x1 - x2) = b*sqrt(D), so b is bounded first, then a for each b.
     """
     w1, w2 = _embed_consts(D)
     bmax = math.floor((bound1 + bound2) / math.sqrt(D) + 1e-12)
     for b in range(-bmax, bmax + 1):
         lo = max(-bound1 - b * w1, -bound2 - b * w2)
         hi = min(bound1 - b * w1, bound2 - b * w2)
-        if lo > hi:
-            continue
-        for a in range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1):
+        if lo <= hi:
+            yield b, math.ceil(lo - 1e-9), math.floor(hi + 1e-9)
+
+
+def lattice_points(D: int, bound1: float, bound2: float) -> Iterator[QuadInt]:
+    """All x in O_K with |embed(x,1)| <= bound1 and |embed(x,2)| <= bound2,
+    ordered by b, then a, for x = a + b*w; exact boundary checks are left
+    to the caller when it matters."""
+    for b, lo, hi in _lattice_ranges(D, bound1, bound2):
+        for a in range(lo, hi + 1):
             yield QuadInt(D, a, b)
 
 
 def _box_rows(D: int, bound1: float, bound2: float) -> np.ndarray:
     """lattice_points(D, bound1, bound2) as an (N, 2) int64 array of
     coordinate rows (a, b), in the same order."""
-    return np.array([(p.a, p.b) for p in lattice_points(D, bound1, bound2)],
-                    dtype=np.int64).reshape(-1, 2)
+    rows = [np.empty((0, 2), dtype=np.int64)]
+    for b, lo, hi in _lattice_ranges(D, bound1, bound2):
+        a = np.arange(lo, hi + 1, dtype=np.int64)
+        rows.append(np.column_stack([a, np.full_like(a, b)]))
+    return np.concatenate(rows)
 
 
 # entries of one P-by-box block in _factor_pairs
@@ -528,23 +539,33 @@ def _factor_pairs(P: np.ndarray, box: np.ndarray, D: int, cap1: float,
     """Every factorisation P[i] = y*z of a nonzero row of the (M, 2) array
     P with y a row of box and |embed(z, j)| <= cap_j, as (i, y, z): row
     indices and (K, 2) coordinate rows, ordered by i, then by y's place
-    in box.  The caller keeps the products P * conj(y) inside int64."""
+    in box.  The caller keeps the norms N(P[i]) and the products
+    P * conj(y) inside int64."""
     t, n = _omega_trace_norm(D)
     w1, w2 = _embed_consts(D)
+
+    def norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a * a + t * a * b + n * b * b
     j = np.nonzero(box.any(axis=1))[0]
     ya, yb = box[j].T
-    ny = ya * ya + t * ya * yb + n * yb * yb
+    ny = norm(ya, yb)
     rows = np.nonzero(P.any(axis=1))[0]
+    nP = norm(P[rows, 0], P[rows, 1])
     step = max(1, _FACTOR_BLOCK // max(1, len(j)))
     out = [np.empty((0, 4), dtype=np.int64)]
     for s in range(0, len(rows), step):
-        r = rows[s:s + step]
+        # y | P needs N(y) | N(P): one int64 modulo per pair, and the
+        # coordinates only for the pairs that pass it
+        ri, k = np.nonzero(nP[s:s + step, None] % ny == 0)
+        r = rows[s:s + step][ri]
         # P * conj(y), conj(y) = (ya + t*yb, -yb)
-        numa, numb = _coord_mul(P[r, :1], P[r, 1:], ya + t * yb, -yb, t, n)
-        ri, k = np.nonzero((numa % ny == 0) & (numb % ny == 0))
-        za, zb = numa[ri, k] // ny[k], numb[ri, k] // ny[k]
+        numa, numb = _coord_mul(P[r, 0], P[r, 1], ya[k] + t * yb[k], -yb[k],
+                                t, n)
+        div = (numa % ny[k] == 0) & (numb % ny[k] == 0)
+        r, k, numa, numb = r[div], k[div], numa[div], numb[div]
+        za, zb = numa // ny[k], numb // ny[k]
         keep = (np.abs(za + zb * w1) <= cap1) & (np.abs(za + zb * w2) <= cap2)
-        out.append(np.column_stack([r[ri], k, za, zb])[keep])
+        out.append(np.column_stack([r, k, za, zb])[keep])
     i, k, za, zb = np.concatenate(out).T
     return i, box[j[k]], np.column_stack([za, zb])
 

@@ -45,6 +45,17 @@ def test_cli_import_leaves_mpmath_out():
     assert proc.returncode == 0
 
 
+def test_exact_layer_leaves_numpy_ma_out():
+    # np.unique(..., axis=0) imports numpy.ma on its first call; a cold
+    # enumeration and census must not pay for that import
+    code = ("import sys; from hilbert_selberg.quadfield import make_field; "
+            "from hilbert_selberg.geodesics import enumerate_geodesics; "
+            "F = make_field(5); enumerate_geodesics(F, 6.0); "
+            "F.elliptic_census; sys.exit('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env())
+    assert proc.returncode == 0
+
+
 # every command that reaches the special functions or the quadrature
 _ANALYTIC_COMMANDS = (
     ("field", "--D", "5"),

@@ -264,13 +264,30 @@ def _factor_rows(D):
     return st.lists(row, min_size=1, max_size=8)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([5, 8, 12, 13, 17, 41]), st.floats(0.1, 60.0),
+       st.floats(0.1, 60.0))
+def test_box_rows_match_lattice_points(D, bound1, bound2):
+    want = [(p.a, p.b) for p in lattice_points(D, bound1, bound2)]
+    got = _box_rows(D, bound1, bound2)
+    assert got.dtype == np.int64 and got.shape == (len(want), 2)
+    assert got.tolist() == [list(p) for p in want]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([5, 8, 12, 13]), st.floats(1.5, 6.0),
        st.floats(1.5, 6.0), st.floats(1.0, 12.0), st.floats(1.0, 12.0),
        st.data())
 def test_factor_pairs_matches_quadint_reference(D, b1, b2, cap1, cap2, data):
-    P = np.array(data.draw(_factor_rows(D)), dtype=np.int64).reshape(-1, 2)
+    t, _ = _omega_trace_norm(D)
     box = _box_rows(D, b1, b2)
+    # conj(y) has the norm of y but is in general no multiple of it (on
+    # D = 5, 3 + w = conj(4 - w), both of norm 11, are not associates):
+    # norm collisions that are no divisors
+    conj = [(ya + t * yb, -yb) for ya, yb in
+            data.draw(st.lists(st.sampled_from(box.tolist()), max_size=3))]
+    P = np.array(data.draw(_factor_rows(D)) + conj,
+                 dtype=np.int64).reshape(-1, 2)
     i, y, z = _factor_pairs(P, box, D, cap1, cap2)
     got = [(r, *yy, *zz) for r, yy, zz in zip(i.tolist(), y.tolist(),
                                               z.tolist())]
