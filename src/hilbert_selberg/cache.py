@@ -1,11 +1,14 @@
 """Disk cache for expensive intermediates, keyed by a content hash.
 
-Keys hash the full parameter set plus a format version and the package
-version, so any change to the inputs or the code revision produces a
-fresh key; a stale entry can never be served for a new configuration.
-The payload is a pickle, which is fine for a local scratch cache.
-Resolution order for the directory: explicit argument, then the
-HILBERT_SELBERG_CACHE environment variable, then no caching at all.
+Keys hash the parameter set plus a format version and the package
+version, so a changed payload type or code revision produces a fresh
+key.  A key may leave out a parameter whose stored value can serve a
+range of requests; `usable` then says whether the stored entry serves
+this one, and an entry it rejects is rebuilt and replaced, so each key
+holds one entry.  The payload is a pickle, which is fine for a local
+scratch cache.  Resolution order for the directory: explicit argument,
+then the HILBERT_SELBERG_CACHE environment variable, then no caching at
+all.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from pathlib import Path
 from typing import Callable, Optional, TypeVar
 
 from . import __version__
+from .errors import ValidationError
 
-_FORMAT = 2
+_FORMAT = 3
 
 T = TypeVar("T")
 
@@ -29,7 +33,11 @@ def cache_root(cache_dir: Optional[str] = None) -> Optional[Path]:
     if not chosen:
         return None
     root = Path(chosen)
-    root.mkdir(parents=True, exist_ok=True)
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot use cache directory {chosen}: {exc.strerror}")
     return root
 
 
@@ -42,7 +50,8 @@ def cache_key(kind: str, params: dict) -> str:
 
 
 def get_or_compute(kind: str, params: dict, builder: Callable[[], T],
-                   cache_dir: Optional[str] = None) -> T:
+                   cache_dir: Optional[str] = None,
+                   usable: Optional[Callable[[T], bool]] = None) -> T:
     root = cache_root(cache_dir)
     if root is None:
         return builder()
@@ -50,9 +59,12 @@ def get_or_compute(kind: str, params: dict, builder: Callable[[], T],
     if path.exists():
         try:
             with path.open("rb") as fh:
-                return pickle.load(fh)
+                value = pickle.load(fh)
         except Exception:
             path.unlink(missing_ok=True)
+        else:
+            if usable is None or usable(value):
+                return value
     value = builder()
     tmp = path.with_suffix(".tmp")
     with tmp.open("wb") as fh:

@@ -12,6 +12,9 @@ Configuration comes from defaults, then an optional key=value config
 file, then explicit flags, in that order.  Exit codes: 0 success,
 1 validation failure, 2 budget exceeded, 3 internal invariant
 violation.
+
+A command imports the layers it runs when it runs, so a short command
+pays neither their import nor, without bytecode, their compilation.
 """
 
 from __future__ import annotations
@@ -29,20 +32,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
-from .cache import get_or_compute
 from .errors import (BudgetExceededError, HilbertSelbergError,
                      InvariantViolation, ValidationError)
-from .geodesics import class_average_report, enumerate_geodesics, pgt_report
-from .modgroup import classify
-from .pellforms import class_number, form_to_matrix
 from .quadfield import field_to_json_str, make_field, parse_quadint
-from .traceform import (gaussian_testfunction, geom_side_difference,
-                        geom_side_double_difference, heat_asymptotic_check,
-                        rational_testfunction,
-                        double_difference_closed_forms)
-from .zetafun import (ZetaParams, divisor_ledger, fe_identity_checks,
-                      ruelle, ruelle_leading, selberg_log_deriv,
-                      selberg_zeta)
 
 
 # ------------------------------------------------------------ configuration
@@ -140,11 +132,17 @@ def _w_convention(D: int) -> str:
 
 
 def _classes(F, cfg: RunConfig, x: Optional[float] = None):
+    """The window to x (default x_max).  The cache holds one window per
+    (D, height), the widest asked for: a narrower x is cut from it, a
+    wider one is enumerated and replaces it."""
+    from .cache import get_or_compute
+    from .geodesics import enumerate_geodesics
     x = cfg.x_max if x is None else x
-    return get_or_compute(
-        "geodesics", {"D": F.D, "x": x, "height": cfg.height},
-        lambda: enumerate_geodesics(F, x, height=cfg.height),
-        cfg.cache_dir)
+    stored_x, window = get_or_compute(
+        "geodesics", {"D": F.D, "height": cfg.height},
+        lambda: (x, enumerate_geodesics(F, x, height=cfg.height)),
+        cfg.cache_dir, usable=lambda entry: entry[0] >= x)
+    return window if stored_x == x else window.within(x)
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
@@ -207,6 +205,7 @@ def _cmd_pell(cfg: RunConfig, args) -> int:
 
 
 def _cmd_forms(cfg: RunConfig, args) -> int:
+    from .pellforms import class_number
     F = make_field(cfg.D)
     d = parse_quadint(args.d, F.D)
     rec = class_number(d, F, height=cfg.height)
@@ -241,6 +240,7 @@ def _cmd_geodesics(cfg: RunConfig, args) -> int:
 
 
 def _cmd_zeta(cfg: RunConfig, args) -> int:
+    from .zetafun import ZetaParams, selberg_zeta
     F = make_field(cfg.D)
     classes = _classes(F, cfg)
     cov = classes.coverage
@@ -262,6 +262,7 @@ def _cmd_zeta(cfg: RunConfig, args) -> int:
 
 
 def _cmd_ledger(cfg: RunConfig, args) -> int:
+    from .zetafun import divisor_ledger, ruelle_leading
     F = make_field(cfg.D)
     led = divisor_ledger(args.m, F, k_max=args.kmax)
     blob = led.to_json()
@@ -273,6 +274,7 @@ def _cmd_ledger(cfg: RunConfig, args) -> int:
 
 
 def _parse_testfunction(text: str):
+    from .traceform import gaussian_testfunction, rational_testfunction
     kind, _, rest = text.partition(":")
     try:
         kv = dict(p.split("=", 1) for p in rest.split(",") if p)
@@ -295,6 +297,7 @@ def _parse_testfunction(text: str):
 def _cmd_trace(cfg: RunConfig, args) -> int:
     if args.mode == "heatfit":
         return _cmd_heatfit(cfg, args)
+    from .traceform import geom_side_difference, geom_side_double_difference
     tf = _parse_testfunction(args.test)
     F = make_field(cfg.D)
     classes = _classes(F, cfg)
@@ -311,6 +314,7 @@ def _cmd_trace(cfg: RunConfig, args) -> int:
 
 
 def _cmd_heatfit(cfg: RunConfig, args) -> int:
+    from .traceform import heat_asymptotic_check
     betas = _parse_numbers(args.betas, "beta") if args.betas else cfg.beta_grid
     F = make_field(cfg.D)
     classes = _classes(F, cfg)
@@ -323,12 +327,19 @@ def _cmd_heatfit(cfg: RunConfig, args) -> int:
 
 
 def _cmd_report(cfg: RunConfig, args) -> int:
+    from .geodesics import class_average_report, pgt_report
     F = make_field(cfg.D)
+    # the window is read only for a valid cutoff, so a bad one is
+    # refused by the report before any enumeration
     if args.mode == "classavg":
-        reports = [class_average_report(F, cfg.x_max, height=cfg.height)]
+        x = cfg.x_max
+        classes = _classes(F, cfg, x) if x > 1.0 else None
+        reports = [class_average_report(F, x, cfg.height, classes)]
     else:
         grid = _parse_numbers(args.x_grid or "5,10,15,20", "x grid entry")
-        reports = pgt_report(F, grid, height=cfg.height)
+        classes = (_classes(F, cfg, max(grid))
+                   if grid and min(grid) > 1.0 else None)
+        reports = pgt_report(F, grid, cfg.height, classes)
     if cfg.out_format == "csv":
         header = ["x", "psi_sum", "pi_sum", "psi_main", "pi_main",
                   "psi_ratio", "pi_ratio"]
@@ -367,6 +378,7 @@ def _check_census_orders(cfg: RunConfig, window) -> str:
 
 
 def _check_leading_terms(cfg: RunConfig, window) -> str:
+    from .zetafun import ruelle_leading
     prefactors = {5: 900, 8: 576, 12: 432}
     for D, want in prefactors.items():
         info = ruelle_leading(make_field(D))
@@ -376,6 +388,8 @@ def _check_leading_terms(cfg: RunConfig, window) -> str:
 
 
 def _check_class_numbers(cfg: RunConfig, window) -> str:
+    from .modgroup import classify
+    from .pellforms import form_to_matrix
     F = make_field(cfg.D)
     classes = _classes(F, cfg, min(cfg.x_max, 8.0))
     assert classes, "no classes enumerated"
@@ -389,6 +403,7 @@ def _check_class_numbers(cfg: RunConfig, window) -> str:
 
 
 def _check_functional_identities(cfg: RunConfig, window) -> str:
+    from .zetafun import fe_identity_checks
     report = fe_identity_checks(make_field(cfg.D), seed=cfg.seed)
     worst = max(report["xi_max_err"], report["gnu_ratio_max_err"])
     assert worst <= 1e-8, report
@@ -396,6 +411,7 @@ def _check_functional_identities(cfg: RunConfig, window) -> str:
 
 
 def _check_zeta_consistency(cfg: RunConfig, window) -> str:
+    from .zetafun import ZetaParams, ruelle, selberg_log_deriv, selberg_zeta
     classes = window()
     rng = random.Random(cfg.seed)
     worst = 0.0
@@ -416,6 +432,7 @@ def _check_zeta_consistency(cfg: RunConfig, window) -> str:
 
 
 def _check_trace_closed_forms(cfg: RunConfig, window) -> str:
+    from .traceform import double_difference_closed_forms
     F = make_field(cfg.D)
     classes = window()
     report = double_difference_closed_forms(4, 2.5, 2.5, 3.5, F, classes)
@@ -425,6 +442,7 @@ def _check_trace_closed_forms(cfg: RunConfig, window) -> str:
 
 
 def _check_heat_fit(cfg: RunConfig, window) -> str:
+    from .traceform import heat_asymptotic_check
     F = make_field(cfg.D)
     classes = window()
     report = heat_asymptotic_check(F, cfg.beta_grid, classes)
@@ -433,8 +451,10 @@ def _check_heat_fit(cfg: RunConfig, window) -> str:
 
 
 def _check_count_trend(cfg: RunConfig, window) -> str:
+    from .geodesics import pgt_report
     F = make_field(cfg.D)
-    reports = pgt_report(F, [5.0, 10.0, 15.0, 20.0], height=cfg.height)
+    reports = pgt_report(F, [5.0, 10.0, 15.0, 20.0], cfg.height,
+                         _classes(F, cfg, 20.0))
     last = reports[-1]
     psi = last.residuals["psi_ratio"]
     pi = last.residuals["pi_ratio"]
@@ -444,6 +464,8 @@ def _check_count_trend(cfg: RunConfig, window) -> str:
 
 
 def _check_truncation_stability(cfg: RunConfig, window) -> str:
+    from .geodesics import enumerate_geodesics
+    from .zetafun import ZetaParams, selberg_zeta
     F = make_field(cfg.D)
     classes = window()
     # both depths lie below selberg_zeta's machine-negligible cut, so

@@ -124,6 +124,21 @@ class GeodesicWindow(Sequence[GeodesicClass]):
         """Classes with norm <= x; x must lie within the coverage."""
         return self.classes[:self.count_upto(x)]
 
+    def within(self, x: float) -> "GeodesicWindow":
+        """The window enumerate_geodesics(F, x) returns, cut from this
+        one, which must have been enumerated to at least x at the same
+        height.
+
+        Exact: the candidates of x are among those of any larger bound
+        (see enumerate_geodesics' trace_bound), a class number does not
+        depend on the bound, and a larger Pell cap only skips fewer
+        candidates.  Classes are cut by enumerate_geodesics' own test
+        and coverage is again the largest listed norm.
+        """
+        limit = _eps_limit(x)
+        return GeodesicWindow(c for c in self.classes
+                              if c.record.pell.eps_d <= limit)
+
     @functools.cached_property
     def norms(self) -> np.ndarray:
         return _column(c.norm for c in self.classes)
@@ -207,6 +222,14 @@ def square_divisor_quotients(P: QuadInt, F: FieldCtx) -> List[QuadInt]:
     return out
 
 
+def _eps_limit(x: float) -> float:
+    """The largest eps_K(d) a window to x keeps: the one cut of
+    enumerate_geodesics and GeodesicWindow.within."""
+    if x < 1.0:
+        raise ValidationError("geodesic cutoff needs x >= 1")
+    return x * (1.0 + 1e-12)
+
+
 def enumerate_geodesics(F: FieldCtx, x: float, height: float = 8.0,
                         trace_bound: float = None) -> GeodesicWindow:
     """All classes with eps_K(d) <= x, as a window covering the largest
@@ -218,8 +241,7 @@ def enumerate_geodesics(F: FieldCtx, x: float, height: float = 8.0,
     Pell step.  On a budget error the exception carries the classes
     found so far in .partial and .incomplete = True.
     """
-    if x < 1.0:
-        raise ValidationError("geodesic cutoff needs x >= 1")
+    limit = _eps_limit(x)
     D = F.D
     four = QuadInt(D, 4, 0)
     bound1 = x + 1.0 / x if trace_bound is None else float(trace_bound)
@@ -243,7 +265,7 @@ def enumerate_geodesics(F: FieldCtx, x: float, height: float = 8.0,
             except BudgetExceededError:
                 # fundamental solution beyond 2x: class is out of range
                 continue
-            if pell.eps_d > x * (1.0 + 1e-12):
+            if pell.eps_d > limit:
                 continue
             rec = class_number(dc, F, height=height, pell=pell)
             t2 = rec.pell.t0.embed(2)
@@ -279,24 +301,34 @@ def _report(x: float, classes: Sequence[GeodesicClass],
                        main_terms=(X, li_main), residuals=residuals)
 
 
-def pgt_report(F: FieldCtx, x_grid: Sequence[float],
-               height: float = 8.0) -> List[CountReport]:
+def pgt_report(F: FieldCtx, x_grid: Sequence[float], height: float = 8.0,
+               classes: Optional[GeodesicWindow] = None
+               ) -> List[CountReport]:
     """Geodesic-side counts on a grid: psi_sum = sum h(d) log N(p)
-    over N(p) <= x^2, against main term 2x^2; pi_sum against 2 li(x^2)."""
+    over N(p) <= x^2, against main term 2x^2; pi_sum against 2 li(x^2).
+
+    classes, when given, must be enumerated to at least the largest x;
+    otherwise they are enumerated here."""
     xs = sorted(float(x) for x in x_grid)
     if not xs:
         return []
     if xs[0] <= 1.0:
         raise ValidationError("report grid needs x > 1")
-    classes = enumerate_geodesics(F, xs[-1], height=height)
+    if classes is None:
+        classes = enumerate_geodesics(F, xs[-1], height=height)
     return [_report(x, classes, geodesic_scale=True) for x in xs]
 
 
-def class_average_report(F: FieldCtx, x: float,
-                         height: float = 8.0) -> CountReport:
+def class_average_report(F: FieldCtx, x: float, height: float = 8.0,
+                         classes: Optional[GeodesicWindow] = None
+                         ) -> CountReport:
     """Discriminant-side counts: psi_sum = sum h(d) log eps(d) over
-    eps(d) <= x, against main term x^2; pi_sum against 2 li(x^2)."""
+    eps(d) <= x, against main term x^2; pi_sum against 2 li(x^2).
+
+    classes, when given, must be enumerated to at least x; otherwise
+    they are enumerated here."""
     if x <= 1.0:
         raise ValidationError("report cutoff needs x > 1")
-    classes = enumerate_geodesics(F, x, height=height)
+    if classes is None:
+        classes = enumerate_geodesics(F, x, height=height)
     return _report(x, classes, geodesic_scale=False)

@@ -235,7 +235,7 @@ def capped_bfs(what: str, seeds,
                D: int, cap1: float, cap2: float, max_states: int,
                psl: bool = False) -> Orbit:
     """Height-capped BFS from every row of `seeds` at once, an (S, k)
-    array or one key; returns the orbit with its components.
+    array, one key or no seeds; returns the orbit with its components.
 
     Every seed must lie inside the caps (the edges of a seed outside
     them run one way only); ValidationError otherwise.  The frontier is
@@ -255,7 +255,10 @@ def capped_bfs(what: str, seeds,
     state, and the seeds must share one trace up to sign
     (ValidationError otherwise).
     """
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=np.int64))
+    seeds = np.asarray(seeds, dtype=np.int64)
+    if not seeds.size:  # an empty list too: no rows of the keyed width
+        seeds = seeds.reshape(0, 8 if psl else 6)
+    seeds = np.atleast_2d(seeds)
     S, k = seeds.shape
     trace = None
     if psl:  # conjugation keeps the trace: search the seeds' trace slice

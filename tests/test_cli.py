@@ -8,6 +8,7 @@ with the same configuration must give byte-identical output.
 import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ import time
 import pytest
 
 import hilbert_selberg
-from hilbert_selberg import cli, modgroup, quadfield
+from hilbert_selberg import cli, geodesics, modgroup, quadfield
 from hilbert_selberg.cli import RunConfig, _classes, main
 from hilbert_selberg.errors import BudgetExceededError, InvariantViolation
 from hilbert_selberg.geodesics import GeodesicWindow, enumerate_geodesics
@@ -43,6 +44,31 @@ def test_cli_import_leaves_mpmath_out():
             "sys.exit('mpmath' in sys.modules or 'scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=_package_env())
     assert proc.returncode == 0
+
+
+_MODULES_RUNNER = """
+import contextlib, io, json, sys
+from hilbert_selberg.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("argv", [["field", "--D", "5"],
+                                  ["forms", "--D", "5", "--d=-7+5*w"]])
+def test_commands_import_only_their_layers(argv):
+    # a command imports the layers it runs when it runs; field and forms
+    # need neither the geodesic window nor the analytic layers
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_RUNNER, json.dumps(argv)],
+        env=_package_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    for name in ("traceform", "zetafun", "integrate", "geodesics"):
+        assert f"hilbert_selberg.{name}" not in loaded
 
 
 def test_exact_layer_leaves_numpy_ma_out():
@@ -173,7 +199,7 @@ def test_search_failure_exit_codes(error, code, prefix, capsys,
         raise error("window not enumerated")
 
     monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
-    monkeypatch.setattr(cli, "enumerate_geodesics", fail)
+    monkeypatch.setattr(geodesics, "enumerate_geodesics", fail)
     assert main(["geodesics", "--D", "5", "--x", "6"]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -434,11 +460,17 @@ def test_cache_round_trip(tmp_path, capsys):
     miss = enumerate_geodesics(F, 6.0)
     assert isinstance(hit, GeodesicWindow)
     assert hit == miss and hit.coverage == miss.coverage
-    # different bound -> different key, no stale reuse
+    # a wider bound is never served the narrower window: it enumerates
+    # and replaces the one entry of (D, height)
     _, third = run_cli(capsys, "geodesics", "--D", "5", "--x", "7.0",
                        "--format", "csv", "--cache-dir", str(cache))
-    assert len(list(cache.rglob("*.pkl"))) > len(entries)
+    assert sorted(cache.rglob("*.pkl")) == sorted(entries)
     assert third != first
+    wide = _classes(F, RunConfig(x_max=7.0, cache_dir=str(cache)))
+    assert wide == enumerate_geodesics(F, 7.0)
+    assert wide.coverage == enumerate_geodesics(F, 7.0).coverage
+    # and the narrower bound is now cut from it, unchanged
+    assert run_cli(capsys, *args)[1] == first
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -446,6 +478,72 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HILBERT_SELBERG_CACHE", str(cache))
     run_cli(capsys, "geodesics", "--D", "5", "--x", "6.0")
     assert list(cache.rglob("*.pkl"))
+
+
+def _stored(cache):
+    """The one geodesics entry of a cache directory: (x, window)."""
+    entry, = cache.glob("geodesics-*.pkl")
+    with entry.open("rb") as fh:
+        return pickle.load(fh)
+
+
+def test_narrower_request_is_cut_from_the_cached_window(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    cache = tmp_path / "cache"
+    flags = ("--D", "5", "--format", "csv", "--cache-dir", str(cache))
+    run_cli(capsys, "geodesics", "--x", "10", *flags)
+    before = {p: p.stat().st_mtime_ns for p in cache.iterdir()}
+    assert _stored(cache)[0] == 10.0
+    uncached = {argv: run_cli(capsys, *argv, "--D", "5", "--format", "csv")
+                for argv in (("geodesics", "--x", "8"),
+                             ("pell", "--x", "6"),
+                             ("report", "classavg", "--x", "8"))}
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a narrower window was enumerated")
+
+    monkeypatch.setattr(geodesics, "enumerate_geodesics", fail)
+    for argv, want in uncached.items():
+        assert run_cli(capsys, *argv, *flags) == want
+    assert {p: p.stat().st_mtime_ns for p in cache.iterdir()} == before
+
+
+def test_wider_request_replaces_the_cached_window(tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    cache = tmp_path / "cache"
+    flags = ("--D", "5", "--cache-dir", str(cache))
+    run_cli(capsys, "geodesics", "--x", "6", *flags)
+    assert _stored(cache)[0] == 6.0
+    _, wide = run_cli(capsys, "geodesics", "--x", "8", *flags)
+    x, window = _stored(cache)
+    assert x == 8.0 and window == enumerate_geodesics(make_field(5), 8.0)
+    assert wide == run_cli(capsys, "geodesics", "--x", "8", "--D", "5")[1]
+    # another height is another entry
+    run_cli(capsys, "geodesics", "--x", "6", "--height", "9", *flags)
+    assert len(list(cache.glob("geodesics-*.pkl"))) == 2
+
+
+@pytest.mark.parametrize("kind", ["file", "under a file"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_unusable_cache_directory_is_a_validation_error(kind, via, tmp_path,
+                                                        capsys, monkeypatch):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    target = blocker if kind == "file" else blocker / "cache"
+    argv = ["geodesics", "--D", "5", "--x", "3"]
+    if via == "flag":
+        argv += ["--cache-dir", str(target)]
+        monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    else:
+        monkeypatch.setenv("HILBERT_SELBERG_CACHE", str(target))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(
+        f"error: cannot use cache directory {target}: ")
+    assert "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------- check
@@ -458,15 +556,16 @@ def test_check_passes_and_enumerates_window_once(capsys, monkeypatch):
         return enumerate_geodesics(F, x, **kwargs)
 
     monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
-    monkeypatch.setattr(cli, "enumerate_geodesics", counted)
+    monkeypatch.setattr(geodesics, "enumerate_geodesics", counted)
     code, out = run_cli(capsys, "check", "--D", "5")
     assert code == 0
     lines = out.splitlines()
     assert [ln[:6] for ln in lines] == ["PASS  "] * len(cli._CHECKS)
     assert [ln[6:30].rstrip() for ln in lines] == \
         [name for name, _ in cli._CHECKS]
-    # class numbers at min(x, 8), the shared x window, two reruns at 6
-    assert bounds == [8.0, 10.0, 6.0, 6.0]
+    # class numbers at min(x, 8), the shared x window, the count trend
+    # at 20, two reruns at 6
+    assert bounds == [8.0, 10.0, 20.0, 6.0, 6.0]
 
 
 def test_check_failing_row_exits_3(capsys, monkeypatch):
@@ -486,7 +585,7 @@ def test_check_window_failure_fails_each_row(capsys, monkeypatch):
     rows = [row for row in cli._CHECKS
             if row[0] in ("zeta consistency", "trace closed forms")]
     monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
-    monkeypatch.setattr(cli, "enumerate_geodesics", fail)
+    monkeypatch.setattr(geodesics, "enumerate_geodesics", fail)
     monkeypatch.setattr(cli, "_CHECKS", rows)
     code, out = run_cli(capsys, "check", "--D", "5")
     assert code == 3

@@ -149,6 +149,30 @@ def test_empty_below_first_geodesic():
     assert len(empty) == 0 and empty.coverage == 0.0
 
 
+@pytest.mark.parametrize("x", [6.0, 8.0, 10.0])
+def test_within_equals_enumeration(window10, x):
+    # the cut of a wider window is the enumeration at the narrower bound:
+    # the same classes, coverage, Pell records and forms
+    F = make_field(window10[0].d.D)
+    cut, fresh = window10.within(x), enumerate_geodesics(F, x)
+    assert isinstance(cut, GeodesicWindow)
+    assert list(cut) == list(fresh) and cut.coverage == fresh.coverage
+    assert [c.record for c in cut] == [c.record for c in fresh]
+    assert [c.record.forms for c in cut] == [c.record.forms for c in fresh]
+    if x < 10.0:
+        assert len(cut) < len(window10)
+    with pytest.raises(ValidationError):
+        window10.within(0.5)
+
+
+def test_reports_take_a_window(d5_x10):
+    F, cls = d5_x10
+    assert class_average_report(F, 8.0, classes=cls.within(8.0)) == \
+        class_average_report(F, 8.0)
+    assert pgt_report(F, [5.0, 8.0], classes=cls.within(8.0)) == \
+        pgt_report(F, [5.0, 8.0])
+
+
 def test_cutoff_validation():
     F = make_field(5)
     with pytest.raises(ValidationError):

@@ -318,6 +318,21 @@ def test_several_seeds_lie_inside_the_caps_and_take_no_targets():
         conjugation_orbit([s.key(), outside], D, cap, cap)
 
 
+@pytest.mark.parametrize("width", [6, 8])
+def test_empty_seed_list_is_an_empty_orbit(width):
+    # an empty list searches like an empty array of the rows' width:
+    # no states, no components and, for conjugation, no rows
+    def search(seeds):
+        if width == 6:
+            return form_orbit(seeds, 5, 10.0, 10.0), ()
+        return conjugation_orbit(seeds, 5, 10.0, 10.0)
+
+    for seeds in ([], np.empty((0, width), dtype=np.int64)):
+        orbit, reps = search(seeds)
+        assert len(orbit) == 0 and orbit.roots.shape == (0,)
+        assert len(orbit.reps) == 0 and len(reps) == 0
+
+
 @pytest.mark.parametrize("kind", REFERENCE_CASES + ["form-rows",
                                                     "matrix-rows"])
 def test_orbit_len_is_the_state_count(kind):
