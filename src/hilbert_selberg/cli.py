@@ -20,6 +20,7 @@ pays neither their import nor, without bytecode, their compilation.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import dataclasses
 import functools
@@ -108,9 +109,13 @@ def _parse_config_value(key: str, val: str):
 
 def _parse_number(text: str, what: str, kind=float):
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise ValidationError(f"cannot parse {what} {text!r}")
+    if not cmath.isfinite(value):
+        raise ValidationError(
+            f"cannot parse {what} {text!r}: not a finite number")
+    return value
 
 
 def _parse_numbers(text: str, what: str) -> Tuple[float, ...]:
@@ -118,11 +123,8 @@ def _parse_numbers(text: str, what: str) -> Tuple[float, ...]:
 
 
 def _parse_complex(text: str) -> complex:
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
-    try:
-        return complex(cleaned)
-    except ValueError:
-        raise ValidationError(f"cannot parse complex number {text!r}")
+    return _parse_number(text, "complex number", lambda s: complex(
+        s.strip().replace(" ", "").replace("i", "j")))
 
 
 def _w_convention(D: int) -> str:
@@ -241,13 +243,14 @@ def _cmd_geodesics(cfg: RunConfig, args) -> int:
 
 def _cmd_zeta(cfg: RunConfig, args) -> int:
     from .zetafun import ZetaParams, selberg_zeta
+    s = _parse_complex(args.s)  # refused before any enumeration
     F = make_field(cfg.D)
     classes = _classes(F, cfg)
     cov = classes.coverage
     trunc = args.X if args.X is not None else (cfg.trunc_norm or cov)
     # requested cutoffs beyond the enumerated window are clamped; the
     # effective cutoff is reported and the tail bound starts there
-    params = ZetaParams(s=_parse_complex(args.s), m=args.m,
+    params = ZetaParams(s=s, m=args.m,
                         trunc_norm=min(float(trunc), cov),
                         trunc_k=cfg.trunc_k if args.K is None else args.K)
     val = selberg_zeta(params, classes)
@@ -329,16 +332,20 @@ def _cmd_heatfit(cfg: RunConfig, args) -> int:
 def _cmd_report(cfg: RunConfig, args) -> int:
     from .geodesics import class_average_report, pgt_report
     F = make_field(cfg.D)
-    # the window is read only for a valid cutoff, so a bad one is
-    # refused by the report before any enumeration
-    if args.mode == "classavg":
-        x = cfg.x_max
-        classes = _classes(F, cfg, x) if x > 1.0 else None
-        reports = [class_average_report(F, x, cfg.height, classes)]
+    if args.x_grid is not None:
+        grid = sorted(_parse_numbers(args.x_grid, "x grid entry"))
+        if not grid:
+            raise ValidationError("report grid needs at least one x")
     else:
-        grid = _parse_numbers(args.x_grid or "5,10,15,20", "x grid entry")
-        classes = (_classes(F, cfg, max(grid))
-                   if grid and min(grid) > 1.0 else None)
+        grid = ([cfg.x_max] if args.mode == "classavg"
+                else [5.0, 10.0, 15.0, 20.0])
+    # one window to the largest x, read only for a valid grid, so a bad
+    # cutoff is refused by the report before any enumeration
+    classes = _classes(F, cfg, grid[-1]) if grid[0] > 1.0 else None
+    if args.mode == "classavg":
+        reports = [class_average_report(F, x, cfg.height, classes)
+                   for x in grid]
+    else:
         reports = pgt_report(F, grid, cfg.height, classes)
     if cfg.out_format == "csv":
         header = ["x", "psi_sum", "pi_sum", "psi_main", "pi_main",

@@ -170,6 +170,9 @@ def _normalize_rows(rows: np.ndarray, D: int, t: int) -> np.ndarray:
 # the translation generators mu = +1, -1, +w, -w as coordinate columns
 _MU_A = np.array([[1], [-1], [0], [0]])
 _MU_B = np.array([[0], [0], [1], [-1]])
+# conjugation by diag(1, -1): [[A, B], [C, E]] -> [[A, -B], [-C, E]] maps
+# S to itself and T_mu to T_-mu, so orbits are searched modulo it
+_CONJ_MIRROR = np.array([1, 1, -1, -1, -1, -1, 1, 1])
 
 
 def _conj_neighbors(rows: np.ndarray, D: int, t: int, n: int) -> np.ndarray:
@@ -211,7 +214,7 @@ def conjugation_orbit(seeds, D: int, cap1: float, cap2: float,
     t, n = _omega_trace_norm(D)
     orbit = capped_bfs("conjugation", seeds,
                        lambda rows: _conj_neighbors(rows, D, t, n),
-                       D, cap1, cap2, max_states, psl=True)
+                       _CONJ_MIRROR, D, cap1, cap2, max_states, psl=True)
     return orbit, seeds[orbit.reps]
 
 

@@ -4,7 +4,7 @@ action (`pellforms`).
 
 States are integer coordinate rows; a level is the sorted int64 array of
 the exact keys its in-cap states pack to, and it carries each state's
-label and coordinate row, as int32, so the frontier is expanded a block
+label, coordinate row and back edge, so the frontier is expanded a block
 of rows at a time and no tuple is built per state, nor a row rebuilt
 from its key.
 Each level's images are deduplicated against the current and the
@@ -12,7 +12,10 @@ previous level alone.  That is exact because the capped generator graph
 is undirected: S is an involution (on forms, and under conjugation
 since S^2 = -1 is central), T_mu^-1 = T_-mu, and the height test is a
 property of the state, so a neighbour of a level-k state lies on level
-k - 1, k or k + 1.
+k - 1, k or k + 1.  A state carries its back edge: the generator
+that maps its carried row onto its parent's on level k - 1.  That
+image is dropped after the height test; the edge was seen from the
+parent's end.
 
 A state's key is one int64: the base-R number whose digits are the box
 indices of its first three coordinate pairs (see _row_packer).  A form
@@ -27,6 +30,26 @@ smaller of the two keys both.  The row a level carries is then either
 sign, which the keys, the height test and the images up to sign do not
 see.
 
+The search runs modulo a mirror: a sign vector whose diagonal matrix P
+conjugates every generator map to one of them, diag(1, -1): (a, b, c)
+-> (a, -b, c) on forms and [[A, B], [C, E]] -> [[A, -B], [-C, E]] under
+conjugation, fixing S and swapping T_mu with T_-mu.  P keeps heights,
+the trace and the key box, so it is an automorphism of the capped
+graph, whose quotient, undirected too, is what the levels walk.  A
+state is a pair {x, Px}, keyed by the smaller of its two keys, and
+carries the row of that key.  Components live on a double cover: node
+s is the component of seed s and node S + s that of its mirror image,
+so a label names the carried row's component and its twin the
+mirror's.  Every edge x - y is seen from the carried row of one end's
+pair, and Px - Py is an edge too, so each join is made twice, (a, b)
+and their twins; a state that is its own mirror joins its label with
+its twin.  A pair counts one state on its label and one on its twin, a
+self-mirror state once, so each union-find set counts its component.
+The sets whose least node is below S are exactly the components the
+plain search from the seeds visits, also for seeds not closed under
+the mirror, and a set and its mirror image count alike: roots, state
+count and budget verdict are the plain search's.
+
 The generators act Z-linearly, so a block's images are one product of
 the map's integer matrix with its rows, and one height test covers
 every coordinate pair of every image.  The product is computed in
@@ -37,12 +60,11 @@ The seeds and the images go through the same height test.
 
 One search partitions a whole set of rows: it starts from all of them
 at once, so a level is the set of states at distance k from the seed
-set, and the argument above holds unchanged for those distances.  Every
-state carries a seed of its component; when an image meets a state of
-another component on the current level, or a new state another parent
-reached, the two components join in a union-find over the seed indices
-whose root is always the least seed.  That sees every edge between
-visited states: one within a level from either end, one between
+set, and the argument above holds unchanged for those distances.  When
+an image meets a state of another component on the current level, or a
+new state another parent reached, the two components join in a
+union-find whose root is always the least node.  That sees every edge
+between visited states: one within a level from either end, one between
 levels k and k + 1 when level k is expanded.  So the components are
 exactly the orbits the seed-by-seed loop (least row not yet covered,
 then its orbit) visits, and with the seeds the distinct rows in
@@ -137,8 +159,9 @@ def _row_packer(what: str, D: int, cap1: float, cap2: float,
     base = (A * rad + B) * (R * R + R + 1)
     trace0 = trace is not None and not np.any(trace)
 
-    def pack(rows: np.ndarray) -> np.ndarray:
-        keys = rows[:, :6] @ weights + base
+    def pack(rows: np.ndarray, signs: np.ndarray = np.ones(6, int)
+             ) -> np.ndarray:  # the keys of the rows times a sign vector
+        keys = rows[:, :6] @ (weights * signs[:6]) + base
         return np.minimum(keys, top - keys) if trace0 else keys
     return pack
 
@@ -172,10 +195,9 @@ def _lookup(sorted_keys: np.ndarray, keys: np.ndarray
 
 
 def _merge(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """Join the components of seeds a[i] and b[i] in the union-find
-    `parent`, in place.  `parent` stays flat, every entry its
-    component's root, and a root is its component's least seed: two
-    roots join under the smaller."""
+    """Join the nodes a[i] and b[i] in the union-find `parent`, in place.
+    `parent` stays flat, every entry its set's root, and a root is its
+    set's least node: two roots join under the smaller."""
     a, b = parent[a], parent[b]
     while True:
         diff = a != b
@@ -191,16 +213,16 @@ def _merge(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         a, b = parent[lo], parent[hi]
 
 
-def _dedup(keys: np.ndarray, labs: np.ndarray, parent: np.ndarray
-           ) -> np.ndarray:
+def _dedup(keys: np.ndarray, labs: np.ndarray,
+           join: Callable[[np.ndarray, np.ndarray], None]) -> np.ndarray:
     """The index of one entry per distinct key, in increasing key order;
-    joins the components of the labels that share a key."""
+    joins the labels that share a key."""
     perm = np.argsort(keys)
     keys, labs = keys[perm], labs[perm]
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     same = ~first[1:]
-    _merge(parent, labs[1:][same], labs[:-1][same])
+    join(labs[1:][same], labs[:-1][same])
     return perm[first]
 
 
@@ -232,7 +254,7 @@ _BFS_BLOCK = 768
 
 def capped_bfs(what: str, seeds,
                neighbors: Callable[[np.ndarray], np.ndarray],
-               D: int, cap1: float, cap2: float, max_states: int,
+               mirror, D: int, cap1: float, cap2: float, max_states: int,
                psl: bool = False) -> Orbit:
     """Height-capped BFS from every row of `seeds` at once, an (S, k)
     array, one key or no seeds; returns the orbit with its components.
@@ -243,17 +265,19 @@ def capped_bfs(what: str, seeds,
     (N, k) int64 array to its (m*N, k) images, row i's images in rows
     m*i..m*i+m-1, and must be Z-linear: the search reads its matrix off
     the unit rows once and applies that to each block of rows as an
-    exact float64 product.  A level is the sorted keys of the in-cap
-    images on neither the current nor the previous level (exact on the
-    undirected capped graph, see the module docstring), with a label
-    and the int32 coordinate row of each.  Each state carries a seed of
-    its component; an image that meets a state of another component on
-    the current level, or the same new state as one, joins the two (see
-    _merge).  The search raises BudgetExceededError for the `what` orbit
-    exactly when some component exceeds max_states states.  With `psl`
-    set, rows are 8-entry matrices [[A, B], [C, E]], g and -g are one
-    state, and the seeds must share one trace up to sign
-    (ValidationError otherwise).
+    exact float64 product.  The generator maps must be closed under
+    inverses and under conjugation by diag(`mirror`), a sign vector of
+    length k (ValidationError otherwise); states are the mirror pairs of
+    the module docstring.  A level is the sorted keys of the in-cap
+    images, but the parents, on neither the current nor the previous
+    level, with the label, the int32 carried row and the back edge of
+    each.  An image that meets a state of another component on the
+    current level, or the same new state as one, joins the two labels
+    and their twins (see _merge).  The search raises BudgetExceededError
+    for the `what` orbit exactly when some component exceeds max_states
+    states.  With `psl` set, rows are 8-entry matrices [[A, B], [C, E]],
+    g and -g are one state, and the seeds must share one trace up to
+    sign (ValidationError otherwise).
     """
     seeds = np.asarray(seeds, dtype=np.int64)
     if not seeds.size:  # an empty list too: no rows of the keyed width
@@ -271,14 +295,6 @@ def capped_bfs(what: str, seeds,
     if not height_ok(seeds).all():
         raise ValidationError(f"{what} seeds must lie inside the caps")
     pack = _row_packer(what, D, cap1, cap2, trace)
-    parent = np.arange(S, dtype=np.int32)
-    prev = np.empty(0, dtype=np.int64)
-    keys = pack(seeds)
-    keep = _dedup(keys, parent.copy(), parent)  # labels: the seed indices
-    curr, labels = keys[keep], keep.astype(np.int32)
-    rows = seeds[keep].astype(np.int32)  # exact, see the _row_packer guard
-    # states per label; a component's size is the sum over its labels
-    counts = np.bincount(labels, minlength=S)
 
     # the neighbour map is Z-linear, so one matrix product writes a
     # block's images, generator j's in Mt[j*k:(j+1)*k]; in float64 it
@@ -286,43 +302,100 @@ def capped_bfs(what: str, seeds,
     Mt = np.ascontiguousarray(
         neighbors(np.eye(k, dtype=np.int64)).reshape(k, -1).T, dtype=float)
     m = len(Mt) // k
+    gens, mirror = Mt.reshape(m, k, k), np.asarray(mirror)
 
-    def expand(block: np.ndarray, labs: np.ndarray
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(keys, labels, rows) of the new states among the in-cap images
-        of a block of frontier rows, in key order.  Joins the components
-        that a repeated image or an image on the current level shows
-        adjacent."""
+    def index(match: np.ndarray, of: str) -> np.ndarray:
+        """match[j, i]: generator i is the `of` of generator j."""
+        if (match.sum(axis=1) != 1).any():
+            raise ValidationError(
+                f"{what} generator maps need exactly one {of} each")
+        return np.nonzero(match)[1]
+    inverse = index((gens[None] @ gens[:, None] == np.eye(k)).all(
+        axis=(2, 3)), "inverse")
+    mirrored = mirror[:, None] * gens * mirror  # P G_j P
+    swap = index((mirrored[:, None] == gens[None]).all(axis=(2, 3)),
+                 "mirror image")
+    # the back edge of a state that generator j reached: the inverse of
+    # j, or of j's mirror image when the state carries the image's mirror
+    back_of = np.stack([inverse, inverse[swap]])
+    twin = np.roll(np.arange(2 * S, dtype=np.int32), S)
+    parent = np.arange(2 * S, dtype=np.int32)
+
+    def join(a: np.ndarray, b: np.ndarray) -> None:
+        a, b = parent[a], parent[b]
+        diff = a != b
+        if diff.any():
+            a, b = a[diff], b[diff]
+            _merge(parent, np.concatenate((a, twin[a])),
+                   np.concatenate((b, twin[b])))
+
+    def canonical(found: np.ndarray, labs: np.ndarray
+                  ) -> Tuple[np.ndarray, ...]:
+        """(keys, labels, flip, alone) of labelled rows: the key of each
+        row's mirror pair, the smaller of its two, the label of the row
+        that key packs, whether that is the mirror, and whether the row
+        is its own mirror, whose label then joins its twin."""
+        raw, mirrored = pack(found), pack(found, mirror)
+        flip, alone = mirrored < raw, mirrored == raw
+        labs = np.where(flip, twin[labs], labs)
+        join(labs[alone], twin[labs[alone]])
+        return np.minimum(raw, mirrored), labs, flip, alone
+
+    def carried(found: np.ndarray, flip: np.ndarray) -> np.ndarray:
+        """The rows a level carries, exact in int32 (see _row_packer)."""
+        return np.where(flip[:, None], found * mirror, found).astype(np.int32)
+
+    prev = np.empty(0, dtype=np.int64)
+    keys, labs, flip, alone = canonical(seeds, np.arange(S, dtype=np.int32))
+    keep = _dedup(keys, labs, join)
+    curr, labels, alone = keys[keep], labs[keep], alone[keep]
+    rows, back = carried(seeds[keep], flip[keep]), np.full(len(keep), -1)
+
+    def tally(labs: np.ndarray, alone: np.ndarray) -> np.ndarray:
+        """States per node: one per pair on its label, one on the twin
+        unless the state is its own mirror."""
+        return np.bincount(np.concatenate((labs, twin[labs[~alone]])),
+                           minlength=2 * S)
+    counts = tally(labels, alone)
+
+    def expand(block: np.ndarray, labs: np.ndarray, back: np.ndarray
+               ) -> Tuple[np.ndarray, ...]:
+        """(keys, labels, rows, back edges, alone) of the new states
+        among the in-cap images of a block of frontier rows, but their
+        parents, in key order.  Joins the components that a repeated
+        image or an image on the current level shows adjacent."""
         images = (Mt @ block.T).reshape(m, k, len(block))
         # in-cap images in row order, row i's generator by generator
-        i, j = np.nonzero(height_ok(images.transpose(0, 2, 1)).T)
+        ok = height_ok(images.transpose(0, 2, 1)).T
+        ok &= back[:, None] != np.arange(m)
+        i, j = np.nonzero(ok)
         found = images[j, :, i].astype(np.int64)
         del images
-        keys, labs = pack(found), parent[labs[i]]
-        keep = _dedup(keys, labs, parent)
+        keys, labs, flip, alone = canonical(found, labs[i])
+        keep = _dedup(keys, labs, join)
         hit, pos = _lookup(curr, keys[keep])
-        _merge(parent, labs[keep[hit]], labels[pos[hit]])
+        join(labs[keep[hit]], labels[pos[hit]])
         keep = keep[~hit]
         # an edge to the previous level was seen from its other end, as
         # the parent of a new state, so a hit there joins nothing new
         keep = keep[~_lookup(prev, keys[keep])[0]]
-        return keys[keep], labs[keep], found[keep].astype(np.int32)
+        flip = flip[keep]
+        return (keys[keep], labs[keep], carried(found[keep], flip),
+                back_of[flip.astype(int), j[keep]], alone[keep])
 
     while len(curr):
-        blocks = [expand(rows[lo:lo + _BFS_BLOCK], labels[lo:lo + _BFS_BLOCK])
+        blocks = [expand(*(a[lo:lo + _BFS_BLOCK] for a in (rows, labels, back)))
                   for lo in range(0, len(curr), _BFS_BLOCK)]
-        if len(blocks) == 1:
-            (keys, labs, new), = blocks
-        else:
-            keys, labs, new = (np.concatenate(part) for part in zip(*blocks))
-            keep = _dedup(keys, labs, parent)
-            keys, labs, new = keys[keep], labs[keep], new[keep]
+        level = [np.concatenate(part) for part in zip(*blocks)]
         del blocks
-        counts += np.bincount(labs, minlength=S)
+        if len(curr) > _BFS_BLOCK:  # new states once across the blocks
+            level = [a[_dedup(level[0], level[1], join)] for a in level]
+        keys, labs, new, edges, alone = level
+        counts += tally(labs, alone)
         limit = max(max_states, 1)  # no component exceeds the total
         if counts.sum() > limit and (np.bincount(
-                parent, weights=counts, minlength=S) > limit).any():
+                parent, weights=counts, minlength=2 * S) > limit).any():
             raise BudgetExceededError(
                 f"{what} orbit exceeded {max_states} states")
-        prev, curr, labels, rows = curr, keys, labs, new
-    return Orbit(parent, int(counts.sum()))
+        prev, curr, labels, rows, back = curr, keys, labs, new, edges
+    return Orbit(parent[:S], int(counts[parent < S].sum()))

@@ -235,6 +235,11 @@ def _form_neighbors(rows: np.ndarray, D: int, t: int, n: int) -> np.ndarray:
     return out.reshape(-1, 6)
 
 
+# (a, b, c) -> (a, -b, c), improper equivalence by diag(1, -1): it maps S
+# to itself and T_mu to T_-mu, so orbits are searched modulo it
+_FORM_MIRROR = np.array([1, 1, -1, -1, 1, 1])
+
+
 def form_orbit(seeds, D: int, cap1: float, cap2: float,
                max_states: int = 400000) -> Orbit:
     """Height-capped BFS orbits under the generator action from one form
@@ -242,7 +247,7 @@ def form_orbit(seeds, D: int, cap1: float, cap2: float,
     t, n = _omega_trace_norm(D)
     return capped_bfs("form", seeds,
                       lambda rows: _form_neighbors(rows, D, t, n),
-                      D, cap1, cap2, max_states)
+                      _FORM_MIRROR, D, cap1, cap2, max_states)
 
 
 def _form_boxes(d: QuadInt, height: float) -> Tuple[float, float]:

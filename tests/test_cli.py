@@ -422,6 +422,59 @@ def test_report_classavg_csv(capsys):
     assert float(row[5]) > 0
 
 
+def _no_enumeration(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a window was enumerated")
+
+    monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    monkeypatch.setattr(geodesics, "enumerate_geodesics", fail)
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "pgt", "--D", "5", "--x-grid", "5,nan"),  # ran past 60 s
+    ("report", "pgt", "--D", "5", "--x-grid", "5,inf"),  # OverflowError
+    ("report", "classavg", "--D", "5", "--x-grid", "5,nan"),
+    ("trace", "--D", "5", "--test", "rational:s=nan,beta1=2.5,beta2=3.5"),
+    ("trace", "--D", "5", "--test", "rational:s=2,beta1=inf,beta2=3.5"),
+    ("zeta", "--D", "5", "--m", "2", "--s", "1+nani"),
+])
+def test_non_finite_numbers_are_refused(argv, capsys, monkeypatch):
+    _no_enumeration(monkeypatch)
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot parse ")
+    assert captured.err.endswith(": not a finite number\n")
+
+
+@pytest.mark.parametrize("mode", ["pgt", "classavg"])
+def test_empty_report_grid_is_refused(mode, capsys, monkeypatch):
+    _no_enumeration(monkeypatch)
+    assert main(["report", mode, "--D", "5", "--x-grid", ","]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: report grid needs at least one x\n"
+
+
+def test_report_classavg_reads_the_grid(capsys, monkeypatch):
+    # one row per grid point, in increasing x, each the row of a run at
+    # that x alone, all from one window at the largest x
+    monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    rows = [json.loads(run_cli(capsys, "report", "classavg", "--D", "5",
+                               "--x", x)[1])["rows"] for x in ("6", "8")]
+    bounds = []
+
+    def counted(F, x, **kwargs):
+        bounds.append(x)
+        return enumerate_geodesics(F, x, **kwargs)
+
+    monkeypatch.setattr(geodesics, "enumerate_geodesics", counted)
+    code, out = run_cli(capsys, "report", "classavg", "--D", "5",
+                        "--x-grid", "8,6")
+    assert code == 0 and bounds == [8.0]
+    assert json.loads(out)["rows"] == rows[0] + rows[1]
+
+
 # ---------------------------------------------------------------- output
 
 def test_out_path_writes_file(tmp_path, capsys):

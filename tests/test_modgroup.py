@@ -306,6 +306,89 @@ def test_partition_matches_seed_by_seed_reference(kind, D, d):
             assert len(engine(rows, ms)[1]) == sum(sizes)
 
 
+def _matches_reference(rows, engine, ref):
+    """The engine's roots, reps, state count and budget verdicts on the
+    rows are those of the seed-by-seed reference: the largest orbit's
+    size as max_states passes, one less raises."""
+    reps, rep_of, sizes = ref(rows, 400000)
+    seeds, orbit = engine(rows, 400000)
+    assert _engine_partition(seeds, orbit) == (reps, rep_of)
+    assert len(orbit) == sum(sizes) and max(sizes) > 1
+    assert len(engine(rows, max(sizes))[1]) == sum(sizes)
+    with pytest.raises(BudgetExceededError):
+        engine(rows, max(sizes) - 1)
+
+
+def _mirrored(rows, mirror):
+    return {tuple(r) for r in (rows * mirror).tolist()}
+
+
+@pytest.mark.parametrize("D", [5, 8, 12])
+def test_mirror_search_on_census_candidates(D):
+    # each order's candidates, trace 0 for nu = 2, as one search; the
+    # candidates of nu != 2 have c > 0, so their mirrors are not seeds
+    F, cap = make_field(D), 10.0
+    for nu, rows in _elliptic_candidates(F, 4.0).items():
+        if nu != 2:
+            assert not _mirrored(rows, modgroup._CONJ_MIRROR) & set(
+                map(tuple, rows.tolist()))
+        _matches_reference(
+            rows,
+            lambda rows, ms: (rows, conjugation_orbit(rows, D, cap, cap,
+                                                      ms)[0]),
+            lambda rows, ms: partition_ref(
+                rows.tolist(), conj_neighbors_ref(D),
+                height_ok_ref(D, cap, cap), ms,
+                lambda key: normalize_key_ref(key, D)))
+
+
+@pytest.mark.parametrize("D,d", PARTITION_CASES[:3])
+def test_mirror_search_on_random_form_subsets(D, d):
+    rows, engine, ref = _partition_case("form", D, d)
+    rng = np.random.default_rng(D)
+    for size in (2, 5, 12, len(rows) // 2):
+        subset = rows[rng.choice(len(rows), size, replace=False)]
+        if size > 2:  # not closed under the mirror
+            assert _mirrored(subset, pellforms._FORM_MIRROR) != set(
+                map(tuple, subset.tolist()))
+        _matches_reference(subset, engine, ref)
+
+
+def test_mirror_search_with_self_mirror_forms():
+    # the forms (a, 0, c) of d = -4 + 4w are their own mirror images
+    rows, engine, ref = _partition_case("form", 5, (-4, 4))
+    assert (rows[:, 2:4] == 0).all(axis=1).sum() >= 10
+    _matches_reference(rows, engine, ref)
+    _matches_reference(rows[(rows[:, 2:4] == 0).all(axis=1)], engine, ref)
+    # at caps (6, 5) the forms (-1 - w, -+(2 + 2w), -4 + w) are mirror
+    # images joined only through (-1 - w, 0, -3 + 2w), their image under
+    # T_-+1, whose other edges leave the caps: one orbit of six states
+    D, cap1, cap2 = 5, 6.0, 5.0
+    pair = np.array([[-1, -1, -2, -2, -4, 1], [-1, -1, 2, 2, -4, 1]])
+    reps, _, sizes = partition_ref(pair.tolist(), form_neighbors_ref(D),
+                                   height_ok_ref(D, cap1, cap2), 400000)
+    orbit = form_orbit(pair, D, cap1, cap2)
+    assert len(reps) == len(orbit.reps) == 1
+    assert sizes == [len(orbit)] == [6]
+
+
+def test_mirror_must_be_a_symmetry_of_the_generators():
+    D, t, n = 5, *_omega_trace_norm(5)
+    seed = [1, 0, 1, 0, -1, 1]
+    orbit = orbits.capped_bfs(
+        "form", seed, lambda rows: _form_neighbors(rows, D, t, n),
+        pellforms._FORM_MIRROR, D, 12.0, 12.0, 400000)
+    assert len(orbit) > 1
+    for mirror, neighbors in (
+            ([-1, -1, 1, 1, 1, 1], _form_neighbors),
+            (pellforms._FORM_MIRROR,  # T_1 without T_-1: no inverse
+             lambda rows, D, t, n: _form_neighbors(rows, D, t, n)[1::5])):
+        with pytest.raises(ValidationError, match="exactly one"):
+            orbits.capped_bfs(
+                "form", seed, lambda rows: neighbors(rows, D, t, n),
+                mirror, D, 12.0, 12.0, 400000)
+
+
 def test_several_seeds_lie_inside_the_caps_and_take_no_targets():
     # T_mu S T_-mu with mu = 2 + 3w has an entry -23 - 12 sqrt 2 beyond
     # the cap; its edges to in-cap states would run one way only

@@ -190,7 +190,7 @@ def test_route_mismatch_names_the_caps(capsys, monkeypatch):
     # message names the caps each route used
     def lone_form_orbit(seeds, D, cap1, cap2):
         return capped_bfs("form", seeds, lambda rows: rows[:0],
-                          D, cap1, cap2, 1)
+                          pellforms._FORM_MIRROR, D, cap1, cap2, 1)
 
     monkeypatch.setattr(pellforms, "form_orbit", lone_form_orbit)
     F = make_field(5)
