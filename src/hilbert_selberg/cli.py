@@ -85,7 +85,7 @@ class RunConfig:
             if "=" not in line:
                 raise ValidationError(f"config line {ln}: expected key = value")
             key, _, val = (p.strip() for p in line.partition("="))
-            if not hasattr(cfg, key):
+            if key not in {f.name for f in dataclasses.fields(cls)}:
                 raise ValidationError(f"config line {ln}: unknown key {key!r}")
             setattr(cfg, key, _parse_config_value(key, val))
         cfg.validate()

@@ -120,10 +120,6 @@ class GeodesicWindow(Sequence[GeodesicClass]):
         return int(np.searchsorted(self.norms, x * (1.0 + 1e-12),
                                    side="right"))
 
-    def upto(self, x: float) -> Tuple[GeodesicClass, ...]:
-        """Classes with norm <= x; x must lie within the coverage."""
-        return self.classes[:self.count_upto(x)]
-
     def within(self, x: float) -> "GeodesicWindow":
         """The window enumerate_geodesics(F, x) returns, cut from this
         one, which must have been enumerated to at least x at the same

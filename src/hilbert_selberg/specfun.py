@@ -1,4 +1,4 @@
-"""Special functions: log Gamma, digamma, double Gamma, li, unit zeta.
+"""Special functions: log Gamma, digamma, double Gamma, li.
 
 Everything is plain cmath/math code and returns complex doubles (li a
 float).  log Gamma and digamma shift the argument up by the recurrence
@@ -27,7 +27,6 @@ import math
 from fractions import Fraction
 
 from .errors import ValidationError
-from .quadfield import FieldCtx
 
 TWO_PI = 2.0 * math.pi
 LOG_TWO_PI = math.log(TWO_PI)
@@ -143,10 +142,6 @@ def loggamma2(z: complex) -> complex:
     return ((z - 1.0) / 2.0) * LOG_TWO_PI - log_barnes_g(z)
 
 
-def gamma2(z: complex) -> complex:
-    return cmath.exp(loggamma2(z))
-
-
 def xi_ratio(s: complex) -> complex:
     """Xi(s) = [G2(s+1)G2(s+2)G2(1-s)G2(2-s)] / [G2(s)G2(s+1)G2(-s)G2(1-s)].
 
@@ -186,26 +181,12 @@ def li(x: float) -> float:
 _EI_SERIES_LOG_TWO = _ei_series(LOG_TWO)
 
 
-def zeta_eps(s: complex, F: FieldCtx) -> complex:
-    """zeta_eps(s) = (1 - eps^(-2s))^(-1); poles on s = pi*i*k/log(eps)."""
-    s = complex(s)
-    x = cmath.exp(-2.0 * s * F.regulator)
-    denom = 1.0 - x
-    if abs(denom) < 1e-13:
-        k = round(s.imag * F.regulator / math.pi)
-        raise ValidationError(
-            f"zeta_eps pole at s={s} (lattice point k={k} of pi*i/log eps)")
-    return 1.0 / denom
-
-
 __all__ = [
     "ZETA_PRIME_MINUS_ONE",
     "digamma",
-    "gamma2",
     "li",
     "log_barnes_g",
     "loggamma",
     "loggamma2",
     "xi_ratio",
-    "zeta_eps",
 ]

@@ -216,15 +216,21 @@ def _check_gaussian_window(tf: TestFunctionPair, cov: float) -> None:
         return
     beta = float(tf.metadata["beta"])
     floor = 1e-10 * math.sqrt(4.0 * math.pi * beta)
-    if floor >= 1.0:
-        return
-    u_req = math.sqrt(4.0 * beta * math.log(1.0 / floor))
-    needed = math.exp(u_req)
+    # a g1 below the floor everywhere still weighs a class count that
+    # grows like N / log N, so the window must then reach the cut itself
+    u_req = (math.sqrt(4.0 * beta * math.log(1.0 / floor)) if floor < 1.0
+             else float(tf.metadata["u_cut"]))
+    try:
+        needed = math.exp(u_req)
+        reach = (f"{needed:.6g}; enumerate geodesics to "
+                 f"x >= {math.sqrt(needed):.4g}")
+    except OverflowError:
+        needed = math.inf
+        reach = f"exp({u_req:.6g}), past the floating-point range"
     if cov < needed:
         raise ValidationError(
             f"class list covers norms <= {cov:.6g} but the Gaussian tail "
-            f"at beta={beta} needs norms up to {needed:.6g}; enumerate "
-            f"geodesics to x >= {math.sqrt(needed):.4g}")
+            f"at beta={beta} needs norms up to {reach}")
 
 
 def _he_tails(classes: GeodesicWindow, tfs: Sequence[TestFunctionPair]
@@ -496,7 +502,7 @@ def elliptic_zero_width_limit(F: FieldCtx) -> float:
     return acc.real
 
 
-def heat_asymptotic_check(F: FieldCtx, beta_grid: Optional[Sequence[float]],
+def heat_asymptotic_check(F: FieldCtx, beta_grid: Sequence[float],
                           classes: GeodesicWindow) -> Dict[str, object]:
     """Fit the small-width expansion of the weight-two geometric side.
 
@@ -510,8 +516,6 @@ def heat_asymptotic_check(F: FieldCtx, beta_grid: Optional[Sequence[float]],
     b on -2 log(eps)/sqrt(4 pi) within relative errors 0.02 and 0.05.
     The sides of the whole grid are evaluated in one call.
     """
-    if beta_grid is None:
-        beta_grid = (0.2, 0.1, 0.05, 0.025)
     betas = [float(b) for b in beta_grid]
     if len(betas) < 4:
         raise ValidationError("heat fit needs at least 4 grid points")

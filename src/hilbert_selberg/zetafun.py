@@ -6,8 +6,8 @@ truncation tail bounds derived from the window's fitted counting
 constants.  ruelle evaluates the weight-2 ratio up to the window's
 coverage and cross-checks it against the direct product.  The
 remaining operations are exact bookkeeping: residue exponent tables,
-completed factors, the trivial zero/pole ledger, the leading term at
-s = 0, and the sine/Gamma factor identities of the functional equation.
+the trivial zero/pole ledger, the leading term at s = 0, and the
+sine/Gamma factor identities of the functional equation.
 
 The products are array expressions over the window's columns: one
 array of (class, power) terms, summed over the powers of each class and
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import InvariantViolation, ValidationError
 from .geodesics import GeodesicWindow
 from .quadfield import FieldCtx
-from .specfun import loggamma, loggamma2, xi_ratio, zeta_eps
+from .specfun import loggamma, xi_ratio
 
 TWO_PI = 2.0 * math.pi
 
@@ -268,67 +268,6 @@ def alpha_table(m: int, F: FieldCtx) -> AlphaTable:
     return AlphaTable(m=m, D=F.D, entries=tuple(entries))
 
 
-# ------------------------------------------------------------ completed factors
-
-def completed_factors(s: complex, m: int,
-                      F: FieldCtx) -> Dict[str, complex]:
-    """The four completing factors at s, in log-space principal branch.
-
-    Keys: Z_id, Z_ell, Z_par_sct, Z_hyp2_sct.  Any factor pole raises
-    with the location and order in the message.
-    """
-    if m < 2 or m % 2:
-        raise ValidationError(f"weight m={m} must be even and >= 2")
-    s = complex(s)
-
-    try:
-        log_id = 2.0 * float(F.zeta_minus_one) * (loggamma2(s)
-                                                  + loggamma2(s + 1.0))
-    except ValidationError as exc:
-        raise ValidationError(
-            f"Z_id pole at s={s} (exponent {2 * float(F.zeta_minus_one)}): "
-            f"{exc}") from exc
-
-    tab = alpha_table(m, F)
-    log_ell = 0.0 + 0.0j
-    for e in tab.entries:
-        for l in range(e.nu):
-            w = (e.nu - 1 - e.alpha[l] - e.alpha_bar[l]) / e.nu
-            if w == 0.0:
-                continue
-            arg = (s + l) / e.nu
-            if abs(arg.imag) < 1e-12 \
-                    and abs(arg.real - round(arg.real)) < 1e-12 \
-                    and round(arg.real) <= 0:
-                raise ValidationError(
-                    f"Z_ell pole at s={s}: Gamma({arg}) pole from class "
-                    f"(nu={e.nu}, t={e.t}), l={l}, exponent {w}")
-            log_ell += w * loggamma(arg)
-
-    if m >= 4:
-        z_par = 1.0 + 0.0j
-        try:
-            z_hyp2 = (zeta_eps(s + m / 2.0 - 1.0, F)
-                      / zeta_eps(s + m / 2.0 - 2.0, F))
-        except ValidationError as exc:
-            raise ValidationError(
-                f"Z_hyp2_sct simple pole/zero line at s={s}: {exc}") from exc
-    else:
-        z_par = cmath.exp(-2.0 * s * F.regulator)
-        try:
-            z_hyp2 = zeta_eps(s, F) ** 2
-        except ValidationError as exc:
-            raise ValidationError(
-                f"Z_hyp2_sct double pole at s={s}: {exc}") from exc
-
-    return {
-        "Z_id": cmath.exp(log_id),
-        "Z_ell": cmath.exp(log_ell),
-        "Z_par_sct": z_par,
-        "Z_hyp2_sct": z_hyp2,
-    }
-
-
 # ------------------------------------------------------------ divisor ledger
 
 @dataclass(frozen=True)
@@ -447,26 +386,6 @@ def divisor_ledger(m: int, F: FieldCtx, k_max: int = 20) -> DivisorLedger:
                          entries=tuple(entries))
 
 
-def order_at(ledger: DivisorLedger, s: complex, tol: float = 1e-9) -> int:
-    """Summed order of all ledger families passing through s."""
-    s = complex(s)
-    total = 0
-    for e in ledger.entries:
-        if e.kind == "point":
-            if abs(s - e.base) < tol:
-                total += e.order
-            continue
-        if abs(s.real - e.base.real) >= tol:
-            continue
-        k = round((s.imag - e.base.imag) / ledger.spacing)
-        if abs(s.imag - e.base.imag - k * ledger.spacing) >= tol:
-            continue
-        if k == 0 and not e.include_k0:
-            continue
-        total += e.order
-    return total
-
-
 # ------------------------------------------------------------ leading term
 
 def ruelle_leading(F: FieldCtx) -> Dict[str, object]:
@@ -489,26 +408,6 @@ def ruelle_leading(F: FieldCtx) -> Dict[str, object]:
 
 
 # ------------------------------------------------------------ functional factors
-
-def fe_rhs(s: complex, F: FieldCtx) -> complex:
-    """Reflection-product right side; even in s, vanishes to order 2n0 at 0."""
-    s = complex(s)
-    e = _euler_char(F)
-    census = F.census_classes()
-    n_cls = len(census)
-    sin_pi_s = cmath.sin(math.pi * s)
-    sine_power = 2 * e - 2 * n_cls
-    if abs(sin_pi_s) < 1e-12 and sine_power < 0:
-        raise ValidationError(
-            f"reflection product pole at s={s}: sine factors carry "
-            f"order {sine_power}")
-    val = (-1.0) ** e * 2.0 ** (2 * e) * sin_pi_s ** sine_power
-    for nu, _ in census:
-        val *= cmath.sin(math.pi * s / nu) ** 2
-    scatter = (zeta_eps(s - 1.0, F) * zeta_eps(s + 1.0, F)
-               / zeta_eps(s, F) ** 2)
-    return val * scatter ** 2
-
 
 def fe_identity_checks(F: FieldCtx, n_points: int = 20, seed: int = 20240,
                        tol: float = 1e-8,

@@ -397,8 +397,9 @@ def _pairwise_sum_ref(terms):
 
 
 def _upto_ref(classes, x):
-    """Classes with norm <= x, by the per-class test GeodesicWindow.upto
-    made before the prefix count; x must lie within the coverage."""
+    """Classes with norm <= x, by a per-class test in place of
+    GeodesicWindow.count_upto's prefix count; x must lie within the
+    coverage."""
     from hilbert_selberg.errors import ValidationError
     if x > classes.coverage * (1.0 + 1e-9):
         raise ValidationError(f"trunc_norm={x} beyond the coverage")

@@ -6,9 +6,11 @@ with the same configuration must give byte-identical output.
 """
 
 import dataclasses
+import importlib
 import json
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 import time
@@ -44,6 +46,17 @@ def test_cli_import_leaves_mpmath_out():
             "sys.exit('mpmath' in sys.modules or 'scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=_package_env())
     assert proc.returncode == 0
+
+
+def test_exported_names_exist():
+    names = ["hilbert_selberg"] + [
+        f"hilbert_selberg.{m.name}"
+        for m in pkgutil.iter_modules(hilbert_selberg.__path__)
+        if m.name != "__main__"]
+    for name in names:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            assert hasattr(module, attr), f"{name}.__all__ names {attr!r}"
 
 
 _MODULES_RUNNER = """
@@ -146,12 +159,19 @@ def test_config_round_trip():
         cache_dir="/tmp/hs", seed=7)
 
 
-def test_config_comments_and_unknown_key(tmp_path):
+def test_config_comments_and_unknown_key(tmp_path, capsys):
     text = "D = 8  # field choice\n\nx_max = 6.0\n"
     cfg = RunConfig.from_text(text)
     assert cfg.D == 8 and cfg.x_max == 6.0
-    with pytest.raises(Exception):
-        RunConfig.from_text("no_such_key = 3\n")
+    # method and dunder names are attributes too, but not keys
+    for line in ("no_such_key = 3\n", "validate = 3\n", "__class__ = 3\n"):
+        path = tmp_path / "run.cfg"
+        path.write_text(line)
+        assert main(["field", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: config line 1: unknown key "
+                                f"{line.split()[0]!r}\n")
 
 
 def test_config_file_feeds_commands(tmp_path, capsys):
@@ -445,6 +465,24 @@ def test_non_finite_numbers_are_refused(argv, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot parse ")
     assert captured.err.endswith(": not a finite number\n")
+
+
+@pytest.mark.parametrize("beta,reach", [
+    ("1", "11266.6; enumerate geodesics to x >= 106.1"),
+    ("1000", "3.32107e+117; enumerate geodesics to x >= 5.763e+58"),
+    # exp(u) overflows a float
+    ("1e6", "exp(7707.81), past the floating-point range"),
+    # g1 lies below its floor everywhere, and the window must reach u_cut
+    ("1e300", "exp(1.35647e+151), past the floating-point range"),
+], ids=["1", "1000", "1e6", "1e300"])
+def test_wide_gaussian_outruns_the_window(beta, reach, capsys):
+    assert main(["trace", "--D", "5", "--x", "10",
+                 "--test", f"gaussian:beta={beta}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: class list covers norms <= 99.8015 but the Gaussian tail "
+        f"at beta={float(beta)} needs norms up to {reach}\n")
 
 
 @pytest.mark.parametrize("mode", ["pgt", "classavg"])

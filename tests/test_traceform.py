@@ -295,7 +295,7 @@ def test_degenerate_power_angle_names_class_and_power(d5):
 
 def test_heat_fit_lands_on_targets(d5):
     F, classes = d5
-    report = heat_asymptotic_check(F, None, classes)
+    report = heat_asymptotic_check(F, (0.2, 0.1, 0.05, 0.025), classes)
     assert report["a_rel_err"] <= 0.02
     assert report["b_rel_err"] <= 0.05
     assert abs(report["a_fit"] - 1.0 / 30.0) <= 0.02 / 30.0
