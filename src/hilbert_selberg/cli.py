@@ -475,8 +475,9 @@ def _check_truncation_stability(cfg: RunConfig, window) -> str:
     from .zetafun import ZetaParams, selberg_zeta
     F = make_field(cfg.D)
     classes = window()
-    # both depths lie below selberg_zeta's machine-negligible cut, so
-    # the doubling compares products that really differ
+    # at both depths the inner-depth factor 1 - N^-(l(K+1)) still
+    # differs from 1 in double precision, so the doubling compares
+    # products that really differ
     p = ZetaParams(s=2.5, m=4, trunc_norm=classes.coverage, trunc_k=8)
     a = selberg_zeta(p, classes)
     b = selberg_zeta(dataclasses.replace(p, trunc_k=16), classes)

@@ -13,7 +13,8 @@ smaller than the (t, u) pair that produced the candidate.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .quadfield import FieldCtx, QuadInt, canonical_disc, lattice_points
 from .specfun import li
 
 __all__ = [
-    "GeodesicClass", "GeodesicWindow", "CountReport",
+    "GeodesicClass", "GeodesicWindow", "PowerGrid", "CountReport",
     "square_divisor_quotients", "enumerate_geodesics", "pgt_report",
     "class_average_report",
 ]
@@ -58,10 +59,32 @@ def _class_order(c: GeodesicClass) -> Tuple[float, int, int]:
     return (c.norm, c.d.a, c.d.b)
 
 
-def _column(values: Iterable[float]) -> np.ndarray:
-    col = np.array(list(values), dtype=float)
+def _frozen(col: np.ndarray) -> np.ndarray:
     col.setflags(write=False)
     return col
+
+
+def _column(values: Iterable[float]) -> np.ndarray:
+    return _frozen(np.array(list(values), dtype=float))
+
+
+# every class's power series is run until its tail is below 2^-60 of
+# the class's leading size
+_GRID_CUT = 60.0 * math.log(2.0)
+
+
+class PowerGrid(NamedTuple):
+    """The (class, power l) terms of the Euler products' log-series,
+    class-major: the first n classes are the prefix stops[n].
+
+    exponent is l*log N, phase l*angle and weight h/(l*(1 - N^-l)).
+    Nothing in it depends on s, the weight m or the inner depth K.
+    """
+
+    stops: np.ndarray
+    exponent: np.ndarray
+    phase: np.ndarray
+    weight: np.ndarray
 
 
 @dataclass(frozen=True, init=False)
@@ -76,9 +99,11 @@ class GeodesicWindow(Sequence[GeodesicClass]):
     defaults to the largest listed norm.
 
     The array evaluators read the window as read-only float columns in
-    class order: norms, log_norms, angles and halves (h/2).  Columns
-    and fitted constants are derived on first use and left out of the
-    pickle, so a cached window rebuilds them after a load.
+    class order: norms, log_norms, angles and halves (h/2), and the
+    Euler products read power_grid, every class's log-series terms
+    in the same order.  Columns, grid and fitted constants are derived
+    on first use and left out of the pickle, so a cached window
+    rebuilds them after a load.
     """
 
     classes: Tuple[GeodesicClass, ...]
@@ -150,6 +175,37 @@ class GeodesicWindow(Sequence[GeodesicClass]):
     @functools.cached_property
     def halves(self) -> np.ndarray:
         return _column(c.multiplicity // 2 for c in self.classes)
+
+    @functools.cached_property
+    def power_grid(self) -> PowerGrid:
+        """The terms l = 1..L of every class's log-series.
+
+        A class of norm N and multiplicity h runs to
+        L = ceil((60 ln 2 - 2 ln(1 - 1/N)) / ln N), the same L for every
+        s, which leaves out less than 2^-60 of the class's leading size
+        h N^-sigma (h ln N N^-sigma for the derivative) at every
+        sigma = Re s > 1.  Proof: term l of log Z(s; m) has modulus at
+        most h N^-(l sigma) / (1 - N^-l), since |cos| <= 1, 1/l <= 1
+        and the inner-depth factor 1 - N^-(l(K+1)) lies in [0, 1]; term
+        l of d/ds log Z is at most ln N times that, and the ratio
+        form's weights are smaller still.  With
+        1/(1 - N^-l) <= 1/(1 - 1/N), the terms l > L sum to at most
+        N^-((L+1) sigma) / ((1 - 1/N)(1 - N^-sigma)) of h (times ln N),
+        that is N^-(L sigma) / ((1 - 1/N)(1 - N^-sigma)) of the leading
+        size, which is below N^-L / (1 - 1/N)^2 as sigma > 1, and that
+        is at most 2^-60 by the choice of L.
+        """
+        log_n = self.log_norms
+        depth = np.ceil((_GRID_CUT - 2.0 * np.log1p(-1.0 / self.norms))
+                        / log_n).astype(np.int64)
+        stops = np.concatenate(([0], np.cumsum(depth)))
+        row = np.repeat(np.arange(len(self)), depth)
+        ell = (np.arange(stops[-1]) - stops[row] + 1).astype(float)
+        exponent = ell * log_n[row]
+        weight = 2.0 * self.halves[row] / (ell * -np.expm1(-exponent))
+        return PowerGrid(stops=_frozen(stops), exponent=_frozen(exponent),
+                         phase=_frozen(ell * self.angles[row]),
+                         weight=_frozen(weight))
 
     @functools.cached_property
     def count_constant(self) -> float:

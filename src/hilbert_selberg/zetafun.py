@@ -9,13 +9,19 @@ remaining operations are exact bookkeeping: residue exponent tables,
 the trivial zero/pole ledger, the leading term at s = 0, and the
 sine/Gamma factor identities of the functional equation.
 
-The products are array expressions over the window's columns: one
-array of (class, power) terms, summed over the powers of each class and
-then with np.sum over the classes in the window's class order, so
-results are reproducible run to run.  selberg_zeta stops each class's
-inner product at the depth where every further power is below 2^-60 of
-that class's leading term, which is below the rounding the sum already
-has.
+The products are evaluated through their log-series.  Summing a
+class's inner product over k <= K in closed form gives
+log Z(s; m) = sum_c sum_l (h_c/l) cos(l (m-2) angle_c)
+              (1 - N_c^-(l(K+1))) / (1 - N_c^-l) N_c^-(l s),
+and d/ds log Z is the same series at K = infinity with weights
+-h_c ln N_c cos(l (m-2) angle_c) / (1 - N_c^-l).  Each Euler product
+is therefore one complex exp(-s l ln N) over the window's power grid
+(GeodesicWindow.power_grid), cut to the classes with N <= trunc_norm,
+and one dot with real weights computed per call.  The grid runs every
+class's series until the rest is below 2^-60 of the class's leading
+size for every Re s > 1, below the rounding the sum already has, and
+keeps the window's class order, so results are reproducible run to
+run.
 """
 
 from __future__ import annotations
@@ -35,9 +41,8 @@ from .specfun import loggamma, xi_ratio
 
 TWO_PI = 2.0 * math.pi
 
-
-# powers past this log-size are below 2^-60 of their class's leading term
-_NEGLIGIBLE = 60.0 * math.log(2.0)
+# 1 - e^-x rounds to 1.0 for every x past this
+_ROUNDS_TO_ONE = 40.0
 
 
 # ------------------------------------------------------------ parameters
@@ -98,12 +103,24 @@ def _norm_tail(classes: GeodesicWindow, x: float, sigma: float) -> float:
 def _k_tail(classes: GeodesicWindow, n: int, sigma: float,
             k_cut: int) -> float:
     """Bound the inner-product tail k > k_cut over the first n classes."""
-    total = 0.0
-    for half, norm in zip(classes.halves[:n].tolist(),
-                          classes.norms[:n].tolist()):
-        total += (1.22 * (2.0 * half)
-                  * norm ** (-(k_cut + 1 + sigma)) / (1.0 - 1.0 / norm))
-    return total
+    norm = classes.norms[:n]
+    return float((1.22 * (2.0 * classes.halves[:n])
+                  * norm ** (-(k_cut + 1 + sigma)) / (1.0 - 1.0 / norm)).sum())
+
+
+def _zeta_tail(classes: GeodesicWindow, n: int, x: float, sigma: float,
+               k_cut: int) -> float:
+    """selberg_zeta's tail bound: the inner products past k_cut and the
+    classes past x."""
+    return _k_tail(classes, n, sigma, k_cut) + _norm_tail(classes, x, sigma)
+
+
+def _grid(classes: GeodesicWindow, n: int):
+    """The first n classes' power-grid columns: exponent l*log N, phase
+    l*angle and weight h/(l*(1 - N^-l))."""
+    grid = classes.power_grid
+    g = grid.stops[n]
+    return grid.exponent[:g], grid.phase[:g], grid.weight[:g]
 
 
 # ------------------------------------------------------------ Euler products
@@ -115,13 +132,15 @@ def selberg_zeta(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
     pairs (phase +angle and -angle), so values are conjugate-symmetric
     in s.  trunc_norm must lie within the window's coverage.
 
-    The inner product of a class of norm N is evaluated to depth
-    min(trunc_k, K) with K = ceil(60 ln 2 / ln N).  Power k has size
-    N^-(k+sigma), so every power past K is below 2^-60 of the class's
-    leading term N^-sigma, and all of them together below 2^-60/(N-1)
-    of it: less than the rounding the sum already carries.  tail_bound
-    is still placed at the requested trunc_k, so a depth beyond machine
-    negligibility costs nothing.
+    The log of a class's inner product, summed over k <= K in closed
+    form, is the series
+    sum_l (h/l) cos(l (m-2) angle) (1 - N^-(l(K+1))) / (1 - N^-l) N^-(l s),
+    evaluated on the window's power grid: one complex exp over the grid
+    prefix and one dot with the real weights.  The grid stops every
+    class's series where the rest is below 2^-60 of the class's leading
+    size for every Re s > 1 (GeodesicWindow.power_grid), so any K,
+    however deep, costs the same.  tail_bound is placed at the
+    requested trunc_k.
     """
     p.validate()
     s = complex(p.s)
@@ -129,51 +148,49 @@ def selberg_zeta(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
         raise ValidationError(
             f"Euler product needs Re(s) > 1, got s={p.s}")
     n = classes.count_upto(p.trunc_norm)
-    log_z = 0.0 + 0.0j
-    if n:
-        log_n = classes.log_norms[:n]
-        depth = np.minimum(p.trunc_k, np.ceil(_NEGLIGIBLE / log_n))
-        # (class, power) pairs with power <= the class's depth, in class
-        # order and then power order
-        row, col = np.nonzero(np.arange(depth.max() + 1) <= depth[:, None])
-        z = np.exp(-(col + s) * log_n[row])
-        rot = np.exp(1j * (p.m - 2) * classes.angles[:n])[row]
-        acc = np.add.reduceat(
-            np.log(1.0 - rot * z) + np.log(1.0 - rot.conj() * z),
-            np.flatnonzero(col == 0))
-        log_z = complex(np.sum(-classes.halves[:n] * acc))
-    tail = (_k_tail(classes, n, s.real, p.trunc_k)
-            + _norm_tail(classes, p.trunc_norm, s.real))
+    a, phase, w = _grid(classes, n)
+    if p.m != 2:  # else every cosine is 1
+        w = w * np.cos((p.m - 2) * phase)
+    depth = p.trunc_k + 1.0
+    # a[0], the smallest norm's log, is the least exponent: past the cut
+    # every depth factor 1 - N^-(l(K+1)) is 1.0
+    if n and depth * a[0] < _ROUNDS_TO_ONE:
+        w = w * -np.expm1(-depth * a)
+    log_z = complex(w @ np.exp(a * -s))
     return ZetaValue(value=cmath.exp(log_z), log_value=log_z,
-                     tail_bound=tail)
+                     tail_bound=_zeta_tail(classes, n, p.trunc_norm, s.real,
+                                           p.trunc_k))
 
 
 def selberg_log_deriv(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
-    """d/ds of log selberg_zeta: prime-power sum with N(power) <= trunc_norm."""
+    """d/ds of log selberg_zeta at infinite inner depth: the prime-power
+    sum -sum_l h ln N cos(l (m-2) angle) / (1 - N^-l) N^-(l s) over the
+    classes with N <= trunc_norm, on the same power grid and with the
+    same 2^-60 cut as selberg_zeta.
+
+    tail_bound keeps the power term of a cut at l sigma ln N <= 44,
+    which covers the grid's smaller omitted tail, plus the classes past
+    trunc_norm.
+    """
     p.validate()
     s = complex(p.s)
     if s.real <= 1.0:
         raise ValidationError(
             f"log-derivative series needs Re(s) > 1, got s={p.s}")
     n = classes.count_upto(p.trunc_norm)
-    norm, log_n = classes.norms[:n, None], classes.log_norms[:n, None]
+    a, phase, w = _grid(classes, n)
+    if p.m != 2:  # else every cosine is 1
+        w = w * np.cos((p.m - 2) * phase)
+    total = complex((-a * w) @ np.exp(a * -s))
     sigma = s.real
-    total = 0.0 + 0.0j
-    power_tail = 0.0
-    if n:
-        # run each class's power series to machine-negligible depth
-        # (power ell while ell*sigma*log N <= 44) so this is the exact
-        # derivative of the truncated product
-        ell = np.arange(1, math.floor(44.0 / (sigma * log_n[0, 0])) + 2)
-        live = ell * sigma * log_n <= 44.0
-        terms = (log_n / (1.0 - norm ** (-ell))
-                 * np.cos((p.m - 2) * ell * classes.angles[:n, None])
-                 * np.exp(-ell * s * log_n))
-        total = complex((-2.0 * classes.halves[:n])
-                        @ np.sum(terms, axis=1, where=live))
-        drop = norm ** (-(np.sum(live, axis=1, keepdims=True) + 1) * sigma)
-        power_tail = float(np.sum(3.0 * classes.halves[:n, None] * log_n
-                                  * drop / (1.0 - norm ** (-sigma))))
+    norm, log_n = classes.norms[:n], classes.log_norms[:n]
+    # powers l >= 1 with l*sigma*log N <= 44
+    live = np.floor(44.0 / (sigma * log_n))
+    live += (live + 1.0) * sigma * log_n <= 44.0
+    live -= live * sigma * log_n > 44.0
+    power_tail = float((3.0 * classes.halves[:n] * log_n
+                        * norm ** (-(live + 1.0) * sigma)
+                        / (1.0 - norm ** (-sigma))).sum())
     unseen = (1.5 * classes.weighted_count_constant * sigma / (sigma - 1.0)
               * p.trunc_norm ** (1.0 - sigma))
     return ZetaValue(value=total, log_value=total,
@@ -183,9 +200,10 @@ def selberg_log_deriv(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
 def ruelle(s: complex, classes: GeodesicWindow) -> RuelleValue:
     """Weight-2 ratio Z(s;2)/Z(s+1;2), checked against the direct product.
 
-    Both run over the whole window, up to its coverage; the ratio form
-    asks for inner depth 80, which selberg_zeta cuts where further
-    powers are machine-negligible.  The two evaluations must agree
+    Both run over the whole window, up to its coverage.  The ratio form
+    is the weight-2 products at inner depth 80, whose log difference is
+    one grid series with weights (h/l)(1 - N^-(81 l)); the direct
+    product sums log(1 - N^-s) class by class.  The two must agree
     within the combined tail bounds; disagreement raises, since both
     are computed from the same classes.
     """
@@ -193,21 +211,17 @@ def ruelle(s: complex, classes: GeodesicWindow) -> RuelleValue:
     if s.real <= 1.0:
         raise ValidationError(f"ruelle product needs Re(s) > 1, got s={s}")
     x = classes.coverage
-    za = selberg_zeta(ZetaParams(s=s, m=2, trunc_norm=x, trunc_k=80),
-                      classes)
-    zb = selberg_zeta(ZetaParams(s=s + 1.0, m=2, trunc_norm=x, trunc_k=80),
-                      classes)
-    ratio = cmath.exp(za.log_value - zb.log_value)
-
     n = classes.count_upto(x)
-    log_direct = 0.0 + 0.0j
-    for half, log_n in zip(classes.halves[:n].tolist(),
-                           classes.log_norms[:n].tolist()):
-        log_direct -= 2.0 * half * cmath.log(1.0 - cmath.exp(-s * log_n))
+    a, _, w = _grid(classes, n)
+    ratio = cmath.exp(complex((w * np.expm1(-81.0 * a) * np.expm1(-a))
+                              @ np.exp(a * -s)))
+    log_direct = complex((-2.0 * classes.halves[:n])
+                         @ np.log(1.0 - np.exp(-s * classes.log_norms[:n])))
     direct = cmath.exp(log_direct)
-    direct_tail = _norm_tail(classes, x, s.real)
 
-    combined = za.tail_bound + zb.tail_bound + direct_tail
+    combined = (_zeta_tail(classes, n, x, s.real, 80)
+                + _zeta_tail(classes, n, x, s.real + 1.0, 80)
+                + _norm_tail(classes, x, s.real))
     slack = combined + 1e-11 * (1.0 + abs(ratio))
     if abs(ratio - direct) > slack:
         raise InvariantViolation(

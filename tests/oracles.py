@@ -6,6 +6,7 @@ rather than the package's own algorithms, so a test that compares the
 two is a genuine cross-check and not a tautology.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -414,55 +415,78 @@ def _k_tail_ref(kept, sigma, k_cut):
     return total
 
 
+# digits of the exact zeta oracles, and the size below which a power
+# of the product is left out
+_MP_DPS = 40
+_MP_NEGLIGIBLE = 1e-40
+
+
+@functools.lru_cache(maxsize=4096)
+def _class_log_prefixes_mp(norm, angle, s, m):
+    """The partial sums over k <= K of
+    log(1 - rot z_k) + log(1 - conj(rot) z_k), with z_k = N^-(k+s) and
+    rot = exp(i (m-2) angle), for K = 0, 1, ... until |z_K| < 1e-40, at
+    _MP_DPS digits from the float inputs taken as exact.  The two logs
+    are taken as one, log(1 - 2 cos z + z^2), which is the same branch
+    since both factors have positive real part."""
+    import mpmath
+    with mpmath.workdps(_MP_DPS):
+        log_n = mpmath.log(mpmath.mpf(norm))
+        two_cos = 2 * mpmath.cos((m - 2) * mpmath.mpf(angle))
+        step = mpmath.exp(-log_n)
+        z = mpmath.exp(-mpmath.mpc(s) * log_n)
+        acc = mpmath.mpc(0)
+        sums = []
+        while norm ** -(len(sums) + s.real) >= _MP_NEGLIGIBLE:
+            acc += mpmath.log(1 - (two_cos - z) * z)
+            sums.append(acc)
+            z *= step
+        return tuple(sums)
+
+
+def _product_mp(kept, p, depth):
+    """(log_value, value) of the Euler product over the kept classes to
+    inner depth `depth`, rounded from _MP_DPS digits."""
+    import mpmath
+    s = complex(p.s)
+    with mpmath.workdps(_MP_DPS):
+        log_z = mpmath.mpc(0)
+        for c in kept:
+            sums = _class_log_prefixes_mp(c.norm, c.angle, s, p.m)
+            if sums:
+                log_z -= (c.multiplicity // 2) * sums[min(depth,
+                                                          len(sums) - 1)]
+        return complex(log_z), complex(mpmath.exp(log_z))
+
+
 def selberg_zeta_ref(p, classes):
-    """The class-by-class, power-by-power Euler product that
-    zetafun.selberg_zeta replaced, at the full requested depth trunc_k:
-    a ZetaValue with the same tail bound."""
-    import cmath
+    """The class-by-class, power-by-power Euler product at the full
+    requested depth trunc_k, evaluated exactly (at 40 digits, powers
+    below 1e-40 left out): a ZetaValue with the same tail bound."""
     from hilbert_selberg.zetafun import ZetaValue, _norm_tail
     s = complex(p.s)
     kept = _upto_ref(classes, p.trunc_norm)
-    phase_mult = p.m - 2
-    terms = []
-    for c in kept:
-        half = c.multiplicity // 2
-        log_n = math.log(c.norm)
-        rot = cmath.exp(1j * phase_mult * c.angle)
-        acc = 0.0 + 0.0j
-        for k in range(p.trunc_k + 1):
-            z = cmath.exp(-(k + s) * log_n)
-            acc += cmath.log(1.0 - rot * z) + cmath.log(1.0 - rot.conjugate() * z)
-        terms.append(-half * acc)
-    log_z = _pairwise_sum_ref(terms)
+    log_z, value = _product_mp(kept, p, p.trunc_k)
     tail = (_k_tail_ref(kept, s.real, p.trunc_k)
             + _norm_tail(classes, p.trunc_norm, s.real))
-    return ZetaValue(value=cmath.exp(log_z), log_value=log_z,
-                     tail_bound=tail)
+    return ZetaValue(value=value, log_value=log_z, tail_bound=tail)
 
 
 def selberg_zeta_uniform_ref(p, classes):
-    """The array product that zetafun.selberg_zeta replaced: every class
-    to the one depth min(trunc_k, ceil(60 ln 2 / ln N_min)) set by the
-    smallest kept norm, as a (class x power) array."""
-    import cmath
-    import numpy as np
-    from hilbert_selberg.zetafun import (ZetaValue, _NEGLIGIBLE, _k_tail,
-                                         _norm_tail)
+    """The product with every class to the one depth
+    min(trunc_k, ceil(60 ln 2 / ln N_min)) set by the smallest kept
+    norm, evaluated exactly like selberg_zeta_ref, with
+    zetafun.selberg_zeta's own tail bound."""
+    from hilbert_selberg.zetafun import ZetaValue, _k_tail, _norm_tail
     s = complex(p.s)
     n = classes.count_upto(p.trunc_norm)
-    log_n = classes.log_norms[:n, None]
-    log_z = 0.0 + 0.0j
-    if n:
-        depth = min(p.trunc_k, math.ceil(_NEGLIGIBLE / log_n[0, 0]))
-        z = np.exp(-(np.arange(depth + 1) + s) * log_n)
-        rot = np.exp(1j * (p.m - 2) * classes.angles[:n, None])
-        acc = np.sum(np.log(1.0 - rot * z) + np.log(1.0 - rot.conj() * z),
-                     axis=1)
-        log_z = complex(np.sum(-classes.halves[:n] * acc))
+    kept = classes.classes[:n]
+    depth = min(p.trunc_k, math.ceil(60.0 * math.log(2.0)
+                                     / math.log(kept[0].norm))) if n else 0
+    log_z, value = _product_mp(kept, p, depth)
     tail = (_k_tail(classes, n, s.real, p.trunc_k)
             + _norm_tail(classes, p.trunc_norm, s.real))
-    return ZetaValue(value=cmath.exp(log_z), log_value=log_z,
-                     tail_bound=tail)
+    return ZetaValue(value=value, log_value=log_z, tail_bound=tail)
 
 
 def selberg_log_deriv_ref(p, classes):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hilbert_selberg.errors import ValidationError
 from hilbert_selberg.quadfield import (
-    CLASS_NUMBER_ONE, FieldCtx, QuadInt, canonical_disc, chi_D,
+    CLASS_NUMBER_ONE, QuadInt, canonical_disc, chi_D,
     format_quadint, fundamental_unit, is_fundamental_discriminant,
     kronecker, lattice_points, make_field, parse_quadint, sigma1,
     zeta_minus_one, bernoulli_L_minus_one, _box_rows, _factor_pairs,

@@ -14,7 +14,6 @@ from hilbert_selberg.traceform import (
     _geom_sides,
     _hyp_ell_sum,
     double_difference_closed_forms,
-    elliptic_zero_width_limit,
     gaussian_testfunction,
     geom_side_difference,
     geom_side_double_difference,

@@ -6,19 +6,21 @@ here; the leading coefficients come from the closed form evaluated at
 30 digits.
 """
 
-import cmath
 import dataclasses
 import math
+import pickle
 import random
 import time
 
+import numpy as np
 import pytest
 
+from hilbert_selberg import cache
 from hilbert_selberg.cache import get_or_compute
-from hilbert_selberg.errors import InvariantViolation, ValidationError
+from hilbert_selberg.errors import ValidationError
 from hilbert_selberg.geodesics import GeodesicWindow, enumerate_geodesics
 from hilbert_selberg.quadfield import make_field
-from hilbert_selberg.zetafun import (AlphaTable, ZetaParams, alpha_table,
+from hilbert_selberg.zetafun import (ZetaParams, alpha_table,
                                      divisor_ledger, fe_identity_checks,
                                      residue_point_order, ruelle,
                                      _norm_tail,
@@ -98,7 +100,8 @@ def test_deeper_inner_product_stays_within_tail(d5):
 
 def test_depth_beyond_negligible_costs_nothing(d5):
     # 10^9 powers would be hours of work and about 200 GB as one array;
-    # past the cut every power is below the sum's rounding
+    # the k-sum is in closed form, and past K = 40 its factor
+    # 1 - N^-(l(K+1)) is 1.0 in double precision
     F, cls = d5
     p = ZetaParams(2.0 + 0.5j, 4, 100.0, 40)
     t0 = time.perf_counter()
@@ -337,8 +340,9 @@ def window20():
 
 @pytest.mark.parametrize("m", [2, 4, 6])
 def test_per_class_depth_matches_uniform_depth(window10, window20, m):
-    # each class is cut at its own negligible depth; the powers between
-    # that and the smallest norm's depth are below the sum's rounding
+    # the grid runs each class's log-series to its own 2^-60 depth; the
+    # product with every class at the smallest norm's negligible depth
+    # differs from it by less than the sum's rounding
     for cls in (window10, window20):
         for s in (1.05 + 0.5j, 1.3, 2.0 + 3.0j, 2.9 - 7.0j, 40.0 + 0.5j):
             for x in (3.0, 10.0, cls.coverage):
@@ -357,6 +361,73 @@ def test_ruelle_matches_scalar_loops(window10):
         ratio, direct = ruelle_ref(complex(sigma, 0.5), window10)
         assert _close(r.value, ratio), (sigma, r, ratio)
         assert _close(r.direct, direct), (sigma, r, direct)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_kernel_edges_match_exact_products(window10, m):
+    # sigma = 1.001 runs the same grid as sigma = 2, so the grid's depth
+    # holds as sigma falls to 1; at trunc_k 0..2 the closed-form k-sum
+    # is what separates the product from its infinite-depth limit, and
+    # at 16 only in the last digits; the cuts sit at each listed norm
+    # and just below it
+    for s in (1.001 + 0.5j, 2.0 - 1.0j):
+        for x in _cuts(window10):
+            for k in (0, 1, 2, 16):
+                p = ZetaParams(s, m, x, k)
+                got = selberg_zeta(p, window10)
+                want = selberg_zeta_ref(p, window10)
+                assert _close(got.log_value, want.log_value), (p, got, want)
+                assert _close(got.value, want.value), (p, got, want)
+                assert _close(got.tail_bound, want.tail_bound, 0.0), \
+                    (p, got, want)
+            got = selberg_log_deriv(p, window10)
+            want = selberg_log_deriv_ref(p, window10)
+            assert _close(got.value, want.value), (p, got, want)
+
+
+def test_kernel_far_up_the_line(window10):
+    # N^-s moves by |s| times a rounding of log N, so at |Im s| = 200 the
+    # float inputs set the error: 4 ulps of |s| times the series' size
+    norm = window10.norms
+    for m in (2, 4, 6):
+        for s in (1.05 + 200j, 2.0 - 200j, 2.9 + 200j):
+            size = float(np.sum(2.0 * window10.halves * np.log(norm)
+                                * norm ** -s.real / (1.0 - norm ** -s.real)))
+            for k in (0, 40):
+                p = ZetaParams(s, m, window10.coverage, k)
+                got = selberg_zeta(p, window10)
+                want = selberg_zeta_ref(p, window10)
+                assert abs(got.log_value - want.log_value) \
+                    <= 4.0 * 2.0 ** -52 * abs(s) * size, (p, got, want)
+                assert _close(got.tail_bound, want.tail_bound, 0.0)
+
+
+def test_power_grid_built_once_and_not_pickled(window10):
+    fresh = GeodesicWindow(window10.classes)
+    blob = pickle.dumps(fresh)
+    assert "power_grid" not in vars(fresh)
+    p = ZetaParams(2.0 + 0.5j, 4, fresh.coverage, 40)
+    selberg_zeta(p, fresh)
+    grid = fresh.power_grid
+    selberg_log_deriv(p, fresh)
+    ruelle(2.5, fresh)
+    assert fresh.power_grid is grid
+    # nothing keyed by s, m or trunc_k is kept on the window
+    assert set(vars(fresh)) <= {
+        "classes", "coverage", "norms", "log_norms", "angles", "halves",
+        "power_grid", "count_constant", "weighted_count_constant"}
+    assert pickle.dumps(fresh) == blob
+    assert set(vars(pickle.loads(blob))) == {"classes", "coverage"}
+    assert cache._FORMAT == 3
+    # class-major: class c owns grid[stops[c]:stops[c + 1]], l = 1..L,
+    # with L the least depth whose omitted tail the proof puts below
+    # 2^-60 of the class's leading size
+    assert grid.stops[0] == 0 and grid.stops[-1] == len(grid.exponent)
+    for c, lo, hi in zip(fresh, grid.stops[:-1], grid.stops[1:]):
+        N, L = c.norm, hi - lo
+        assert grid.exponent[hi - 1] == pytest.approx(L * math.log(N))
+        assert N ** -L / (1.0 - 1.0 / N) ** 2 <= 2.0 ** -60 \
+            < N ** -(L - 1) / (1.0 - 1.0 / N) ** 2
 
 
 def test_cached_window_gives_identical_values(d5, tmp_path):
