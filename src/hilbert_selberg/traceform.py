@@ -5,10 +5,13 @@ three-pole rational pair built from (s, beta1, beta2).  The evaluators
 return a per-family breakdown whose total is the plain ordered sum of
 the parts.  HE sums run over a GeodesicWindow's classes and their prime
 powers to the depth where the transform is machine-negligible, and the
-window's coverage places the HE tail estimate; the unit-factor series
-and elliptic integrals carry explicit cutoffs.  The sides of several
-test functions (the heat fit's beta grid) are evaluated together, with
-one stacked quadrature per integral family.
+unit-factor series stops at a geometric tail bound.  Every integral is
+taken over the whole half-line [0, inf), with no range cutoff: the
+identity integral, the elliptic integrals (whose even test function
+folds the real line onto the half-line) and the HE tail past the
+window's coverage.  All of them, for every test function of a call
+(the heat fit's beta grid), are the components of one vector-valued
+quadrature on one adaptive mesh, each meeting its own tolerance.
 Closed-form twins (digamma sums, log-derivative values, geometric unit
 series) are provided for cross-checking the quadrature route.
 """
@@ -152,61 +155,79 @@ def _ordered_total(idn: complex, ell: complex, he: complex,
 
 # ------------------------------------------------------------ quadrature
 
-def _identity_integrals(tfs: Sequence[TestFunctionPair]
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-    """integral over R of r h1(r) tanh(pi r) dr (even integrand) for
-    every test function at once, with a per-function error estimate."""
+def _side_integrals(tfs: Sequence[TestFunctionPair], F: FieldCtx,
+                    classes: GeodesicWindow
+                    ) -> Tuple[np.ndarray, np.ndarray,
+                               List[Dict[Tuple[int, int],
+                                         Tuple[complex, float]]],
+                               np.ndarray]:
+    """Every integral of the geometric sides of every test function, as
+    the components of one quadrature over x in [0, inf):
 
-    def f(r: np.ndarray) -> np.ndarray:
-        return np.stack([r * tf.h1(r) for tf in tfs]) * np.tanh(np.pi * r)
+    - identity: x h1(x) tanh(pi x), half the integral over R of
+      r h1(r) tanh(pi r), with tolerance 1e-13 / 1e-11;
+    - elliptic: g1(x) (k(x) + k(-x)) per census angle theta1 = ell pi/nu,
+      where k(u) = e^{-u/2} (e^u - e^{2i theta1})/(cosh u - cos 2 theta1);
+      g1 is even, so this is the integral of g1 k over R, and
+      k(x) + k(-x) = 2 cosh(x/2) (1 - e^{2i theta1})/(cosh x - cos 2 theta1),
+      evaluated with numerator and denominator scaled by e^{-x} so
+      nothing overflows; tolerance 1e-13 / 1e-11;
+    - HE tail: e^{(L+x)/2} |g1(L+x)| with L = log(coverage), the
+      count-model weight of the classes past the window, formed as
+      exp((L+x)/2 + log|g1|) so it is 0, not inf * 0, where g1
+      underflows; tolerance 1e-14 / 1e-9.  A window of coverage <= 3
+      has no tail integral and an infinite tail.
 
-    val, err = integrate.quad(f, 0.0, np.inf,
-                              epsabs=1e-13, epsrel=1e-11, limit=300)
-    return 2.0 * val, 2.0 * err
-
-
-def _elliptic_cut(tf: TestFunctionPair) -> float:
-    """Half-width of the elliptic integral's range for one pair."""
-    if tf.kind != "rational":
-        return float(tf.metadata["u_cut"])
-    # net decay of the integrand is kappa - 1/2 on the u > 0 side
-    net = float(tf.metadata["kappa"]) - 0.5
-    if net <= 0.01:
-        raise ValidationError(
-            "rational pair decays too slowly for the elliptic "
-            f"integral (kappa={tf.metadata['kappa']})")
-    return min(48.0 / net, 3000.0)
-
-
-def _elliptic_integrals(tfs: Sequence[TestFunctionPair], F: FieldCtx
-                        ) -> List[Dict[Tuple[int, int],
-                                       Tuple[complex, float]]]:
-    """integral of g1(u) e^{-u/2} (e^u - e^{2i theta1})/(cosh u - cos 2 theta1)
-    for every test function and every census angle theta1 = ell pi/nu at
-    once: per function, (nu, ell) -> (integral, error estimate).
-
-    The range is the widest of the functions' cuts; beyond its own cut
-    each function's integrand is machine-negligible.  The kernel is
-    evaluated with numerator and denominator scaled by e^{-|u|}, so no
-    exponential overflows however far the range reaches.
+    Returns per function the identity integral over R and its error,
+    the elliptic integrals as (nu, ell) -> (integral, error), and the
+    count-model bound on the classes past the coverage.
     """
-    u_cut = max(_elliptic_cut(tf) for tf in tfs)
+    for tf in tfs:
+        # the HE tail's integrand decays like e^{-(kappa - 1/2) x}
+        kappa = tf.metadata.get("kappa")
+        if kappa is not None and kappa - 0.5 <= 0.01:
+            raise ValidationError(
+                "rational pair decays too slowly for the HE tail "
+                f"integral (kappa={kappa})")
+    n = len(tfs)
     keys = sorted({(nu, ell) for nu, _ in F.census_classes()
                    for ell in range(1, nu)})
     theta1 = np.array([ell * math.pi / nu for nu, ell in keys])
-    rot = np.exp(2.0j * theta1)[:, None]
+    fold = (1.0 - np.exp(2.0j * theta1))[:, None]
     cos2 = np.cos(2.0 * theta1)[:, None]
+    cov = classes.coverage
+    tail = cov > 3.0
+    log_cov = math.log(cov) if tail else 0.0
 
-    def f(u: np.ndarray) -> np.ndarray:
-        e = np.exp(-np.abs(u))
-        num = np.exp(0.5 * u - np.abs(u)) - rot * np.exp(-0.5 * u - np.abs(u))
-        return (np.stack([tf.g1(u) for tf in tfs])[:, None] * num
-                / (0.5 * (1.0 + e * e) - cos2 * e))
+    def f(x: np.ndarray) -> np.ndarray:
+        h = np.exp(-0.5 * x)
+        e = h * h
+        kernel = fold * ((h + h * e) / (0.5 * (1.0 + e * e) - cos2 * e))
+        parts = [np.stack([x * tf.h1(x) for tf in tfs])
+                 * np.tanh(np.pi * x),
+                 (np.stack([tf.g1(x) for tf in tfs])[:, None]
+                  * kernel).reshape(-1, x.size)]
+        if tail:
+            u = log_cov + x
+            g = np.abs(np.stack([tf.g1(u) for tf in tfs]))
+            log_g = np.log(g, out=np.full(g.shape, -np.inf), where=g > 0.0)
+            parts.append(np.exp(0.5 * u + log_g))
+        return np.concatenate(parts)
 
-    ints, errs = integrate.quad(f, -u_cut, u_cut,
-                                epsabs=1e-13, epsrel=1e-11, limit=300)
-    return [{k: (complex(v), float(e)) for k, v, e in zip(keys, iv, ie)}
-            for iv, ie in zip(ints, errs)]
+    k = len(keys)
+    sizes = (n, n * k, n if tail else 0)
+    epsabs = np.repeat([1e-13, 1e-13, 1e-14], sizes)
+    epsrel = np.repeat([1e-11, 1e-11, 1e-9], sizes)
+    val, err = integrate.quad(f, 0.0, epsabs=epsabs, epsrel=epsrel,
+                              limit=300)
+    ell_val = val[n:n + n * k].reshape(n, k)
+    ell_err = err[n:n + n * k].reshape(n, k)
+    elliptic = [{key: (complex(v), float(e))
+                 for key, v, e in zip(keys, iv, ie)}
+                for iv, ie in zip(ell_val, ell_err)]
+    he_tails = (1.6 * classes.count_constant * val[n + n * k:].real
+                if tail else np.full(n, math.inf))
+    return 2.0 * val[:n], 2.0 * err[:n], elliptic, he_tails
 
 
 # ------------------------------------------------------------ shared pieces
@@ -231,24 +252,6 @@ def _check_gaussian_window(tf: TestFunctionPair, cov: float) -> None:
         raise ValidationError(
             f"class list covers norms <= {cov:.6g} but the Gaussian tail "
             f"at beta={beta} needs norms up to {reach}")
-
-
-def _he_tails(classes: GeodesicWindow, tfs: Sequence[TestFunctionPair]
-              ) -> np.ndarray:
-    """Count-model bound on classes beyond the window's coverage, for
-    every test function at once; the range ends past the widest cut."""
-    cov = classes.coverage
-    if cov <= 3.0:
-        return np.full(len(tfs), math.inf)
-    u_top = math.log(cov) + max(float(tf.metadata["u_cut"])
-                                for tf in tfs) + 5.0
-
-    def f(u: np.ndarray) -> np.ndarray:
-        return np.exp(u / 2.0) * np.abs(np.stack([tf.g1(u) for tf in tfs]))
-
-    val, _ = integrate.quad(f, math.log(cov), u_top,
-                            epsabs=1e-14, epsrel=1e-9, limit=200)
-    return 1.6 * classes.count_constant * val
 
 
 def _hyp_ell_sum(m: int, tf: TestFunctionPair, classes: GeodesicWindow,
@@ -283,32 +286,35 @@ def _hyp_ell_sum(m: int, tf: TestFunctionPair, classes: GeodesicWindow,
 
 def _eps_series(m: int, tf: TestFunctionPair, F: FieldCtx, single: bool,
                 eps_terms: Optional[int]) -> Tuple[complex, float, int]:
-    """Unit series with geometric tail bound; returns (value, tail, k_cut)."""
+    """Unit series with geometric tail bound; returns (value, tail, k_cut).
+
+    Without eps_terms the series stops at the first term below
+    1e-18 (1 + |partial sum|), or at term 100000.  Terms are formed in
+    chunks of doubling size and summed in order."""
     log_eps = F.regulator
-    e1 = _sgn(m - 1)
-    e3 = _sgn(m - 3)
-    p1 = abs(m - 1)
-    p3 = abs(m - 3)
-    acc = 0.0 + 0.0j
-    k = 1
-    last = math.inf
+    acc = 0.0
+    first, size = 1, 32
     while True:
-        g = complex(tf.g1(2.0 * k * log_eps))
-        if single:
-            term = -2.0 * e1 * log_eps * g * F.eps1 ** (-k * p1)
+        last = (max(eps_terms, 1) if eps_terms is not None
+                else min(first + size - 1, 100000))
+        k = np.arange(first, last + 1, dtype=float)
+        unit = _sgn(m - 1) * F.eps1 ** (-abs(m - 1) * k)
+        if not single:
+            unit -= _sgn(m - 3) * F.eps1 ** (-abs(m - 3) * k)
+        terms = (-2.0 * log_eps) * tf.g1(k * (2.0 * log_eps)) * unit
+        sums = np.cumsum(np.concatenate(([acc], terms)))[1:]
+        if eps_terms is None:
+            done = np.abs(terms) < 1e-18 * (1.0 + np.abs(sums))
+            done[-1] |= last == 100000
         else:
-            term = -2.0 * log_eps * g * (e1 * F.eps1 ** (-k * p1)
-                                         - e3 * F.eps1 ** (-k * p3))
-        acc += term
-        last = abs(term)
-        done = (eps_terms is not None and k >= eps_terms) or \
-            (eps_terms is None and (last < 1e-18 * (1.0 + abs(acc))
-                                    or k >= 100000))
-        if done:
-            break
-        k += 1
-    tail = last / (1.0 - 1.0 / F.eps1)
-    return acc, tail, k
+            done = k == last
+        hits = np.flatnonzero(done)
+        if hits.size:
+            i = hits[0]
+            return (complex(sums[i]),
+                    float(abs(terms[i])) / (1.0 - 1.0 / F.eps1), int(k[i]))
+        acc = sums[-1]
+        first, size = last + 1, 2 * size
 
 
 def _elliptic_sum(m: int, quad: Dict[Tuple[int, int], Tuple[complex, float]],
@@ -339,20 +345,18 @@ def _elliptic_sum(m: int, quad: Dict[Tuple[int, int], Tuple[complex, float]],
 def _geom_sides(m: int, tfs: Sequence[TestFunctionPair], F: FieldCtx,
                 classes: GeodesicWindow, eps_terms: Optional[int],
                 single: bool) -> List[GeomSideBreakdown]:
-    """Both evaluators, for a list of test functions: the integrals of
-    all of them are one stacked quadrature per family, each function's
-    components meeting their own tolerance.  The difference (single)
-    scales the identity and HE tail by (m - 1)/2, the double difference
-    by 1."""
+    """Both evaluators, for a list of test functions: every integral of
+    all of them is one component of a single half-line quadrature
+    (_side_integrals), each meeting its own tolerance.  The difference
+    (single) scales the identity and HE tail by (m - 1)/2, the double
+    difference by 1."""
     if m % 2:
         raise ValidationError(f"weight m={m} must be even")
     for tf in tfs:
         _check_gaussian_window(tf, classes.coverage)
     scale = (m - 1) * 0.5 if single else 1.0
 
-    id_ints, id_errs = _identity_integrals(tfs)
-    ell_quads = _elliptic_integrals(tfs, F)
-    he_tails = _he_tails(classes, tfs)
+    id_ints, id_errs, ell_quads, he_tails = _side_integrals(tfs, F, classes)
     sides = []
     for tf, id_int, id_err, ell_quad, he_tail in zip(
             tfs, id_ints, id_errs, ell_quads, he_tails):

@@ -43,6 +43,8 @@ TWO_PI = 2.0 * math.pi
 
 # 1 - e^-x rounds to 1.0 for every x past this
 _ROUNDS_TO_ONE = 40.0
+# share of a class's leading size the power grid leaves out, at most
+_GRID_TAIL = 2.0 ** -60
 
 
 # ------------------------------------------------------------ parameters
@@ -168,9 +170,9 @@ def selberg_log_deriv(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
     classes with N <= trunc_norm, on the same power grid and with the
     same 2^-60 cut as selberg_zeta.
 
-    tail_bound keeps the power term of a cut at l sigma ln N <= 44,
-    which covers the grid's smaller omitted tail, plus the classes past
-    trunc_norm.
+    tail_bound is the grid's own bound on the powers it leaves out,
+    2^-60 of each kept class's leading size h ln N N^-sigma, plus the
+    classes past trunc_norm.
     """
     p.validate()
     s = complex(p.s)
@@ -183,14 +185,9 @@ def selberg_log_deriv(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
         w = w * np.cos((p.m - 2) * phase)
     total = complex((-a * w) @ np.exp(a * -s))
     sigma = s.real
-    norm, log_n = classes.norms[:n], classes.log_norms[:n]
-    # powers l >= 1 with l*sigma*log N <= 44
-    live = np.floor(44.0 / (sigma * log_n))
-    live += (live + 1.0) * sigma * log_n <= 44.0
-    live -= live * sigma * log_n > 44.0
-    power_tail = float((3.0 * classes.halves[:n] * log_n
-                        * norm ** (-(live + 1.0) * sigma)
-                        / (1.0 - norm ** (-sigma))).sum())
+    power_tail = _GRID_TAIL * float((2.0 * classes.halves[:n]
+                                     * classes.log_norms[:n])
+                                    @ classes.norms[:n] ** -sigma)
     unseen = (1.5 * classes.weighted_count_constant * sigma / (sigma - 1.0)
               * p.trunc_norm ** (1.0 - sigma))
     return ZetaValue(value=total, log_value=total,

@@ -459,6 +459,30 @@ def _product_mp(kept, p, depth):
         return complex(log_z), complex(mpmath.exp(log_z))
 
 
+@functools.lru_cache(maxsize=4096)
+def class_log_deriv_mp(norm, angle, s, m, depth):
+    """One class's log-derivative series per unit multiplicity,
+    -sum_l cos(l (m-2) angle) ln N / (1 - N^-l) N^-(l s), at _MP_DPS
+    digits from the float inputs taken as exact: (its first `depth`
+    powers, all of them until |N^-(l s)| < 1e-40)."""
+    import mpmath
+    with mpmath.workdps(_MP_DPS):
+        log_n = mpmath.log(mpmath.mpf(norm))
+        step = mpmath.exp(-mpmath.mpc(s) * log_n)
+        z = step
+        acc = mpmath.mpc(0)
+        head = None
+        ell = 1
+        while ell <= depth or norm ** -(ell * s.real) >= _MP_NEGLIGIBLE:
+            acc -= (mpmath.cos(ell * (m - 2) * mpmath.mpf(angle)) * log_n
+                    / (1 - mpmath.exp(-ell * log_n)) * z)
+            if ell == depth:
+                head = acc
+            z *= step
+            ell += 1
+        return head, acc
+
+
 def selberg_zeta_ref(p, classes):
     """The class-by-class, power-by-power Euler product at the full
     requested depth trunc_k, evaluated exactly (at 40 digits, powers
@@ -490,7 +514,8 @@ def selberg_zeta_uniform_ref(p, classes):
 
 
 def selberg_log_deriv_ref(p, classes):
-    """The per-class power loop that zetafun.selberg_log_deriv replaced."""
+    """The per-class power loop that zetafun.selberg_log_deriv replaced,
+    with its tail bound."""
     import cmath
     from hilbert_selberg.zetafun import ZetaValue
     s = complex(p.s)
@@ -510,9 +535,8 @@ def selberg_log_deriv_ref(p, classes):
             acc += weight * osc * cmath.exp(-ell * s * log_n)
             ell += 1
         terms.append(-half * acc)
-        drop = c.norm ** (-ell * sigma)
-        power_tail += (1.5 * c.multiplicity * log_n * drop
-                       / (1.0 - c.norm ** (-sigma)))
+        # the power grid's bound on the powers it leaves out
+        power_tail += 2.0 ** -60 * c.multiplicity * log_n * c.norm ** -sigma
     total = _pairwise_sum_ref(terms)
     unseen = (1.5 * classes.weighted_count_constant * sigma / (sigma - 1.0)
               * p.trunc_norm ** (1.0 - sigma))

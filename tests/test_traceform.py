@@ -233,6 +233,48 @@ def test_truncation_stability(d5, d5_wide):
                 <= base.diagnostics["eps_tail"] + 1e-30)
 
 
+@pytest.mark.parametrize("beta", [0.025, 0.05, 0.1, 0.2])
+def test_gaussian_he_tail_matches_closed_form(d5, beta):
+    # e^{u/2} g1(u) over [L, inf), L = log(coverage), completes the
+    # square to e^{beta/4} erfc((L - beta)/(2 sqrt beta)) / 2
+    F, classes = d5
+    bd = geom_side_double_difference(2, gaussian_testfunction(beta), F,
+                                     classes)
+    got = bd.diagnostics["he_tail"] / (1.6 * classes.count_constant)
+    big_l = math.log(classes.coverage)
+    want = 0.5 * math.exp(beta / 4.0) * math.erfc(
+        (big_l - beta) / (2.0 * math.sqrt(beta)))
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_he_tail_integrates_the_whole_half_line(d5):
+    # g1 of the pair (1.02, 2, 3) is a positive sum of exponentials
+    # e^{-b u} past L, so e^{u/2} g1 integrates in closed form; the
+    # integrand decays like e^{-0.02 u}, and a range cut at L + u_cut + 5
+    # gave 160.5 of its 187.3
+    F, classes = d5
+    tf = rational_testfunction(1.02, 2.0, 3.0)
+    meta = tf.metadata
+    s = meta["s"]
+    big_l = math.log(classes.coverage)
+    want = sum((w * math.exp(-(b - 0.5) * big_l) / (b - 0.5)).real
+               for w, b in ((1.0 / (2.0 * s - 1.0), s.real - 0.5),
+                            (meta["c1"] / 4.0, 2.0), (meta["c2"] / 6.0, 3.0)))
+    want *= 1.6 * classes.count_constant
+    for m in (2, 4):
+        bd = geom_side_double_difference(m, tf, F, classes)
+        assert abs(bd.diagnostics["he_tail"] - want) <= 1e-9 * want
+    assert 187.2 < want < 187.4
+
+
+def test_slow_decay_is_refused(d5):
+    # kappa = 0.505: the HE tail's integrand decays like e^{-0.005 u}
+    F, classes = d5
+    tf = rational_testfunction(1.005, 2.0, 3.0)
+    with pytest.raises(ValidationError, match="decays too slowly"):
+        geom_side_double_difference(2, tf, F, classes)
+
+
 def test_gaussian_window_requires_enough_classes(d5):
     F, _ = d5
     thin = enumerate_geodesics(F, 3.0)

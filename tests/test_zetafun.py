@@ -26,8 +26,8 @@ from hilbert_selberg.zetafun import (ZetaParams, alpha_table,
                                      _norm_tail,
                                      ruelle_leading, selberg_log_deriv,
                                      selberg_zeta)
-from oracles import (ruelle_ref, selberg_log_deriv_ref, selberg_zeta_ref,
-                     selberg_zeta_uniform_ref)
+from oracles import (class_log_deriv_mp, ruelle_ref, selberg_log_deriv_ref,
+                     selberg_zeta_ref, selberg_zeta_uniform_ref)
 
 # residue-point orders at s = -k, k = 0..7
 RESIDUE_ORDERS = {
@@ -331,6 +331,35 @@ def test_products_match_scalar_loops(window10, m):
             assert _close(got.value, want.value), (p, got, want)
             assert _close(got.tail_bound, want.tail_bound, 0.0), \
                 (p, got, want)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_log_deriv_tail_bound_covers_omitted_powers(window10, m):
+    # against the exact series over the kept classes: the powers the
+    # grid leaves out stay below 2^-60 of the classes' leading size
+    # h ln N N^-sigma, so tail_bound covers them, and the value is off
+    # the exact series by no more than that and its rounding
+    import mpmath
+    depth = np.diff(window10.power_grid.stops)
+    h = 2.0 * window10.halves
+    for s in (1.001 + 0.5j, 2.0 - 1.0j, 40.0 + 0.5j):
+        series = [class_log_deriv_mp(c.norm, c.angle, s, m, int(d))
+                  for c, d in zip(window10, depth)]
+        norm = window10.norms
+        lead = h * window10.log_norms * norm ** -s.real
+        size = lead / ((1.0 - 1.0 / norm) * (1.0 - norm ** -s.real))
+        for x in _cuts(window10):
+            n = window10.count_upto(x)
+            got = selberg_log_deriv(ZetaParams(s, m, x, 40), window10)
+            omitted = sum(hh * abs(complex(full - head))
+                          for hh, (head, full) in zip(h[:n], series[:n]))
+            assert omitted <= 2.0 ** -60 * lead[:n].sum()
+            assert omitted <= got.tail_bound
+            exact = complex(mpmath.fsum(
+                hh * full for hh, (_, full) in zip(h[:n], series[:n])))
+            # N^-s moves by |s| times a rounding of log N
+            assert abs(got.value - exact) <= (
+                got.tail_bound + 4.0 * 2.0 ** -52 * abs(s) * size[:n].sum())
 
 
 @pytest.fixture(scope="module")
