@@ -6,9 +6,10 @@ key.  A key may leave out a parameter whose stored value can serve a
 range of requests; `usable` then says whether the stored entry serves
 this one, and an entry it rejects is rebuilt and replaced, so each key
 holds one entry.  The payload is a pickle, which is fine for a local
-scratch cache.  Resolution order for the directory: explicit argument,
-then the HILBERT_SELBERG_CACHE environment variable, then no caching at
-all.
+scratch cache; the format version changes whenever a pickled class
+moves to another module.  Resolution order for the directory: explicit
+argument, then the HILBERT_SELBERG_CACHE environment variable, then no
+caching at all.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Optional, TypeVar
 from . import __version__
 from .errors import ValidationError
 
-_FORMAT = 3
+_FORMAT = 4
 
 T = TypeVar("T")
 
@@ -66,7 +67,9 @@ def get_or_compute(kind: str, params: dict, builder: Callable[[], T],
             if usable is None or usable(value):
                 return value
     value = builder()
-    tmp = path.with_suffix(".tmp")
+    # one temporary file per writer: processes sharing a directory never
+    # write into the same file, and each entry appears whole
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")
     with tmp.open("wb") as fh:
         pickle.dump(value, fh, protocol=4)
     tmp.replace(path)

@@ -15,6 +15,14 @@ violation.
 
 A command imports the layers it runs when it runs, so a short command
 pays neither their import nor, without bytecode, their compilation.
+The same holds for numpy: only the modules that build arrays import it
+(orbits, modgroup, pellforms, geodesics, zetafun, traceform,
+integrate), and this module, quadfield, records and cache do not.  A
+cached window unpickles into records' types, so on a cache hit pell,
+geodesics and report read and format it without numpy, and so does
+field on a field without an elliptic census (D = 13).  A cache miss
+enumerates, field with a census builds it, and forms, zeta, ledger,
+trace and check compute on arrays: those load numpy.
 """
 
 from __future__ import annotations
@@ -138,11 +146,14 @@ def _classes(F, cfg: RunConfig, x: Optional[float] = None):
     (D, height), the widest asked for: a narrower x is cut from it, a
     wider one is enumerated and replaces it."""
     from .cache import get_or_compute
-    from .geodesics import enumerate_geodesics
     x = cfg.x_max if x is None else x
+
+    def enumerate_window():
+        from .geodesics import enumerate_geodesics
+        return x, enumerate_geodesics(F, x, height=cfg.height)
+
     stored_x, window = get_or_compute(
-        "geodesics", {"D": F.D, "height": cfg.height},
-        lambda: (x, enumerate_geodesics(F, x, height=cfg.height)),
+        "geodesics", {"D": F.D, "height": cfg.height}, enumerate_window,
         cfg.cache_dir, usable=lambda entry: entry[0] >= x)
     return window if stored_x == x else window.within(x)
 
@@ -303,6 +314,7 @@ def _cmd_trace(cfg: RunConfig, args) -> int:
     from .traceform import geom_side_difference, geom_side_double_difference
     tf = _parse_testfunction(args.test)
     F = make_field(cfg.D)
+    F.census_classes()  # a field without a census is refused unread
     classes = _classes(F, cfg)
     evaluator = (geom_side_difference if args.single
                  else geom_side_double_difference)
@@ -320,6 +332,7 @@ def _cmd_heatfit(cfg: RunConfig, args) -> int:
     from .traceform import heat_asymptotic_check
     betas = _parse_numbers(args.betas, "beta") if args.betas else cfg.beta_grid
     F = make_field(cfg.D)
+    F.census_classes()  # a field without a census is refused unread
     classes = _classes(F, cfg)
     report = heat_asymptotic_check(F, betas, classes)
     report["beta_grid"] = list(report["beta_grid"])
@@ -330,23 +343,19 @@ def _cmd_heatfit(cfg: RunConfig, args) -> int:
 
 
 def _cmd_report(cfg: RunConfig, args) -> int:
-    from .geodesics import class_average_report, pgt_report
+    from .records import count_reports
     F = make_field(cfg.D)
     if args.x_grid is not None:
-        grid = sorted(_parse_numbers(args.x_grid, "x grid entry"))
+        grid = _parse_numbers(args.x_grid, "x grid entry")
         if not grid:
             raise ValidationError("report grid needs at least one x")
     else:
         grid = ([cfg.x_max] if args.mode == "classavg"
                 else [5.0, 10.0, 15.0, 20.0])
     # one window to the largest x, read only for a valid grid, so a bad
-    # cutoff is refused by the report before any enumeration
-    classes = _classes(F, cfg, grid[-1]) if grid[0] > 1.0 else None
-    if args.mode == "classavg":
-        reports = [class_average_report(F, x, cfg.height, classes)
-                   for x in grid]
-    else:
-        reports = pgt_report(F, grid, cfg.height, classes)
+    # cutoff is refused before any enumeration
+    reports = count_reports(grid, lambda x: _classes(F, cfg, x),
+                            geodesic_scale=args.mode == "pgt")
     if cfg.out_format == "csv":
         header = ["x", "psi_sum", "pi_sum", "psi_main", "pi_main",
                   "psi_ratio", "pi_ratio"]

@@ -8,248 +8,25 @@ pipeline through t^2 - d*u^2 = 4: square divisors u^2 are peeled off
 t^2 - 4 and every mixed-sign quotient is a candidate discriminant.
 The Pell step recovers the true fundamental solution, which may be
 smaller than the (t, u) pair that produced the candidate.
+
+The class and window types and the count reports' core live in
+`records`, which imports no numpy; this module re-exports them.
 """
 
-import functools
 import math
-from dataclasses import dataclass
-from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .errors import BudgetExceededError, InvariantViolation, ValidationError
-from .pellforms import (DiscriminantRecord, class_number, in_Dpm,
-                        pell_fundamental)
+from .errors import BudgetExceededError
+from .pellforms import class_number, in_Dpm, pell_fundamental
 from .quadfield import FieldCtx, QuadInt, canonical_disc, lattice_points
-from .specfun import li
+from .records import (CountReport, GeodesicClass, GeodesicWindow, PowerGrid,
+                      count_reports, _class_order, _eps_limit)
 
 __all__ = [
     "GeodesicClass", "GeodesicWindow", "PowerGrid", "CountReport",
     "square_divisor_quotients", "enumerate_geodesics", "pgt_report",
     "class_average_report",
 ]
-
-
-@dataclass(frozen=True)
-class GeodesicClass:
-    """A family of primitive hyperbolic-elliptic conjugacy classes
-    sharing one canonical discriminant.
-
-    multiplicity counts the form classes of d, each contributing one
-    conjugacy class with the same norm and angle.
-    """
-
-    d: QuadInt
-    norm: float
-    angle: float
-    multiplicity: int
-    record: DiscriminantRecord
-
-    def __post_init__(self) -> None:
-        if not self.norm > 1.0:
-            raise ValidationError("class norm must exceed 1")
-        if not 0.0 < self.angle < math.pi:
-            raise ValidationError("rotation angle must lie in (0, pi)")
-        if self.multiplicity < 1:
-            raise ValidationError("multiplicity must be positive")
-
-
-def _class_order(c: GeodesicClass) -> Tuple[float, int, int]:
-    return (c.norm, c.d.a, c.d.b)
-
-
-def _frozen(col: np.ndarray) -> np.ndarray:
-    col.setflags(write=False)
-    return col
-
-
-def _column(values: Iterable[float]) -> np.ndarray:
-    return _frozen(np.array(list(values), dtype=float))
-
-
-# every class's power series is run until its tail is below 2^-60 of
-# the class's leading size
-_GRID_CUT = 60.0 * math.log(2.0)
-
-
-class PowerGrid(NamedTuple):
-    """The (class, power l) terms of the Euler products' log-series,
-    class-major: the first n classes are the prefix stops[n].
-
-    exponent is l*log N, phase l*angle and weight h/(l*(1 - N^-l)).
-    Nothing in it depends on s, the weight m or the inner depth K.
-    """
-
-    stops: np.ndarray
-    exponent: np.ndarray
-    phase: np.ndarray
-    weight: np.ndarray
-
-
-@dataclass(frozen=True, init=False)
-class GeodesicWindow(Sequence[GeodesicClass]):
-    """A class list and the norm bound it is complete up to.
-
-    Classes are held in the one class order: by norm, ties broken by
-    the discriminant.  Class sums accumulate in this order, so results
-    do not depend on the order the classes were handed in.  Classes
-    pair with their inverses (angle and its negative), so every
-    multiplicity must be even; that is checked once, here.  coverage
-    defaults to the largest listed norm.
-
-    The array evaluators read the window as read-only float columns in
-    class order: norms, log_norms, angles and halves (h/2), and the
-    Euler products read power_grid, every class's log-series terms
-    in the same order.  Columns, grid and fitted constants are derived
-    on first use and left out of the pickle, so a cached window
-    rebuilds them after a load.
-    """
-
-    classes: Tuple[GeodesicClass, ...]
-    coverage: float
-
-    def __init__(self, classes: Iterable[GeodesicClass],
-                 coverage: Optional[float] = None) -> None:
-        ordered = tuple(sorted(classes, key=_class_order))
-        for c in ordered:
-            if c.multiplicity % 2:
-                raise InvariantViolation(
-                    f"odd class multiplicity {c.multiplicity} at "
-                    f"d=({c.d.a},{c.d.b}); inverse pairing broken")
-        if coverage is None:
-            coverage = max((c.norm for c in ordered), default=0.0)
-        object.__setattr__(self, "classes", ordered)
-        object.__setattr__(self, "coverage", float(coverage))
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-    def __getitem__(self, i):
-        return self.classes[i]
-
-    def __iter__(self) -> Iterator[GeodesicClass]:
-        return iter(self.classes)
-
-    def __getstate__(self) -> Dict[str, object]:
-        return {"classes": self.classes, "coverage": self.coverage}
-
-    def count_upto(self, x: float) -> int:
-        """Number of leading classes with norm <= x, the one cut every
-        truncated sum takes; x must lie within the coverage."""
-        if x > self.coverage * (1.0 + 1e-9):
-            raise ValidationError(
-                f"class list covers norms <= {self.coverage:.6g} but "
-                f"trunc_norm={x:.6g}; enumerate geodesics to "
-                f"x >= {math.sqrt(x):.6g} first")
-        return int(np.searchsorted(self.norms, x * (1.0 + 1e-12),
-                                   side="right"))
-
-    def within(self, x: float) -> "GeodesicWindow":
-        """The window enumerate_geodesics(F, x) returns, cut from this
-        one, which must have been enumerated to at least x at the same
-        height.
-
-        Exact: the candidates of x are among those of any larger bound
-        (see enumerate_geodesics' trace_bound), a class number does not
-        depend on the bound, and a larger Pell cap only skips fewer
-        candidates.  Classes are cut by enumerate_geodesics' own test
-        and coverage is again the largest listed norm.
-        """
-        limit = _eps_limit(x)
-        return GeodesicWindow(c for c in self.classes
-                              if c.record.pell.eps_d <= limit)
-
-    @functools.cached_property
-    def norms(self) -> np.ndarray:
-        return _column(c.norm for c in self.classes)
-
-    @functools.cached_property
-    def log_norms(self) -> np.ndarray:
-        return _column(math.log(c.norm) for c in self.classes)
-
-    @functools.cached_property
-    def angles(self) -> np.ndarray:
-        return _column(c.angle for c in self.classes)
-
-    @functools.cached_property
-    def halves(self) -> np.ndarray:
-        return _column(c.multiplicity // 2 for c in self.classes)
-
-    @functools.cached_property
-    def power_grid(self) -> PowerGrid:
-        """The terms l = 1..L of every class's log-series.
-
-        A class of norm N and multiplicity h runs to
-        L = ceil((60 ln 2 - 2 ln(1 - 1/N)) / ln N), the same L for every
-        s, which leaves out less than 2^-60 of the class's leading size
-        h N^-sigma (h ln N N^-sigma for the derivative) at every
-        sigma = Re s > 1.  Proof: term l of log Z(s; m) has modulus at
-        most h N^-(l sigma) / (1 - N^-l), since |cos| <= 1, 1/l <= 1
-        and the inner-depth factor 1 - N^-(l(K+1)) lies in [0, 1]; term
-        l of d/ds log Z is at most ln N times that, and the ratio
-        form's weights are smaller still.  With
-        1/(1 - N^-l) <= 1/(1 - 1/N), the terms l > L sum to at most
-        N^-((L+1) sigma) / ((1 - 1/N)(1 - N^-sigma)) of h (times ln N),
-        that is N^-(L sigma) / ((1 - 1/N)(1 - N^-sigma)) of the leading
-        size, which is below N^-L / (1 - 1/N)^2 as sigma > 1, and that
-        is at most 2^-60 by the choice of L.
-        """
-        log_n = self.log_norms
-        depth = np.ceil((_GRID_CUT - 2.0 * np.log1p(-1.0 / self.norms))
-                        / log_n).astype(np.int64)
-        stops = np.concatenate(([0], np.cumsum(depth)))
-        row = np.repeat(np.arange(len(self)), depth)
-        ell = (np.arange(stops[-1]) - stops[row] + 1).astype(float)
-        exponent = ell * log_n[row]
-        weight = 2.0 * self.halves[row] / (ell * -np.expm1(-exponent))
-        return PowerGrid(stops=_frozen(stops), exponent=_frozen(exponent),
-                         phase=_frozen(ell * self.angles[row]),
-                         weight=_frozen(weight))
-
-    @functools.cached_property
-    def count_constant(self) -> float:
-        """Fitted C with #{N(p) <= T} <= C*li(T) over the listed classes.
-
-        Diagnostic constant: fitted from the very list being truncated,
-        with a safety factor, not an a-priori bound.  With no listed
-        norm >= 3 the fit falls back to C = 1.6 * 4.
-        """
-        cum = 0
-        best = 0.0
-        for c in self.classes:
-            cum += c.multiplicity
-            if c.norm >= 3.0:
-                best = max(best, cum / li(c.norm))
-        return 1.6 * (best or 4.0)
-
-    @functools.cached_property
-    def weighted_count_constant(self) -> float:
-        """Fitted C2 with sum_{N<=T} h*log N <= C2*T over the listed
-        classes."""
-        cum = 0.0
-        best = 0.0
-        for c in self.classes:
-            cum += c.multiplicity * math.log(c.norm)
-            best = max(best, cum / c.norm)
-        return 1.5 * (best or 4.0)
-
-
-@dataclass(frozen=True)
-class CountReport:
-    """Counting sums at a cutoff x, with the smooth main terms.
-
-    main_terms is (x^2, 2*li(x^2)).  The named entries in residuals
-    record which main term each sum was compared against; secondary
-    terms from small eigenvalues are not modelled, so residuals are
-    informational rather than asserted.
-    """
-
-    x: float
-    psi_sum: float
-    pi_sum: int
-    main_terms: Tuple[float, float]
-    residuals: Dict[str, float]
 
 
 def square_divisor_quotients(P: QuadInt, F: FieldCtx) -> List[QuadInt]:
@@ -272,14 +49,6 @@ def square_divisor_quotients(P: QuadInt, F: FieldCtx) -> List[QuadInt]:
                     out.append(P.exact_div(uu))
         k += 1
     return out
-
-
-def _eps_limit(x: float) -> float:
-    """The largest eps_K(d) a window to x keeps: the one cut of
-    enumerate_geodesics and GeodesicWindow.within."""
-    if x < 1.0:
-        raise ValidationError("geodesic cutoff needs x >= 1")
-    return x * (1.0 + 1e-12)
 
 
 def enumerate_geodesics(F: FieldCtx, x: float, height: float = 8.0,
@@ -332,25 +101,15 @@ def enumerate_geodesics(F: FieldCtx, x: float, height: float = 8.0,
     return GeodesicWindow(classes)
 
 
-def _report(x: float, classes: Sequence[GeodesicClass],
-            geodesic_scale: bool) -> CountReport:
-    sub = [c for c in classes if c.norm <= x * x * (1.0 + 1e-12)]
-    base = sum(c.multiplicity * math.log(c.norm) for c in sub)
-    psi = base if geodesic_scale else 0.5 * base
-    pi_sum = sum(c.multiplicity for c in sub)
-    X = x * x
-    li_main = 2.0 * li(X)
-    psi_main = 2.0 * X if geodesic_scale else X
-    residuals = {
-        "psi_main": psi_main,
-        "psi_resid": psi - psi_main,
-        "psi_ratio": psi / psi_main,
-        "pi_main": li_main,
-        "pi_resid": pi_sum - li_main,
-        "pi_ratio": pi_sum / li_main if li_main != 0.0 else math.inf,
-    }
-    return CountReport(x=x, psi_sum=psi, pi_sum=pi_sum,
-                       main_terms=(X, li_main), residuals=residuals)
+
+
+def _window(F: FieldCtx, height: float, classes: Optional[GeodesicWindow]
+            ) -> Callable[[float], GeodesicWindow]:
+    """The window a report reads: classes when given, which must be
+    enumerated to at least the largest cutoff, else that enumeration."""
+    if classes is not None:
+        return lambda x: classes
+    return lambda x: enumerate_geodesics(F, x, height=height)
 
 
 def pgt_report(F: FieldCtx, x_grid: Sequence[float], height: float = 8.0,
@@ -361,14 +120,8 @@ def pgt_report(F: FieldCtx, x_grid: Sequence[float], height: float = 8.0,
 
     classes, when given, must be enumerated to at least the largest x;
     otherwise they are enumerated here."""
-    xs = sorted(float(x) for x in x_grid)
-    if not xs:
-        return []
-    if xs[0] <= 1.0:
-        raise ValidationError("report grid needs x > 1")
-    if classes is None:
-        classes = enumerate_geodesics(F, xs[-1], height=height)
-    return [_report(x, classes, geodesic_scale=True) for x in xs]
+    return count_reports(x_grid, _window(F, height, classes),
+                         geodesic_scale=True)
 
 
 def class_average_report(F: FieldCtx, x: float, height: float = 8.0,
@@ -379,8 +132,6 @@ def class_average_report(F: FieldCtx, x: float, height: float = 8.0,
 
     classes, when given, must be enumerated to at least x; otherwise
     they are enumerated here."""
-    if x <= 1.0:
-        raise ValidationError("report cutoff needs x > 1")
-    if classes is None:
-        classes = enumerate_geodesics(F, x, height=height)
-    return _report(x, classes, geodesic_scale=False)
+    report, = count_reports([x], _window(F, height, classes),
+                            geodesic_scale=False)
+    return report

@@ -25,9 +25,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
-from .orbits import Orbit, capped_bfs, height_predicate, unique_rows
-from .quadfield import (FieldCtx, QuadInt, _box_rows, _coord_mul,
-                        _embed_consts, _factor_pairs, _omega_trace_norm)
+from .orbits import (Orbit, capped_bfs, height_predicate, unique_rows,
+                     _box_rows, _factor_pairs)
+from .quadfield import (CENSUS_ORDERS, FieldCtx, QuadInt, _coord_mul,
+                        _embed_consts, _omega_trace_norm)
 
 Key = Tuple[int, int, int, int, int, int, int, int]
 
@@ -394,14 +395,6 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
                for r in records if r["primitive"]]
     classes.sort(key=lambda c: (c.nu, c.t, c.rep.key()))
     return tuple(classes)
-
-
-# certified order multisets: the fields that carry an elliptic census
-CENSUS_ORDERS = {
-    5: (2, 2, 3, 3, 5, 5),
-    8: (2, 2, 3, 3, 4, 4),
-    12: (2, 2, 2, 3, 3, 6),
-}
 
 
 def elliptic_census(F: FieldCtx, height_bound: float = 8.0

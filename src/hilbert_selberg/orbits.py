@@ -74,6 +74,10 @@ Every seed must lie inside the caps: a seed outside them has edges that
 run one way only.  A search returns the roots and the state count and
 holds just the last two levels; neither, nor the budget test on each
 component's state count, depends on the order of a level's states.
+
+The seeds of both searches come from the int64 box scans at the end of
+this module: a lattice box as coordinate rows, and the factor-pair scan
+that form enumeration and the trace-t matrix scan run on.
 """
 
 from __future__ import annotations
@@ -84,7 +88,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .quadfield import _embed_consts, _omega_trace_norm
+from .quadfield import (_coord_mul, _embed_consts, _lattice_ranges,
+                        _omega_trace_norm)
 
 
 def height_predicate(D: int, cap1: float, cap2: float
@@ -399,3 +404,56 @@ def capped_bfs(what: str, seeds,
                 f"{what} orbit exceeded {max_states} states")
         prev, curr, labels, rows, back = curr, keys, labs, new, edges
     return Orbit(parent[:S], int(counts[parent < S].sum()))
+
+
+# ------------------------------------------------------------ box scans
+
+
+def _box_rows(D: int, bound1: float, bound2: float) -> np.ndarray:
+    """lattice_points(D, bound1, bound2) as an (N, 2) int64 array of
+    coordinate rows (a, b), in the same order."""
+    rows = [np.empty((0, 2), dtype=np.int64)]
+    for b, lo, hi in _lattice_ranges(D, bound1, bound2):
+        a = np.arange(lo, hi + 1, dtype=np.int64)
+        rows.append(np.column_stack([a, np.full_like(a, b)]))
+    return np.concatenate(rows)
+
+
+# entries of one P-by-box block in _factor_pairs
+_FACTOR_BLOCK = 1 << 14
+
+
+def _factor_pairs(P: np.ndarray, box: np.ndarray, D: int, cap1: float,
+                  cap2: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every factorisation P[i] = y*z of a nonzero row of the (M, 2) array
+    P with y a row of box and |embed(z, j)| <= cap_j, as (i, y, z): row
+    indices and (K, 2) coordinate rows, ordered by i, then by y's place
+    in box.  The caller keeps the norms N(P[i]) and the products
+    P * conj(y) inside int64."""
+    t, n = _omega_trace_norm(D)
+    w1, w2 = _embed_consts(D)
+
+    def norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a * a + t * a * b + n * b * b
+    j = np.nonzero(box.any(axis=1))[0]
+    ya, yb = box[j].T
+    ny = norm(ya, yb)
+    rows = np.nonzero(P.any(axis=1))[0]
+    nP = norm(P[rows, 0], P[rows, 1])
+    step = max(1, _FACTOR_BLOCK // max(1, len(j)))
+    out = [np.empty((0, 4), dtype=np.int64)]
+    for s in range(0, len(rows), step):
+        # y | P needs N(y) | N(P): one int64 modulo per pair, and the
+        # coordinates only for the pairs that pass it
+        ri, k = np.nonzero(nP[s:s + step, None] % ny == 0)
+        r = rows[s:s + step][ri]
+        # P * conj(y), conj(y) = (ya + t*yb, -yb)
+        numa, numb = _coord_mul(P[r, 0], P[r, 1], ya[k] + t * yb[k], -yb[k],
+                                t, n)
+        div = (numa % ny[k] == 0) & (numb % ny[k] == 0)
+        r, k, numa, numb = r[div], k[div], numa[div], numb[div]
+        za, zb = numa // ny[k], numb // ny[k]
+        keep = (np.abs(za + zb * w1) <= cap1) & (np.abs(za + zb * w2) <= cap2)
+        out.append(np.column_stack([r, k, za, zb])[keep])
+    i, k, za, zb = np.concatenate(out).T
+    return i, box[j[k]], np.column_stack([za, zb])

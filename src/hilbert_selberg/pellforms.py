@@ -13,10 +13,13 @@ primitive when the ideal (a, b, c) is all of O_K, that is, when its
 index in O_K, the gcd of the 2x2 minors of its Z-generators, is 1.  No
 gcd element is ever needed, so there is no division step to stall and
 no search.
+
+The records returned here, FormOverOK, PellSolution and
+DiscriminantRecord, live in `records`, which imports no numpy; this
+module re-exports them.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -24,10 +27,11 @@ import numpy as np
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
 from .modgroup import (GroupElem, conjugation_orbit, _matrices_with_trace,
                        _normalize_rows, _MU_A, _MU_B)
-from .orbits import Orbit, capped_bfs, unique_rows, _row_packer
+from .orbits import (Orbit, capped_bfs, unique_rows, _box_rows,
+                     _factor_pairs, _row_packer)
 from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
-                        _box_rows, _coord_mul, _embed_consts, _factor_pairs,
-                        _omega_trace_norm)
+                        _coord_mul, _embed_consts, _omega_trace_norm)
+from .records import DiscriminantRecord, FormOverOK, PellSolution
 
 __all__ = [
     "FormOverOK", "PellSolution", "DiscriminantRecord", "content_norm",
@@ -66,75 +70,6 @@ def content_norm(a: QuadInt, b: QuadInt, c: QuadInt) -> int:
     t, n = _omega_trace_norm(a.D)
     row = np.array([[a.a, a.b, b.a, b.b, c.a, c.b]], dtype=object)
     return int(_content_norm_rows(row, t, n)[0])
-
-
-# ------------------------------------------------------------ form type
-
-
-FormKey = Tuple[int, int, int, int, int, int]
-
-
-@dataclass(frozen=True)
-class FormOverOK:
-    """Primitive binary quadratic form a x^2 + b xy + c y^2 over O_K."""
-
-    a: QuadInt
-    b: QuadInt
-    c: QuadInt
-
-    def __post_init__(self):
-        if not (self.a.D == self.b.D == self.c.D):
-            raise ValidationError("form coefficients from different fields")
-        if content_norm(self.a, self.b, self.c) != 1:
-            raise ValidationError("form is not primitive")
-
-    @property
-    def disc(self) -> QuadInt:
-        return self.b * self.b - 4 * (self.a * self.c)
-
-    def key(self) -> FormKey:
-        return (self.a.a, self.a.b, self.b.a, self.b.b, self.c.a, self.c.b)
-
-    @staticmethod
-    def from_key(key: FormKey, D: int) -> "FormOverOK":
-        aa, ab, ba, bb, ca, cb = key
-        return FormOverOK(QuadInt(D, aa, ab), QuadInt(D, ba, bb),
-                          QuadInt(D, ca, cb))
-
-
-@dataclass(frozen=True)
-class PellSolution:
-    """Fundamental solution of t^2 - d u^2 = 4 with eps_d > 1."""
-
-    d: QuadInt
-    t0: QuadInt
-    u0: QuadInt
-
-    @property
-    def eps_d(self) -> float:
-        return (self.t0.embed(1)
-                + self.u0.embed(1) * math.sqrt(self.d.embed(1))) / 2.0
-
-    def verify(self) -> None:
-        lhs = self.t0 * self.t0 - self.d * (self.u0 * self.u0)
-        if lhs != QuadInt(self.d.D, 4, 0):
-            raise InvariantViolation("pell relation violated")
-        if self.u0.is_zero() or self.eps_d <= 1.0:
-            raise InvariantViolation("pell solution not fundamental-shaped")
-
-
-@dataclass(frozen=True)
-class DiscriminantRecord:
-    """Canonical discriminant with its Pell data and class census."""
-
-    d: QuadInt
-    pell: PellSolution
-    class_number: int
-    forms: Tuple[FormOverOK, ...]
-
-    def __post_init__(self):
-        if self.class_number != len(self.forms) or self.class_number < 1:
-            raise InvariantViolation("class count does not match reps")
 
 
 # ------------------------------------------------------- membership test

@@ -7,8 +7,9 @@ fundamental discriminant, written on the integral basis {1, w} with
     w = sqrt(D/4)         if D = 0 (mod 4),
 
 equivalently w = (t + sqrt(D))/2 where t = D mod 2 is the trace of w.
-Ring operations are exact (Python integers, fractions, guarded int64
-box scans).  Floating point enters only through the real embeddings.
+Ring operations are exact (Python integers and fractions).  Floating
+point enters only through the real embeddings.  The module imports no
+numpy: the int64 box scans over these coordinates live in `orbits`.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
-
-import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 
@@ -389,9 +388,9 @@ class FieldCtx:
 
     elliptic_census is a tuple of (nu, t, count) triples describing the
     conjugacy classes of primitive elliptic pairs with rotation angles
-    (pi/nu, t*pi/nu).  It is computed and certified on first use for
-    D in {5, 8, 12}, the fields with a certified census in modgroup,
-    and is None elsewhere.  euler_char = 2*zeta_K(-1) + sum over classes
+    (pi/nu, t*pi/nu).  It is computed by modgroup and certified on first
+    use for the fields of CENSUS_ORDERS, D in {5, 8, 12}, and is None
+    elsewhere, without importing modgroup.  euler_char = 2*zeta_K(-1) + sum over classes
     of (nu-1)/nu, None without a census.
     """
 
@@ -402,10 +401,10 @@ class FieldCtx:
 
     @functools.cached_property
     def elliptic_census(self) -> Optional[Tuple[Tuple[int, int, int], ...]]:
+        if self.D not in CENSUS_ORDERS:
+            return None
         from . import modgroup  # deferred: modgroup depends on this module
 
-        if self.D not in modgroup.CENSUS_ORDERS:
-            return None
         return modgroup.elliptic_census(self)
 
     @functools.cached_property
@@ -457,6 +456,13 @@ class FieldCtx:
                            f"/{self.euler_char.denominator}"),
         }
 
+
+# certified order multisets: the fields that carry an elliptic census
+CENSUS_ORDERS = {
+    5: (2, 2, 3, 3, 5, 5),
+    8: (2, 2, 3, 3, 4, 4),
+    12: (2, 2, 2, 3, 3, 6),
+}
 
 _FIELD_MEMO: dict = {}
 
@@ -518,56 +524,6 @@ def lattice_points(D: int, bound1: float, bound2: float) -> Iterator[QuadInt]:
     for b, lo, hi in _lattice_ranges(D, bound1, bound2):
         for a in range(lo, hi + 1):
             yield QuadInt(D, a, b)
-
-
-def _box_rows(D: int, bound1: float, bound2: float) -> np.ndarray:
-    """lattice_points(D, bound1, bound2) as an (N, 2) int64 array of
-    coordinate rows (a, b), in the same order."""
-    rows = [np.empty((0, 2), dtype=np.int64)]
-    for b, lo, hi in _lattice_ranges(D, bound1, bound2):
-        a = np.arange(lo, hi + 1, dtype=np.int64)
-        rows.append(np.column_stack([a, np.full_like(a, b)]))
-    return np.concatenate(rows)
-
-
-# entries of one P-by-box block in _factor_pairs
-_FACTOR_BLOCK = 1 << 14
-
-
-def _factor_pairs(P: np.ndarray, box: np.ndarray, D: int, cap1: float,
-                  cap2: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every factorisation P[i] = y*z of a nonzero row of the (M, 2) array
-    P with y a row of box and |embed(z, j)| <= cap_j, as (i, y, z): row
-    indices and (K, 2) coordinate rows, ordered by i, then by y's place
-    in box.  The caller keeps the norms N(P[i]) and the products
-    P * conj(y) inside int64."""
-    t, n = _omega_trace_norm(D)
-    w1, w2 = _embed_consts(D)
-
-    def norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a * a + t * a * b + n * b * b
-    j = np.nonzero(box.any(axis=1))[0]
-    ya, yb = box[j].T
-    ny = norm(ya, yb)
-    rows = np.nonzero(P.any(axis=1))[0]
-    nP = norm(P[rows, 0], P[rows, 1])
-    step = max(1, _FACTOR_BLOCK // max(1, len(j)))
-    out = [np.empty((0, 4), dtype=np.int64)]
-    for s in range(0, len(rows), step):
-        # y | P needs N(y) | N(P): one int64 modulo per pair, and the
-        # coordinates only for the pairs that pass it
-        ri, k = np.nonzero(nP[s:s + step, None] % ny == 0)
-        r = rows[s:s + step][ri]
-        # P * conj(y), conj(y) = (ya + t*yb, -yb)
-        numa, numb = _coord_mul(P[r, 0], P[r, 1], ya[k] + t * yb[k], -yb[k],
-                                t, n)
-        div = (numa % ny[k] == 0) & (numb % ny[k] == 0)
-        r, k, numa, numb = r[div], k[div], numa[div], numb[div]
-        za, zb = numa // ny[k], numb // ny[k]
-        keep = (np.abs(za + zb * w1) <= cap1) & (np.abs(za + zb * w2) <= cap2)
-        out.append(np.column_stack([r, k, za, zb])[keep])
-    i, k, za, zb = np.concatenate(out).T
-    return i, box[j[k]], np.column_stack([za, zb])
 
 
 def canonical_disc(d: QuadInt, F: FieldCtx) -> QuadInt:

@@ -5,11 +5,14 @@ files, and exit codes.  Determinism matters here: rerunning a command
 with the same configuration must give byte-identical output.
 """
 
+import contextlib
 import dataclasses
 import importlib
+import io
 import json
 import os
 import pickle
+import pickletools
 import pkgutil
 import subprocess
 import sys
@@ -19,6 +22,7 @@ import pytest
 
 import hilbert_selberg
 from hilbert_selberg import cli, geodesics, modgroup, quadfield
+from hilbert_selberg.cache import get_or_compute
 from hilbert_selberg.cli import RunConfig, _classes, main
 from hilbert_selberg.errors import BudgetExceededError, InvariantViolation
 from hilbert_selberg.geodesics import GeodesicWindow, enumerate_geodesics
@@ -40,10 +44,11 @@ def _package_env():
 
 
 def test_cli_import_leaves_mpmath_out():
-    # mpmath and scipy are test-only oracles; a fresh interpreter must
-    # load neither
+    # mpmath and scipy are test-only oracles, and numpy is loaded by the
+    # array layers alone; a fresh interpreter must load none of them
     code = ("import sys, hilbert_selberg.cli; "
-            "sys.exit('mpmath' in sys.modules or 'scipy' in sys.modules)")
+            "sys.exit(any(m in sys.modules "
+            "for m in ('mpmath', 'scipy', 'numpy')))")
     proc = subprocess.run([sys.executable, "-c", code], env=_package_env())
     assert proc.returncode == 0
 
@@ -82,6 +87,50 @@ def test_commands_import_only_their_layers(argv):
     assert code == 0
     for name in ("traceform", "zetafun", "integrate", "geodesics"):
         assert f"hilbert_selberg.{name}" not in loaded
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """A cache directory holding the D = 5 window to x = 10."""
+    cache = tmp_path_factory.mktemp("warm")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["geodesics", "--D", "5", "--x", "10",
+                     "--cache-dir", str(cache)]) == 0
+    return cache
+
+
+@pytest.mark.parametrize("argv", [
+    ["pell", "--D", "5"],
+    ["geodesics", "--D", "5", "--x", "10"],
+    ["geodesics", "--D", "5", "--x", "10", "--format", "csv"],
+    ["report", "classavg", "--D", "5", "--x", "8"],
+    ["report", "pgt", "--D", "5", "--x-grid", "5,8"],
+    ["field", "--D", "13"],
+], ids=["pell", "geodesics-json", "geodesics-csv", "report-classavg",
+        "report-pgt", "field-13"])
+def test_exact_commands_run_without_numpy(argv, warm_cache):
+    # a cache hit unpickles records' types and formats them, and a field
+    # without a census builds none: no command here needs an array
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_RUNNER,
+         json.dumps(argv + ["--cache-dir", str(warm_cache)])],
+        env=_package_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    for name in ("numpy", "hilbert_selberg.orbits",
+                 "hilbert_selberg.modgroup"):
+        assert name not in loaded, name
+
+
+@pytest.mark.parametrize("module", ["geodesics", "traceform"])
+def test_array_modules_load_numpy_and_the_search_layers(module):
+    code = (f"import sys, hilbert_selberg.{module}; "
+            "sys.exit(not all(m in sys.modules for m in ("
+            "'numpy', 'hilbert_selberg.orbits', 'hilbert_selberg.modgroup', "
+            "'hilbert_selberg.pellforms')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env())
+    assert proc.returncode == 0
 
 
 def test_exact_layer_leaves_numpy_ma_out():
@@ -485,6 +534,21 @@ def test_wide_gaussian_outruns_the_window(beta, reach, capsys):
         f"at beta={float(beta)} needs norms up to {reach}\n")
 
 
+@pytest.mark.parametrize("mode", [[], ["heatfit"]], ids=["trace", "heatfit"])
+def test_trace_without_a_census_reads_no_window(mode, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    argv = ["trace", *mode, "--D", "13", "--x", "12",
+            "--cache-dir", str(cache)]
+    if not mode:
+        argv += ["--m", "2", "--test", "gaussian:beta=0.1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no elliptic census attached for D=13\n"
+    assert list(cache.iterdir()) == []
+
+
 @pytest.mark.parametrize("mode", ["pgt", "classavg"])
 def test_empty_report_grid_is_refused(mode, capsys, monkeypatch):
     _no_enumeration(monkeypatch)
@@ -534,6 +598,85 @@ def test_out_path_into_missing_directory_is_a_validation_error(tmp_path,
 
 
 # ---------------------------------------------------------------- cache
+
+_ROWS_RUNNER = """
+import sys
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockNumpy())
+from hilbert_selberg.cli import RunConfig, _classes
+from hilbert_selberg.quadfield import make_field
+
+window = _classes(make_field(5), RunConfig(x_max=10.0, cache_dir=sys.argv[1]))
+print(repr(window.coverage))
+for c in window:
+    print(repr(c))
+"""
+
+
+def test_cached_window_round_trips_to_identical_rows(warm_cache):
+    # loaded where numpy cannot be imported, every class of the stored
+    # window, its Pell solution and forms included, reads as enumerated
+    proc = subprocess.run(
+        [sys.executable, "-c", _ROWS_RUNNER, str(warm_cache)],
+        env=_package_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    window = enumerate_geodesics(make_field(5), 10.0)
+    assert proc.stdout.splitlines() == \
+        [repr(window.coverage)] + [repr(c) for c in window]
+
+
+def _pickled_modules(blob: bytes) -> set:
+    """The modules whose names a protocol-4 pickle loads."""
+    memo, pushed, modules = [], [], set()
+    for op, arg, _ in pickletools.genops(blob):
+        if op.name in ("PROTO", "FRAME"):
+            continue
+        if op.name == "MEMOIZE":
+            memo.append(pushed[-1])
+        elif op.name == "STACK_GLOBAL":
+            modules.add(pushed[-2])
+            pushed.append(None)
+        elif op.name == "GLOBAL":
+            modules.add(arg.split()[0])
+            pushed.append(None)
+        elif op.name in ("BINGET", "LONG_BINGET"):
+            pushed.append(memo[arg])
+        else:
+            pushed.append(arg if isinstance(arg, str) else None)
+    return modules
+
+
+def test_cached_window_names_only_numpy_free_modules(warm_cache):
+    entry, = warm_cache.glob("geodesics-*.pkl")
+    assert _pickled_modules(entry.read_bytes()) == {
+        "hilbert_selberg.quadfield", "hilbert_selberg.records"}
+
+
+def test_writers_sharing_a_cache_keep_their_own_temporary_files(
+        tmp_path, monkeypatch):
+    # a second process stores the same entry while the first is writing:
+    # each writes its own file, so the first's bytes stay its own
+    pids = iter([101, 202])
+    monkeypatch.setattr(os, "getpid", lambda: next(pids))
+    dump = pickle.dump
+
+    def dump_while_another_writes(value, fh, **kwargs):
+        if value == "first":
+            get_or_compute("kind", {}, lambda: "second", str(tmp_path))
+        dump(value, fh, **kwargs)
+
+    monkeypatch.setattr(pickle, "dump", dump_while_another_writes)
+    assert get_or_compute("kind", {}, lambda: "first", str(tmp_path)) == \
+        "first"
+    entry, = tmp_path.iterdir()
+    assert pickle.loads(entry.read_bytes()) == "first"
+
 
 def test_cache_round_trip(tmp_path, capsys):
     cache = tmp_path / "cache"

@@ -12,19 +12,22 @@ from hilbert_selberg.modgroup import (
     _normalize_rows,
 )
 from hilbert_selberg.orbits import (height_predicate, unique_rows,
-                                    _row_packer, _to_trace)
+                                    _box_rows, _factor_pairs, _row_packer,
+                                    _to_trace)
 from hilbert_selberg.pellforms import (enumerate_forms, form_orbit,
                                        pell_fundamental, _form_boxes,
                                        _form_neighbors, _matrix_boxes,
                                        _matrix_keys)
 from hilbert_selberg.quadfield import (CLASS_NUMBER_ONE, QuadInt,
-                                       canonical_disc, lattice_points,
-                                       make_field, _omega_trace_norm)
+                                       canonical_disc, fundamental_unit,
+                                       lattice_points, make_field,
+                                       _omega_trace_norm)
 
 from oracles import (capped_bfs_ref, conj_neighbors_ref,
-                     elliptic_candidates_ref, form_neighbors_ref,
-                     height_ok_ref, matrices_with_trace_ref,
-                     normalize_key_ref, partition_ref)
+                     elliptic_candidates_ref, factor_pairs_ref,
+                     form_neighbors_ref, height_ok_ref,
+                     matrices_with_trace_ref, normalize_key_ref,
+                     partition_ref)
 
 
 def elem(D, rows):
@@ -598,6 +601,60 @@ def test_unique_rows_matches_np_unique(width, count, data):
     got, want = unique_rows(rows), np.unique(rows, axis=0)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+def _factor_rows(D):
+    """Rows P: products y*z of small elements, units, rows with a zero
+    coordinate, arbitrary rows and zero rows."""
+    small = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+    def product(yz):
+        (ya, yb), (za, zb) = yz
+        p = QuadInt(D, ya, yb) * QuadInt(D, za, zb)
+        return p.a, p.b
+
+    def unit(ks):
+        sign, k = ks
+        u = fundamental_unit(D) ** k * sign
+        return u.a, u.b
+
+    row = st.one_of(
+        st.tuples(small, small).map(product),
+        st.tuples(st.sampled_from([1, -1]), st.integers(-2, 2)).map(unit),
+        st.tuples(st.integers(-30, 30), st.just(0)),
+        st.tuples(st.just(0), st.integers(-30, 30)),
+        st.tuples(st.integers(-30, 30), st.integers(-30, 30)))
+    return st.lists(row, min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([5, 8, 12, 13, 17, 41]), st.floats(0.1, 60.0),
+       st.floats(0.1, 60.0))
+def test_box_rows_match_lattice_points(D, bound1, bound2):
+    want = [(p.a, p.b) for p in lattice_points(D, bound1, bound2)]
+    got = _box_rows(D, bound1, bound2)
+    assert got.dtype == np.int64 and got.shape == (len(want), 2)
+    assert got.tolist() == [list(p) for p in want]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([5, 8, 12, 13]), st.floats(1.5, 6.0),
+       st.floats(1.5, 6.0), st.floats(1.0, 12.0), st.floats(1.0, 12.0),
+       st.data())
+def test_factor_pairs_matches_quadint_reference(D, b1, b2, cap1, cap2, data):
+    t, _ = _omega_trace_norm(D)
+    box = _box_rows(D, b1, b2)
+    # conj(y) has the norm of y but is in general no multiple of it (on
+    # D = 5, 3 + w = conj(4 - w), both of norm 11, are not associates):
+    # norm collisions that are no divisors
+    conj = [(ya + t * yb, -yb) for ya, yb in
+            data.draw(st.lists(st.sampled_from(box.tolist()), max_size=3))]
+    P = np.array(data.draw(_factor_rows(D)) + conj,
+                 dtype=np.int64).reshape(-1, 2)
+    i, y, z = _factor_pairs(P, box, D, cap1, cap2)
+    got = [(r, *yy, *zz) for r, yy, zz in zip(i.tolist(), y.tolist(),
+                                              z.tolist())]
+    assert got == factor_pairs_ref(P.tolist(), box.tolist(), D, cap1, cap2)
 
 
 @pytest.mark.parametrize("D", [5, 8, 12, 13])

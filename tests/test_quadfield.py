@@ -12,13 +12,11 @@ from hilbert_selberg.quadfield import (
     CLASS_NUMBER_ONE, QuadInt, canonical_disc, chi_D,
     format_quadint, fundamental_unit, is_fundamental_discriminant,
     kronecker, lattice_points, make_field, parse_quadint, sigma1,
-    zeta_minus_one, bernoulli_L_minus_one, _box_rows, _factor_pairs,
-    _omega_trace_norm,
+    zeta_minus_one, bernoulli_L_minus_one, _omega_trace_norm,
 )
 from hilbert_selberg.modgroup import _sign_rows
 
-from oracles import (factor_pairs_ref, kronecker_ref, L_minus_one_ref,
-                     zeta_K_minus_one_ref)
+from oracles import kronecker_ref, L_minus_one_ref, zeta_K_minus_one_ref
 
 
 # frozen from the generalized Bernoulli route (independent oracle)
@@ -238,60 +236,6 @@ class TestCanonicalDiscProperties:
         base = canonical_disc(d, F)
         assert canonical_disc(base, F) == base
         assert canonical_disc(d * (F.eps * F.eps) ** k, F) == base
-
-
-def _factor_rows(D):
-    """Rows P: products y*z of small elements, units, rows with a zero
-    coordinate, arbitrary rows and zero rows."""
-    small = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
-
-    def product(yz):
-        (ya, yb), (za, zb) = yz
-        p = QuadInt(D, ya, yb) * QuadInt(D, za, zb)
-        return p.a, p.b
-
-    def unit(ks):
-        sign, k = ks
-        u = fundamental_unit(D) ** k * sign
-        return u.a, u.b
-
-    row = st.one_of(
-        st.tuples(small, small).map(product),
-        st.tuples(st.sampled_from([1, -1]), st.integers(-2, 2)).map(unit),
-        st.tuples(st.integers(-30, 30), st.just(0)),
-        st.tuples(st.just(0), st.integers(-30, 30)),
-        st.tuples(st.integers(-30, 30), st.integers(-30, 30)))
-    return st.lists(row, min_size=1, max_size=8)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([5, 8, 12, 13, 17, 41]), st.floats(0.1, 60.0),
-       st.floats(0.1, 60.0))
-def test_box_rows_match_lattice_points(D, bound1, bound2):
-    want = [(p.a, p.b) for p in lattice_points(D, bound1, bound2)]
-    got = _box_rows(D, bound1, bound2)
-    assert got.dtype == np.int64 and got.shape == (len(want), 2)
-    assert got.tolist() == [list(p) for p in want]
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([5, 8, 12, 13]), st.floats(1.5, 6.0),
-       st.floats(1.5, 6.0), st.floats(1.0, 12.0), st.floats(1.0, 12.0),
-       st.data())
-def test_factor_pairs_matches_quadint_reference(D, b1, b2, cap1, cap2, data):
-    t, _ = _omega_trace_norm(D)
-    box = _box_rows(D, b1, b2)
-    # conj(y) has the norm of y but is in general no multiple of it (on
-    # D = 5, 3 + w = conj(4 - w), both of norm 11, are not associates):
-    # norm collisions that are no divisors
-    conj = [(ya + t * yb, -yb) for ya, yb in
-            data.draw(st.lists(st.sampled_from(box.tolist()), max_size=3))]
-    P = np.array(data.draw(_factor_rows(D)) + conj,
-                 dtype=np.int64).reshape(-1, 2)
-    i, y, z = _factor_pairs(P, box, D, cap1, cap2)
-    got = [(r, *yy, *zz) for r, yy, zz in zip(i.tolist(), y.tolist(),
-                                              z.tolist())]
-    assert got == factor_pairs_ref(P.tolist(), box.tolist(), D, cap1, cap2)
 
 
 @functools.lru_cache(maxsize=None)
