@@ -7,8 +7,9 @@ their main terms on a growing ladder.
 
 import math
 
-from hilbert_selberg.geodesics import enumerate_geodesics, pgt_report
+from hilbert_selberg.geodesics import enumerate_geodesics
 from hilbert_selberg.quadfield import make_field
+from hilbert_selberg.records import count_reports
 
 F = make_field(5)
 classes = enumerate_geodesics(F, 10.0)
@@ -23,7 +24,9 @@ print("   ...\n")
 print("counting ladder (ratios -> 1 is the analog prime geodesic trend)")
 print(f"{'x':>5}  {'psi':>10}  {'2x^2':>10}  {'ratio':>6}    "
       f"{'pi':>5}  {'2 li(x^2)':>10}  {'ratio':>6}")
-for r in pgt_report(F, [5.0, 10.0, 15.0, 20.0]):
+for r in count_reports([5.0, 10.0, 15.0, 20.0],
+                       lambda x: enumerate_geodesics(F, x),
+                       geodesic_scale=True):
     res = r.residuals
     print(f"{r.x:>5.0f}  {r.psi_sum:>10.2f}  {res['psi_main']:>10.2f}  "
           f"{res['psi_ratio']:>6.3f}    {r.pi_sum:>5}  "

@@ -1,5 +1,5 @@
-"""Primitive hyperbolic-elliptic classes ordered by norm, with
-prime-geodesic and class-number-average count reports.
+"""Enumeration of the primitive hyperbolic-elliptic classes up to a norm
+bound.
 
 A class of norm eps^2 and rotation angle w0 has a trace t0 whose
 embeddings are eps + 1/eps and 2*cos(w0), so everything with eps <= x
@@ -9,24 +9,19 @@ t^2 - 4 and every mixed-sign quotient is a candidate discriminant.
 The Pell step recovers the true fundamental solution, which may be
 smaller than the (t, u) pair that produced the candidate.
 
-The class and window types and the count reports' core live in
-`records`, which imports no numpy; this module re-exports them.
+The class and window types it returns, and the count reports read off
+a window, live in `records`.
 """
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import BudgetExceededError
 from .pellforms import class_number, in_Dpm, pell_fundamental
 from .quadfield import FieldCtx, QuadInt, canonical_disc, lattice_points
-from .records import (CountReport, GeodesicClass, GeodesicWindow, PowerGrid,
-                      count_reports, _class_order, _eps_limit)
+from .records import GeodesicClass, GeodesicWindow, _class_order, _eps_limit
 
-__all__ = [
-    "GeodesicClass", "GeodesicWindow", "PowerGrid", "CountReport",
-    "square_divisor_quotients", "enumerate_geodesics", "pgt_report",
-    "class_average_report",
-]
+__all__ = ["square_divisor_quotients", "enumerate_geodesics"]
 
 
 def square_divisor_quotients(P: QuadInt, F: FieldCtx) -> List[QuadInt]:
@@ -99,39 +94,3 @@ def enumerate_geodesics(F: FieldCtx, x: float, height: float = 8.0,
         exc.incomplete = True
         raise
     return GeodesicWindow(classes)
-
-
-
-
-def _window(F: FieldCtx, height: float, classes: Optional[GeodesicWindow]
-            ) -> Callable[[float], GeodesicWindow]:
-    """The window a report reads: classes when given, which must be
-    enumerated to at least the largest cutoff, else that enumeration."""
-    if classes is not None:
-        return lambda x: classes
-    return lambda x: enumerate_geodesics(F, x, height=height)
-
-
-def pgt_report(F: FieldCtx, x_grid: Sequence[float], height: float = 8.0,
-               classes: Optional[GeodesicWindow] = None
-               ) -> List[CountReport]:
-    """Geodesic-side counts on a grid: psi_sum = sum h(d) log N(p)
-    over N(p) <= x^2, against main term 2x^2; pi_sum against 2 li(x^2).
-
-    classes, when given, must be enumerated to at least the largest x;
-    otherwise they are enumerated here."""
-    return count_reports(x_grid, _window(F, height, classes),
-                         geodesic_scale=True)
-
-
-def class_average_report(F: FieldCtx, x: float, height: float = 8.0,
-                         classes: Optional[GeodesicWindow] = None
-                         ) -> CountReport:
-    """Discriminant-side counts: psi_sum = sum h(d) log eps(d) over
-    eps(d) <= x, against main term x^2; pi_sum against 2 li(x^2).
-
-    classes, when given, must be enumerated to at least x; otherwise
-    they are enumerated here."""
-    report, = count_reports([x], _window(F, height, classes),
-                            geodesic_scale=False)
-    return report

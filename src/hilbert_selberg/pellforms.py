@@ -15,8 +15,7 @@ gcd element is ever needed, so there is no division step to stall and
 no search.
 
 The records returned here, FormOverOK, PellSolution and
-DiscriminantRecord, live in `records`, which imports no numpy; this
-module re-exports them.
+DiscriminantRecord, live in `records`.
 """
 
 import math
@@ -34,9 +33,8 @@ from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
 from .records import DiscriminantRecord, FormOverOK, PellSolution
 
 __all__ = [
-    "FormOverOK", "PellSolution", "DiscriminantRecord", "content_norm",
-    "in_Dpm", "pell_fundamental", "class_number", "form_to_matrix",
-    "enumerate_forms",
+    "content_norm", "in_Dpm", "pell_fundamental", "class_number",
+    "form_to_matrix", "enumerate_forms",
 ]
 
 

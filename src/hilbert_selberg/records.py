@@ -329,18 +329,17 @@ class GeodesicWindow(Sequence[GeodesicClass]):
 
 @dataclass(frozen=True)
 class CountReport:
-    """Counting sums at a cutoff x, with the smooth main terms.
+    """Counting sums at a cutoff x, against their smooth main terms.
 
-    main_terms is (x^2, 2*li(x^2)).  The named entries in residuals
-    record which main term each sum was compared against; secondary
-    terms from small eigenvalues are not modelled, so residuals are
-    informational rather than asserted.
+    residuals holds each main term (psi_main, pi_main) with the
+    difference and ratio of its sum to it; secondary terms from small
+    eigenvalues are not modelled, so residuals are informational rather
+    than asserted.
     """
 
     x: float
     psi_sum: float
     pi_sum: int
-    main_terms: Tuple[float, float]
     residuals: Dict[str, float]
 
 
@@ -361,8 +360,7 @@ def _report(x: float, classes: Sequence[GeodesicClass],
         "pi_resid": pi_sum - li_main,
         "pi_ratio": pi_sum / li_main if li_main != 0.0 else math.inf,
     }
-    return CountReport(x=x, psi_sum=psi, pi_sum=pi_sum,
-                       main_terms=(X, li_main), residuals=residuals)
+    return CountReport(x=x, psi_sum=psi, pi_sum=pi_sum, residuals=residuals)
 
 
 def count_reports(x_grid: Iterable[float],

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import integrate
 from .errors import InvariantViolation, ValidationError
-from .geodesics import GeodesicWindow
 from .quadfield import FieldCtx
+from .records import GeodesicWindow
 from .specfun import digamma
 from .zetafun import ZetaParams, alpha_table, selberg_log_deriv
 
@@ -349,7 +349,9 @@ def _geom_sides(m: int, tfs: Sequence[TestFunctionPair], F: FieldCtx,
     all of them is one component of a single half-line quadrature
     (_side_integrals), each meeting its own tolerance.  The difference
     (single) scales the identity and HE tail by (m - 1)/2, the double
-    difference by 1."""
+    difference by 1.  A field without an elliptic census is refused
+    before the arguments and the window are checked."""
+    F.census_classes()
     if m % 2:
         raise ValidationError(f"weight m={m} must be even")
     for tf in tfs:

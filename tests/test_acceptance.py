@@ -17,13 +17,14 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from hilbert_selberg.geodesics import enumerate_geodesics, pgt_report
+from hilbert_selberg.geodesics import enumerate_geodesics
 from hilbert_selberg.modgroup import classify, elliptic_census
 from hilbert_selberg.pellforms import (class_number, form_to_matrix,
                                        in_Dpm)
 from hilbert_selberg.quadfield import (QuadInt, bernoulli_L_minus_one,
                                        canonical_disc, lattice_points,
                                        make_field, zeta_minus_one)
+from hilbert_selberg.records import count_reports
 from hilbert_selberg.specfun import digamma, loggamma2
 from hilbert_selberg.traceform import (gaussian_testfunction,
                                        geom_side_double_difference,
@@ -165,7 +166,7 @@ def test_class_number_cross_check():
 
 def test_reflection_and_ladder_identities():
     F = make_field(5)
-    report = fe_identity_checks(F, n_points=20, tol=1e-8, nus=(2, 3, 5, 6))
+    report = fe_identity_checks(F, nus=(2, 3, 5, 6))
     ok = max(report["xi_max_err"], report["gnu_ratio_max_err"]) <= 1e-8
 
     rng = random.Random(51234)
@@ -285,7 +286,9 @@ def test_heat_coefficient_fit(d5):
 def test_count_ratio_trend():
     t0 = time.time()
     F = make_field(5)
-    reports = pgt_report(F, [5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+    reports = count_reports([5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
+                            lambda x: enumerate_geodesics(F, x),
+                            geodesic_scale=True)
     pi_ratios = [r.residuals["pi_ratio"] for r in reports]
     psi_ratios = [r.residuals["psi_ratio"] for r in reports]
 

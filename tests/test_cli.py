@@ -25,8 +25,9 @@ from hilbert_selberg import cli, geodesics, modgroup, quadfield
 from hilbert_selberg.cache import get_or_compute
 from hilbert_selberg.cli import RunConfig, _classes, main
 from hilbert_selberg.errors import BudgetExceededError, InvariantViolation
-from hilbert_selberg.geodesics import GeodesicWindow, enumerate_geodesics
+from hilbert_selberg.geodesics import enumerate_geodesics
 from hilbert_selberg.quadfield import make_field
+from hilbert_selberg.records import GeodesicWindow
 
 
 def run_cli(capsys, *argv):
@@ -123,14 +124,42 @@ def test_exact_commands_run_without_numpy(argv, warm_cache):
         assert name not in loaded, name
 
 
-@pytest.mark.parametrize("module", ["geodesics", "traceform"])
+_SEARCH_LAYERS = tuple(f"hilbert_selberg.{name}" for name in (
+    "geodesics", "pellforms", "orbits", "modgroup"))
+
+
+@pytest.mark.parametrize("module", ["geodesics"])
 def test_array_modules_load_numpy_and_the_search_layers(module):
     code = (f"import sys, hilbert_selberg.{module}; "
-            "sys.exit(not all(m in sys.modules for m in ("
-            "'numpy', 'hilbert_selberg.orbits', 'hilbert_selberg.modgroup', "
-            "'hilbert_selberg.pellforms')))")
+            f"sys.exit(not all(m in sys.modules for m in {_SEARCH_LAYERS!r} "
+            "+ ('numpy',)))")
     proc = subprocess.run([sys.executable, "-c", code], env=_package_env())
     assert proc.returncode == 0
+
+
+def test_analytic_modules_load_numpy_and_no_search_layer():
+    # zetafun and traceform take the window from records
+    code = ("import json, sys, hilbert_selberg.zetafun, "
+            "hilbert_selberg.traceform; print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "numpy" in loaded
+    assert [m for m in _SEARCH_LAYERS if m in loaded] == []
+
+
+def test_zeta_on_a_cache_hit_loads_no_search_layer(warm_cache):
+    argv = ["zeta", "--D", "5", "--m", "4", "--s", "2.0+0.5i",
+            "--cache-dir", str(warm_cache)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_RUNNER, json.dumps(argv)],
+        env=_package_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert "numpy" in loaded
+    assert [m for m in _SEARCH_LAYERS if m in loaded] == []
 
 
 def test_exact_layer_leaves_numpy_ma_out():
@@ -810,6 +839,19 @@ def test_check_failing_row_exits_3(capsys, monkeypatch):
     code, out = run_cli(capsys, "check", "--D", "5")
     assert code == 3
     assert out == f"FAIL  {'exact constants':24s} row broken\n"
+
+
+def test_check_heat_row_names_the_missing_census(capsys, monkeypatch,
+                                                 tmp_path):
+    # the x = 8 window is too narrow for the widest Gaussian, but the
+    # field's missing census is what the row reports
+    rows = [row for row in cli._CHECKS if row[0] == "heat asymptotics"]
+    monkeypatch.setattr(cli, "_CHECKS", rows)
+    code, out = run_cli(capsys, "check", "--D", "13", "--x", "8",
+                        "--cache-dir", str(tmp_path))
+    assert code == 3
+    assert out == (f"FAIL  {'heat asymptotics':24s} "
+                   "no elliptic census attached for D=13\n")
 
 
 def test_check_window_failure_fails_each_row(capsys, monkeypatch):

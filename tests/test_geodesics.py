@@ -6,11 +6,11 @@ import pytest
 
 from hilbert_selberg import pellforms
 from hilbert_selberg.errors import ValidationError
-from hilbert_selberg.geodesics import (GeodesicWindow, class_average_report,
-                                       enumerate_geodesics, pgt_report,
+from hilbert_selberg.geodesics import (enumerate_geodesics,
                                        square_divisor_quotients)
 from hilbert_selberg.pellforms import content_norm, form_to_matrix
 from hilbert_selberg.quadfield import QuadInt, make_field
+from hilbert_selberg.records import GeodesicWindow, count_reports
 from hilbert_selberg.specfun import li
 
 # D=5, eps <= 10, ordered by norm; (d coords, multiplicity) frozen after
@@ -164,22 +164,30 @@ def test_within_equals_enumeration(window10, x):
         window10.within(0.5)
 
 
+def _enumerated(F):
+    """The window count_reports reads, enumerated to the largest cutoff."""
+    return lambda x: enumerate_geodesics(F, x)
+
+
 def test_reports_take_a_window(d5_x10):
     F, cls = d5_x10
-    assert class_average_report(F, 8.0, classes=cls.within(8.0)) == \
-        class_average_report(F, 8.0)
-    assert pgt_report(F, [5.0, 8.0], classes=cls.within(8.0)) == \
-        pgt_report(F, [5.0, 8.0])
+    for scale, grid in ((False, [8.0]), (True, [5.0, 8.0])):
+        assert count_reports(grid, cls.within, scale) == \
+            count_reports(grid, _enumerated(F), scale)
 
 
 def test_cutoff_validation():
     F = make_field(5)
     with pytest.raises(ValidationError):
         enumerate_geodesics(F, 0.5)
-    with pytest.raises(ValidationError):
-        class_average_report(F, 1.0)
-    with pytest.raises(ValidationError):
-        pgt_report(F, [1.0, 5.0])
+
+    def unread(x):
+        raise AssertionError("window read before the grid was checked")
+
+    with pytest.raises(ValidationError, match="report cutoff needs x > 1"):
+        count_reports([1.0], unread, geodesic_scale=False)
+    with pytest.raises(ValidationError, match="report grid needs x > 1"):
+        count_reports([1.0, 5.0], unread, geodesic_scale=True)
 
 
 def test_square_divisor_quotients():
@@ -207,13 +215,13 @@ def test_square_divisor_classes_found_d8():
 
 def test_reports_consistent(d5_x10):
     F, cls = d5_x10
-    rep = pgt_report(F, [5.0, 10.0])
-    avg = class_average_report(F, 10.0)
+    rep = count_reports([5.0, 10.0], _enumerated(F), geodesic_scale=True)
+    avg, = count_reports([10.0], _enumerated(F), geodesic_scale=False)
     assert avg.psi_sum * 2 == rep[1].psi_sum
     assert avg.pi_sum == rep[1].pi_sum == 48
     X = 100.0
-    assert rep[1].main_terms == (X, 2.0 * li(X))
-    assert avg.main_terms == (X, 2.0 * li(X))
+    assert rep[1].residuals["pi_main"] == 2.0 * li(X)
+    assert avg.residuals["pi_main"] == 2.0 * li(X)
     assert rep[1].residuals["psi_main"] == 2.0 * X
     assert avg.residuals["psi_main"] == X
     # psi recomputed from the class list
@@ -224,7 +232,7 @@ def test_reports_consistent(d5_x10):
 def test_report_sums_monotone():
     F = make_field(5)
     grid = [3.0, 5.0, 8.0, 10.0]
-    reps = pgt_report(F, grid)
+    reps = count_reports(grid, _enumerated(F), geodesic_scale=True)
     for a, b in zip(reps, reps[1:]):
         assert a.psi_sum <= b.psi_sum
         assert a.pi_sum <= b.pi_sum
@@ -232,6 +240,6 @@ def test_report_sums_monotone():
 
 def test_report_below_first_geodesic_pure_residual():
     F = make_field(5)
-    rep = pgt_report(F, [2.0])[0]
+    rep, = count_reports([2.0], _enumerated(F), geodesic_scale=True)
     assert rep.psi_sum == 0.0 and rep.pi_sum == 0
     assert rep.residuals["pi_resid"] == pytest.approx(-2.0 * li(4.0))

@@ -15,16 +15,16 @@ from hilbert_selberg.geodesics import enumerate_geodesics
 from hilbert_selberg.modgroup import (GroupElem, classify,
                                       _matrices_with_trace)
 from hilbert_selberg.orbits import capped_bfs
-from hilbert_selberg.pellforms import (FormOverOK, class_number,
-                                       content_norm, enumerate_forms,
-                                       form_to_matrix, in_Dpm,
-                                       pell_fundamental, _content_norm_rows,
-                                       _form_boxes, _matrix_boxes,
-                                       _matrix_keys)
+from hilbert_selberg.pellforms import (class_number, content_norm,
+                                       enumerate_forms, form_to_matrix,
+                                       in_Dpm, pell_fundamental,
+                                       _content_norm_rows, _form_boxes,
+                                       _matrix_boxes, _matrix_keys)
 from hilbert_selberg.quadfield import (CLASS_NUMBER_ONE, QuadInt,
                                        canonical_disc, fundamental_unit,
                                        lattice_points, make_field,
                                        _omega_trace_norm)
+from hilbert_selberg.records import FormOverOK
 
 from oracles import (gcd_coords_ref, ideal_index_ref, matrix_filter_ref,
                      primitive_forms_ref)

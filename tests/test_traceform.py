@@ -7,8 +7,9 @@ import pytest
 import scipy.integrate as integrate
 
 from hilbert_selberg.errors import InvariantViolation, ValidationError
-from hilbert_selberg.geodesics import GeodesicWindow, enumerate_geodesics
+from hilbert_selberg.geodesics import enumerate_geodesics
 from hilbert_selberg.quadfield import make_field
+from hilbert_selberg.records import GeodesicWindow
 from hilbert_selberg.traceform import (
     GeomSideBreakdown,
     _geom_sides,
@@ -394,6 +395,18 @@ def test_heat_grid_names_the_first_under_covered_beta(d5):
     with pytest.raises(ValidationError) as info:
         heat_asymptotic_check(F, grid, thin)
     assert str(info.value) == want
+
+
+def test_missing_census_is_named_before_the_window():
+    # the empty window is too narrow for every Gaussian; the field's
+    # missing census is what gets reported
+    F = make_field(13)
+    empty = GeodesicWindow([])
+    want = r"^no elliptic census attached for D=13$"
+    with pytest.raises(ValidationError, match=want):
+        heat_asymptotic_check(F, (0.2, 0.1, 0.05, 0.025), empty)
+    with pytest.raises(ValidationError, match=want):
+        geom_side_difference(4, gaussian_testfunction(0.1), F, empty)
 
 
 def test_breakdown_json_shape(d5):

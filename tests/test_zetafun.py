@@ -18,8 +18,9 @@ import pytest
 from hilbert_selberg import cache
 from hilbert_selberg.cache import get_or_compute
 from hilbert_selberg.errors import ValidationError
-from hilbert_selberg.geodesics import GeodesicWindow, enumerate_geodesics
+from hilbert_selberg.geodesics import enumerate_geodesics
 from hilbert_selberg.quadfield import make_field
+from hilbert_selberg.records import GeodesicWindow
 from hilbert_selberg.zetafun import (ZetaParams, alpha_table,
                                      divisor_ledger, fe_identity_checks,
                                      residue_point_order, ruelle,
@@ -293,7 +294,7 @@ def test_completed_factors_weight_two(d5):
 
 def test_fe_identity_checks(d5):
     F, _ = d5
-    report = fe_identity_checks(F, n_points=20, nus=(2, 3, 5, 6))
+    report = fe_identity_checks(F, nus=(2, 3, 5, 6))
     assert report["xi_max_err"] <= 1e-8
     assert report["gnu_ratio_max_err"] <= 1e-8
 
