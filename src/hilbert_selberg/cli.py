@@ -255,8 +255,9 @@ def _cmd_geodesics(cfg: RunConfig, args) -> int:
 
 
 def _cmd_zeta(cfg: RunConfig, args) -> int:
-    from .zetafun import ZetaParams, selberg_zeta
+    from .zetafun import ZetaParams, check_weight, selberg_zeta
     s = _parse_complex(args.s)  # refused before any enumeration
+    check_weight(args.m)
     F = make_field(cfg.D)
     classes = _classes(F, cfg)
     cov = classes.coverage
@@ -313,10 +314,12 @@ def _parse_testfunction(text: str):
 def _cmd_trace(cfg: RunConfig, args) -> int:
     if args.mode == "heatfit":
         return _cmd_heatfit(cfg, args)
-    from .traceform import geom_side_difference, geom_side_double_difference
+    from .traceform import (check_trace_args, geom_side_difference,
+                            geom_side_double_difference)
     tf = _parse_testfunction(args.test)
     F = make_field(cfg.D)
     F.census_classes()  # a field without a census is refused unread
+    check_trace_args(args.m, [tf])
     classes = _classes(F, cfg)
     evaluator = (geom_side_difference if args.single
                  else geom_side_double_difference)
@@ -331,14 +334,14 @@ def _cmd_trace(cfg: RunConfig, args) -> int:
 
 
 def _cmd_heatfit(cfg: RunConfig, args) -> int:
-    from .traceform import heat_asymptotic_check
-    betas = _parse_numbers(args.betas, "beta") if args.betas else cfg.beta_grid
+    from .traceform import heat_asymptotic_check, heat_grid
+    betas = (cfg.beta_grid if args.betas is None
+             else _parse_numbers(args.betas, "beta"))
     F = make_field(cfg.D)
     F.census_classes()  # a field without a census is refused unread
+    heat_grid(betas)
     classes = _classes(F, cfg)
     report = heat_asymptotic_check(F, betas, classes)
-    report["beta_grid"] = list(report["beta_grid"])
-    report["removed_families"] = list(report["removed_families"])
     report["D"] = cfg.D
     _emit_json(report, cfg)
     return 0
@@ -408,8 +411,7 @@ def _check_leading_terms(cfg: RunConfig, window) -> str:
 def _check_class_numbers(cfg: RunConfig, window) -> str:
     from .modgroup import classify
     from .pellforms import form_to_matrix
-    F = make_field(cfg.D)
-    classes = _classes(F, cfg, min(cfg.x_max, 8.0))
+    classes = window().within(min(cfg.x_max, 8.0))
     assert classes, "no classes enumerated"
     for c in classes:
         g = form_to_matrix(c.record.forms[0], c.record.pell)
@@ -493,10 +495,12 @@ def _check_truncation_stability(cfg: RunConfig, window) -> str:
     a = selberg_zeta(p, classes)
     b = selberg_zeta(dataclasses.replace(p, trunc_k=16), classes)
     assert abs(a.value - b.value) <= a.tail_bound, (a, b)
+    # a fresh x = 6 window against its cut from the shared one
     again = enumerate_geodesics(F, 6.0, height=cfg.height)
-    twice = enumerate_geodesics(F, 6.0, height=cfg.height)
+    base = (classes.within(6.0) if cfg.x_max >= 6.0
+            else enumerate_geodesics(F, 6.0, height=cfg.height))
     assert [(c.d.a, c.d.b, c.multiplicity) for c in again] == \
-        [(c.d.a, c.d.b, c.multiplicity) for c in twice]
+        [(c.d.a, c.d.b, c.multiplicity) for c in base]
     return "depth doubling within tails; integer outputs reproducible"
 
 

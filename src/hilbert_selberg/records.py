@@ -173,6 +173,18 @@ class PowerGrid(NamedTuple):
     phase: np.ndarray
     weight: np.ndarray
 
+    def prefix(self, n: int, m: int = 2
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first n classes' exponents, phases and weights, each
+        weight times the weight-m factor cos((m-2) * phase)."""
+        g = self.stops[n]
+        w, phase = self.weight[:g], self.phase[:g]
+        if m != 2:  # else every cosine is 1
+            import numpy as np
+
+            w = w * np.cos((m - 2) * phase)
+        return self.exponent[:g], phase, w
+
 
 @dataclass(frozen=True, init=False)
 class GeodesicWindow(Sequence[GeodesicClass]):
@@ -281,6 +293,16 @@ class GeodesicWindow(Sequence[GeodesicClass]):
         that is N^-(L sigma) / ((1 - 1/N)(1 - N^-sigma)) of the leading
         size, which is below N^-L / (1 - 1/N)^2 as sigma > 1, and that
         is at most 2^-60 by the choice of L.
+
+        The trace formulas' HE sums read the same grid.  Their term l,
+        (h/2) ln N g1(l ln N) / (N^(l/2) - N^-(l/2)) times a cosine
+        factor of modulus <= 2 or a Chebyshev ratio of modulus
+        <= |m - 1|, is at most that factor times C/2 times term l of
+        the derivative's bound at sigma = kappa + 1/2 > 1 whenever
+        |g1(u)| <= C e^(-kappa u) with kappa > 1/2.  So the same L
+        leaves out less than 2^-60 of C (h/2) ln N N^-(kappa+1/2) times
+        the factor.  Rational pairs are refused at kappa - 1/2 <= 0.01;
+        a Gaussian has every kappa, with C = g1(0) e^(kappa^2 beta).
         """
         import numpy as np
 

@@ -3,13 +3,13 @@
 Two test-function families are supported: heat Gaussians and the
 three-pole rational pair built from (s, beta1, beta2).  The evaluators
 return a per-family breakdown whose total is the plain ordered sum of
-the parts.  HE sums run over a GeodesicWindow's classes and their prime
-powers to the depth where the transform is machine-negligible, and the
-unit-factor series stops at a geometric tail bound.  Every integral is
-taken over the whole half-line [0, inf), with no range cutoff: the
-identity integral, the elliptic integrals (whose even test function
-folds the real line onto the half-line) and the HE tail past the
-window's coverage.  All of them, for every test function of a call
+the parts.  HE sums run over the (class, power) terms of the window's
+power grid, whose cut is proven for every test function decaying
+faster than e^{-u/2}, and the unit-factor series stops at a geometric
+tail bound.  Every integral is taken over the whole half-line
+[0, inf), with no range cutoff: the identity integral, the elliptic
+integrals (whose even test function folds the real line onto the
+half-line) and the HE tail past the window's coverage.  All of them, for every test function of a call
 (the heat fit's beta grid), are the components of one vector-valued
 quadrature on one adaptive mesh, each meeting its own tolerance.
 Closed-form twins (digamma sums, log-derivative values, geometric unit
@@ -46,9 +46,9 @@ class TestFunctionPair:
     g1 is the Fourier transform of h1 normalized so that
     h1(r) = integral of g1(u) e^{iru} du.  Both are numpy expressions
     that take a scalar or an array and return a value of the same
-    shape.  metadata carries the decay certificates the evaluators
-    use to place cutoffs: u_cut is the point beyond which g1 is
-    machine-negligible.
+    shape.  metadata carries the family's parameters; a rational
+    pair's kappa is the rate of g1's exponential decay, which the
+    evaluators check against the HE tail integral.
     """
 
     kind: str
@@ -72,9 +72,8 @@ def gaussian_testfunction(beta: float) -> TestFunctionPair:
         u = np.asarray(u, dtype=float)
         return norm * np.exp(-u * u / (4.0 * beta))
 
-    u_cut = math.sqrt(4.0 * beta * 46.0) + 6.0
     return TestFunctionPair(kind="gaussian", h1=h1, g1=g1,
-                            metadata={"beta": beta, "u_cut": u_cut})
+                            metadata={"beta": beta})
 
 
 def rational_testfunction(s: complex, beta1: float,
@@ -114,8 +113,7 @@ def rational_testfunction(s: complex, beta1: float,
     return TestFunctionPair(
         kind="rational", h1=h1, g1=g1,
         metadata={"s": s, "beta1": beta1, "beta2": beta2,
-                  "c1": c1, "c2": c2, "kappa": kappa,
-                  "u_cut": 48.0 / kappa})
+                  "c1": c1, "c2": c2, "kappa": kappa})
 
 
 # ------------------------------------------------------------ breakdown type
@@ -148,11 +146,6 @@ class GeomSideBreakdown:
         }
 
 
-def _ordered_total(idn: complex, ell: complex, he: complex,
-                   par: complex, eps: complex) -> complex:
-    return (((idn + ell) + he) + par) + eps
-
-
 # ------------------------------------------------------------ quadrature
 
 def _side_integrals(tfs: Sequence[TestFunctionPair], F: FieldCtx,
@@ -182,13 +175,6 @@ def _side_integrals(tfs: Sequence[TestFunctionPair], F: FieldCtx,
     the elliptic integrals as (nu, ell) -> (integral, error), and the
     count-model bound on the classes past the coverage.
     """
-    for tf in tfs:
-        # the HE tail's integrand decays like e^{-(kappa - 1/2) x}
-        kappa = tf.metadata.get("kappa")
-        if kappa is not None and kappa - 0.5 <= 0.01:
-            raise ValidationError(
-                "rational pair decays too slowly for the HE tail "
-                f"integral (kappa={kappa})")
     n = len(tfs)
     keys = sorted({(nu, ell) for nu, _ in F.census_classes()
                    for ell in range(1, nu)})
@@ -232,15 +218,28 @@ def _side_integrals(tfs: Sequence[TestFunctionPair], F: FieldCtx,
 
 # ------------------------------------------------------------ shared pieces
 
+def check_trace_args(m: int, tfs: Sequence[TestFunctionPair]) -> None:
+    """Refuse what no window mends: an odd weight, and a rational pair
+    whose HE tail integrand e^{-(kappa - 1/2) x} decays too slowly."""
+    if m % 2:
+        raise ValidationError(f"weight m={m} must be even")
+    for tf in tfs:
+        kappa = tf.metadata.get("kappa")
+        if kappa is not None and kappa - 0.5 <= 0.01:
+            raise ValidationError(
+                "rational pair decays too slowly for the HE tail "
+                f"integral (kappa={kappa})")
+
+
 def _check_gaussian_window(tf: TestFunctionPair, cov: float) -> None:
     if tf.kind != "gaussian":
         return
     beta = float(tf.metadata["beta"])
     floor = 1e-10 * math.sqrt(4.0 * math.pi * beta)
     # a g1 below the floor everywhere still weighs a class count that
-    # grows like N / log N, so the window must then reach the cut itself
+    # grows like N / log N, so the window must then reach e^-46 of g1(0)
     u_req = (math.sqrt(4.0 * beta * math.log(1.0 / floor)) if floor < 1.0
-             else float(tf.metadata["u_cut"]))
+             else math.sqrt(4.0 * beta * 46.0) + 6.0)
     try:
         needed = math.exp(u_req)
         reach = (f"{needed:.6g}; enumerate geodesics to "
@@ -254,34 +253,29 @@ def _check_gaussian_window(tf: TestFunctionPair, cov: float) -> None:
             f"at beta={beta} needs norms up to {reach}")
 
 
-def _hyp_ell_sum(m: int, tf: TestFunctionPair, classes: GeodesicWindow,
-                 single: bool) -> complex:
-    """HE class/power sum; classes pair with inverses, so phases fold
-    to cosines (double difference) or Chebyshev ratios (difference)."""
-    u_cut = float(tf.metadata["u_cut"])
-    n = classes.count_upto(classes.coverage)
-    if n == 0:
-        return 0.0 + 0.0j
-    # (class, power) pairs with ell * log N <= u_cut, in class order and
-    # then power order
-    powers = np.arange(1, math.floor(u_cut / classes.log_norms[0]) + 2)
-    row, col = np.nonzero(powers * classes.log_norms[:n, None] <= u_cut)
-    ell = powers[col]
-    norm, log_n = classes.norms[row], classes.log_norms[row]
-    w = log_n / (norm ** (ell / 2.0) - norm ** (-ell / 2.0))
-    lam = ell * classes.angles[row]
+def _hyp_ell_sums(m: int, tfs: Sequence[TestFunctionPair],
+                  classes: GeodesicWindow, single: bool) -> List[complex]:
+    """Each test function's HE sum over the window's power grid, one
+    coefficient vector for all.  The term (h/2) ln N / (N^{l/2} -
+    N^{-l/2}) at a = l ln N is 0.5 a w e^{-a/2} in the grid weight w;
+    inverse pairs fold the phases to -2 cos(l (m-2) angle) (double
+    difference) or -sin(l (m-1) angle)/sin(l angle) (difference)."""
+    grid = classes.power_grid
+    a, phase, w = grid.prefix(classes.count_upto(classes.coverage),
+                              2 if single else m)
+    coef = -a * w * np.exp(-0.5 * a)
     if single:
-        sl = np.sin(lam)
+        sl = np.sin(phase)
         bad = np.flatnonzero(np.abs(sl) < 1e-9)
         if bad.size:
-            d = classes[row[bad[0]]].d
+            i = int(bad[0])
+            row = int(np.searchsorted(grid.stops, i, side="right")) - 1
+            d = classes[row].d
             raise InvariantViolation(
                 f"degenerate power angle at d=({d.a},{d.b}), "
-                f"l={ell[bad[0]]}")
-        osc = -np.sin((m - 1) * lam) / sl
-    else:
-        osc = -2.0 * np.cos((m - 2) * lam)
-    return complex(np.dot(classes.halves[row] * w * osc, tf.g1(ell * log_n)))
+                f"l={i - grid.stops[row] + 1}")
+        coef *= 0.5 * np.sin((m - 1) * phase) / sl
+    return [complex(np.dot(coef, tf.g1(a))) for tf in tfs]
 
 
 def _eps_series(m: int, tf: TestFunctionPair, F: FieldCtx, single: bool,
@@ -352,19 +346,18 @@ def _geom_sides(m: int, tfs: Sequence[TestFunctionPair], F: FieldCtx,
     difference by 1.  A field without an elliptic census is refused
     before the arguments and the window are checked."""
     F.census_classes()
-    if m % 2:
-        raise ValidationError(f"weight m={m} must be even")
+    check_trace_args(m, tfs)
     for tf in tfs:
         _check_gaussian_window(tf, classes.coverage)
     scale = (m - 1) * 0.5 if single else 1.0
 
     id_ints, id_errs, ell_quads, he_tails = _side_integrals(tfs, F, classes)
+    hyp_ells = _hyp_ell_sums(m, tfs, classes, single)
     sides = []
-    for tf, id_int, id_err, ell_quad, he_tail in zip(
-            tfs, id_ints, id_errs, ell_quads, he_tails):
+    for tf, id_int, id_err, ell_quad, he_tail, hyp_ell in zip(
+            tfs, id_ints, id_errs, ell_quads, he_tails, hyp_ells):
         identity = scale * float(F.zeta_minus_one) * complex(id_int)
         elliptic, ell_err = _elliptic_sum(m, ell_quad, F, single)
-        hyp_ell = _hyp_ell_sum(m, tf, classes, single)
         g0 = complex(tf.g1(0.0))
         par = (-_sgn(m - 1) * F.regulator * g0 if single else
                -F.regulator * g0 * (_sgn(m - 1) - _sgn(m - 3)))
@@ -380,7 +373,7 @@ def _geom_sides(m: int, tfs: Sequence[TestFunctionPair], F: FieldCtx,
         }
         if m == 2 and not single:
             diag["spectral_constant"] = -2.0 * complex(tf.h1(0.5j))
-        total = _ordered_total(identity, elliptic, hyp_ell, par, eps_val)
+        total = identity + elliptic + hyp_ell + par + eps_val
         sides.append(GeomSideBreakdown(
             identity_term=identity, elliptic_term=elliptic,
             hyp_ell_term=hyp_ell, par_sct_term=par, hyp2_sct_term=eps_val,
@@ -508,6 +501,16 @@ def elliptic_zero_width_limit(F: FieldCtx) -> float:
     return acc.real
 
 
+def heat_grid(beta_grid: Sequence[float]) -> List[float]:
+    """The beta grid as floats, refused unless 4 or more lie in (0, 0.2]."""
+    betas = [float(b) for b in beta_grid]
+    if len(betas) < 4:
+        raise ValidationError("heat fit needs at least 4 grid points")
+    if any(not (0.0 < b <= 0.2) for b in betas):
+        raise ValidationError(f"beta grid {betas} must lie in (0, 0.2]")
+    return betas
+
+
 def heat_asymptotic_check(F: FieldCtx, beta_grid: Sequence[float],
                           classes: GeodesicWindow) -> Dict[str, object]:
     """Fit the small-width expansion of the weight-two geometric side.
@@ -522,12 +525,7 @@ def heat_asymptotic_check(F: FieldCtx, beta_grid: Sequence[float],
     b on -2 log(eps)/sqrt(4 pi) within relative errors 0.02 and 0.05.
     The sides of the whole grid are evaluated in one call.
     """
-    betas = [float(b) for b in beta_grid]
-    if len(betas) < 4:
-        raise ValidationError("heat fit needs at least 4 grid points")
-    if any(not (0.0 < b <= 0.2) for b in betas):
-        raise ValidationError(f"beta grid {betas} must lie in (0, 0.2]")
-
+    betas = heat_grid(beta_grid)
     ys = []
     removed = []
     sides = _geom_sides(2, [gaussian_testfunction(b) for b in betas], F,

@@ -30,7 +30,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,13 @@ _GRID_TAIL = 2.0 ** -60
 
 # ------------------------------------------------------------ parameters
 
+def check_weight(m: int) -> None:
+    """Refuse a weight the products, tables and ledger are not defined
+    at: m must be even and >= 2."""
+    if m < 2 or m % 2:
+        raise ValidationError(f"weight m={m} must be even and >= 2")
+
+
 @dataclass(frozen=True)
 class ZetaParams:
     """Evaluation point and truncation window for the Euler products.
@@ -64,8 +71,7 @@ class ZetaParams:
     trunc_k: int
 
     def validate(self) -> None:
-        if self.m < 2 or self.m % 2:
-            raise ValidationError(f"weight m={self.m} must be even and >= 2")
+        check_weight(self.m)
         if not (self.trunc_norm >= 3.0 and math.isfinite(self.trunc_norm)):
             raise ValidationError(
                 f"trunc_norm {self.trunc_norm} must be finite and >= 3")
@@ -117,14 +123,6 @@ def _zeta_tail(classes: GeodesicWindow, n: int, x: float, sigma: float,
     return _k_tail(classes, n, sigma, k_cut) + _norm_tail(classes, x, sigma)
 
 
-def _grid(classes: GeodesicWindow, n: int):
-    """The first n classes' power-grid columns: exponent l*log N, phase
-    l*angle and weight h/(l*(1 - N^-l))."""
-    grid = classes.power_grid
-    g = grid.stops[n]
-    return grid.exponent[:g], grid.phase[:g], grid.weight[:g]
-
-
 # ------------------------------------------------------------ Euler products
 
 def selberg_zeta(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
@@ -134,13 +132,8 @@ def selberg_zeta(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
     pairs (phase +angle and -angle), so values are conjugate-symmetric
     in s.  trunc_norm must lie within the window's coverage.
 
-    The log of a class's inner product, summed over k <= K in closed
-    form, is the series
-    sum_l (h/l) cos(l (m-2) angle) (1 - N^-(l(K+1))) / (1 - N^-l) N^-(l s),
-    evaluated on the window's power grid: one complex exp over the grid
-    prefix and one dot with the real weights.  The grid stops every
-    class's series where the rest is below 2^-60 of the class's leading
-    size for every Re s > 1 (GeodesicWindow.power_grid), so any K,
+    The k-summed log-series of the module docstring runs on the
+    window's power grid, whose cut holds for every Re s > 1, so any K,
     however deep, costs the same.  tail_bound is placed at the
     requested trunc_k.
     """
@@ -150,9 +143,7 @@ def selberg_zeta(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
         raise ValidationError(
             f"Euler product needs Re(s) > 1, got s={p.s}")
     n = classes.count_upto(p.trunc_norm)
-    a, phase, w = _grid(classes, n)
-    if p.m != 2:  # else every cosine is 1
-        w = w * np.cos((p.m - 2) * phase)
+    a, _, w = classes.power_grid.prefix(n, p.m)
     depth = p.trunc_k + 1.0
     # a[0], the smallest norm's log, is the least exponent: past the cut
     # every depth factor 1 - N^-(l(K+1)) is 1.0
@@ -180,9 +171,7 @@ def selberg_log_deriv(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
         raise ValidationError(
             f"log-derivative series needs Re(s) > 1, got s={p.s}")
     n = classes.count_upto(p.trunc_norm)
-    a, phase, w = _grid(classes, n)
-    if p.m != 2:  # else every cosine is 1
-        w = w * np.cos((p.m - 2) * phase)
+    a, _, w = classes.power_grid.prefix(n, p.m)
     total = complex((-a * w) @ np.exp(a * -s))
     sigma = s.real
     power_tail = _GRID_TAIL * float((2.0 * classes.halves[:n]
@@ -209,7 +198,7 @@ def ruelle(s: complex, classes: GeodesicWindow) -> RuelleValue:
         raise ValidationError(f"ruelle product needs Re(s) > 1, got s={s}")
     x = classes.coverage
     n = classes.count_upto(x)
-    a, _, w = _grid(classes, n)
+    a, _, w = classes.power_grid.prefix(n)
     ratio = cmath.exp(complex((w * np.expm1(-81.0 * a) * np.expm1(-a))
                               @ np.exp(a * -s)))
     log_direct = complex((-2.0 * classes.halves[:n])
@@ -267,8 +256,7 @@ class AlphaTable:
 
 def alpha_table(m: int, F: FieldCtx) -> AlphaTable:
     """Exponent residues for even weight m over the field's class census."""
-    if m < 2 or m % 2:
-        raise ValidationError(f"weight m={m} must be even and >= 2")
+    check_weight(m)
     half = (m - 2) // 2
     entries = []
     for nu, t in F.census_classes():
@@ -355,44 +343,33 @@ def residue_point_order(k: int, m: int, F: FieldCtx) -> int:
 
 def divisor_ledger(m: int, F: FieldCtx, k_max: int = 20) -> DivisorLedger:
     """All trivial zero/pole families for weight m, orders summed at overlaps."""
-    if m < 2 or m % 2:
-        raise ValidationError(f"weight m={m} must be even and >= 2")
+    check_weight(m)
     if k_max < 0:
         raise ValidationError(f"k_max {k_max} must be >= 0")
     spacing = math.pi / F.regulator
-    entries: List[DivisorEntry] = []
     residue_note = ("order includes the -2kN residue term; a companion "
                     "closed form omits it, see the project decision log")
     if m == 2:
-        entries.append(DivisorEntry(
-            kind="point", base=1.0 + 0.0j, order=-2, include_k0=True,
-            label="double pole at s=1 from the squared unit factor"))
-        entries.append(DivisorEntry(
-            kind="lattice", base=0.0 + 0.0j, order=2, include_k0=False,
-            label="paired zeros on the imaginary unit lattice, k != 0"))
-        for k in range(k_max + 1):
-            entries.append(DivisorEntry(
-                kind="point", base=complex(-k, 0.0),
-                order=residue_point_order(k, m, F), include_k0=True,
-                label=f"residue point s={-k}", note=residue_note))
+        head = [("point", 1.0, -2, True,
+                 "double pole at s=1 from the squared unit factor"),
+                ("lattice", 0.0, 2, False,
+                 "paired zeros on the imaginary unit lattice, k != 0")]
     else:
-        entries.append(DivisorEntry(
-            kind="lattice", base=complex(1.0 - m / 2.0, 0.0), order=1,
-            include_k0=True, label="zero lattice from the unit-factor ratio"))
-        entries.append(DivisorEntry(
-            kind="lattice", base=complex(2.0 - m / 2.0, 0.0), order=-1,
-            include_k0=True, label="pole lattice from the unit-factor ratio"))
-        for k in range(k_max + 1):
-            entries.append(DivisorEntry(
-                kind="point", base=complex(-k, 0.0),
-                order=residue_point_order(k, m, F), include_k0=True,
-                label=f"residue point s={-k}", note=residue_note))
-        if m == 4:
-            for base in (0.0, 1.0):
-                entries.append(DivisorEntry(
-                    kind="point", base=complex(base, 0.0), order=1,
-                    include_k0=True,
-                    label=f"extra simple zero at s={base:g} for weight 4"))
+        head = [("lattice", 1.0 - m / 2.0, 1, True,
+                 "zero lattice from the unit-factor ratio"),
+                ("lattice", 2.0 - m / 2.0, -1, True,
+                 "pole lattice from the unit-factor ratio")]
+    entries = [DivisorEntry(kind, complex(base), order, k0, label)
+               for kind, base, order, k0, label in head]
+    entries += [DivisorEntry("point", complex(-k),
+                             residue_point_order(k, m, F), True,
+                             f"residue point s={-k}", residue_note)
+                for k in range(k_max + 1)]
+    if m == 4:
+        entries += [DivisorEntry(
+            "point", complex(base), 1, True,
+            f"extra simple zero at s={base:g} for weight 4")
+            for base in (0.0, 1.0)]
     return DivisorLedger(m=m, D=F.D, spacing=spacing, k_max=k_max,
                          entries=tuple(entries))
 

@@ -562,10 +562,15 @@ def ruelle_ref(s, classes):
 
 
 def hyp_ell_sum_ref(m, tf, classes, single):
-    """The per-class power loop that traceform._hyp_ell_sum replaced."""
+    """The per-class power loop that traceform._hyp_ell_sums replaced,
+    cut where the test function's transform was taken as negligible:
+    past sqrt(184 beta) + 6 for a Gaussian, 48/kappa for a rational
+    pair."""
     import numpy as np
     from hilbert_selberg.errors import InvariantViolation
-    u_cut = float(tf.metadata["u_cut"])
+    meta = tf.metadata
+    u_cut = (math.sqrt(4.0 * meta["beta"] * 46.0) + 6.0
+             if tf.kind == "gaussian" else 48.0 / meta["kappa"])
     weights, us = [], []
     for c in _upto_ref(classes, classes.coverage):
         half = c.multiplicity // 2

@@ -550,7 +550,8 @@ def test_non_finite_numbers_are_refused(argv, capsys, monkeypatch):
     ("1000", "3.32107e+117; enumerate geodesics to x >= 5.763e+58"),
     # exp(u) overflows a float
     ("1e6", "exp(7707.81), past the floating-point range"),
-    # g1 lies below its floor everywhere, and the window must reach u_cut
+    # g1 lies below its floor everywhere, and the window must reach
+    # sqrt(184 beta) + 6
     ("1e300", "exp(1.35647e+151), past the floating-point range"),
 ], ids=["1", "1000", "1e6", "1e300"])
 def test_wide_gaussian_outruns_the_window(beta, reach, capsys):
@@ -561,6 +562,25 @@ def test_wide_gaussian_outruns_the_window(beta, reach, capsys):
     assert captured.err == (
         f"error: class list covers norms <= 99.8015 but the Gaussian tail "
         f"at beta={float(beta)} needs norms up to {reach}\n")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("zeta", "--m", "3", "--s", "2"), "weight m=3 must be even and >= 2"),
+    (("trace", "--m", "3"), "weight m=3 must be even"),
+    (("trace", "--test", "rational:s=1.005,beta1=2,beta2=3"),
+     "rational pair decays too slowly for the HE tail integral (kappa="),
+    (("trace", "heatfit", "--betas", "0.3,0.2,0.1,0.05"),
+     "beta grid [0.3, 0.2, 0.1, 0.05] must lie in (0, 0.2]"),
+    (("trace", "heatfit", "--betas", ""),
+     "heat fit needs at least 4 grid points"),
+], ids=["zeta-m3", "trace-m3", "slow-rational", "wide-betas", "no-betas"])
+def test_bad_arguments_are_refused_before_the_window(argv, err, capsys,
+                                                     monkeypatch):
+    _no_enumeration(monkeypatch)
+    assert main([*argv, "--D", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {err}")
 
 
 @pytest.mark.parametrize("mode", [[], ["heatfit"]], ids=["trace", "heatfit"])
@@ -826,9 +846,9 @@ def test_check_passes_and_enumerates_window_once(capsys, monkeypatch):
     assert [ln[:6] for ln in lines] == ["PASS  "] * len(cli._CHECKS)
     assert [ln[6:30].rstrip() for ln in lines] == \
         [name for name, _ in cli._CHECKS]
-    # class numbers at min(x, 8), the shared x window, the count trend
-    # at 20, two reruns at 6
-    assert bounds == [8.0, 10.0, 20.0, 6.0, 6.0]
+    # the shared x window (class numbers cut theirs at min(x, 8) from
+    # it), the count trend at 20, one rerun at 6 against its cut
+    assert bounds == [10.0, 20.0, 6.0]
 
 
 def test_check_failing_row_exits_3(capsys, monkeypatch):

@@ -164,6 +164,16 @@ def test_within_equals_enumeration(window10, x):
         window10.within(0.5)
 
 
+def test_within_equals_enumeration_without_a_census():
+    # D = 13 has no elliptic census, and its x = 10 window cuts the same
+    F = make_field(13)
+    wide = enumerate_geodesics(F, 10.0)
+    for x in (6.0, 8.0):
+        cut, fresh = wide.within(x), enumerate_geodesics(F, x)
+        assert list(cut) == list(fresh) and cut.coverage == fresh.coverage
+        assert [c.record for c in cut] == [c.record for c in fresh]
+
+
 def _enumerated(F):
     """The window count_reports reads, enumerated to the largest cutoff."""
     return lambda x: enumerate_geodesics(F, x)

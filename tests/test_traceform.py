@@ -13,7 +13,7 @@ from hilbert_selberg.records import GeodesicWindow
 from hilbert_selberg.traceform import (
     GeomSideBreakdown,
     _geom_sides,
-    _hyp_ell_sum,
+    _hyp_ell_sums,
     double_difference_closed_forms,
     gaussian_testfunction,
     geom_side_difference,
@@ -251,8 +251,8 @@ def test_gaussian_he_tail_matches_closed_form(d5, beta):
 def test_he_tail_integrates_the_whole_half_line(d5):
     # g1 of the pair (1.02, 2, 3) is a positive sum of exponentials
     # e^{-b u} past L, so e^{u/2} g1 integrates in closed form; the
-    # integrand decays like e^{-0.02 u}, and a range cut at L + u_cut + 5
-    # gave 160.5 of its 187.3
+    # integrand decays like e^{-0.02 u}, and a range cut at
+    # L + 48/kappa + 5 gave 160.5 of its 187.3
     F, classes = d5
     tf = rational_testfunction(1.02, 2.0, 3.0)
     meta = tf.metadata
@@ -310,11 +310,14 @@ def test_odd_multiplicity_rejected(d5):
 
 @pytest.mark.parametrize("single", [True, False])
 def test_hyp_ell_sum_matches_scalar_loop(window10, single):
-    for tf in (gaussian_testfunction(0.05), gaussian_testfunction(2.0),
-               rational_testfunction(2.5 + 0.3j, 2.5, 3.5),
-               rational_testfunction(1.3, 2.0, 4.0)):
-        for m in (2, 4, 6):
-            got = _hyp_ell_sum(m, tf, window10, single)
+    # the grid runs deeper than the oracle's cut for the Gaussians and
+    # stops before it for (1.02, 2, 3), kappa = 0.52
+    tfs = (gaussian_testfunction(0.05), gaussian_testfunction(2.0),
+           rational_testfunction(2.5 + 0.3j, 2.5, 3.5),
+           rational_testfunction(1.3, 2.0, 4.0),
+           rational_testfunction(1.02, 2.0, 3.0))
+    for m in (2, 4, 6):
+        for tf, got in zip(tfs, _hyp_ell_sums(m, tfs, window10, single)):
             want = hyp_ell_sum_ref(m, tf, window10, single)
             assert abs(got - want) <= max(1e-13 * abs(want), 1e-15), \
                 (tf.kind, tf.metadata, m, got, want)
