@@ -9,11 +9,12 @@ faster than e^{-u/2}, and the unit-factor series stops at a geometric
 tail bound.  Every integral is taken over the whole half-line
 [0, inf), with no range cutoff: the identity integral, the elliptic
 integrals (whose even test function folds the real line onto the
-half-line) and the HE tail past the window's coverage.  All of them, for every test function of a call
-(the heat fit's beta grid), are the components of one vector-valued
-quadrature on one adaptive mesh, each meeting its own tolerance.
-Closed-form twins (digamma sums, log-derivative values, geometric unit
-series) are provided for cross-checking the quadrature route.
+half-line) and the HE tail past the window's coverage.  All of them,
+for every test function of a call (the heat fit's beta grid), are the
+components of one vector-valued quadrature on one adaptive mesh, each
+meeting its own tolerance.  Closed-form twins (digamma sums,
+log-derivative values, geometric unit series) are provided for
+cross-checking the quadrature route.
 """
 
 from __future__ import annotations
