@@ -9,9 +9,12 @@ dialect with '.' decimals, and exact values (field elements, rational
 constants) are printed as strings, never floats.
 
 Configuration comes from defaults, then an optional key=value config
-file, then explicit flags, in that order.  Exit codes: 0 success,
-1 validation failure, 2 budget exceeded, 3 internal invariant
-violation.
+file, then explicit flags, in that order.  Each run parameter has one
+flag, and the flag's text is parsed exactly like the config value of
+its key: numbers must be finite, and `none` resets a key that may be
+unset.  zeta refuses an s, K or X out of range before it reads a
+window.  Exit codes: 0 success, 1 validation failure, 2 budget
+exceeded, 3 internal invariant violation.
 
 A command imports the layers it runs when it runs, so a short command
 pays neither their import nor, without bytecode, their compilation.
@@ -66,12 +69,6 @@ class RunConfig:
     seed: int = 20240
 
     def validate(self) -> None:
-        for key in ("x_max", "height", "trunc_norm", "beta_grid"):
-            val = getattr(self, key)
-            for v in val if isinstance(val, tuple) else (val,):
-                if v is not None and not math.isfinite(v):
-                    raise ValidationError(
-                        f"cannot parse {key} {v!r}: not a finite number")
         if self.D <= 0:
             raise ValidationError(f"D={self.D} must be positive")
         if self.x_max <= 0 or self.height <= 0:
@@ -176,17 +173,18 @@ def _emit_json(obj, cfg: RunConfig) -> None:
     _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", cfg)
 
 
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[str]],
-              cfg: RunConfig) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(buf.getvalue(), cfg)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _emit_table(head: dict, key: str, rows: Sequence[dict],
+                columns: Sequence[Tuple[str, str]], cfg: RunConfig) -> None:
+    """rows as JSON, the list under key next to head, or as CSV with one
+    column per (label, row key) pair of columns."""
+    if cfg.out_format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow([label for label, _ in columns])
+        writer.writerows([row[k] for _, k in columns] for row in rows)
+        _emit(buf.getvalue(), cfg)
+    else:
+        _emit_json({**head, key: rows}, cfg)
 
 
 # ------------------------------------------------------------ subcommands
@@ -199,23 +197,13 @@ def _cmd_field(cfg: RunConfig, args) -> int:
 
 def _cmd_pell(cfg: RunConfig, args) -> int:
     F = make_field(cfg.D)
-    classes = _classes(F, cfg)
-    header = [f"d ({_w_convention(cfg.D)})", "eps_d", "t0", "u0", "h_K(d)"]
-    rows = []
-    records = []
-    for c in classes:
-        rec = c.record
-        eps_d = math.sqrt(c.norm)
-        rows.append([str(rec.d), _fmt(eps_d), str(rec.pell.t0),
-                     str(rec.pell.u0), str(rec.class_number)])
-        records.append({"d": str(rec.d), "eps_d": eps_d,
-                        "t0": str(rec.pell.t0), "u0": str(rec.pell.u0),
-                        "h_K": rec.class_number})
-    if cfg.out_format == "csv":
-        _emit_csv(header, rows, cfg)
-    else:
-        _emit_json({"D": cfg.D, "w": _w_convention(cfg.D),
-                    "rows": records}, cfg)
+    w = _w_convention(cfg.D)
+    rows = [{"d": str(c.record.d), "eps_d": math.sqrt(c.norm),
+             "t0": str(c.record.pell.t0), "u0": str(c.record.pell.u0),
+             "h_K": c.record.class_number} for c in _classes(F, cfg)]
+    _emit_table({"D": cfg.D, "w": w}, "rows", rows,
+                [(f"d ({w})", "d"), ("eps_d", "eps_d"), ("t0", "t0"),
+                 ("u0", "u0"), ("h_K(d)", "h_K")], cfg)
     return 0
 
 
@@ -237,36 +225,27 @@ def _cmd_forms(cfg: RunConfig, args) -> int:
 
 def _cmd_geodesics(cfg: RunConfig, args) -> int:
     F = make_field(cfg.D)
-    x = cfg.x_max
-    classes = _classes(F, cfg, x)
-    if cfg.out_format == "csv":
-        header = [f"d ({_w_convention(cfg.D)})", "norm", "angle",
-                  "multiplicity"]
-        rows = [[str(c.d), _fmt(c.norm), _fmt(c.angle),
-                 str(c.multiplicity)] for c in classes]
-        _emit_csv(header, rows, cfg)
-    else:
-        _emit_json({"D": cfg.D, "x": x, "w": _w_convention(cfg.D),
-                    "classes": [{"d": str(c.d), "norm": c.norm,
-                                 "angle": c.angle,
-                                 "multiplicity": c.multiplicity}
-                                for c in classes]}, cfg)
+    w = _w_convention(cfg.D)
+    rows = [{"d": str(c.d), "norm": c.norm, "angle": c.angle,
+             "multiplicity": c.multiplicity} for c in _classes(F, cfg)]
+    _emit_table({"D": cfg.D, "x": cfg.x_max, "w": w}, "classes", rows,
+                [(f"d ({w})", "d"), ("norm", "norm"), ("angle", "angle"),
+                 ("multiplicity", "multiplicity")], cfg)
     return 0
 
 
 def _cmd_zeta(cfg: RunConfig, args) -> int:
-    from .zetafun import ZetaParams, check_weight, selberg_zeta
+    from .zetafun import ZetaParams, check_zeta_args, selberg_zeta
     s = _parse_complex(args.s)  # refused before any enumeration
-    check_weight(args.m)
+    check_zeta_args(s, args.m)
     F = make_field(cfg.D)
     classes = _classes(F, cfg)
     cov = classes.coverage
-    trunc = args.X if args.X is not None else (cfg.trunc_norm or cov)
     # requested cutoffs beyond the enumerated window are clamped; the
     # effective cutoff is reported and the tail bound starts there
     params = ZetaParams(s=s, m=args.m,
-                        trunc_norm=min(float(trunc), cov),
-                        trunc_k=cfg.trunc_k if args.K is None else args.K)
+                        trunc_norm=min(cfg.trunc_norm or cov, cov),
+                        trunc_k=cfg.trunc_k)
     val = selberg_zeta(params, classes)
     _emit_json({
         "D": cfg.D, "m": args.m, "s": [params.s.real, params.s.imag],
@@ -335,13 +314,11 @@ def _cmd_trace(cfg: RunConfig, args) -> int:
 
 def _cmd_heatfit(cfg: RunConfig, args) -> int:
     from .traceform import heat_asymptotic_check, heat_grid
-    betas = (cfg.beta_grid if args.betas is None
-             else _parse_numbers(args.betas, "beta"))
     F = make_field(cfg.D)
     F.census_classes()  # a field without a census is refused unread
-    heat_grid(betas)
+    heat_grid(cfg.beta_grid)
     classes = _classes(F, cfg)
-    report = heat_asymptotic_check(F, betas, classes)
+    report = heat_asymptotic_check(F, cfg.beta_grid, classes)
     report["D"] = cfg.D
     _emit_json(report, cfg)
     return 0
@@ -361,19 +338,11 @@ def _cmd_report(cfg: RunConfig, args) -> int:
     # cutoff is refused before any enumeration
     reports = count_reports(grid, lambda x: _classes(F, cfg, x),
                             geodesic_scale=args.mode == "pgt")
-    if cfg.out_format == "csv":
-        header = ["x", "psi_sum", "pi_sum", "psi_main", "pi_main",
-                  "psi_ratio", "pi_ratio"]
-        rows = [[_fmt(r.x), _fmt(r.psi_sum), str(r.pi_sum),
-                 _fmt(r.residuals["psi_main"]), _fmt(r.residuals["pi_main"]),
-                 _fmt(r.residuals["psi_ratio"]), _fmt(r.residuals["pi_ratio"])]
-                for r in reports]
-        _emit_csv(header, rows, cfg)
-    else:
-        _emit_json({"D": cfg.D, "mode": args.mode,
-                    "rows": [{"x": r.x, "psi_sum": r.psi_sum,
-                              "pi_sum": r.pi_sum, **r.residuals}
-                             for r in reports]}, cfg)
+    rows = [{"x": r.x, "psi_sum": r.psi_sum, "pi_sum": r.pi_sum,
+             **r.residuals} for r in reports]
+    _emit_table({"D": cfg.D, "mode": args.mode}, "rows", rows,
+                [(k, k) for k in ("x", "psi_sum", "pi_sum", "psi_main",
+                                  "pi_main", "psi_ratio", "pi_ratio")], cfg)
     return 0
 
 
@@ -548,15 +517,15 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file")
-    common.add_argument("--D", type=int, help="field discriminant")
-    common.add_argument("--x", dest="x_max", type=float,
+    common.add_argument("--D", help="field discriminant")
+    common.add_argument("--x", dest="x_max",
                         help="geodesic enumeration bound")
-    common.add_argument("--height", type=float, help="search height cap")
+    common.add_argument("--height", help="search height cap")
     common.add_argument("--format", dest="out_format",
                         choices=("json", "csv"))
     common.add_argument("--out", dest="out_path", help="output file")
     common.add_argument("--cache-dir", dest="cache_dir")
-    common.add_argument("--seed", type=int)
+    common.add_argument("--seed")
 
     parser = _Parser(prog="hilbert-selberg")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -569,8 +538,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("zeta", parents=[common])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", required=True, help='complex, e.g. "2.0+0.5i"')
-    p.add_argument("--X", type=float, default=None, help="norm truncation")
-    p.add_argument("--K", type=int, default=None, help="k truncation")
+    p.add_argument("--X", dest="trunc_norm", metavar="X",
+                   help="norm truncation")
+    p.add_argument("--K", dest="trunc_k", metavar="K", help="k truncation")
     p = sub.add_parser("ledger", parents=[common])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--kmax", type=int, default=20)
@@ -580,7 +550,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--test", default="gaussian:beta=0.05")
     p.add_argument("--single", action="store_true",
                    help="single difference instead of double")
-    p.add_argument("--betas", default=None)
+    p.add_argument("--betas", dest="beta_grid", metavar="BETAS")
     p = sub.add_parser("report", parents=[common])
     p.add_argument("mode", choices=("pgt", "classavg"))
     p.add_argument("--x-grid", dest="x_grid", default=None)
@@ -610,11 +580,10 @@ def _merge_config(args) -> RunConfig:
             f"cannot read config {args.config}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"cannot read config {args.config}: {exc}")
-    for name in ("D", "x_max", "height", "out_format", "out_path",
-                 "cache_dir", "seed"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
+    for f in dataclasses.fields(RunConfig):
+        text = getattr(args, f.name, None)
+        if text is not None:
+            setattr(cfg, f.name, _parse_config_value(f.name, text))
     cfg.validate()
     return cfg
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 from .errors import BudgetExceededError
 from .pellforms import class_number, in_Dpm, pell_fundamental
 from .quadfield import FieldCtx, QuadInt, canonical_disc, lattice_points
-from .records import GeodesicClass, GeodesicWindow, _class_order, _eps_limit
+from .records import GeodesicClass, GeodesicWindow, _eps_limit
 
 __all__ = ["square_divisor_quotients", "enumerate_geodesics"]
 
@@ -54,8 +54,7 @@ def enumerate_geodesics(F: FieldCtx, x: float, height: float = 8.0,
     trace_bound overrides the first-embedding box edge x + 1/x; any
     larger value returns the identical list, since candidates whose
     fundamental solution lands outside eps <= x are filtered after the
-    Pell step.  On a budget error the exception carries the classes
-    found so far in .partial and .incomplete = True.
+    Pell step.
     """
     limit = _eps_limit(x)
     D = F.D
@@ -73,24 +72,19 @@ def enumerate_geodesics(F: FieldCtx, x: float, height: float = 8.0,
             cands.setdefault((dc.a, dc.b), dc)
     classes: List[GeodesicClass] = []
     pell_cap = max(2.0 * x, 25.0)
-    try:
-        for key in sorted(cands):
-            dc = cands[key]
-            try:
-                pell = pell_fundamental(dc, F, eps_cap=pell_cap)
-            except BudgetExceededError:
-                # fundamental solution beyond 2x: class is out of range
-                continue
-            if pell.eps_d > limit:
-                continue
-            rec = class_number(dc, F, height=height, pell=pell)
-            t2 = rec.pell.t0.embed(2)
-            classes.append(GeodesicClass(
-                d=rec.d, norm=rec.pell.eps_d ** 2,
-                angle=math.acos(t2 / 2.0),
-                multiplicity=rec.class_number, record=rec))
-    except BudgetExceededError as exc:
-        exc.partial = tuple(sorted(classes, key=_class_order))
-        exc.incomplete = True
-        raise
+    for key in sorted(cands):
+        dc = cands[key]
+        try:
+            pell = pell_fundamental(dc, F, eps_cap=pell_cap)
+        except BudgetExceededError:
+            # fundamental solution beyond 2x: class is out of range
+            continue
+        if pell.eps_d > limit:
+            continue
+        rec = class_number(dc, F, height=height, pell=pell)
+        t2 = rec.pell.t0.embed(2)
+        classes.append(GeodesicClass(
+            d=rec.d, norm=rec.pell.eps_d ** 2,
+            angle=math.acos(t2 / 2.0),
+            multiplicity=rec.class_number, record=rec))
     return GeodesicWindow(classes)

@@ -208,8 +208,8 @@ def conjugation_orbit(seeds, D: int, cap1: float, cap2: float,
     seed rows that are their components' roots.
 
     The seeds must share one trace up to sign and lie inside the caps;
-    ValidationError otherwise.  Raises when some component exceeds the
-    state budget (the orbit is then reported incomplete).
+    ValidationError otherwise.  Raises BudgetExceededError when some
+    component exceeds the state budget.
     """
     seeds = np.atleast_2d(np.asarray(seeds, dtype=np.int64))
     t, n = _omega_trace_norm(D)
@@ -231,8 +231,6 @@ class EllipticClass:
     nu: int
     t: int
     rep: GroupElem
-    theta1: float
-    theta2: float
 
 
 def _two_cos_table(F: FieldCtx) -> Dict[int, QuadInt]:
@@ -341,7 +339,6 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
         orbit, reps = conjugation_orbit(np.concatenate([cands, prows[near]]),
                                         D, cap_bfs, cap_bfs)
         tr = two_cos[nu]
-        th1 = math.acos(tr.embed(1) / 2.0)
         by_root: Dict[int, dict] = {}
         for root, row in zip(orbit.reps.tolist(), reps.tolist()):
             if root >= S:  # a power's own component, not a class
@@ -361,8 +358,8 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
                     or tj % 2 == 0:
                 raise InvariantViolation(
                     f"bad rotation angle {th2} for nu={nu}")
-            by_root[root] = {"nu": nu, "tj": tj, "th1": th1, "th2": th2,
-                             "rep": rep, "primitive": True}
+            by_root[root] = {"nu": nu, "tj": tj, "rep": rep,
+                             "primitive": True}
         records.extend(by_root.values())
 
         # drop the classes that are proper powers of a larger stabilizer
@@ -390,8 +387,7 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
                 root = int(orbit.roots[root])
             by_root[root]["primitive"] = False
 
-    classes = [EllipticClass(nu=r["nu"], t=r["tj"] % r["nu"], rep=r["rep"],
-                             theta1=r["th1"], theta2=r["th2"])
+    classes = [EllipticClass(nu=r["nu"], t=r["tj"] % r["nu"], rep=r["rep"])
                for r in records if r["primitive"]]
     classes.sort(key=lambda c: (c.nu, c.t, c.rep.key()))
     return tuple(classes)

@@ -368,7 +368,7 @@ class CountReport:
 def _report(x: float, classes: Sequence[GeodesicClass],
             geodesic_scale: bool) -> CountReport:
     sub = [c for c in classes if c.norm <= x * x * (1.0 + 1e-12)]
-    base = sum(c.multiplicity * math.log(c.norm) for c in sub)
+    base = sum((c.multiplicity * math.log(c.norm) for c in sub), 0.0)
     psi = base if geodesic_scale else 0.5 * base
     pi_sum = sum(c.multiplicity for c in sub)
     X = x * x

@@ -31,7 +31,7 @@ from .errors import InvariantViolation, ValidationError
 from .quadfield import FieldCtx
 from .records import GeodesicWindow
 from .specfun import digamma
-from .zetafun import ZetaParams, alpha_table, selberg_log_deriv
+from .zetafun import ZetaParams, alpha_table, check_weight, selberg_log_deriv
 
 
 def _sgn(x: float) -> float:
@@ -416,8 +416,7 @@ def double_difference_closed_forms(m: int, s: complex, beta1: float,
     Keys: identity, elliptic, hyp_ell, par_plus_eps; each holds the
     geometric value, the closed value, and their absolute difference.
     """
-    if m < 2 or m % 2:
-        raise ValidationError(f"closed forms need even m >= 2, got {m}")
+    check_weight(m)
     tf = rational_testfunction(s, beta1, beta2)
     geom = geom_side_double_difference(m, tf, F, classes)
     s = complex(s)

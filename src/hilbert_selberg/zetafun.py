@@ -56,6 +56,14 @@ def check_weight(m: int) -> None:
         raise ValidationError(f"weight m={m} must be even and >= 2")
 
 
+def check_zeta_args(s: complex, m: int) -> None:
+    """Refuse what no window mends: a weight check_weight refuses, and
+    an s outside the half-plane Re(s) > 1 where the products converge."""
+    check_weight(m)
+    if complex(s).real <= 1.0:
+        raise ValidationError(f"Euler product needs Re(s) > 1, got s={s}")
+
+
 @dataclass(frozen=True)
 class ZetaParams:
     """Evaluation point and truncation window for the Euler products.
@@ -71,7 +79,6 @@ class ZetaParams:
     trunc_k: int
 
     def validate(self) -> None:
-        check_weight(self.m)
         if not (self.trunc_norm >= 3.0 and math.isfinite(self.trunc_norm)):
             raise ValidationError(
                 f"trunc_norm {self.trunc_norm} must be finite and >= 3")
@@ -80,6 +87,7 @@ class ZetaParams:
         s = complex(self.s)
         if not (math.isfinite(s.real) and math.isfinite(s.imag)):
             raise ValidationError(f"s={self.s} is not finite")
+        check_zeta_args(self.s, self.m)
 
 
 @dataclass(frozen=True)
@@ -139,9 +147,6 @@ def selberg_zeta(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
     """
     p.validate()
     s = complex(p.s)
-    if s.real <= 1.0:
-        raise ValidationError(
-            f"Euler product needs Re(s) > 1, got s={p.s}")
     n = classes.count_upto(p.trunc_norm)
     a, _, w = classes.power_grid.prefix(n, p.m)
     depth = p.trunc_k + 1.0
@@ -167,9 +172,6 @@ def selberg_log_deriv(p: ZetaParams, classes: GeodesicWindow) -> ZetaValue:
     """
     p.validate()
     s = complex(p.s)
-    if s.real <= 1.0:
-        raise ValidationError(
-            f"log-derivative series needs Re(s) > 1, got s={p.s}")
     n = classes.count_upto(p.trunc_norm)
     a, _, w = classes.power_grid.prefix(n, p.m)
     total = complex((-a * w) @ np.exp(a * -s))

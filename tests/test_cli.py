@@ -5,7 +5,9 @@ files, and exit codes.  Determinism matters here: rerunning a command
 with the same configuration must give byte-identical output.
 """
 
+import argparse
 import contextlib
+import csv
 import dataclasses
 import importlib
 import io
@@ -318,6 +320,10 @@ def test_search_failure_exit_codes(error, code, prefix, capsys,
     (("field", "--x", "nan"), None),
     (("field", "--x", "inf"), None),
     (("field", "--height", "nan"), None),
+    (("field", "--D", "abc"), None),
+    (("zeta", "--m", "2", "--s", "2", "--X", "inf"), None),
+    (("zeta", "--m", "2", "--s", "2", "--X", "nan"), None),
+    (("zeta", "--m", "2", "--s", "2", "--K", "1.5"), None),
 ])
 def test_malformed_numbers_are_validation_errors(argv, config, tmp_path,
                                                  capsys):
@@ -327,6 +333,57 @@ def test_malformed_numbers_are_validation_errors(argv, config, tmp_path,
         argv += ("--config", str(path))
     assert main(list(argv)) == 1
     assert capsys.readouterr().err.startswith("error: cannot parse ")
+
+
+# every run parameter once more, set in a config file
+_OTHER_CONFIG = {"D": "12", "x_max": "6.0", "height": "9.0",
+                 "trunc_norm": "40", "trunc_k": "3", "beta_grid": "0.1",
+                 "out_format": "csv", "out_path": "o.json",
+                 "cache_dir": "c", "seed": "1"}
+_FLAGS = [
+    ("field", "--D", "D", "8"),
+    ("field", "--x", "x_max", "12.5"),
+    ("field", "--height", "height", "7.25"),
+    ("zeta", "--X", "trunc_norm", "50"),
+    ("zeta", "--X", "trunc_norm", "none"),
+    ("zeta", "--K", "trunc_k", "7"),
+    ("trace", "--betas", "beta_grid", "0.2,0.1,0.05,0.025"),
+    ("field", "--format", "out_format", "json"),
+    ("field", "--out", "out_path", "none"),
+    ("field", "--cache-dir", "cache_dir", "none"),
+    ("field", "--seed", "seed", "7"),
+]
+
+
+@pytest.mark.parametrize("command,flag,key,text", _FLAGS)
+def test_a_flag_parses_as_its_config_key(command, flag, key, text,
+                                         tmp_path):
+    parser = cli._build_parser()
+
+    def merged(values, *extra):
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        argv = [command, "--config", str(path), *extra]
+        if command == "zeta":
+            argv += ["--m", "4", "--s", "2"]
+        return cli._merge_config(parser.parse_args(argv))
+
+    by_flag = merged(_OTHER_CONFIG, flag, text)
+    assert by_flag == merged({**_OTHER_CONFIG, key: text})
+    assert getattr(by_flag, key) != getattr(merged(_OTHER_CONFIG), key)
+
+
+def test_each_run_parameter_has_one_flag():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {}
+    for parser in sub.choices.values():
+        for action in parser._actions:
+            flags.setdefault(action.dest, set()).add(
+                tuple(action.option_strings))
+    assert {f.name: {(flag,) for _, flag, key, _ in _FLAGS if key == f.name}
+            for f in dataclasses.fields(RunConfig)} \
+        == {f.name: flags[f.name] for f in dataclasses.fields(RunConfig)}
 
 
 # ---------------------------------------------------------------- field
@@ -520,6 +577,25 @@ def test_report_classavg_csv(capsys):
     assert float(row[5]) > 0
 
 
+@pytest.mark.parametrize("argv", [("pell",), ("geodesics",),
+                                  ("report", "pgt", "--x-grid", "2,3"),
+                                  ("report", "classavg", "--x-grid", "2,3")])
+def test_csv_rows_are_the_json_rows(argv, capsys):
+    # one row list per table: each CSV cell is the JSON value's text, an
+    # empty cutoff's psi_sum the float 0.0 in both
+    argv = (*argv, "--D", "5", "--x", "6")
+    blob = json.loads(run_cli(capsys, *argv)[1])
+    rows = blob["classes" if argv[0] == "geodesics" else "rows"]
+    table = list(csv.reader(io.StringIO(
+        run_cli(capsys, *argv, "--format", "csv")[1])))
+    keys = [label.split(" ")[0].replace("(d)", "") for label in table[0]]
+    assert rows and table[1:] == [[row[k] if isinstance(row[k], str)
+                                   else repr(row[k]) for k in keys]
+                                  for row in rows]
+    if argv[0] == "report":
+        assert rows[0]["psi_sum"] == 0.0 and rows[1]["psi_sum"] > 0.0
+
+
 def _no_enumeration(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a window was enumerated")
@@ -573,7 +649,17 @@ def test_wide_gaussian_outruns_the_window(beta, reach, capsys):
      "beta grid [0.3, 0.2, 0.1, 0.05] must lie in (0, 0.2]"),
     (("trace", "heatfit", "--betas", ""),
      "heat fit needs at least 4 grid points"),
-], ids=["zeta-m3", "trace-m3", "slow-rational", "wide-betas", "no-betas"])
+    (("zeta", "--m", "2", "--s", "0.5"),
+     "Euler product needs Re(s) > 1, got s=(0.5+0j)"),
+    (("zeta", "--m", "2", "--s", "1"),
+     "Euler product needs Re(s) > 1, got s=(1+0j)"),
+    (("zeta", "--m", "2", "--s", "2", "--K", "-1"), "trunc_k must be >= 0"),
+    (("zeta", "--m", "2", "--s", "2", "--X", "2"), "trunc_norm must be >= 3"),
+    (("trace", "heatfit", "--betas=-0.1,0.1,0.05,0.025"),
+     "beta grid entries must be positive"),
+], ids=["zeta-m3", "trace-m3", "slow-rational", "wide-betas", "no-betas",
+        "zeta-s-half", "zeta-s-one", "zeta-negative-K", "zeta-small-X",
+        "negative-betas"])
 def test_bad_arguments_are_refused_before_the_window(argv, err, capsys,
                                                      monkeypatch):
     _no_enumeration(monkeypatch)

@@ -170,10 +170,11 @@ def test_closed_forms_weight_two(d5):
 
 def test_closed_forms_validation(d5):
     F, classes = d5
-    with pytest.raises(ValidationError):
-        double_difference_closed_forms(3, 2.5, 2.5, 3.5, F, classes)
-    with pytest.raises(ValidationError):
-        double_difference_closed_forms(0, 2.5, 2.5, 3.5, F, classes)
+    # the weight rule of the products, tables and ledger
+    for m in (3, 0):
+        with pytest.raises(ValidationError,
+                           match=f"^weight m={m} must be even and >= 2$"):
+            double_difference_closed_forms(m, 2.5, 2.5, 3.5, F, classes)
 
 
 def test_double_difference_is_difference_of_singles(d5):
