@@ -46,22 +46,21 @@ def square_divisor_quotients(P: QuadInt, F: FieldCtx) -> List[QuadInt]:
     return out
 
 
-def enumerate_geodesics(F: FieldCtx, x: float, height: float = 8.0,
-                        trace_bound: float = None) -> GeodesicWindow:
+def enumerate_geodesics(F: FieldCtx, x: float,
+                        height: float = 8.0) -> GeodesicWindow:
     """All classes with eps_K(d) <= x, as a window covering the largest
     listed norm.
 
-    trace_bound overrides the first-embedding box edge x + 1/x; any
-    larger value returns the identical list, since candidates whose
-    fundamental solution lands outside eps <= x are filtered after the
-    Pell step.
+    The traces scanned are those with first embedding in (2, x + 1/x]
+    and second in (-2, 2), the traces eps + 1/eps of every class with
+    eps <= x; candidates whose fundamental solution lands outside
+    eps <= x are filtered after the Pell step.
     """
     limit = _eps_limit(x)
     D = F.D
     four = QuadInt(D, 4, 0)
-    bound1 = x + 1.0 / x if trace_bound is None else float(trace_bound)
     cands: Dict[Tuple[int, int], QuadInt] = {}
-    for t in lattice_points(D, bound1, 2.0):
+    for t in lattice_points(D, x + 1.0 / x, 2.0):
         if t.embed(1) <= 2.0 or abs(t.embed(2)) >= 2.0:
             continue
         P = t * t - four

@@ -28,7 +28,7 @@ from .errors import BudgetExceededError, InvariantViolation, ValidationError
 from .orbits import (Orbit, capped_bfs, height_predicate, unique_rows,
                      _box_rows, _factor_pairs)
 from .quadfield import (CENSUS_ORDERS, FieldCtx, QuadInt, _coord_mul,
-                        _embed_consts, _omega_trace_norm)
+                        _omega_trace_norm)
 
 Key = Tuple[int, int, int, int, int, int, int, int]
 
@@ -115,7 +115,6 @@ class ElementClass:
     trace: QuadInt
     theta: Optional[Tuple[float, float]] = None  # elliptic rotation angles
     norm: Optional[float] = None                 # hyperbolic-slot norm
-    omega: Optional[float] = None                # elliptic-slot angle
 
 
 def classify(g: GroupElem) -> ElementClass:
@@ -134,11 +133,9 @@ def classify(g: GroupElem) -> ElementClass:
         return ElementClass("hyperbolic", t)
     if s1 > 0 and s2 < 0:
         N = ((abs(t1) + math.sqrt(t1 * t1 - 4.0)) / 2.0) ** 2
-        return ElementClass("hyperbolic-elliptic", t,
-                            norm=N, omega=math.acos(t2 / 2.0))
+        return ElementClass("hyperbolic-elliptic", t, norm=N)
     N = ((abs(t2) + math.sqrt(t2 * t2 - 4.0)) / 2.0) ** 2
-    return ElementClass("elliptic-hyperbolic", t,
-                        norm=N, omega=math.acos(t1 / 2.0))
+    return ElementClass("elliptic-hyperbolic", t, norm=N)
 
 
 # ---------------------------------------------------- conjugation orbits
@@ -308,11 +305,10 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
     primitive classes that land at an order and lie inside its caps are
     seeded into its search after the candidates, so a power in a
     candidate's component has that candidate as its root.  A power
-    outside the caps, or in no candidate's component, gets one search at
-    a cap that holds it, from the candidates and the power.  If its root
-    is still no candidate, the height bound was too small when the power
-    lies outside the candidate box (BudgetExceededError), and the search
-    failed when it lies inside (InvariantViolation).
+    outside the caps, or in no candidate's component, raises: the height
+    bound was too small when the power lies outside the candidate box
+    (BudgetExceededError), and the search failed when it lies inside
+    (InvariantViolation).
 
     The PSL order and rotation angles are checked once per class.  By
     Cayley-Hamilton every g of trace tau has g^k = a_k(tau) g + b_k(tau) I,
@@ -322,7 +318,6 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
     D = F.D
     two_cos = _two_cos_table(F)
     cap_bfs = height_bound * 2.5
-    w1, w2 = _embed_consts(D)
     inside = height_predicate(D, cap_bfs, cap_bfs)
     in_box = height_predicate(D, height_bound, height_bound)
 
@@ -366,25 +361,17 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
         # generator
         roots = np.full(len(prows), -1)
         roots[near] = orbit.roots[S:]
-        for (m, pkey), prow, root in zip(powers, prows, roots.tolist()):
+        for (m, _), prow, root in zip(powers, prows, roots.tolist()):
             if not 0 <= root < S:
-                pcap = max(cap_bfs, 1.5 * max(
-                    abs(pkey[2 * i] + pkey[2 * i + 1] * wj)
-                    for i in range(4) for wj in (w1, w2)))
-                porb, _ = conjugation_orbit(np.concatenate([cands, [prow]]),
-                                            D, pcap, pcap)
-                root = int(porb.roots[S])
-                if root >= S:
-                    if not in_box(prow[None])[0]:
-                        # its class may have no element inside the box
-                        raise BudgetExceededError(
-                            f"order-{nu} power of an order-{m} class lies "
-                            f"outside the candidate box; raise "
-                            f"height_bound > {height_bound}")
-                    raise InvariantViolation(
-                        f"order-{nu} power of an order-{m} class not "
-                        "located among the enumerated classes")
-                root = int(orbit.roots[root])
+                if not in_box(prow[None])[0]:
+                    # its class may have no element inside the box
+                    raise BudgetExceededError(
+                        f"order-{nu} power of an order-{m} class lies "
+                        f"outside the candidate box; raise "
+                        f"height_bound > {height_bound}")
+                raise InvariantViolation(
+                    f"order-{nu} power of an order-{m} class not "
+                    "located among the enumerated classes")
             by_root[root]["primitive"] = False
 
     classes = [EllipticClass(nu=r["nu"], t=r["tj"] % r["nu"], rep=r["rep"])
@@ -393,16 +380,21 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
     return tuple(classes)
 
 
-def elliptic_census(F: FieldCtx, height_bound: float = 8.0
-                    ) -> Tuple[Tuple[int, int, int], ...]:
-    """(nu, t, count) census of primitive elliptic classes.
+# entry height of the census candidates: every certified field's
+# classes have a representative inside it
+CENSUS_HEIGHT = 8.0
+
+
+def elliptic_census(F: FieldCtx) -> Tuple[Tuple[int, int, int], ...]:
+    """(nu, t, count) census of primitive elliptic classes, enumerated at
+    entry height CENSUS_HEIGHT.
 
     For D in {5, 8, 12} the computed order multiset is checked against
     the certified one: too few classes raises BudgetExceededError (the
     height bound missed a representative), too many raises
     InvariantViolation (the BFS failed to merge equivalent elements).
     """
-    classes = enumerate_elliptic(F, height_bound=height_bound)
+    classes = enumerate_elliptic(F, CENSUS_HEIGHT)
     counts: Dict[Tuple[int, int], int] = {}
     for cl in classes:
         counts[(cl.nu, cl.t)] = counts.get((cl.nu, cl.t), 0) + 1
@@ -414,7 +406,7 @@ def elliptic_census(F: FieldCtx, height_bound: float = 8.0
             if len(got) < len(want) or set(got) < set(want):
                 raise BudgetExceededError(
                     f"census incomplete for D={F.D}: orders {got}, "
-                    f"expected {want}; raise height_bound > {height_bound}")
+                    f"expected {want}; raise height_bound > {CENSUS_HEIGHT}")
             raise InvariantViolation(
                 f"census mismatch for D={F.D}: orders {got}, expected {want}")
     return census

@@ -427,8 +427,8 @@ class FieldCtx:
     def eps1(self) -> float:
         return self.eps.embed(1)
 
-    def elem(self, a: int, b: int = 0) -> QuadInt:
-        return QuadInt(self.D, a, b)
+    def elem(self, a: int) -> QuadInt:
+        return QuadInt(self.D, a, 0)
 
     def census_classes(self) -> Tuple[Tuple[int, int], ...]:
         """Census expanded to one (nu, t) per conjugacy class."""

@@ -139,6 +139,8 @@ def _class_order(c: GeodesicClass) -> Tuple[float, int, int]:
 def _eps_limit(x: float) -> float:
     """The largest eps_K(d) a window to x keeps: the one cut of
     enumerate_geodesics and GeodesicWindow.within."""
+    if not math.isfinite(x):
+        raise ValidationError(f"geodesic cutoff x={x} is not finite")
     if x < 1.0:
         raise ValidationError("geodesic cutoff needs x >= 1")
     return x * (1.0 + 1e-12)
@@ -249,10 +251,10 @@ class GeodesicWindow(Sequence[GeodesicClass]):
         one, which must have been enumerated to at least x at the same
         height.
 
-        Exact: the candidates of x are among those of any larger bound
-        (see enumerate_geodesics' trace_bound), a class number does not
-        depend on the bound, and a larger Pell cap only skips fewer
-        candidates.  Classes are cut by enumerate_geodesics' own test
+        Exact: the trace box of x lies inside that of any larger bound,
+        so its candidates are among the larger bound's, a class number
+        does not depend on the bound, and a larger Pell cap only skips
+        fewer candidates.  Classes are cut by enumerate_geodesics' own test
         and coverage is again the largest listed norm.
         """
         limit = _eps_limit(x)

@@ -170,6 +170,8 @@ def _ei_series(u: float) -> float:
 def li(x: float) -> float:
     """Offset logarithmic integral li(x) = integral_2^x dt/log(t)."""
     x = float(x)
+    if not math.isfinite(x):
+        raise ValidationError(f"li(x) needs a finite x, got {x}")
     if x <= 1.0:
         raise ValidationError("li(x) needs x > 1 (integrand pole at t=1)")
     if x == 2.0:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +86,11 @@ def rational_testfunction(s: complex, beta1: float,
     """
     s = complex(s)
     beta1, beta2 = float(beta1), float(beta2)
+    if not (cmath.isfinite(s) and math.isfinite(beta1)
+            and math.isfinite(beta2)):
+        raise ValidationError(
+            f"rational pair needs finite s, beta1, beta2, got s={s}, "
+            f"beta1={beta1}, beta2={beta2}")
     if beta1 < 2.0 or beta2 < 2.0:
         raise ValidationError(
             f"beta1={beta1}, beta2={beta2} must both be >= 2")
@@ -279,30 +284,26 @@ def _hyp_ell_sums(m: int, tfs: Sequence[TestFunctionPair],
     return [complex(np.dot(coef, tf.g1(a))) for tf in tfs]
 
 
-def _eps_series(m: int, tf: TestFunctionPair, F: FieldCtx, single: bool,
-                eps_terms: Optional[int]) -> Tuple[complex, float, int]:
+def _eps_series(m: int, tf: TestFunctionPair, F: FieldCtx,
+                single: bool) -> Tuple[complex, float, int]:
     """Unit series with geometric tail bound; returns (value, tail, k_cut).
 
-    Without eps_terms the series stops at the first term below
-    1e-18 (1 + |partial sum|), or at term 100000.  Terms are formed in
-    chunks of doubling size and summed in order."""
+    The series stops at the first term below 1e-18 (1 + |partial sum|),
+    or at term 100000.  Terms are formed in chunks of doubling size and
+    summed in order."""
     log_eps = F.regulator
     acc = 0.0
     first, size = 1, 32
     while True:
-        last = (max(eps_terms, 1) if eps_terms is not None
-                else min(first + size - 1, 100000))
+        last = min(first + size - 1, 100000)
         k = np.arange(first, last + 1, dtype=float)
         unit = _sgn(m - 1) * F.eps1 ** (-abs(m - 1) * k)
         if not single:
             unit -= _sgn(m - 3) * F.eps1 ** (-abs(m - 3) * k)
         terms = (-2.0 * log_eps) * tf.g1(k * (2.0 * log_eps)) * unit
         sums = np.cumsum(np.concatenate(([acc], terms)))[1:]
-        if eps_terms is None:
-            done = np.abs(terms) < 1e-18 * (1.0 + np.abs(sums))
-            done[-1] |= last == 100000
-        else:
-            done = k == last
+        done = np.abs(terms) < 1e-18 * (1.0 + np.abs(sums))
+        done[-1] |= last == 100000
         hits = np.flatnonzero(done)
         if hits.size:
             i = hits[0]
@@ -338,7 +339,7 @@ def _elliptic_sum(m: int, quad: Dict[Tuple[int, int], Tuple[complex, float]],
 # ------------------------------------------------------------ evaluators
 
 def _geom_sides(m: int, tfs: Sequence[TestFunctionPair], F: FieldCtx,
-                classes: GeodesicWindow, eps_terms: Optional[int],
+                classes: GeodesicWindow,
                 single: bool) -> List[GeomSideBreakdown]:
     """Both evaluators, for a list of test functions: every integral of
     all of them is one component of a single half-line quadrature
@@ -362,7 +363,7 @@ def _geom_sides(m: int, tfs: Sequence[TestFunctionPair], F: FieldCtx,
         g0 = complex(tf.g1(0.0))
         par = (-_sgn(m - 1) * F.regulator * g0 if single else
                -F.regulator * g0 * (_sgn(m - 1) - _sgn(m - 3)))
-        eps_val, eps_tail, k_cut = _eps_series(m, tf, F, single, eps_terms)
+        eps_val, eps_tail, k_cut = _eps_series(m, tf, F, single)
 
         diag: Dict[str, object] = {
             "coverage": classes.coverage,
@@ -383,20 +384,16 @@ def _geom_sides(m: int, tfs: Sequence[TestFunctionPair], F: FieldCtx,
 
 
 def geom_side_double_difference(m: int, tf: TestFunctionPair, F: FieldCtx,
-                                classes: GeodesicWindow,
-                                eps_terms: Optional[int] = None
-                                ) -> GeomSideBreakdown:
+                                classes: GeodesicWindow) -> GeomSideBreakdown:
     """Geometric side of the double-difference formula at even weight m."""
-    return _geom_sides(m, [tf], F, classes, eps_terms, single=False)[0]
+    return _geom_sides(m, [tf], F, classes, single=False)[0]
 
 
 def geom_side_difference(m: int, tf: TestFunctionPair, F: FieldCtx,
-                         classes: GeodesicWindow,
-                         eps_terms: Optional[int] = None
-                         ) -> GeomSideBreakdown:
+                         classes: GeodesicWindow) -> GeomSideBreakdown:
     """Geometric side of the difference formula, divided through by the
     second-slot weight; defined for every even m, including m <= 0."""
-    return _geom_sides(m, [tf], F, classes, eps_terms, single=True)[0]
+    return _geom_sides(m, [tf], F, classes, single=True)[0]
 
 
 # ------------------------------------------------------------ closed forms
@@ -529,7 +526,7 @@ def heat_asymptotic_check(F: FieldCtx, beta_grid: Sequence[float],
     ys = []
     removed = []
     sides = _geom_sides(2, [gaussian_testfunction(b) for b in betas], F,
-                        classes, None, single=False)
+                        classes, single=False)
     for beta, bd in zip(betas, sides):
         if abs(bd.total.imag) > 1e-9 * (1.0 + abs(bd.total.real)):
             raise InvariantViolation(

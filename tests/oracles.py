@@ -592,3 +592,20 @@ def hyp_ell_sum_ref(m, tf, classes, single):
             us.append(ell * log_n)
             ell += 1
     return complex(np.dot(weights, tf.g1(us))) if us else 0.0 + 0.0j
+
+
+def unit_series_ref(m, tf, F, single, terms):
+    """The unit-factor series of a geometric side summed term by term to
+    k = terms: -2 ln(eps) g1(2 k ln eps) times eps^-(m-1)k signed by
+    m - 1, less the same at m - 3 for the double difference."""
+    eps = F.eps.embed(1)
+    log_eps = math.log(eps)
+
+    def unit(j, k):
+        return math.copysign(eps ** (-abs(j) * k), j - 0.5)
+
+    total = 0.0 + 0.0j
+    for k in range(1, terms + 1):
+        u = unit(m - 1, k) - (0.0 if single else unit(m - 3, k))
+        total += -2.0 * log_eps * complex(tf.g1(2.0 * k * log_eps)) * u
+    return total

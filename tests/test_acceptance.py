@@ -18,7 +18,8 @@ import mpmath as mp
 import pytest
 
 from hilbert_selberg.geodesics import enumerate_geodesics
-from hilbert_selberg.modgroup import classify, elliptic_census
+from hilbert_selberg.modgroup import (classify, elliptic_census,
+                                      enumerate_elliptic)
 from hilbert_selberg.pellforms import (class_number, form_to_matrix,
                                        in_Dpm)
 from hilbert_selberg.quadfield import (QuadInt, bernoulli_L_minus_one,
@@ -33,6 +34,7 @@ from hilbert_selberg.traceform import (gaussian_testfunction,
 from hilbert_selberg.zetafun import (ZetaParams, fe_identity_checks,
                                      ruelle, ruelle_leading,
                                      selberg_log_deriv, selberg_zeta)
+from oracles import unit_series_ref
 
 DISCRIMINANTS = (5, 8, 12)
 
@@ -165,9 +167,11 @@ def test_class_number_cross_check():
 # 5 ------------------------------------------------------------------
 
 def test_reflection_and_ladder_identities():
-    F = make_field(5)
-    report = fe_identity_checks(F, nus=(2, 3, 5, 6))
-    ok = max(report["xi_max_err"], report["gnu_ratio_max_err"]) <= 1e-8
+    reports = [fe_identity_checks(make_field(D)) for D in DISCRIMINANTS]
+    xi_err = max(r["xi_max_err"] for r in reports)
+    ratio_err = max(r["gnu_ratio_max_err"] for r in reports)
+    ok = max(xi_err, ratio_err) <= 1e-8
+    ok &= sorted({nu for r in reports for nu in r["nus"]}) == [2, 3, 4, 5, 6]
 
     rng = random.Random(51234)
     ladder_err = 0.0
@@ -191,8 +195,8 @@ def test_reflection_and_ladder_identities():
     ok &= mult_err <= 1e-10
 
     _verdict(ok, "special function identities",
-             f"reflection errs {report['xi_max_err']:.1e}/"
-             f"{report['gnu_ratio_max_err']:.1e}, ladder {ladder_err:.1e}, "
+             f"reflection errs {xi_err:.1e}/{ratio_err:.1e}, "
+             f"ladder {ladder_err:.1e}, "
              f"multiplication {mult_err:.1e}")
 
 
@@ -318,8 +322,8 @@ def test_bound_doubling_stability(d5):
 
     for D in DISCRIMINANTS:
         FD = make_field(D)
-        ok &= elliptic_census(FD, height_bound=8.0) == \
-            elliptic_census(FD, height_bound=16.0)
+        deep = enumerate_elliptic(FD, 16.0)
+        ok &= FD.census_classes() == tuple((c.nu, c.t) for c in deep)
 
     keys = [(-7, 5), (-19, 13), (-126, 79)]
     for a, b in keys:
@@ -342,10 +346,8 @@ def test_bound_doubling_stability(d5):
 
     tf = gaussian_testfunction(0.1)
     bd_a = geom_side_double_difference(4, tf, F, classes)
-    k_cut = bd_a.diagnostics["eps_terms"]
-    bd_b = geom_side_double_difference(4, tf, F, classes,
-                                       eps_terms=4 * k_cut)
-    trace_ok = abs(bd_a.hyp2_sct_term - bd_b.hyp2_sct_term) <= \
+    ref = unit_series_ref(4, tf, F, False, 4 * bd_a.diagnostics["eps_terms"])
+    trace_ok = abs(bd_a.hyp2_sct_term - ref) <= \
         bd_a.diagnostics["eps_tail"] + 1e-30
     ok &= trace_ok
 

@@ -135,13 +135,6 @@ def test_window_count_constants(d5_x10):
     assert empty.weighted_count_constant == 1.5 * 4.0
 
 
-def test_trace_box_doubling_stable(d5_x10):
-    F, cls = d5_x10
-    wide = enumerate_geodesics(F, 10.0, trace_bound=2 * (10.0 + 0.1))
-    assert [(c.d.a, c.d.b, c.multiplicity) for c in cls] == \
-           [(c.d.a, c.d.b, c.multiplicity) for c in wide]
-
-
 def test_empty_below_first_geodesic():
     F = make_field(5)
     empty = enumerate_geodesics(F, 2.0)
@@ -184,6 +177,15 @@ def test_reports_take_a_window(d5_x10):
     for scale, grid in ((False, [8.0]), (True, [5.0, 8.0])):
         assert count_reports(grid, cls.within, scale) == \
             count_reports(grid, _enumerated(F), scale)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_cutoff_refuses_non_finite(d5_x10, x):
+    F, cls = d5_x10
+    with pytest.raises(ValidationError, match="not finite"):
+        enumerate_geodesics(F, x)
+    with pytest.raises(ValidationError, match="not finite"):
+        cls.within(x)
 
 
 def test_cutoff_validation():

@@ -10,6 +10,10 @@ A name imported from a package module (`from .mod import name` or
 be defined at the top level of mod, by a def, a class or an assignment,
 or be a submodule: one home per name, so no module is loaded only to
 pass on another's.
+
+Every parameter with a default in src/ is passed by some call in src/,
+save the few UNPASSED_KEPT names with their reasons: an option only
+tests set is code no command runs.
 """
 
 import ast
@@ -165,3 +169,98 @@ def test_each_name_is_imported_from_its_home():
              for line, name in borrowed_imports(path.read_text(), homes)]
     assert not found, "imported from a module that does not define it:\n" \
         + "\n".join(found)
+
+
+# --------------------------------------------------- options without a caller
+
+# parameters with a default that no call in src/ passes, and why they stay
+UNPASSED_KEPT = {
+    "cli.main(argv)": "the entry point the tests drive",
+    "pellforms.form_orbit(max_states)":
+        "a budget that the tests trip with small values",
+    "modgroup.conjugation_orbit(max_states)":
+        "a budget that the tests trip with small values",
+    "records.GeodesicWindow.__init__(coverage)": "API documented in the README",
+}
+
+
+def _defaulted_params(fn, method):
+    """(name, position) of each parameter of fn with a default; position
+    counts the arguments a call passes, None for keyword-only ones."""
+    positional = fn.args.posonlyargs + fn.args.args
+    skip = 1 if method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in fn.decorator_list) else 0
+    first = len(positional) - len(fn.args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs,
+                                          fn.args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def unpassed_defaults(sources):
+    """Every "module.qualname(param)" whose param has a default, in a
+    top-level function or a method of a top-level class, that no call in
+    sources (module -> source text) passes by keyword or by position.
+    Calls match by the called name: f(...) and x.f(...) both call f, and
+    C(...) calls C.__init__."""
+    params, calls = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        called = node.name if fn.name == "__init__" else fn.name
+                        params += [(f"{module}.{node.name}.{fn.name}({p})",
+                                    called, p, i)
+                                   for p, i in _defaulted_params(fn, True)]
+            elif isinstance(node, ast.FunctionDef):
+                params += [(f"{module}.{node.name}({p})", node.name, p, i)
+                           for p, i in _defaulted_params(node, False)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+
+    def passed(call, param, pos):
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        return pos is not None and len(call.args) > pos
+
+    return [label for label, called, param, pos in params
+            if not any(passed(c, param, pos) for c in calls.get(called, ()))]
+
+
+def test_unpassed_scan_flags_and_excuses():
+    source = "\n".join([
+        "def f(a, b=1, c=2, *, d=3, e=4):",
+        "    return g(a) + g(a, 1)",
+        "def g(x, y=0, z=0):",
+        "    return f(x, 5, e=6)",
+        "class C:",
+        "    def __init__(self, u, v=None):",
+        "        self.m(1, 2)",
+        "    def m(self, p=0, q=0, r=0):",
+        "        def inner(w=1):",
+        "            return w",
+        "        return C(p) if r else h(*q)",
+        "def h(s=0, t=0):",
+        "    return 0",
+    ])
+    assert unpassed_defaults({"mod": source}) == [
+        "mod.f(c)", "mod.f(d)", "mod.g(z)", "mod.C.__init__(v)", "mod.C.m(r)"]
+
+
+def test_every_option_has_a_caller():
+    sources = {path.stem: path.read_text()
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    found = unpassed_defaults(sources)
+    assert sorted(found) == sorted(UNPASSED_KEPT), \
+        "defaults no call in src/ passes:\n" + "\n".join(
+            f for f in found if f not in UNPASSED_KEPT)

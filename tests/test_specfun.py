@@ -1,5 +1,7 @@
 import cmath
+import contextlib
 import math
+import signal
 
 import mpmath as mp
 import numpy as np
@@ -138,3 +140,23 @@ class TestLi:
             with pytest.raises(ValidationError, match="x > 1"):
                 li(x)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_li_refuses_non_finite(self, x):
+        # a NaN once kept the Ei series summing forever
+        with _deadline(5.0), pytest.raises(ValidationError, match="finite"):
+            li(x)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once it has run for seconds."""
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)

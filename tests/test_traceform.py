@@ -23,7 +23,7 @@ from hilbert_selberg.traceform import (
 )
 from hilbert_selberg.zetafun import (ZetaParams, selberg_log_deriv,
                                      selberg_zeta)
-from oracles import hyp_ell_sum_ref
+from oracles import hyp_ell_sum_ref, unit_series_ref
 
 # high-precision re-evaluation of the same sums, 30 digits
 GAUSS_TOTALS_D5_BETA01 = {
@@ -88,6 +88,15 @@ def test_pair_validation():
         rational_testfunction(0.9, 2.5, 3.5)
     with pytest.raises(ValidationError):
         gaussian_testfunction(0.0)
+
+
+@pytest.mark.parametrize("s, beta1, beta2", [
+    (math.nan, 2.5, 3.5), (math.inf, 2.5, 3.5),
+    (complex(2.5, math.nan), 2.5, 3.5), (2.5, math.nan, 3.5),
+    (2.5, 2.5, math.inf)])
+def test_pair_refuses_non_finite(s, beta1, beta2):
+    with pytest.raises(ValidationError, match="finite"):
+        rational_testfunction(s, beta1, beta2)
 
 
 def test_pairs_are_even():
@@ -210,15 +219,21 @@ def test_conjugation_symmetry(d5):
             assert abs(a - b.conjugate()) <= 1e-12 * (1.0 + abs(a))
 
 
-def test_eps_series_geometric_cutoff(d5):
+@pytest.mark.parametrize("single", [True, False],
+                         ids=["difference", "double"])
+@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("tf", [gaussian_testfunction(0.1),
+                                rational_testfunction(2.5, 2.5, 3.5)],
+                         ids=["gaussian", "rational"])
+def test_eps_series_geometric_cutoff(d5, tf, m, single):
+    # the unit series stops at its first term below 1e-18 (1 + |sum|);
+    # summed on term by term to four times as many terms it moves by no
+    # more than its geometric tail bound
     F, classes = d5
-    tf = gaussian_testfunction(0.1)
-    m = 4
-    k0 = math.ceil(50.0 / ((m - 1) * F.regulator))
-    short = geom_side_difference(m, tf, F, classes, eps_terms=k0)
-    long = geom_side_difference(m, tf, F, classes, eps_terms=4 * k0)
-    assert abs(short.hyp2_sct_term - long.hyp2_sct_term) <= 1e-16 * (
-        1.0 + abs(long.hyp2_sct_term))
+    evaluator = geom_side_difference if single else geom_side_double_difference
+    bd = evaluator(m, tf, F, classes)
+    ref = unit_series_ref(m, tf, F, single, 4 * bd.diagnostics["eps_terms"])
+    assert abs(bd.hyp2_sct_term - ref) <= bd.diagnostics["eps_tail"]
 
 
 def test_truncation_stability(d5, d5_wide):
@@ -229,9 +244,9 @@ def test_truncation_stability(d5, d5_wide):
         wide = geom_side_double_difference(m, tf, F, d5_wide)
         assert (abs(wide.hyp_ell_term - base.hyp_ell_term)
                 <= base.diagnostics["he_tail"])
-        doubled = geom_side_double_difference(
-            m, tf, F, classes, eps_terms=2 * base.diagnostics["eps_terms"])
-        assert (abs(doubled.hyp2_sct_term - base.hyp2_sct_term)
+        doubled = unit_series_ref(m, tf, F, False,
+                                  2 * base.diagnostics["eps_terms"])
+        assert (abs(doubled - base.hyp2_sct_term)
                 <= base.diagnostics["eps_tail"] + 1e-30)
 
 
@@ -365,7 +380,7 @@ def test_heat_fit_validation(d5):
 def test_stacked_grid_matches_one_member_sides(d5, single, m):
     F, classes = d5
     tfs = [gaussian_testfunction(b) for b in (0.2, 0.1, 0.05, 0.025)]
-    stacked = _geom_sides(m, tfs, F, classes, None, single)
+    stacked = _geom_sides(m, tfs, F, classes, single)
     side = geom_side_difference if single else geom_side_double_difference
     for tf, got in zip(tfs, stacked):
         want = side(m, tf, F, classes)

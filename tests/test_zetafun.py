@@ -163,6 +163,14 @@ def test_ruelle_dual_evaluation(d5):
     assert abs(far.value - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, complex(2.0, math.nan),
+                               complex(2.0, math.inf)])
+def test_ruelle_refuses_non_finite(d5, s):
+    # NaN passed the ratio-against-direct check, where comparisons are false
+    with pytest.raises(ValidationError, match="not finite"):
+        ruelle(s, d5[1])
+
+
 def test_alpha_table_weight_two_collapses():
     F = make_field(5)
     tab = alpha_table(2, F)
@@ -292,11 +300,15 @@ def test_completed_factors_weight_two(d5):
             assert got == pytest.approx((e.nu - 1 - 2 * l) / e.nu)
 
 
-def test_fe_identity_checks(d5):
-    F, _ = d5
-    report = fe_identity_checks(F, nus=(2, 3, 5, 6))
-    assert report["xi_max_err"] <= 1e-8
-    assert report["gnu_ratio_max_err"] <= 1e-8
+def test_fe_identity_checks():
+    # the orders are the census's: 2, 3, 4, 5 and 6 across the three fields
+    nus = set()
+    for D in (5, 8, 12):
+        report = fe_identity_checks(make_field(D))
+        assert report["xi_max_err"] <= 1e-8
+        assert report["gnu_ratio_max_err"] <= 1e-8
+        nus |= set(report["nus"])
+    assert nus == {2, 3, 4, 5, 6}
 
 
 # ------------------------------------------------------------ scalar oracles
