@@ -6,8 +6,7 @@ truncation tail bounds derived from the window's fitted counting
 constants.  ruelle evaluates the weight-2 ratio up to the window's
 coverage and cross-checks it against the direct product.  The
 remaining operations are exact bookkeeping: residue exponent tables,
-the trivial zero/pole ledger, the leading term at s = 0, and the
-sine/Gamma factor identities of the functional equation.
+the trivial zero/pole ledger and the leading term at s = 0.
 
 The products are evaluated through their log-series.  Summing a
 class's inner product over k <= K in closed form gives
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -37,7 +35,6 @@ import numpy as np
 from .errors import InvariantViolation, ValidationError
 from .quadfield import FieldCtx
 from .records import GeodesicWindow
-from .specfun import loggamma, xi_ratio
 
 TWO_PI = 2.0 * math.pi
 
@@ -397,58 +394,3 @@ def ruelle_leading(F: FieldCtx) -> Dict[str, object]:
         "euler_char": e,
         "stabilizer_product": prod_nu,
     }
-
-
-# ------------------------------------------------------------ functional factors
-
-_FE_POINTS = 20
-_FE_TOL = 1e-8
-
-
-def fe_identity_checks(F: FieldCtx, seed: int = 20240) -> Dict[str, object]:
-    """Spot-check the two factor identities behind the reflection product.
-
-    Ξ(s) must equal -4 sin^2(pi s), and the quotient of shifted Gamma
-    products must collapse to (sin(pi s/nu)/sin(pi s))^2 for every order
-    nu of the field's elliptic census, each to a relative error of 1e-8
-    at 20 seeded sample points.  Sample points stay in a window where
-    all the principal branches agree.
-    """
-    nus = sorted({nu for nu, _ in F.census_classes()})
-    rng = random.Random(seed)
-    xi_err = 0.0
-    ratio_err = 0.0
-    for _ in range(_FE_POINTS):
-        s = complex(rng.uniform(0.06, 0.44), rng.uniform(-0.5, 0.5))
-        target = -4.0 * cmath.sin(math.pi * s) ** 2
-        xi_err = max(xi_err, abs(xi_ratio(s) - target) / (1.0 + abs(target)))
-        for nu in nus:
-            lhs = _gnu_reflection_ratio(s, nu)
-            rhs = (cmath.sin(math.pi * s / nu) / cmath.sin(math.pi * s)) ** 2
-            ratio_err = max(ratio_err, abs(lhs - rhs) / (1.0 + abs(rhs)))
-    report = {
-        "xi_max_err": xi_err,
-        "gnu_ratio_max_err": ratio_err,
-        "n_points": _FE_POINTS,
-        "nus": tuple(nus),
-        "window": "Re(s) in (0.06, 0.44), |Im(s)| <= 0.5",
-    }
-    if xi_err > _FE_TOL or ratio_err > _FE_TOL:
-        raise InvariantViolation(
-            f"factor identity drift beyond {_FE_TOL}: {report}")
-    return report
-
-
-def _gnu_reflection_ratio(s: complex, nu: int) -> complex:
-    """G_nu(1+s)G_nu(1-s) / (G_nu(s)G_nu(-s)) * Xi(s)^(-(nu-1)/nu)."""
-    log_acc = 0.0 + 0.0j
-    for l in range(nu):
-        w = (nu - 1 - 2 * l) / nu
-        if w == 0.0:
-            continue
-        log_acc += w * (loggamma((1.0 + s + l) / nu)
-                        + loggamma((1.0 - s + l) / nu)
-                        - loggamma((s + l) / nu)
-                        - loggamma((-s + l) / nu))
-    log_acc -= ((nu - 1) / nu) * cmath.log(xi_ratio(s))
-    return cmath.exp(log_acc)

@@ -928,10 +928,12 @@ def test_check_passes_and_enumerates_window_once(capsys, monkeypatch):
     monkeypatch.setattr(geodesics, "enumerate_geodesics", counted)
     code, out = run_cli(capsys, "check", "--D", "5")
     assert code == 0
+    rows = ["exact constants", "elliptic census", "leading terms",
+            "class numbers", "zeta consistency", "trace closed forms",
+            "heat asymptotics", "count trend", "truncation stability"]
     lines = out.splitlines()
-    assert [ln[:6] for ln in lines] == ["PASS  "] * len(cli._CHECKS)
-    assert [ln[6:30].rstrip() for ln in lines] == \
-        [name for name, _ in cli._CHECKS]
+    assert [ln[:6] for ln in lines] == ["PASS  "] * len(rows)
+    assert [ln[6:30].rstrip() for ln in lines] == rows
     # the shared x window (class numbers cut theirs at min(x, 8) from
     # it), the count trend at 20, one rerun at 6 against its cut
     assert bounds == [10.0, 20.0, 6.0]
@@ -939,12 +941,34 @@ def test_check_passes_and_enumerates_window_once(capsys, monkeypatch):
 
 def test_check_failing_row_exits_3(capsys, monkeypatch):
     def broken(cfg, window):
-        raise AssertionError("row broken")
+        raise InvariantViolation("row broken")
 
     monkeypatch.setattr(cli, "_CHECKS", [("exact constants", broken)])
     code, out = run_cli(capsys, "check", "--D", "5")
     assert code == 3
     assert out == f"FAIL  {'exact constants':24s} row broken\n"
+
+
+_WRONG_ZETA_RUNNER = """
+import dataclasses, sys
+from fractions import Fraction
+from hilbert_selberg import cli
+
+real = cli.make_field
+cli.make_field = lambda D: (
+    dataclasses.replace(real(D), zeta_minus_one=Fraction(1, 31))
+    if D == 5 else real(D))
+cli._CHECKS = [row for row in cli._CHECKS if row[0] == "exact constants"]
+sys.exit(cli.main(["check", "--D", "5"]))
+"""
+
+
+def test_check_row_fails_under_optimize():
+    # python -O strips assert statements; a row's verdict must survive it
+    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_ZETA_RUNNER],
+                          env=_package_env(), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (
+        3, f"FAIL  {'exact constants':24s} (5, Fraction(1, 31))\n")
 
 
 def test_check_heat_row_names_the_missing_census(capsys, monkeypatch,

@@ -14,6 +14,9 @@ pass on another's.
 Every parameter with a default in src/ is passed by some call in src/,
 save the few UNPASSED_KEPT names with their reasons: an option only
 tests set is code no command runs.
+
+No module under src/ holds an assert statement: `python -O` strips
+them, so a verdict resting on one would pass unchecked.
 """
 
 import ast
@@ -264,3 +267,32 @@ def test_every_option_has_a_caller():
     assert sorted(found) == sorted(UNPASSED_KEPT), \
         "defaults no call in src/ passes:\n" + "\n".join(
             f for f in found if f not in UNPASSED_KEPT)
+
+
+# ------------------------------------------------------- asserts in src/
+
+def assert_statements(source: str):
+    """Line of every assert statement in source."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_assert_scan_flags_statements_only():
+    source = "\n".join([
+        "def f(x):",
+        "    assert x > 0, x",
+        "    if x:",
+        "        assert x",
+        "    return 'assert x'  # assert x",
+        "def assert_ok():",
+        "    raise AssertionError",
+    ])
+    assert assert_statements(source) == [2, 4]
+
+
+def test_no_assert_in_src():
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line in assert_statements(path.read_text())]
+    assert not found, "assert statements in src/, stripped by python -O:\n" \
+        + "\n".join(found)

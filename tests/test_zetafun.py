@@ -22,7 +22,7 @@ from hilbert_selberg.geodesics import enumerate_geodesics
 from hilbert_selberg.quadfield import make_field
 from hilbert_selberg.records import GeodesicWindow
 from hilbert_selberg.zetafun import (ZetaParams, alpha_table,
-                                     divisor_ledger, fe_identity_checks,
+                                     divisor_ledger,
                                      residue_point_order, ruelle,
                                      _norm_tail,
                                      ruelle_leading, selberg_log_deriv,
@@ -298,17 +298,6 @@ def test_completed_factors_weight_two(d5):
         for l in range(e.nu):
             got = (e.nu - 1 - e.alpha[l] - e.alpha_bar[l]) / e.nu
             assert got == pytest.approx((e.nu - 1 - 2 * l) / e.nu)
-
-
-def test_fe_identity_checks():
-    # the orders are the census's: 2, 3, 4, 5 and 6 across the three fields
-    nus = set()
-    for D in (5, 8, 12):
-        report = fe_identity_checks(make_field(D))
-        assert report["xi_max_err"] <= 1e-8
-        assert report["gnu_ratio_max_err"] <= 1e-8
-        nus |= set(report["nus"])
-    assert nus == {2, 3, 4, 5, 6}
 
 
 # ------------------------------------------------------------ scalar oracles
