@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, InvariantViolation, ValidationError
 
 # Fundamental discriminants D <= 100 whose real quadratic field has class
 # number one.  Frozen table; the dual class-number machinery in pellforms
@@ -490,7 +490,7 @@ def make_field(D: int) -> FieldCtx:
     zeta = zeta_minus_one(D)
     cross = Fraction(-1, 12) * bernoulli_L_minus_one(D)
     if zeta != cross:
-        raise ValidationError(
+        raise InvariantViolation(
             f"zeta_K(-1) routes disagree for D={D}: divisor sum {zeta}, "
             f"Bernoulli route {cross}")
     eps = fundamental_unit(D)

@@ -318,9 +318,8 @@ class DivisorLedger:
 
 
 def _euler_char(F: FieldCtx) -> int:
+    F.census_classes()  # a field without a census is refused
     e = F.euler_char
-    if e is None:
-        raise ValidationError(f"no census attached for D={F.D}")
     if e.denominator != 1:
         raise InvariantViolation(f"non-integral euler characteristic {e}")
     return int(e)

@@ -19,6 +19,8 @@ import pkgutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,9 +28,10 @@ import hilbert_selberg
 from hilbert_selberg import cli, geodesics, modgroup, quadfield
 from hilbert_selberg.cache import get_or_compute
 from hilbert_selberg.cli import RunConfig, _classes, main
-from hilbert_selberg.errors import BudgetExceededError, InvariantViolation
+from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
+                                   ValidationError)
 from hilbert_selberg.geodesics import enumerate_geodesics
-from hilbert_selberg.quadfield import make_field
+from hilbert_selberg.quadfield import CLASS_NUMBER_ONE, make_field
 from hilbert_selberg.records import GeodesicWindow
 
 
@@ -419,6 +422,20 @@ def test_census_computed_only_on_use(capsys, monkeypatch):
     assert capsys.readouterr().err == "invariant violation: census computed\n"
 
 
+def test_zeta_route_mismatch_is_an_invariant_violation(capsys, monkeypatch):
+    # two independent routes disagreeing is an internal fault, exit 3
+    monkeypatch.setattr(quadfield, "_FIELD_MEMO", {})
+    monkeypatch.setattr(quadfield, "bernoulli_L_minus_one",
+                        lambda D: Fraction(-12, 31))
+    with pytest.raises(InvariantViolation, match="routes disagree for D=5"):
+        make_field(5)
+    assert main(["field", "--D", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invariant violation: zeta_K(-1) routes disagree "
+                            "for D=5: divisor sum 1/30, Bernoulli route 1/31\n")
+
+
 # ---------------------------------------------------------------- geodesics
 
 def test_geodesics_small_window_empty_csv(capsys):
@@ -528,6 +545,13 @@ def test_ledger_json(capsys):
     assert orders["double pole at s=1 from the squared unit factor"] == -2
     assert blob["leading"]["n0"] == 6
     assert blob["leading"]["stabilizer_product"] == 900
+
+
+def test_ledger_without_a_census_names_it(capsys):
+    assert main(["ledger", "--D", "13", "--m", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no elliptic census attached for D=13\n"
 
 
 # ---------------------------------------------------------------- trace
@@ -940,7 +964,7 @@ def test_check_passes_and_enumerates_window_once(capsys, monkeypatch):
 
 
 def test_check_failing_row_exits_3(capsys, monkeypatch):
-    def broken(cfg, window):
+    def broken(cfg, F, window):
         raise InvariantViolation("row broken")
 
     monkeypatch.setattr(cli, "_CHECKS", [("exact constants", broken)])
@@ -997,3 +1021,53 @@ def test_check_window_failure_fails_each_row(capsys, monkeypatch):
     assert code == 3
     assert out == "".join(f"FAIL  {name:24s} window not enumerated\n"
                           for name, _ in rows)
+
+
+@pytest.mark.parametrize("D", ["7", "40"])
+def test_check_refuses_an_unsupported_field(D, capsys, monkeypatch):
+    _no_enumeration(monkeypatch)
+    with pytest.raises(ValidationError) as refused:
+        make_field(int(D))
+    assert main(["check", "--D", D]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refused.value}\n"
+
+
+_FIXED_FIELD_ROWS = {
+    5: ["PASS  exact constants          zeta_K(-1) = 1/30 by both routes",
+        "PASS  elliptic census          stabilizer orders [2, 2, 3, 3, 5, 5]; "
+        "Euler characteristic 4",
+        "PASS  leading terms            central order 6; "
+        "stabilizer product 900"],
+    13: ["PASS  exact constants          zeta_K(-1) = 1/6 by both routes",
+         "FAIL  elliptic census          no elliptic census attached for D=13",
+         "FAIL  leading terms            no elliptic census attached for D=13"],
+}
+
+
+@pytest.mark.parametrize("D", sorted(_FIXED_FIELD_ROWS))
+def test_check_fixed_field_rows_name_the_field(D, capsys, monkeypatch):
+    # the first three rows judge the field asked about and read no window
+    _no_enumeration(monkeypatch)
+    monkeypatch.setattr(cli, "_CHECKS", cli._CHECKS[:3])
+    code, out = run_cli(capsys, "check", "--D", str(D))
+    assert code == (0 if D == 5 else 3)
+    assert out.splitlines() == _FIXED_FIELD_ROWS[D]
+
+
+CHECK_VERDICTS = Path(__file__).parent / "data" / "check_verdicts.txt"
+
+
+def test_check_verdict_scoreboard(capsys, monkeypatch):
+    # one line per class-number-one field: D, exit code, P or F per row;
+    # a change that turns a cell to PASS updates the file
+    monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    got = []
+    for D in sorted(CLASS_NUMBER_ONE):
+        code, out = run_cli(capsys, "check", "--D", str(D))
+        cells = "".join(ln[0] for ln in out.splitlines())
+        got.append(f"{D} {code} {cells}")
+    want = [ln for ln in CHECK_VERDICTS.read_text().splitlines()
+            if not ln.startswith("#")]
+    assert got == want
