@@ -24,7 +24,7 @@ from typing import Callable, Optional, TypeVar
 from . import __version__
 from .errors import ValidationError
 
-_FORMAT = 4
+_FORMAT = 5
 
 T = TypeVar("T")
 

@@ -48,8 +48,8 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import (BudgetExceededError, HilbertSelbergError,
                      InvariantViolation, ValidationError)
-from .quadfield import (bernoulli_L_minus_one, field_to_json_str, make_field,
-                        parse_quadint, zeta_minus_one)
+from .quadfield import (bernoulli_L_minus_one, chi_D, field_to_json_str,
+                        make_field, parse_quadint, zeta_minus_one)
 
 
 # ------------------------------------------------------------ configuration
@@ -150,12 +150,12 @@ def _classes(F, cfg: RunConfig, x: Optional[float] = None):
 
     def enumerate_window():
         from .geodesics import enumerate_geodesics
-        return x, enumerate_geodesics(F, x, height=cfg.height)
+        return enumerate_geodesics(F, x, height=cfg.height)
 
-    stored_x, window = get_or_compute(
+    window = get_or_compute(
         "geodesics", {"D": F.D, "height": cfg.height}, enumerate_window,
-        cfg.cache_dir, usable=lambda entry: entry[0] >= x)
-    return window if stored_x == x else window.within(x)
+        cfg.cache_dir, usable=lambda w: w.bound >= x)
+    return window if window.bound == x else window.within(x)
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
@@ -355,13 +355,29 @@ def _require(ok, measured) -> None:
         raise InvariantViolation(measured)
 
 
+# terms of the L(2, chi_D) sum that judges zeta_K(-1)
+_L2_TERMS = 4096
+
+
 def _check_exact_constants(cfg: RunConfig, F, window) -> str:
-    # the field's value against both of its routes, the divisor sum and
-    # zeta(-1) * L(-1, chi_D)
-    routes = (zeta_minus_one(F.D), -bernoulli_L_minus_one(F.D) / 12)
-    _require(all(F.zeta_minus_one == z for z in routes),
-             (F.D, F.zeta_minus_one))
-    return f"zeta_K(-1) = {F.zeta_minus_one} by both routes"
+    # the field's value against both of its exact routes, the divisor
+    # sum and zeta(-1) * L(-1, chi_D), and against an analytic judge
+    # that shares neither: zeta_K(-1) = D^(3/2) L(2, chi_D) / (24 pi^2).
+    # The partial sums S(n) of chi_D are at most D/2 in modulus, as
+    # chi_D sums to 0 over a period, so by Abel summation the terms past
+    # N add at most 2 (D/2) / (N + 1)^2 to L(2, chi_D)
+    D, value = F.D, F.zeta_minus_one
+    routes = (zeta_minus_one(D), -bernoulli_L_minus_one(D) / 12)
+    _require(all(value == z for z in routes), (D, value))
+    chi = chi_D(D)
+    scale = D ** 1.5 / (24.0 * math.pi ** 2)
+    analytic = scale * math.fsum(chi(n) / n ** 2
+                                 for n in range(1, _L2_TERMS + 1))
+    err = abs(analytic - value)
+    tol = scale * D / (_L2_TERMS + 1) ** 2 + 1e-12
+    _require(err <= tol, (D, value, analytic, tol))
+    return (f"zeta_K(-1) = {value} by both routes; "
+            f"L(2, chi_D) within {err:.1e} <= {tol:.1e}")
 
 
 def _check_census_orders(cfg: RunConfig, F, window) -> str:

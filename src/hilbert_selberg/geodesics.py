@@ -49,7 +49,7 @@ def square_divisor_quotients(P: QuadInt, F: FieldCtx) -> List[QuadInt]:
 def enumerate_geodesics(F: FieldCtx, x: float,
                         height: float = 8.0) -> GeodesicWindow:
     """All classes with eps_K(d) <= x, as a window covering the largest
-    listed norm.
+    listed norm, with bound x.
 
     The traces scanned are those with first embedding in (2, x + 1/x]
     and second in (-2, 2), the traces eps + 1/eps of every class with
@@ -86,4 +86,4 @@ def enumerate_geodesics(F: FieldCtx, x: float,
             d=rec.d, norm=rec.pell.eps_d ** 2,
             angle=math.acos(t2 / 2.0),
             multiplicity=rec.class_number, record=rec))
-    return GeodesicWindow(classes)
+    return GeodesicWindow(classes, bound=x)

@@ -152,6 +152,15 @@ def _sign_rows(A: np.ndarray, b: np.ndarray, D: int) -> np.ndarray:
     return np.where(lhs > rhs, np.sign(A), np.sign(b))
 
 
+def _embed_signs(rows: np.ndarray, D: int, j: int) -> np.ndarray:
+    """Exact signs of the j-th embeddings of the (N, 2) coordinate rows
+    (x, y), read as x + y*w with w = (t + sqrt(D))/2 and w' its
+    conjugate."""
+    t, _ = _omega_trace_norm(D)
+    x, y = rows.T
+    return _sign_rows(2 * x + t * y, y if j == 1 else -y, D)
+
+
 def _normalize_rows(rows: np.ndarray, D: int, t: int) -> np.ndarray:
     """Negate, in place, every row whose first nonzero coordinate pair
     (x, y), read as x + y*w, has negative first embedding."""
@@ -168,9 +177,11 @@ def _normalize_rows(rows: np.ndarray, D: int, t: int) -> np.ndarray:
 # the translation generators mu = +1, -1, +w, -w as coordinate columns
 _MU_A = np.array([[1], [-1], [0], [0]])
 _MU_B = np.array([[0], [0], [1], [-1]])
-# conjugation by diag(1, -1): [[A, B], [C, E]] -> [[A, -B], [-C, E]] maps
-# S to itself and T_mu to T_-mu, so orbits are searched modulo it
-_CONJ_MIRROR = np.array([1, 1, -1, -1, -1, -1, 1, 1])
+# g -> P g^-1 P with P = diag(1, -1): [[A, B], [C, E]] -> [[E, B], [C, A]]
+# turns conjugation by h into conjugation by PhP, which maps S to itself
+# (in PSL) and T_mu to T_-mu, so orbits are searched modulo it; it keeps
+# the trace, and C with it
+_CONJ_MIRROR = np.eye(8, dtype=np.int64)[[6, 7, 2, 3, 4, 5, 0, 1]]
 
 
 def _conj_neighbors(rows: np.ndarray, D: int, t: int, n: int) -> np.ndarray:
@@ -206,7 +217,8 @@ def conjugation_orbit(seeds, D: int, cap1: float, cap2: float,
 
     The seeds must share one trace up to sign and lie inside the caps;
     ValidationError otherwise.  Raises BudgetExceededError when some
-    component exceeds the state budget.
+    component exceeds the state budget.  The search runs modulo the
+    mirror g -> P g^-1 P, P = diag(1, -1), which keeps the trace and c.
     """
     seeds = np.atleast_2d(np.asarray(seeds, dtype=np.int64))
     t, n = _omega_trace_norm(D)
@@ -242,11 +254,13 @@ def _two_cos_table(F: FieldCtx) -> Dict[int, QuadInt]:
     return table
 
 
-def _matrices_with_trace(F: FieldCtx, tr: QuadInt,
-                         cap1: float, cap2: float) -> np.ndarray:
+def _matrices_with_trace(F: FieldCtx, tr: QuadInt, cap1: float, cap2: float,
+                         c_half: Optional[int] = None) -> np.ndarray:
     """All det-1 matrices with the given trace and per-embedding entry
     heights within (cap1, cap2), as the rows of an (N, 8) int64 array,
-    ordered by a, then b, in box order."""
+    ordered by a, then b, in box order.  With c_half = j, only those
+    whose c is positive at embedding j, ordered by a, then c: the scan
+    draws c from that half of the box and b is the cofactor."""
     D = F.D
     t, n = _omega_trace_norm(D)
     # box coordinates are at most H, those of tr - a at most T, those of
@@ -264,7 +278,11 @@ def _matrices_with_trace(F: FieldCtx, tr: QuadInt,
     # gives |trace| >= 2 in each embedding, likewise b = 0 after S
     d = [tr.a, tr.b] - box
     bc = np.column_stack(_coord_mul(*box.T, *d.T, t, n)) - [1, 0]
-    i, b, c = _factor_pairs(bc, box, D, cap1, cap2)
+    if c_half is None:
+        i, b, c = _factor_pairs(bc, box, D, cap1, cap2)
+    else:
+        half = box[_embed_signs(box, D, c_half) > 0]
+        i, c, b = _factor_pairs(bc, half, D, cap1, cap2)
     return np.column_stack([box[i], b, c, d[i]])
 
 
@@ -272,17 +290,16 @@ def _elliptic_candidates(F: FieldCtx, height_bound: float
                          ) -> Dict[int, np.ndarray]:
     """Candidate rows per order nu, sign-normalized, distinct and in
     increasing order: the entry-bounded matrices of trace 2cos(pi/nu)
-    whose c has positive first embedding (all of them for nu = 2, of
-    trace 0); one with c < 0 is the negative of a theta1-normalized
-    element of trace -2cos(pi/nu), a candidate of the inverse class."""
+    whose c has positive first embedding, which the scan draws from that
+    half of the box (all of them for nu = 2, of trace 0); one with c < 0
+    is the negative of a theta1-normalized element of trace
+    -2cos(pi/nu), a candidate of the inverse class."""
     D = F.D
     t, _ = _omega_trace_norm(D)
     out: Dict[int, np.ndarray] = {}
     for nu, tr in _two_cos_table(F).items():
-        rows = _matrices_with_trace(F, tr, height_bound, height_bound)
-        if nu != 2:
-            rows = rows[_sign_rows(2 * rows[:, 4] + t * rows[:, 5],
-                                   rows[:, 5], D) > 0]
+        rows = _matrices_with_trace(F, tr, height_bound, height_bound,
+                                    c_half=None if nu == 2 else 1)
         if len(rows):
             out[nu] = unique_rows(_normalize_rows(rows, D, t))
     return out
@@ -293,10 +310,10 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
     """Primitive elliptic conjugacy classes (rotation pair (pi/nu, t*pi/nu)).
 
     Brute enumeration over admissible traces and height-bounded entries,
-    then partition by conjugation BFS.  The candidates of order nu are one
-    row filter, `_elliptic_candidates`, on the (N, 8) scan of trace
-    2cos(pi/nu): the rows whose c has positive first embedding (every row
-    for nu = 2), sign-normalized.  A class is kept only when it generates
+    then partition by conjugation BFS.  The candidates of order nu are
+    the (N, 8) scan of trace 2cos(pi/nu) over the matrices whose c has
+    positive first embedding (every matrix for nu = 2), sign-normalized
+    (`_elliptic_candidates`).  A class is kept only when it generates
     the full point stabilizer: proper powers of a higher-order generator
     (the square of an order-4 rotation is an order-2 rotation about the
     same point) carry the right trace but have a point of larger isotropy.

@@ -30,14 +30,21 @@ smaller of the two keys both.  The row a level carries is then either
 sign, which the keys, the height test and the images up to sign do not
 see.
 
-The search runs modulo a mirror: a sign vector whose diagonal matrix P
-conjugates every generator map to one of them, diag(1, -1): (a, b, c)
--> (a, -b, c) on forms and [[A, B], [C, E]] -> [[A, -B], [-C, E]] under
-conjugation, fixing S and swapping T_mu with T_-mu.  P keeps heights,
-the trace and the key box, so it is an automorphism of the capped
-graph, whose quotient, undirected too, is what the levels walk.  A
-state is a pair {x, Px}, keyed by the smaller of its two keys, and
-carries the row of that key.  Components live on a double cover: node
+The search runs modulo a mirror: a signed permutation matrix P with
+P^2 = I that conjugates every generator map to one of them, applied as
+one index and one sign vector, Px = sign * x[perm].  The form mirror is
+diag(1, -1): (a, b, c) -> (a, -b, c), fixing S and swapping T_mu with
+T_-mu.  The conjugation mirror is g -> P g^-1 P with P = diag(1, -1):
+[[A, B], [C, E]] -> [[E, B], [C, A]], which swaps the diagonal pairs;
+it turns conjugation by h into conjugation by PhP, so it too fixes S
+(PSP = -S) and swaps T_mu with T_-mu.  Each mirror permutes and signs
+whole coordinate pairs, so it keeps heights and the key box, and the
+conjugation mirror keeps the trace: it is an automorphism of the
+capped graph, whose quotient, undirected too, is what the levels walk.
+Neither mirror leaves the definiteness half that `pellforms` searches
+(the form mirror keeps a, the conjugation mirror c).  A state is a
+pair {x, Px}, keyed by the smaller of its two keys, and carries the
+row of that key.  Components live on a double cover: node
 s is the component of seed s and node S + s that of its mirror image,
 so a label names the carried row's component and its twin the
 mirror's.  Every edge x - y is seen from the carried row of one end's
@@ -164,9 +171,15 @@ def _row_packer(what: str, D: int, cap1: float, cap2: float,
     base = (A * rad + B) * (R * R + R + 1)
     trace0 = trace is not None and not np.any(trace)
 
-    def pack(rows: np.ndarray, signs: np.ndarray = np.ones(6, int)
-             ) -> np.ndarray:  # the keys of the rows times a sign vector
-        keys = rows[:, :6] @ (weights * signs[:6]) + base
+    def pack(rows: np.ndarray, mirror: Optional[Tuple[np.ndarray, ...]]
+             = None) -> np.ndarray:
+        """The keys of the rows, or with mirror = (perm, sign) those of
+        their images sign * row[perm]."""
+        if mirror is None:
+            keys = rows[:, :6] @ weights + base
+        else:
+            perm, sign = mirror
+            keys = rows[:, perm[:6]] @ (weights * sign[:6]) + base
         return np.minimum(keys, top - keys) if trace0 else keys
     return pack
 
@@ -252,6 +265,22 @@ class Orbit:
         return np.flatnonzero(self.roots == np.arange(len(self.roots)))
 
 
+def _pair_mirror(what: str, mirror, k: int) -> np.ndarray:
+    """The mirror as a k x k integer matrix P, checked to be a signed
+    permutation of coordinate pairs with P^2 = I: P = Q (x) I_2 for a
+    signed permutation Q of the k/2 pairs with Q^2 = I."""
+    P = np.asarray(mirror)
+    Q = P[0::2, 0::2] if P.shape == (k, k) else None
+    if not (Q is not None and np.isin(Q, (-1, 0, 1)).all()
+            and (np.abs(Q).sum(axis=1) == 1).all()
+            and np.array_equal(Q @ Q, np.eye(k // 2))
+            and np.array_equal(P, np.kron(Q, np.eye(2)))):
+        raise ValidationError(
+            f"{what} mirror must be a signed permutation of coordinate "
+            "pairs P with P^2 = I")
+    return P
+
+
 # frontier rows expanded at a time: bounds the transient image arrays
 # of a wide level
 _BFS_BLOCK = 768
@@ -270,10 +299,11 @@ def capped_bfs(what: str, seeds,
     (N, k) int64 array to its (m*N, k) images, row i's images in rows
     m*i..m*i+m-1, and must be Z-linear: the search reads its matrix off
     the unit rows once and applies that to each block of rows as an
-    exact float64 product.  The generator maps must be closed under
-    inverses and under conjugation by diag(`mirror`), a sign vector of
-    length k (ValidationError otherwise); states are the mirror pairs of
-    the module docstring.  A level is the sorted keys of the in-cap
+    exact float64 product.  `mirror` is a k x k signed permutation
+    matrix P with P^2 = I that moves whole coordinate pairs, and the
+    generator maps must be closed under inverses and under conjugation
+    by P (ValidationError otherwise); states are the mirror pairs of the
+    module docstring.  A level is the sorted keys of the in-cap
     images, but the parents, on neither the current nor the previous
     level, with the label, the int32 carried row and the back edge of
     each.  An image that meets a state of another component on the
@@ -307,7 +337,9 @@ def capped_bfs(what: str, seeds,
     Mt = np.ascontiguousarray(
         neighbors(np.eye(k, dtype=np.int64)).reshape(k, -1).T, dtype=float)
     m = len(Mt) // k
-    gens, mirror = Mt.reshape(m, k, k), np.asarray(mirror)
+    gens, P = Mt.reshape(m, k, k), _pair_mirror(what, mirror, k)
+    perm = np.abs(P).argmax(axis=1)  # P x = sign * x[perm]
+    sign = P[np.arange(k), perm]
 
     def index(match: np.ndarray, of: str) -> np.ndarray:
         """match[j, i]: generator i is the `of` of generator j."""
@@ -317,7 +349,7 @@ def capped_bfs(what: str, seeds,
         return np.nonzero(match)[1]
     inverse = index((gens[None] @ gens[:, None] == np.eye(k)).all(
         axis=(2, 3)), "inverse")
-    mirrored = mirror[:, None] * gens * mirror  # P G_j P
+    mirrored = P @ gens @ P
     swap = index((mirrored[:, None] == gens[None]).all(axis=(2, 3)),
                  "mirror image")
     # the back edge of a state that generator j reached: the inverse of
@@ -340,7 +372,7 @@ def capped_bfs(what: str, seeds,
         row's mirror pair, the smaller of its two, the label of the row
         that key packs, whether that is the mirror, and whether the row
         is its own mirror, whose label then joins its twin."""
-        raw, mirrored = pack(found), pack(found, mirror)
+        raw, mirrored = pack(found), pack(found, (perm, sign))
         flip, alone = mirrored < raw, mirrored == raw
         labs = np.where(flip, twin[labs], labs)
         join(labs[alone], twin[labs[alone]])
@@ -348,7 +380,8 @@ def capped_bfs(what: str, seeds,
 
     def carried(found: np.ndarray, flip: np.ndarray) -> np.ndarray:
         """The rows a level carries, exact in int32 (see _row_packer)."""
-        return np.where(flip[:, None], found * mirror, found).astype(np.int32)
+        return np.where(flip[:, None], found[:, perm] * sign,
+                        found).astype(np.int32)
 
     prev = np.empty(0, dtype=np.int64)
     keys, labs, flip, alone = canonical(seeds, np.arange(S, dtype=np.int32))

@@ -6,7 +6,9 @@ square mod 4.  For each such d the forms a x^2 + b xy + c y^2 with
 b^2 - 4ac = d fall into finitely many SL(2, O_K)-orbits; the class
 number h_K(d) is computed twice, by a direct orbit partition of the
 forms and by counting matrix conjugacy classes through the stabilizer
-generator map, and the two counts must agree.
+generator map, and the two counts must agree.  Each route searches the
+half of its forms or matrices that is positive definite at the second
+embedding, and the other half follows exactly (see class_number).
 
 Primitivity is one exact test on both routes: a form (a, b, c) is
 primitive when the ideal (a, b, c) is all of O_K, that is, when its
@@ -24,8 +26,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
-from .modgroup import (GroupElem, conjugation_orbit, _matrices_with_trace,
-                       _normalize_rows, _MU_A, _MU_B)
+from .modgroup import (GroupElem, conjugation_orbit, _embed_signs,
+                       _matrices_with_trace, _normalize_rows, _MU_A, _MU_B)
 from .orbits import (Orbit, capped_bfs, unique_rows, _box_rows,
                      _factor_pairs, _row_packer)
 from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
@@ -170,7 +172,7 @@ def _form_neighbors(rows: np.ndarray, D: int, t: int, n: int) -> np.ndarray:
 
 # (a, b, c) -> (a, -b, c), improper equivalence by diag(1, -1): it maps S
 # to itself and T_mu to T_-mu, so orbits are searched modulo it
-_FORM_MIRROR = np.array([1, 1, -1, -1, 1, 1])
+_FORM_MIRROR = np.diag([1, 1, -1, -1, 1, 1])
 
 
 def form_orbit(seeds, D: int, cap1: float, cap2: float,
@@ -194,9 +196,12 @@ def _form_boxes(d: QuadInt, height: float) -> Tuple[float, float]:
 
 def enumerate_forms(d: QuadInt, F: FieldCtx,
                     height: float = 8.0) -> np.ndarray:
-    """All primitive forms of discriminant d with coefficient heights
-    inside the per-embedding boxes derived from d and `height`, as the
-    key rows of an (N, 6) int64 array."""
+    """The primitive forms of discriminant d with coefficient heights
+    inside the per-embedding boxes derived from d and `height` whose a
+    is positive at the second embedding, as the key rows of an (N, 6)
+    int64 array.  The other forms inside the boxes are exactly their
+    negatives: the boxes are symmetric, and (-a, -b, -c) has the
+    discriminant and content of (a, b, c)."""
     D = d.D
     t, n = _omega_trace_norm(D)
     h1, h2 = _form_boxes(d, height)
@@ -210,10 +215,12 @@ def enumerate_forms(d: QuadInt, F: FieldCtx,
         raise BudgetExceededError(
             f"form boxes ({h1:.6g}, {h2:.6g}) overflow int64 arithmetic")
     box = _box_rows(D, h1, h2)
-    # a*c = (b^2 - d)/4 for every b in the box with b^2 = d (mod 4)
+    # a*c = (b^2 - d)/4 for every b in the box with b^2 = d (mod 4), a
+    # from the half of the box positive at the second embedding
     num = np.column_stack(_coord_mul(*box.T, *box.T, t, n)) - [d.a, d.b]
     j = np.nonzero((num % 4 == 0).all(axis=1))[0]
-    i, a, c = _factor_pairs(num[j] // 4, box, D, h1, h2)
+    half = box[_embed_signs(box, D, 2) > 0]
+    i, a, c = _factor_pairs(num[j] // 4, half, D, h1, h2)
     rows = np.column_stack([a, box[j[i]], c])
     return rows[_content_norm_rows(rows, t, n) == 1]
 
@@ -237,7 +244,10 @@ def _matrix_keys(pell: PellSolution, F: FieldCtx,
                  m1: float, m2: float) -> np.ndarray:
     """Sign-normalized key rows, (N, 8), of the oracle's matrices: those
     of trace t0 in the entry boxes whose form is u0 times a primitive
-    form.
+    form and whose C is positive at the second embedding.  The others
+    are exactly their conjugates [[A, -B], [-C, E]] by diag(1, -1): the
+    boxes are symmetric, and the form (-C, E - A, B) is u0 times a
+    primitive form exactly when (C, E - A, -B) is.
 
     This walks the stabilizer-generator correspondence backwards.  A
     matrix [[A, B], [C, E]] of trace t0 and determinant 1 carries the
@@ -252,7 +262,7 @@ def _matrix_keys(pell: PellSolution, F: FieldCtx,
     """
     D = F.D
     t, n = _omega_trace_norm(D)
-    rows = _matrices_with_trace(F, pell.t0, m1, m2)
+    rows = _matrices_with_trace(F, pell.t0, m1, m2, c_half=2)
     aa, ab, ba, bb, ca, cb, ea, eb = rows.T
     form = np.column_stack([ca, cb, ea - aa, eb - ab, -ba, -bb])
     # x / u0 = x conj(u0) / N(u0); with form coordinates up to M and
@@ -287,6 +297,38 @@ def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
     before any box is scanned.
     A caller that has already solved Pell for the canonical associate
     passes that solution as `pell`; otherwise it is solved here.
+
+    Each route searches one definiteness half of its graph and doubles
+    its count.  That is exact:
+    - Definiteness at the second embedding is invariant.  A form has
+      4 a_2 c_2 = b_2^2 - d_2 > 0, so a_2 and c_2 share one sign; T_mu
+      keeps a and S maps it to c.  A matrix of trace t0 carries the form
+      (C, E - A, -B) of discriminant t0^2 - 4 = dc u0^2, negative at
+      the second embedding, so C_2 and -B_2 share one sign; T_mu keeps
+      C and S maps it to -B.
+    - Negation (a, b, c) -> (-a, -b, -c) commutes with S and T_mu, which
+      act linearly, keeps heights, primitivity and the discriminant, and
+      flips a_2.  So the forms of the other half are the negatives of
+      enumerate_forms' forms, and its components are the negatives of
+      this half's, state for state.  Negation reverses the order of
+      rows, so the least seed of a negated component is the negative of
+      the greatest seed of the component.
+    - Inversion g -> g^-1 = [[E, -B], [-C, A]] commutes with
+      conjugation, (h g h^-1)^-1 = h g^-1 h^-1, keeps the trace and the
+      entry heights and flips C_2, and so does g -> P g^-1 P =
+      [[E, B], [C, A]], P = diag(1, -1), which turns conjugation by h
+      into conjugation by PhP; so their composite g -> PgP =
+      [[A, -B], [-C, E]] maps the capped graph of one half onto that of
+      the other.  It maps the oracle's matrices of one half onto those
+      of the other (see _matrix_keys), so the other half's classes are
+      the images of this half's classes.
+    - Both mirrors keep the half: (a, -b, c) keeps a, and
+      [[E, B], [C, A]] keeps C.
+    So each count is twice its half's, a component of the other half has
+    as many states as its image here, and the budget verdicts agree.
+    The forms of the record are the sorted union of each component's
+    least seed and the negative of its greatest seed: the least seeds of
+    the components of the full search.
     """
     if not in_Dpm(d):
         raise ValidationError(f"{d} is not a mixed-sign discriminant")
@@ -307,12 +349,16 @@ def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
     _row_packer("conjugation", D, mcap1, mcap2)
 
     seeds = unique_rows(enumerate_forms(dc, F, height=height))
-    reps = seeds[form_orbit(seeds, D, cap1, cap2).reps]
+    orbit = form_orbit(seeds, D, cap1, cap2)
+    greatest = orbit.roots.copy()
+    np.maximum.at(greatest, orbit.roots, np.arange(len(seeds)))
+    reps = unique_rows(np.concatenate([seeds[orbit.reps],
+                                       -seeds[greatest[orbit.reps]]]))
     h_orbit = len(reps)
 
     _, classes = conjugation_orbit(
         unique_rows(_matrix_keys(pell, F, m1, m2)), D, mcap1, mcap2)
-    h_matrix = len(classes)
+    h_matrix = 2 * len(classes)
     if h_orbit != h_matrix:
         raise InvariantViolation(
             f"ambiguous class count for d={dc}: form orbits give "

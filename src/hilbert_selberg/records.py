@@ -17,7 +17,7 @@ import bisect
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
                     NamedTuple, Optional, Sequence, Tuple)
 
@@ -205,13 +205,20 @@ class GeodesicWindow(Sequence[GeodesicClass]):
     in the same order.  Columns, grid and fitted constants are derived
     on first use and left out of the pickle, so a cached window
     rebuilds them after a load.
+
+    bound is the x the window was enumerated to, eps_K(d) <= x, which
+    enumerate_geodesics and within record; a window built from a bare
+    class list has none.  It says which cuts the window allows, not what
+    it holds, so it takes no part in equality.
     """
 
     classes: Tuple[GeodesicClass, ...]
     coverage: float
+    bound: Optional[float] = field(compare=False)
 
     def __init__(self, classes: Iterable[GeodesicClass],
-                 coverage: Optional[float] = None) -> None:
+                 coverage: Optional[float] = None,
+                 bound: Optional[float] = None) -> None:
         ordered = tuple(sorted(classes, key=_class_order))
         for c in ordered:
             if c.multiplicity % 2:
@@ -222,6 +229,7 @@ class GeodesicWindow(Sequence[GeodesicClass]):
             coverage = max((c.norm for c in ordered), default=0.0)
         object.__setattr__(self, "classes", ordered)
         object.__setattr__(self, "coverage", float(coverage))
+        object.__setattr__(self, "bound", bound)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -233,7 +241,8 @@ class GeodesicWindow(Sequence[GeodesicClass]):
         return iter(self.classes)
 
     def __getstate__(self) -> Dict[str, object]:
-        return {"classes": self.classes, "coverage": self.coverage}
+        return {"classes": self.classes, "coverage": self.coverage,
+                "bound": self.bound}
 
     def count_upto(self, x: float) -> int:
         """Number of leading classes with norm <= x, the one cut every
@@ -248,18 +257,24 @@ class GeodesicWindow(Sequence[GeodesicClass]):
 
     def within(self, x: float) -> "GeodesicWindow":
         """The window enumerate_geodesics(F, x) returns, cut from this
-        one, which must have been enumerated to at least x at the same
-        height.
+        one, which was enumerated at the same height; its bound is x.
 
         Exact: the trace box of x lies inside that of any larger bound,
         so its candidates are among the larger bound's, a class number
         does not depend on the bound, and a larger Pell cap only skips
         fewer candidates.  Classes are cut by enumerate_geodesics' own test
-        and coverage is again the largest listed norm.
+        and coverage is again the largest listed norm.  ValidationError
+        when x exceeds the bound or no bound is recorded: the cut would
+        miss the classes beyond it.
         """
         limit = _eps_limit(x)
-        return GeodesicWindow(c for c in self.classes
-                              if c.record.pell.eps_d <= limit)
+        if self.bound is None or x > self.bound:
+            why = ("it records no enumeration bound" if self.bound is None
+                   else f"it was enumerated to x = {self.bound:.6g} only")
+            raise ValidationError(f"cannot cut the window at x = {x:.6g}: "
+                                  f"{why}")
+        return GeodesicWindow((c for c in self.classes
+                               if c.record.pell.eps_d <= limit), bound=x)
 
     @functools.cached_property
     def norms(self) -> np.ndarray:

@@ -874,7 +874,7 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
 
 
 def _stored(cache):
-    """The one geodesics entry of a cache directory: (x, window)."""
+    """The one geodesics entry of a cache directory, a window."""
     entry, = cache.glob("geodesics-*.pkl")
     with entry.open("rb") as fh:
         return pickle.load(fh)
@@ -887,7 +887,7 @@ def test_narrower_request_is_cut_from_the_cached_window(tmp_path, capsys,
     flags = ("--D", "5", "--format", "csv", "--cache-dir", str(cache))
     run_cli(capsys, "geodesics", "--x", "10", *flags)
     before = {p: p.stat().st_mtime_ns for p in cache.iterdir()}
-    assert _stored(cache)[0] == 10.0
+    assert _stored(cache).bound == 10.0
     uncached = {argv: run_cli(capsys, *argv, "--D", "5", "--format", "csv")
                 for argv in (("geodesics", "--x", "8"),
                              ("pell", "--x", "6"),
@@ -908,10 +908,11 @@ def test_wider_request_replaces_the_cached_window(tmp_path, capsys,
     cache = tmp_path / "cache"
     flags = ("--D", "5", "--cache-dir", str(cache))
     run_cli(capsys, "geodesics", "--x", "6", *flags)
-    assert _stored(cache)[0] == 6.0
+    assert _stored(cache).bound == 6.0
     _, wide = run_cli(capsys, "geodesics", "--x", "8", *flags)
-    x, window = _stored(cache)
-    assert x == 8.0 and window == enumerate_geodesics(make_field(5), 8.0)
+    window = _stored(cache)
+    assert window.bound == 8.0
+    assert window == enumerate_geodesics(make_field(5), 8.0)
     assert wide == run_cli(capsys, "geodesics", "--x", "8", "--D", "5")[1]
     # another height is another entry
     run_cli(capsys, "geodesics", "--x", "6", "--height", "9", *flags)
@@ -995,6 +996,26 @@ def test_check_row_fails_under_optimize():
         3, f"FAIL  {'exact constants':24s} (5, Fraction(1, 31))\n")
 
 
+def test_exact_constants_row_fails_when_both_routes_agree_wrongly(
+        capsys, monkeypatch):
+    # both exact routes agree on a wrong zeta_K(-1) for D = 5: the field
+    # is built with it, and the L(2, chi_D) judge fails the row
+    wrong = Fraction(1, 31)
+    for module in (quadfield, cli):
+        for name, value in (("zeta_minus_one", wrong),
+                            ("bernoulli_L_minus_one", -12 * wrong)):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda D, real=real, value=value:
+                                value if D == 5 else real(D))
+    monkeypatch.setattr(quadfield, "_FIELD_MEMO", {})
+    monkeypatch.setattr(cli, "_CHECKS", cli._CHECKS[:1])
+    assert make_field(5).zeta_minus_one == wrong
+    code, out = run_cli(capsys, "check", "--D", "5")
+    assert code == 3
+    assert out.startswith(f"FAIL  {'exact constants':24s} "
+                          "(5, Fraction(1, 31), 0.0333")
+
+
 def test_check_heat_row_names_the_missing_census(capsys, monkeypatch,
                                                  tmp_path):
     # the x = 8 window is too narrow for the widest Gaussian, but the
@@ -1035,12 +1056,14 @@ def test_check_refuses_an_unsupported_field(D, capsys, monkeypatch):
 
 
 _FIXED_FIELD_ROWS = {
-    5: ["PASS  exact constants          zeta_K(-1) = 1/30 by both routes",
+    5: ["PASS  exact constants          zeta_K(-1) = 1/30 by both routes; "
+        "L(2, chi_D) within 2.8e-09 <= 1.4e-08",
         "PASS  elliptic census          stabilizer orders [2, 2, 3, 3, 5, 5]; "
         "Euler characteristic 4",
         "PASS  leading terms            central order 6; "
         "stabilizer product 900"],
-    13: ["PASS  exact constants          zeta_K(-1) = 1/6 by both routes",
+    13: ["PASS  exact constants          zeta_K(-1) = 1/6 by both routes; "
+         "L(2, chi_D) within 1.2e-08 <= 1.5e-07",
          "FAIL  elliptic census          no elliptic census attached for D=13",
          "FAIL  leading terms            no elliptic census attached for D=13"],
 }

@@ -38,28 +38,29 @@ def test_frozen_list_x10(d5_x10):
 
 def test_x12_work_counts(monkeypatch):
     # the states both class-count routes visit on D = 5 at x = 12, one
-    # search per route and family; a change to the state graph (the
-    # generators, the caps or the PSL identification) moves these sums
-    states = {"conjugation": [], "form": []}
-    conj, form = pellforms.conjugation_orbit, pellforms.form_orbit
+    # search per route and family, and the matrices and forms their box
+    # scans list; a change to the state graph (the generators, the caps,
+    # the PSL identification or the definiteness half) moves these sums
+    counts = {"conjugation": [], "form": [], "matrices": [], "forms": []}
 
-    def counted_conj(*args, **kwargs):
-        out = conj(*args, **kwargs)
-        states["conjugation"].append(len(out[0]))
-        return out
+    def counted(name, fn, size):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            counts[name].append(size(out))
+            return out
+        return wrapper
 
-    def counted_form(*args, **kwargs):
-        out = form(*args, **kwargs)
-        states["form"].append(len(out))
-        return out
-
-    monkeypatch.setattr(pellforms, "conjugation_orbit", counted_conj)
-    monkeypatch.setattr(pellforms, "form_orbit", counted_form)
+    for name, attr, size in (
+            ("conjugation", "conjugation_orbit", lambda out: len(out[0])),
+            ("form", "form_orbit", len),
+            ("matrices", "_matrices_with_trace", len),
+            ("forms", "enumerate_forms", len)):
+        monkeypatch.setattr(pellforms, attr,
+                            counted(name, getattr(pellforms, attr), size))
     cls = enumerate_geodesics(make_field(5), 12.0)
     assert sum(c.multiplicity for c in cls) == 60
-    assert [len(v) for v in states.values()] == [16, 16]
-    assert sum(states["conjugation"]) == 259056
-    assert sum(states["form"]) == 112824
+    assert [len(v) for v in counts.values()] == [16, 16, 16, 16]
+    assert [sum(v) for v in counts.values()] == [129528, 56412, 11900, 4544]
 
 
 def test_form_matrix_round_trip(d5_x10):
@@ -133,6 +134,19 @@ def test_window_count_constants(d5_x10):
     empty = GeodesicWindow([])
     assert empty.count_constant == 1.6 * 4.0
     assert empty.weighted_count_constant == 1.5 * 4.0
+
+
+def test_within_refuses_a_wider_bound(d5_x10):
+    # a window cut past the x it was enumerated to would miss the
+    # classes beyond it, and a bare class list records no x at all
+    F, cls = d5_x10
+    assert cls.bound == 10.0 and cls.within(8.0).bound == 8.0
+    with pytest.raises(ValidationError, match="at x = 12: it was enumerated to x = 10 only"):
+        enumerate_geodesics(make_field(5), 10.0).within(12.0)
+    with pytest.raises(ValidationError, match="at x = 9: it was enumerated to x = 8 only"):
+        cls.within(8.0).within(9.0)
+    with pytest.raises(ValidationError, match="at x = 5: it records no enumeration bound"):
+        GeodesicWindow(cls).within(5.0)
 
 
 def test_empty_below_first_geodesic():

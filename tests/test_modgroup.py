@@ -244,6 +244,18 @@ PARTITION_CASES = [(5, (-3, 4)), (8, (0, 4)), (12, (0, 2)), (13, (-1, 1)),
                    (17, (-3, 3))]
 
 
+def _both_halves(kind, rows, D):
+    """The distinct rows of both definiteness halves, in increasing
+    order, from the rows of one: forms and their negatives, or matrices
+    and their conjugates [[A, -B], [-C, E]] by diag(1, -1),
+    sign-normalized."""
+    if kind == "form":
+        return unique_rows(np.concatenate([rows, -rows]))
+    t, _ = _omega_trace_norm(D)
+    images = rows * [1, 1, -1, -1, -1, -1, 1, 1]
+    return unique_rows(np.concatenate([rows, _normalize_rows(images, D, t)]))
+
+
 def _partition_case(kind, D, d):
     """(rows, engine(rows, max_states) -> (seeds, orbit),
     reference(rows, max_states) -> partition_ref result) with the caps
@@ -252,13 +264,13 @@ def _partition_case(kind, D, d):
     d = canonical_disc(QuadInt(D, *d), F)
     if kind == "form":
         cap1, cap2 = (1.5 * h for h in _form_boxes(d, 3.0))
-        rows = enumerate_forms(d, F, height=3.0)
+        rows = _both_halves("form", enumerate_forms(d, F, height=3.0), D)
         orbit_of, ref_map, canon = form_orbit, form_neighbors_ref(D), tuple
     else:
         pell = pell_fundamental(d, F)
         m1, m2 = _matrix_boxes(pell, 3.0)
         cap1, cap2 = 1.5 * m1, 1.5 * m2
-        rows = _matrix_keys(pell, F, m1, m2)
+        rows = _both_halves("matrix", _matrix_keys(pell, F, m1, m2), D)
         rows = np.concatenate([rows, -rows[::3]])  # -g is g in PSL(2, O_K)
 
         def orbit_of(seeds, D, cap1, cap2, max_states):
@@ -323,18 +335,19 @@ def _matches_reference(rows, engine, ref):
 
 
 def _mirrored(rows, mirror):
-    return {tuple(r) for r in (rows * mirror).tolist()}
+    return {tuple(r) for r in (rows @ mirror.T).tolist()}
 
 
 @pytest.mark.parametrize("D", [5, 8, 12])
 def test_mirror_search_on_census_candidates(D):
     # each order's candidates, trace 0 for nu = 2, as one search; the
-    # candidates of nu != 2 have c > 0, so their mirrors are not seeds
+    # mirror [[E, B], [C, A]] maps some candidates onto others and some
+    # onto no candidate
     F, cap = make_field(D), 10.0
     for nu, rows in _elliptic_candidates(F, 4.0).items():
-        if nu != 2:
-            assert not _mirrored(rows, modgroup._CONJ_MIRROR) & set(
-                map(tuple, rows.tolist()))
+        seeds = set(map(tuple, rows.tolist()))
+        assert 0 < len(_mirrored(rows, modgroup._CONJ_MIRROR) & seeds) \
+            < len(seeds)
         _matches_reference(
             rows,
             lambda rows, ms: (rows, conjugation_orbit(rows, D, cap, cap,
@@ -383,12 +396,23 @@ def test_mirror_must_be_a_symmetry_of_the_generators():
         pellforms._FORM_MIRROR, D, 12.0, 12.0, 400000)
     assert len(orbit) > 1
     for mirror, neighbors in (
-            ([-1, -1, 1, 1, 1, 1], _form_neighbors),
+            (np.diag([-1, -1, 1, 1, 1, 1]), _form_neighbors),
             (pellforms._FORM_MIRROR,  # T_1 without T_-1: no inverse
              lambda rows, D, t, n: _form_neighbors(rows, D, t, n)[1::5])):
         with pytest.raises(ValidationError, match="exactly one"):
             orbits.capped_bfs(
                 "form", seed, lambda rows: neighbors(rows, D, t, n),
+                mirror, D, 12.0, 12.0, 400000)
+    # the mirror must be a signed permutation of whole coordinate pairs
+    # with P^2 = I: a sign vector, a 3-cycle of the pairs, a sign on one
+    # coordinate of a pair and a pair split across two pairs are refused
+    cycle = np.kron(np.eye(3, dtype=int)[[1, 2, 0]], np.eye(2, dtype=int))
+    split = np.eye(6, dtype=int)[[0, 2, 1, 3, 4, 5]]
+    for mirror in ([1, 1, -1, -1, 1, 1], cycle, np.diag([1, -1, 1, 1, 1, 1]),
+                   split, 2 * np.eye(6, dtype=int)):
+        with pytest.raises(ValidationError, match="signed permutation"):
+            orbits.capped_bfs(
+                "form", seed, lambda rows: _form_neighbors(rows, D, t, n),
                 mirror, D, 12.0, 12.0, 400000)
 
 
@@ -526,7 +550,7 @@ class TestArithmeticGuards:
         pell = pellforms.pell_fundamental(QuadInt(5, 1, 8), F)  # u0 = 1
         big = np.array([[2 ** 31, 0, 1, 0, 1, 0, -2 ** 31, 0]])
         monkeypatch.setattr(pellforms, "_matrices_with_trace",
-                            lambda *args: big)
+                            lambda *args, **kwargs: big)
         monkeypatch.setattr(pellforms, "_coord_mul", None)
         with pytest.raises(BudgetExceededError, match="matrix boxes"):
             _matrix_keys(pell, F, 10.0, 10.0)
@@ -542,6 +566,25 @@ def test_matrices_with_trace_match_per_a_loop(D, ta, tb, cap1, cap2):
     want = matrices_with_trace_ref(F, tr, cap1, cap2)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert (got == want).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([5, 8, 12, 13]), st.integers(-9, 9), st.integers(-5, 5),
+       st.floats(1.0, 12.0), st.floats(1.0, 12.0), st.sampled_from([1, 2]))
+def test_c_half_scan_matches_the_filtered_loop(D, ta, tb, cap1, cap2, j):
+    # the scan that draws c from the half of the box positive at
+    # embedding j lists the per-a loop's matrices whose c is positive
+    # there, by the exact sign, ordered by a, then c
+    F = make_field(D)
+    tr = QuadInt(D, ta, tb)
+    got = _matrices_with_trace(F, tr, cap1, cap2, c_half=j)
+    want = [row for row in matrices_with_trace_ref(F, tr, cap1, cap2).tolist()
+            if QuadInt(D, row[4], row[5]).sign_embed(j) > 0]
+    assert got.dtype == np.int64 and got.shape == (len(want), 8)
+    assert sorted(got.tolist()) == sorted(want)
+    box = [[p.a, p.b] for p in lattice_points(D, cap1, cap2)]
+    place = [(box.index(r[0:2]), box.index(r[4:6])) for r in got.tolist()]
+    assert place == sorted(place)
 
 
 @settings(max_examples=100, deadline=None)

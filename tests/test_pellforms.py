@@ -27,7 +27,7 @@ from hilbert_selberg.quadfield import (CLASS_NUMBER_ONE, QuadInt,
 from hilbert_selberg.records import FormOverOK
 
 from oracles import (gcd_coords_ref, ideal_index_ref, matrix_filter_ref,
-                     primitive_forms_ref)
+                     normalize_key_ref, primitive_forms_ref)
 
 # Canonical mixed-sign discriminants with eps_K(d) <= 15 over Q(sqrt(5)),
 # with class numbers confirmed by both the form-orbit partition and the
@@ -202,7 +202,8 @@ def test_route_mismatch_names_the_caps(capsys, monkeypatch):
     assert caps == "form caps (24, 68.4996), matrix caps (38.1201, 68.4996)"
     with pytest.raises(InvariantViolation) as exc:
         class_number(d, F)
-    assert (f"form orbits give {len(enumerate_forms(d, F))}, matrix "
+    # the search covers half of the forms and counts their negatives too
+    assert (f"form orbits give {2 * len(enumerate_forms(d, F))}, matrix "
             "conjugacy gives 8; ") in str(exc.value)
     assert str(exc.value).endswith(f"height=8.0, {caps}")
     monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
@@ -313,7 +314,11 @@ def test_enumerate_forms_matches_brute_force(D, d, height):
     assert in_Dpm(d)
     keys = list(map(tuple, enumerate_forms(d, F, height=height).tolist()))
     assert len(keys) == len(set(keys))
-    assert set(keys) == primitive_forms_ref(d, *_form_boxes(d, height))
+    # the forms whose a is positive at the second embedding; the others
+    # are exactly their negatives
+    ref = primitive_forms_ref(d, *_form_boxes(d, height))
+    assert set(keys) == {k for k in ref if QuadInt(D, *k[:2]).sign_embed(2) > 0}
+    assert ref == set(keys) | {tuple(-v for v in k) for k in keys}
 
 
 def test_principal_form_from_witness(sweep5):
@@ -407,4 +412,65 @@ def test_row_filter_matches_matrix_filter_ref(D, x):
         rows = _matrices_with_trace(F, pell.t0, m1, m2).tolist()
         keys = list(map(tuple, _matrix_keys(pell, F, m1, m2).tolist()))
         assert len(keys) == len(set(keys))
-        assert set(keys) == matrix_filter_ref(rows, pell.d, F)
+        # the matrices whose C, at trace t0, is positive at the second
+        # embedding; the others are exactly their conjugates by
+        # diag(1, -1)
+        ref = matrix_filter_ref(rows, pell.d, F)
+        assert set(keys) == {k for k in ref if _c_at_t0(k, pell) > 0}
+        assert ref == set(keys) | {_mirror_key(k, D) for k in keys}
+
+
+def _c_at_t0(key, pell):
+    """The sign, at the second embedding, of C in the sign of key whose
+    trace is t0."""
+    g = GroupElem.from_key(key, pell.d.D)
+    return g.c.sign_embed(2) * (1 if g.trace() == pell.t0 else -1)
+
+
+def _inverse_key(key, D):
+    """The sign-normalized key of the inverse [[E, -B], [-C, A]]."""
+    aa, ab, ba, bb, ca, cb, ea, eb = key
+    return normalize_key_ref((ea, eb, -ba, -bb, -ca, -cb, aa, ab), D)
+
+
+def _mirror_key(key, D):
+    """The sign-normalized key of the conjugate [[A, -B], [-C, E]] by
+    diag(1, -1)."""
+    aa, ab, ba, bb, ca, cb, ea, eb = key
+    return normalize_key_ref((aa, ab, -ba, -bb, -ca, -cb, ea, eb), D)
+
+
+@pytest.mark.parametrize("D,x", [(5, 12.0), (8, 12.0), (12, 12.0), (13, 8.0)])
+def test_half_searches_match_the_full_searches(D, x):
+    # per class, the count and forms of class_number are those of one
+    # search over both definiteness halves: the forms and their
+    # negatives, the matrices and their conjugates by diag(1, -1), which
+    # are the matrices of the full scan, or their inverses; each full
+    # search visits exactly twice the states of its half
+    F = make_field(D)
+    for c in enumerate_geodesics(F, x):
+        rec = c.record
+        h1, h2 = _form_boxes(rec.d, 8.0)
+        cap1, cap2 = 3.0 * h1, 3.0 * h2
+        m1, m2 = _matrix_boxes(rec.pell, 8.0)
+        mcap1, mcap2 = max(cap1, 1.5 * m1), max(cap2, 1.5 * m2)
+        half = enumerate_forms(rec.d, F)
+        full = np.unique(np.concatenate([half, -half]), axis=0)
+        assert len(full) == 2 * len(half)
+        orbit = pellforms.form_orbit(full, D, cap1, cap2)
+        assert len(orbit.reps) == rec.class_number
+        assert [FormOverOK.from_key(k, D) for k in full[orbit.reps].tolist()] \
+            == list(rec.forms)
+        assert len(orbit) == 2 * len(pellforms.form_orbit(
+            np.unique(half, axis=0), D, cap1, cap2))
+        rows = _matrix_keys(rec.pell, F, m1, m2)
+        keys = set(map(tuple, rows.tolist()))
+        states = len(pellforms.conjugation_orbit(
+            np.unique(rows, axis=0), D, mcap1, mcap2)[0])
+        for other in (_mirror_key, _inverse_key):
+            images = {other(k, D) for k in keys}
+            assert len(images) == len(keys) and not keys & images
+            orbit, classes = pellforms.conjugation_orbit(
+                np.array(sorted(keys | images)), D, mcap1, mcap2)
+            assert len(classes) == rec.class_number
+            assert len(orbit) == 2 * states

@@ -445,11 +445,11 @@ def test_power_grid_built_once_and_not_pickled(window10):
     assert fresh.power_grid is grid
     # nothing keyed by s, m or trunc_k is kept on the window
     assert set(vars(fresh)) <= {
-        "classes", "coverage", "norms", "log_norms", "angles", "halves",
+        "classes", "coverage", "bound", "norms", "log_norms", "angles", "halves",
         "power_grid", "count_constant", "weighted_count_constant"}
     assert pickle.dumps(fresh) == blob
-    assert set(vars(pickle.loads(blob))) == {"classes", "coverage"}
-    assert cache._FORMAT == 4
+    assert set(vars(pickle.loads(blob))) == {"classes", "coverage", "bound"}
+    assert cache._FORMAT == 5
     # class-major: class c owns grid[stops[c]:stops[c + 1]], l = 1..L,
     # with L the least depth whose omitted tail the proof puts below
     # 2^-60 of the class's leading size
@@ -469,7 +469,7 @@ def test_cached_window_gives_identical_values(d5, tmp_path):
     loaded = get_or_compute(*key, lambda: pytest.fail("expected a hit"),
                             cache_dir=str(tmp_path))
     # the columns are derived again after the load, not pickled
-    assert set(vars(loaded)) == {"classes", "coverage"}
+    assert set(vars(loaded)) == {"classes", "coverage", "bound"}
     assert loaded == fresh
     for m in (2, 4, 6):
         p = ZetaParams(2.0 + 0.5j, m, fresh.coverage, 40)
