@@ -16,7 +16,6 @@ a window, live in `records`.
 import math
 from typing import Dict, List, Tuple
 
-from .errors import BudgetExceededError
 from .pellforms import class_number, in_Dpm, pell_fundamental
 from .quadfield import FieldCtx, QuadInt, canonical_disc, lattice_points
 from .records import GeodesicClass, GeodesicWindow, _eps_limit
@@ -54,7 +53,9 @@ def enumerate_geodesics(F: FieldCtx, x: float,
     The traces scanned are those with first embedding in (2, x + 1/x]
     and second in (-2, 2), the traces eps + 1/eps of every class with
     eps <= x; candidates whose fundamental solution lands outside
-    eps <= x are filtered after the Pell step.
+    eps <= x are filtered after the Pell step.  That step searches up to
+    eps = x, which holds every candidate's fundamental solution, so a
+    Pell budget error raises instead of dropping a class.
     """
     limit = _eps_limit(x)
     D = F.D
@@ -70,14 +71,13 @@ def enumerate_geodesics(F: FieldCtx, x: float,
             dc = canonical_disc(d, F)
             cands.setdefault((dc.a, dc.b), dc)
     classes: List[GeodesicClass] = []
-    pell_cap = max(2.0 * x, 25.0)
     for key in sorted(cands):
         dc = cands[key]
-        try:
-            pell = pell_fundamental(dc, F, eps_cap=pell_cap)
-        except BudgetExceededError:
-            # fundamental solution beyond 2x: class is out of range
-            continue
+        # the trace that gave dc solves its Pell equation with eps <= x,
+        # up to the trace box's 1e-9 slack, and the Pell box at cap x
+        # holds every solution with eps - 1/eps <= 2x
+        pell = pell_fundamental(dc, F, eps_cap=limit)
+        # that slack can admit an eps(t) just past x
         if pell.eps_d > limit:
             continue
         rec = class_number(dc, F, height=height, pell=pell)

@@ -14,6 +14,8 @@ its entries a, b and c alone (d = tr - a), the representative of trace
 tr stands for g and -g, and for tr = 0 the smaller key of the two does.
 The generators' integer matrix is applied as one float64 product, exact
 because the engine's int64 guard keeps every coordinate below 2^31.
+Both matrix searches, the census and the class-count oracle, are seeded
+by one trace-t scan, in the sign of trace t: no row is sign-normalized.
 """
 
 from __future__ import annotations
@@ -161,19 +163,6 @@ def _embed_signs(rows: np.ndarray, D: int, j: int) -> np.ndarray:
     return _sign_rows(2 * x + t * y, y if j == 1 else -y, D)
 
 
-def _normalize_rows(rows: np.ndarray, D: int, t: int) -> np.ndarray:
-    """Negate, in place, every row whose first nonzero coordinate pair
-    (x, y), read as x + y*w, has negative first embedding."""
-    x, y = rows[:, 0::2], rows[:, 1::2]
-    nz = (x != 0) | (y != 0)
-    if not nz.any(axis=1).all():
-        raise ValidationError("zero matrix cannot be normalized")
-    r = np.arange(len(rows))
-    i = nz.argmax(axis=1)
-    neg = _sign_rows(2 * x[r, i] + t * y[r, i], y[r, i], D) < 0
-    return np.negative(rows, out=rows, where=neg[:, None])
-
-
 # the translation generators mu = +1, -1, +w, -w as coordinate columns
 _MU_A = np.array([[1], [-1], [0], [0]])
 _MU_B = np.array([[0], [0], [1], [-1]])
@@ -234,8 +223,8 @@ def conjugation_orbit(seeds, D: int, cap1: float, cap2: float,
 @dataclass(frozen=True)
 class EllipticClass:
     """Primitive elliptic conjugacy class with rotation pair
-    (pi/nu, t*pi/nu); rep is theta1-normalized (lower-left entry has
-    positive first embedding)."""
+    (pi/nu, t*pi/nu); rep is its least candidate row as a GroupElem,
+    sign-normalized by its first nonzero entry."""
 
     nu: int
     t: int
@@ -255,12 +244,12 @@ def _two_cos_table(F: FieldCtx) -> Dict[int, QuadInt]:
 
 
 def _matrices_with_trace(F: FieldCtx, tr: QuadInt, cap1: float, cap2: float,
-                         c_half: Optional[int] = None) -> np.ndarray:
-    """All det-1 matrices with the given trace and per-embedding entry
-    heights within (cap1, cap2), as the rows of an (N, 8) int64 array,
-    ordered by a, then b, in box order.  With c_half = j, only those
-    whose c is positive at embedding j, ordered by a, then c: the scan
-    draws c from that half of the box and b is the cofactor."""
+                         c_half: int) -> np.ndarray:
+    """The det-1 matrices of trace exactly tr whose a, b and c have
+    heights within (cap1, cap2), d = tr - a unbounded, and whose c is
+    positive at embedding c_half (1 or 2), as (N, 8) int64 rows ordered
+    by a, then c, in box order: a and c come from the box, b is their
+    cofactor.  The others are their conjugates by diag(1, -1)."""
     D = F.D
     t, n = _omega_trace_norm(D)
     # box coordinates are at most H, those of tr - a at most T, those of
@@ -278,30 +267,21 @@ def _matrices_with_trace(F: FieldCtx, tr: QuadInt, cap1: float, cap2: float,
     # gives |trace| >= 2 in each embedding, likewise b = 0 after S
     d = [tr.a, tr.b] - box
     bc = np.column_stack(_coord_mul(*box.T, *d.T, t, n)) - [1, 0]
-    if c_half is None:
-        i, b, c = _factor_pairs(bc, box, D, cap1, cap2)
-    else:
-        half = box[_embed_signs(box, D, c_half) > 0]
-        i, c, b = _factor_pairs(bc, half, D, cap1, cap2)
+    half = box[_embed_signs(box, D, c_half) > 0]
+    i, c, b = _factor_pairs(bc, half, D, cap1, cap2)
     return np.column_stack([box[i], b, c, d[i]])
 
 
 def _elliptic_candidates(F: FieldCtx, height_bound: float
                          ) -> Dict[int, np.ndarray]:
-    """Candidate rows per order nu, sign-normalized, distinct and in
-    increasing order: the entry-bounded matrices of trace 2cos(pi/nu)
-    whose c has positive first embedding, which the scan draws from that
-    half of the box (all of them for nu = 2, of trace 0); one with c < 0
-    is the negative of a theta1-normalized element of trace
-    -2cos(pi/nu), a candidate of the inverse class."""
-    D = F.D
-    t, _ = _omega_trace_norm(D)
+    """Candidate rows per order nu, distinct and in increasing order: the
+    scan of trace 2cos(pi/nu) whose c has positive first embedding.  For
+    nu = 2, of trace 0, that is one sign of each PSL element (c != 0)."""
     out: Dict[int, np.ndarray] = {}
     for nu, tr in _two_cos_table(F).items():
-        rows = _matrices_with_trace(F, tr, height_bound, height_bound,
-                                    c_half=None if nu == 2 else 1)
+        rows = _matrices_with_trace(F, tr, height_bound, height_bound, 1)
         if len(rows):
-            out[nu] = unique_rows(_normalize_rows(rows, D, t))
+            out[nu] = unique_rows(rows)
     return out
 
 
@@ -312,11 +292,11 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
     Brute enumeration over admissible traces and height-bounded entries,
     then partition by conjugation BFS.  The candidates of order nu are
     the (N, 8) scan of trace 2cos(pi/nu) over the matrices whose c has
-    positive first embedding (every matrix for nu = 2), sign-normalized
-    (`_elliptic_candidates`).  A class is kept only when it generates
-    the full point stabilizer: proper powers of a higher-order generator
-    (the square of an order-4 rotation is an order-2 rotation about the
-    same point) carry the right trace but have a point of larger isotropy.
+    positive first embedding (`_elliptic_candidates`).  A class is kept
+    only when it generates the full point stabilizer: proper powers of a
+    higher-order generator (the square of an order-4 rotation is an
+    order-2 rotation about the same point) carry the right trace but
+    have a point of larger isotropy.
     Orders are searched largest first, one search per order, whose
     components are the classes.  The powers of the larger orders'
     primitive classes that land at an order and lie inside its caps are

@@ -83,8 +83,9 @@ holds just the last two levels; neither, nor the budget test on each
 component's state count, depends on the order of a level's states.
 
 The seeds of both searches come from the int64 box scans at the end of
-this module: a lattice box as coordinate rows, and the factor-pair scan
-that form enumeration and the trace-t matrix scan run on.
+this module: a lattice box as coordinate rows, cut by the height test
+that the factor-pair scan puts to its cofactors, and that scan, which
+form enumeration and the trace-t matrix scan run on.
 """
 
 from __future__ import annotations
@@ -444,12 +445,14 @@ def capped_bfs(what: str, seeds,
 
 def _box_rows(D: int, bound1: float, bound2: float) -> np.ndarray:
     """lattice_points(D, bound1, bound2) as an (N, 2) int64 array of
-    coordinate rows (a, b), in the same order."""
+    coordinate rows (a, b), in the same order, less those that fail the
+    height test of _factor_pairs' cofactors."""
     rows = [np.empty((0, 2), dtype=np.int64)]
     for b, lo, hi in _lattice_ranges(D, bound1, bound2):
         a = np.arange(lo, hi + 1, dtype=np.int64)
         rows.append(np.column_stack([a, np.full_like(a, b)]))
-    return np.concatenate(rows)
+    rows = np.concatenate(rows)
+    return rows[height_predicate(D, bound1, bound2)(rows)]
 
 
 # entries of one P-by-box block in _factor_pairs

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
 from .modgroup import (GroupElem, conjugation_orbit, _embed_signs,
-                       _matrices_with_trace, _normalize_rows, _MU_A, _MU_B)
+                       _matrices_with_trace, _MU_A, _MU_B)
 from .orbits import (Orbit, capped_bfs, unique_rows, _box_rows,
                      _factor_pairs, _row_packer)
 from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
@@ -242,12 +242,12 @@ def _matrix_boxes(pell: PellSolution, height: float) -> Tuple[float, float]:
 
 def _matrix_keys(pell: PellSolution, F: FieldCtx,
                  m1: float, m2: float) -> np.ndarray:
-    """Sign-normalized key rows, (N, 8), of the oracle's matrices: those
-    of trace t0 in the entry boxes whose form is u0 times a primitive
-    form and whose C is positive at the second embedding.  The others
-    are exactly their conjugates [[A, -B], [-C, E]] by diag(1, -1): the
-    boxes are symmetric, and the form (-C, E - A, B) is u0 times a
-    primitive form exactly when (C, E - A, -B) is.
+    """Key rows, (N, 8), of the oracle's matrices as scanned: rows of
+    trace t0 with C_2 > 0, A, B and C in the entry boxes, whose form is
+    u0 times a primitive form.  The others are their conjugates
+    [[A, -B], [-C, E]] by diag(1, -1): the boxes are symmetric, and the
+    form (-C, E - A, B) is u0 times a primitive form exactly when
+    (C, E - A, -B) is.
 
     This walks the stabilizer-generator correspondence backwards.  A
     matrix [[A, B], [C, E]] of trace t0 and determinant 1 carries the
@@ -260,9 +260,8 @@ def _matrix_keys(pell: PellSolution, F: FieldCtx,
     that is, when u0/k is a unit.  Equivalently, u0 divides C, E - A
     and B, and the quotient form is primitive.
     """
-    D = F.D
-    t, n = _omega_trace_norm(D)
-    rows = _matrices_with_trace(F, pell.t0, m1, m2, c_half=2)
+    t, n = _omega_trace_norm(F.D)
+    rows = _matrices_with_trace(F, pell.t0, m1, m2, 2)
     aa, ab, ba, bb, ca, cb, ea, eb = rows.T
     form = np.column_stack([ca, cb, ea - aa, eb - ab, -ba, -bb])
     # x / u0 = x conj(u0) / N(u0); with form coordinates up to M and
@@ -279,7 +278,7 @@ def _matrix_keys(pell: PellSolution, F: FieldCtx,
                     axis=2).reshape(-1, 6)
     keep = (prod % norm_u0 == 0).all(axis=1)
     keep[keep] = _content_norm_rows(prod[keep] // norm_u0, t, n) == 1
-    return _normalize_rows(rows[keep], D, t)
+    return rows[keep]
 
 
 # ------------------------------------------------------- class numbers
@@ -356,8 +355,8 @@ def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
                                        -seeds[greatest[orbit.reps]]]))
     h_orbit = len(reps)
 
-    _, classes = conjugation_orbit(
-        unique_rows(_matrix_keys(pell, F, m1, m2)), D, mcap1, mcap2)
+    _, classes = conjugation_orbit(_matrix_keys(pell, F, m1, m2), D,
+                                   mcap1, mcap2)
     h_matrix = 2 * len(classes)
     if h_orbit != h_matrix:
         raise InvariantViolation(

@@ -398,8 +398,9 @@ def geom_side_difference(m: int, tf: TestFunctionPair, F: FieldCtx,
 
 # ------------------------------------------------------------ closed forms
 
-def _unit_q(x: float, F: FieldCtx) -> float:
-    e = F.eps1 ** (-x)
+def _unit_q_c(x: complex, F: FieldCtx) -> complex:
+    """q / (1 - q) with q = eps_K^-x."""
+    e = cmath.exp(-complex(x) * F.regulator)
     return e / (1.0 - e)
 
 
@@ -420,9 +421,9 @@ def double_difference_closed_forms(m: int, s: complex, beta1: float,
     c1 = complex(tf.metadata["c1"])
     c2 = complex(tf.metadata["c2"])
     # first entry is the s point, the rest sit at 1/2 + beta_h
-    weights = [(s, 1.0 / (2.0 * s - 1.0), None),
-               (0.5 + beta1 + 0.0j, c1 / (2.0 * beta1), beta1),
-               (0.5 + beta2 + 0.0j, c2 / (2.0 * beta2), beta2)]
+    weights = [(s, 1.0 / (2.0 * s - 1.0)),
+               (0.5 + beta1 + 0.0j, c1 / (2.0 * beta1)),
+               (0.5 + beta2 + 0.0j, c2 / (2.0 * beta2))]
     zeta_m1 = float(F.zeta_minus_one)
     log_eps = F.regulator
 
@@ -432,7 +433,7 @@ def double_difference_closed_forms(m: int, s: complex, beta1: float,
 
     tab = alpha_table(m, F)
     ell_closed = 0.0 + 0.0j
-    for pt, w, _ in weights:
+    for pt, w in weights:
         inner = 0.0 + 0.0j
         for e in tab.entries:
             for l in range(e.nu):
@@ -442,24 +443,19 @@ def double_difference_closed_forms(m: int, s: complex, beta1: float,
         ell_closed += w * inner
 
     he_closed = 0.0 + 0.0j
-    for pt, w, _ in weights:
+    for pt, w in weights:
         p = ZetaParams(s=pt, m=m, trunc_norm=classes.coverage, trunc_k=40)
         he_closed += w * selberg_log_deriv(p, classes).value
 
+    # one unit series per pole: at pt = 1/2 + beta_h, 2 pt + m - 4 is
+    # 2 beta_h + m - 3
     unit_closed = 0.0 + 0.0j
-    for pt, w, b in weights:
+    for pt, w in weights:
         if m >= 4:
-            if b is None:
-                val = 2.0 * log_eps * (_unit_q_c(2.0 * s + m - 4, F)
-                                       - _unit_q_c(2.0 * s + m - 2, F))
-            else:
-                val = 2.0 * log_eps * (_unit_q(2.0 * b + m - 3, F)
-                                       - _unit_q(2.0 * b + m - 1, F))
+            val = 2.0 * log_eps * (_unit_q_c(2.0 * pt + m - 4, F)
+                                   - _unit_q_c(2.0 * pt + m - 2, F))
         else:
-            if b is None:
-                val = -2.0 * log_eps - 4.0 * log_eps * _unit_q_c(2.0 * s, F)
-            else:
-                val = -2.0 * log_eps - 4.0 * log_eps * _unit_q(2.0 * b + 1.0, F)
+            val = -2.0 * log_eps - 4.0 * log_eps * _unit_q_c(2.0 * pt, F)
         unit_closed += w * val
 
     geom_unit = geom.par_sct_term + geom.hyp2_sct_term
@@ -474,11 +470,6 @@ def double_difference_closed_forms(m: int, s: complex, beta1: float,
                          "diff": abs(geom_unit - unit_closed)},
     }
     return out
-
-
-def _unit_q_c(x: complex, F: FieldCtx) -> complex:
-    e = cmath.exp(-complex(x) * F.regulator)
-    return e / (1.0 - e)
 
 
 # ------------------------------------------------------------ heat fit

@@ -307,14 +307,16 @@ def factor_pairs_ref(P, box, D, cap1, cap2):
 def matrices_with_trace_ref(F, tr, cap1, cap2):
     """The per-A divisor loop that _matrices_with_trace replaced: for each
     A in the box, every b in the box dividing P = A*(tr - A) - 1 with
-    c = P/b in the box, as (A, b, c, tr - A) rows."""
+    c = P/b in the box, as (A, b, c, tr - A) rows.  The box is one test,
+    |x + y*w_j| <= cap_j in float64, for A, b and c alike."""
     import numpy as np
     from hilbert_selberg.quadfield import lattice_points
     D = F.D
     t = D % 2
     n = (1 - D) // 4 if D % 4 == 1 else -(D // 4)
     w1, w2 = (t + math.sqrt(D)) / 2.0, (t - math.sqrt(D)) / 2.0
-    pts = list(lattice_points(D, cap1, cap2))
+    pts = [p for p in lattice_points(D, cap1, cap2)
+           if abs(p.a + p.b * w1) <= cap1 and abs(p.a + p.b * w2) <= cap2]
     pa = np.array([p.a for p in pts], dtype=np.int64)
     pb = np.array([p.b for p in pts], dtype=np.int64)
     out = [np.empty((0, 8), dtype=np.int64)]

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from hilbert_selberg import pellforms
-from hilbert_selberg.errors import ValidationError
+from hilbert_selberg import geodesics, pellforms
+from hilbert_selberg.errors import BudgetExceededError, ValidationError
 from hilbert_selberg.geodesics import (enumerate_geodesics,
                                        square_divisor_quotients)
 from hilbert_selberg.pellforms import content_norm, form_to_matrix
@@ -61,6 +61,17 @@ def test_x12_work_counts(monkeypatch):
     assert sum(c.multiplicity for c in cls) == 60
     assert [len(v) for v in counts.values()] == [16, 16, 16, 16]
     assert [sum(v) for v in counts.values()] == [129528, 56412, 11900, 4544]
+
+
+def test_a_pell_budget_error_raises(monkeypatch):
+    # the Pell search reaches eps = x, which holds the fundamental
+    # solution of every candidate: a budget error there drops no class
+    def out_of_budget(*args, **kwargs):
+        raise BudgetExceededError("no pell solution")
+
+    monkeypatch.setattr(geodesics, "pell_fundamental", out_of_budget)
+    with pytest.raises(BudgetExceededError, match="no pell solution"):
+        enumerate_geodesics(make_field(5), 10.0)
 
 
 def test_form_matrix_round_trip(d5_x10):

@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hilbert_selberg import modgroup, orbits, pellforms
 from hilbert_selberg.errors import BudgetExceededError, ValidationError
 from hilbert_selberg.modgroup import (
     GroupElem, classify, conjugation_orbit, enumerate_elliptic,
     _conj_neighbors, _elliptic_candidates, _matrices_with_trace,
-    _normalize_rows,
 )
 from hilbert_selberg.orbits import (height_predicate, unique_rows,
                                     _box_rows, _factor_pairs, _row_packer,
@@ -238,22 +237,23 @@ class TestEngineMatchesKeyByKeyBFS:
                     == _outcome(lambda: ref(ms))), ms
 
 
+# [[A, B], [C, E]] -> [[A, -B], [-C, E]], conjugation by diag(1, -1)
+_CONJ_P = np.array([1, 1, -1, -1, -1, -1, 1, 1])
+
+
 # one small discriminant per field: its forms at height 3, and the
 # oracle's matrices for its Pell solution, split into a few orbits
 PARTITION_CASES = [(5, (-3, 4)), (8, (0, 4)), (12, (0, 2)), (13, (-1, 1)),
                    (17, (-3, 3))]
 
 
-def _both_halves(kind, rows, D):
+def _both_halves(kind, rows):
     """The distinct rows of both definiteness halves, in increasing
     order, from the rows of one: forms and their negatives, or matrices
-    and their conjugates [[A, -B], [-C, E]] by diag(1, -1),
-    sign-normalized."""
+    and their conjugates [[A, -B], [-C, E]] by diag(1, -1)."""
     if kind == "form":
         return unique_rows(np.concatenate([rows, -rows]))
-    t, _ = _omega_trace_norm(D)
-    images = rows * [1, 1, -1, -1, -1, -1, 1, 1]
-    return unique_rows(np.concatenate([rows, _normalize_rows(images, D, t)]))
+    return unique_rows(np.concatenate([rows, rows * _CONJ_P]))
 
 
 def _partition_case(kind, D, d):
@@ -264,13 +264,13 @@ def _partition_case(kind, D, d):
     d = canonical_disc(QuadInt(D, *d), F)
     if kind == "form":
         cap1, cap2 = (1.5 * h for h in _form_boxes(d, 3.0))
-        rows = _both_halves("form", enumerate_forms(d, F, height=3.0), D)
+        rows = _both_halves("form", enumerate_forms(d, F, height=3.0))
         orbit_of, ref_map, canon = form_orbit, form_neighbors_ref(D), tuple
     else:
         pell = pell_fundamental(d, F)
         m1, m2 = _matrix_boxes(pell, 3.0)
         cap1, cap2 = 1.5 * m1, 1.5 * m2
-        rows = _both_halves("matrix", _matrix_keys(pell, F, m1, m2), D)
+        rows = _both_halves("matrix", _matrix_keys(pell, F, m1, m2))
         rows = np.concatenate([rows, -rows[::3]])  # -g is g in PSL(2, O_K)
 
         def orbit_of(seeds, D, cap1, cap2, max_states):
@@ -341,13 +341,18 @@ def _mirrored(rows, mirror):
 @pytest.mark.parametrize("D", [5, 8, 12])
 def test_mirror_search_on_census_candidates(D):
     # each order's candidates, trace 0 for nu = 2, as one search; the
-    # mirror [[E, B], [C, A]] maps some candidates onto others and some
-    # onto no candidate
+    # mirror [[E, B], [C, A]] keeps the trace, b and c, so it maps a
+    # candidate onto a candidate exactly when its unbounded d = E lies in
+    # the entry box; for nu = 2, [[0, B], [C, 0]] is its own image
     F, cap = make_field(D), 10.0
     for nu, rows in _elliptic_candidates(F, 4.0).items():
         seeds = set(map(tuple, rows.tolist()))
-        assert 0 < len(_mirrored(rows, modgroup._CONJ_MIRROR) & seeds) \
-            < len(seeds)
+        in_box = height_predicate(D, 4.0, 4.0)(rows[:, 6:8])
+        assert in_box.any()
+        assert _mirrored(rows, modgroup._CONJ_MIRROR) & seeds \
+            == _mirrored(rows[in_box], modgroup._CONJ_MIRROR)
+        fixed = (rows[:, 0:2] == rows[:, 6:8]).all(axis=1)
+        assert fixed.any() == (nu == 2) and 2 * fixed.sum() < len(rows)
         _matches_reference(
             rows,
             lambda rows, ms: (rows, conjugation_orbit(rows, D, cap, cap,
@@ -520,7 +525,7 @@ class TestArithmeticGuards:
         monkeypatch.setattr(modgroup, "_box_rows", None)
         F = make_field(5)
         with pytest.raises(BudgetExceededError, match="int64"):
-            _matrices_with_trace(F, QuadInt(5, 3, 1), 1e9, 1e9)
+            _matrices_with_trace(F, QuadInt(5, 3, 1), 1e9, 1e9, 1)
 
     def test_form_boxes(self, monkeypatch):
         monkeypatch.setattr(pellforms, "_box_rows", None)
@@ -537,7 +542,7 @@ class TestArithmeticGuards:
         if scan == "matrices":
             monkeypatch.setattr(modgroup, "_box_rows", None)
             with pytest.raises(BudgetExceededError, match="int64"):
-                _matrices_with_trace(F, QuadInt(5, 3, 1), 2e4, 2e4)
+                _matrices_with_trace(F, QuadInt(5, 3, 1), 2e4, 2e4, 1)
         else:
             monkeypatch.setattr(pellforms, "_box_rows", None)
             with pytest.raises(BudgetExceededError, match="int64"):
@@ -558,26 +563,30 @@ class TestArithmeticGuards:
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([5, 8, 12, 13]), st.integers(-9, 9), st.integers(-5, 5),
-       st.floats(1.0, 12.0), st.floats(1.0, 12.0))
-def test_matrices_with_trace_match_per_a_loop(D, ta, tb, cap1, cap2):
+       st.floats(1.0, 12.0), st.floats(1.0, 12.0), st.sampled_from([1, 2]))
+def test_matrices_with_trace_match_per_a_loop(D, ta, tb, cap1, cap2, j):
+    # the half scan and its conjugates [[a, -b], [-c, d]] by diag(1, -1)
+    # are the per-a loop's matrices, each once
     F = make_field(D)
     tr = QuadInt(D, ta, tb)
-    got = _matrices_with_trace(F, tr, cap1, cap2)
+    half = _matrices_with_trace(F, tr, cap1, cap2, j)
+    got = np.concatenate([half, half * _CONJ_P])
     want = matrices_with_trace_ref(F, tr, cap1, cap2)
     assert got.dtype == want.dtype and got.shape == want.shape
-    assert (got == want).all()
+    assert sorted(got.tolist()) == sorted(want.tolist())
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([5, 8, 12, 13]), st.integers(-9, 9), st.integers(-5, 5),
        st.floats(1.0, 12.0), st.floats(1.0, 12.0), st.sampled_from([1, 2]))
+@example(D=5, ta=0, tb=0, cap1=2.0, cap2=1.9999999999999982, j=1)
 def test_c_half_scan_matches_the_filtered_loop(D, ta, tb, cap1, cap2, j):
     # the scan that draws c from the half of the box positive at
     # embedding j lists the per-a loop's matrices whose c is positive
     # there, by the exact sign, ordered by a, then c
     F = make_field(D)
     tr = QuadInt(D, ta, tb)
-    got = _matrices_with_trace(F, tr, cap1, cap2, c_half=j)
+    got = _matrices_with_trace(F, tr, cap1, cap2, j)
     want = [row for row in matrices_with_trace_ref(F, tr, cap1, cap2).tolist()
             if QuadInt(D, row[4], row[5]).sign_embed(j) > 0]
     assert got.dtype == np.int64 and got.shape == (len(want), 8)
@@ -674,7 +683,10 @@ def _factor_rows(D):
 @given(st.sampled_from([5, 8, 12, 13, 17, 41]), st.floats(0.1, 60.0),
        st.floats(0.1, 60.0))
 def test_box_rows_match_lattice_points(D, bound1, bound2):
-    want = [(p.a, p.b) for p in lattice_points(D, bound1, bound2)]
+    # the lattice points that pass the height test of the cofactors
+    ok = height_predicate(D, bound1, bound2)
+    want = [(p.a, p.b) for p in lattice_points(D, bound1, bound2)
+            if ok(np.array([p.a, p.b]))]
     got = _box_rows(D, bound1, bound2)
     assert got.dtype == np.int64 and got.shape == (len(want), 2)
     assert got.tolist() == [list(p) for p in want]
@@ -739,29 +751,29 @@ def test_psl_queries_find_the_negation():
         conjugation_orbit(np.concatenate([rows[:1], other[:1]]), D, cap, cap)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([5, 8, 12]),
-       st.lists(st.integers(-50, 50), min_size=8, max_size=8)
-       .filter(any))
-def test_row_normalization_matches_key_normalization(D, key):
-    t, _ = _omega_trace_norm(D)
-    rows = _normalize_rows(np.array([key, [-v for v in key]]), D, t)
-    want = normalize_key_ref(key, D)
-    assert [tuple(r) for r in rows.tolist()] == [want, want]
-
-
 @pytest.mark.parametrize("D,height_bound",
                          [(D, 6.0) for D in sorted(CLASS_NUMBER_ONE)]
                          + [(5, 8.0), (8, 8.0), (12, 8.0)])
 def test_elliptic_candidates_match_per_candidate_reference(D, height_bound):
     # the reference asserts the PSL order of every candidate, which the
-    # census checks on one representative per class
+    # census checks on one representative per class; the two compare as
+    # PSL sets.  Each candidate has trace 2cos(pi/nu) and c positive at
+    # the first embedding, and no two are one PSL element
     F = make_field(D)
     got = _elliptic_candidates(F, height_bound)
-    for rows in got.values():
+    two_cos = modgroup._two_cos_table(F)
+    psl = {}
+    for nu, rows in got.items():
         assert np.array_equal(rows, np.unique(rows, axis=0))
-    assert {nu: set(map(tuple, rows.tolist())) for nu, rows in got.items()} \
-        == elliptic_candidates_ref(F, height_bound)
+        assert (rows[:, 0:2] + rows[:, 6:8] == [two_cos[nu].a,
+                                                two_cos[nu].b]).all()
+        assert all(QuadInt(D, ca, cb).sign_embed(1) > 0
+                   for ca, cb in rows[:, 4:6].tolist())
+        psl[nu] = {normalize_key_ref(key, D) for key in rows.tolist()}
+        assert len(psl[nu]) == len(rows)
+    assert psl == {nu: {normalize_key_ref(key, D) for key in keys}
+                   for nu, keys in elliptic_candidates_ref(
+                       F, height_bound).items()}
 
 
 class TestCensus:

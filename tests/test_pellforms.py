@@ -397,6 +397,15 @@ def test_every_field_enumerates_within_budget(D):
     assert all(c.norm <= 64.0 * (1 + 1e-12) for c in window)
 
 
+def test_unbounded_d_leaves_the_d44_mismatch_standing():
+    # the trace-t0 scan bounds a, b and c but not d = t0 - a; on D = 44
+    # the routes then disagree at d = 11 + 4w.  Bounding d too makes them
+    # agree at height 8 but not at 12, 16 or 24, so no count of this d
+    # is certified (ROADMAP item 10c) and a d bound must not hide it
+    with pytest.raises(InvariantViolation, match="ambiguous class count"):
+        class_number(QuadInt(44, 11, 4), make_field(44))
+
+
 @pytest.mark.parametrize("D,x", [(5, 12.0), (8, 10.0), (12, 10.0), (69, None)])
 def test_row_filter_matches_matrix_filter_ref(D, x):
     F = make_field(D)
@@ -409,15 +418,22 @@ def test_row_filter_matches_matrix_filter_ref(D, x):
         pells = [c.record.pell for c in enumerate_geodesics(F, x)]
     for pell in pells:
         m1, m2 = _matrix_boxes(pell, 8.0)
-        rows = _matrices_with_trace(F, pell.t0, m1, m2).tolist()
-        keys = list(map(tuple, _matrix_keys(pell, F, m1, m2).tolist()))
+        # the full scan: the half with C positive at the second embedding
+        # and its conjugates [[A, -B], [-C, E]] by diag(1, -1)
+        half = _matrices_with_trace(F, pell.t0, m1, m2, 2)
+        rows = np.concatenate([half, half * [1, 1, -1, -1, -1, -1, 1, 1]])
+        got = _matrix_keys(pell, F, m1, m2)
+        keys = list(map(tuple, got.tolist()))
         assert len(keys) == len(set(keys))
-        # the matrices whose C, at trace t0, is positive at the second
-        # embedding; the others are exactly their conjugates by
-        # diag(1, -1)
-        ref = matrix_filter_ref(rows, pell.d, F)
-        assert set(keys) == {k for k in ref if _c_at_t0(k, pell) > 0}
-        assert ref == set(keys) | {_mirror_key(k, D) for k in keys}
+        # the matrices of trace t0 whose C is positive at the second
+        # embedding, as scanned; the others are exactly their conjugates
+        # by diag(1, -1)
+        assert (got[:, 0:2] + got[:, 6:8] == [pell.t0.a, pell.t0.b]).all()
+        ref = matrix_filter_ref(rows.tolist(), pell.d, F)
+        psl = {normalize_key_ref(k, D) for k in keys}
+        assert len(psl) == len(keys)
+        assert psl == {k for k in ref if _c_at_t0(k, pell) > 0}
+        assert ref == psl | {_mirror_key(k, D) for k in keys}
 
 
 def _c_at_t0(key, pell):
