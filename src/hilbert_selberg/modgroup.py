@@ -20,6 +20,7 @@ by one trace-t scan, in the sign of trace t: no row is sign-normalized.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -27,8 +28,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
-from .orbits import (Orbit, capped_bfs, height_predicate, unique_rows,
-                     _box_rows, _factor_pairs)
+from .orbits import (GeneratorTables, Orbit, capped_bfs, generator_tables,
+                     height_predicate, unique_rows, _box_rows, _factor_pairs)
 from .quadfield import (CENSUS_ORDERS, FieldCtx, QuadInt, _coord_mul,
                         _omega_trace_norm)
 
@@ -197,6 +198,15 @@ def _conj_neighbors(rows: np.ndarray, D: int, t: int, n: int) -> np.ndarray:
     return out.reshape(-1, 8)
 
 
+@functools.cache
+def _conj_tables(D: int) -> GeneratorTables:
+    """Conjugation's generator tables over Q(sqrt D), built once."""
+    t, n = _omega_trace_norm(D)
+    return generator_tables(
+        "conjugation", lambda rows: _conj_neighbors(rows, D, t, n),
+        _CONJ_MIRROR)
+
+
 def conjugation_orbit(seeds, D: int, cap1: float, cap2: float,
                       max_states: int = 400000
                       ) -> Tuple[Orbit, np.ndarray]:
@@ -210,10 +220,9 @@ def conjugation_orbit(seeds, D: int, cap1: float, cap2: float,
     mirror g -> P g^-1 P, P = diag(1, -1), which keeps the trace and c.
     """
     seeds = np.atleast_2d(np.asarray(seeds, dtype=np.int64))
-    t, n = _omega_trace_norm(D)
     orbit = capped_bfs("conjugation", seeds,
-                       lambda rows: _conj_neighbors(rows, D, t, n),
-                       _CONJ_MIRROR, D, cap1, cap2, max_states, psl=True)
+                       functools.partial(_conj_tables, D), D, cap1, cap2,
+                       max_states, psl=True)
     return orbit, seeds[orbit.reps]
 
 

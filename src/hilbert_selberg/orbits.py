@@ -4,9 +4,11 @@ action (`pellforms`).
 
 States are integer coordinate rows; a level is the sorted int64 array of
 the exact keys its in-cap states pack to, and it carries each state's
-label, coordinate row and back edge, so the frontier is expanded a block
-of rows at a time and no tuple is built per state, nor a row rebuilt
-from its key.
+label, coordinate row and back edge, so no tuple is built per state, nor
+a row rebuilt from its key.  A level is one pass: its frontier's images
+are formed a block of rows at a time, then deduplicated, looked up in
+the current and the previous level and merged into the components once.
+The generator tables are built and checked once per route and field.
 Each level's images are deduplicated against the current and the
 previous level alone.  That is exact because the capped generator graph
 is undirected: S is an involution (on forms, and under conjugation
@@ -43,11 +45,14 @@ conjugation mirror keeps the trace: it is an automorphism of the
 capped graph, whose quotient, undirected too, is what the levels walk.
 Neither mirror leaves the definiteness half that `pellforms` searches
 (the form mirror keeps a, the conjugation mirror c).  A state is a
-pair {x, Px}, keyed by the smaller of its two keys, and carries the
-row of that key.  Components live on a double cover: node
-s is the component of seed s and node S + s that of its mirror image,
-so a label names the carried row's component and its twin the
-mirror's.  Every edge x - y is seen from the carried row of one end's
+pair {x, Px}, keyed by the smaller of its two keys, and carries one of
+x and Px as an image reached it.  Components live on a double cover:
+node s is the component of seed s and node S + s that of its mirror
+image, so a label names a row's component and its twin the mirror's.
+A carried row keeps its own label, which its images inherit; the
+pair's joins, lookups and counts use the label of the row its key
+packs, the twin of the row's own when that is the mirror.  Every edge
+x - y is seen from the carried row of one end's
 pair, and Px - Py is an edge too, so each join is made twice, (a, b)
 and their twins; a state that is its own mirror joins its label with
 its twin.  A pair counts one state on its label and one on its twin, a
@@ -80,7 +85,10 @@ its representatives.
 Every seed must lie inside the caps: a seed outside them has edges that
 run one way only.  A search returns the roots and the state count and
 holds just the last two levels; neither, nor the budget test on each
-component's state count, depends on the order of a level's states.
+component's state count, depends on the order of a level's states, on
+the blocks its images are formed in, or on the order of its joins: a
+union-find's sets do not, and the test runs once the level's joins are
+merged.
 
 The seeds of both searches come from the int64 box scans at the end of
 this module: a lattice box as coordinate rows, cut by the height test
@@ -91,7 +99,7 @@ form enumeration and the trace-t matrix scan run on.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -178,9 +186,11 @@ def _row_packer(what: str, D: int, cap1: float, cap2: float,
         their images sign * row[perm]."""
         if mirror is None:
             keys = rows[:, :6] @ weights + base
-        else:
+        else:  # the image's coordinate c is sign[c] * row[perm[c]]
             perm, sign = mirror
-            keys = rows[:, perm[:6]] @ (weights * sign[:6]) + base
+            w = np.zeros(rows.shape[1], dtype=np.int64)
+            w[perm[:6]] = weights * sign[:6]
+            keys = rows @ w + base
         return np.minimum(keys, top - keys) if trace0 else keys
     return pack
 
@@ -232,17 +242,17 @@ def _merge(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         a, b = parent[lo], parent[hi]
 
 
-def _dedup(keys: np.ndarray, labs: np.ndarray,
-           join: Callable[[np.ndarray, np.ndarray], None]) -> np.ndarray:
-    """The index of one entry per distinct key, in increasing key order;
-    joins the labels that share a key."""
+def _dedup(keys: np.ndarray, labs: np.ndarray
+           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(index, a, b): the index of one entry per distinct key, in
+    increasing key order, and the labels a[i], b[i] of the entries that
+    share a key, to be joined."""
     perm = np.argsort(keys)
     keys, labs = keys[perm], labs[perm]
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     same = ~first[1:]
-    join(labs[1:][same], labs[:-1][same])
-    return perm[first]
+    return perm[first], labs[1:][same], labs[:-1][same]
 
 
 class Orbit:
@@ -266,11 +276,12 @@ class Orbit:
         return np.flatnonzero(self.roots == np.arange(len(self.roots)))
 
 
-def _pair_mirror(what: str, mirror, k: int) -> np.ndarray:
+def _pair_mirror(what: str, mirror) -> np.ndarray:
     """The mirror as a k x k integer matrix P, checked to be a signed
     permutation of coordinate pairs with P^2 = I: P = Q (x) I_2 for a
     signed permutation Q of the k/2 pairs with Q^2 = I."""
     P = np.asarray(mirror)
+    k = len(P)
     Q = P[0::2, 0::2] if P.shape == (k, k) else None
     if not (Q is not None and np.isin(Q, (-1, 0, 1)).all()
             and (np.abs(Q).sum(axis=1) == 1).all()
@@ -282,38 +293,81 @@ def _pair_mirror(what: str, mirror, k: int) -> np.ndarray:
     return P
 
 
-# frontier rows expanded at a time: bounds the transient image arrays
-# of a wide level
+class GeneratorTables(NamedTuple):
+    """A route's generator maps as capped_bfs reads them: rows
+    j*k..(j+1)*k of the (m*k, k) float64 `Mt` map a row to its image
+    under generator j, generator inverse[j] is its inverse, and the
+    mirror is P x = sign * x[perm]."""
+
+    Mt: np.ndarray
+    inverse: np.ndarray
+    perm: np.ndarray
+    sign: np.ndarray
+
+
+def generator_tables(what: str, neighbors: Callable[[np.ndarray], np.ndarray],
+                     mirror) -> GeneratorTables:
+    """The read-only tables of the generator maps `neighbors` modulo
+    `mirror`, a k x k signed permutation matrix P with P^2 = I that moves
+    whole coordinate pairs.  `neighbors` maps an (N, k) int64 array to
+    its (m*N, k) images, row i's images in rows m*i..m*i+m-1, and must
+    be Z-linear: its matrix is read off the unit rows.  The maps must be
+    closed under inverses and under conjugation by P; ValidationError
+    otherwise, naming the `what` route."""
+    P = _pair_mirror(what, mirror)
+    k = len(P)
+    # the neighbour map is Z-linear, so one matrix product writes a
+    # block's images, generator j's in Mt[j*k:(j+1)*k]; in float64 it
+    # runs on BLAS and is exact (see the int64 guard of _row_packer)
+    Mt = np.ascontiguousarray(
+        neighbors(np.eye(k, dtype=np.int64)).reshape(k, -1).T, dtype=float)
+    gens = Mt.reshape(-1, k, k)
+    perm = np.abs(P).argmax(axis=1)  # P x = sign * x[perm]
+    sign = P[np.arange(k), perm]
+
+    def index(match: np.ndarray, of: str) -> np.ndarray:
+        """match[j, i]: generator i is the `of` of generator j."""
+        if (match.sum(axis=1) != 1).any():
+            raise ValidationError(
+                f"{what} generator maps need exactly one {of} each")
+        return np.nonzero(match)[1]
+    inverse = index((gens[None] @ gens[:, None] == np.eye(k)).all(
+        axis=(2, 3)), "inverse")
+    index(((P @ gens @ P)[:, None] == gens[None]).all(axis=(2, 3)),
+          "mirror image")
+    tables = GeneratorTables(Mt, inverse, perm, sign)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+# frontier rows whose images are formed at a time: bounds the image
+# product and the height test of a wide level
 _BFS_BLOCK = 768
 
 
-def capped_bfs(what: str, seeds,
-               neighbors: Callable[[np.ndarray], np.ndarray],
-               mirror, D: int, cap1: float, cap2: float, max_states: int,
+def capped_bfs(what: str, seeds, tables: Callable[[], GeneratorTables],
+               D: int, cap1: float, cap2: float, max_states: int,
                psl: bool = False) -> Orbit:
     """Height-capped BFS from every row of `seeds` at once, an (S, k)
     array, one key or no seeds; returns the orbit with its components.
 
+    The generator maps and the mirror are those of `tables()`, which is
+    called once the seeds and the caps have passed the checks below;
+    states are the mirror pairs of the module docstring.
     Every seed must lie inside the caps (the edges of a seed outside
-    them run one way only); ValidationError otherwise.  The frontier is
-    expanded a level at a time, in blocks of rows: `neighbors` maps an
-    (N, k) int64 array to its (m*N, k) images, row i's images in rows
-    m*i..m*i+m-1, and must be Z-linear: the search reads its matrix off
-    the unit rows once and applies that to each block of rows as an
-    exact float64 product.  `mirror` is a k x k signed permutation
-    matrix P with P^2 = I that moves whole coordinate pairs, and the
-    generator maps must be closed under inverses and under conjugation
-    by P (ValidationError otherwise); states are the mirror pairs of the
-    module docstring.  A level is the sorted keys of the in-cap
-    images, but the parents, on neither the current nor the previous
-    level, with the label, the int32 carried row and the back edge of
-    each.  An image that meets a state of another component on the
-    current level, or the same new state as one, joins the two labels
-    and their twins (see _merge).  The search raises BudgetExceededError
-    for the `what` orbit exactly when some component exceeds max_states
-    states.  With `psl` set, rows are 8-entry matrices [[A, B], [C, E]],
-    g and -g are one state, and the seeds must share one trace up to
-    sign (ValidationError otherwise).
+    them run one way only); ValidationError otherwise.  A level is the
+    sorted keys of the in-cap images, but the parents, on neither the
+    current nor the previous level, with the label, the int32 carried
+    row and the back edge of each; the images of _BFS_BLOCK frontier
+    rows at a time are one exact float64 product.  An image that meets
+    a state of another component on the current level, or the same new
+    state as one, joins the two labels and their twins (see _merge).
+    The search raises BudgetExceededError for the `what` orbit exactly
+    when some component exceeds max_states states.  With `psl` set,
+    rows are 8-entry matrices [[A, B], [C, E]], g and -g are one state,
+    and the seeds must share one trace up to sign (ValidationError
+    otherwise).
     """
     seeds = np.asarray(seeds, dtype=np.int64)
     if not seeds.size:  # an empty list too: no rows of the keyed width
@@ -331,113 +385,75 @@ def capped_bfs(what: str, seeds,
     if not height_ok(seeds).all():
         raise ValidationError(f"{what} seeds must lie inside the caps")
     pack = _row_packer(what, D, cap1, cap2, trace)
-
-    # the neighbour map is Z-linear, so one matrix product writes a
-    # block's images, generator j's in Mt[j*k:(j+1)*k]; in float64 it
-    # runs on BLAS and is exact (see the int64 guard of _row_packer)
-    Mt = np.ascontiguousarray(
-        neighbors(np.eye(k, dtype=np.int64)).reshape(k, -1).T, dtype=float)
+    Mt, inverse, perm, sign = tables()
     m = len(Mt) // k
-    gens, P = Mt.reshape(m, k, k), _pair_mirror(what, mirror, k)
-    perm = np.abs(P).argmax(axis=1)  # P x = sign * x[perm]
-    sign = P[np.arange(k), perm]
-
-    def index(match: np.ndarray, of: str) -> np.ndarray:
-        """match[j, i]: generator i is the `of` of generator j."""
-        if (match.sum(axis=1) != 1).any():
-            raise ValidationError(
-                f"{what} generator maps need exactly one {of} each")
-        return np.nonzero(match)[1]
-    inverse = index((gens[None] @ gens[:, None] == np.eye(k)).all(
-        axis=(2, 3)), "inverse")
-    mirrored = P @ gens @ P
-    swap = index((mirrored[:, None] == gens[None]).all(axis=(2, 3)),
-                 "mirror image")
-    # the back edge of a state that generator j reached: the inverse of
-    # j, or of j's mirror image when the state carries the image's mirror
-    back_of = np.stack([inverse, inverse[swap]])
     twin = np.roll(np.arange(2 * S, dtype=np.int32), S)
     parent = np.arange(2 * S, dtype=np.int32)
 
-    def join(a: np.ndarray, b: np.ndarray) -> None:
-        a, b = parent[a], parent[b]
-        diff = a != b
-        if diff.any():
-            a, b = a[diff], b[diff]
-            _merge(parent, np.concatenate((a, twin[a])),
-                   np.concatenate((b, twin[b])))
-
     def canonical(found: np.ndarray, labs: np.ndarray
                   ) -> Tuple[np.ndarray, ...]:
-        """(keys, labels, flip, alone) of labelled rows: the key of each
-        row's mirror pair, the smaller of its two, the label of the row
-        that key packs, whether that is the mirror, and whether the row
-        is its own mirror, whose label then joins its twin."""
+        """(keys, pair labels, labels, rows, alone) of labelled rows: the
+        key of each row's mirror pair, the smaller of its two, the label
+        of the row that key packs, the row's own label, the row in int32
+        (exact, see _row_packer), and whether the row is its own mirror,
+        whose label then joins its twin."""
         raw, mirrored = pack(found), pack(found, (perm, sign))
-        flip, alone = mirrored < raw, mirrored == raw
-        labs = np.where(flip, twin[labs], labs)
-        join(labs[alone], twin[labs[alone]])
-        return np.minimum(raw, mirrored), labs, flip, alone
+        return (np.minimum(raw, mirrored),
+                np.where(mirrored < raw, twin[labs], labs), labs,
+                found.astype(np.int32), mirrored == raw)
 
-    def carried(found: np.ndarray, flip: np.ndarray) -> np.ndarray:
-        """The rows a level carries, exact in int32 (see _row_packer)."""
-        return np.where(flip[:, None], found[:, perm] * sign,
-                        found).astype(np.int32)
-
-    prev = np.empty(0, dtype=np.int64)
-    keys, labs, flip, alone = canonical(seeds, np.arange(S, dtype=np.int32))
-    keep = _dedup(keys, labs, join)
-    curr, labels, alone = keys[keep], labs[keep], alone[keep]
-    rows, back = carried(seeds[keep], flip[keep]), np.full(len(keep), -1)
+    def images(block: np.ndarray, labs: np.ndarray, back: np.ndarray
+               ) -> Tuple[np.ndarray, ...]:
+        """canonical() of the in-cap images of a block of frontier rows,
+        but their parents, with the back edge of each."""
+        out = (Mt @ block.T).reshape(m, k, len(block))
+        # in-cap images generator by generator, each in row order
+        ok = height_ok(out.transpose(0, 2, 1))
+        ok &= back != np.arange(m)[:, None]
+        j, i = np.nonzero(ok)
+        return (*canonical(out[j, :, i].astype(np.int64), labs[i]),
+                inverse[j])
 
     def tally(labs: np.ndarray, alone: np.ndarray) -> np.ndarray:
         """States per node: one per pair on its label, one on the twin
         unless the state is its own mirror."""
         return np.bincount(np.concatenate((labs, twin[labs[~alone]])),
                            minlength=2 * S)
-    counts = tally(labels, alone)
 
-    def expand(block: np.ndarray, labs: np.ndarray, back: np.ndarray
-               ) -> Tuple[np.ndarray, ...]:
-        """(keys, labels, rows, back edges, alone) of the new states
-        among the in-cap images of a block of frontier rows, but their
-        parents, in key order.  Joins the components that a repeated
-        image or an image on the current level shows adjacent."""
-        images = (Mt @ block.T).reshape(m, k, len(block))
-        # in-cap images in row order, row i's generator by generator
-        ok = height_ok(images.transpose(0, 2, 1)).T
-        ok &= back[:, None] != np.arange(m)
-        i, j = np.nonzero(ok)
-        found = images[j, :, i].astype(np.int64)
-        del images
-        keys, labs, flip, alone = canonical(found, labs[i])
-        keep = _dedup(keys, labs, join)
+    # the seeds are level 0, the images of no level
+    keys, pairs, labs, rows, alone = canonical(
+        seeds, np.arange(S, dtype=np.int32))
+    back = np.full(S, -1)
+    curr = prev = np.empty(0, dtype=np.int64)
+    held = np.empty(0, dtype=np.int32)  # the pair labels of curr
+    counts = np.zeros(2 * S, dtype=np.int64)
+    limit = max(max_states, 1)  # no component exceeds the total
+    while True:
+        keep, a, b = _dedup(keys, pairs)
         hit, pos = _lookup(curr, keys[keep])
-        join(labs[keep[hit]], labels[pos[hit]])
+        a = np.concatenate((pairs[alone], a, pairs[keep[hit]]))
+        b = np.concatenate((twin[pairs[alone]], b, held[pos[hit]]))
+        # the level's one merge, each join made with the twins too
+        _merge(parent, np.concatenate((a, twin[a])),
+               np.concatenate((b, twin[b])))
         keep = keep[~hit]
         # an edge to the previous level was seen from its other end, as
         # the parent of a new state, so a hit there joins nothing new
         keep = keep[~_lookup(prev, keys[keep])[0]]
-        flip = flip[keep]
-        return (keys[keep], labs[keep], carried(found[keep], flip),
-                back_of[flip.astype(int), j[keep]], alone[keep])
-
-    while len(curr):
-        blocks = [expand(*(a[lo:lo + _BFS_BLOCK] for a in (rows, labels, back)))
-                  for lo in range(0, len(curr), _BFS_BLOCK)]
-        level = [np.concatenate(part) for part in zip(*blocks)]
-        del blocks
-        if len(curr) > _BFS_BLOCK:  # new states once across the blocks
-            level = [a[_dedup(level[0], level[1], join)] for a in level]
-        keys, labs, new, edges, alone = level
-        counts += tally(labs, alone)
-        limit = max(max_states, 1)  # no component exceeds the total
+        keys, pairs, labs, rows, alone, back = (
+            x[keep] for x in (keys, pairs, labs, rows, alone, back))
+        counts += tally(pairs, alone)
         if counts.sum() > limit and (np.bincount(
                 parent, weights=counts, minlength=2 * S) > limit).any():
             raise BudgetExceededError(
                 f"{what} orbit exceeded {max_states} states")
-        prev, curr, labels, rows, back = curr, keys, labs, new, edges
-    return Orbit(parent[:S], int(counts[parent < S].sum()))
+        prev, curr, held = curr, keys, pairs
+        if not len(curr):
+            return Orbit(parent[:S], int(counts[parent < S].sum()))
+        keys, pairs, labs, rows, alone, back = (
+            np.concatenate(part) for part in zip(*(
+                images(*(x[lo:lo + _BFS_BLOCK] for x in (rows, labs, back)))
+                for lo in range(0, len(curr), _BFS_BLOCK))))
 
 
 # ------------------------------------------------------------ box scans
@@ -447,11 +463,13 @@ def _box_rows(D: int, bound1: float, bound2: float) -> np.ndarray:
     """lattice_points(D, bound1, bound2) as an (N, 2) int64 array of
     coordinate rows (a, b), in the same order, less those that fail the
     height test of _factor_pairs' cofactors."""
-    rows = [np.empty((0, 2), dtype=np.int64)]
-    for b, lo, hi in _lattice_ranges(D, bound1, bound2):
-        a = np.arange(lo, hi + 1, dtype=np.int64)
-        rows.append(np.column_stack([a, np.full_like(a, b)]))
-    rows = np.concatenate(rows)
+    b, lo, hi = np.array(list(_lattice_ranges(D, bound1, bound2)),
+                         dtype=np.int64).reshape(-1, 3).T
+    size = hi - lo + 1
+    # a runs from lo up within each b: the row index less its b's start
+    start = np.cumsum(size) - size
+    a = np.arange(size.sum()) + np.repeat(lo - start, size)
+    rows = np.column_stack([a, np.repeat(b, size)])
     return rows[height_predicate(D, bound1, bound2)(rows)]
 
 

@@ -20,6 +20,8 @@ The records returned here, FormOverOK, PellSolution and
 DiscriminantRecord, live in `records`.
 """
 
+import functools
+import itertools
 import math
 from typing import Optional, Tuple
 
@@ -28,8 +30,8 @@ import numpy as np
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
 from .modgroup import (GroupElem, conjugation_orbit, _embed_signs,
                        _matrices_with_trace, _MU_A, _MU_B)
-from .orbits import (Orbit, capped_bfs, unique_rows, _box_rows,
-                     _factor_pairs, _row_packer)
+from .orbits import (GeneratorTables, Orbit, capped_bfs, generator_tables,
+                     unique_rows, _box_rows, _factor_pairs, _row_packer)
 from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
                         _coord_mul, _embed_consts, _omega_trace_norm)
 from .records import DiscriminantRecord, FormOverOK, PellSolution
@@ -43,6 +45,12 @@ __all__ = [
 # ------------------------------------------------------- content ideal
 
 
+# the minors (i, j) of _content_norm_rows, the norms of a, b and c, the
+# minors (i, i + 3), first: a primitive form's gcd mostly reaches 1 on them
+_MINORS = sorted(itertools.combinations(range(6), 2),
+                 key=lambda ij: ij[1] - ij[0] != 3)
+
+
 def _content_norm_rows(rows: np.ndarray, t: int, n: int) -> np.ndarray:
     """Index in O_K of the ideal spanned by the three coordinate pairs of
     each (N, 6) form row, where w^2 = t*w - n: the norm of the content
@@ -53,14 +61,20 @@ def _content_norm_rows(rows: np.ndarray, t: int, n: int) -> np.ndarray:
     the index of a lattice spanned by vectors of Z^2 is the gcd of their
     2x2 minors (Cohen, GTM 138, 2.4).  Exact on int64 rows while the
     minors stay inside int64, and on object rows of Python ints for any
-    size.
+    size.  The minors are taken one at a time, and a row leaves the
+    loop once its running gcd is 1, which no further minor changes.
     """
     x, y = rows[:, 0::2], rows[:, 1::2]
     u = np.concatenate([x, -n * y], axis=1)
     v = np.concatenate([y, x + t * y], axis=1)
-    g = 0  # one minor at a time: no (N, 15) temporaries
-    for i, j in zip(*np.triu_indices(6, 1)):
-        g = np.gcd(g, u[:, i] * v[:, j] - u[:, j] * v[:, i])
+    g = np.zeros(len(rows), dtype=rows.dtype)
+    live = np.arange(len(rows))  # the rows whose gcd is not yet 1
+    for i, j in _MINORS:
+        ul, vl = u[live], v[live]
+        g[live] = np.gcd(g[live], ul[:, i] * vl[:, j] - ul[:, j] * vl[:, i])
+        live = live[g[live] != 1]
+        if not len(live):
+            break
     return g
 
 
@@ -175,14 +189,20 @@ def _form_neighbors(rows: np.ndarray, D: int, t: int, n: int) -> np.ndarray:
 _FORM_MIRROR = np.diag([1, 1, -1, -1, 1, 1])
 
 
+@functools.cache
+def _form_tables(D: int) -> GeneratorTables:
+    """The form action's generator tables over Q(sqrt D), built once."""
+    t, n = _omega_trace_norm(D)
+    return generator_tables(
+        "form", lambda rows: _form_neighbors(rows, D, t, n), _FORM_MIRROR)
+
+
 def form_orbit(seeds, D: int, cap1: float, cap2: float,
                max_states: int = 400000) -> Orbit:
     """Height-capped BFS orbits under the generator action from one form
     key or an (S, 6) array of them, all inside the caps."""
-    t, n = _omega_trace_norm(D)
-    return capped_bfs("form", seeds,
-                      lambda rows: _form_neighbors(rows, D, t, n),
-                      _FORM_MIRROR, D, cap1, cap2, max_states)
+    return capped_bfs("form", seeds, functools.partial(_form_tables, D),
+                      D, cap1, cap2, max_states)
 
 
 def _form_boxes(d: QuadInt, height: float) -> Tuple[float, float]:

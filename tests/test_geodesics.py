@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hilbert_selberg import geodesics, pellforms
+from hilbert_selberg import geodesics, modgroup, orbits, pellforms
 from hilbert_selberg.errors import BudgetExceededError, ValidationError
 from hilbert_selberg.geodesics import (enumerate_geodesics,
                                        square_divisor_quotients)
@@ -40,7 +40,8 @@ def test_x12_work_counts(monkeypatch):
     # the states both class-count routes visit on D = 5 at x = 12, one
     # search per route and family, and the matrices and forms their box
     # scans list; a change to the state graph (the generators, the caps,
-    # the PSL identification or the definiteness half) moves these sums
+    # the PSL identification or the definiteness half) moves these sums,
+    # and a faster search must visit the same levels
     counts = {"conjugation": [], "form": [], "matrices": [], "forms": []}
 
     def counted(name, fn, size):
@@ -57,10 +58,34 @@ def test_x12_work_counts(monkeypatch):
             ("forms", "enumerate_forms", len)):
         monkeypatch.setattr(pellforms, attr,
                             counted(name, getattr(pellforms, attr), size))
-    cls = enumerate_geodesics(make_field(5), 12.0)
+    # every search runs one _dedup per level, the seeds' level 0 too, and
+    # one for the images of its last level, which hold no new state
+    dedups = []
+    dedup = orbits._dedup
+    monkeypatch.setattr(orbits, "_dedup",
+                        lambda *args: dedups.append(1) or dedup(*args))
+    # each route's generator tables are built once per field
+    builds = []
+
+    def building(build):
+        def wrapper(what, *args):
+            builds.append(what)
+            return build(what, *args)
+        return wrapper
+
+    for module in (pellforms, modgroup):
+        monkeypatch.setattr(module, "generator_tables",
+                            building(module.generator_tables))
+    pellforms._form_tables.cache_clear()
+    modgroup._conj_tables.cache_clear()
+    F = make_field(5)
+    cls = enumerate_geodesics(F, 12.0)
     assert sum(c.multiplicity for c in cls) == 60
     assert [len(v) for v in counts.values()] == [16, 16, 16, 16]
     assert [sum(v) for v in counts.values()] == [129528, 56412, 11900, 4544]
+    assert len(dedups) == 32 + 359
+    modgroup.elliptic_census(F)
+    assert sorted(builds) == ["conjugation", "form"]
 
 
 def test_a_pell_budget_error_raises(monkeypatch):

@@ -393,21 +393,78 @@ def test_mirror_search_with_self_mirror_forms():
     assert sizes == [len(orbit)] == [6]
 
 
+def _census_case(D, cap=10.0):
+    """_partition_case for the trace-0 census candidates of D, whose
+    elements are their own negatives."""
+    rows = _elliptic_candidates(make_field(D), 4.0)[2]
+    return (rows,
+            lambda rows, ms: (rows, conjugation_orbit(rows, D, cap, cap,
+                                                      ms)[0]),
+            lambda rows, ms: partition_ref(
+                rows.tolist(), conj_neighbors_ref(D),
+                height_ok_ref(D, cap, cap), ms,
+                lambda key: normalize_key_ref(key, D)))
+
+
+def _blocked_run(engine, rows, ms, block, monkeypatch):
+    """engine(rows, ms) with the images of a level formed `block`
+    frontier rows at a time: (partition, state count, levels), or
+    ("budget", levels) when it raised, levels the _dedup passes run."""
+    passes = []
+    dedup = orbits._dedup
+    with monkeypatch.context() as patch:
+        patch.setattr(orbits, "_BFS_BLOCK", block)
+        patch.setattr(orbits, "_dedup",
+                      lambda *args: passes.append(1) or dedup(*args))
+        try:
+            seeds, orbit = engine(rows, ms)
+        except BudgetExceededError:
+            return "budget", len(passes)
+    return _engine_partition(seeds, orbit), len(orbit), len(passes)
+
+
+@pytest.mark.parametrize("case", [("form", 5, (-3, 4)), ("matrix", 8, (0, 4)),
+                                  ("census", 5), ("census", 12)],
+                         ids=["form-5", "matrix-8", "census-5", "census-12"])
+def test_levels_over_several_blocks(case, monkeypatch):
+    # a level whose images are formed in blocks of a few frontier rows
+    # gives the roots, state count and budget verdict of one block per
+    # level and of the seed-by-seed reference, and a budget error at
+    # the same level
+    if case[0] == "census":
+        rows, engine, ref = _census_case(case[1])
+    else:
+        rows, engine, ref = _partition_case(*case)
+    reps, rep_of, sizes = ref(rows, 400000)
+    for ms in sorted({400000, 0, min(sizes), max(sizes) - 1, max(sizes)}):
+        runs = [_blocked_run(engine, rows, ms, block, monkeypatch)
+                for block in (orbits._BFS_BLOCK, 1, 3)]
+        assert runs[1:] == runs[:1] * 2, ms
+        if any(size > max(ms, 1) for size in sizes):
+            assert runs[0][0] == "budget"
+        else:
+            assert runs[0][:2] == ((reps, rep_of), sum(sizes))
+            # a pair is at most two states, so some level carries more
+            # than three rows: it spans several blocks of three
+            assert sum(sizes) > 2 * 3 * runs[0][2]
+
+
 def test_mirror_must_be_a_symmetry_of_the_generators():
     D, t, n = 5, *_omega_trace_norm(5)
     seed = [1, 0, 1, 0, -1, 1]
-    orbit = orbits.capped_bfs(
-        "form", seed, lambda rows: _form_neighbors(rows, D, t, n),
-        pellforms._FORM_MIRROR, D, 12.0, 12.0, 400000)
+    tables = orbits.generator_tables(
+        "form", lambda rows: _form_neighbors(rows, D, t, n),
+        pellforms._FORM_MIRROR)
+    orbit = orbits.capped_bfs("form", seed, lambda: tables, D, 12.0, 12.0,
+                              400000)
     assert len(orbit) > 1
     for mirror, neighbors in (
             (np.diag([-1, -1, 1, 1, 1, 1]), _form_neighbors),
             (pellforms._FORM_MIRROR,  # T_1 without T_-1: no inverse
              lambda rows, D, t, n: _form_neighbors(rows, D, t, n)[1::5])):
         with pytest.raises(ValidationError, match="exactly one"):
-            orbits.capped_bfs(
-                "form", seed, lambda rows: neighbors(rows, D, t, n),
-                mirror, D, 12.0, 12.0, 400000)
+            orbits.generator_tables(
+                "form", lambda rows: neighbors(rows, D, t, n), mirror)
     # the mirror must be a signed permutation of whole coordinate pairs
     # with P^2 = I: a sign vector, a 3-cycle of the pairs, a sign on one
     # coordinate of a pair and a pair split across two pairs are refused
@@ -416,9 +473,8 @@ def test_mirror_must_be_a_symmetry_of_the_generators():
     for mirror in ([1, 1, -1, -1, 1, 1], cycle, np.diag([1, -1, 1, 1, 1, 1]),
                    split, 2 * np.eye(6, dtype=int)):
         with pytest.raises(ValidationError, match="signed permutation"):
-            orbits.capped_bfs(
-                "form", seed, lambda rows: _form_neighbors(rows, D, t, n),
-                mirror, D, 12.0, 12.0, 400000)
+            orbits.generator_tables(
+                "form", lambda rows: _form_neighbors(rows, D, t, n), mirror)
 
 
 def test_several_seeds_lie_inside_the_caps_and_take_no_targets():
@@ -508,15 +564,18 @@ def test_neighbour_matrices_respect_the_guard_bound(D):
 class TestArithmeticGuards:
     """Caps or seeds that a search refuses, or that could overflow int64,
     fail before any search: each test patches out the function a search
-    would call first."""
+    would call first.  The orbit tests empty the per-field generator
+    table caches, so the tables are not built, whatever ran before."""
 
     def test_orbit_seed_outside_the_caps(self, monkeypatch):
+        modgroup._conj_tables.cache_clear()
         monkeypatch.setattr(modgroup, "_conj_neighbors", None)
         monkeypatch.setattr(orbits, "_row_packer", None)
         with pytest.raises(ValidationError, match="inside the caps"):
             conjugation_orbit((1, 0, 2 ** 40, 0, 0, 0, 1, 0), 5, 12.0, 12.0)
 
     def test_orbit_caps_too_large_to_pack(self, monkeypatch):
+        pellforms._form_tables.cache_clear()
         monkeypatch.setattr(pellforms, "_form_neighbors", None)
         with pytest.raises(BudgetExceededError, match="packed keys"):
             form_orbit((1, 0, 1, 0, -1, 1), 5, 1e5, 1e5)

@@ -14,7 +14,7 @@ from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
 from hilbert_selberg.geodesics import enumerate_geodesics
 from hilbert_selberg.modgroup import (GroupElem, classify,
                                       _matrices_with_trace)
-from hilbert_selberg.orbits import capped_bfs
+from hilbert_selberg.orbits import capped_bfs, generator_tables
 from hilbert_selberg.pellforms import (class_number, content_norm,
                                        enumerate_forms, form_to_matrix,
                                        in_Dpm, pell_fundamental,
@@ -188,9 +188,11 @@ def test_route_mismatch_names_the_caps(capsys, monkeypatch):
     # a search without edges leaves every seed form its own component, so
     # the form route counts every form and the two routes disagree; the
     # message names the caps each route used
+    lone = generator_tables("form", lambda rows: rows[:0],
+                            pellforms._FORM_MIRROR)
+
     def lone_form_orbit(seeds, D, cap1, cap2):
-        return capped_bfs("form", seeds, lambda rows: rows[:0],
-                          pellforms._FORM_MIRROR, D, cap1, cap2, 1)
+        return capped_bfs("form", seeds, lambda: lone, D, cap1, cap2, 1)
 
     monkeypatch.setattr(pellforms, "form_orbit", lone_form_orbit)
     F = make_field(5)
