@@ -48,8 +48,8 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import (BudgetExceededError, HilbertSelbergError,
                      InvariantViolation, ValidationError)
-from .quadfield import (bernoulli_L_minus_one, chi_D, field_to_json_str,
-                        make_field, parse_quadint, zeta_minus_one)
+from .quadfield import (bernoulli_L_minus_one, chi_D, make_field,
+                        parse_quadint, zeta_minus_one)
 
 
 # ------------------------------------------------------------ configuration
@@ -192,7 +192,7 @@ def _emit_table(head: dict, key: str, rows: Sequence[dict],
 
 def _cmd_field(cfg: RunConfig, args) -> int:
     F = make_field(cfg.D)
-    _emit(field_to_json_str(F) + "\n", cfg)
+    _emit_json(F.to_json(), cfg)
     return 0
 
 
@@ -242,6 +242,10 @@ def _cmd_zeta(cfg: RunConfig, args) -> int:
     F = make_field(cfg.D)
     classes = _classes(F, cfg)
     cov = classes.coverage
+    if cov < 3.0:  # a cutoff clamped to it could never be valid
+        raise ValidationError(
+            f"the window to x = {cfg.x_max:.6g} lists no class of norm "
+            ">= 3; ask for a larger --x")
     # requested cutoffs beyond the enumerated window are clamped; the
     # effective cutoff is reported and the tail bound starts there
     params = ZetaParams(s=s, m=args.m,

@@ -15,7 +15,8 @@ tr stands for g and -g, and for tr = 0 the smaller key of the two does.
 The generators' integer matrix is applied as one float64 product, exact
 because the engine's int64 guard keeps every coordinate below 2^31.
 Both matrix searches, the census and the class-count oracle, are seeded
-by one trace-t scan, in the sign of trace t: no row is sign-normalized.
+by one trace-t scan, in the sign of trace t, and the census negates the
+powers it seeds to that sign: the engine takes seeds of one exact trace.
 """
 
 from __future__ import annotations
@@ -207,22 +208,21 @@ def _conj_tables(D: int) -> GeneratorTables:
         _CONJ_MIRROR)
 
 
-def conjugation_orbit(seeds, D: int, cap1: float, cap2: float,
-                      max_states: int = 400000
+def conjugation_orbit(seeds, D: int, cap1: float, cap2: float
                       ) -> Tuple[Orbit, np.ndarray]:
     """Height-capped BFS orbits of conjugation in PSL(2, O_K) from one
     key or an (S, 8) array of them; returns (orbit, reps), reps the
     seed rows that are their components' roots.
 
-    The seeds must share one trace up to sign and lie inside the caps;
-    ValidationError otherwise.  Raises BudgetExceededError when some
-    component exceeds the state budget.  The search runs modulo the
-    mirror g -> P g^-1 P, P = diag(1, -1), which keeps the trace and c.
+    The seeds must have exactly the first seed's trace and lie inside
+    the caps; ValidationError otherwise.  Raises BudgetExceededError
+    when some component exceeds orbits.MAX_STATES states.  The search
+    runs modulo the mirror g -> P g^-1 P, P = diag(1, -1), which keeps
+    the trace and c.
     """
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=np.int64))
+    seeds = np.asarray(seeds, dtype=np.int64).reshape(-1, 8)
     orbit = capped_bfs("conjugation", seeds,
-                       functools.partial(_conj_tables, D), D, cap1, cap2,
-                       max_states, psl=True)
+                       functools.partial(_conj_tables, D), D, cap1, cap2)
     return orbit, seeds[orbit.reps]
 
 
@@ -309,12 +309,12 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
     Orders are searched largest first, one search per order, whose
     components are the classes.  The powers of the larger orders'
     primitive classes that land at an order and lie inside its caps are
-    seeded into its search after the candidates, so a power in a
-    candidate's component has that candidate as its root.  A power
-    outside the caps, or in no candidate's component, raises: the height
-    bound was too small when the power lies outside the candidate box
-    (BudgetExceededError), and the search failed when it lies inside
-    (InvariantViolation).
+    seeded into its search after the candidates, each in its sign of
+    trace 2cos(pi/nu), so a power in a candidate's component has that
+    candidate as its root.  A power outside the caps, or in no
+    candidate's component, raises: the height bound was too small when
+    the power lies outside the candidate box (BudgetExceededError), and
+    the search failed when it lies inside (InvariantViolation).
 
     The PSL order and rotation angles are checked once per class.  By
     Cayley-Hamilton every g of trace tau has g^k = a_k(tau) g + b_k(tau) I,
@@ -328,19 +328,21 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
     in_box = height_predicate(D, height_bound, height_bound)
 
     candidates = _elliptic_candidates(F, height_bound)
-    records: List[dict] = []
+    classes: List[EllipticClass] = []
     for nu in sorted(two_cos, reverse=True):
+        tr = two_cos[nu]
         cands = candidates.get(nu, np.empty((0, 8), dtype=np.int64))
         S = len(cands)
-        powers = [(r["nu"], (r["rep"] ** (r["nu"] // nu)).key())
-                  for r in records if r["primitive"] and r["nu"] % nu == 0]
-        prows = np.array([key for _, key in powers],
+        powers = [(c.nu, c.rep ** (c.nu // nu)) for c in classes
+                  if c.nu % nu == 0]
+        prows = np.array([p.key() for _, p in powers],
                          dtype=np.int64).reshape(-1, 8)
+        # GroupElem normalizes a power by sign: negate those of trace -tr
+        prows[[p.trace() != tr for _, p in powers]] *= -1
         near = inside(prows)
         orbit, reps = conjugation_orbit(np.concatenate([cands, prows[near]]),
                                         D, cap_bfs, cap_bfs)
-        tr = two_cos[nu]
-        by_root: Dict[int, dict] = {}
+        by_root: Dict[int, EllipticClass] = {}
         for root, row in zip(orbit.reps.tolist(), reps.tolist()):
             if root >= S:  # a power's own component, not a class
                 break
@@ -359,9 +361,7 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
                     or tj % 2 == 0:
                 raise InvariantViolation(
                     f"bad rotation angle {th2} for nu={nu}")
-            by_root[root] = {"nu": nu, "tj": tj, "rep": rep,
-                             "primitive": True}
-        records.extend(by_root.values())
+            by_root[root] = EllipticClass(nu=nu, t=tj % nu, rep=rep)
 
         # drop the classes that are proper powers of a larger stabilizer
         # generator
@@ -378,10 +378,9 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
                 raise InvariantViolation(
                     f"order-{nu} power of an order-{m} class not "
                     "located among the enumerated classes")
-            by_root[root]["primitive"] = False
+            by_root.pop(root, None)
+        classes.extend(by_root.values())
 
-    classes = [EllipticClass(nu=r["nu"], t=r["tj"] % r["nu"], rep=r["rep"])
-               for r in records if r["primitive"]]
     classes.sort(key=lambda c: (c.nu, c.t, c.rep.key()))
     return tuple(classes)
 
@@ -412,7 +411,7 @@ def elliptic_census(F: FieldCtx) -> Tuple[Tuple[int, int, int], ...]:
             if len(got) < len(want) or set(got) < set(want):
                 raise BudgetExceededError(
                     f"census incomplete for D={F.D}: orders {got}, "
-                    f"expected {want}; raise height_bound > {CENSUS_HEIGHT}")
+                    f"expected {want}; raise CENSUS_HEIGHT > {CENSUS_HEIGHT}")
             raise InvariantViolation(
                 f"census mismatch for D={F.D}: orders {got}, expected {want}")
     return census

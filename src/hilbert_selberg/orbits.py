@@ -25,7 +25,7 @@ has three pairs.  A conjugation state [[A, B], [C, E]] has four, but
 conjugation keeps the trace, so every state of one search has the
 seeds' trace tr: E = tr - A is left out of the key.  States are
 PSL(2, O_K) elements, g and -g one state.  For tr != 0 exactly one of
-them has trace tr, so seeds of trace -tr are negated and no image is
+them has trace tr, the sign every seed must come in, so no image is
 ever sign-normalized.  For tr = 0 both have it; a pair index maps to
 R - 1 - idx under negation, so key(-g) = R^3 - 1 - key(g), and the
 smaller of the two keys both.  The row a level carries is then either
@@ -204,16 +204,6 @@ def unique_rows(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-def _to_trace(rows: np.ndarray, trace: np.ndarray
-              ) -> Tuple[np.ndarray, np.ndarray]:
-    """(rows, ok): the matrix rows with those of trace -trace negated, the
-    same elements of PSL(2, O_K), and which rows now have trace `trace`."""
-    tr = rows[:, 0:2] + rows[:, 6:8]
-    flip = (tr == -trace).all(axis=1)
-    return (np.where(flip[:, None], -rows, rows),
-            flip | (tr == trace).all(axis=1))
-
-
 def _lookup(sorted_keys: np.ndarray, keys: np.ndarray
             ) -> Tuple[np.ndarray, np.ndarray]:
     """(mask, pos): which keys the sorted key array holds, and where."""
@@ -345,12 +335,15 @@ def generator_tables(what: str, neighbors: Callable[[np.ndarray], np.ndarray],
 # product and the height test of a wide level
 _BFS_BLOCK = 768
 
+# the state budget of every search: no component may exceed it
+MAX_STATES = 400000
 
-def capped_bfs(what: str, seeds, tables: Callable[[], GeneratorTables],
-               D: int, cap1: float, cap2: float, max_states: int,
-               psl: bool = False) -> Orbit:
+
+def capped_bfs(what: str, seeds: np.ndarray,
+               tables: Callable[[], GeneratorTables], D: int, cap1: float,
+               cap2: float) -> Orbit:
     """Height-capped BFS from every row of `seeds` at once, an (S, k)
-    array, one key or no seeds; returns the orbit with its components.
+    int64 array; returns the orbit with its components.
 
     The generator maps and the mirror are those of `tables()`, which is
     called once the seeds and the caps have passed the checks below;
@@ -364,23 +357,17 @@ def capped_bfs(what: str, seeds, tables: Callable[[], GeneratorTables],
     a state of another component on the current level, or the same new
     state as one, joins the two labels and their twins (see _merge).
     The search raises BudgetExceededError for the `what` orbit exactly
-    when some component exceeds max_states states.  With `psl` set,
-    rows are 8-entry matrices [[A, B], [C, E]], g and -g are one state,
-    and the seeds must share one trace up to sign (ValidationError
-    otherwise).
+    when some component exceeds MAX_STATES states.  Rows of k = 8 entries
+    are matrices [[A, B], [C, E]], g and -g one state, and every seed
+    must have exactly the first seed's trace (ValidationError otherwise).
     """
-    seeds = np.asarray(seeds, dtype=np.int64)
-    if not seeds.size:  # an empty list too: no rows of the keyed width
-        seeds = seeds.reshape(0, 8 if psl else 6)
-    seeds = np.atleast_2d(seeds)
     S, k = seeds.shape
     trace = None
-    if psl:  # conjugation keeps the trace: search the seeds' trace slice
-        trace = seeds[0, 0:2] + seeds[0, 6:8] if S else np.zeros(2, int)
-        seeds, same = _to_trace(seeds, trace)
-        if not same.all():
-            raise ValidationError(
-                f"{what} seeds must share one trace up to sign")
+    if k == 8:  # conjugation keeps the trace: search the seeds' trace slice
+        traces = seeds[:, 0:2] + seeds[:, 6:8]
+        trace = traces[0] if S else np.zeros(2, dtype=np.int64)
+        if not (traces == trace).all():
+            raise ValidationError(f"{what} seeds must share one trace")
     height_ok = height_predicate(D, cap1, cap2)
     if not height_ok(seeds).all():
         raise ValidationError(f"{what} seeds must lie inside the caps")
@@ -427,7 +414,7 @@ def capped_bfs(what: str, seeds, tables: Callable[[], GeneratorTables],
     curr = prev = np.empty(0, dtype=np.int64)
     held = np.empty(0, dtype=np.int32)  # the pair labels of curr
     counts = np.zeros(2 * S, dtype=np.int64)
-    limit = max(max_states, 1)  # no component exceeds the total
+    limit = max(MAX_STATES, 1)  # no component exceeds the total
     while True:
         keep, a, b = _dedup(keys, pairs)
         hit, pos = _lookup(curr, keys[keep])
@@ -446,7 +433,7 @@ def capped_bfs(what: str, seeds, tables: Callable[[], GeneratorTables],
         if counts.sum() > limit and (np.bincount(
                 parent, weights=counts, minlength=2 * S) > limit).any():
             raise BudgetExceededError(
-                f"{what} orbit exceeded {max_states} states")
+                f"{what} orbit exceeded {MAX_STATES} states")
         prev, curr, held = curr, keys, pairs
         if not len(curr):
             return Orbit(parent[:S], int(counts[parent < S].sum()))

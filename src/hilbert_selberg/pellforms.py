@@ -197,12 +197,12 @@ def _form_tables(D: int) -> GeneratorTables:
         "form", lambda rows: _form_neighbors(rows, D, t, n), _FORM_MIRROR)
 
 
-def form_orbit(seeds, D: int, cap1: float, cap2: float,
-               max_states: int = 400000) -> Orbit:
+def form_orbit(seeds, D: int, cap1: float, cap2: float) -> Orbit:
     """Height-capped BFS orbits under the generator action from one form
     key or an (S, 6) array of them, all inside the caps."""
+    seeds = np.asarray(seeds, dtype=np.int64).reshape(-1, 6)
     return capped_bfs("form", seeds, functools.partial(_form_tables, D),
-                      D, cap1, cap2, max_states)
+                      D, cap1, cap2)
 
 
 def _form_boxes(d: QuadInt, height: float) -> Tuple[float, float]:

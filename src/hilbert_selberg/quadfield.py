@@ -15,7 +15,6 @@ numpy: the int64 box scans over these coordinates live in `orbits`.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -546,7 +545,3 @@ def canonical_disc(d: QuadInt, F: FieldCtx) -> QuadInt:
     while (y - eps2).sign_embed(1) >= 0:
         y = y * eps2_inv
     return y
-
-
-def field_to_json_str(F: FieldCtx) -> str:
-    return json.dumps(F.to_json(), sort_keys=True, indent=2)

@@ -505,6 +505,18 @@ def test_zeta_json(capsys):
     assert 0.5 < abs(value) < 1.5
 
 
+def test_zeta_window_without_a_class_is_refused(capsys, monkeypatch):
+    # x = 1.2 lists no class, so the clamp would leave a cutoff of 0:
+    # the window, not the asked-for X = 50, is what the error names
+    monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    assert main(["zeta", "--D", "5", "--x", "1.2", "--m", "4", "--s", "2",
+                 "--X", "50"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: the window to x = 1.2 lists no class of norm "
+                       ">= 3; ask for a larger --x\n")
+
+
 def test_zeta_trunc_k_from_config(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("trunc_k = 80\n")
@@ -962,6 +974,28 @@ def test_check_passes_and_enumerates_window_once(capsys, monkeypatch):
     # the shared x window (class numbers cut theirs at min(x, 8) from
     # it), the count trend at 20, one rerun at 6 against its cut
     assert bounds == [10.0, 20.0, 6.0]
+
+
+def test_check_below_the_stability_window(capsys, monkeypatch):
+    # at x = 5 the truncation-stability row reruns at x itself, not at
+    # 6, and the heat row's widest Gaussian outruns the window
+    bounds = []
+
+    def counted(F, x, **kwargs):
+        bounds.append(x)
+        return enumerate_geodesics(F, x, **kwargs)
+
+    monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    monkeypatch.setattr(geodesics, "enumerate_geodesics", counted)
+    code, out = run_cli(capsys, "check", "--D", "5", "--x", "5")
+    assert code == 3
+    rows = {ln[6:30].rstrip(): ln for ln in out.splitlines()}
+    for name in ("class numbers", "count trend", "truncation stability"):
+        assert rows[name].startswith("PASS  "), rows[name]
+    assert rows["heat asymptotics"].startswith(
+        f"FAIL  {'heat asymptotics':24s} class list covers norms <= ")
+    assert "but the Gaussian tail at beta=" in rows["heat asymptotics"]
+    assert bounds == [5.0, 20.0, 5.0]
 
 
 def test_check_failing_row_exits_3(capsys, monkeypatch):

@@ -1,5 +1,5 @@
 """The demo scripts and the README quick start run to completion and
-print something."""
+print something, and the README's module table names every module."""
 
 import os
 import re
@@ -37,3 +37,14 @@ def test_readme_quick_start_runs(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "+/-" in proc.stdout
+
+
+def test_readme_module_table_names_every_module():
+    readme = (ROOT / "README.md").read_text()
+    table = re.search(r"## Modules\n\n(.*?)\n\n", readme, re.DOTALL)
+    assert table, "README has no Modules table"
+    listed = re.findall(r"^\| `(\w+)` +\|", table.group(1), re.MULTILINE)
+    assert len(listed) == len(set(listed))
+    modules = {path.stem for path in (ROOT / "src" / "hilbert_selberg").glob(
+        "*.py")} - {"__init__", "__main__"}
+    assert set(listed) == modules

@@ -179,10 +179,6 @@ def test_each_name_is_imported_from_its_home():
 # parameters with a default that no call in src/ passes, and why they stay
 UNPASSED_KEPT = {
     "cli.main(argv)": "the entry point the tests drive",
-    "pellforms.form_orbit(max_states)":
-        "a budget that the tests trip with small values",
-    "modgroup.conjugation_orbit(max_states)":
-        "a budget that the tests trip with small values",
     "records.GeodesicWindow.__init__(coverage)": "API documented in the README",
 }
 

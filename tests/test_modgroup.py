@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hilbert_selberg import modgroup, orbits, pellforms
-from hilbert_selberg.errors import BudgetExceededError, ValidationError
+from hilbert_selberg import modgroup, orbits, pellforms, quadfield
+from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
+                                   ValidationError)
 from hilbert_selberg.modgroup import (
     GroupElem, classify, conjugation_orbit, enumerate_elliptic,
     _conj_neighbors, _elliptic_candidates, _matrices_with_trace,
 )
 from hilbert_selberg.orbits import (height_predicate, unique_rows,
-                                    _box_rows, _factor_pairs, _row_packer,
-                                    _to_trace)
+                                    _box_rows, _factor_pairs, _row_packer)
 from hilbert_selberg.pellforms import (enumerate_forms, form_orbit,
                                        pell_fundamental, _form_boxes,
                                        _form_neighbors, _matrix_boxes,
@@ -125,34 +125,53 @@ class TestConjugacy:
             assert tr == g.trace() or tr == -g.trace()
 
 
+def _in_seed_trace(order):
+    """A reference walk's visit order, seed first, as an array; matrix
+    keys, which the walk sign-normalizes, each in the sign of the seed's
+    trace, the one sign a conjugation search takes."""
+    rows = np.array(order)
+    if rows.shape[1] == 8:
+        traces = rows[:, 0:2] + rows[:, 6:8]
+        rows[(traces != traces[0]).any(axis=1)] *= -1
+    return rows
+
+
 def _is_the_orbit(orbit_of, members, neighbors, D, cap):
     """Seeded with the states of a reference orbit and their in-cap
     neighbour images, the engine finds one component with the
     reference's state count: it visits the same states, and they are
     closed under the neighbour map inside the caps."""
     t, n = _omega_trace_norm(D)
-    rows = np.array(members)
+    rows = _in_seed_trace(members)
     images = neighbors(rows, D, t, n)
     images = images[height_predicate(D, cap, cap)(images)]
     orbit = orbit_of(np.unique(np.concatenate([rows, images]), axis=0))
     return len(orbit.reps) == 1 and len(orbit) == len(members)
 
 
+def _budgeted(ms, search, *args):
+    """search(*args) with orbits.MAX_STATES, the state budget of every
+    search, monkeypatched to ms."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbits, "MAX_STATES", ms)
+        return search(*args)
+
+
 def _orbit_case(kind):
-    """(seed, orbit(seeds, cap, max_states), neighbor map, reference
-    map) over Q(sqrt 5)."""
+    """(seed, orbit(seeds, cap, budget), neighbor map, reference map)
+    over Q(sqrt 5)."""
     D = 5
     if kind == "conjugation":
         g = elem(D, ((0, 0), (-1, 0), (1, 0), (1, 0)))
         return (normalize_key_ref(g.key(), D),
-                lambda seeds, cap, ms: conjugation_orbit(
-                    seeds, D, cap, cap, max_states=ms)[0],
+                lambda seeds, cap, ms: _budgeted(
+                    ms, conjugation_orbit, seeds, D, cap, cap)[0],
                 _conj_neighbors, conj_neighbors_ref(D))
     seed = min(map(tuple, enumerate_forms(QuadInt(D, -7, 5),
                                           make_field(D)).tolist()))
     return (seed,
-            lambda seeds, cap, ms: form_orbit(seeds, D, cap, cap,
-                                              max_states=ms),
+            lambda seeds, cap, ms: _budgeted(ms, form_orbit, seeds, D, cap,
+                                             cap),
             _form_neighbors, form_neighbors_ref(D))
 
 
@@ -185,13 +204,14 @@ REFERENCE_CASES = ["conjugation", "form", "d12"]
 
 
 def _reference_case(kind):
-    """(engine(seeds, max_states), reference(max_states), seed) for one
-    orbit: the engine's orbit and the key-by-key walk's visit order."""
+    """(engine(seeds, budget), reference(budget), seed) for one orbit:
+    the engine's orbit and the key-by-key walk's visit order."""
     if kind == "form":
         D, cap = 5, 12.0
         seed = min(map(tuple, enumerate_forms(QuadInt(D, -7, 5),
                                               make_field(D)).tolist()))
-        return (lambda seeds, ms: form_orbit(seeds, D, cap, cap, ms),
+        return (lambda seeds, ms: _budgeted(ms, form_orbit, seeds, D, cap,
+                                            cap),
                 lambda ms: capped_bfs_ref(seed, form_neighbors_ref(D),
                                           height_ok_ref(D, cap, cap), ms),
                 seed)
@@ -203,7 +223,8 @@ def _reference_case(kind):
         # D = 12, where w = sqrt 3 has trace t = 0: an order-6 rotation
         D, cap = 12, 30.0
         seed = elem(D, ((0, 1), (-1, 0), (1, 0), (0, 0))).key()
-    return (lambda seeds, ms: conjugation_orbit(seeds, D, cap, cap, ms)[0],
+    return (lambda seeds, ms: _budgeted(ms, conjugation_orbit, seeds, D, cap,
+                                        cap)[0],
             lambda ms: capped_bfs_ref(seed, conj_neighbors_ref(D),
                                       height_ok_ref(D, cap, cap), ms),
             seed)
@@ -225,7 +246,7 @@ class TestEngineMatchesKeyByKeyBFS:
         engine, ref, _ = _reference_case(kind)
         order = ref(400000)
         assert len(order) > 100
-        orbit = engine(np.unique(order, axis=0), 400000)
+        orbit = engine(np.unique(_in_seed_trace(order), axis=0), 400000)
         assert len(orbit.reps) == 1 and len(orbit) == len(order)
 
     def test_budget_trip_point(self, kind):
@@ -257,8 +278,8 @@ def _both_halves(kind, rows):
 
 
 def _partition_case(kind, D, d):
-    """(rows, engine(rows, max_states) -> (seeds, orbit),
-    reference(rows, max_states) -> partition_ref result) with the caps
+    """(rows, engine(rows, budget) -> (seeds, orbit),
+    reference(rows, budget) -> partition_ref result) with the caps
     1.5 times the boxes that bound the rows."""
     F = make_field(D)
     d = canonical_disc(QuadInt(D, *d), F)
@@ -271,10 +292,9 @@ def _partition_case(kind, D, d):
         m1, m2 = _matrix_boxes(pell, 3.0)
         cap1, cap2 = 1.5 * m1, 1.5 * m2
         rows = _both_halves("matrix", _matrix_keys(pell, F, m1, m2))
-        rows = np.concatenate([rows, -rows[::3]])  # -g is g in PSL(2, O_K)
 
-        def orbit_of(seeds, D, cap1, cap2, max_states):
-            return conjugation_orbit(seeds, D, cap1, cap2, max_states)[0]
+        def orbit_of(seeds, D, cap1, cap2):
+            return conjugation_orbit(seeds, D, cap1, cap2)[0]
         ref_map = conj_neighbors_ref(D)
 
         def canon(key):
@@ -282,7 +302,7 @@ def _partition_case(kind, D, d):
 
     def engine(rows, ms):
         seeds = np.unique(rows, axis=0)
-        return seeds, orbit_of(seeds, D, cap1, cap2, ms)
+        return seeds, _budgeted(ms, orbit_of, seeds, D, cap1, cap2)
 
     return (rows, engine,
             lambda rows, ms: partition_ref(rows.tolist(), ref_map,
@@ -324,7 +344,7 @@ def test_partition_matches_seed_by_seed_reference(kind, D, d):
 def _matches_reference(rows, engine, ref):
     """The engine's roots, reps, state count and budget verdicts on the
     rows are those of the seed-by-seed reference: the largest orbit's
-    size as max_states passes, one less raises."""
+    size as the budget passes, one less raises."""
     reps, rep_of, sizes = ref(rows, 400000)
     seeds, orbit = engine(rows, 400000)
     assert _engine_partition(seeds, orbit) == (reps, rep_of)
@@ -355,8 +375,8 @@ def test_mirror_search_on_census_candidates(D):
         assert fixed.any() == (nu == 2) and 2 * fixed.sum() < len(rows)
         _matches_reference(
             rows,
-            lambda rows, ms: (rows, conjugation_orbit(rows, D, cap, cap,
-                                                      ms)[0]),
+            lambda rows, ms: (rows, _budgeted(ms, conjugation_orbit, rows,
+                                              D, cap, cap)[0]),
             lambda rows, ms: partition_ref(
                 rows.tolist(), conj_neighbors_ref(D),
                 height_ok_ref(D, cap, cap), ms,
@@ -398,8 +418,8 @@ def _census_case(D, cap=10.0):
     elements are their own negatives."""
     rows = _elliptic_candidates(make_field(D), 4.0)[2]
     return (rows,
-            lambda rows, ms: (rows, conjugation_orbit(rows, D, cap, cap,
-                                                      ms)[0]),
+            lambda rows, ms: (rows, _budgeted(ms, conjugation_orbit, rows,
+                                              D, cap, cap)[0]),
             lambda rows, ms: partition_ref(
                 rows.tolist(), conj_neighbors_ref(D),
                 height_ok_ref(D, cap, cap), ms,
@@ -451,12 +471,11 @@ def test_levels_over_several_blocks(case, monkeypatch):
 
 def test_mirror_must_be_a_symmetry_of_the_generators():
     D, t, n = 5, *_omega_trace_norm(5)
-    seed = [1, 0, 1, 0, -1, 1]
+    seed = np.array([[1, 0, 1, 0, -1, 1]])
     tables = orbits.generator_tables(
         "form", lambda rows: _form_neighbors(rows, D, t, n),
         pellforms._FORM_MIRROR)
-    orbit = orbits.capped_bfs("form", seed, lambda: tables, D, 12.0, 12.0,
-                              400000)
+    orbit = orbits.capped_bfs("form", seed, lambda: tables, D, 12.0, 12.0)
     assert len(orbit) > 1
     for mirror, neighbors in (
             (np.diag([-1, -1, 1, 1, 1, 1]), _form_neighbors),
@@ -677,11 +696,7 @@ def test_packed_keys_injective_on_in_cap_rows(D, cap1, cap2, width, data):
     rows = rows[height_predicate(D, cap1, cap2)(rows)]
     pack = _row_packer("test", D, cap1, cap2, trace=tr)
     keys = pack(rows)
-    # a query of trace -tr is negated into the slice; other traces fall out
-    signed, ok = _to_trace(-rows, tr)
-    assert ok.all() and np.array_equal(signed, rows)
     if tr.any():
-        assert not _to_trace(rows + [0, 0, 0, 0, 0, 0, 1, 0], tr)[1].any()
         # one element of trace tr for each sign pair: keys are injective
         assert len(set(keys.tolist())) \
             == len({tuple(r) for r in rows.tolist()})
@@ -791,23 +806,38 @@ def test_packer_raises_exactly_when_the_radix_product_reaches_2_63(D):
     assert True in raised and False in raised
 
 
-def test_psl_queries_find_the_negation():
-    # the D = 5 order-3 orbit of test_orbit_is_conjugation_closed, with
-    # trace 1: its states stand for their negatives, which have trace
-    # -1, from either sign of the first seed; a row of another trace is
-    # refused
+def test_seeds_must_share_one_exact_trace():
+    # the D = 5 order-3 orbit of test_orbit_is_conjugation_closed, of
+    # trace -1 in its seed's sign: from either sign alone it is one
+    # orbit, but its negatives, of trace 1, and rows of another trace are
+    # refused next to it
     D, cap = 5, 12.0
     g = elem(D, ((0, 0), (-1, 0), (1, 0), (1, 0)))
-    rows = np.array(capped_bfs_ref(g.key(), conj_neighbors_ref(D),
-                                   height_ok_ref(D, cap, cap), 400000))
-    for seeds in (np.concatenate([rows, -rows]),
-                  np.concatenate([-rows, rows])):
+    rows = _in_seed_trace(capped_bfs_ref(g.key(), conj_neighbors_ref(D),
+                                         height_ok_ref(D, cap, cap), 400000))
+    assert (rows[:, 0:2] + rows[:, 6:8] == [-1, 0]).all()
+    for seeds in (rows, -rows):
         orbit, reps = conjugation_orbit(seeds, D, cap, cap)
         assert len(reps) == 1 and len(orbit) == len(rows)
     other = rows.copy()
     other[:, 6] += 1  # trace 2 + w
-    with pytest.raises(ValidationError, match="one trace up to sign"):
-        conjugation_orbit(np.concatenate([rows[:1], other[:1]]), D, cap, cap)
+    for seeds in (np.concatenate([rows, -rows]), np.concatenate([-rows, rows]),
+                  np.concatenate([rows[:1], other[:1]])):
+        with pytest.raises(ValidationError, match="seeds must share one "
+                           "trace$"):
+            conjugation_orbit(seeds, D, cap, cap)
+
+
+@pytest.mark.parametrize("D", [5, 12])
+def test_trace_zero_states_stand_for_their_negatives(D):
+    # at trace 0, g and -g are one state: the census's order-2
+    # candidates with the negatives of a third of them give the same
+    # partition as the candidates alone
+    rows, engine, ref = _census_case(D)
+    both = np.concatenate([rows, -rows[::3]])
+    seeds, orbit = engine(np.unique(both, axis=0), 400000)
+    assert len(orbit) == len(engine(rows, 400000)[1])
+    assert _engine_partition(seeds, orbit) == ref(both, 400000)[:2]
 
 
 @pytest.mark.parametrize("D,height_bound",
@@ -858,6 +888,27 @@ class TestCensus:
             assert got.kind == "elliptic"
             assert min(got.theta[0], math.pi - got.theta[0]) == pytest.approx(
                 math.pi / c.nu, abs=1e-9)
+
+    def test_census_missing_classes_is_a_budget_error(self, monkeypatch):
+        # at entry height 1 the D = 5 census finds one class per order;
+        # a fresh field, so no census computed earlier is read
+        monkeypatch.setattr(quadfield, "_FIELD_MEMO", {})
+        monkeypatch.setattr(modgroup, "CENSUS_HEIGHT", 1.0)
+        with pytest.raises(BudgetExceededError) as exc:
+            modgroup.elliptic_census(make_field(5))
+        assert str(exc.value) == (
+            "census incomplete for D=5: orders (2, 3, 5), expected "
+            "(2, 2, 3, 3, 5, 5); raise CENSUS_HEIGHT > 1.0")
+
+    def test_census_extra_classes_is_an_invariant_violation(
+            self, monkeypatch):
+        monkeypatch.setattr(quadfield, "_FIELD_MEMO", {})
+        monkeypatch.setitem(quadfield.CENSUS_ORDERS, 5, (2, 2, 3, 3, 5))
+        with pytest.raises(InvariantViolation) as exc:
+            modgroup.elliptic_census(make_field(5))
+        assert str(exc.value) == (
+            "census mismatch for D=5: orders (2, 2, 3, 3, 5, 5), expected "
+            "(2, 2, 3, 3, 5)")
 
     def test_powers_are_not_primitive(self):
         # the square of an order-4 class lands on an order-2 point with

@@ -192,7 +192,7 @@ def test_route_mismatch_names_the_caps(capsys, monkeypatch):
                             pellforms._FORM_MIRROR)
 
     def lone_form_orbit(seeds, D, cap1, cap2):
-        return capped_bfs("form", seeds, lambda: lone, D, cap1, cap2, 1)
+        return capped_bfs("form", seeds, lambda: lone, D, cap1, cap2)
 
     monkeypatch.setattr(pellforms, "form_orbit", lone_form_orbit)
     F = make_field(5)
@@ -445,12 +445,6 @@ def _c_at_t0(key, pell):
     return g.c.sign_embed(2) * (1 if g.trace() == pell.t0 else -1)
 
 
-def _inverse_key(key, D):
-    """The sign-normalized key of the inverse [[E, -B], [-C, A]]."""
-    aa, ab, ba, bb, ca, cb, ea, eb = key
-    return normalize_key_ref((ea, eb, -ba, -bb, -ca, -cb, aa, ab), D)
-
-
 def _mirror_key(key, D):
     """The sign-normalized key of the conjugate [[A, -B], [-C, E]] by
     diag(1, -1)."""
@@ -485,8 +479,11 @@ def test_half_searches_match_the_full_searches(D, x):
         keys = set(map(tuple, rows.tolist()))
         states = len(pellforms.conjugation_orbit(
             np.unique(rows, axis=0), D, mcap1, mcap2)[0])
-        for other in (_mirror_key, _inverse_key):
-            images = {other(k, D) for k in keys}
+        # [[A, -B], [-C, E]] and the inverses [[E, -B], [-C, A]], both in
+        # the sign of trace t0, the one sign the search takes
+        flip = [1, 1, -1, -1, -1, -1, 1, 1]
+        for other in (rows * flip, rows[:, [6, 7, 2, 3, 4, 5, 0, 1]] * flip):
+            images = set(map(tuple, other.tolist()))
             assert len(images) == len(keys) and not keys & images
             orbit, classes = pellforms.conjugation_orbit(
                 np.array(sorted(keys | images)), D, mcap1, mcap2)
