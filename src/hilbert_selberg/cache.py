@@ -70,7 +70,12 @@ def get_or_compute(kind: str, params: dict, builder: Callable[[], T],
     # one temporary file per writer: processes sharing a directory never
     # write into the same file, and each entry appears whole
     tmp = path.with_suffix(f".{os.getpid()}.tmp")
-    with tmp.open("wb") as fh:
-        pickle.dump(value, fh, protocol=4)
-    tmp.replace(path)
+    try:
+        with tmp.open("wb") as fh:
+            pickle.dump(value, fh, protocol=4)
+        tmp.replace(path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise ValidationError(
+            f"cannot write cache entry {path}: {exc.strerror}")
     return value

@@ -16,9 +16,11 @@ a window, live in `records`.
 import math
 from typing import Dict, List, Tuple
 
-from .pellforms import class_number, in_Dpm, pell_fundamental
+from .errors import HilbertSelbergError
+from .pellforms import class_numbers, in_Dpm, pell_fundamental
 from .quadfield import FieldCtx, QuadInt, canonical_disc, lattice_points
-from .records import GeodesicClass, GeodesicWindow, _eps_limit
+from .records import (GeodesicClass, GeodesicWindow, PellSolution,
+                      _eps_limit)
 
 __all__ = ["square_divisor_quotients", "enumerate_geodesics"]
 
@@ -55,7 +57,9 @@ def enumerate_geodesics(F: FieldCtx, x: float,
     eps <= x; candidates whose fundamental solution lands outside
     eps <= x are filtered after the Pell step.  That step searches up to
     eps = x, which holds every candidate's fundamental solution, so a
-    Pell budget error raises instead of dropping a class.
+    Pell budget error raises instead of dropping a class.  The class
+    numbers are counted in batches by class_numbers; a Pell error ends
+    the candidates there, and raises unless a count before it fails.
     """
     limit = _eps_limit(x)
     D = F.D
@@ -70,20 +74,24 @@ def enumerate_geodesics(F: FieldCtx, x: float,
                 continue
             dc = canonical_disc(d, F)
             cands.setdefault((dc.a, dc.b), dc)
-    classes: List[GeodesicClass] = []
-    for key in sorted(cands):
-        dc = cands[key]
-        # the trace that gave dc solves its Pell equation with eps <= x,
-        # up to the trace box's 1e-9 slack, and the Pell box at cap x
-        # holds every solution with eps - 1/eps <= 2x
-        pell = pell_fundamental(dc, F, eps_cap=limit)
-        # that slack can admit an eps(t) just past x
-        if pell.eps_d > limit:
-            continue
-        rec = class_number(dc, F, height=height, pell=pell)
-        t2 = rec.pell.t0.embed(2)
-        classes.append(GeodesicClass(
-            d=rec.d, norm=rec.pell.eps_d ** 2,
-            angle=math.acos(t2 / 2.0),
-            multiplicity=rec.class_number, record=rec))
+    ds: List[QuadInt] = []
+    pells: List[PellSolution] = []
+    try:
+        for key in sorted(cands):
+            dc = cands[key]
+            # the trace that gave dc solves its Pell equation with eps <= x,
+            # up to the trace box's 1e-9 slack, and the Pell box at cap x
+            # holds every solution with eps - 1/eps <= 2x
+            pell = pell_fundamental(dc, F, eps_cap=limit)
+            # that slack can admit an eps(t) just past x
+            if pell.eps_d <= limit:
+                ds.append(dc)
+                pells.append(pell)
+    except HilbertSelbergError:
+        class_numbers(ds, F, height, pells)  # an earlier failure wins
+        raise
+    classes = [GeodesicClass(d=rec.d, norm=rec.pell.eps_d ** 2,
+                             angle=math.acos(rec.pell.t0.embed(2) / 2.0),
+                             multiplicity=rec.class_number, record=rec)
+               for rec in class_numbers(ds, F, height, pells)]
     return GeodesicWindow(classes, bound=x)

@@ -208,7 +208,8 @@ def _conj_tables(D: int) -> GeneratorTables:
         _CONJ_MIRROR)
 
 
-def conjugation_orbit(seeds, D: int, cap1: float, cap2: float
+def conjugation_orbit(seeds, D: int, cap1, cap2,
+                      groups: Optional[np.ndarray] = None
                       ) -> Tuple[Orbit, np.ndarray]:
     """Height-capped BFS orbits of conjugation in PSL(2, O_K) from one
     key or an (S, 8) array of them; returns (orbit, reps), reps the
@@ -216,13 +217,17 @@ def conjugation_orbit(seeds, D: int, cap1: float, cap2: float
 
     The seeds must have exactly the first seed's trace and lie inside
     the caps; ValidationError otherwise.  Raises BudgetExceededError
-    when some component exceeds orbits.MAX_STATES states.  The search
+    when some component exceeds orbits.MAX_STATES states.  With
+    `groups`, the seeds of each group share one trace instead, the caps
+    are arrays with one cap per group, and a group past the budget is
+    marked failed in the orbit (see orbits.capped_bfs).  The search
     runs modulo the mirror g -> P g^-1 P, P = diag(1, -1), which keeps
     the trace and c.
     """
     seeds = np.asarray(seeds, dtype=np.int64).reshape(-1, 8)
     orbit = capped_bfs("conjugation", seeds,
-                       functools.partial(_conj_tables, D), D, cap1, cap2)
+                       functools.partial(_conj_tables, D), D, cap1, cap2,
+                       groups)
     return orbit, seeds[orbit.reps]
 
 

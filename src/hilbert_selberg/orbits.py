@@ -82,6 +82,24 @@ exactly the orbits the seed-by-seed loop (least row not yet covered,
 then its orbit) visits, and with the seeds the distinct rows in
 increasing order, as `unique_rows` gives them, their least seeds are
 its representatives.
+One search also runs several searches at once: each seed has a group,
+say the discriminant whose class count it seeds, and each group its
+own caps and, for conjugation, its own trace.  Groups never meet.  A
+row's label names its seed, so its group, which its images inherit,
+and its images get its group's height test.  Every group's rows are
+keyed with the one radix R of the largest caps: an in-cap pair of
+smaller caps lies in the larger box, so each group's keys stay
+injective.  Forms of two groups may still share a key, and so may
+matrices, whose key leaves out E = tr - A and so does not see the
+trace; group g's keys therefore get the offset g R^3, and G groups
+need G R^3 <= 2^63 (max_groups).  A trace-0 search, where g and -g
+share the smaller of two keys, is one group.  So no dedup, lookup or
+join ever pairs rows of two groups, and level k of the run is the
+union of each group's level k: each group keeps exactly the levels,
+components, roots and state count of a search of its own.  The budget
+test runs per component after each level's merge, as alone, so a
+group fails at the level its own search would; its rows leave the
+level there and the other groups go on.
 Every seed must lie inside the caps: a seed outside them has edges that
 run one way only.  A search returns the roots and the state count and
 holds just the last two levels; neither, nor the budget test on each
@@ -108,12 +126,13 @@ from .quadfield import (_coord_mul, _embed_consts, _lattice_ranges,
                         _omega_trace_norm)
 
 
-def height_predicate(D: int, cap1: float, cap2: float
+def height_predicate(D: int, cap1, cap2
                      ) -> Callable[[np.ndarray], np.ndarray]:
     """Mask over the rows of an array whose last axis holds coordinate
     rows: every pair (x, y) of a row, read as x + y*w, has embeddings
     within (cap1, cap2); works for matrix and form rows, and for a
-    strided view such as the search's images."""
+    strided view such as the search's images.  The caps are numbers, or
+    (N, 1) arrays of one cap per row of an (..., N, k) array."""
     w1, w2 = _embed_consts(D)
 
     def ok(rows: np.ndarray) -> np.ndarray:
@@ -131,6 +150,23 @@ def height_predicate(D: int, cap1: float, cap2: float
     return ok
 
 
+def _key_radix(D: int, cap1: float, cap2: float) -> Tuple[int, int, int]:
+    """(A, B, R): an in-cap pair x + y*w has |2x + t*y| <= cap1 + cap2
+    < A and |y| sqrt(D) <= cap1 + cap2 < B sqrt(D), so its offset index
+    (2x + t*y + A)(2B + 1) + y + B lies below R = (2A + 1)(2B + 1)."""
+    A = math.floor(cap1 + cap2) + 1
+    B = math.floor((cap1 + cap2) / math.sqrt(D)) + 1
+    return A, B, (2 * A + 1) * (2 * B + 1)
+
+
+def max_groups(D: int, cap1: float, cap2: float) -> int:
+    """The most groups one capped_bfs run keys exactly at caps no larger
+    than these: G groups of base-R keys below R^3 take the offsets
+    0, R^3, ..., (G - 1) R^3, and the last key G R^3 - 1 must fit int64.
+    0 when one group's keys do not fit."""
+    return (2 ** 63 - 1) // _key_radix(D, cap1, cap2)[2] ** 3
+
+
 def _row_packer(what: str, D: int, cap1: float, cap2: float,
                 trace: Optional[np.ndarray] = None
                 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -138,10 +174,9 @@ def _row_packer(what: str, D: int, cap1: float, cap2: float,
     entries, or with `trace` set, PSL(2, O_K) elements [[A, B], [C, E]]
     of that trace, 8 entries.
 
-    An in-cap pair x + y*w has |2x + t*y| <= cap1 + cap2 and
-    |y| sqrt(D) <= cap1 + cap2, so it has an offset index below R in that
-    box; the indices of a row's first three pairs are the digits of one
-    base-R key below R^3, exact in int64 while R^3 < 2^63, so packing is
+    An in-cap pair has an offset index below R (see _key_radix); the
+    indices of a row's first three pairs are the digits of one base-R
+    key below R^3, exact in int64 while R^3 < 2^63, so packing is
     injective on in-cap rows.  A matrix's fourth pair is E = trace - A.
     Negating a pair maps its index to R - 1 - idx, so -g packs to
     R^3 - 1 - key(g); for trace 0, where g and -g share the trace, a row
@@ -150,10 +185,8 @@ def _row_packer(what: str, D: int, cap1: float, cap2: float,
     or when the neighbour maps could leave 2^31 from an in-cap row.
     """
     t, n = _omega_trace_norm(D)
-    A = math.floor(cap1 + cap2) + 1
-    B = math.floor((cap1 + cap2) / math.sqrt(D)) + 1
+    A, B, R = _key_radix(D, cap1, cap2)
     rad = 2 * B + 1
-    R = (2 * A + 1) * rad
     if R ** 3 >= 2 ** 63:
         raise BudgetExceededError(
             f"{what} orbit caps ({cap1:.6g}, {cap2:.6g}) too large for "
@@ -249,13 +282,15 @@ class Orbit:
     """The states one capped_bfs run visited, split into components.
 
     `roots[s]` is the index of the least seed in seed s's component and
-    len() the state count.
+    len() the state count, summed over the groups.  `failed[g]` says
+    whether group g had a component past MAX_STATES; its roots and
+    count then stop at the level where it did.
     """
 
-    __slots__ = ("roots", "_count")
+    __slots__ = ("roots", "_count", "failed")
 
-    def __init__(self, roots: np.ndarray, count: int):
-        self.roots, self._count = roots, count
+    def __init__(self, roots: np.ndarray, count: int, failed: np.ndarray):
+        self.roots, self._count, self.failed = roots, count, failed
 
     def __len__(self) -> int:
         return self._count
@@ -264,6 +299,11 @@ class Orbit:
     def reps(self) -> np.ndarray:
         """The indices of the seeds that are their components' roots."""
         return np.flatnonzero(self.roots == np.arange(len(self.roots)))
+
+
+def budget_error(what: str) -> BudgetExceededError:
+    """The error of a `what` search with a component past MAX_STATES."""
+    return BudgetExceededError(f"{what} orbit exceeded {MAX_STATES} states")
 
 
 def _pair_mirror(what: str, mirror) -> np.ndarray:
@@ -340,40 +380,78 @@ MAX_STATES = 400000
 
 
 def capped_bfs(what: str, seeds: np.ndarray,
-               tables: Callable[[], GeneratorTables], D: int, cap1: float,
-               cap2: float) -> Orbit:
+               tables: Callable[[], GeneratorTables], D: int, cap1, cap2,
+               groups: Optional[np.ndarray] = None) -> Orbit:
     """Height-capped BFS from every row of `seeds` at once, an (S, k)
     int64 array; returns the orbit with its components.
 
+    With `groups`, a group index in 0..G-1 per seed, the caps are
+    arrays of G caps, one pair per group, and the groups search as one
+    run whose groups never meet (see the module docstring); a group with
+    a component past MAX_STATES is marked failed in the orbit and its
+    rows are dropped, and the others go on.  Without it the seeds are
+    one group, and such a component raises BudgetExceededError.
     The generator maps and the mirror are those of `tables()`, which is
     called once the seeds and the caps have passed the checks below;
     states are the mirror pairs of the module docstring.
-    Every seed must lie inside the caps (the edges of a seed outside
-    them run one way only); ValidationError otherwise.  A level is the
-    sorted keys of the in-cap images, but the parents, on neither the
-    current nor the previous level, with the label, the int32 carried
-    row and the back edge of each; the images of _BFS_BLOCK frontier
-    rows at a time are one exact float64 product.  An image that meets
-    a state of another component on the current level, or the same new
-    state as one, joins the two labels and their twins (see _merge).
-    The search raises BudgetExceededError for the `what` orbit exactly
-    when some component exceeds MAX_STATES states.  Rows of k = 8 entries
-    are matrices [[A, B], [C, E]], g and -g one state, and every seed
-    must have exactly the first seed's trace (ValidationError otherwise).
+    Every seed must lie inside its group's caps (the edges of a seed
+    outside them run one way only); ValidationError otherwise.  A level
+    is the sorted keys of the in-cap images, but the parents, on neither
+    the current nor the previous level, with the label, the int16 or
+    int32 carried row and the back edge of each; the images of _BFS_BLOCK
+    frontier rows at a time are one exact float64 product.  An image
+    that meets a state of another component on the current level, or
+    the same new state as one, joins the two labels and their twins (see
+    _merge).  Rows of k = 8 entries are matrices [[A, B], [C, E]], g and
+    -g one state, and the seeds of a group must share one trace, which
+    is 0 only for a search of one group (ValidationError otherwise).
     """
     S, k = seeds.shape
+    caps1, caps2 = np.atleast_1d(cap1), np.atleast_1d(cap2)
+    G = len(caps1)
+    raising = groups is None
+    if raising:
+        groups = np.zeros(S, dtype=np.intp)
+    node_group = np.concatenate((groups, groups))
     trace = None
-    if k == 8:  # conjugation keeps the trace: search the seeds' trace slice
+    if k == 8:  # conjugation keeps the trace: search each group's slice
         traces = seeds[:, 0:2] + seeds[:, 6:8]
-        trace = traces[0] if S else np.zeros(2, dtype=np.int64)
-        if not (traces == trace).all():
+        firsts = np.zeros((G, 2), dtype=np.int64)
+        firsts[groups[::-1]] = traces[::-1]  # each group's first trace
+        if not (traces == firsts[groups]).all():
             raise ValidationError(f"{what} seeds must share one trace")
-    height_ok = height_predicate(D, cap1, cap2)
-    if not height_ok(seeds).all():
+        if G > 1 and not traces.any(axis=1).all():
+            raise ValidationError(
+                f"{what} seeds of trace 0 must search as one group")
+        trace = firsts[groups[0] if S else 0]
+    if G == 1:
+        one = height_predicate(D, caps1[0], caps2[0])
+
+        def height_ok(rows: np.ndarray, labs: np.ndarray) -> np.ndarray:
+            return one(rows)
+    else:  # each row is tested against its label's group's caps
+        node_caps = caps1[node_group, None], caps2[node_group, None]
+
+        def height_ok(rows: np.ndarray, labs: np.ndarray) -> np.ndarray:
+            return height_predicate(D, *(c[labs] for c in node_caps))(rows)
+    if not height_ok(seeds, np.arange(S)).all():
         raise ValidationError(f"{what} seeds must lie inside the caps")
-    pack = _row_packer(what, D, cap1, cap2, trace)
+    # one radix, that of the largest caps, keys every group's rows
+    big = int(np.argmax(caps1 + caps2))
+    pack = _row_packer(what, D, caps1[big], caps2[big], trace)
+    A, _, R = _key_radix(D, caps1[big], caps2[big])
+    offset = None
+    if G > 1:
+        if G > max_groups(D, caps1[big], caps2[big]):
+            raise ValidationError(
+                f"{what} search of {G} groups too large for exact packed keys")
+        offset = node_group * R ** 3
+    # in-cap coordinates lie below A (see _row_packer): a carried row is
+    # exact in int16 for A <= 2^15
+    small = np.int16 if A <= 2 ** 15 else np.int32
     Mt, inverse, perm, sign = tables()
     m = len(Mt) // k
+    inverse = inverse.astype(np.int8)  # back edges: one byte each
     twin = np.roll(np.arange(2 * S, dtype=np.int32), S)
     parent = np.arange(2 * S, dtype=np.int32)
 
@@ -381,13 +459,15 @@ def capped_bfs(what: str, seeds: np.ndarray,
                   ) -> Tuple[np.ndarray, ...]:
         """(keys, pair labels, labels, rows, alone) of labelled rows: the
         key of each row's mirror pair, the smaller of its two, the label
-        of the row that key packs, the row's own label, the row in int32
-        (exact, see _row_packer), and whether the row is its own mirror,
-        whose label then joins its twin."""
+        of the row that key packs, the row's own label, the row in the
+        small integer type, and whether the row is its own mirror, whose
+        label then joins its twin."""
         raw, mirrored = pack(found), pack(found, (perm, sign))
-        return (np.minimum(raw, mirrored),
-                np.where(mirrored < raw, twin[labs], labs), labs,
-                found.astype(np.int32), mirrored == raw)
+        keys = np.minimum(raw, mirrored)
+        if offset is not None:
+            keys += offset[labs]
+        return (keys, np.where(mirrored < raw, twin[labs], labs), labs,
+                found.astype(small), mirrored == raw)
 
     def images(block: np.ndarray, labs: np.ndarray, back: np.ndarray
                ) -> Tuple[np.ndarray, ...]:
@@ -395,7 +475,7 @@ def capped_bfs(what: str, seeds: np.ndarray,
         but their parents, with the back edge of each."""
         out = (Mt @ block.T).reshape(m, k, len(block))
         # in-cap images generator by generator, each in row order
-        ok = height_ok(out.transpose(0, 2, 1))
+        ok = height_ok(out.transpose(0, 2, 1), labs)
         ok &= back != np.arange(m)[:, None]
         j, i = np.nonzero(ok)
         return (*canonical(out[j, :, i].astype(np.int64), labs[i]),
@@ -410,10 +490,11 @@ def capped_bfs(what: str, seeds: np.ndarray,
     # the seeds are level 0, the images of no level
     keys, pairs, labs, rows, alone = canonical(
         seeds, np.arange(S, dtype=np.int32))
-    back = np.full(S, -1)
+    back = np.full(S, -1, dtype=np.int8)
     curr = prev = np.empty(0, dtype=np.int64)
     held = np.empty(0, dtype=np.int32)  # the pair labels of curr
     counts = np.zeros(2 * S, dtype=np.int64)
+    failed = np.zeros(G, dtype=bool)
     limit = max(MAX_STATES, 1)  # no component exceeds the total
     while True:
         keep, a, b = _dedup(keys, pairs)
@@ -430,13 +511,20 @@ def capped_bfs(what: str, seeds: np.ndarray,
         keys, pairs, labs, rows, alone, back = (
             x[keep] for x in (keys, pairs, labs, rows, alone, back))
         counts += tally(pairs, alone)
-        if counts.sum() > limit and (np.bincount(
-                parent, weights=counts, minlength=2 * S) > limit).any():
-            raise BudgetExceededError(
-                f"{what} orbit exceeded {MAX_STATES} states")
+        if counts.sum() > limit:
+            over = np.bincount(parent, weights=counts,
+                               minlength=2 * S) > limit
+            if over.any():
+                if raising:
+                    raise budget_error(what)
+                # a failed group's rows leave the level: it stops here
+                failed[node_group[over]] = True
+                live = ~failed[node_group[pairs]]
+                keys, pairs, labs, rows, alone, back = (
+                    x[live] for x in (keys, pairs, labs, rows, alone, back))
         prev, curr, held = curr, keys, pairs
         if not len(curr):
-            return Orbit(parent[:S], int(counts[parent < S].sum()))
+            return Orbit(parent[:S], int(counts[parent < S].sum()), failed)
         keys, pairs, labs, rows, alone, back = (
             np.concatenate(part) for part in zip(*(
                 images(*(x[lo:lo + _BFS_BLOCK] for x in (rows, labs, back)))
@@ -460,7 +548,7 @@ def _box_rows(D: int, bound1: float, bound2: float) -> np.ndarray:
     return rows[height_predicate(D, bound1, bound2)(rows)]
 
 
-# entries of one P-by-box block in _factor_pairs
+# (row, distinct norm) pairs of one block in _factor_pairs
 _FACTOR_BLOCK = 1 << 14
 
 
@@ -479,14 +567,28 @@ def _factor_pairs(P: np.ndarray, box: np.ndarray, D: int, cap1: float,
     j = np.nonzero(box.any(axis=1))[0]
     ya, yb = box[j].T
     ny = norm(ya, yb)
+    # box entries share norms: each distinct norm is tested once, and its
+    # entries, in box order, are by_norm[start[u]:start[u] + size[u]]
+    norms, of = np.unique(ny, return_inverse=True)
+    by_norm = np.argsort(of, kind="stable")
+    size = np.bincount(of, minlength=len(norms))
+    start = np.cumsum(size) - size
     rows = np.nonzero(P.any(axis=1))[0]
     nP = norm(P[rows, 0], P[rows, 1])
-    step = max(1, _FACTOR_BLOCK // max(1, len(j)))
+    step = max(1, _FACTOR_BLOCK // max(1, len(norms)))
     out = [np.empty((0, 4), dtype=np.int64)]
     for s in range(0, len(rows), step):
-        # y | P needs N(y) | N(P): one int64 modulo per pair, and the
-        # coordinates only for the pairs that pass it
-        ri, k = np.nonzero(nP[s:s + step, None] % ny == 0)
+        # y | P needs N(y) | N(P): one int64 modulo per row and distinct
+        # norm, and the coordinates only for the pairs that pass it
+        ri, u = np.nonzero(nP[s:s + step, None] % norms == 0)
+        # every box entry of each norm that passed, then in (row, entry)
+        # order
+        many = size[u]
+        ri = np.repeat(ri, many)
+        k = by_norm[np.arange(many.sum())
+                    + np.repeat(start[u] - np.cumsum(many) + many, many)]
+        order = np.argsort(ri * len(j) + k)
+        ri, k = ri[order], k[order]
         r = rows[s:s + step][ri]
         # P * conj(y), conj(y) = (ya + t*yb, -yb)
         numa, numb = _coord_mul(P[r, 0], P[r, 1], ya[k] + t * yb[k], -yb[k],

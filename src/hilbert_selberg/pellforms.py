@@ -23,22 +23,24 @@ DiscriminantRecord, live in `records`.
 import functools
 import itertools
 import math
-from typing import Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvariantViolation, ValidationError
+from .errors import (BudgetExceededError, HilbertSelbergError,
+                     InvariantViolation, ValidationError)
 from .modgroup import (GroupElem, conjugation_orbit, _embed_signs,
                        _matrices_with_trace, _MU_A, _MU_B)
-from .orbits import (GeneratorTables, Orbit, capped_bfs, generator_tables,
-                     unique_rows, _box_rows, _factor_pairs, _row_packer)
+from .orbits import (GeneratorTables, Orbit, budget_error, capped_bfs,
+                     generator_tables, max_groups, unique_rows, _box_rows,
+                     _factor_pairs, _row_packer)
 from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
                         _coord_mul, _embed_consts, _omega_trace_norm)
 from .records import DiscriminantRecord, FormOverOK, PellSolution
 
 __all__ = [
     "content_norm", "in_Dpm", "pell_fundamental", "class_number",
-    "form_to_matrix", "enumerate_forms",
+    "class_numbers", "form_to_matrix", "enumerate_forms",
 ]
 
 
@@ -197,12 +199,15 @@ def _form_tables(D: int) -> GeneratorTables:
         "form", lambda rows: _form_neighbors(rows, D, t, n), _FORM_MIRROR)
 
 
-def form_orbit(seeds, D: int, cap1: float, cap2: float) -> Orbit:
+def form_orbit(seeds, D: int, cap1, cap2,
+               groups: Optional[np.ndarray] = None) -> Orbit:
     """Height-capped BFS orbits under the generator action from one form
-    key or an (S, 6) array of them, all inside the caps."""
+    key or an (S, 6) array of them, all inside the caps; with `groups`,
+    one group per seed and one cap pair per group (see
+    orbits.capped_bfs)."""
     seeds = np.asarray(seeds, dtype=np.int64).reshape(-1, 6)
     return capped_bfs("form", seeds, functools.partial(_form_tables, D),
-                      D, cap1, cap2)
+                      D, cap1, cap2, groups)
 
 
 def _form_boxes(d: QuadInt, height: float) -> Tuple[float, float]:
@@ -304,18 +309,149 @@ def _matrix_keys(pell: PellSolution, F: FieldCtx,
 # ------------------------------------------------------- class numbers
 
 
-def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
-                 pell: Optional[PellSolution] = None) -> DiscriminantRecord:
-    """Dual-route class count for the canonical associate of d.
+# seeds, forms and matrices together, at which a batch of class counts
+# closes: a batch pays one set of level passes for all its
+# discriminants, and the bound keeps its widest levels, and so its peak
+# memory, near those of the widest single discriminants of a window
+_BATCH_SEEDS = 6144
 
-    The orbit partition of height-bounded primitive forms is the
-    primary algorithm; the conjugacy-class count through the stabilizer
-    map is the oracle.  Each route is one capped search from all of its
-    rows at once.  A mismatch raises instead of picking a side.
-    Caps that either search would refuse raise BudgetExceededError
-    before any box is scanned.
-    A caller that has already solved Pell for the canonical associate
-    passes that solution as `pell`; otherwise it is solved here.
+
+class _Scanned(NamedTuple):
+    """A discriminant ready to search: its canonical associate and Pell
+    solution, the form and matrix caps, the distinct form rows, and the
+    oracle's matrices, None when their scan raised `error`."""
+
+    dc: QuadInt
+    pell: PellSolution
+    caps: Tuple[float, float]
+    mcaps: Tuple[float, float]
+    forms: np.ndarray
+    matrices: Optional[np.ndarray]
+    error: Optional[HilbertSelbergError]
+
+    def seeds(self) -> int:
+        return len(self.forms) + len(self.matrices if self.error is None
+                                     else ())
+
+    def fit(self, D: int) -> int:
+        """The most groups a search at caps no larger than these keys."""
+        return min(max_groups(D, *self.caps), max_groups(D, *self.mcaps))
+
+
+def _scan(d: QuadInt, F: FieldCtx, height: float,
+          pell: Optional[PellSolution]) -> _Scanned:
+    """Check d and its Pell solution, solving it if None, and scan both
+    routes' seeds.  Raises what class_number raises before its form
+    search; an error of the matrix scan, which comes after the form
+    search, is kept in the result instead."""
+    if not in_Dpm(d):
+        raise ValidationError(f"{d} is not a mixed-sign discriminant")
+    dc = canonical_disc(d, F)
+    if pell is None:
+        pell = pell_fundamental(dc, F)
+    elif pell.d != dc:
+        raise ValidationError(
+            f"Pell solution for {pell.d} passed for discriminant {dc}")
+    h1, h2 = _form_boxes(dc, height)
+    cap1, cap2 = 3.0 * h1, 3.0 * h2
+    m1, m2 = _matrix_boxes(pell, height)
+    mcap1, mcap2 = max(cap1, 1.5 * m1), max(cap2, 1.5 * m2)
+    # both searches' key limits and int64 guards, before either box scan:
+    # their seeds lie inside the caps
+    _row_packer("form", F.D, cap1, cap2)
+    _row_packer("conjugation", F.D, mcap1, mcap2)
+    forms = unique_rows(enumerate_forms(dc, F, height=height))
+    try:
+        matrices, error = _matrix_keys(pell, F, m1, m2), None
+    except HilbertSelbergError as exc:
+        matrices, error = None, exc
+    return _Scanned(dc, pell, (cap1, cap2), (mcap1, mcap2), forms,
+                    matrices, error)
+
+
+def _count_batch(batch: List[_Scanned], D: int,
+                 height: float) -> List[DiscriminantRecord]:
+    """The records of a batch, one form search and one conjugation
+    search for all of it, each discriminant a group; raises the failure
+    of the first discriminant that fails, as class_number would.  The
+    conjugation search leaves out the first discriminant whose form
+    search or matrix scan failed, and every one after it."""
+    if not batch:
+        return []
+
+    def grouped(rows: List[np.ndarray], width: int) -> Tuple[np.ndarray, ...]:
+        """The rows stacked, and each row's group."""
+        sizes = [len(r) for r in rows]
+        return (np.concatenate(rows).reshape(-1, width),
+                np.repeat(np.arange(len(rows)), sizes))
+
+    seeds, groups = grouped([c.forms for c in batch], 6)
+    orbit = form_orbit(seeds, D, *np.array([c.caps for c in batch]).T, groups)
+    stop = next((g for g, c in enumerate(batch)
+                 if orbit.failed[g] or c.error is not None), len(batch))
+    classes, conj_failed = np.zeros(stop, dtype=int), np.zeros(stop, bool)
+    if stop:
+        rows, mgroups = grouped([c.matrices for c in batch[:stop]], 8)
+        conj, _ = conjugation_orbit(
+            rows, D, *np.array([c.mcaps for c in batch[:stop]]).T, mgroups)
+        classes = np.bincount(mgroups[conj.reps], minlength=stop)
+        conj_failed = conj.failed
+    # the form classes: each component's least seed and the negative of
+    # its greatest, the least seeds of the full search's components
+    greatest = orbit.roots.copy()
+    np.maximum.at(greatest, orbit.roots, np.arange(len(seeds)))
+    reps = orbit.reps
+    edges = np.searchsorted(reps, np.cumsum([0] + [len(c.forms)
+                                                   for c in batch]))
+    records = []
+    for g, c in enumerate(batch):
+        if orbit.failed[g]:
+            raise budget_error("form")
+        if c.error is not None:
+            raise c.error
+        if conj_failed[g]:
+            raise budget_error("conjugation")
+        r = reps[edges[g]:edges[g + 1]]
+        forms = unique_rows(np.concatenate([seeds[r], -seeds[greatest[r]]]))
+        h_orbit, h_matrix = len(forms), 2 * int(classes[g])
+        if h_orbit != h_matrix:
+            raise InvariantViolation(
+                f"ambiguous class count for d={c.dc}: form orbits give "
+                f"{h_orbit}, matrix conjugacy gives {h_matrix}; "
+                f"height={height}, form caps ({c.caps[0]:.6g}, "
+                f"{c.caps[1]:.6g}), matrix caps ({c.mcaps[0]:.6g}, "
+                f"{c.mcaps[1]:.6g})")
+        if h_orbit < 1:
+            raise InvariantViolation(f"no forms found for d={c.dc}")
+        records.append(DiscriminantRecord(
+            d=c.dc, pell=c.pell, class_number=h_orbit,
+            forms=tuple(FormOverOK.from_key(k, D) for k in forms.tolist())))
+    return records
+
+
+def class_numbers(ds: Sequence[QuadInt], F: FieldCtx, height: float,
+                  pells: Sequence[Optional[PellSolution]]
+                  ) -> List[DiscriminantRecord]:
+    """The dual-route class count of the canonical associate of each d
+    of ds, in order, counted in batches.  pells holds each canonical
+    associate's Pell solution, or None to solve it here.
+
+    A batch is a run of consecutive discriminants, each scanned just
+    before it joins; it closes before its form and matrix seeds together
+    would pass _BATCH_SEEDS, or its groups the most one search keys
+    exactly (orbits.max_groups), and a discriminant with more seeds
+    than that is a batch of its own.  Each batch is one form search and
+    one conjugation search with a group per discriminant, which keeps
+    the levels, components, state count and budget verdict of a search
+    of its own, so every record is class_number's.  The first
+    discriminant that fails raises its own failure, and none after it
+    starts a search.
+
+    The dual-route count, for each discriminant: the orbit partition of
+    height-bounded primitive forms is the primary algorithm; the
+    conjugacy-class count through the stabilizer map is the oracle.  A
+    mismatch raises instead of picking a side.  Caps that either search
+    would refuse raise BudgetExceededError before any box is scanned.
 
     Each route searches one definiteness half of its graph and doubles
     its count.  That is exact:
@@ -349,46 +485,31 @@ def class_number(d: QuadInt, F: FieldCtx, height: float = 8.0,
     least seed and the negative of its greatest seed: the least seeds of
     the components of the full search.
     """
-    if not in_Dpm(d):
-        raise ValidationError(f"{d} is not a mixed-sign discriminant")
-    dc = canonical_disc(d, F)
-    if pell is None:
-        pell = pell_fundamental(dc, F)
-    elif pell.d != dc:
-        raise ValidationError(
-            f"Pell solution for {pell.d} passed for discriminant {dc}")
-    D = F.D
-    h1, h2 = _form_boxes(dc, height)
-    cap1, cap2 = 3.0 * h1, 3.0 * h2
-    m1, m2 = _matrix_boxes(pell, height)
-    mcap1, mcap2 = max(cap1, 1.5 * m1), max(cap2, 1.5 * m2)
-    # both searches' key limits and int64 guards, before either box scan:
-    # their seeds lie inside the caps
-    _row_packer("form", D, cap1, cap2)
-    _row_packer("conjugation", D, mcap1, mcap2)
+    records: List[DiscriminantRecord] = []
+    batch: List[_Scanned] = []
+    for d, pell in zip(ds, pells):
+        try:
+            scanned = _scan(d, F, height, pell)
+        except HilbertSelbergError:
+            _count_batch(batch, F.D, height)  # an earlier failure wins
+            raise
+        if batch and (
+                sum(c.seeds() for c in batch) + scanned.seeds() > _BATCH_SEEDS
+                or len(batch) >= min(c.fit(F.D) for c in batch + [scanned])):
+            records += _count_batch(batch, F.D, height)
+            batch = []
+        batch.append(scanned)
+        if scanned.error is not None:
+            break  # it fails: nothing after it searches
+    return records + _count_batch(batch, F.D, height)
 
-    seeds = unique_rows(enumerate_forms(dc, F, height=height))
-    orbit = form_orbit(seeds, D, cap1, cap2)
-    greatest = orbit.roots.copy()
-    np.maximum.at(greatest, orbit.roots, np.arange(len(seeds)))
-    reps = unique_rows(np.concatenate([seeds[orbit.reps],
-                                       -seeds[greatest[orbit.reps]]]))
-    h_orbit = len(reps)
 
-    _, classes = conjugation_orbit(_matrix_keys(pell, F, m1, m2), D,
-                                   mcap1, mcap2)
-    h_matrix = 2 * len(classes)
-    if h_orbit != h_matrix:
-        raise InvariantViolation(
-            f"ambiguous class count for d={dc}: form orbits give "
-            f"{h_orbit}, matrix conjugacy gives {h_matrix}; "
-            f"height={height}, form caps ({cap1:.6g}, {cap2:.6g}), "
-            f"matrix caps ({mcap1:.6g}, {mcap2:.6g})")
-    if h_orbit < 1:
-        raise InvariantViolation(f"no forms found for d={dc}")
-    return DiscriminantRecord(
-        d=dc, pell=pell, class_number=h_orbit,
-        forms=tuple(FormOverOK.from_key(k, D) for k in reps.tolist()))
+def class_number(d: QuadInt, F: FieldCtx,
+                 height: float = 8.0) -> DiscriminantRecord:
+    """Dual-route class count for the canonical associate of d: the
+    one-discriminant batch of class_numbers, whose docstring has the
+    algorithm, with the Pell equation solved here."""
+    return class_numbers([d], F, height, [None])[0]
 
 
 def form_to_matrix(Q: FormOverOK, pell: PellSolution) -> GroupElem:

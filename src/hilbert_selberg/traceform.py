@@ -246,17 +246,22 @@ def _check_gaussian_window(tf: TestFunctionPair, cov: float) -> None:
     # grows like N / log N, so the window must then reach e^-46 of g1(0)
     u_req = (math.sqrt(4.0 * beta * math.log(1.0 / floor)) if floor < 1.0
              else math.sqrt(4.0 * beta * 46.0) + 6.0)
+    # the window must list a class of norm >= needed; one enumerated to
+    # x >= sqrt(needed) may still list none, so that bound is necessary only
     try:
         needed = math.exp(u_req)
-        reach = (f"{needed:.6g}; enumerate geodesics to "
-                 f"x >= {math.sqrt(needed):.4g}")
+        reach, hint = f"{needed:.6g}", (
+            f"; enumerating to x >= {math.sqrt(needed):.4g} is necessary, "
+            "not sufficient")
     except OverflowError:
         needed = math.inf
-        reach = f"exp({u_req:.6g}), past the floating-point range"
+        reach, hint = f"exp({u_req:.6g}), past the floating-point range", ""
     if cov < needed:
+        largest = f"its largest norm is {cov:.6g}" if cov else \
+            "it holds no class"
         raise ValidationError(
-            f"class list covers norms <= {cov:.6g} but the Gaussian tail "
-            f"at beta={beta} needs norms up to {reach}")
+            f"the Gaussian tail at beta={beta} needs the class list to hold "
+            f"a class of norm >= {reach}, but {largest}{hint}")
 
 
 def _hyp_ell_sums(m: int, tfs: Sequence[TestFunctionPair],

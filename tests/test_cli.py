@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
 import importlib
 import io
 import json
@@ -16,6 +17,7 @@ import os
 import pickle
 import pickletools
 import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -657,23 +659,37 @@ def test_non_finite_numbers_are_refused(argv, capsys, monkeypatch):
     assert captured.err.endswith(": not a finite number\n")
 
 
-@pytest.mark.parametrize("beta,reach", [
-    ("1", "11266.6; enumerate geodesics to x >= 106.1"),
-    ("1000", "3.32107e+117; enumerate geodesics to x >= 5.763e+58"),
+@pytest.mark.parametrize("x,beta,reach", [
+    ("10", "1", "11266.6, but its largest norm is 99.8015; enumerating to "
+     "x >= 106.1 is necessary, not sufficient"),
+    ("10", "1000", "3.32107e+117, but its largest norm is 99.8015; "
+     "enumerating to x >= 5.763e+58 is necessary, not sufficient"),
     # exp(u) overflows a float
-    ("1e6", "exp(7707.81), past the floating-point range"),
+    ("10", "1e6", "exp(7707.81), past the floating-point range, but its "
+     "largest norm is 99.8015"),
     # g1 lies below its floor everywhere, and the window must reach
     # sqrt(184 beta) + 6
-    ("1e300", "exp(1.35647e+151), past the floating-point range"),
-], ids=["1", "1000", "1e6", "1e300"])
-def test_wide_gaussian_outruns_the_window(beta, reach, capsys):
-    assert main(["trace", "--D", "5", "--x", "10",
+    ("10", "1e300", "exp(1.35647e+151), past the floating-point range, but "
+     "its largest norm is 99.8015"),
+    # x >= sqrt(8.64314) lists no class of norm 8.35241 to 8.64314: the
+    # bound is necessary only, and x = 3.5 passes
+    ("2.94", "0.05", "8.64314, but its largest norm is 8.35241; enumerating "
+     "to x >= 2.94 is necessary, not sufficient"),
+    ("1.2", "0.05", "8.64314, but it holds no class; enumerating to "
+     "x >= 2.94 is necessary, not sufficient"),
+], ids=["1", "1000", "1e6", "1e300", "x2.94", "empty"])
+def test_wide_gaussian_outruns_the_window(x, beta, reach, capsys):
+    assert main(["trace", "--D", "5", "--x", x, "--m", "4",
                  "--test", f"gaussian:beta={beta}"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: class list covers norms <= 99.8015 but the Gaussian tail "
-        f"at beta={float(beta)} needs norms up to {reach}\n")
+        f"error: the Gaussian tail at beta={float(beta)} needs the class "
+        f"list to hold a class of norm >= {reach}\n")
+    if x == "2.94":
+        assert main(["trace", "--D", "5", "--x", "3.5", "--m", "4",
+                     "--test", f"gaussian:beta={beta}"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv,err", [
@@ -952,6 +968,26 @@ def test_unusable_cache_directory_is_a_validation_error(kind, via, tmp_path,
     assert "Traceback" not in captured.err
 
 
+def test_failed_cache_write_is_a_validation_error(tmp_path, capsys,
+                                                  monkeypatch):
+    # a full disk while an entry is written: the temporary file goes and
+    # the command exits 1 with one line naming the entry
+    def full(value, fh, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    monkeypatch.setattr(pickle, "dump", full)
+    cache = tmp_path / "cache"
+    code = main(["geodesics", "--D", "5", "--x", "3", "--cache-dir",
+                 str(cache)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert re.fullmatch(
+        f"error: cannot write cache entry {re.escape(str(cache))}/"
+        rf"geodesics-\w+\.pkl: {os.strerror(errno.ENOSPC)}\n", captured.err)
+    assert list(cache.iterdir()) == []
+
+
 # ---------------------------------------------------------------- check
 
 def test_check_passes_and_enumerates_window_once(capsys, monkeypatch):
@@ -993,8 +1029,8 @@ def test_check_below_the_stability_window(capsys, monkeypatch):
     for name in ("class numbers", "count trend", "truncation stability"):
         assert rows[name].startswith("PASS  "), rows[name]
     assert rows["heat asymptotics"].startswith(
-        f"FAIL  {'heat asymptotics':24s} class list covers norms <= ")
-    assert "but the Gaussian tail at beta=" in rows["heat asymptotics"]
+        f"FAIL  {'heat asymptotics':24s} the Gaussian tail at beta=")
+    assert "but its largest norm is " in rows["heat asymptotics"]
     assert bounds == [5.0, 20.0, 5.0]
 
 

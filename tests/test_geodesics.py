@@ -36,36 +36,34 @@ def test_frozen_list_x10(d5_x10):
     assert sum(c.multiplicity for c in cls) == 48
 
 
-def test_x12_work_counts(monkeypatch):
-    # the states both class-count routes visit on D = 5 at x = 12, one
-    # search per route and family, and the matrices and forms their box
-    # scans list; a change to the state graph (the generators, the caps,
-    # the PSL identification or the definiteness half) moves these sums,
-    # and a faster search must visit the same levels
+# the levels each discriminant's own search walks on D = 5 at x = 12, in
+# candidate order, counting the pass over the last level's images
+X12_OWN_PASSES = {
+    "form": [18, 14, 14, 13, 14, 15, 13, 17, 18, 13, 12, 11, 12, 11, 11, 12],
+    "conjugation": [12, 12, 12, 11, 12, 11, 11, 12, 10, 11, 10, 9, 10, 10,
+                    10, 10],
+}
+
+
+def _x12_run(monkeypatch, batch_seeds=None):
+    """enumerate_geodesics(make_field(5), 12.0), with pellforms'
+    _BATCH_SEEDS patched when given: the window, its work counts, each
+    search's (groups, _dedup passes) per route, its _dedup passes, and
+    the generator tables built by it and the census."""
     counts = {"conjugation": [], "form": [], "matrices": [], "forms": []}
+    searches = {"conjugation": [], "form": []}
+    passes, builds = [], []
+    dedup = orbits._dedup
 
     def counted(name, fn, size):
         def wrapper(*args, **kwargs):
+            before = len(passes)
             out = fn(*args, **kwargs)
             counts[name].append(size(out))
+            if name in searches:  # (seeds, D, cap1, cap2, groups)
+                searches[name].append((len(args[2]), len(passes) - before))
             return out
         return wrapper
-
-    for name, attr, size in (
-            ("conjugation", "conjugation_orbit", lambda out: len(out[0])),
-            ("form", "form_orbit", len),
-            ("matrices", "_matrices_with_trace", len),
-            ("forms", "enumerate_forms", len)):
-        monkeypatch.setattr(pellforms, attr,
-                            counted(name, getattr(pellforms, attr), size))
-    # every search runs one _dedup per level, the seeds' level 0 too, and
-    # one for the images of its last level, which hold no new state
-    dedups = []
-    dedup = orbits._dedup
-    monkeypatch.setattr(orbits, "_dedup",
-                        lambda *args: dedups.append(1) or dedup(*args))
-    # each route's generator tables are built once per field
-    builds = []
 
     def building(build):
         def wrapper(what, *args):
@@ -73,19 +71,58 @@ def test_x12_work_counts(monkeypatch):
             return build(what, *args)
         return wrapper
 
-    for module in (pellforms, modgroup):
-        monkeypatch.setattr(module, "generator_tables",
-                            building(module.generator_tables))
-    pellforms._form_tables.cache_clear()
-    modgroup._conj_tables.cache_clear()
-    F = make_field(5)
-    cls = enumerate_geodesics(F, 12.0)
+    with monkeypatch.context() as patch:
+        for name, attr, size in (
+                ("conjugation", "conjugation_orbit", lambda out: len(out[0])),
+                ("form", "form_orbit", len),
+                ("matrices", "_matrices_with_trace", len),
+                ("forms", "enumerate_forms", len)):
+            patch.setattr(pellforms, attr,
+                          counted(name, getattr(pellforms, attr), size))
+        # every search runs one _dedup per level, the seeds' level 0 too,
+        # and one for the images of its last level, which hold no new state
+        patch.setattr(orbits, "_dedup",
+                      lambda *args: passes.append(1) or dedup(*args))
+        for module in (pellforms, modgroup):
+            patch.setattr(module, "generator_tables",
+                          building(module.generator_tables))
+        if batch_seeds is not None:
+            patch.setattr(pellforms, "_BATCH_SEEDS", batch_seeds)
+        pellforms._form_tables.cache_clear()
+        modgroup._conj_tables.cache_clear()
+        F = make_field(5)
+        cls = enumerate_geodesics(F, 12.0)
+        levels = len(passes)
+        modgroup.elliptic_census(F)
+    return cls, counts, searches, levels, builds
+
+
+def test_x12_work_counts(monkeypatch):
+    # the states both class-count routes visit on D = 5 at x = 12, and the
+    # matrices and forms their box scans list; a change to the state
+    # graph (the generators, the caps, the PSL identification or the
+    # definiteness half) moves these sums, and a faster search must visit
+    # the same levels
+    cls, counts, searches, passes, builds = _x12_run(monkeypatch)
     assert sum(c.multiplicity for c in cls) == 60
-    assert [len(v) for v in counts.values()] == [16, 16, 16, 16]
+    # three batches of 4, 5 and 7 discriminants, one search per route each
+    assert [len(v) for v in counts.values()] == [3, 3, 16, 16]
     assert [sum(v) for v in counts.values()] == [129528, 56412, 11900, 4544]
-    assert len(dedups) == 32 + 359
-    modgroup.elliptic_census(F)
+    assert passes == 84
+    # each route's generator tables are built once per field
     assert sorted(builds) == ["conjugation", "form"]
+    # alone, each discriminant walks its own levels; in a batch, every
+    # group keeps them, so the batch walks as many as its deepest group
+    _, alone, own, passes, _ = _x12_run(monkeypatch, batch_seeds=1)
+    assert [len(v) for v in alone.values()] == [16, 16, 16, 16]
+    assert passes == 32 + 359
+    for route, want in X12_OWN_PASSES.items():
+        assert own[route] == [(1, n) for n in want]
+        start = 0
+        for groups, n in searches[route]:
+            assert n == max(want[start:start + groups])
+            start += groups
+        assert start == len(want)
 
 
 def test_a_pell_budget_error_raises(monkeypatch):

@@ -469,6 +469,82 @@ def test_levels_over_several_blocks(case, monkeypatch):
             assert sum(sizes) > 2 * 3 * runs[0][2]
 
 
+def _group_cases(kind, D, discs):
+    """(search(seeds, cap1, cap2, groups), [(rows, cap1, cap2)]): the
+    distinct rows of both halves of each discriminant's forms or oracle
+    matrices at height 3, with caps 1.5 times their boxes."""
+    F = make_field(D)
+    cases = []
+    for d in discs:
+        d = canonical_disc(QuadInt(D, *d), F)
+        if kind == "form":
+            boxes = _form_boxes(d, 3.0)
+            rows = enumerate_forms(d, F, height=3.0)
+        else:
+            pell = pell_fundamental(d, F)
+            boxes = _matrix_boxes(pell, 3.0)
+            rows = _matrix_keys(pell, F, *boxes)
+        cases.append((_both_halves(kind, rows), *(1.5 * b for b in boxes)))
+    if kind == "form":
+        return (lambda *args: form_orbit(args[0], D, *args[1:])), cases
+    return (lambda *args: conjugation_orbit(args[0], D, *args[1:])[0]), cases
+
+
+@pytest.mark.parametrize("kind", ["form", "matrix"])
+def test_groups_search_as_their_own_searches(kind, monkeypatch):
+    # three discriminants, each with its own caps and, for matrices, its
+    # own trace, as the groups of one search: each group keeps the roots,
+    # state count and budget verdict of its own search, and the run
+    # walks as many levels as the deepest group
+    search, cases = _group_cases(kind, 5, [(-3, 4), (-7, 5), (-4, 4)])
+    passes = []
+    dedup = orbits._dedup
+    monkeypatch.setattr(orbits, "_dedup",
+                        lambda *args: passes.append(1) or dedup(*args))
+
+    def alone(rows, cap1, cap2, ms):
+        """(roots, states, levels) of a group's own search, or None when
+        it raised."""
+        passes.clear()
+        try:
+            orbit = _budgeted(ms, search, rows, cap1, cap2)
+        except BudgetExceededError:
+            return None
+        return orbit.roots.tolist(), len(orbit), len(passes)
+
+    seeds = np.concatenate([rows for rows, _, _ in cases])
+    groups = np.repeat(np.arange(3), [len(rows) for rows, _, _ in cases])
+    starts = np.cumsum([0] + [len(rows) for rows, _, _ in cases])
+    caps = np.array([caps for _, *caps in cases]).T
+    sizes = [alone(*case, 400000)[1] for case in cases]
+    assert len(set(map(tuple, caps.T.tolist()))) == 3
+    verdicts = set()
+    for ms in [400000, 0, *range(1, max(sizes), max(sizes) // 16)]:
+        own = [alone(*case, ms) for case in cases]
+        passes.clear()
+        orbit = _budgeted(ms, search, seeds, *caps, groups)
+        assert orbit.failed.tolist() == [out is None for out in own], ms
+        verdicts.add(tuple(orbit.failed.tolist()))
+        for g, out in enumerate(own):
+            if out is not None:
+                roots = orbit.roots[starts[g]:starts[g + 1]] - starts[g]
+                assert roots.tolist() == out[0]
+        if None not in own:
+            assert len(orbit) == sum(out[1] for out in own)
+            assert len(passes) == max(out[2] for out in own)
+    # some budget fails one group and passes another
+    assert any(len(set(v)) == 2 for v in verdicts)
+    if kind == "matrix":
+        # a group's seeds must share one trace, and trace 0, where g and
+        # -g share a key, searches as one group
+        with pytest.raises(ValidationError, match="share one trace"):
+            search(seeds, *caps, np.roll(groups, 1))
+        rows = _elliptic_candidates(make_field(5), 4.0)[2]
+        with pytest.raises(ValidationError, match="trace 0"):
+            search(rows, [10.0, 10.0], [10.0, 10.0],
+                   np.arange(len(rows)) % 2)
+
+
 def test_mirror_must_be_a_symmetry_of_the_generators():
     D, t, n = 5, *_omega_trace_norm(5)
     seed = np.array([[1, 0, 1, 0, -1, 1]])

@@ -2,12 +2,13 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hilbert_selberg import pellforms
+from hilbert_selberg import geodesics, orbits, pellforms
 from hilbert_selberg.cli import main
 from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
                                     ValidationError)
@@ -15,8 +16,9 @@ from hilbert_selberg.geodesics import enumerate_geodesics
 from hilbert_selberg.modgroup import (GroupElem, classify,
                                       _matrices_with_trace)
 from hilbert_selberg.orbits import capped_bfs, generator_tables
-from hilbert_selberg.pellforms import (class_number, content_norm,
-                                       enumerate_forms, form_to_matrix,
+from hilbert_selberg.pellforms import (class_number, class_numbers,
+                                       content_norm, enumerate_forms,
+                                       form_to_matrix,
                                        in_Dpm, pell_fundamental,
                                        _content_norm_rows, _form_boxes,
                                        _matrix_boxes, _matrix_keys)
@@ -150,10 +152,11 @@ def test_class_number_reuses_given_pell(sweep5):
     F, recs = sweep5
     (ka, rec_a), (kb, rec_b) = list(recs.items())[:2]
     d = QuadInt(5, *ka)
-    again = class_number(d, F, pell=pell_fundamental(d, F, eps_cap=30.0))
+    again, = class_numbers([d], F, 8.0,
+                           [pell_fundamental(d, F, eps_cap=30.0)])
     assert again == rec_a
     with pytest.raises(ValidationError, match="Pell solution for"):
-        class_number(d, F, pell=rec_b.pell)
+        class_numbers([d], F, 8.0, [rec_b.pell])
 
 
 @pytest.mark.parametrize("route", ["form", "conjugation"])
@@ -191,8 +194,8 @@ def test_route_mismatch_names_the_caps(capsys, monkeypatch):
     lone = generator_tables("form", lambda rows: rows[:0],
                             pellforms._FORM_MIRROR)
 
-    def lone_form_orbit(seeds, D, cap1, cap2):
-        return capped_bfs("form", seeds, lambda: lone, D, cap1, cap2)
+    def lone_form_orbit(seeds, D, cap1, cap2, groups):
+        return capped_bfs("form", seeds, lambda: lone, D, cap1, cap2, groups)
 
     monkeypatch.setattr(pellforms, "form_orbit", lone_form_orbit)
     F = make_field(5)
@@ -214,6 +217,126 @@ def test_route_mismatch_names_the_caps(capsys, monkeypatch):
     assert out.out == ""
     assert out.err.startswith("invariant violation: ambiguous class count")
     assert out.err.endswith(f"{caps}\n")
+
+
+def _window_candidates(D, x):
+    """(F, ds, pells): the candidates enumerate_geodesics(make_field(D), x)
+    counts, in order, with their Pell solutions."""
+    F = make_field(D)
+    seen = []
+
+    def capture(ds, F, height, pells):
+        seen.append((list(ds), list(pells)))
+        return class_numbers(ds, F, height, pells)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geodesics, "class_numbers", capture)
+        try:
+            enumerate_geodesics(F, x)
+        except InvariantViolation:
+            pass
+    return F, *seen[-1]
+
+
+# state budgets per field at x = 12: the default, one that a conjugation
+# search passes first and one that a form search passes first
+BATCH_BUDGETS = {5: (400000, 2000, 1000), 12: (400000, 500, 100)}
+
+
+@pytest.mark.parametrize("D", sorted(BATCH_BUDGETS))
+def test_batches_keep_every_record_and_verdict(D, monkeypatch):
+    # batches of one seed, which count each discriminant alone, of the
+    # default size and of the whole window give the same records, state
+    # totals and budget verdicts: every discriminant before the first
+    # that fails alone counts as alone, and the window raises that one's
+    # error, also when it is the last candidate
+    F, ds, pells = _window_candidates(D, 12.0)
+    states = []
+    form_orbit, conjugation_orbit = (pellforms.form_orbit,
+                                     pellforms.conjugation_orbit)
+    monkeypatch.setattr(pellforms, "form_orbit", lambda *args: (
+        states.append(len(orbit := form_orbit(*args))) or orbit))
+    monkeypatch.setattr(pellforms, "conjugation_orbit", lambda *args: (
+        states.append(len((out := conjugation_orbit(*args))[0])) or out))
+
+    def run(n, batch_seeds, ms, first=0):
+        """(records, states) of candidates first..n-1, or the type and
+        message of the error they raise."""
+        states.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(pellforms, "_BATCH_SEEDS", batch_seeds)
+            patch.setattr(orbits, "MAX_STATES", ms)
+            try:
+                return (class_numbers(ds[first:n], F, 8.0, pells[first:n]),
+                        sum(states))
+            except BudgetExceededError as exc:
+                return type(exc), str(exc)
+
+    for ms in BATCH_BUDGETS[D]:
+        alone = [run(i + 1, 1, ms, i) for i in range(len(ds))]
+        failed = [i for i, out in enumerate(alone)
+                  if isinstance(out[0], type)]
+        j = failed[0] if failed else len(ds)
+        want = ([rec for recs, _ in alone[:j] for rec in recs],
+                sum(n for _, n in alone[:j]))
+        assert bool(failed) == (ms != 400000)
+        for batch_seeds in (1, pellforms._BATCH_SEEDS, 10 ** 9):
+            assert run(j, batch_seeds, ms) == want, (ms, batch_seeds)
+            if failed:
+                assert run(j + 1, batch_seeds, ms) == alone[j]
+                assert run(len(ds), batch_seeds, ms) == alone[j]
+
+
+def _refusing(scan, d):
+    """pellforms' `scan`, enumerate_forms or _matrix_keys, raising for the
+    discriminant d, with every discriminant it is called for recorded."""
+    fn = getattr(pellforms, scan)
+    called = []
+
+    def refused(*args, **kwargs):
+        dc = args[0] if scan == "enumerate_forms" else args[0].d
+        called.append(dc)
+        if dc == d:
+            raise BudgetExceededError(f"scan refused for {d}")
+        return fn(*args, **kwargs)
+    return refused, called
+
+
+@pytest.mark.parametrize("scan", ["enumerate_forms", "_matrix_keys"])
+def test_a_later_failure_leaves_the_first_error(scan, monkeypatch):
+    # D = 12 at x = 25: the first candidate, -385 + 224w, has a route
+    # mismatch.  A later candidate whose form or matrix scan raises, in
+    # its batch or in a later one, leaves that error standing
+    F, ds, pells = _window_candidates(12, 25.0)
+    assert ds[0] == QuadInt(12, -385, 224)
+    for batch_seeds in (1, pellforms._BATCH_SEEDS, 10 ** 9):
+        for later in (ds[1], ds[-1]):
+            with monkeypatch.context() as patch:
+                patch.setattr(pellforms, "_BATCH_SEEDS", batch_seeds)
+                patch.setattr(pellforms, scan, _refusing(scan, later)[0])
+                with pytest.raises(InvariantViolation,
+                                   match=r"^ambiguous class count for "
+                                         r"d=-385\+224\*w: "):
+                    enumerate_geodesics(F, 25.0)
+
+
+@pytest.mark.parametrize("scan", ["enumerate_forms", "_matrix_keys"])
+def test_an_earlier_failure_wins(scan, monkeypatch):
+    # -385 + 224w is the first candidate of D = 12 at x = 25, so the
+    # earlier candidate is one put before it: its failing scan raises,
+    # and no discriminant after it is scanned or searched
+    F, ds, pells = _window_candidates(12, 25.0)
+    order = [1, 0, 2]
+    for batch_seeds in (1, pellforms._BATCH_SEEDS, 10 ** 9):
+        with monkeypatch.context() as patch:
+            patch.setattr(pellforms, "_BATCH_SEEDS", batch_seeds)
+            refused, called = _refusing(scan, ds[1])
+            patch.setattr(pellforms, scan, refused)
+            with pytest.raises(BudgetExceededError,
+                               match=re.escape(f"scan refused for {ds[1]}")):
+                class_numbers([ds[i] for i in order], F, 8.0,
+                              [pells[i] for i in order])
+            assert called == [ds[1]]
 
 
 def test_doubling_stability(sweep5):

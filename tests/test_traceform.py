@@ -295,7 +295,8 @@ def test_slow_decay_is_refused(d5):
 def test_gaussian_window_requires_enough_classes(d5):
     F, _ = d5
     thin = enumerate_geodesics(F, 3.0)
-    with pytest.raises(ValidationError, match="enumerate"):
+    with pytest.raises(ValidationError,
+                       match="needs the class list to hold a class of norm"):
         geom_side_double_difference(2, gaussian_testfunction(0.2), F, thin)
 
 
