@@ -400,10 +400,12 @@ def _check_leading_terms(cfg: RunConfig, F, window) -> str:
 
 
 def _check_class_numbers(cfg: RunConfig, F, window) -> str:
+    from .lfun import analytic_class_number
     from .modgroup import classify
     from .pellforms import form_to_matrix
     classes = window().within(min(cfg.x_max, 8.0))
     _require(classes, "no classes enumerated")
+    off = error = 0.0
     for c in classes:
         g = form_to_matrix(c.record.forms[0], c.record.pell)
         ec = classify(g)
@@ -411,7 +413,12 @@ def _check_class_numbers(cfg: RunConfig, F, window) -> str:
         _require(abs(ec.norm - c.norm) <= 1e-9 * (1.0 + c.norm), (ec, c))
         _require(len(c.record.forms) == c.record.class_number,
                  (c.d, len(c.record.forms), c.record.class_number))
-    return f"{len(classes)} classes; form matrices classify with N = eps^2"
+        h = analytic_class_number(c.d, c.record.pell, F)
+        _require(h.count == c.record.class_number, (c.d, h))
+        off, error = max(off, h.off), max(error, h.error)
+    return (f"{len(classes)} classes; form matrices classify with "
+            f"N = eps^2; |h - round h| <= {off:.1e}, proven error "
+            f"<= {error:.1e}")
 
 
 def _check_zeta_consistency(cfg: RunConfig, F, window) -> str:

@@ -5,12 +5,13 @@ at the first embedding, negative at the second) that is congruent to a
 square mod 4.  For each such d the forms a x^2 + b xy + c y^2 with
 b^2 - 4ac = d fall into finitely many SL(2, O_K)-orbits; the class
 number h_K(d) is computed twice, by a direct orbit partition of the
-forms and by counting matrix conjugacy classes through the stabilizer
-generator map, and the two counts must agree.  Each route searches the
-half of its forms or matrices that is positive definite at the second
-embedding, and the other half follows exactly (see class_number).
+forms and by Hecke's class number formula (`lfun`), and the two counts
+must agree.  The orbit search covers the half of the forms that is
+positive definite at the second embedding, and the other half follows
+exactly (see class_numbers).  The stabilizer generator of a form, a
+matrix of trace t0, is form_to_matrix.
 
-Primitivity is one exact test on both routes: a form (a, b, c) is
+Primitivity is one exact test: a form (a, b, c) is
 primitive when the ideal (a, b, c) is all of O_K, that is, when its
 index in O_K, the gcd of the 2x2 minors of its Z-generators, is 1.  No
 gcd element is ever needed, so there is no division step to stall and
@@ -29,8 +30,8 @@ import numpy as np
 
 from .errors import (BudgetExceededError, HilbertSelbergError,
                      InvariantViolation, ValidationError)
-from .modgroup import (GroupElem, conjugation_orbit, _embed_signs,
-                       _matrices_with_trace, _MU_A, _MU_B)
+from .lfun import AnalyticClassNumber, analytic_class_number
+from .modgroup import GroupElem, _embed_signs, _MU_A, _MU_B
 from .orbits import (GeneratorTables, Orbit, budget_error, capped_bfs,
                      generator_tables, max_groups, unique_rows, _box_rows,
                      _factor_pairs, _row_packer)
@@ -250,100 +251,36 @@ def enumerate_forms(d: QuadInt, F: FieldCtx,
     return rows[_content_norm_rows(rows, t, n) == 1]
 
 
-# ------------------------------------------------- matrix-count oracle
-
-
-def _matrix_boxes(pell: PellSolution, height: float) -> Tuple[float, float]:
-    """Entry boxes for the conjugacy-count oracle.  The stabilizer of a
-    box-reduced form has entries of scale |t0_j| + sqrt|t0_j^2 - 4| at
-    slot j (the Pell relation gives sqrt|d_j| * |u0_j| = sqrt|t0_j^2-4|)."""
-    out = []
-    for j in (1, 2):
-        tj = abs(pell.t0.embed(j))
-        ej = tj + math.sqrt(abs(tj * tj - 4.0))
-        out.append(max(height, 2.0 + 1.25 * ej))
-    return out[0], out[1]
-
-
-def _matrix_keys(pell: PellSolution, F: FieldCtx,
-                 m1: float, m2: float) -> np.ndarray:
-    """Key rows, (N, 8), of the oracle's matrices as scanned: rows of
-    trace t0 with C_2 > 0, A, B and C in the entry boxes, whose form is
-    u0 times a primitive form.  The others are their conjugates
-    [[A, -B], [-C, E]] by diag(1, -1): the boxes are symmetric, and the
-    form (-C, E - A, B) is u0 times a primitive form exactly when
-    (C, E - A, -B) is.
-
-    This walks the stabilizer-generator correspondence backwards.  A
-    matrix [[A, B], [C, E]] of trace t0 and determinant 1 carries the
-    form (C, E - A, -B), of discriminant (E - A)^2 + 4BC = t0^2 - 4 =
-    dc u0^2 by the Pell relation, dc = pell.d.  Dividing by its content
-    k leaves a primitive form of discriminant dc (u0/k)^2, which is
-    mixed-sign as dc is and (u0/k)^2 is totally positive.
-    canonical_disc identifies d with d eps^(2j) only, so that
-    discriminant canonicalizes to dc exactly when (u0/k)^2 = eps^(2j),
-    that is, when u0/k is a unit.  Equivalently, u0 divides C, E - A
-    and B, and the quotient form is primitive.
-    """
-    t, n = _omega_trace_norm(F.D)
-    rows = _matrices_with_trace(F, pell.t0, m1, m2, 2)
-    aa, ab, ba, bb, ca, cb, ea, eb = rows.T
-    form = np.column_stack([ca, cb, ea - aa, eb - ab, -ba, -bb])
-    # x / u0 = x conj(u0) / N(u0); with form coordinates up to M and
-    # those of conj(u0) up to U the products stay under P, and so do
-    # the quotient's, whose primitivity minors stay under 2(|n| + 3)^2 P^2
-    ua, ub = pell.u0.a + t * pell.u0.b, -pell.u0.b
-    norm_u0 = pell.u0.norm()
-    M = int(np.abs(form).max(initial=0))
-    P = (abs(n) + 3) * M * max(abs(ua), abs(ub))
-    if 2 * (abs(n) + 3) ** 2 * P * P >= 2 ** 62:
-        raise BudgetExceededError(
-            f"matrix boxes ({m1:.6g}, {m2:.6g}) overflow int64 arithmetic")
-    prod = np.stack(_coord_mul(form[:, 0::2], form[:, 1::2], ua, ub, t, n),
-                    axis=2).reshape(-1, 6)
-    keep = (prod % norm_u0 == 0).all(axis=1)
-    keep[keep] = _content_norm_rows(prod[keep] // norm_u0, t, n) == 1
-    return rows[keep]
-
-
 # ------------------------------------------------------- class numbers
 
 
-# seeds, forms and matrices together, at which a batch of class counts
-# closes: a batch pays one set of level passes for all its
-# discriminants, and the bound keeps its widest levels, and so its peak
-# memory, near those of the widest single discriminants of a window
+# form seeds at which a batch of class counts closes: a batch pays one
+# set of level passes for all its discriminants, and the bound keeps its
+# widest levels, and so its peak memory, near those of the widest single
+# discriminants of a window
 _BATCH_SEEDS = 6144
 
 
 class _Scanned(NamedTuple):
     """A discriminant ready to search: its canonical associate and Pell
-    solution, the form and matrix caps, the distinct form rows, and the
-    oracle's matrices, None when their scan raised `error`."""
+    solution, the form caps, the distinct form rows, and the class number
+    formula's value, None when it raised `error`."""
 
     dc: QuadInt
     pell: PellSolution
     caps: Tuple[float, float]
-    mcaps: Tuple[float, float]
     forms: np.ndarray
-    matrices: Optional[np.ndarray]
+    analytic: Optional[AnalyticClassNumber]
     error: Optional[HilbertSelbergError]
-
-    def seeds(self) -> int:
-        return len(self.forms) + len(self.matrices if self.error is None
-                                     else ())
-
-    def fit(self, D: int) -> int:
-        """The most groups a search at caps no larger than these keys."""
-        return min(max_groups(D, *self.caps), max_groups(D, *self.mcaps))
 
 
 def _scan(d: QuadInt, F: FieldCtx, height: float,
           pell: Optional[PellSolution]) -> _Scanned:
-    """Check d and its Pell solution, solving it if None, and scan both
-    routes' seeds.  Raises what class_number raises before its form
-    search; an error of the matrix scan, which comes after the form
-    search, is kept in the result instead."""
+    """Check d and its Pell solution, solving it if None, scan its form
+    seeds and evaluate the class number formula.  Raises what
+    class_number raises before its form search; an error of the formula,
+    which class_number raises after the form search, is kept in the
+    result instead."""
     if not in_Dpm(d):
         raise ValidationError(f"{d} is not a mixed-sign discriminant")
     dc = canonical_disc(d, F)
@@ -354,48 +291,27 @@ def _scan(d: QuadInt, F: FieldCtx, height: float,
             f"Pell solution for {pell.d} passed for discriminant {dc}")
     h1, h2 = _form_boxes(dc, height)
     cap1, cap2 = 3.0 * h1, 3.0 * h2
-    m1, m2 = _matrix_boxes(pell, height)
-    mcap1, mcap2 = max(cap1, 1.5 * m1), max(cap2, 1.5 * m2)
-    # both searches' key limits and int64 guards, before either box scan:
-    # their seeds lie inside the caps
+    # the search's key limits and int64 guard, before the box scan: its
+    # seeds lie inside the caps
     _row_packer("form", F.D, cap1, cap2)
-    _row_packer("conjugation", F.D, mcap1, mcap2)
     forms = unique_rows(enumerate_forms(dc, F, height=height))
     try:
-        matrices, error = _matrix_keys(pell, F, m1, m2), None
+        analytic, error = analytic_class_number(dc, pell, F), None
     except HilbertSelbergError as exc:
-        matrices, error = None, exc
-    return _Scanned(dc, pell, (cap1, cap2), (mcap1, mcap2), forms,
-                    matrices, error)
+        analytic, error = None, exc
+    return _Scanned(dc, pell, (cap1, cap2), forms, analytic, error)
 
 
 def _count_batch(batch: List[_Scanned], D: int,
                  height: float) -> List[DiscriminantRecord]:
-    """The records of a batch, one form search and one conjugation
-    search for all of it, each discriminant a group; raises the failure
-    of the first discriminant that fails, as class_number would.  The
-    conjugation search leaves out the first discriminant whose form
-    search or matrix scan failed, and every one after it."""
+    """The records of a batch, one form search for all of it, each
+    discriminant a group; raises the failure of the first discriminant
+    that fails, as class_number would."""
     if not batch:
         return []
-
-    def grouped(rows: List[np.ndarray], width: int) -> Tuple[np.ndarray, ...]:
-        """The rows stacked, and each row's group."""
-        sizes = [len(r) for r in rows]
-        return (np.concatenate(rows).reshape(-1, width),
-                np.repeat(np.arange(len(rows)), sizes))
-
-    seeds, groups = grouped([c.forms for c in batch], 6)
+    seeds = np.concatenate([c.forms for c in batch]).reshape(-1, 6)
+    groups = np.repeat(np.arange(len(batch)), [len(c.forms) for c in batch])
     orbit = form_orbit(seeds, D, *np.array([c.caps for c in batch]).T, groups)
-    stop = next((g for g, c in enumerate(batch)
-                 if orbit.failed[g] or c.error is not None), len(batch))
-    classes, conj_failed = np.zeros(stop, dtype=int), np.zeros(stop, bool)
-    if stop:
-        rows, mgroups = grouped([c.matrices for c in batch[:stop]], 8)
-        conj, _ = conjugation_orbit(
-            rows, D, *np.array([c.mcaps for c in batch[:stop]]).T, mgroups)
-        classes = np.bincount(mgroups[conj.reps], minlength=stop)
-        conj_failed = conj.failed
     # the form classes: each component's least seed and the negative of
     # its greatest, the least seeds of the full search's components
     greatest = orbit.roots.copy()
@@ -409,22 +325,18 @@ def _count_batch(batch: List[_Scanned], D: int,
             raise budget_error("form")
         if c.error is not None:
             raise c.error
-        if conj_failed[g]:
-            raise budget_error("conjugation")
         r = reps[edges[g]:edges[g + 1]]
         forms = unique_rows(np.concatenate([seeds[r], -seeds[greatest[r]]]))
-        h_orbit, h_matrix = len(forms), 2 * int(classes[g])
-        if h_orbit != h_matrix:
+        h = c.analytic
+        if len(forms) != h.count:
             raise InvariantViolation(
                 f"ambiguous class count for d={c.dc}: form orbits give "
-                f"{h_orbit}, matrix conjugacy gives {h_matrix}; "
+                f"{len(forms)}, the class number formula gives {h.count} "
+                f"within {h.error:.2g}; "
                 f"height={height}, form caps ({c.caps[0]:.6g}, "
-                f"{c.caps[1]:.6g}), matrix caps ({c.mcaps[0]:.6g}, "
-                f"{c.mcaps[1]:.6g})")
-        if h_orbit < 1:
-            raise InvariantViolation(f"no forms found for d={c.dc}")
+                f"{c.caps[1]:.6g})")
         records.append(DiscriminantRecord(
-            d=c.dc, pell=c.pell, class_number=h_orbit,
+            d=c.dc, pell=c.pell, class_number=h.count,
             forms=tuple(FormOverOK.from_key(k, D) for k in forms.tolist())))
     return records
 
@@ -432,35 +344,35 @@ def _count_batch(batch: List[_Scanned], D: int,
 def class_numbers(ds: Sequence[QuadInt], F: FieldCtx, height: float,
                   pells: Sequence[Optional[PellSolution]]
                   ) -> List[DiscriminantRecord]:
-    """The dual-route class count of the canonical associate of each d
-    of ds, in order, counted in batches.  pells holds each canonical
-    associate's Pell solution, or None to solve it here.
+    """The class count of the canonical associate of each d of ds, by two
+    independent routes, in order, counted in batches.  pells holds each
+    canonical associate's Pell solution, or None to solve it here.
+
+    The two routes, for each discriminant: the orbit partition of
+    height-bounded primitive forms, which also gives the record's
+    representatives, and Hecke's class number formula
+    (lfun.analytic_class_number), which needs no box and comes with a
+    proven error.  A count of the forms that differs from the formula's
+    integer raises instead of picking a side.  Caps that the form search
+    would refuse raise BudgetExceededError before its box is scanned.
+    The failures come in this order: the checks of d and its Pell
+    solution and the caps, the form scan, the form search, the formula.
 
     A batch is a run of consecutive discriminants, each scanned just
-    before it joins; it closes before its form and matrix seeds together
-    would pass _BATCH_SEEDS, or its groups the most one search keys
-    exactly (orbits.max_groups), and a discriminant with more seeds
-    than that is a batch of its own.  Each batch is one form search and
-    one conjugation search with a group per discriminant, which keeps
-    the levels, components, state count and budget verdict of a search
-    of its own, so every record is class_number's.  The first
-    discriminant that fails raises its own failure, and none after it
-    starts a search.
+    before it joins; it closes before its form seeds would pass
+    _BATCH_SEEDS, or its groups the most one search keys exactly
+    (orbits.max_groups), and a discriminant with more seeds than that is
+    a batch of its own.  Each batch is one form search with a group per
+    discriminant, which keeps the levels, components, state count and
+    budget verdict of a search of its own, so every record is
+    class_number's.  The first discriminant that fails raises its own
+    failure, and none after it starts a search.
 
-    The dual-route count, for each discriminant: the orbit partition of
-    height-bounded primitive forms is the primary algorithm; the
-    conjugacy-class count through the stabilizer map is the oracle.  A
-    mismatch raises instead of picking a side.  Caps that either search
-    would refuse raise BudgetExceededError before any box is scanned.
-
-    Each route searches one definiteness half of its graph and doubles
-    its count.  That is exact:
+    The search covers one definiteness half of the forms and doubles its
+    count.  That is exact:
     - Definiteness at the second embedding is invariant.  A form has
       4 a_2 c_2 = b_2^2 - d_2 > 0, so a_2 and c_2 share one sign; T_mu
-      keeps a and S maps it to c.  A matrix of trace t0 carries the form
-      (C, E - A, -B) of discriminant t0^2 - 4 = dc u0^2, negative at
-      the second embedding, so C_2 and -B_2 share one sign; T_mu keeps
-      C and S maps it to -B.
+      keeps a and S maps it to c.
     - Negation (a, b, c) -> (-a, -b, -c) commutes with S and T_mu, which
       act linearly, keeps heights, primitivity and the discriminant, and
       flips a_2.  So the forms of the other half are the negatives of
@@ -468,18 +380,8 @@ def class_numbers(ds: Sequence[QuadInt], F: FieldCtx, height: float,
       this half's, state for state.  Negation reverses the order of
       rows, so the least seed of a negated component is the negative of
       the greatest seed of the component.
-    - Inversion g -> g^-1 = [[E, -B], [-C, A]] commutes with
-      conjugation, (h g h^-1)^-1 = h g^-1 h^-1, keeps the trace and the
-      entry heights and flips C_2, and so does g -> P g^-1 P =
-      [[E, B], [C, A]], P = diag(1, -1), which turns conjugation by h
-      into conjugation by PhP; so their composite g -> PgP =
-      [[A, -B], [-C, E]] maps the capped graph of one half onto that of
-      the other.  It maps the oracle's matrices of one half onto those
-      of the other (see _matrix_keys), so the other half's classes are
-      the images of this half's classes.
-    - Both mirrors keep the half: (a, -b, c) keeps a, and
-      [[E, B], [C, A]] keeps C.
-    So each count is twice its half's, a component of the other half has
+    - The mirror (a, -b, c) keeps the half: it keeps a.
+    So the count is twice its half's, a component of the other half has
     as many states as its image here, and the budget verdicts agree.
     The forms of the record are the sorted union of each component's
     least seed and the negative of its greatest seed: the least seeds of
@@ -494,8 +396,10 @@ def class_numbers(ds: Sequence[QuadInt], F: FieldCtx, height: float,
             _count_batch(batch, F.D, height)  # an earlier failure wins
             raise
         if batch and (
-                sum(c.seeds() for c in batch) + scanned.seeds() > _BATCH_SEEDS
-                or len(batch) >= min(c.fit(F.D) for c in batch + [scanned])):
+                sum(len(c.forms) for c in batch) + len(scanned.forms)
+                > _BATCH_SEEDS
+                or len(batch) >= min(max_groups(F.D, *c.caps)
+                                     for c in batch + [scanned])):
             records += _count_batch(batch, F.D, height)
             batch = []
         batch.append(scanned)
@@ -506,7 +410,7 @@ def class_numbers(ds: Sequence[QuadInt], F: FieldCtx, height: float,
 
 def class_number(d: QuadInt, F: FieldCtx,
                  height: float = 8.0) -> DiscriminantRecord:
-    """Dual-route class count for the canonical associate of d: the
+    """Two-route class count for the canonical associate of d: the
     one-discriminant batch of class_numbers, whose docstring has the
     algorithm, with the Pell equation solved here."""
     return class_numbers([d], F, height, [None])[0]

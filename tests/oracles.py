@@ -274,6 +274,64 @@ def matrix_filter_ref(rows, dc, F):
     return keys
 
 
+def matrix_boxes_ref(pell, height):
+    """Entry boxes of the matrix-conjugacy count.  The stabilizer of a
+    box-reduced form has entries of scale |t0_j| + sqrt|t0_j^2 - 4| at
+    slot j (the Pell relation gives sqrt|d_j| * |u0_j| = sqrt|t0_j^2-4|)."""
+    out = []
+    for j in (1, 2):
+        tj = abs(pell.t0.embed(j))
+        out.append(max(height, 2.0 + 1.25 * (tj + math.sqrt(abs(tj * tj - 4.0)))))
+    return out[0], out[1]
+
+
+def matrix_keys_ref(pell, F, m1, m2):
+    """Key rows, (N, 8), of the matrices the conjugacy count partitions:
+    the rows of trace t0 with C_2 > 0 and A, B and C in the entry boxes
+    (modgroup._matrices_with_trace), whose form (C, E - A, -B) is u0
+    times a primitive form, in Python integers.
+
+    That form has discriminant (E - A)^2 + 4BC = t0^2 - 4 = d u0^2.
+    Dividing by its content k leaves a primitive form of discriminant
+    d (u0/k)^2, which canonicalizes to d exactly when u0/k is a unit.
+    The other half are the conjugates [[A, -B], [-C, E]] by diag(1, -1)."""
+    import numpy as np
+    from hilbert_selberg.modgroup import _matrices_with_trace
+    from hilbert_selberg.quadfield import QuadInt
+    D, u0 = F.D, pell.u0
+    t = D % 2
+    n = (1 - D) // 4 if D % 4 == 1 else -(D // 4)
+    rows = _matrices_with_trace(F, pell.t0, m1, m2, 2)
+    keep = []
+    for aa, ab, ba, bb, ca, cb, ea, eb in rows.tolist():
+        form = (QuadInt(D, ca, cb), QuadInt(D, ea - aa, eb - ab),
+                QuadInt(D, -ba, -bb))
+        if all(u0.divides(x) for x in form):
+            q = [x.exact_div(u0) for x in form]
+            if ideal_index_ref([v for x in q for v in (x.a, x.b)], t, n) == 1:
+                keep.append((aa, ab, ba, bb, ca, cb, ea, eb))
+    return np.array(keep, dtype=np.int64).reshape(-1, 8)
+
+
+def matrix_class_count_ref(pell, F, height=8.0):
+    """The class count of pell.d by matrix conjugacy, the route the class
+    number formula replaced in class_numbers: the conjugacy classes of
+    the matrices of matrix_keys_ref under PSL(2, O_K), searched by
+    modgroup.conjugation_orbit with caps max(3 h_j, 1.5 m_j), h_j the
+    form boxes and m_j the entry boxes.  The search covers the half with
+    C_2 > 0; g -> [[A, -B], [-C, E]] maps its capped graph onto the other
+    half's, so the count is twice its classes; past orbits.MAX_STATES
+    the search raises BudgetExceededError."""
+    from hilbert_selberg.modgroup import conjugation_orbit
+    from hilbert_selberg.pellforms import _form_boxes
+    m1, m2 = matrix_boxes_ref(pell, height)
+    h1, h2 = _form_boxes(pell.d, height)
+    _, classes = conjugation_orbit(
+        matrix_keys_ref(pell, F, m1, m2), F.D,
+        max(3.0 * h1, 1.5 * m1), max(3.0 * h2, 1.5 * m2))
+    return 2 * len(classes)
+
+
 def _within_caps(z, cap1, cap2):
     """|embed(z, j)| <= cap_j, by exact embedding signs against the
     float caps read as exact rationals."""

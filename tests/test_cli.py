@@ -193,6 +193,9 @@ _ANALYTIC_COMMANDS = (
     ("trace", "--D", "5", "--m", "4", "--single",
      "--test", "rational:s=2.5,beta1=2.5,beta2=3.5"),
     ("trace", "heatfit", "--D", "5", "--betas", "0.2,0.1,0.05,0.025"),
+    # the class number formula: E_1 and the Dirichlet coefficients
+    ("forms", "--D", "5", "--d=-7+5*w"),
+    ("geodesics", "--D", "13", "--x", "8"),
 )
 
 _BLOCKED_RUNNER = """
@@ -988,6 +991,24 @@ def test_failed_cache_write_is_a_validation_error(tmp_path, capsys,
     assert list(cache.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,d,counts", [
+    (("forms", "--D", "28", "--d=-4+2*w"), "-4+2*w", (6, 4)),
+    (("geodesics", "--D", "69", "--x", "6.5"), "17+5*w", (2, 4)),
+])
+def test_wrong_form_counts_raise(argv, d, counts, capsys, monkeypatch):
+    # the form route agrees with the matrix-conjugacy count on these
+    # discriminants but not with the class number formula, so the count
+    # exits 3 instead of printing a wrong class number or multiplicity
+    monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    assert main(list(argv)) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(
+        f"invariant violation: ambiguous class count for d={d}: form orbits "
+        f"give {counts[0]}, the class number formula gives {counts[1]} "
+        "within ")
+
+
 # ---------------------------------------------------------------- check
 
 def test_check_passes_and_enumerates_window_once(capsys, monkeypatch):
@@ -1007,6 +1028,12 @@ def test_check_passes_and_enumerates_window_once(capsys, monkeypatch):
     lines = out.splitlines()
     assert [ln[:6] for ln in lines] == ["PASS  "] * len(rows)
     assert [ln[6:30].rstrip() for ln in lines] == rows
+    # the class numbers row names the largest |h - round h| of the class
+    # number formula over its classes and the largest proven error
+    assert re.fullmatch(
+        r"PASS  class numbers {12}10 classes; form matrices classify with "
+        r"N = eps\^2; \|h - round h\| <= \d\.\de-1\d, proven error "
+        r"<= \d\.\de-1\d", lines[3]), lines[3]
     # the shared x window (class numbers cut theirs at min(x, 8) from
     # it), the count trend at 20, one rerun at 6 against its cut
     assert bounds == [10.0, 20.0, 6.0]

@@ -14,8 +14,9 @@ from hilbert_selberg.records import GeodesicWindow, count_reports
 from hilbert_selberg.specfun import li
 
 # D=5, eps <= 10, ordered by norm; (d coords, multiplicity) frozen after
-# the dual-route class counts agreed and the list survived doubling of
-# the trace box and of the class-number height.
+# the form and matrix class counts agreed and the list survived doubling
+# of the trace box and of the class-number height; the class number
+# formula gives the same counts.
 X10_D5 = [
     ((-7, 5), 2), ((-4, 4), 2), ((-10, 7), 2), ((-19, 13), 4),
     ((-44, 28), 4), ((-42, 27), 4), ((-11, 8), 2), ((-51, 33), 4),
@@ -36,22 +37,20 @@ def test_frozen_list_x10(d5_x10):
     assert sum(c.multiplicity for c in cls) == 48
 
 
-# the levels each discriminant's own search walks on D = 5 at x = 12, in
-# candidate order, counting the pass over the last level's images
-X12_OWN_PASSES = {
-    "form": [18, 14, 14, 13, 14, 15, 13, 17, 18, 13, 12, 11, 12, 11, 11, 12],
-    "conjugation": [12, 12, 12, 11, 12, 11, 11, 12, 10, 11, 10, 9, 10, 10,
-                    10, 10],
-}
+# the levels each discriminant's own form search walks on D = 5 at
+# x = 12, in candidate order, counting the pass over the last level's
+# images
+X12_OWN_PASSES = [18, 14, 14, 13, 14, 15, 13, 17, 18, 13, 12, 11, 12, 11,
+                  11, 12]
 
 
 def _x12_run(monkeypatch, batch_seeds=None):
     """enumerate_geodesics(make_field(5), 12.0), with pellforms'
     _BATCH_SEEDS patched when given: the window, its work counts, each
-    search's (groups, _dedup passes) per route, its _dedup passes, and
-    the generator tables built by it and the census."""
-    counts = {"conjugation": [], "form": [], "matrices": [], "forms": []}
-    searches = {"conjugation": [], "form": []}
+    form search's (groups, _dedup passes), its _dedup passes, and the
+    generator tables built by it and the census."""
+    counts = {"form": [], "forms": []}
+    searches = []
     passes, builds = [], []
     dedup = orbits._dedup
 
@@ -60,8 +59,8 @@ def _x12_run(monkeypatch, batch_seeds=None):
             before = len(passes)
             out = fn(*args, **kwargs)
             counts[name].append(size(out))
-            if name in searches:  # (seeds, D, cap1, cap2, groups)
-                searches[name].append((len(args[2]), len(passes) - before))
+            if name == "form":  # (seeds, D, cap1, cap2, groups)
+                searches.append((len(args[2]), len(passes) - before))
             return out
         return wrapper
 
@@ -72,13 +71,10 @@ def _x12_run(monkeypatch, batch_seeds=None):
         return wrapper
 
     with monkeypatch.context() as patch:
-        for name, attr, size in (
-                ("conjugation", "conjugation_orbit", lambda out: len(out[0])),
-                ("form", "form_orbit", len),
-                ("matrices", "_matrices_with_trace", len),
-                ("forms", "enumerate_forms", len)):
+        for name, attr in (("form", "form_orbit"),
+                           ("forms", "enumerate_forms")):
             patch.setattr(pellforms, attr,
-                          counted(name, getattr(pellforms, attr), size))
+                          counted(name, getattr(pellforms, attr), len))
         # every search runs one _dedup per level, the seeds' level 0 too,
         # and one for the images of its last level, which hold no new state
         patch.setattr(orbits, "_dedup",
@@ -98,31 +94,30 @@ def _x12_run(monkeypatch, batch_seeds=None):
 
 
 def test_x12_work_counts(monkeypatch):
-    # the states both class-count routes visit on D = 5 at x = 12, and the
-    # matrices and forms their box scans list; a change to the state
-    # graph (the generators, the caps, the PSL identification or the
-    # definiteness half) moves these sums, and a faster search must visit
-    # the same levels
+    # the states the form search visits on D = 5 at x = 12, and the forms
+    # its box scan lists; a change to the state graph (the generators,
+    # the caps or the definiteness half) moves these sums, and a faster
+    # search must visit the same levels
     cls, counts, searches, passes, builds = _x12_run(monkeypatch)
     assert sum(c.multiplicity for c in cls) == 60
-    # three batches of 4, 5 and 7 discriminants, one search per route each
-    assert [len(v) for v in counts.values()] == [3, 3, 16, 16]
-    assert [sum(v) for v in counts.values()] == [129528, 56412, 11900, 4544]
-    assert passes == 84
-    # each route's generator tables are built once per field
+    # one batch: the 4544 seeds stay under _BATCH_SEEDS
+    assert [len(v) for v in counts.values()] == [1, 16]
+    assert [sum(v) for v in counts.values()] == [56412, 4544]
+    assert passes == max(X12_OWN_PASSES) == 18
+    # the form tables are built once per field, and the census builds
+    # the conjugation tables
     assert sorted(builds) == ["conjugation", "form"]
     # alone, each discriminant walks its own levels; in a batch, every
     # group keeps them, so the batch walks as many as its deepest group
     _, alone, own, passes, _ = _x12_run(monkeypatch, batch_seeds=1)
-    assert [len(v) for v in alone.values()] == [16, 16, 16, 16]
-    assert passes == 32 + 359
-    for route, want in X12_OWN_PASSES.items():
-        assert own[route] == [(1, n) for n in want]
-        start = 0
-        for groups, n in searches[route]:
-            assert n == max(want[start:start + groups])
-            start += groups
-        assert start == len(want)
+    assert [len(v) for v in alone.values()] == [16, 16]
+    assert passes == sum(X12_OWN_PASSES)
+    assert own == [(1, n) for n in X12_OWN_PASSES]
+    start = 0
+    for groups, n in searches:
+        assert n == max(X12_OWN_PASSES[start:start + groups])
+        start += groups
+    assert start == len(X12_OWN_PASSES)
 
 
 def test_a_pell_budget_error_raises(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -15,8 +16,7 @@ from hilbert_selberg.orbits import (height_predicate, unique_rows,
                                     _box_rows, _factor_pairs, _row_packer)
 from hilbert_selberg.pellforms import (enumerate_forms, form_orbit,
                                        pell_fundamental, _form_boxes,
-                                       _form_neighbors, _matrix_boxes,
-                                       _matrix_keys)
+                                       _form_neighbors)
 from hilbert_selberg.quadfield import (CLASS_NUMBER_ONE, QuadInt,
                                        canonical_disc, fundamental_unit,
                                        lattice_points, make_field,
@@ -24,9 +24,9 @@ from hilbert_selberg.quadfield import (CLASS_NUMBER_ONE, QuadInt,
 
 from oracles import (capped_bfs_ref, conj_neighbors_ref,
                      elliptic_candidates_ref, factor_pairs_ref,
-                     form_neighbors_ref, height_ok_ref,
-                     matrices_with_trace_ref, normalize_key_ref,
-                     partition_ref)
+                     form_neighbors_ref, height_ok_ref, matrix_boxes_ref,
+                     matrix_keys_ref, matrices_with_trace_ref,
+                     normalize_key_ref, partition_ref)
 
 
 def elem(D, rows):
@@ -289,9 +289,9 @@ def _partition_case(kind, D, d):
         orbit_of, ref_map, canon = form_orbit, form_neighbors_ref(D), tuple
     else:
         pell = pell_fundamental(d, F)
-        m1, m2 = _matrix_boxes(pell, 3.0)
+        m1, m2 = matrix_boxes_ref(pell, 3.0)
         cap1, cap2 = 1.5 * m1, 1.5 * m2
-        rows = _both_halves("matrix", _matrix_keys(pell, F, m1, m2))
+        rows = _both_halves("matrix", matrix_keys_ref(pell, F, m1, m2))
 
         def orbit_of(seeds, D, cap1, cap2):
             return conjugation_orbit(seeds, D, cap1, cap2)[0]
@@ -482,12 +482,16 @@ def _group_cases(kind, D, discs):
             rows = enumerate_forms(d, F, height=3.0)
         else:
             pell = pell_fundamental(d, F)
-            boxes = _matrix_boxes(pell, 3.0)
-            rows = _matrix_keys(pell, F, *boxes)
+            boxes = matrix_boxes_ref(pell, 3.0)
+            rows = matrix_keys_ref(pell, F, *boxes)
         cases.append((_both_halves(kind, rows), *(1.5 * b for b in boxes)))
     if kind == "form":
         return (lambda *args: form_orbit(args[0], D, *args[1:])), cases
-    return (lambda *args: conjugation_orbit(args[0], D, *args[1:])[0]), cases
+    # the census searches one group; the engine's grouped conjugation
+    # search is tested here on the oracle's matrices
+    return (lambda *args: orbits.capped_bfs(
+        "conjugation", args[0], functools.partial(modgroup._conj_tables, D),
+        D, *args[1:])), cases
 
 
 @pytest.mark.parametrize("kind", ["form", "matrix"])
@@ -701,18 +705,6 @@ class TestArithmeticGuards:
             monkeypatch.setattr(pellforms, "_box_rows", None)
             with pytest.raises(BudgetExceededError, match="int64"):
                 enumerate_forms(QuadInt(5, -7, 5), F, height=2e4)
-
-    def test_oracle_filter(self, monkeypatch):
-        # the products with conj(u0) fit int64, but the primitivity minors
-        # of the quotient would square its coordinates past int64
-        F = make_field(5)
-        pell = pellforms.pell_fundamental(QuadInt(5, 1, 8), F)  # u0 = 1
-        big = np.array([[2 ** 31, 0, 1, 0, 1, 0, -2 ** 31, 0]])
-        monkeypatch.setattr(pellforms, "_matrices_with_trace",
-                            lambda *args, **kwargs: big)
-        monkeypatch.setattr(pellforms, "_coord_mul", None)
-        with pytest.raises(BudgetExceededError, match="matrix boxes"):
-            _matrix_keys(pell, F, 10.0, 10.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hilbert_selberg import geodesics, orbits, pellforms
+from hilbert_selberg import geodesics, lfun, modgroup, orbits, pellforms
 from hilbert_selberg.cli import main
 from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
                                     ValidationError)
@@ -20,20 +20,20 @@ from hilbert_selberg.pellforms import (class_number, class_numbers,
                                        content_norm, enumerate_forms,
                                        form_to_matrix,
                                        in_Dpm, pell_fundamental,
-                                       _content_norm_rows, _form_boxes,
-                                       _matrix_boxes, _matrix_keys)
+                                       _content_norm_rows, _form_boxes)
 from hilbert_selberg.quadfield import (CLASS_NUMBER_ONE, QuadInt,
                                        canonical_disc, fundamental_unit,
                                        lattice_points, make_field,
                                        _omega_trace_norm)
 from hilbert_selberg.records import FormOverOK
 
-from oracles import (gcd_coords_ref, ideal_index_ref, matrix_filter_ref,
-                     normalize_key_ref, primitive_forms_ref)
+from oracles import (gcd_coords_ref, ideal_index_ref, matrix_boxes_ref,
+                     matrix_class_count_ref, matrix_filter_ref,
+                     matrix_keys_ref, normalize_key_ref, primitive_forms_ref)
 
 # Canonical mixed-sign discriminants with eps_K(d) <= 15 over Q(sqrt(5)),
 # with class numbers confirmed by both the form-orbit partition and the
-# matrix-conjugacy count (class_number raises when the routes disagree).
+# class number formula (class_number raises when the routes disagree).
 SWEEP_D5 = {
     (-7, 5): 2, (-10, 7): 2, (-4, 4): 2, (-19, 13): 4, (-44, 28): 4,
     (-11, 8): 2, (-42, 27): 4, (-51, 33): 4, (-91, 57): 4, (-62, 39): 4,
@@ -159,23 +159,17 @@ def test_class_number_reuses_given_pell(sweep5):
         class_numbers([d], F, 8.0, [rec_b.pell])
 
 
-@pytest.mark.parametrize("route", ["form", "conjugation"])
-def test_class_number_budget_before_the_scans(route, monkeypatch):
-    # caps that a route's search would refuse fail before either box scan
+def test_class_number_budget_before_the_scans(monkeypatch):
+    # caps that the form search would refuse fail before the box scan and
+    # before the class number formula
     def never(*args, **kwargs):
-        pytest.fail("a box was scanned")
+        pytest.fail("a box was scanned or the formula evaluated")
 
     monkeypatch.setattr(pellforms, "enumerate_forms", never)
-    monkeypatch.setattr(pellforms, "_matrix_keys", never)
-    height = 400.0
-    if route == "conjugation":
-        # the form caps of height 8 pass; the matrix boxes are too large
-        height = 8.0
-        monkeypatch.setattr(pellforms, "_matrix_boxes",
-                            lambda pell, height: (1e4, 1e4))
+    monkeypatch.setattr(pellforms, "analytic_class_number", never)
     with pytest.raises(BudgetExceededError,
-                       match=f"^{route} orbit caps .* exact packed keys$"):
-        class_number(QuadInt(5, -7, 5), make_field(5), height=height)
+                       match="^form orbit caps .* exact packed keys$"):
+        class_number(QuadInt(5, -7, 5), make_field(5), height=400.0)
 
 
 def test_cli_budget_before_the_form_scan(capsys, monkeypatch):
@@ -189,8 +183,9 @@ def test_cli_budget_before_the_form_scan(capsys, monkeypatch):
 
 def test_route_mismatch_names_the_caps(capsys, monkeypatch):
     # a search without edges leaves every seed form its own component, so
-    # the form route counts every form and the two routes disagree; the
-    # message names the caps each route used
+    # the form route counts every form and disagrees with the class
+    # number formula; the message names both counts, the formula's
+    # proven error, the height and the form caps
     lone = generator_tables("form", lambda rows: rows[:0],
                             pellforms._FORM_MIRROR)
 
@@ -199,18 +194,18 @@ def test_route_mismatch_names_the_caps(capsys, monkeypatch):
 
     monkeypatch.setattr(pellforms, "form_orbit", lone_form_orbit)
     F = make_field(5)
-    d = QuadInt(5, -126, 79)  # h = 8; the two routes' caps differ
+    d = QuadInt(5, -126, 79)  # h = 8
     h1, h2 = _form_boxes(d, 8.0)
-    m1, m2 = _matrix_boxes(pell_fundamental(d, F), 8.0)
-    caps = (f"form caps ({3 * h1:.6g}, {3 * h2:.6g}), matrix caps "
-            f"({max(3 * h1, 1.5 * m1):.6g}, {max(3 * h2, 1.5 * m2):.6g})")
-    assert caps == "form caps (24, 68.4996), matrix caps (38.1201, 68.4996)"
+    caps = f"form caps ({3 * h1:.6g}, {3 * h2:.6g})"
+    assert caps == "form caps (24, 68.4996)"
     with pytest.raises(InvariantViolation) as exc:
         class_number(d, F)
     # the search covers half of the forms and counts their negatives too
-    assert (f"form orbits give {2 * len(enumerate_forms(d, F))}, matrix "
-            "conjugacy gives 8; ") in str(exc.value)
-    assert str(exc.value).endswith(f"height=8.0, {caps}")
+    assert re.fullmatch(
+        r"ambiguous class count for d=-126\+79\*w: form orbits give "
+        f"{2 * len(enumerate_forms(d, F))}, the class number formula gives "
+        r"8 within \d\.\de-1\d; height=8\.0, " + re.escape(caps),
+        str(exc.value))
     monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
     assert main(["forms", "--D", "5", "--d=-126+79*w"]) == 3
     out = capsys.readouterr()
@@ -238,9 +233,9 @@ def _window_candidates(D, x):
     return F, *seen[-1]
 
 
-# state budgets per field at x = 12: the default, one that a conjugation
-# search passes first and one that a form search passes first
-BATCH_BUDGETS = {5: (400000, 2000, 1000), 12: (400000, 500, 100)}
+# state budgets per field at x = 12: the default, one that a form search
+# first passes at a later candidate and one that it passes at the first
+BATCH_BUDGETS = {5: (400000, 2000, 1000), 12: (400000, 400, 100)}
 
 
 @pytest.mark.parametrize("D", sorted(BATCH_BUDGETS))
@@ -252,12 +247,9 @@ def test_batches_keep_every_record_and_verdict(D, monkeypatch):
     # error, also when it is the last candidate
     F, ds, pells = _window_candidates(D, 12.0)
     states = []
-    form_orbit, conjugation_orbit = (pellforms.form_orbit,
-                                     pellforms.conjugation_orbit)
+    form_orbit = pellforms.form_orbit
     monkeypatch.setattr(pellforms, "form_orbit", lambda *args: (
         states.append(len(orbit := form_orbit(*args))) or orbit))
-    monkeypatch.setattr(pellforms, "conjugation_orbit", lambda *args: (
-        states.append(len((out := conjugation_orbit(*args))[0])) or out))
 
     def run(n, batch_seeds, ms, first=0):
         """(records, states) of candidates first..n-1, or the type and
@@ -288,13 +280,14 @@ def test_batches_keep_every_record_and_verdict(D, monkeypatch):
 
 
 def _refusing(scan, d):
-    """pellforms' `scan`, enumerate_forms or _matrix_keys, raising for the
-    discriminant d, with every discriminant it is called for recorded."""
+    """pellforms' `scan`, enumerate_forms or analytic_class_number,
+    raising for the discriminant d, with every discriminant it is called
+    for recorded."""
     fn = getattr(pellforms, scan)
     called = []
 
     def refused(*args, **kwargs):
-        dc = args[0] if scan == "enumerate_forms" else args[0].d
+        dc = args[0]
         called.append(dc)
         if dc == d:
             raise BudgetExceededError(f"scan refused for {d}")
@@ -302,11 +295,12 @@ def _refusing(scan, d):
     return refused, called
 
 
-@pytest.mark.parametrize("scan", ["enumerate_forms", "_matrix_keys"])
+@pytest.mark.parametrize("scan", ["enumerate_forms", "analytic_class_number"])
 def test_a_later_failure_leaves_the_first_error(scan, monkeypatch):
     # D = 12 at x = 25: the first candidate, -385 + 224w, has a route
-    # mismatch.  A later candidate whose form or matrix scan raises, in
-    # its batch or in a later one, leaves that error standing
+    # mismatch.  A later candidate whose form scan or class number
+    # formula raises, in its batch or in a later one, leaves that error
+    # standing
     F, ds, pells = _window_candidates(12, 25.0)
     assert ds[0] == QuadInt(12, -385, 224)
     for batch_seeds in (1, pellforms._BATCH_SEEDS, 10 ** 9):
@@ -320,7 +314,7 @@ def test_a_later_failure_leaves_the_first_error(scan, monkeypatch):
                     enumerate_geodesics(F, 25.0)
 
 
-@pytest.mark.parametrize("scan", ["enumerate_forms", "_matrix_keys"])
+@pytest.mark.parametrize("scan", ["enumerate_forms", "analytic_class_number"])
 def test_an_earlier_failure_wins(scan, monkeypatch):
     # -385 + 224w is the first candidate of D = 12 at x = 25, so the
     # earlier candidate is one put before it: its failing scan raises,
@@ -505,8 +499,9 @@ def test_content_norm_is_the_ideal_index(D, rows, z):
             == [abs(z.norm()) * k for k in want])
 
 
-# fields whose form route at height 8 still finds fewer classes than the
-# matrix route at x = 8 (ROADMAP item 7's form boxes)
+# fields where the form route at height 8 counts some class of the x = 8
+# window other than the class number formula does (ROADMAP item 7's form
+# boxes)
 ROUTE_MISMATCH_X8 = {17, 21, 24, 28, 29, 33, 37, 41, 44, 53, 56, 57, 61, 69,
                      73, 76, 77, 88, 92}
 
@@ -514,7 +509,8 @@ ROUTE_MISMATCH_X8 = {17, 21, 24, 28, 29, 33, 37, 41, 44, 53, 56, 57, 61, 69,
 @pytest.mark.parametrize("D", [
     pytest.param(D, marks=pytest.mark.xfail(
         strict=True, raises=InvariantViolation,
-        reason="form boxes miss classes")) if D in ROUTE_MISMATCH_X8 else D
+        reason="form count differs from the class number formula"))
+    if D in ROUTE_MISMATCH_X8 else D
     for D in sorted(CLASS_NUMBER_ONE)])
 def test_every_field_enumerates_within_budget(D):
     # no class-number-one field runs out of a search or arithmetic budget
@@ -523,11 +519,13 @@ def test_every_field_enumerates_within_budget(D):
 
 
 def test_unbounded_d_leaves_the_d44_mismatch_standing():
-    # the trace-t0 scan bounds a, b and c but not d = t0 - a; on D = 44
-    # the routes then disagree at d = 11 + 4w.  Bounding d too makes them
-    # agree at height 8 but not at 12, 16 or 24, so no count of this d
-    # is certified (ROADMAP item 10c) and a d bound must not hide it
-    with pytest.raises(InvariantViolation, match="ambiguous class count"):
+    # D = 44, d = 11 + 4w: the class number formula gives h = 4 and the
+    # form route reads 2 at height 8 (4 at height 16), so no wider matrix
+    # scan can make the count pass: it raises and names both
+    with pytest.raises(InvariantViolation,
+                       match=r"^ambiguous class count for d=11\+4\*w: form "
+                             r"orbits give 2, the class number formula "
+                             r"gives 4 within "):
         class_number(QuadInt(44, 11, 4), make_field(44))
 
 
@@ -535,19 +533,19 @@ def test_unbounded_d_leaves_the_d44_mismatch_standing():
 def test_row_filter_matches_matrix_filter_ref(D, x):
     F = make_field(D)
     if x is None:
-        # the class-count routes disagree in this field (ROUTE_MISMATCH_X8),
-        # so take the Pell solutions of two small discriminants directly
+        # the window raises in this field (ROUTE_MISMATCH_X8), so take the
+        # Pell solutions of two small discriminants directly
         pells = [pell_fundamental(QuadInt(D, *d), F)
                  for d in ((1, 1), (-3, 1))]
     else:
         pells = [c.record.pell for c in enumerate_geodesics(F, x)]
     for pell in pells:
-        m1, m2 = _matrix_boxes(pell, 8.0)
+        m1, m2 = matrix_boxes_ref(pell, 8.0)
         # the full scan: the half with C positive at the second embedding
         # and its conjugates [[A, -B], [-C, E]] by diag(1, -1)
         half = _matrices_with_trace(F, pell.t0, m1, m2, 2)
         rows = np.concatenate([half, half * [1, 1, -1, -1, -1, -1, 1, 1]])
-        got = _matrix_keys(pell, F, m1, m2)
+        got = matrix_keys_ref(pell, F, m1, m2)
         keys = list(map(tuple, got.tolist()))
         assert len(keys) == len(set(keys))
         # the matrices of trace t0 whose C is positive at the second
@@ -587,7 +585,7 @@ def test_half_searches_match_the_full_searches(D, x):
         rec = c.record
         h1, h2 = _form_boxes(rec.d, 8.0)
         cap1, cap2 = 3.0 * h1, 3.0 * h2
-        m1, m2 = _matrix_boxes(rec.pell, 8.0)
+        m1, m2 = matrix_boxes_ref(rec.pell, 8.0)
         mcap1, mcap2 = max(cap1, 1.5 * m1), max(cap2, 1.5 * m2)
         half = enumerate_forms(rec.d, F)
         full = np.unique(np.concatenate([half, -half]), axis=0)
@@ -598,9 +596,9 @@ def test_half_searches_match_the_full_searches(D, x):
             == list(rec.forms)
         assert len(orbit) == 2 * len(pellforms.form_orbit(
             np.unique(half, axis=0), D, cap1, cap2))
-        rows = _matrix_keys(rec.pell, F, m1, m2)
+        rows = matrix_keys_ref(rec.pell, F, m1, m2)
         keys = set(map(tuple, rows.tolist()))
-        states = len(pellforms.conjugation_orbit(
+        states = len(modgroup.conjugation_orbit(
             np.unique(rows, axis=0), D, mcap1, mcap2)[0])
         # [[A, -B], [-C, E]] and the inverses [[E, -B], [-C, A]], both in
         # the sign of trace t0, the one sign the search takes
@@ -608,7 +606,19 @@ def test_half_searches_match_the_full_searches(D, x):
         for other in (rows * flip, rows[:, [6, 7, 2, 3, 4, 5, 0, 1]] * flip):
             images = set(map(tuple, other.tolist()))
             assert len(images) == len(keys) and not keys & images
-            orbit, classes = pellforms.conjugation_orbit(
+            orbit, classes = modgroup.conjugation_orbit(
                 np.array(sorted(keys | images)), D, mcap1, mcap2)
             assert len(classes) == rec.class_number
             assert len(orbit) == 2 * states
+
+
+@pytest.mark.parametrize("D,x", [(5, 12.0), (8, 10.0), (12, 10.0)])
+def test_matrix_oracle_matches_both_routes(D, x):
+    # the matrix-conjugacy count of the oracle equals the form count and
+    # the class number formula on every class of the window
+    F = make_field(D)
+    for c in enumerate_geodesics(F, x):
+        rec = c.record
+        h = lfun.analytic_class_number(rec.d, rec.pell, F)
+        assert (matrix_class_count_ref(rec.pell, F) == rec.class_number
+                == h.count), rec.d
