@@ -15,8 +15,9 @@ tr stands for g and -g, and for tr = 0 the smaller key of the two does.
 The generators' integer matrix is applied as one float64 product, exact
 because the engine's int64 guard keeps every coordinate below 2^31.
 The census's matrix search is seeded by the trace-t scan, in the sign of
-trace t, and negates the powers it seeds to that sign: the engine takes
-seeds of one exact trace.
+trace t, and negates the powers it seeds to that sign; the class count's
+stabilizer search (`pellforms`) negates its form matrices to the sign of
+trace t0: the engine takes seeds of one exact trace.
 """
 
 from __future__ import annotations
@@ -208,7 +209,8 @@ def _conj_tables(D: int) -> GeneratorTables:
         _CONJ_MIRROR)
 
 
-def conjugation_orbit(seeds, D: int, cap1: float, cap2: float
+def conjugation_orbit(seeds, D: int, cap1, cap2,
+                      groups: Optional[np.ndarray] = None
                       ) -> Tuple[Orbit, np.ndarray]:
     """Height-capped BFS orbits of conjugation in PSL(2, O_K) from one
     key or an (S, 8) array of them; returns (orbit, reps), reps the
@@ -216,13 +218,17 @@ def conjugation_orbit(seeds, D: int, cap1: float, cap2: float
 
     The seeds must have exactly the first seed's trace and lie inside
     the caps; ValidationError otherwise.  Raises BudgetExceededError
-    when some component exceeds orbits.MAX_STATES states.  The search
+    when some component exceeds orbits.MAX_STATES states.  With
+    `groups`, the seeds of each group share one trace instead, the caps
+    are arrays with one cap per group, and a group past the budget is
+    marked failed in the orbit (see orbits.capped_bfs).  The search
     runs modulo the mirror g -> P g^-1 P, P = diag(1, -1), which keeps
     the trace and c.
     """
     seeds = np.asarray(seeds, dtype=np.int64).reshape(-1, 8)
     orbit = capped_bfs("conjugation", seeds,
-                       functools.partial(_conj_tables, D), D, cap1, cap2)
+                       functools.partial(_conj_tables, D), D, cap1, cap2,
+                       groups)
     return orbit, seeds[orbit.reps]
 
 

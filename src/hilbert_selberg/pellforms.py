@@ -9,7 +9,8 @@ forms and by Hecke's class number formula (`lfun`), and the two counts
 must agree.  The orbit search covers the half of the forms that is
 positive definite at the second embedding, and the other half follows
 exactly (see class_numbers).  The stabilizer generator of a form, a
-matrix of trace t0, is form_to_matrix.
+matrix of trace t0, is form_to_matrix; the stabilizers of a count's
+form representatives must fall in distinct conjugacy classes.
 
 Primitivity is one exact test: a form (a, b, c) is
 primitive when the ideal (a, b, c) is all of O_K, that is, when its
@@ -31,7 +32,8 @@ import numpy as np
 from .errors import (BudgetExceededError, HilbertSelbergError,
                      InvariantViolation, ValidationError)
 from .lfun import AnalyticClassNumber, analytic_class_number
-from .modgroup import GroupElem, _embed_signs, _MU_A, _MU_B
+from .modgroup import (GroupElem, conjugation_orbit, _embed_signs,
+                       _MU_A, _MU_B)
 from .orbits import (GeneratorTables, Orbit, budget_error, capped_bfs,
                      generator_tables, max_groups, unique_rows, _box_rows,
                      _factor_pairs, _row_packer)
@@ -302,11 +304,52 @@ def _scan(d: QuadInt, F: FieldCtx, height: float,
     return _Scanned(dc, pell, (cap1, cap2), forms, analytic, error)
 
 
+def _stabilizer_rows(forms: Sequence[FormOverOK], pell: PellSolution
+                     ) -> Tuple[np.ndarray, Tuple[float, float]]:
+    """The keys of the forms' stabilizer generators (form_to_matrix), as
+    (N, 8) int64 rows in the sign of trace t0, and the least caps that
+    hold them all."""
+    rows = np.array([form_to_matrix(Q, pell).key() for Q in forms],
+                    dtype=np.int64).reshape(-1, 8)
+    flip = (rows[:, 0:2] + rows[:, 6:8] != [pell.t0.a, pell.t0.b]).any(1)
+    rows[flip] *= -1
+    x, y = rows[:, 0::2], rows[:, 1::2]
+    return rows, tuple(float(np.abs(x + y * w).max())
+                       for w in _embed_consts(pell.d.D))
+
+
+def _stabilizer_classes(
+        stabilizers: List[Tuple[np.ndarray, Tuple[float, float]]], D: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The conjugacy classes each group's rows fall in at its caps, and
+    whether its search failed: one conjugation search per run of groups
+    that one search keys exactly (orbits.max_groups)."""
+    rows = [r for r, _ in stabilizers]
+    caps = [c for _, c in stabilizers]
+    classes = np.zeros(len(rows), dtype=int)
+    failed = np.zeros(len(rows), dtype=bool)
+    lo = 0
+    while lo < len(rows):
+        hi = lo + 1
+        while hi < len(rows) and hi + 1 - lo <= min(
+                max_groups(D, *cap) for cap in caps[lo:hi + 1]):
+            hi += 1
+        groups = np.repeat(np.arange(hi - lo), [len(r) for r in rows[lo:hi]])
+        orbit, _ = conjugation_orbit(np.concatenate(rows[lo:hi]), D,
+                                     *np.array(caps[lo:hi]).T, groups)
+        classes[lo:hi] = np.bincount(groups[orbit.reps], minlength=hi - lo)
+        failed[lo:hi] = orbit.failed
+        lo = hi
+    return classes, failed
+
+
 def _count_batch(batch: List[_Scanned], D: int,
                  height: float) -> List[DiscriminantRecord]:
-    """The records of a batch, one form search for all of it, each
-    discriminant a group; raises the failure of the first discriminant
-    that fails, as class_number would."""
+    """The records of a batch, one form search for all of it and one
+    conjugation search of their stabilizers, each discriminant a group;
+    raises the failure of the first discriminant that fails, as
+    class_number would.  The conjugation search leaves out the first
+    discriminant that fails before it, and every one after it."""
     if not batch:
         return []
     seeds = np.concatenate([c.forms for c in batch]).reshape(-1, 6)
@@ -319,15 +362,30 @@ def _count_batch(batch: List[_Scanned], D: int,
     reps = orbit.reps
     edges = np.searchsorted(reps, np.cumsum([0] + [len(c.forms)
                                                    for c in batch]))
+    found, stabilizers, guard = [], [], None
+    for g, c in enumerate(batch):
+        if orbit.failed[g] or c.error is not None:
+            break
+        r = reps[edges[g]:edges[g + 1]]
+        forms = unique_rows(np.concatenate([seeds[r], -seeds[greatest[r]]]))
+        found.append(tuple(FormOverOK.from_key(k, D) for k in forms.tolist()))
+        if len(forms) != c.analytic.count:
+            break
+        try:
+            rows, caps = _stabilizer_rows(found[g], c.pell)
+            _row_packer("conjugation", D, *caps)
+        except HilbertSelbergError as exc:
+            guard = exc
+            break
+        stabilizers.append((rows, caps))
+    classes, conj_failed = _stabilizer_classes(stabilizers, D)
     records = []
     for g, c in enumerate(batch):
         if orbit.failed[g]:
             raise budget_error("form")
         if c.error is not None:
             raise c.error
-        r = reps[edges[g]:edges[g + 1]]
-        forms = unique_rows(np.concatenate([seeds[r], -seeds[greatest[r]]]))
-        h = c.analytic
+        forms, h = found[g], c.analytic
         if len(forms) != h.count:
             raise InvariantViolation(
                 f"ambiguous class count for d={c.dc}: form orbits give "
@@ -335,9 +393,18 @@ def _count_batch(batch: List[_Scanned], D: int,
                 f"within {h.error:.2g}; "
                 f"height={height}, form caps ({c.caps[0]:.6g}, "
                 f"{c.caps[1]:.6g})")
+        if g == len(stabilizers):
+            raise guard
+        if conj_failed[g]:
+            raise budget_error("conjugation")
+        if classes[g] != h.count:
+            raise InvariantViolation(
+                f"conjugate stabilizers for d={c.dc}: the {h.count} form "
+                f"classes' stabilizer generators fall in {classes[g]} "
+                f"conjugacy classes within caps "
+                f"({stabilizers[g][1][0]:.6g}, {stabilizers[g][1][1]:.6g})")
         records.append(DiscriminantRecord(
-            d=c.dc, pell=c.pell, class_number=h.count,
-            forms=tuple(FormOverOK.from_key(k, D) for k in forms.tolist())))
+            d=c.dc, pell=c.pell, class_number=h.count, forms=forms))
     return records
 
 
@@ -353,10 +420,16 @@ def class_numbers(ds: Sequence[QuadInt], F: FieldCtx, height: float,
     representatives, and Hecke's class number formula
     (lfun.analytic_class_number), which needs no box and comes with a
     proven error.  A count of the forms that differs from the formula's
-    integer raises instead of picking a side.  Caps that the form search
-    would refuse raise BudgetExceededError before its box is scanned.
-    The failures come in this order: the checks of d and its Pell
-    solution and the caps, the form scan, the form search, the formula.
+    integer raises instead of picking a side.  The record's forms are
+    then checked against the group side: their stabilizer generators
+    (form_to_matrix) must fall in as many conjugacy classes as there are
+    forms, by a conjugation search capped at the generators' own heights,
+    which can only find conjugacies the form search missed; no
+    conjugation search counts a class.  Caps that the form search would
+    refuse raise BudgetExceededError before its box is scanned.  The
+    failures come in this order: the checks of d and its Pell solution
+    and the caps, the form scan, the form search, the formula, the
+    stabilizers' key guard and conjugation search.
 
     A batch is a run of consecutive discriminants, each scanned just
     before it joins; it closes before its form seeds would pass
@@ -365,8 +438,11 @@ def class_numbers(ds: Sequence[QuadInt], F: FieldCtx, height: float,
     a batch of its own.  Each batch is one form search with a group per
     discriminant, which keeps the levels, components, state count and
     budget verdict of a search of its own, so every record is
-    class_number's.  The first discriminant that fails raises its own
-    failure, and none after it starts a search.
+    class_number's.  The stabilizers of a batch's discriminants, up to
+    the first that fails before that search, are one conjugation search
+    with a group each, split where one search would not key them
+    exactly.  The first discriminant that fails raises its own failure,
+    and none after it starts a search.
 
     The search covers one definiteness half of the forms and doubles its
     count.  That is exact:

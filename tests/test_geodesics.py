@@ -37,20 +37,24 @@ def test_frozen_list_x10(d5_x10):
     assert sum(c.multiplicity for c in cls) == 48
 
 
-# the levels each discriminant's own form search walks on D = 5 at
-# x = 12, in candidate order, counting the pass over the last level's
-# images
-X12_OWN_PASSES = [18, 14, 14, 13, 14, 15, 13, 17, 18, 13, 12, 11, 12, 11,
-                  11, 12]
+# the levels each discriminant's own searches walk on D = 5 at x = 12, in
+# candidate order, counting the pass over the last level's images: the
+# form search and the conjugation search of its stabilizers
+X12_OWN_PASSES = {
+    "form": [18, 14, 14, 13, 14, 15, 13, 17, 18, 13, 12, 11, 12, 11, 11,
+             12],
+    "conjugation": [15, 17, 14, 14, 14, 15, 16, 17, 13, 14, 14, 12, 14, 13,
+                    12, 16],
+}
 
 
 def _x12_run(monkeypatch, batch_seeds=None):
     """enumerate_geodesics(make_field(5), 12.0), with pellforms'
     _BATCH_SEEDS patched when given: the window, its work counts, each
-    form search's (groups, _dedup passes), its _dedup passes, and the
-    generator tables built by it and the census."""
-    counts = {"form": [], "forms": []}
-    searches = []
+    search's (groups, _dedup passes) per route, its _dedup passes, and
+    the generator tables built by it and the census."""
+    counts = {"conjugation": [], "form": [], "forms": []}
+    searches = {"conjugation": [], "form": []}
     passes, builds = [], []
     dedup = orbits._dedup
 
@@ -59,8 +63,8 @@ def _x12_run(monkeypatch, batch_seeds=None):
             before = len(passes)
             out = fn(*args, **kwargs)
             counts[name].append(size(out))
-            if name == "form":  # (seeds, D, cap1, cap2, groups)
-                searches.append((len(args[2]), len(passes) - before))
+            if name in searches:  # (seeds, D, cap1, cap2, groups)
+                searches[name].append((len(args[2]), len(passes) - before))
             return out
         return wrapper
 
@@ -71,10 +75,12 @@ def _x12_run(monkeypatch, batch_seeds=None):
         return wrapper
 
     with monkeypatch.context() as patch:
-        for name, attr in (("form", "form_orbit"),
-                           ("forms", "enumerate_forms")):
+        for name, attr, size in (
+                ("conjugation", "conjugation_orbit", lambda out: len(out[0])),
+                ("form", "form_orbit", len),
+                ("forms", "enumerate_forms", len)):
             patch.setattr(pellforms, attr,
-                          counted(name, getattr(pellforms, attr), len))
+                          counted(name, getattr(pellforms, attr), size))
         # every search runs one _dedup per level, the seeds' level 0 too,
         # and one for the images of its last level, which hold no new state
         patch.setattr(orbits, "_dedup",
@@ -94,30 +100,33 @@ def _x12_run(monkeypatch, batch_seeds=None):
 
 
 def test_x12_work_counts(monkeypatch):
-    # the states the form search visits on D = 5 at x = 12, and the forms
-    # its box scan lists; a change to the state graph (the generators,
-    # the caps or the definiteness half) moves these sums, and a faster
-    # search must visit the same levels
+    # the states the form search and the stabilizers' conjugation search
+    # visit on D = 5 at x = 12, and the forms the box scan lists; a change
+    # to the state graph (the generators, the caps, the PSL identification
+    # or the definiteness half) moves these sums, and a faster search must
+    # visit the same levels
     cls, counts, searches, passes, builds = _x12_run(monkeypatch)
     assert sum(c.multiplicity for c in cls) == 60
-    # one batch: the 4544 seeds stay under _BATCH_SEEDS
-    assert [len(v) for v in counts.values()] == [1, 16]
-    assert [sum(v) for v in counts.values()] == [56412, 4544]
-    assert passes == max(X12_OWN_PASSES) == 18
-    # the form tables are built once per field, and the census builds
-    # the conjugation tables
+    # one batch: the 4544 seeds stay under _BATCH_SEEDS, and its 60
+    # stabilizers are one conjugation search
+    assert [len(v) for v in counts.values()] == [1, 1, 16]
+    assert [sum(v) for v in counts.values()] == [10648, 56412, 4544]
+    assert passes == sum(max(v) for v in X12_OWN_PASSES.values())
+    # each route's generator tables are built once per field
     assert sorted(builds) == ["conjugation", "form"]
     # alone, each discriminant walks its own levels; in a batch, every
     # group keeps them, so the batch walks as many as its deepest group
     _, alone, own, passes, _ = _x12_run(monkeypatch, batch_seeds=1)
-    assert [len(v) for v in alone.values()] == [16, 16]
-    assert passes == sum(X12_OWN_PASSES)
-    assert own == [(1, n) for n in X12_OWN_PASSES]
-    start = 0
-    for groups, n in searches:
-        assert n == max(X12_OWN_PASSES[start:start + groups])
-        start += groups
-    assert start == len(X12_OWN_PASSES)
+    assert [len(v) for v in alone.values()] == [16, 16, 16]
+    assert sum(alone["conjugation"]) == sum(counts["conjugation"])
+    assert passes == sum(map(sum, X12_OWN_PASSES.values()))
+    for route, want in X12_OWN_PASSES.items():
+        assert own[route] == [(1, n) for n in want]
+        start = 0
+        for groups, n in searches[route]:
+            assert n == max(want[start:start + groups])
+            start += groups
+        assert start == len(want)
 
 
 def test_a_pell_budget_error_raises(monkeypatch):

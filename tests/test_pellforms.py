@@ -214,6 +214,44 @@ def test_route_mismatch_names_the_caps(capsys, monkeypatch):
     assert out.err.endswith(f"{caps}\n")
 
 
+def test_conjugate_stabilizers_raise(monkeypatch):
+    # the stabilizers of a count's form representatives must fall in
+    # distinct conjugacy classes; a form_to_matrix that gives every form
+    # the first representative's stabilizer leaves one class
+    F = make_field(5)
+    d = QuadInt(5, -126, 79)  # h = 8
+    rec = class_number(d, F)
+    first = pellforms.form_to_matrix(rec.forms[0], rec.pell)
+    monkeypatch.setattr(pellforms, "form_to_matrix", lambda Q, pell: first)
+    with pytest.raises(InvariantViolation) as exc:
+        class_number(d, F)
+    assert re.fullmatch(
+        r"conjugate stabilizers for d=-126\+79\*w: the 8 form classes' "
+        r"stabilizer generators fall in 1 conjugacy classes within caps "
+        r"\([\d.]+, [\d.]+\)", str(exc.value))
+
+
+def test_stabilizer_guard_raises_after_the_formula(monkeypatch):
+    # the key guard of the stabilizers' caps runs after the form search
+    # and the formula agree, and its refusal is the count's error
+    packer = pellforms._row_packer
+    searched = []
+
+    def refusing(what, *args):
+        if what == "conjugation":
+            raise BudgetExceededError("stabilizer caps refused")
+        return packer(what, *args)
+
+    form_orbit = pellforms.form_orbit
+    monkeypatch.setattr(pellforms, "_row_packer", refusing)
+    monkeypatch.setattr(pellforms, "form_orbit", lambda *args: (
+        searched.append(1) or form_orbit(*args)))
+    with pytest.raises(BudgetExceededError,
+                       match="^stabilizer caps refused$"):
+        class_number(QuadInt(5, -7, 5), make_field(5))
+    assert searched == [1]
+
+
 def _window_candidates(D, x):
     """(F, ds, pells): the candidates enumerate_geodesics(make_field(D), x)
     counts, in order, with their Pell solutions."""
