@@ -258,13 +258,13 @@ def _two_cos_table(F: FieldCtx) -> Dict[int, QuadInt]:
     return table
 
 
-def _matrices_with_trace(F: FieldCtx, tr: QuadInt, cap1: float, cap2: float,
-                         c_half: int) -> np.ndarray:
+def _matrices_with_trace(F: FieldCtx, tr: QuadInt, cap1: float,
+                         cap2: float) -> np.ndarray:
     """The det-1 matrices of trace exactly tr whose a, b and c have
-    heights within (cap1, cap2), d = tr - a unbounded, and whose c is
-    positive at embedding c_half (1 or 2), as (N, 8) int64 rows ordered
-    by a, then c, in box order: a and c come from the box, b is their
-    cofactor.  The others are their conjugates by diag(1, -1)."""
+    heights within (cap1, cap2), d = tr - a unbounded, and whose c has
+    positive first embedding, as (N, 8) int64 rows ordered by a, then
+    c, in box order: a and c come from the box, b is their cofactor.
+    The others are their conjugates by diag(1, -1)."""
     D = F.D
     t, n = _omega_trace_norm(D)
     # box coordinates are at most H, those of tr - a at most T, those of
@@ -282,7 +282,7 @@ def _matrices_with_trace(F: FieldCtx, tr: QuadInt, cap1: float, cap2: float,
     # gives |trace| >= 2 in each embedding, likewise b = 0 after S
     d = [tr.a, tr.b] - box
     bc = np.column_stack(_coord_mul(*box.T, *d.T, t, n)) - [1, 0]
-    half = box[_embed_signs(box, D, c_half) > 0]
+    half = box[_embed_signs(box, D, 1) > 0]
     i, c, b = _factor_pairs(bc, half, D, cap1, cap2)
     return np.column_stack([box[i], b, c, d[i]])
 
@@ -294,7 +294,7 @@ def _elliptic_candidates(F: FieldCtx, height_bound: float
     nu = 2, of trace 0, that is one sign of each PSL element (c != 0)."""
     out: Dict[int, np.ndarray] = {}
     for nu, tr in _two_cos_table(F).items():
-        rows = _matrices_with_trace(F, tr, height_bound, height_bound, 1)
+        rows = _matrices_with_trace(F, tr, height_bound, height_bound)
         if len(rows):
             out[nu] = unique_rows(rows)
     return out

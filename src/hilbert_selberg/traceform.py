@@ -6,13 +6,13 @@ return a per-family breakdown whose total is the plain ordered sum of
 the parts.  HE sums run over the (class, power) terms of the window's
 power grid, whose cut is proven for every test function decaying
 faster than e^{-u/2}, and the unit-factor series stops at a geometric
-tail bound.  Every integral is taken over the whole half-line
-[0, inf), with no range cutoff: the identity integral, the elliptic
-integrals (whose even test function folds the real line onto the
-half-line) and the HE tail past the window's coverage.  All of them,
-for every test function of a call (the heat fit's beta grid), are the
-components of one vector-valued quadrature on one adaptive mesh, each
-meeting its own tolerance.  Closed-form twins (digamma sums,
+tail bound.  Every integral runs over the whole line or half-line:
+the identity integral, the elliptic integrals and the HE tail past the
+window's coverage.  For a heat pair the first two are trapezoidal sums
+on R whose errors are proven bounds, and the HE tail is closed form,
+each heat pair on its own nodes; the rational pairs' integrals are the
+components of one adaptive quadrature (integrate.quad), whose errors
+are QUADPACK's estimates.  Closed-form twins (digamma sums,
 log-derivative values, geometric unit series) are provided for
 cross-checking the quadrature route.
 """
@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import integrate
-from .errors import InvariantViolation, ValidationError
+from .errors import BudgetExceededError, InvariantViolation, ValidationError
 from .quadfield import FieldCtx
 from .records import GeodesicWindow
 from .specfun import digamma
@@ -152,16 +152,130 @@ class GeomSideBreakdown:
         }
 
 
-# ------------------------------------------------------------ quadrature
+# ------------------------------------------------------------ integrals
 
-def _side_integrals(tfs: Sequence[TestFunctionPair], F: FieldCtx,
-                    classes: GeodesicWindow
-                    ) -> Tuple[np.ndarray, np.ndarray,
-                               List[Dict[Tuple[int, int],
-                                         Tuple[complex, float]]],
-                               np.ndarray]:
-    """Every integral of the geometric sides of every test function, as
-    the components of one quadrature over x in [0, inf):
+# unit roundoff of float64
+_U = 2.0 ** -53
+# trial strip heights of the elliptic bounds, as fractions of the
+# strip's half-width
+_STRIP = np.arange(1, 16) / 16.0
+# nodes of one trapezoid sum; the identity sum takes about 81/sqrt(beta),
+# so this refuses widths below about 6.6e-9
+MAX_NODES = 1 << 20
+
+
+def _gamma(n: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u)."""
+    return n * _U / (1.0 - n * _U)
+
+
+def _gaussian_integrals(beta: float, theta1: np.ndarray
+                        ) -> Tuple[float, float, np.ndarray, np.ndarray]:
+    """The identity integral over R and the elliptic integrals at the
+    census angles theta1 of the heat pair of width beta, each with a
+    proven error bound, by the trapezoidal rule on R.
+
+    Take f analytic in the strip |Im u| < a, with the integral of
+    |f(x + iy)| over x at most M for every |y| <= y < a.  The trapezoid
+    of step tau over all of Z tau is then within 2 M / (e^{2 pi y/tau}
+    - 1) of the integral over R (Trefethen and Weideman, SIAM Review
+    56, 2014, Thm. 5.1).  Below, M grows with |y|, so M(y) serves the
+    whole strip |Im u| <= y.  The step is the largest whose bound is
+    one unit roundoff u of the integral's scale, and the sum stops
+    where the terms it drops are bounded by as much.
+
+    - identity: f(r) = r e^{-beta r^2} tanh(pi r), poles at Im r = 1/2,
+      scale 1/beta (the integral of |f|).  On the line Im r = y < 1/2,
+      |e^{-beta r^2}| = e^{beta y^2} e^{-beta x^2} and |tanh| <=
+      max(1, tan pi y), so M <= e^{beta y^2} max(1, tan pi y) (1/beta
+      + y sqrt(pi/beta)), taken at y = 15/32.  f is even and f(0) = 0,
+      so the sum runs over x_k = k tau, 1 <= k <= K, doubled.  Past
+      x_K >= sqrt(53 ln 2 / beta), |f| <= x e^{-beta x^2} decreases,
+      so the dropped terms on both sides sum to at most
+      e^{-beta x_K^2}/beta.
+    - elliptic: g1 k with k(u) = e^{-u/2} (e^u - e^{i phi})/(cosh u -
+      cos phi), phi = 2 theta1, scale 1.  cosh u - cos phi = 2 sinh((u
+      + i phi)/2) sinh((u - i phi)/2) and e^u - e^{i phi} = 2 e^{(u + i
+      phi)/2} sinh((u - i phi)/2), so k(u) = e^{i theta1}/sinh(u/2 + i
+      theta1), and |sinh z|^2 = sinh^2(Re z) + sin^2(Im z) gives
+      |k(x + iy)| <= 1/sin(theta1 + y/2).  g1 is even, so the trapezoid
+      of g1 k on R is that of (g1 (k(u) + k(-u)))/2, analytic in
+      |Im u| < a = min(2 theta1, 2 pi - 2 theta1), and with
+      |g1(x + iy)| = g1(x) e^{y^2/(4 beta)} and g1 of integral 1,
+      M <= e^{y^2/(4 beta)} / min(sin(theta1 - y/2), sin(theta1 + y/2)).
+      Per angle, y is the best of the 15 heights a _STRIP; the
+      Gaussian factor makes the step shrink like sqrt(beta), and one
+      step, the least of the angles' steps, serves every angle.  The
+      sum runs over x_k = k tau, 0 <= k <= K, the node 0 at weight 1/2,
+      of g1(x) (k(x) + k(-x)) = -2i e^{i theta1} sin(theta1) g1(x)
+      cosh(x/2)/(sinh^2(x/2) + sin^2 theta1), a positive sum times a
+      phase.  The kernel's modulus is at most 2/sqrt(sinh^2(x/2) +
+      sin^2 theta1), which decreases in x, and g1 decreases too, so the
+      dropped terms sum to at most erfc(x_K/(2 sqrt beta)) /
+      sqrt(sinh^2(x_K/2) + sin^2 theta1).
+
+    Rounding: each term is formed with a relative error below
+    (10 + 4E) u, E the largest Gaussian exponent at a node (beta x_K^2
+    or x_K^2/(4 beta)): its absolute error of 2 E u becomes a relative
+    one under exp, and the node's own rounding moves the term by as
+    much again.  The terms are positive, so by Higham's bound for
+    their sum the computed modulus is within gamma_{n + 10 + 4E} of
+    itself, n the number of terms.
+
+    Returns the identity integral and its bound, and per angle the
+    elliptic integral and its bound: each the strip bound plus the
+    dropped terms plus rounding.
+    """
+    # identity
+    y = 15.0 / 32.0
+    m = (math.exp(beta * y * y) * math.tan(math.pi * y)
+         * (1.0 / beta + y * math.sqrt(math.pi / beta)))
+    tau = 2.0 * math.pi * y / math.log1p(2.0 * m * beta / _U)
+    size = math.ceil(math.sqrt(53.0 * math.log(2.0) / beta) / tau)
+    if size > MAX_NODES:
+        raise BudgetExceededError(
+            f"the identity integral at beta={beta} needs {size} trapezoid "
+            f"nodes, more than {MAX_NODES}")
+    x = tau * np.arange(1, size + 1)
+    identity = 2.0 * tau * float(np.sum(x * np.exp(-beta * x * x)
+                                        * np.tanh(math.pi * x)))
+    expo = beta * x[-1] ** 2
+    identity_err = (2.0 * m / math.expm1(2.0 * math.pi * y / tau)
+                    + math.exp(-expo) / beta
+                    + _gamma(x.size + 10 + 4.0 * expo) * identity)
+
+    # elliptic, one row per angle: the step from log M on the trial
+    # heights, then each angle's least bound at that step
+    sin1 = np.sin(theta1)
+    y = np.minimum(2.0 * theta1, 2.0 * math.pi - 2.0 * theta1)[:, None] \
+        * _STRIP
+    log_m = y * y / (4.0 * beta) - np.log(np.minimum(
+        np.sin(theta1[:, None] - 0.5 * y), np.sin(theta1[:, None] + 0.5 * y)))
+    tau = float(np.min(np.max(2.0 * math.pi * y / np.logaddexp(
+        0.0, math.log(2.0 / _U) + log_m), axis=1)))
+    z = 2.0 * math.pi * y / tau
+    strip = np.exp(np.min(math.log(2.0) + log_m - z - np.log1p(-np.exp(-z)),
+                          axis=1))
+    cut = 2.0 * math.sqrt(beta * math.log(1.0 / (_U * float(sin1.min()))))
+    x = tau * np.arange(math.ceil(cut / tau) + 1)
+    g = np.exp(-x * x / (4.0 * beta)) / math.sqrt(4.0 * math.pi * beta)
+    g[0] *= 0.5
+    sh = np.sinh(0.5 * x)
+    moduli = 2.0 * tau * sin1 * (g * np.cosh(0.5 * x) / (
+        sh * sh + (sin1 * sin1)[:, None])).sum(axis=1)
+    expo = x[-1] ** 2 / (4.0 * beta)
+    elliptic_err = (strip + math.erfc(x[-1] / (2.0 * math.sqrt(beta)))
+                    / np.sqrt(sh[-1] ** 2 + sin1 * sin1)
+                    + _gamma(x.size + 10 + 4.0 * expo) * moduli)
+    return (identity, identity_err, -1j * np.exp(1j * theta1) * moduli,
+            elliptic_err)
+
+
+def _quad_integrals(tfs: Sequence[TestFunctionPair], theta1: np.ndarray,
+                    log_cov: float | None) -> Tuple[np.ndarray, ...]:
+    """The side integrals of the test functions tfs as the components of
+    one adaptive quadrature over x in [0, inf), with QUADPACK's error
+    estimates (integrate.quad):
 
     - identity: x h1(x) tanh(pi x), half the integral over R of
       r h1(r) tanh(pi r), with tolerance 1e-13 / 1e-11;
@@ -171,25 +285,18 @@ def _side_integrals(tfs: Sequence[TestFunctionPair], F: FieldCtx,
       k(x) + k(-x) = 2 cosh(x/2) (1 - e^{2i theta1})/(cosh x - cos 2 theta1),
       evaluated with numerator and denominator scaled by e^{-x} so
       nothing overflows; tolerance 1e-13 / 1e-11;
-    - HE tail: e^{(L+x)/2} |g1(L+x)| with L = log(coverage), the
+    - HE tail, when log_cov = L is given: e^{(L+x)/2} |g1(L+x)|, the
       count-model weight of the classes past the window, formed as
       exp((L+x)/2 + log|g1|) so it is 0, not inf * 0, where g1
-      underflows; tolerance 1e-14 / 1e-9.  A window of coverage <= 3
-      has no tail integral and an infinite tail.
+      underflows; tolerance 1e-14 / 1e-9.
 
     Returns per function the identity integral over R and its error,
-    the elliptic integrals as (nu, ell) -> (integral, error), and the
-    count-model bound on the classes past the coverage.
-    """
-    n = len(tfs)
-    keys = sorted({(nu, ell) for nu, _ in F.census_classes()
-                   for ell in range(1, nu)})
-    theta1 = np.array([ell * math.pi / nu for nu, ell in keys])
+    the (n, angles) elliptic integrals and errors, and the HE tail
+    integral, None without log_cov."""
+    n, k = len(tfs), theta1.size
     fold = (1.0 - np.exp(2.0j * theta1))[:, None]
     cos2 = np.cos(2.0 * theta1)[:, None]
-    cov = classes.coverage
-    tail = cov > 3.0
-    log_cov = math.log(cov) if tail else 0.0
+    tail = log_cov is not None
 
     def f(x: np.ndarray) -> np.ndarray:
         h = np.exp(-0.5 * x)
@@ -206,20 +313,63 @@ def _side_integrals(tfs: Sequence[TestFunctionPair], F: FieldCtx,
             parts.append(np.exp(0.5 * u + log_g))
         return np.concatenate(parts)
 
-    k = len(keys)
     sizes = (n, n * k, n if tail else 0)
     epsabs = np.repeat([1e-13, 1e-13, 1e-14], sizes)
     epsrel = np.repeat([1e-11, 1e-11, 1e-9], sizes)
     val, err = integrate.quad(f, 0.0, epsabs=epsabs, epsrel=epsrel,
                               limit=300)
-    ell_val = val[n:n + n * k].reshape(n, k)
-    ell_err = err[n:n + n * k].reshape(n, k)
-    elliptic = [{key: (complex(v), float(e))
-                 for key, v, e in zip(keys, iv, ie)}
-                for iv, ie in zip(ell_val, ell_err)]
-    he_tails = (1.6 * classes.count_constant * val[n + n * k:].real
-                if tail else np.full(n, math.inf))
-    return 2.0 * val[:n], 2.0 * err[:n], elliptic, he_tails
+    return (2.0 * val[:n], 2.0 * err[:n],
+            val[n:n + n * k].reshape(n, k), err[n:n + n * k].reshape(n, k),
+            val[n + n * k:].real if tail else [None] * n)
+
+
+def _side_integrals(tfs: Sequence[TestFunctionPair], F: FieldCtx,
+                    classes: GeodesicWindow
+                    ) -> List[Tuple[complex, float,
+                                    Dict[Tuple[int, int],
+                                         Tuple[complex, float]], float]]:
+    """Every integral of the geometric sides of every test function: the
+    identity integral over R of r h1(r) tanh(pi r), the elliptic
+    integrals over R of g1 k per census angle, and the count-model bound
+    on the classes past the window's coverage (the HE tail), 1.6 times
+    the count constant times the integral of e^{u/2} |g1(u)| over
+    [L, inf), L = log(coverage).  A window of coverage <= 3 has no tail
+    integral and an infinite tail.
+
+    A heat pair takes the identity and elliptic integrals by the
+    trapezoidal rule on R, on nodes of its own, with proven error
+    bounds (_gaussian_integrals), and the HE tail in closed form: e^{u/2}
+    g1(u) completes the square to e^{beta/4} erfc((L - beta)/(2
+    sqrt beta))/2.  The other pairs share one adaptive quadrature
+    (_quad_integrals), whose errors are estimates.
+
+    Returns per function the identity integral and its error, the
+    elliptic integrals as (nu, ell) -> (integral, error), and the HE
+    tail."""
+    keys = sorted({(nu, ell) for nu, _ in F.census_classes()
+                   for ell in range(1, nu)})
+    theta1 = np.array([ell * math.pi / nu for nu, ell in keys])
+    cov = classes.coverage
+    log_cov = math.log(cov) if cov > 3.0 else None
+    rest = [tf for tf in tfs if tf.kind != "gaussian"]
+    quad = zip(*_quad_integrals(rest, theta1, log_cov)) if rest else None
+    out = []
+    for tf in tfs:
+        if tf.kind == "gaussian":
+            beta = float(tf.metadata["beta"])
+            parts = _gaussian_integrals(beta, theta1)
+            tail = (None if log_cov is None else
+                    0.5 * math.exp(beta / 4.0)
+                    * math.erfc((log_cov - beta) / (2.0 * math.sqrt(beta))))
+        else:
+            *parts, tail = next(quad)
+        identity, identity_err, ell, ell_err = parts
+        out.append((complex(identity), float(identity_err),
+                    {key: (complex(a), float(b))
+                     for key, a, b in zip(keys, ell, ell_err)},
+                    math.inf if tail is None else
+                    1.6 * classes.count_constant * tail))
+    return out
 
 
 # ------------------------------------------------------------ shared pieces
@@ -346,9 +496,9 @@ def _elliptic_sum(m: int, quad: Dict[Tuple[int, int], Tuple[complex, float]],
 def _geom_sides(m: int, tfs: Sequence[TestFunctionPair], F: FieldCtx,
                 classes: GeodesicWindow,
                 single: bool) -> List[GeomSideBreakdown]:
-    """Both evaluators, for a list of test functions: every integral of
-    all of them is one component of a single half-line quadrature
-    (_side_integrals), each meeting its own tolerance.  The difference
+    """Both evaluators, for a list of test functions, whose integrals
+    _side_integrals takes: each heat pair's on its own nodes with proven
+    bounds, the other pairs' in one shared quadrature.  The difference
     (single) scales the identity and HE tail by (m - 1)/2, the double
     difference by 1.  A field without an elliptic census is refused
     before the arguments and the window are checked."""
@@ -358,11 +508,11 @@ def _geom_sides(m: int, tfs: Sequence[TestFunctionPair], F: FieldCtx,
         _check_gaussian_window(tf, classes.coverage)
     scale = (m - 1) * 0.5 if single else 1.0
 
-    id_ints, id_errs, ell_quads, he_tails = _side_integrals(tfs, F, classes)
+    integrals = _side_integrals(tfs, F, classes)
     hyp_ells = _hyp_ell_sums(m, tfs, classes, single)
     sides = []
-    for tf, id_int, id_err, ell_quad, he_tail, hyp_ell in zip(
-            tfs, id_ints, id_errs, ell_quads, he_tails, hyp_ells):
+    for tf, (id_int, id_err, ell_quad, he_tail), hyp_ell in zip(
+            tfs, integrals, hyp_ells):
         identity = scale * float(F.zeta_minus_one) * complex(id_int)
         elliptic, ell_err = _elliptic_sum(m, ell_quad, F, single)
         g0 = complex(tf.g1(0.0))

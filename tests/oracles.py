@@ -287,21 +287,28 @@ def matrix_boxes_ref(pell, height):
 
 def matrix_keys_ref(pell, F, m1, m2):
     """Key rows, (N, 8), of the matrices the conjugacy count partitions:
-    the rows of trace t0 with C_2 > 0 and A, B and C in the entry boxes
-    (modgroup._matrices_with_trace), whose form (C, E - A, -B) is u0
-    times a primitive form, in Python integers.
+    the rows of trace t0 with C_2 > 0 and A, B and C in the entry boxes,
+    ordered by A, then C, each by its place in the box (by b, then a),
+    whose form (C, E - A, -B) is u0 times a primitive form, in Python
+    integers.  The scan modgroup._matrices_with_trace holds the rows
+    with C_1 > 0, and the others are their conjugates [[A, -B],
+    [-C, E]] by diag(1, -1); the rows with C_2 > 0 are taken from both
+    by the exact sign.
 
     That form has discriminant (E - A)^2 + 4BC = t0^2 - 4 = d u0^2.
     Dividing by its content k leaves a primitive form of discriminant
-    d (u0/k)^2, which canonicalizes to d exactly when u0/k is a unit.
-    The other half are the conjugates [[A, -B], [-C, E]] by diag(1, -1)."""
+    d (u0/k)^2, which canonicalizes to d exactly when u0/k is a unit."""
     import numpy as np
     from hilbert_selberg.modgroup import _matrices_with_trace
     from hilbert_selberg.quadfield import QuadInt
     D, u0 = F.D, pell.u0
     t = D % 2
     n = (1 - D) // 4 if D % 4 == 1 else -(D // 4)
-    rows = _matrices_with_trace(F, pell.t0, m1, m2, 2)
+    rows = _matrices_with_trace(F, pell.t0, m1, m2)
+    rows = np.concatenate([rows, rows * [1, 1, -1, -1, -1, -1, 1, 1]])
+    rows = rows[[QuadInt(D, ca, cb).sign_embed(2) > 0
+                 for ca, cb in rows[:, 4:6].tolist()]]
+    rows = rows[np.lexsort((rows[:, 4], rows[:, 5], rows[:, 0], rows[:, 1]))]
     keep = []
     for aa, ab, ba, bb, ca, cb, ea, eb in rows.tolist():
         form = (QuadInt(D, ca, cb), QuadInt(D, ea - aa, eb - ab),
@@ -669,3 +676,41 @@ def unit_series_ref(m, tf, F, single, terms):
         u = unit(m - 1, k) - (0.0 if single else unit(m - 3, k))
         total += -2.0 * log_eps * complex(tf.g1(2.0 * k * log_eps)) * u
     return total
+
+
+@functools.lru_cache(maxsize=64)
+def heat_identity_ref(beta):
+    """The identity integral over R of r e^{-beta r^2} tanh(pi r) by
+    mpmath.quad at 30 digits, as (value, mpmath's error estimate).  The
+    range stops at |r| = 10/sqrt(beta), past which the integral is
+    e^-100/beta."""
+    import mpmath
+    with mpmath.workdps(30):
+        b = mpmath.mpf(beta)
+        val, err = mpmath.quad(
+            lambda r: r * mpmath.exp(-b * r * r) * mpmath.tanh(mpmath.pi * r),
+            mpmath.linspace(0, 10 / mpmath.sqrt(b), 5), error=True)
+        return 2 * float(val), 2 * float(err)
+
+
+@functools.lru_cache(maxsize=256)
+def heat_elliptic_ref(beta, theta1):
+    """The elliptic integral over R of g1(u) k(u) by mpmath.quad at 30
+    digits, as (value, mpmath's error estimate), with g1(u) =
+    e^{-u^2/(4 beta)}/sqrt(4 pi beta) and k(u) = e^{-u/2} (e^u -
+    e^{2i theta1})/(cosh u - cos 2 theta1) as written, not in the
+    trapezoid's form.  The range stops at |u| = 20 sqrt(beta), past
+    which g1 has mass erfc(10) and |k| <= 1/sin(theta1)."""
+    import mpmath
+    with mpmath.workdps(30):
+        b = mpmath.mpf(beta)
+        g_norm = 1 / mpmath.sqrt(4 * mpmath.pi * b)
+        rot = mpmath.expj(2 * mpmath.mpf(theta1))
+        cos2 = mpmath.cos(2 * mpmath.mpf(theta1))
+        val, err = mpmath.quad(
+            lambda u: g_norm * mpmath.exp(-u * u / (4 * b))
+            * mpmath.exp(-u / 2) * (mpmath.exp(u) - rot)
+            / (mpmath.cosh(u) - cos2),
+            mpmath.linspace(-20 * mpmath.sqrt(b), 20 * mpmath.sqrt(b), 7),
+            error=True)
+        return complex(val), float(err)

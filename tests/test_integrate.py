@@ -168,12 +168,12 @@ def test_saturated_panel_of_first_mesh_is_refined():
 
 
 # the geometric sides' test functions in the benchmark's analytic pool
-POOL = ([traceform.gaussian_testfunction(b)
-         for b in (0.025, 0.03, 0.035, 0.05, 0.07, 0.08, 0.1, 0.12, 0.15,
-                   0.2)]
-        + [traceform.rational_testfunction(*r)
-           for r in ((1.6, 2.5, 3.5), (2.0, 2.0, 3.0), (2.5, 3.0, 4.5),
-                     (2.9 + 1j, 2.5, 4.0))])
+GAUSSIANS = [traceform.gaussian_testfunction(b)
+             for b in (0.025, 0.03, 0.035, 0.05, 0.07, 0.08, 0.1, 0.12, 0.15,
+                       0.2)]
+RATIONALS = [traceform.rational_testfunction(*r)
+             for r in ((1.6, 2.5, 3.5), (2.0, 2.0, 3.0), (2.5, 3.0, 4.5),
+                       (2.9 + 1j, 2.5, 4.0))]
 
 
 def test_geometric_side_integrands_finish_in_few_levels(monkeypatch):
@@ -194,14 +194,16 @@ def test_geometric_side_integrands_finish_in_few_levels(monkeypatch):
         return out
 
     monkeypatch.setattr(integrate, "quad", counted)
-    for tf in POOL:
+    for tf in RATIONALS:
         levels.clear()
         traceform.geom_side_double_difference(2, tf, F, classes)
         # identity, elliptic and HE-tail integrals share one mesh; as
         # three quadratures they took up to 4, 5 and 2 levels
         assert len(levels) == 1 and levels[0] <= 4, (tf.metadata, levels)
-    # a heat grid's five sides are one quadrature too
+    # heat pairs and heat grids take no quadrature at all
     levels.clear()
+    for tf in GAUSSIANS:
+        traceform.geom_side_double_difference(2, tf, F, classes)
     traceform.heat_asymptotic_check(
         F, (0.15, 0.1, 0.07, 0.05, 0.035), classes)
-    assert len(levels) == 1 and levels[0] <= 4, levels
+    assert levels == []

@@ -683,7 +683,7 @@ class TestArithmeticGuards:
         monkeypatch.setattr(modgroup, "_box_rows", None)
         F = make_field(5)
         with pytest.raises(BudgetExceededError, match="int64"):
-            _matrices_with_trace(F, QuadInt(5, 3, 1), 1e9, 1e9, 1)
+            _matrices_with_trace(F, QuadInt(5, 3, 1), 1e9, 1e9)
 
     def test_form_boxes(self, monkeypatch):
         monkeypatch.setattr(pellforms, "_box_rows", None)
@@ -700,7 +700,7 @@ class TestArithmeticGuards:
         if scan == "matrices":
             monkeypatch.setattr(modgroup, "_box_rows", None)
             with pytest.raises(BudgetExceededError, match="int64"):
-                _matrices_with_trace(F, QuadInt(5, 3, 1), 2e4, 2e4, 1)
+                _matrices_with_trace(F, QuadInt(5, 3, 1), 2e4, 2e4)
         else:
             monkeypatch.setattr(pellforms, "_box_rows", None)
             with pytest.raises(BudgetExceededError, match="int64"):
@@ -709,13 +709,13 @@ class TestArithmeticGuards:
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([5, 8, 12, 13]), st.integers(-9, 9), st.integers(-5, 5),
-       st.floats(1.0, 12.0), st.floats(1.0, 12.0), st.sampled_from([1, 2]))
-def test_matrices_with_trace_match_per_a_loop(D, ta, tb, cap1, cap2, j):
+       st.floats(1.0, 12.0), st.floats(1.0, 12.0))
+def test_matrices_with_trace_match_per_a_loop(D, ta, tb, cap1, cap2):
     # the half scan and its conjugates [[a, -b], [-c, d]] by diag(1, -1)
     # are the per-a loop's matrices, each once
     F = make_field(D)
     tr = QuadInt(D, ta, tb)
-    half = _matrices_with_trace(F, tr, cap1, cap2, j)
+    half = _matrices_with_trace(F, tr, cap1, cap2)
     got = np.concatenate([half, half * _CONJ_P])
     want = matrices_with_trace_ref(F, tr, cap1, cap2)
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -724,17 +724,17 @@ def test_matrices_with_trace_match_per_a_loop(D, ta, tb, cap1, cap2, j):
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([5, 8, 12, 13]), st.integers(-9, 9), st.integers(-5, 5),
-       st.floats(1.0, 12.0), st.floats(1.0, 12.0), st.sampled_from([1, 2]))
-@example(D=5, ta=0, tb=0, cap1=2.0, cap2=1.9999999999999982, j=1)
-def test_c_half_scan_matches_the_filtered_loop(D, ta, tb, cap1, cap2, j):
-    # the scan that draws c from the half of the box positive at
-    # embedding j lists the per-a loop's matrices whose c is positive
-    # there, by the exact sign, ordered by a, then c
+       st.floats(1.0, 12.0), st.floats(1.0, 12.0))
+@example(D=5, ta=0, tb=0, cap1=2.0, cap2=1.9999999999999982)
+def test_c_half_scan_matches_the_filtered_loop(D, ta, tb, cap1, cap2):
+    # the scan that draws c from the half of the box positive at the
+    # first embedding lists the per-a loop's matrices whose c is
+    # positive there, by the exact sign, ordered by a, then c
     F = make_field(D)
     tr = QuadInt(D, ta, tb)
-    got = _matrices_with_trace(F, tr, cap1, cap2, j)
+    got = _matrices_with_trace(F, tr, cap1, cap2)
     want = [row for row in matrices_with_trace_ref(F, tr, cap1, cap2).tolist()
-            if QuadInt(D, row[4], row[5]).sign_embed(j) > 0]
+            if QuadInt(D, row[4], row[5]).sign_embed(1) > 0]
     assert got.dtype == np.int64 and got.shape == (len(want), 8)
     assert sorted(got.tolist()) == sorted(want)
     box = [[p.a, p.b] for p in lattice_points(D, cap1, cap2)]

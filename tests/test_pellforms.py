@@ -579,16 +579,16 @@ def test_row_filter_matches_matrix_filter_ref(D, x):
         pells = [c.record.pell for c in enumerate_geodesics(F, x)]
     for pell in pells:
         m1, m2 = matrix_boxes_ref(pell, 8.0)
-        # the full scan: the half with C positive at the second embedding
+        # the full scan: the half with C positive at the first embedding
         # and its conjugates [[A, -B], [-C, E]] by diag(1, -1)
-        half = _matrices_with_trace(F, pell.t0, m1, m2, 2)
+        half = _matrices_with_trace(F, pell.t0, m1, m2)
         rows = np.concatenate([half, half * [1, 1, -1, -1, -1, -1, 1, 1]])
         got = matrix_keys_ref(pell, F, m1, m2)
         keys = list(map(tuple, got.tolist()))
         assert len(keys) == len(set(keys))
         # the matrices of trace t0 whose C is positive at the second
-        # embedding, as scanned; the others are exactly their conjugates
-        # by diag(1, -1)
+        # embedding; the others are exactly their conjugates by
+        # diag(1, -1)
         assert (got[:, 0:2] + got[:, 6:8] == [pell.t0.a, pell.t0.b]).all()
         ref = matrix_filter_ref(rows.tolist(), pell.d, F)
         psl = {normalize_key_ref(k, D) for k in keys}

@@ -6,7 +6,8 @@ import random
 import pytest
 import scipy.integrate as integrate
 
-from hilbert_selberg.errors import InvariantViolation, ValidationError
+from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
+                                    ValidationError)
 from hilbert_selberg.geodesics import enumerate_geodesics
 from hilbert_selberg.quadfield import make_field
 from hilbert_selberg.records import GeodesicWindow
@@ -14,6 +15,7 @@ from hilbert_selberg.traceform import (
     GeomSideBreakdown,
     _geom_sides,
     _hyp_ell_sums,
+    _side_integrals,
     double_difference_closed_forms,
     gaussian_testfunction,
     geom_side_difference,
@@ -23,7 +25,8 @@ from hilbert_selberg.traceform import (
 )
 from hilbert_selberg.zetafun import (ZetaParams, selberg_log_deriv,
                                      selberg_zeta)
-from oracles import hyp_ell_sum_ref, unit_series_ref
+from oracles import (heat_elliptic_ref, heat_identity_ref, hyp_ell_sum_ref,
+                     unit_series_ref)
 
 # high-precision re-evaluation of the same sums, 30 digits
 GAUSS_TOTALS_D5_BETA01 = {
@@ -395,6 +398,36 @@ def test_stacked_grid_matches_one_member_sides(d5, single, m):
             (want.hyp_ell_term, want.par_sct_term, want.hyp2_sct_term)
         assert got.diagnostics["he_tail"] == pytest.approx(
             want.diagnostics["he_tail"], rel=1e-6)
+
+
+@pytest.mark.parametrize("D", [5, 8, 12])
+def test_trapezoid_bounds_hold_against_mpmath(D):
+    # each heat pair's identity integral and census-angle elliptic
+    # integrals against mpmath at 30 digits: the trapezoid's error lies
+    # within its reported bound, and the bound within 1e-12 (1 + |value|)
+    F = make_field(D)
+    betas = (0.2, 0.1, 0.05, 0.025, 0.005)
+    sides = _side_integrals([gaussian_testfunction(b) for b in betas], F,
+                            GeodesicWindow([]))
+    angles = {(nu, ell) for nu, _ in F.census_classes()
+              for ell in range(1, nu)}
+    for beta, (identity, identity_err, elliptic, _) in zip(betas, sides):
+        assert set(elliptic) == angles
+        checks = [(identity, identity_err, heat_identity_ref(beta))] + [
+            (got, bound, heat_elliptic_ref(beta, ell * math.pi / nu))
+            for (nu, ell), (got, bound) in sorted(elliptic.items())]
+        for got, bound, (want, mp_err) in checks:
+            assert mp_err <= 1e-25 * (1.0 + abs(want))
+            assert abs(got - want) <= bound <= 1e-12 * (1.0 + abs(got)), \
+                (beta, got, want, bound)
+
+
+def test_heat_pair_past_the_node_budget_is_refused(d5):
+    # the identity sum needs about 81/sqrt(beta) nodes: 2.6e6 here
+    F, classes = d5
+    with pytest.raises(BudgetExceededError, match="trapezoid nodes"):
+        geom_side_double_difference(2, gaussian_testfunction(1e-9), F,
+                                    classes)
 
 
 def test_heat_grid_names_the_first_under_covered_beta(d5):
