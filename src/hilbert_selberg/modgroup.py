@@ -30,8 +30,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolation, ValidationError
-from .orbits import (GeneratorTables, Orbit, capped_bfs, generator_tables,
-                     height_predicate, unique_rows, _box_rows, _factor_pairs)
+from .orbits import (GeneratorTables, Orbit, budget_error, capped_bfs,
+                     generator_tables, height_predicate, unique_rows,
+                     _box_rows, _factor_pairs)
 from .quadfield import (CENSUS_ORDERS, FieldCtx, QuadInt, _coord_mul,
                         _omega_trace_norm)
 
@@ -217,13 +218,13 @@ def conjugation_orbit(seeds, D: int, cap1, cap2,
     seed rows that are their components' roots.
 
     The seeds must have exactly the first seed's trace and lie inside
-    the caps; ValidationError otherwise.  Raises BudgetExceededError
-    when some component exceeds orbits.MAX_STATES states.  With
-    `groups`, the seeds of each group share one trace instead, the caps
-    are arrays with one cap per group, and a group past the budget is
-    marked failed in the orbit (see orbits.capped_bfs).  The search
-    runs modulo the mirror g -> P g^-1 P, P = diag(1, -1), which keeps
-    the trace and c.
+    the caps; ValidationError otherwise.  With `groups`, the seeds of
+    each group share one trace instead, and the caps are arrays with
+    one cap per group; with no `groups` the seeds are group 0.  A group
+    with a component past orbits.MAX_STATES states is marked in
+    orbit.failed, from which the caller raises orbits.budget_error
+    (see orbits.capped_bfs).  The search runs modulo the mirror
+    g -> P g^-1 P, P = diag(1, -1), which keeps the trace and c.
     """
     seeds = np.asarray(seeds, dtype=np.int64).reshape(-1, 8)
     orbit = capped_bfs("conjugation", seeds,
@@ -320,7 +321,8 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
     candidate as its root.  A power outside the caps, or in no
     candidate's component, raises: the height bound was too small when
     the power lies outside the candidate box (BudgetExceededError), and
-    the search failed when it lies inside (InvariantViolation).
+    the search failed when it lies inside (InvariantViolation).  A
+    search past orbits.MAX_STATES raises budget_error("conjugation").
 
     The PSL order and rotation angles are checked once per class.  By
     Cayley-Hamilton every g of trace tau has g^k = a_k(tau) g + b_k(tau) I,
@@ -348,6 +350,8 @@ def enumerate_elliptic(F: FieldCtx, height_bound: float
         near = inside(prows)
         orbit, reps = conjugation_orbit(np.concatenate([cands, prows[near]]),
                                         D, cap_bfs, cap_bfs)
+        if orbit.failed[0]:
+            raise budget_error("conjugation")
         by_root: Dict[int, EllipticClass] = {}
         for root, row in zip(orbit.reps.tolist(), reps.tolist()):
             if root >= S:  # a power's own component, not a class

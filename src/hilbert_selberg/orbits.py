@@ -82,26 +82,29 @@ exactly the orbits the seed-by-seed loop (least row not yet covered,
 then its orbit) visits, and with the seeds the distinct rows in
 increasing order, as `unique_rows` gives them, their least seeds are
 its representatives.
-One search also runs several searches at once: each seed has a group,
-say the discriminant whose class count it seeds, and each group its
-own caps and, for conjugation, its own trace.  Groups never meet.  A
-row's label names its seed, so its group, which its images inherit,
-and its images get its group's height test.  Every group's rows are
-keyed with the one radix R of the largest caps: an in-cap pair of
-smaller caps lies in the larger box, so each group's keys stay
-injective.  Forms of two groups may still share a key, and so may
-matrices, whose key leaves out E = tr - A and so does not see the
-trace; group g's keys therefore get the offset g R^3, and G groups
-need G R^3 <= 2^63 (max_groups).  A trace-0 search, where g and -g
-share the smaller of two keys, is one group.  So no dedup, lookup or
-join ever pairs rows of two groups, and level k of the run is the
-union of each group's level k: each group keeps exactly the levels,
+Every search is a search of groups: each seed has a group, say the
+discriminant whose class count it seeds, and each group its own caps
+and, for conjugation, its own trace; a search without groups is group
+0.  Groups never meet.  A row's label names its seed, so its group,
+which its images inherit, and every row gets its own group's height
+test.  Every group's rows are keyed with the one radix R of the
+largest caps: an in-cap pair of smaller caps lies in the larger box,
+so each group's keys stay injective.  Forms of two groups may still
+share a key, and so may matrices, whose key leaves out E = tr - A and
+so does not see the trace.  The groups therefore search in
+consecutive runs of G groups with G R^3 <= 2^63 (max_groups), one
+after another, and group g of a run gets the key offset g R^3.  A trace-0 search, where g
+and -g share the smaller of two keys, is one group.  So no dedup,
+lookup or join ever pairs rows of two groups, and level k of a run is
+the union of its groups' level k: each group keeps exactly the levels,
 components, roots and state count of a search of its own.  The budget
 test runs per component after each level's merge, as alone, so a
-group fails at the level its own search would; its rows leave the
-level there and the other groups go on.
+group fails at the level its own search would: it is marked in
+`Orbit.failed`, its rows leave the level there and the other groups go
+on.  The engine raises no state-budget error; its callers raise
+budget_error from the verdicts they read.
 Every seed must lie inside the caps: a seed outside them has edges that
-run one way only.  A search returns the roots and the state count and
+run one way only.  A search returns the roots and the state counts and
 holds just the last two levels; neither, nor the budget test on each
 component's state count, depends on the order of a level's states, on
 the blocks its images are formed in, or on the order of its joins: a
@@ -279,21 +282,24 @@ def _dedup(keys: np.ndarray, labs: np.ndarray
 
 
 class Orbit:
-    """The states one capped_bfs run visited, split into components.
+    """The states one capped_bfs search visited, split into components,
+    with a verdict per group; a search without groups is group 0.
 
-    `roots[s]` is the index of the least seed in seed s's component and
-    len() the state count, summed over the groups.  `failed[g]` says
-    whether group g had a component past MAX_STATES; its roots and
-    count then stop at the level where it did.
+    `roots[s]` is the index of the least seed in seed s's component,
+    `states[g]` group g's state count and len() their sum.  `failed[g]`
+    says whether group g had a component past MAX_STATES; its roots
+    and count then stop at the level where it did, and its caller
+    raises budget_error.
     """
 
-    __slots__ = ("roots", "_count", "failed")
+    __slots__ = ("roots", "states", "failed")
 
-    def __init__(self, roots: np.ndarray, count: int, failed: np.ndarray):
-        self.roots, self._count, self.failed = roots, count, failed
+    def __init__(self, roots: np.ndarray, states: np.ndarray,
+                 failed: np.ndarray):
+        self.roots, self.states, self.failed = roots, states, failed
 
     def __len__(self) -> int:
-        return self._count
+        return int(self.states.sum())
 
     @property
     def reps(self) -> np.ndarray:
@@ -385,34 +391,29 @@ def capped_bfs(what: str, seeds: np.ndarray,
     """Height-capped BFS from every row of `seeds` at once, an (S, k)
     int64 array; returns the orbit with its components.
 
-    With `groups`, a group index in 0..G-1 per seed, the caps are
-    arrays of G caps, one pair per group, and the groups search as one
-    run whose groups never meet (see the module docstring); a group with
-    a component past MAX_STATES is marked failed in the orbit and its
-    rows are dropped, and the others go on.  Without it the seeds are
-    one group, and such a component raises BudgetExceededError.
+    `groups` holds a group index in 0..G-1 per seed, and the caps are
+    G caps each; with no `groups` the seeds are group 0 and the caps
+    numbers.  The groups search as searches of their own that never
+    meet, in consecutive runs of as many as one packed-key space holds
+    (max_groups; see the module docstring).  A group with a component
+    past MAX_STATES is marked in `Orbit.failed` and its rows leave the
+    search; the other groups go on, and no state budget raises here.
     The generator maps and the mirror are those of `tables()`, which is
     called once the seeds and the caps have passed the checks below;
     states are the mirror pairs of the module docstring.
     Every seed must lie inside its group's caps (the edges of a seed
-    outside them run one way only); ValidationError otherwise.  A level
-    is the sorted keys of the in-cap images, but the parents, on neither
-    the current nor the previous level, with the label, the int16 or
-    int32 carried row and the back edge of each; the images of _BFS_BLOCK
-    frontier rows at a time are one exact float64 product.  An image
-    that meets a state of another component on the current level, or
-    the same new state as one, joins the two labels and their twins (see
-    _merge).  Rows of k = 8 entries are matrices [[A, B], [C, E]], g and
-    -g one state, and the seeds of a group must share one trace, which
-    is 0 only for a search of one group (ValidationError otherwise).
+    outside them run one way only); ValidationError otherwise.  Caps
+    that break the exactness of the keys raise BudgetExceededError (see
+    _row_packer).  Rows of k = 8 entries are matrices [[A, B], [C, E]],
+    g and -g one state, and the seeds of a group must share one trace,
+    which is 0 only for a search of one group (ValidationError
+    otherwise).
     """
     S, k = seeds.shape
     caps1, caps2 = np.atleast_1d(cap1), np.atleast_1d(cap2)
     G = len(caps1)
-    raising = groups is None
-    if raising:
+    if groups is None:
         groups = np.zeros(S, dtype=np.intp)
-    node_group = np.concatenate((groups, groups))
     trace = None
     if k == 8:  # conjugation keeps the trace: search each group's slice
         traces = seeds[:, 0:2] + seeds[:, 6:8]
@@ -424,32 +425,47 @@ def capped_bfs(what: str, seeds: np.ndarray,
             raise ValidationError(
                 f"{what} seeds of trace 0 must search as one group")
         trace = firsts[groups[0] if S else 0]
-    if G == 1:
-        one = height_predicate(D, caps1[0], caps2[0])
-
-        def height_ok(rows: np.ndarray, labs: np.ndarray) -> np.ndarray:
-            return one(rows)
-    else:  # each row is tested against its label's group's caps
-        node_caps = caps1[node_group, None], caps2[node_group, None]
-
-        def height_ok(rows: np.ndarray, labs: np.ndarray) -> np.ndarray:
-            return height_predicate(D, *(c[labs] for c in node_caps))(rows)
-    if not height_ok(seeds, np.arange(S)).all():
+    if not height_predicate(D, caps1[groups, None],
+                            caps2[groups, None])(seeds).all():
         raise ValidationError(f"{what} seeds must lie inside the caps")
-    # one radix, that of the largest caps, keys every group's rows
+    # one radix, that of the largest caps, keys every group's rows, and
+    # the groups search in runs of as many as one key space holds
     big = int(np.argmax(caps1 + caps2))
     pack = _row_packer(what, D, caps1[big], caps2[big], trace)
-    A, _, R = _key_radix(D, caps1[big], caps2[big])
-    offset = None
-    if G > 1:
-        if G > max_groups(D, caps1[big], caps2[big]):
-            raise ValidationError(
-                f"{what} search of {G} groups too large for exact packed keys")
-        offset = node_group * R ** 3
-    # in-cap coordinates lie below A (see _row_packer): a carried row is
-    # exact in int16 for A <= 2^15
-    small = np.int16 if A <= 2 ** 15 else np.int32
-    Mt, inverse, perm, sign = tables()
+    radix = _key_radix(D, caps1[big], caps2[big])[2]
+    per = max_groups(D, caps1[big], caps2[big])
+    maps = tables()
+    roots, states, failed = np.arange(S), np.zeros(G, int), np.zeros(G, bool)
+    for lo in range(0, G, per):
+        run = np.flatnonzero((groups >= lo) & (groups < lo + per))
+        orbit = _search(seeds[run], groups[run] - lo, caps1[lo:lo + per],
+                        caps2[lo:lo + per], pack, radix, maps, D)
+        roots[run] = run[orbit.roots]
+        states[lo:lo + per], failed[lo:lo + per] = orbit.states, orbit.failed
+    return Orbit(roots, states, failed)
+
+
+def _search(seeds: np.ndarray, groups: np.ndarray, caps1: np.ndarray,
+            caps2: np.ndarray, pack: Callable[..., np.ndarray], radix: int,
+            tables: GeneratorTables, D: int) -> Orbit:
+    """One run of capped_bfs, of groups 0..G-1 keyed with offsets g R^3.
+    A level is the sorted keys of the in-cap images, but the parents, on
+    neither the current nor the previous level, with the label, the
+    int32 carried row and the back edge of each; the images of
+    _BFS_BLOCK frontier rows at a time are one exact float64 product.
+    An image that meets a state of another component on the current
+    level, or the same new state as one, joins the two labels and their
+    twins (see _merge)."""
+    S, k = seeds.shape
+    G = len(caps1)
+    node_group = np.concatenate((groups, groups))
+    node_caps = caps1[node_group, None], caps2[node_group, None]
+    offset = node_group * radix ** 3
+
+    def height_ok(rows: np.ndarray, labs: np.ndarray) -> np.ndarray:
+        """Each row against its label's group's caps."""
+        return height_predicate(D, *(c[labs] for c in node_caps))(rows)
+    Mt, inverse, perm, sign = tables
     m = len(Mt) // k
     inverse = inverse.astype(np.int8)  # back edges: one byte each
     twin = np.roll(np.arange(2 * S, dtype=np.int32), S)
@@ -458,16 +474,15 @@ def capped_bfs(what: str, seeds: np.ndarray,
     def canonical(found: np.ndarray, labs: np.ndarray
                   ) -> Tuple[np.ndarray, ...]:
         """(keys, pair labels, labels, rows, alone) of labelled rows: the
-        key of each row's mirror pair, the smaller of its two, the label
-        of the row that key packs, the row's own label, the row in the
-        small integer type, and whether the row is its own mirror, whose
-        label then joins its twin."""
+        key of each row's mirror pair, the smaller of its two, offset by
+        its group's, the label of the row that key packs, the row's own
+        label, the row in int32 (in-cap coordinates lie below 2^31, see
+        _row_packer), and whether the row is its own mirror, whose label
+        then joins its twin."""
         raw, mirrored = pack(found), pack(found, (perm, sign))
-        keys = np.minimum(raw, mirrored)
-        if offset is not None:
-            keys += offset[labs]
+        keys = np.minimum(raw, mirrored) + offset[labs]
         return (keys, np.where(mirrored < raw, twin[labs], labs), labs,
-                found.astype(small), mirrored == raw)
+                found.astype(np.int32), mirrored == raw)
 
     def images(block: np.ndarray, labs: np.ndarray, back: np.ndarray
                ) -> Tuple[np.ndarray, ...]:
@@ -515,8 +530,6 @@ def capped_bfs(what: str, seeds: np.ndarray,
             over = np.bincount(parent, weights=counts,
                                minlength=2 * S) > limit
             if over.any():
-                if raising:
-                    raise budget_error(what)
                 # a failed group's rows leave the level: it stops here
                 failed[node_group[over]] = True
                 live = ~failed[node_group[pairs]]
@@ -524,7 +537,10 @@ def capped_bfs(what: str, seeds: np.ndarray,
                     x[live] for x in (keys, pairs, labs, rows, alone, back))
         prev, curr, held = curr, keys, pairs
         if not len(curr):
-            return Orbit(parent[:S], int(counts[parent < S].sum()), failed)
+            plain = parent < S  # the plain search's nodes
+            return Orbit(parent[:S], np.bincount(
+                node_group[plain], weights=counts[plain],
+                minlength=G).astype(np.int64), failed)
         keys, pairs, labs, rows, alone, back = (
             np.concatenate(part) for part in zip(*(
                 images(*(x[lo:lo + _BFS_BLOCK] for x in (rows, labs, back)))

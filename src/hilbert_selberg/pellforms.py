@@ -35,7 +35,7 @@ from .lfun import AnalyticClassNumber, analytic_class_number
 from .modgroup import (GroupElem, conjugation_orbit, _embed_signs,
                        _MU_A, _MU_B)
 from .orbits import (GeneratorTables, Orbit, budget_error, capped_bfs,
-                     generator_tables, max_groups, unique_rows, _box_rows,
+                     generator_tables, unique_rows, _box_rows,
                      _factor_pairs, _row_packer)
 from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
                         _coord_mul, _embed_consts, _omega_trace_norm)
@@ -206,7 +206,9 @@ def form_orbit(seeds, D: int, cap1, cap2,
                groups: Optional[np.ndarray] = None) -> Orbit:
     """Height-capped BFS orbits under the generator action from one form
     key or an (S, 6) array of them, all inside the caps; with `groups`,
-    one group per seed and one cap pair per group (see
+    one group per seed and one cap pair per group, or none for group 0.
+    A group with a component past orbits.MAX_STATES is marked in
+    Orbit.failed, from which the caller raises orbits.budget_error (see
     orbits.capped_bfs)."""
     seeds = np.asarray(seeds, dtype=np.int64).reshape(-1, 6)
     return capped_bfs("form", seeds, functools.partial(_form_tables, D),
@@ -318,38 +320,14 @@ def _stabilizer_rows(forms: Sequence[FormOverOK], pell: PellSolution
                        for w in _embed_consts(pell.d.D))
 
 
-def _stabilizer_classes(
-        stabilizers: List[Tuple[np.ndarray, Tuple[float, float]]], D: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The conjugacy classes each group's rows fall in at its caps, and
-    whether its search failed: one conjugation search per run of groups
-    that one search keys exactly (orbits.max_groups)."""
-    rows = [r for r, _ in stabilizers]
-    caps = [c for _, c in stabilizers]
-    classes = np.zeros(len(rows), dtype=int)
-    failed = np.zeros(len(rows), dtype=bool)
-    lo = 0
-    while lo < len(rows):
-        hi = lo + 1
-        while hi < len(rows) and hi + 1 - lo <= min(
-                max_groups(D, *cap) for cap in caps[lo:hi + 1]):
-            hi += 1
-        groups = np.repeat(np.arange(hi - lo), [len(r) for r in rows[lo:hi]])
-        orbit, _ = conjugation_orbit(np.concatenate(rows[lo:hi]), D,
-                                     *np.array(caps[lo:hi]).T, groups)
-        classes[lo:hi] = np.bincount(groups[orbit.reps], minlength=hi - lo)
-        failed[lo:hi] = orbit.failed
-        lo = hi
-    return classes, failed
-
-
 def _count_batch(batch: List[_Scanned], D: int,
                  height: float) -> List[DiscriminantRecord]:
     """The records of a batch, one form search for all of it and one
     conjugation search of their stabilizers, each discriminant a group;
     raises the failure of the first discriminant that fails, as
-    class_number would.  The conjugation search leaves out the first
-    discriminant that fails before it, and every one after it."""
+    class_number would.  One walk stops at the first discriminant that
+    fails up to its stabilizers' key guard, and the conjugation verdicts
+    of those before it are read before that failure is raised."""
     if not batch:
         return []
     seeds = np.concatenate([c.forms for c in batch]).reshape(-1, 6)
@@ -362,49 +340,53 @@ def _count_batch(batch: List[_Scanned], D: int,
     reps = orbit.reps
     edges = np.searchsorted(reps, np.cumsum([0] + [len(c.forms)
                                                    for c in batch]))
-    found, stabilizers, guard = [], [], None
+    found, stabilizers, error = [], [], None
     for g, c in enumerate(batch):
-        if orbit.failed[g] or c.error is not None:
-            break
         r = reps[edges[g]:edges[g + 1]]
         forms = unique_rows(np.concatenate([seeds[r], -seeds[greatest[r]]]))
-        found.append(tuple(FormOverOK.from_key(k, D) for k in forms.tolist()))
-        if len(forms) != c.analytic.count:
-            break
-        try:
-            rows, caps = _stabilizer_rows(found[g], c.pell)
-            _row_packer("conjugation", D, *caps)
-        except HilbertSelbergError as exc:
-            guard = exc
-            break
-        stabilizers.append((rows, caps))
-    classes, conj_failed = _stabilizer_classes(stabilizers, D)
-    records = []
-    for g, c in enumerate(batch):
+        h = c.analytic
         if orbit.failed[g]:
-            raise budget_error("form")
-        if c.error is not None:
-            raise c.error
-        forms, h = found[g], c.analytic
-        if len(forms) != h.count:
-            raise InvariantViolation(
+            error = budget_error("form")
+        elif c.error is not None:
+            error = c.error
+        elif len(forms) != h.count:
+            error = InvariantViolation(
                 f"ambiguous class count for d={c.dc}: form orbits give "
                 f"{len(forms)}, the class number formula gives {h.count} "
-                f"within {h.error:.2g}; "
-                f"height={height}, form caps ({c.caps[0]:.6g}, "
-                f"{c.caps[1]:.6g})")
-        if g == len(stabilizers):
-            raise guard
-        if conj_failed[g]:
-            raise budget_error("conjugation")
-        if classes[g] != h.count:
-            raise InvariantViolation(
-                f"conjugate stabilizers for d={c.dc}: the {h.count} form "
-                f"classes' stabilizer generators fall in {classes[g]} "
-                f"conjugacy classes within caps "
-                f"({stabilizers[g][1][0]:.6g}, {stabilizers[g][1][1]:.6g})")
-        records.append(DiscriminantRecord(
-            d=c.dc, pell=c.pell, class_number=h.count, forms=forms))
+                f"within {h.error:.2g}; height={height}, form caps "
+                f"({c.caps[0]:.6g}, {c.caps[1]:.6g})")
+        else:
+            found.append(tuple(FormOverOK.from_key(k, D)
+                               for k in forms.tolist()))
+            try:
+                rows, caps = _stabilizer_rows(found[g], c.pell)
+                _row_packer("conjugation", D, *caps)
+                stabilizers.append((rows, caps))
+            except HilbertSelbergError as exc:
+                error = exc
+        if error is not None:
+            break
+    records = []
+    if stabilizers:
+        rows, caps = zip(*stabilizers)
+        groups = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+        conj, _ = conjugation_orbit(np.concatenate(rows), D,
+                                    *np.array(caps).T, groups)
+        classes = np.bincount(groups[conj.reps], minlength=len(rows))
+        for g, (c, cap) in enumerate(zip(batch, caps)):
+            if conj.failed[g]:
+                raise budget_error("conjugation")
+            if classes[g] != c.analytic.count:
+                raise InvariantViolation(
+                    f"conjugate stabilizers for d={c.dc}: the "
+                    f"{c.analytic.count} form classes' stabilizer generators "
+                    f"fall in {classes[g]} conjugacy classes within caps "
+                    f"({cap[0]:.6g}, {cap[1]:.6g})")
+            records.append(DiscriminantRecord(
+                d=c.dc, pell=c.pell, class_number=c.analytic.count,
+                forms=found[g]))
+    if error is not None:
+        raise error
     return records
 
 
@@ -433,16 +415,15 @@ def class_numbers(ds: Sequence[QuadInt], F: FieldCtx, height: float,
 
     A batch is a run of consecutive discriminants, each scanned just
     before it joins; it closes before its form seeds would pass
-    _BATCH_SEEDS, or its groups the most one search keys exactly
-    (orbits.max_groups), and a discriminant with more seeds than that is
-    a batch of its own.  Each batch is one form search with a group per
+    _BATCH_SEEDS, and a discriminant with more seeds than that is a
+    batch of its own.  Each batch is one form search with a group per
     discriminant, which keeps the levels, components, state count and
-    budget verdict of a search of its own, so every record is
-    class_number's.  The stabilizers of a batch's discriminants, up to
-    the first that fails before that search, are one conjugation search
-    with a group each, split where one search would not key them
-    exactly.  The first discriminant that fails raises its own failure,
-    and none after it starts a search.
+    budget verdict (Orbit.failed) of a search of its own, so every
+    record is class_number's.  The stabilizers of a batch's
+    discriminants, up to the first that fails before that search, are
+    one conjugation search with a group each.  The first discriminant
+    that fails raises its own failure, and none after it starts a
+    search.
 
     The search covers one definiteness half of the forms and doubles its
     count.  That is exact:
@@ -471,11 +452,8 @@ def class_numbers(ds: Sequence[QuadInt], F: FieldCtx, height: float,
         except HilbertSelbergError:
             _count_batch(batch, F.D, height)  # an earlier failure wins
             raise
-        if batch and (
-                sum(len(c.forms) for c in batch) + len(scanned.forms)
-                > _BATCH_SEEDS
-                or len(batch) >= min(max_groups(F.D, *c.caps)
-                                     for c in batch + [scanned])):
+        if batch and (sum(len(c.forms) for c in batch) + len(scanned.forms)
+                      > _BATCH_SEEDS):
             records += _count_batch(batch, F.D, height)
             batch = []
         batch.append(scanned)

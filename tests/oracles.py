@@ -327,15 +327,19 @@ def matrix_class_count_ref(pell, F, height=8.0):
     modgroup.conjugation_orbit with caps max(3 h_j, 1.5 m_j), h_j the
     form boxes and m_j the entry boxes.  The search covers the half with
     C_2 > 0; g -> [[A, -B], [-C, E]] maps its capped graph onto the other
-    half's, so the count is twice its classes; past orbits.MAX_STATES
-    the search raises BudgetExceededError."""
+    half's, so the count is twice its classes; past orbits.MAX_STATES,
+    which the search marks in Orbit.failed[0], it raises
+    BudgetExceededError."""
     from hilbert_selberg.modgroup import conjugation_orbit
+    from hilbert_selberg.orbits import budget_error
     from hilbert_selberg.pellforms import _form_boxes
     m1, m2 = matrix_boxes_ref(pell, height)
     h1, h2 = _form_boxes(pell.d, height)
-    _, classes = conjugation_orbit(
+    orbit, classes = conjugation_orbit(
         matrix_keys_ref(pell, F, m1, m2), F.D,
         max(3.0 * h1, 1.5 * m1), max(3.0 * h2, 1.5 * m2))
+    if orbit.failed[0]:
+        raise budget_error("conjugation")
     return 2 * len(classes)
 
 

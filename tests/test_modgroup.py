@@ -151,10 +151,16 @@ def _is_the_orbit(orbit_of, members, neighbors, D, cap):
 
 def _budgeted(ms, search, *args):
     """search(*args) with orbits.MAX_STATES, the state budget of every
-    search, monkeypatched to ms."""
+    search, monkeypatched to ms; a search of one group that failed
+    raises its budget error, as its callers do from Orbit.failed[0]."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(orbits, "MAX_STATES", ms)
-        return search(*args)
+        out = search(*args)
+        orbit = out[0] if isinstance(out, tuple) else out
+        if orbit.failed.tolist() == [True]:
+            what = "conjugation" if np.shape(args[0])[-1] == 8 else "form"
+            raise orbits.budget_error(what)
+    return out
 
 
 def _orbit_case(kind):
@@ -547,6 +553,25 @@ def test_groups_search_as_their_own_searches(kind, monkeypatch):
         with pytest.raises(ValidationError, match="trace 0"):
             search(rows, [10.0, 10.0], [10.0, 10.0],
                    np.arange(len(rows)) % 2)
+
+
+def test_trace_zero_seeds_search_as_one_group():
+    # at trace 0, g and -g share the smaller of two keys, which no group
+    # offset keeps apart from another group's: the census's order-2
+    # candidates search as one group, but not split into two groups, nor
+    # as a group beside one of another trace
+    D, cap = 5, 10.0
+    rows = _elliptic_candidates(make_field(D), 4.0)[2]
+    other = _elliptic_candidates(make_field(D), 4.0)[3]
+    orbit, _ = conjugation_orbit(rows, D, cap, cap)
+    assert orbit.failed.tolist() == [False] and len(orbit.reps) > 1
+    for seeds, groups in ((rows, np.arange(len(rows)) % 2),
+                          (np.concatenate([other, rows]),
+                           np.repeat([0, 1], [len(other), len(rows)]))):
+        with pytest.raises(ValidationError) as exc:
+            conjugation_orbit(seeds, D, [cap, cap], [cap, cap], groups)
+        assert str(exc.value) == ("conjugation seeds of trace 0 must search "
+                                  "as one group")
 
 
 def test_mirror_must_be_a_symmetry_of_the_generators():
@@ -967,6 +992,25 @@ class TestCensus:
         assert str(exc.value) == (
             "census incomplete for D=5: orders (2, 3, 5), expected "
             "(2, 2, 3, 3, 5, 5); raise CENSUS_HEIGHT > 1.0")
+
+    def test_census_budget_exits_2_at_the_command(self, capsys,
+                                                   monkeypatch):
+        # the census reads its search's verdict from Orbit.failed[0] and
+        # raises the budget error itself: the largest D = 5 census
+        # component has 1121 states, so `field` exits 0 at that budget
+        # and 2 one state below it; a fresh field each time, so no
+        # census computed earlier is read
+        from hilbert_selberg.cli import main
+        monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+        for ms, code in ((1121, 0), (1120, 2)):
+            monkeypatch.setattr(quadfield, "_FIELD_MEMO", {})
+            monkeypatch.setattr(orbits, "MAX_STATES", ms)
+            assert main(["field", "--D", "5"]) == code
+            out = capsys.readouterr()
+            if code:
+                assert out.out == ""
+                assert out.err == ("budget exceeded: conjugation orbit "
+                                   "exceeded 1120 states\n")
 
     def test_census_extra_classes_is_an_invariant_violation(
             self, monkeypatch):

@@ -317,6 +317,58 @@ def test_batches_keep_every_record_and_verdict(D, monkeypatch):
                 assert run(len(ds), batch_seeds, ms) == alone[j]
 
 
+def test_key_space_runs_keep_the_window(monkeypatch):
+    # groups that one packed-key space cannot hold search as consecutive
+    # runs that it can: at a capacity of 1, 2 and 3 groups the D = 5,
+    # x = 12 window, or its budget error, and each form and conjugation
+    # search's roots, per-group state counts and verdicts, are those of
+    # one run per search, and a search of G groups makes
+    # ceil(G / capacity) runs; at the default budget and at one that a
+    # later candidate's form search passes
+    F = make_field(5)
+    searches, runs = [], []
+    search = orbits._search
+    monkeypatch.setattr(orbits, "_search", lambda *args: (
+        runs.append(len(args[3])) or search(*args)))
+    for name in ("form_orbit", "conjugation_orbit"):
+        def recorded(*args, _search=getattr(pellforms, name), _name=name):
+            out = _search(*args)
+            orbit = out[0] if isinstance(out, tuple) else out
+            searches.append((_name, orbit.roots.tolist(),
+                             orbit.states.tolist(), orbit.failed.tolist()))
+            return out
+        monkeypatch.setattr(pellforms, name, recorded)
+
+    def window(ms, capacity=None):
+        """(classes or error, searches, runs) of the window at the state
+        budget ms and that capacity."""
+        searches.clear()
+        runs.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(orbits, "MAX_STATES", ms)
+            if capacity is not None:
+                patch.setattr(orbits, "max_groups", lambda *args: capacity)
+            try:
+                out = list(enumerate_geodesics(F, 12.0))
+            except BudgetExceededError as exc:
+                out = str(exc)
+        return out, list(searches), list(runs)
+
+    for ms in (400000, 2000):
+        classes, want, one = window(ms)
+        sizes = [len(failed) for _, _, _, failed in want]
+        assert one == sizes and max(sizes) > 3
+        assert {name for name, *_ in want} == {"form_orbit",
+                                               "conjugation_orbit"}
+        assert isinstance(classes, str) == (ms != 400000)
+        assert any(True in failed for *_, failed in want) == (ms != 400000)
+        for capacity in (1, 2, 3):
+            got, searched, split = window(ms, capacity)
+            assert got == classes and searched == want, (ms, capacity)
+            assert split == [min(capacity, G - lo) for G in sizes
+                             for lo in range(0, G, capacity)], capacity
+
+
 def _refusing(scan, d):
     """pellforms' `scan`, enumerate_forms or analytic_class_number,
     raising for the discriminant d, with every discriminant it is called
