@@ -6,8 +6,8 @@ embeddings are eps + 1/eps and 2*cos(w0), so everything with eps <= x
 lives over a finite trace box.  Each trace t feeds the discriminant
 pipeline through t^2 - d*u^2 = 4: square divisors u^2 are peeled off
 t^2 - 4 and every mixed-sign quotient is a candidate discriminant.
-The Pell step recovers the true fundamental solution, which may be
-smaller than the (t, u) pair that produced the candidate.
+The least trace giving a candidate is its fundamental Pell solution,
+so no Pell search runs (see enumerate_geodesics).
 
 The class and window types it returns, and the count reports read off
 a window, live in `records`.
@@ -16,9 +16,12 @@ a window, live in `records`.
 import math
 from typing import Dict, List, Tuple
 
-from .errors import HilbertSelbergError
-from .pellforms import class_numbers, in_Dpm, pell_fundamental
-from .quadfield import FieldCtx, QuadInt, canonical_disc, lattice_points
+from .pellforms import class_numbers, in_Dpm
+# no enumeration calls it: bench/tests/test_bench.py's
+# test_wrappers_leave_enumeration_unchanged_and_counts_repeat reads it here
+from .pellforms import pell_fundamental  # noqa: F401
+from .quadfield import (FieldCtx, QuadInt, canonical_disc, exact_sqrt,
+                        lattice_points)
 from .records import (GeodesicClass, GeodesicWindow, PellSolution,
                       _eps_limit)
 
@@ -29,21 +32,17 @@ def square_divisor_quotients(P: QuadInt, F: FieldCtx) -> List[QuadInt]:
     """Quotients P / u^2 over square divisors u^2 of P, one u per
     associate window (unit-square twins collapse downstream under
     discriminant canonicalization).  P itself is always included."""
-    D = F.D
     out = [P]
     N = abs(P.norm())
-    eps1 = math.exp(F.regulator)
-    k = 2
-    while k * k <= N:
+    for k in range(2, math.isqrt(N) + 1):
         if N % (k * k) == 0:
             root = math.sqrt(k)
-            for u in lattice_points(D, root * eps1 + 0.5, root + 0.5):
+            for u in lattice_points(F.D, root * F.eps1 + 0.5, root + 0.5):
                 if u.is_zero() or abs(u.norm()) != k:
                     continue
                 uu = u * u
                 if uu.divides(P):
                     out.append(P.exact_div(uu))
-        k += 1
     return out
 
 
@@ -52,44 +51,39 @@ def enumerate_geodesics(F: FieldCtx, x: float,
     """All classes with eps_K(d) <= x, as a window covering the largest
     listed norm, with bound x.
 
-    The traces scanned are those with first embedding in (2, x + 1/x]
-    and second in (-2, 2), the traces eps + 1/eps of every class with
-    eps <= x; candidates whose fundamental solution lands outside
-    eps <= x are filtered after the Pell step.  That step searches up to
-    eps = x, which holds every candidate's fundamental solution, so a
-    Pell budget error raises instead of dropping a class.  The class
-    numbers are counted in batches by class_numbers; a Pell error ends
-    the candidates there, and raises unless a count before it fails.
+    The trace box holds the traces with first embedding in (2, x + 1/x]
+    and second in (-2, 2), those eps + 1/eps of every class with
+    eps <= x.  Each canonical candidate d keeps its trace t0 of least
+    first embedding, and u0 = exact_sqrt((t0^2 - 4)/d).  That is d's
+    fundamental Pell solution: each (t, u) with t^2 - d u^2 = 4 and
+    t_1 > 2 is a Pell trace of d, t = eps_d^n + eps_d^-n with n >= 1, so
+    eps(t) >= eps_d; every Pell trace has t_2^2 = 4 + d_2 u_2^2 < 4, so
+    the fundamental one is in the box when any other is, and when
+    eps_d <= x; and square_divisor_quotients(t0^2 - 4) yields d up to a
+    unit square, since its window for k = |N(u0)| holds an associate of
+    every u with |N(u)| = k.  The candidates are cut by
+    eps_d <= _eps_limit(x) and counted in batches by class_numbers.
     """
     limit = _eps_limit(x)
-    D = F.D
-    four = QuadInt(D, 4, 0)
-    cands: Dict[Tuple[int, int], QuadInt] = {}
-    for t in lattice_points(D, x + 1.0 / x, 2.0):
-        if t.embed(1) <= 2.0 or abs(t.embed(2)) >= 2.0:
-            continue
-        P = t * t - four
-        for d in square_divisor_quotients(P, F):
-            if not in_Dpm(d):
-                continue
-            dc = canonical_disc(d, F)
-            cands.setdefault((dc.a, dc.b), dc)
+    box = [t for t in lattice_points(F.D, x + 1.0 / x, 2.0)
+           if t.embed(1) > 2.0 and abs(t.embed(2)) < 2.0]
+    least: Dict[Tuple[int, int], Tuple[QuadInt, QuadInt]] = {}
+    for t in sorted(box, key=lambda t: t.embed(1)):
+        for d in square_divisor_quotients(t * t - 4, F):
+            if in_Dpm(d):
+                dc = canonical_disc(d, F)
+                least.setdefault((dc.a, dc.b), (dc, t))
     ds: List[QuadInt] = []
     pells: List[PellSolution] = []
-    try:
-        for key in sorted(cands):
-            dc = cands[key]
-            # the trace that gave dc solves its Pell equation with eps <= x,
-            # up to the trace box's 1e-9 slack, and the Pell box at cap x
-            # holds every solution with eps - 1/eps <= 2x
-            pell = pell_fundamental(dc, F, eps_cap=limit)
-            # that slack can admit an eps(t) just past x
-            if pell.eps_d <= limit:
-                ds.append(dc)
-                pells.append(pell)
-    except HilbertSelbergError:
-        class_numbers(ds, F, height, pells)  # an earlier failure wins
-        raise
+    for key in sorted(least):
+        dc, t0 = least[key]
+        pell = PellSolution(d=dc, t0=t0,
+                            u0=exact_sqrt((t0 * t0 - 4).exact_div(dc)))
+        pell.verify()
+        # the trace box's 1e-9 slack can admit an eps_d just past x
+        if pell.eps_d <= limit:
+            ds.append(dc)
+            pells.append(pell)
     classes = [GeodesicClass(d=rec.d, norm=rec.pell.eps_d ** 2,
                              angle=math.acos(rec.pell.t0.embed(2) / 2.0),
                              multiplicity=rec.class_number, record=rec)

@@ -37,8 +37,9 @@ from .modgroup import (GroupElem, conjugation_orbit, _embed_signs,
 from .orbits import (GeneratorTables, Orbit, budget_error, capped_bfs,
                      generator_tables, unique_rows, _box_rows,
                      _factor_pairs, _row_packer)
-from .quadfield import (FieldCtx, QuadInt, canonical_disc, lattice_points,
-                        _coord_mul, _embed_consts, _omega_trace_norm)
+from .quadfield import (FieldCtx, QuadInt, canonical_disc, exact_sqrt,
+                        lattice_points, _coord_mul, _embed_consts,
+                        _omega_trace_norm)
 from .records import DiscriminantRecord, FormOverOK, PellSolution
 
 __all__ = [
@@ -118,47 +119,36 @@ def in_Dpm(d: QuadInt) -> bool:
 # ---------------------------------------------------------- Pell solver
 
 
-def pell_fundamental(d: QuadInt, F: FieldCtx,
-                     eps_cap: float = 200.0) -> PellSolution:
+# the largest eps_d that pell_fundamental searches
+_PELL_EPS_CAP = 200.0
+
+
+def pell_fundamental(d: QuadInt, F: FieldCtx) -> PellSolution:
     """Minimal solution of t^2 - d u^2 = 4 with (t + u sqrt d)/2 > 1.
 
     The second embedding forces t'^2 + |d'| u'^2 = 4, so |u'| lives in
-    a fixed tiny interval; the first is bounded through the eps cap.
+    a fixed tiny interval; the first is bounded through _PELL_EPS_CAP,
+    and a d whose eps_d lies past it raises BudgetExceededError.
     """
     if not in_Dpm(d):
         raise ValidationError(f"{d} is not a mixed-sign discriminant")
-    D = d.D
     d1, d2 = d.embed(1), d.embed(2)
-    cap1 = 2.0 * eps_cap / math.sqrt(d1)
+    cap1 = 2.0 * _PELL_EPS_CAP / math.sqrt(d1)
     cap2 = 2.0 / math.sqrt(-d2) + 1e-9
-    four = QuadInt(D, 4, 0)
-    sq = math.sqrt(D)
-    w1, _ = _embed_consts(D)
     best: Optional[Tuple[float, QuadInt, QuadInt]] = None
-    for u in lattice_points(D, cap1, cap2):
+    for u in lattice_points(d.D, cap1, cap2):
         if u.is_zero() or u.embed(1) <= 0:
             continue
-        rhs = d * (u * u) + four
-        e1, e2 = rhs.embed(1), rhs.embed(2)
-        if e1 < 0 or e2 < 0:
+        try:
+            t0 = exact_sqrt(d * (u * u) + 4)
+        except ValidationError:
             continue
-        r1 = math.sqrt(e1)
-        r2 = math.sqrt(e2)
-        for s2 in (r2, -r2):
-            bf = (r1 - s2) / sq
-            af = r1 - bf * w1
-            cand = QuadInt(D, round(af), round(bf))
-            if cand * cand != rhs:
-                continue
-            t0 = cand if cand.sign_embed(1) > 0 else -cand
-            eps = (t0.embed(1) + u.embed(1) * math.sqrt(d1)) / 2.0
-            if eps <= 1.0 + 1e-12:
-                continue
-            if best is None or eps < best[0] - 1e-12:
-                best = (eps, t0, u)
+        eps = (t0.embed(1) + u.embed(1) * math.sqrt(d1)) / 2.0
+        if best is None or eps < best[0] - 1e-12:
+            best = (eps, t0, u)
     if best is None:
         raise BudgetExceededError(
-            f"no pell solution for {d} within eps <= {eps_cap}")
+            f"no pell solution for {d} within eps <= {_PELL_EPS_CAP}")
     sol = PellSolution(d=d, t0=best[1], u0=best[2])
     sol.verify()
     return sol

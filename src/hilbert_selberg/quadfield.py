@@ -525,6 +525,22 @@ def lattice_points(D: int, bound1: float, bound2: float) -> Iterator[QuadInt]:
             yield QuadInt(D, a, b)
 
 
+def exact_sqrt(y: QuadInt) -> QuadInt:
+    """The square root of y in O_K with positive first embedding: each
+    embedding's root, with both signs of the second, rounded to
+    coordinates and checked exactly (the rounding may land on the
+    negated root).  ValidationError unless y is a nonzero square."""
+    if y.sign_embed(1) > 0 and y.sign_embed(2) > 0:
+        w1, w2 = _embed_consts(y.D)
+        r1, r2 = math.sqrt(y.embed(1)), math.sqrt(y.embed(2))
+        for s2 in (r2, -r2):
+            b = (r1 - s2) / (w1 - w2)
+            root = QuadInt(y.D, round(r1 - b * w1), round(b))
+            if root * root == y:
+                return root if root.sign_embed(1) > 0 else -root
+    raise ValidationError(f"{y} is not a square in O_K")
+
+
 def canonical_disc(d: QuadInt, F: FieldCtx) -> QuadInt:
     """Representative of d modulo squares of units with embed(.,1) in [1, eps^2).
 

@@ -260,12 +260,12 @@ class GeodesicWindow(Sequence[GeodesicClass]):
         one, which was enumerated at the same height; its bound is x.
 
         Exact: the trace box of x lies inside that of any larger bound,
-        so its candidates are among the larger bound's, a class number
-        does not depend on the bound, and a larger Pell cap only skips
-        fewer candidates.  Classes are cut by enumerate_geodesics' own test
-        and coverage is again the largest listed norm.  ValidationError
-        when x exceeds the bound or no bound is recorded: the cut would
-        miss the classes beyond it.
+        so its candidates are among the larger bound's, and neither a
+        candidate's Pell solution, its least trace in the box, nor its
+        class number depends on the bound.  Classes are cut by
+        enumerate_geodesics' own test and coverage is again the largest
+        listed norm.  ValidationError when x exceeds the bound or no
+        bound is recorded: the cut would miss the classes beyond it.
         """
         limit = _eps_limit(x)
         if self.bound is None or x > self.bound:

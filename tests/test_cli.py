@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import hilbert_selberg
-from hilbert_selberg import cli, geodesics, modgroup, quadfield
+from hilbert_selberg import cli, geodesics, modgroup, pellforms, quadfield
 from hilbert_selberg.cache import get_or_compute
 from hilbert_selberg.cli import RunConfig, _classes, main
 from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
@@ -312,6 +312,23 @@ def test_search_failure_exit_codes(error, code, prefix, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{prefix}window not enumerated\n"
+
+
+def test_caps_refusal_runs_no_pell_search(capsys, monkeypatch):
+    # the D = 5 window to x = 200 reaches the form caps refusal with no
+    # Pell search in the way: every candidate's solution is read off the
+    # trace box
+    def no_search(*args, **kwargs):
+        raise AssertionError("pell_fundamental called")
+
+    monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    monkeypatch.setattr(pellforms, "pell_fundamental", no_search)
+    monkeypatch.setattr(geodesics, "pell_fundamental", no_search)
+    assert main(["geodesics", "--D", "5", "--x", "200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("budget exceeded: form orbit caps (24, 1115.92) "
+                            "too large for exact packed keys\n")
 
 
 @pytest.mark.parametrize("argv,config", [

@@ -5,11 +5,12 @@ import math
 import pytest
 
 from hilbert_selberg import geodesics, modgroup, orbits, pellforms
-from hilbert_selberg.errors import BudgetExceededError, ValidationError
+from hilbert_selberg.errors import ValidationError
 from hilbert_selberg.geodesics import (enumerate_geodesics,
                                        square_divisor_quotients)
-from hilbert_selberg.pellforms import content_norm, form_to_matrix
-from hilbert_selberg.quadfield import QuadInt, make_field
+from hilbert_selberg.pellforms import (content_norm, form_to_matrix,
+                                       pell_fundamental)
+from hilbert_selberg.quadfield import CLASS_NUMBER_ONE, QuadInt, make_field
 from hilbert_selberg.records import GeodesicWindow, count_reports
 from hilbert_selberg.specfun import li
 
@@ -129,15 +130,48 @@ def test_x12_work_counts(monkeypatch):
         assert start == len(want)
 
 
-def test_a_pell_budget_error_raises(monkeypatch):
-    # the Pell search reaches eps = x, which holds the fundamental
-    # solution of every candidate: a budget error there drops no class
-    def out_of_budget(*args, **kwargs):
-        raise BudgetExceededError("no pell solution")
+class _Captured(Exception):
+    """Raised by a patched class_numbers with the (ds, pells) it got."""
 
-    monkeypatch.setattr(geodesics, "pell_fundamental", out_of_budget)
-    with pytest.raises(BudgetExceededError, match="no pell solution"):
-        enumerate_geodesics(make_field(5), 10.0)
+
+def _candidates(D, x):
+    """(F, ds, pells) that enumerate_geodesics(make_field(D), x) passes
+    to class_numbers, captured before any class count runs."""
+    F = make_field(D)
+
+    def capture(ds, F, height, pells):
+        raise _Captured(list(ds), list(pells))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geodesics, "class_numbers", capture)
+        with pytest.raises(_Captured) as caught:
+            enumerate_geodesics(F, x)
+    return F, *caught.value.args
+
+
+@pytest.mark.parametrize("D,x", [(5, 20.0), (8, 20.0), (12, 20.0),
+                                 (13, 12.0), (5, 40.0), (8, 40.0)]
+                         + [(D, 8.0) for D in sorted(CLASS_NUMBER_ONE)])
+def test_least_trace_is_the_pell_solution(D, x):
+    # each candidate's least trace in the box, with the root of
+    # (t0^2 - 4)/d, is the solution the Pell search finds
+    F, ds, pells = _candidates(D, x)
+    assert [pell.d for pell in pells] == ds
+    for pell in pells:
+        want = pell_fundamental(pell.d, F)
+        assert (pell.t0, pell.u0) == (want.t0, want.u0), pell.d
+
+
+def test_the_window_runs_no_pell_search(d5_x10, monkeypatch):
+    # the trace box holds every candidate's Pell solution, so no path of
+    # the enumeration searches for one
+    def no_search(*args, **kwargs):
+        raise AssertionError("pell_fundamental called")
+
+    monkeypatch.setattr(pellforms, "pell_fundamental", no_search)
+    monkeypatch.setattr(geodesics, "pell_fundamental", no_search)
+    F, cls = d5_x10
+    assert enumerate_geodesics(F, 10.0) == cls
 
 
 def test_form_matrix_round_trip(d5_x10):

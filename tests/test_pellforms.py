@@ -131,10 +131,11 @@ def test_pell_minimality_brute_force():
     assert best == pytest.approx(sol.eps_d, rel=1e-9)
 
 
-def test_pell_budget_error():
+def test_pell_budget_error(monkeypatch):
     F = make_field(5)
-    with pytest.raises(BudgetExceededError):
-        pell_fundamental(QuadInt(5, -135, 85), F, eps_cap=2.0)
+    monkeypatch.setattr(pellforms, "_PELL_EPS_CAP", 2.0)
+    with pytest.raises(BudgetExceededError, match=r"within eps <= 2\.0"):
+        pell_fundamental(QuadInt(5, -135, 85), F)
 
 
 def test_class_number_sweep_frozen(sweep5):
@@ -152,8 +153,7 @@ def test_class_number_reuses_given_pell(sweep5):
     F, recs = sweep5
     (ka, rec_a), (kb, rec_b) = list(recs.items())[:2]
     d = QuadInt(5, *ka)
-    again, = class_numbers([d], F, 8.0,
-                           [pell_fundamental(d, F, eps_cap=30.0)])
+    again, = class_numbers([d], F, 8.0, [pell_fundamental(d, F)])
     assert again == rec_a
     with pytest.raises(ValidationError, match="Pell solution for"):
         class_numbers([d], F, 8.0, [rec_b.pell])

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hilbert_selberg.errors import ValidationError
 from hilbert_selberg.quadfield import (
-    CLASS_NUMBER_ONE, QuadInt, canonical_disc, chi_D,
+    CLASS_NUMBER_ONE, QuadInt, canonical_disc, chi_D, exact_sqrt,
     format_quadint, fundamental_unit, is_fundamental_discriminant,
     kronecker, lattice_points, make_field, parse_quadint, sigma1,
     zeta_minus_one, bernoulli_L_minus_one, _omega_trace_norm,
@@ -222,6 +222,42 @@ class TestCanonicalization:
             assert abs(p.embed(1)) <= 3.0 + 1e-9
             assert abs(p.embed(2)) <= 3.0 + 1e-9
         assert QuadInt(5, 1, 1) in pts
+
+
+class TestExactSqrt:
+    @pytest.mark.parametrize("D", [5, 8, 12, 13, 17, 33, 57, 76])
+    def test_squares_round_trip(self, D):
+        for a in range(-12, 13):
+            for b in range(-12, 13):
+                r = QuadInt(D, a, b)
+                if r.is_zero():
+                    continue
+                root = exact_sqrt(r * r)
+                assert root == (r if r.sign_embed(1) > 0 else -r)
+                assert root.sign_embed(1) > 0
+
+    @pytest.mark.parametrize("D", [5, 8, 12, 13, 17, 33, 57, 76])
+    def test_refuses_non_squares_and_non_positive(self, D):
+        # a square's norm is a square; sqrt(D) has mixed signs
+        t, _ = _omega_trace_norm(D)
+        eps = fundamental_unit(D)
+        ys = [QuadInt(D, a, b) * QuadInt(D, a, b) + k
+              for a in range(-3, 4) for b in range(-3, 4) for k in (1, 2, 3)]
+        refused = [y for y in ys if math.isqrt(y.norm()) ** 2 != y.norm()]
+        assert len(refused) >= 50
+        refused += [QuadInt(D, 0, 0), QuadInt(D, -4, 0), -(eps * eps),
+                    QuadInt(D, -t, 2)]
+        for y in refused:
+            with pytest.raises(ValidationError, match="not a square"):
+                exact_sqrt(y)
+
+    def test_root_rounded_to_its_negative(self):
+        # on D = 17 the + sign of the second embedding rounds to 2 - w,
+        # the negated root; -2 + w is the Pell u0 of d = 20 + 13w, t0 = 2 + w
+        root = exact_sqrt(QuadInt(17, 8, -3))
+        assert root == QuadInt(17, -2, 1)
+        t0, d = QuadInt(17, 2, 1), QuadInt(17, 20, 13)
+        assert t0 * t0 - d * (root * root) == QuadInt(17, 4, 0)
 
 
 class TestCanonicalDiscProperties:
