@@ -2,21 +2,23 @@
 
 A discriminant here is a totally mixed-sign element d of O_K (positive
 at the first embedding, negative at the second) that is congruent to a
-square mod 4.  For each such d the forms a x^2 + b xy + c y^2 with
-b^2 - 4ac = d fall into finitely many SL(2, O_K)-orbits; the class
-number h_K(d) is computed twice, by a direct orbit partition of the
-forms and by Hecke's class number formula (`lfun`), and the two counts
-must agree.  The orbit search covers the half of the forms that is
-positive definite at the second embedding, and the other half follows
-exactly (see class_numbers).  The stabilizer generator of a form, a
-matrix of trace t0, is form_to_matrix; the stabilizers of a count's
-form representatives must fall in distinct conjugacy classes.
+square mod 4.  Its fundamental Pell solution is read off the trace box
+that geodesics scans (trace_box, pell_fundamental), and the class counts
+take Pell solutions, each carrying its canonical d.  For each such d the
+forms a x^2 + b xy + c y^2 with b^2 - 4ac = d fall into finitely many
+SL(2, O_K)-orbits; the class number h_K(d) is computed twice, by a
+direct orbit partition of the forms and by Hecke's class number formula
+(`lfun`), and the two counts must agree.  The orbit search covers the
+half of the forms that is positive definite at the second embedding, and
+the other half follows exactly (see class_numbers).  The stabilizer
+generator of a form, a matrix of trace t0, is form_to_matrix; the
+stabilizers of a count's form representatives must fall in distinct
+conjugacy classes.
 
-Primitivity is one exact test: a form (a, b, c) is
-primitive when the ideal (a, b, c) is all of O_K, that is, when its
-index in O_K, the gcd of the 2x2 minors of its Z-generators, is 1.  No
-gcd element is ever needed, so there is no division step to stall and
-no search.
+Primitivity is one exact test: a form (a, b, c) is primitive when the
+ideal (a, b, c) is all of O_K, that is, when its index in O_K, the gcd
+of the 2x2 minors of its Z-generators, is 1.  No gcd element is ever
+needed, so there is no division step to stall and no search.
 
 The records returned here, FormOverOK, PellSolution and
 DiscriminantRecord, live in `records`.
@@ -43,8 +45,8 @@ from .quadfield import (FieldCtx, QuadInt, canonical_disc, exact_sqrt,
 from .records import DiscriminantRecord, FormOverOK, PellSolution
 
 __all__ = [
-    "content_norm", "in_Dpm", "pell_fundamental", "class_number",
-    "class_numbers", "form_to_matrix", "enumerate_forms",
+    "content_norm", "in_Dpm", "trace_box", "pell_fundamental",
+    "class_number", "class_numbers", "form_to_matrix", "enumerate_forms",
 ]
 
 
@@ -120,38 +122,37 @@ def in_Dpm(d: QuadInt) -> bool:
 
 
 # the largest eps_d that pell_fundamental searches
-_PELL_EPS_CAP = 200.0
+_PELL_EPS_CAP = 400.0
+
+
+def trace_box(F: FieldCtx, eps: float) -> List[QuadInt]:
+    """The t of O_K with t_1 in (2, eps + 1/eps] and t_2 in (-2, 2), the
+    traces of the eps' <= eps, in order of t_1, that is of eps'."""
+    box = [t for t in lattice_points(F.D, eps + 1.0 / eps, 2.0)
+           if t.embed(1) > 2.0 and abs(t.embed(2)) < 2.0]
+    return sorted(box, key=lambda t: t.embed(1))
 
 
 def pell_fundamental(d: QuadInt, F: FieldCtx) -> PellSolution:
     """Minimal solution of t^2 - d u^2 = 4 with (t + u sqrt d)/2 > 1.
 
-    The second embedding forces t'^2 + |d'| u'^2 = 4, so |u'| lives in
-    a fixed tiny interval; the first is bounded through _PELL_EPS_CAP,
-    and a d whose eps_d lies past it raises BudgetExceededError.
+    t0 is the first t of trace_box(F, _PELL_EPS_CAP) with (t^2 - 4)/d a
+    square, u0 its root with positive first embedding: the least Pell
+    trace in the box is the fundamental one, as enumerate_geodesics'
+    docstring proves.  An eps_d past the cap raises BudgetExceededError.
     """
     if not in_Dpm(d):
         raise ValidationError(f"{d} is not a mixed-sign discriminant")
-    d1, d2 = d.embed(1), d.embed(2)
-    cap1 = 2.0 * _PELL_EPS_CAP / math.sqrt(d1)
-    cap2 = 2.0 / math.sqrt(-d2) + 1e-9
-    best: Optional[Tuple[float, QuadInt, QuadInt]] = None
-    for u in lattice_points(d.D, cap1, cap2):
-        if u.is_zero() or u.embed(1) <= 0:
-            continue
+    for t in trace_box(F, _PELL_EPS_CAP):
         try:
-            t0 = exact_sqrt(d * (u * u) + 4)
+            u0 = exact_sqrt((t * t - 4).exact_div(d))
         except ValidationError:
             continue
-        eps = (t0.embed(1) + u.embed(1) * math.sqrt(d1)) / 2.0
-        if best is None or eps < best[0] - 1e-12:
-            best = (eps, t0, u)
-    if best is None:
-        raise BudgetExceededError(
-            f"no pell solution for {d} within eps <= {_PELL_EPS_CAP}")
-    sol = PellSolution(d=d, t0=best[1], u0=best[2])
-    sol.verify()
-    return sol
+        sol = PellSolution(d=d, t0=t, u0=u0)
+        sol.verify()
+        return sol
+    raise BudgetExceededError(
+        f"no pell solution for {d} within eps <= {_PELL_EPS_CAP}")
 
 
 # --------------------------------------------------------- form orbits
@@ -256,11 +257,10 @@ _BATCH_SEEDS = 6144
 
 
 class _Scanned(NamedTuple):
-    """A discriminant ready to search: its canonical associate and Pell
-    solution, the form caps, the distinct form rows, and the class number
-    formula's value, None when it raised `error`."""
+    """A discriminant ready to search: its Pell solution, the form caps,
+    the distinct form rows, and the class number formula's value, None
+    when it raised `error`."""
 
-    dc: QuadInt
     pell: PellSolution
     caps: Tuple[float, float]
     forms: np.ndarray
@@ -268,32 +268,23 @@ class _Scanned(NamedTuple):
     error: Optional[HilbertSelbergError]
 
 
-def _scan(d: QuadInt, F: FieldCtx, height: float,
-          pell: Optional[PellSolution]) -> _Scanned:
-    """Check d and its Pell solution, solving it if None, scan its form
-    seeds and evaluate the class number formula.  Raises what
-    class_number raises before its form search; an error of the formula,
-    which class_number raises after the form search, is kept in the
-    result instead."""
-    if not in_Dpm(d):
-        raise ValidationError(f"{d} is not a mixed-sign discriminant")
-    dc = canonical_disc(d, F)
-    if pell is None:
-        pell = pell_fundamental(dc, F)
-    elif pell.d != dc:
-        raise ValidationError(
-            f"Pell solution for {pell.d} passed for discriminant {dc}")
-    h1, h2 = _form_boxes(dc, height)
+def _scan(pell: PellSolution, F: FieldCtx, height: float) -> _Scanned:
+    """Scan the form seeds of pell's discriminant and evaluate the class
+    number formula.  Raises what class_numbers raises before its form
+    search; an error of the formula, which it raises after the form
+    search, is kept in the result instead."""
+    d = pell.d
+    h1, h2 = _form_boxes(d, height)
     cap1, cap2 = 3.0 * h1, 3.0 * h2
     # the search's key limits and int64 guard, before the box scan: its
     # seeds lie inside the caps
     _row_packer("form", F.D, cap1, cap2)
-    forms = unique_rows(enumerate_forms(dc, F, height=height))
+    forms = unique_rows(enumerate_forms(d, F, height=height))
     try:
-        analytic, error = analytic_class_number(dc, pell, F), None
+        analytic, error = analytic_class_number(d, pell, F), None
     except HilbertSelbergError as exc:
         analytic, error = None, exc
-    return _Scanned(dc, pell, (cap1, cap2), forms, analytic, error)
+    return _Scanned(pell, (cap1, cap2), forms, analytic, error)
 
 
 def _stabilizer_rows(forms: Sequence[FormOverOK], pell: PellSolution
@@ -341,7 +332,7 @@ def _count_batch(batch: List[_Scanned], D: int,
             error = c.error
         elif len(forms) != h.count:
             error = InvariantViolation(
-                f"ambiguous class count for d={c.dc}: form orbits give "
+                f"ambiguous class count for d={c.pell.d}: form orbits give "
                 f"{len(forms)}, the class number formula gives {h.count} "
                 f"within {h.error:.2g}; height={height}, form caps "
                 f"({c.caps[0]:.6g}, {c.caps[1]:.6g})")
@@ -368,24 +359,21 @@ def _count_batch(batch: List[_Scanned], D: int,
                 raise budget_error("conjugation")
             if classes[g] != c.analytic.count:
                 raise InvariantViolation(
-                    f"conjugate stabilizers for d={c.dc}: the "
+                    f"conjugate stabilizers for d={c.pell.d}: the "
                     f"{c.analytic.count} form classes' stabilizer generators "
                     f"fall in {classes[g]} conjugacy classes within caps "
                     f"({cap[0]:.6g}, {cap[1]:.6g})")
-            records.append(DiscriminantRecord(
-                d=c.dc, pell=c.pell, class_number=c.analytic.count,
-                forms=found[g]))
+            records.append(DiscriminantRecord(pell=c.pell, forms=found[g]))
     if error is not None:
         raise error
     return records
 
 
-def class_numbers(ds: Sequence[QuadInt], F: FieldCtx, height: float,
-                  pells: Sequence[Optional[PellSolution]]
-                  ) -> List[DiscriminantRecord]:
-    """The class count of the canonical associate of each d of ds, by two
-    independent routes, in order, counted in batches.  pells holds each
-    canonical associate's Pell solution, or None to solve it here.
+def class_numbers(pells: Sequence[PellSolution], F: FieldCtx,
+                  height: float) -> List[DiscriminantRecord]:
+    """The class count of each Pell solution's discriminant, which is
+    canonical (quadfield.canonical_disc), by two independent routes, in
+    order, counted in batches.
 
     The two routes, for each discriminant: the orbit partition of
     height-bounded primitive forms, which also gives the record's
@@ -399,9 +387,9 @@ def class_numbers(ds: Sequence[QuadInt], F: FieldCtx, height: float,
     which can only find conjugacies the form search missed; no
     conjugation search counts a class.  Caps that the form search would
     refuse raise BudgetExceededError before its box is scanned.  The
-    failures come in this order: the checks of d and its Pell solution
-    and the caps, the form scan, the form search, the formula, the
-    stabilizers' key guard and conjugation search.
+    failures come in this order: the caps, the form scan, the form
+    search, the formula, the stabilizers' key guard and conjugation
+    search.
 
     A batch is a run of consecutive discriminants, each scanned just
     before it joins; it closes before its form seeds would pass
@@ -436,9 +424,9 @@ def class_numbers(ds: Sequence[QuadInt], F: FieldCtx, height: float,
     """
     records: List[DiscriminantRecord] = []
     batch: List[_Scanned] = []
-    for d, pell in zip(ds, pells):
+    for pell in pells:
         try:
-            scanned = _scan(d, F, height, pell)
+            scanned = _scan(pell, F, height)
         except HilbertSelbergError:
             _count_batch(batch, F.D, height)  # an earlier failure wins
             raise
@@ -456,8 +444,12 @@ def class_number(d: QuadInt, F: FieldCtx,
                  height: float = 8.0) -> DiscriminantRecord:
     """Two-route class count for the canonical associate of d: the
     one-discriminant batch of class_numbers, whose docstring has the
-    algorithm, with the Pell equation solved here."""
-    return class_numbers([d], F, height, [None])[0]
+    algorithm, of its Pell solution.  Before that batch's failures come
+    the check of d and the Pell search."""
+    if not in_Dpm(d):
+        raise ValidationError(f"{d} is not a mixed-sign discriminant")
+    return class_numbers([pell_fundamental(canonical_disc(d, F), F)], F,
+                         height)[0]
 
 
 def form_to_matrix(Q: FormOverOK, pell: PellSolution) -> GroupElem:

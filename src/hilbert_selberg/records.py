@@ -93,16 +93,19 @@ class PellSolution:
 
 @dataclass(frozen=True)
 class DiscriminantRecord:
-    """Canonical discriminant with its Pell data and class census."""
+    """A canonical discriminant's Pell solution and one form of each of
+    its classes: its class number is the number of forms."""
 
-    d: QuadInt
     pell: PellSolution
-    class_number: int
     forms: Tuple[FormOverOK, ...]
 
-    def __post_init__(self):
-        if self.class_number != len(self.forms) or self.class_number < 1:
-            raise InvariantViolation("class count does not match reps")
+    @property
+    def d(self) -> QuadInt:
+        return self.pell.d
+
+    @property
+    def class_number(self) -> int:
+        return len(self.forms)
 
 
 # ------------------------------------------------------ geodesic window

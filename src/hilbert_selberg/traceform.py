@@ -631,13 +631,14 @@ def double_difference_closed_forms(m: int, s: complex, beta1: float,
 
 def elliptic_zero_width_limit(F: FieldCtx) -> float:
     """Limit of the weight-2 elliptic family as the Gaussian width
-    goes to zero: the kernel integral collapses to 1 - i cot(theta1)."""
-    acc = 0.0 + 0.0j
-    for nu, t in F.census_classes():
+    goes to zero: the weight-2 elliptic sum with every kernel integral
+    collapsed to 1 - i cot(theta1)."""
+    limits = {}
+    for nu, _ in F.census_classes():
         for ell in range(1, nu):
             th1 = ell * math.pi / nu
-            coef = -1j * cmath.exp(-1j * th1) / (4.0 * nu * math.sin(th1))
-            acc += coef * (1.0 - 1j * math.cos(th1) / math.sin(th1))
+            limits[nu, ell] = (1.0 - 1j * math.cos(th1) / math.sin(th1), 0.0)
+    acc, _ = _elliptic_sum(2, limits, F, False)
     if abs(acc.imag) > 1e-12:
         raise InvariantViolation(
             f"elliptic zero-width limit not real: {acc}")

@@ -430,6 +430,35 @@ def elliptic_candidates_ref(F, height_bound):
     return out
 
 
+def pell_fundamental_ref(d, F, eps_cap=200.0):
+    """The Pell search that pellforms.pell_fundamental's trace box
+    replaced: a lattice scan over u for the least eps = (t + u sqrt d)/2
+    with t^2 - d u^2 = 4 and u_1 > 0, as a PellSolution.  The second
+    embedding forces t_2^2 + |d_2| u_2^2 = 4, so |u_2| <= 2/sqrt|d_2|;
+    the first is cut at u_1 sqrt(d_1) <= 2 eps_cap, which keeps every
+    eps with eps - 1/eps <= 2 eps_cap.  None when no u in the box
+    solves the equation."""
+    from hilbert_selberg.quadfield import exact_sqrt, lattice_points
+    from hilbert_selberg.records import PellSolution
+    from hilbert_selberg.errors import ValidationError
+    d1, d2 = d.embed(1), d.embed(2)
+    cap1 = 2.0 * eps_cap / math.sqrt(d1)
+    cap2 = 2.0 / math.sqrt(-d2) + 1e-9
+    best = None
+    for u in lattice_points(d.D, cap1, cap2):
+        if u.is_zero() or u.embed(1) <= 0:
+            continue
+        try:
+            t0 = exact_sqrt(d * (u * u) + 4)
+        except ValidationError:
+            continue
+        eps = (t0.embed(1) + u.embed(1) * math.sqrt(d1)) / 2.0
+        if best is None or eps < best[0] - 1e-12:
+            best = (eps, t0, u)
+    return None if best is None else PellSolution(d=d, t0=best[1],
+                                                  u0=best[2])
+
+
 def primitive_forms_ref(d, h1, h2):
     """Keys (a, b, c) of the primitive forms b^2 - 4ac = d with a, b, c
     in the per-embedding boxes, by brute force over (a, b) in QuadInt

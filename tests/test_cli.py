@@ -13,6 +13,7 @@ import errno
 import importlib
 import io
 import json
+import math
 import os
 import pickle
 import pickletools
@@ -27,7 +28,8 @@ from pathlib import Path
 import pytest
 
 import hilbert_selberg
-from hilbert_selberg import cli, geodesics, modgroup, pellforms, quadfield
+from hilbert_selberg import (cli, geodesics, modgroup, pellforms, quadfield,
+                             traceform)
 from hilbert_selberg.cache import get_or_compute
 from hilbert_selberg.cli import RunConfig, _classes, main
 from hilbert_selberg.errors import (BudgetExceededError, InvariantViolation,
@@ -710,6 +712,44 @@ def test_wide_gaussian_outruns_the_window(x, beta, reach, capsys):
         assert main(["trace", "--D", "5", "--x", "3.5", "--m", "4",
                      "--test", f"gaussian:beta={beta}"]) == 0
         assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("single", [(), ("--single",)])
+def test_rational_pair_needs_a_class_past_norm_3(single, capsys, monkeypatch):
+    # the HE tail integral of a rational pair starts at the largest norm
+    # past 3; a window without one would print an infinite tail, which
+    # is not JSON, so trace refuses it before evaluating
+    def never(*args, **kwargs):
+        pytest.fail("a geometric side was evaluated")
+
+    monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
+    argv = ["trace", "--D", "5", "--m", "2", "--test",
+            "rational:s=2,beta1=2,beta2=3", *single]
+    with monkeypatch.context() as patch:
+        patch.setattr(traceform, "geom_side_difference", never)
+        patch.setattr(traceform, "geom_side_double_difference", never)
+        assert main(argv + ["--x", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the window to x = 2 lists no class of "
+                            "norm > 3; ask for a larger --x\n")
+    assert main(argv + ["--x", "3"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["diagnostics"]["coverage"] > 3.0
+    assert math.isfinite(blob["diagnostics"]["he_tail"])
+
+
+def test_non_finite_output_is_an_invariant_violation(capsys, monkeypatch):
+    # JSON (RFC 8259) has no inf or nan: output holding one is refused
+    # and nothing is printed
+    with pytest.raises(InvariantViolation, match="^output not JSON: "):
+        cli._emit_json({"value": float("inf")}, RunConfig())
+    monkeypatch.setattr(quadfield.FieldCtx, "to_json",
+                        lambda F: {"D": F.D, "value": float("nan")})
+    assert main(["field", "--D", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invariant violation: output not JSON: ")
 
 
 @pytest.mark.parametrize("argv,err", [

@@ -10,9 +10,12 @@ from hilbert_selberg.geodesics import (enumerate_geodesics,
                                        square_divisor_quotients)
 from hilbert_selberg.pellforms import (content_norm, form_to_matrix,
                                        pell_fundamental)
-from hilbert_selberg.quadfield import CLASS_NUMBER_ONE, QuadInt, make_field
+from hilbert_selberg.quadfield import (CLASS_NUMBER_ONE, QuadInt,
+                                       canonical_disc, make_field)
 from hilbert_selberg.records import GeodesicWindow, count_reports
 from hilbert_selberg.specfun import li
+
+from oracles import pell_fundamental_ref
 
 # D=5, eps <= 10, ordered by norm; (d coords, multiplicity) frozen after
 # the form and matrix class counts agreed and the list survived doubling
@@ -131,16 +134,16 @@ def test_x12_work_counts(monkeypatch):
 
 
 class _Captured(Exception):
-    """Raised by a patched class_numbers with the (ds, pells) it got."""
+    """Raised by a patched class_numbers with the pells it got."""
 
 
 def _candidates(D, x):
-    """(F, ds, pells) that enumerate_geodesics(make_field(D), x) passes
-    to class_numbers, captured before any class count runs."""
+    """(F, pells) that enumerate_geodesics(make_field(D), x) passes to
+    class_numbers, captured before any class count runs."""
     F = make_field(D)
 
-    def capture(ds, F, height, pells):
-        raise _Captured(list(ds), list(pells))
+    def capture(pells, F, height):
+        raise _Captured(list(pells))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geodesics, "class_numbers", capture)
@@ -154,12 +157,27 @@ def _candidates(D, x):
                          + [(D, 8.0) for D in sorted(CLASS_NUMBER_ONE)])
 def test_least_trace_is_the_pell_solution(D, x):
     # each candidate's least trace in the box, with the root of
-    # (t0^2 - 4)/d, is the solution the Pell search finds
-    F, ds, pells = _candidates(D, x)
-    assert [pell.d for pell in pells] == ds
+    # (t0^2 - 4)/d, is the solution the Pell search finds, for its
+    # canonical discriminant
+    F, pells = _candidates(D, x)
     for pell in pells:
+        assert canonical_disc(pell.d, F) == pell.d
         want = pell_fundamental(pell.d, F)
         assert (pell.t0, pell.u0) == (want.t0, want.u0), pell.d
+
+
+def test_pell_search_matches_the_u_scan():
+    # pell_fundamental, which reads the trace box, finds the solution of
+    # the lattice scan over u that it replaced, on every candidate of the
+    # 26 fields at x = 12
+    seen = 0
+    for D in sorted(CLASS_NUMBER_ONE):
+        F, pells = _candidates(D, 12.0)
+        for pell in pells:
+            assert pell_fundamental(pell.d, F) == \
+                pell_fundamental_ref(pell.d, F) == pell, (D, pell.d)
+        seen += len(pells)
+    assert seen == 232
 
 
 def test_the_window_runs_no_pell_search(d5_x10, monkeypatch):

@@ -12,6 +12,7 @@ from hilbert_selberg.pellforms import class_number, pell_fundamental
 from hilbert_selberg.quadfield import (CLASS_NUMBER_ONE, QuadInt,
                                        canonical_disc, make_field,
                                        _omega_trace_norm)
+from hilbert_selberg.records import PellSolution
 from hilbert_selberg.specfun import exp1
 
 
@@ -36,6 +37,23 @@ def test_formula_matches_every_bfs_count(D, x):
         h = lfun.analytic_class_number(c.d, c.record.pell, F)
         assert h.count == c.record.class_number, c.d
         assert h.off <= h.error < 1e-6
+
+
+@pytest.mark.xfail(strict=True, raises=InvariantViolation,
+                   reason="PellSolution.eps_d cancels on d_1 read off large "
+                          "coordinates (ROADMAP item 29)")
+def test_formula_with_large_coordinates():
+    # D = 5 at x = 1000: eps_d from t0 alone gives h = 192.00000000000006,
+    # while (t0_1 + u0_1 sqrt(d_1))/2 is off by 2.9e-13 relative and the
+    # formula reads 191.99999999901868, outside its proven error 4.2e-10
+    F = make_field(5)
+    d = QuadInt(5, -2055250, 1270215)
+    pell = PellSolution(d=d, t0=QuadInt(5, 238, 385),
+                        u0=QuadInt(5, 233, 377))
+    pell.verify()
+    value = lfun.analytic_class_number(d, pell, F)
+    assert value.count == 192
+    assert value.off <= value.error
 
 
 # where the form route at height 8 fails: the class numbers the formula

@@ -29,7 +29,8 @@ from hilbert_selberg.records import FormOverOK
 
 from oracles import (gcd_coords_ref, ideal_index_ref, matrix_boxes_ref,
                      matrix_class_count_ref, matrix_filter_ref,
-                     matrix_keys_ref, normalize_key_ref, primitive_forms_ref)
+                     matrix_keys_ref, normalize_key_ref,
+                     pell_fundamental_ref, primitive_forms_ref)
 
 # Canonical mixed-sign discriminants with eps_K(d) <= 15 over Q(sqrt(5)),
 # with class numbers confirmed by both the form-orbit partition and the
@@ -133,9 +134,49 @@ def test_pell_minimality_brute_force():
 
 def test_pell_budget_error(monkeypatch):
     F = make_field(5)
+    # t0 = 110 + 180w, eps_d = 401.2: past the box, and past the u-scan
+    d = QuadInt(5, -183600, 113472)
+    with pytest.raises(BudgetExceededError,
+                       match=r"^no pell solution for -183600\+113472\*w "
+                             r"within eps <= 400\.0$"):
+        pell_fundamental(d, F)
+    assert pell_fundamental_ref(d, F) is None
     monkeypatch.setattr(pellforms, "_PELL_EPS_CAP", 2.0)
     with pytest.raises(BudgetExceededError, match=r"within eps <= 2\.0"):
         pell_fundamental(QuadInt(5, -135, 85), F)
+
+
+# every discriminant a test hands to pell_fundamental itself, by field
+PELL_CASES = {
+    5: [(1, 8), (-135, 85), (-7, 5), (-3, 4), (-4, 4)] + sorted(SWEEP_D5),
+    8: [(0, 4)], 12: [(0, 2), (-385, 224), (-384, 226)],
+    13: [(-1, 1), (-300, 131), (-15, 8)], 17: [(-3, 3), (4, 5)],
+    28: [(-4, 2), (7, 4), (19, 8)], 41: [(7, 3)], 44: [(11, 4)],
+    53: [(13, 5)], 69: [(1, 1), (-3, 1)], 77: [(19, 5)],
+}
+
+
+@pytest.mark.parametrize("D", sorted(PELL_CASES))
+def test_pell_matches_the_u_scan(D):
+    # the trace box gives the u-scan's solution for each d as given and
+    # for its canonical associate
+    F = make_field(D)
+    for d in PELL_CASES[D]:
+        d = QuadInt(D, *d)
+        for dd in (d, canonical_disc(d, F)):
+            assert pell_fundamental(dd, F) == pell_fundamental_ref(dd, F), dd
+
+
+@pytest.mark.parametrize("D", sorted(CLASS_NUMBER_ONE))
+def test_the_box_reaches_the_u_scan(D):
+    # the u-scan kept eps_d - 1/eps_d = u0_1 sqrt(d_1) <= 2 * 200, so
+    # t0_1 <= 2 sqrt(200^2 + 1); the box of _PELL_EPS_CAP = 400 holds
+    # t0_1 <= 400 + 1/400, and no trace of the field lies in between
+    cap = pellforms._PELL_EPS_CAP
+    assert cap == 400.0
+    lo, hi = cap + 1.0 / cap, 2.0 * math.sqrt(200.0 ** 2 + 1.0)
+    assert not [t for t in lattice_points(D, hi, 2.0)
+                if lo < t.embed(1) <= hi and abs(t.embed(2)) < 2.0]
 
 
 def test_class_number_sweep_frozen(sweep5):
@@ -151,12 +192,9 @@ def test_class_number_sweep_frozen(sweep5):
 
 def test_class_number_reuses_given_pell(sweep5):
     F, recs = sweep5
-    (ka, rec_a), (kb, rec_b) = list(recs.items())[:2]
-    d = QuadInt(5, *ka)
-    again, = class_numbers([d], F, 8.0, [pell_fundamental(d, F)])
+    ka, rec_a = next(iter(recs.items()))
+    again, = class_numbers([pell_fundamental(QuadInt(5, *ka), F)], F, 8.0)
     assert again == rec_a
-    with pytest.raises(ValidationError, match="Pell solution for"):
-        class_numbers([d], F, 8.0, [rec_b.pell])
 
 
 def test_class_number_budget_before_the_scans(monkeypatch):
@@ -253,14 +291,14 @@ def test_stabilizer_guard_raises_after_the_formula(monkeypatch):
 
 
 def _window_candidates(D, x):
-    """(F, ds, pells): the candidates enumerate_geodesics(make_field(D), x)
-    counts, in order, with their Pell solutions."""
+    """(F, pells): the Pell solutions of the candidates
+    enumerate_geodesics(make_field(D), x) counts, in order."""
     F = make_field(D)
     seen = []
 
-    def capture(ds, F, height, pells):
-        seen.append((list(ds), list(pells)))
-        return class_numbers(ds, F, height, pells)
+    def capture(pells, F, height):
+        seen.append(list(pells))
+        return class_numbers(pells, F, height)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geodesics, "class_numbers", capture)
@@ -268,7 +306,7 @@ def _window_candidates(D, x):
             enumerate_geodesics(F, x)
         except InvariantViolation:
             pass
-    return F, *seen[-1]
+    return F, seen[-1]
 
 
 # state budgets per field at x = 12: the default, one that a form search
@@ -283,7 +321,7 @@ def test_batches_keep_every_record_and_verdict(D, monkeypatch):
     # totals and budget verdicts: every discriminant before the first
     # that fails alone counts as alone, and the window raises that one's
     # error, also when it is the last candidate
-    F, ds, pells = _window_candidates(D, 12.0)
+    F, pells = _window_candidates(D, 12.0)
     states = []
     form_orbit = pellforms.form_orbit
     monkeypatch.setattr(pellforms, "form_orbit", lambda *args: (
@@ -297,16 +335,16 @@ def test_batches_keep_every_record_and_verdict(D, monkeypatch):
             patch.setattr(pellforms, "_BATCH_SEEDS", batch_seeds)
             patch.setattr(orbits, "MAX_STATES", ms)
             try:
-                return (class_numbers(ds[first:n], F, 8.0, pells[first:n]),
+                return (class_numbers(pells[first:n], F, 8.0),
                         sum(states))
             except BudgetExceededError as exc:
                 return type(exc), str(exc)
 
     for ms in BATCH_BUDGETS[D]:
-        alone = [run(i + 1, 1, ms, i) for i in range(len(ds))]
+        alone = [run(i + 1, 1, ms, i) for i in range(len(pells))]
         failed = [i for i, out in enumerate(alone)
                   if isinstance(out[0], type)]
-        j = failed[0] if failed else len(ds)
+        j = failed[0] if failed else len(pells)
         want = ([rec for recs, _ in alone[:j] for rec in recs],
                 sum(n for _, n in alone[:j]))
         assert bool(failed) == (ms != 400000)
@@ -314,7 +352,7 @@ def test_batches_keep_every_record_and_verdict(D, monkeypatch):
             assert run(j, batch_seeds, ms) == want, (ms, batch_seeds)
             if failed:
                 assert run(j + 1, batch_seeds, ms) == alone[j]
-                assert run(len(ds), batch_seeds, ms) == alone[j]
+                assert run(len(pells), batch_seeds, ms) == alone[j]
 
 
 def test_key_space_runs_keep_the_window(monkeypatch):
@@ -391,7 +429,8 @@ def test_a_later_failure_leaves_the_first_error(scan, monkeypatch):
     # mismatch.  A later candidate whose form scan or class number
     # formula raises, in its batch or in a later one, leaves that error
     # standing
-    F, ds, pells = _window_candidates(12, 25.0)
+    F, pells = _window_candidates(12, 25.0)
+    ds = [pell.d for pell in pells]
     assert ds[0] == QuadInt(12, -385, 224)
     for batch_seeds in (1, pellforms._BATCH_SEEDS, 10 ** 9):
         for later in (ds[1], ds[-1]):
@@ -409,7 +448,8 @@ def test_an_earlier_failure_wins(scan, monkeypatch):
     # -385 + 224w is the first candidate of D = 12 at x = 25, so the
     # earlier candidate is one put before it: its failing scan raises,
     # and no discriminant after it is scanned or searched
-    F, ds, pells = _window_candidates(12, 25.0)
+    F, pells = _window_candidates(12, 25.0)
+    ds = [pell.d for pell in pells]
     order = [1, 0, 2]
     for batch_seeds in (1, pellforms._BATCH_SEEDS, 10 ** 9):
         with monkeypatch.context() as patch:
@@ -418,8 +458,7 @@ def test_an_earlier_failure_wins(scan, monkeypatch):
             patch.setattr(pellforms, scan, refused)
             with pytest.raises(BudgetExceededError,
                                match=re.escape(f"scan refused for {ds[1]}")):
-                class_numbers([ds[i] for i in order], F, 8.0,
-                              [pells[i] for i in order])
+                class_numbers([pells[i] for i in order], F, 8.0)
             assert called == [ds[1]]
 
 
