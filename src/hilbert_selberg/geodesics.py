@@ -82,8 +82,8 @@ def enumerate_geodesics(F: FieldCtx, x: float,
         # the trace box's 1e-9 slack can admit an eps_d just past x
         if pell.eps_d <= limit:
             pells.append(pell)
-    classes = [GeodesicClass(d=rec.d, norm=rec.pell.eps_d ** 2,
+    classes = [GeodesicClass(norm=rec.pell.eps_d ** 2,
                              angle=math.acos(rec.pell.t0.embed(2) / 2.0),
-                             multiplicity=rec.class_number, record=rec)
+                             record=rec)
                for rec in class_numbers(pells, F, height)]
     return GeodesicWindow(classes, bound=x)

@@ -65,10 +65,10 @@ import numpy as np
 from .errors import BudgetExceededError, InvariantViolation
 from .quadfield import (FieldCtx, QuadInt, _coord_mul, _lattice_ranges,
                         _omega_trace_norm)
-from .records import PellSolution
+from .records import AnalyticClassNumber, PellSolution
 from .specfun import exp1
 
-__all__ = ["AnalyticClassNumber", "analytic_class_number", "MAX_TERMS"]
+__all__ = ["analytic_class_number", "MAX_TERMS"]
 
 # the most Dirichlet coefficients one value may sum; more raises
 # BudgetExceededError
@@ -84,24 +84,6 @@ _UNIT_ROUNDING = 2.0 ** -53
 _U0 = (1.0, 0.5)
 # rows of the box that one generator search may scan
 _GENERATOR_ROWS = 1 << 16
-
-
-class AnalyticClassNumber(NamedTuple):
-    """h(d) by the class number formula: the value at u0 = 1, its proven
-    error, and the number of Dirichlet coefficients summed."""
-
-    value: float
-    error: float
-    terms: int
-
-    @property
-    def count(self) -> int:
-        return round(self.value)
-
-    @property
-    def off(self) -> float:
-        """|h - round h|, at most error."""
-        return abs(self.value - self.count)
 
 
 # ------------------------------------------------------------ primes
@@ -388,10 +370,10 @@ def _tail_terms(rate: float, weight: float, tol: float) -> Tuple[int, float]:
     return n, 2.0 * weight * math.exp(-rate * (n + 1)) / (math.sqrt(n) * geo)
 
 
-def analytic_class_number(d: QuadInt, pell: PellSolution,
+def analytic_class_number(pell: PellSolution,
                           F: FieldCtx) -> AnalyticClassNumber:
-    """h(d) by the class number formula of the module docstring, from
-    the Pell solution of d, with a proven error.
+    """h(d) by the class number formula of the module docstring, for the
+    discriminant d = pell.d of the Pell solution, with a proven error.
 
     Each of the two sums, at u0 = 1 and 1/2, keeps the terms of its two
     parts until each tail is below _H_TAIL / 4 in h: |a_n| <= tau(n),
@@ -402,6 +384,7 @@ def analytic_class_number(d: QuadInt, pell: PellSolution,
     u0 = 1 is not within its error of an integer; BudgetExceededError
     when more than MAX_TERMS coefficients are needed.
     """
+    d = pell.d
     if max(abs(d.a), abs(d.b), abs(d.norm())) >= 1 << 31:
         raise BudgetExceededError(
             f"class number formula for d={d}: coordinates too large for "

@@ -6,22 +6,23 @@ square mod 4.  Its fundamental Pell solution is read off the trace box
 that geodesics scans (trace_box, pell_fundamental), and the class counts
 take Pell solutions, each carrying its canonical d.  For each such d the
 forms a x^2 + b xy + c y^2 with b^2 - 4ac = d fall into finitely many
-SL(2, O_K)-orbits; the class number h_K(d) is computed twice, by a
-direct orbit partition of the forms and by Hecke's class number formula
-(`lfun`), and the two counts must agree.  The orbit search covers the
-half of the forms that is positive definite at the second embedding, and
-the other half follows exactly (see class_numbers).  The stabilizer
-generator of a form, a matrix of trace t0, is form_to_matrix; the
-stabilizers of a count's form representatives must fall in distinct
-conjugacy classes.
+SL(2, O_K)-orbits.  Their number, the class number h_K(d), is Hecke's
+class number formula's (`lfun`), with a proven error, and the record
+carries that value; a direct orbit partition of the forms confirms it,
+a different count raising, and supplies one form of each class.  The
+orbit search covers the half of the forms that is positive definite at
+the second embedding, and the other half follows exactly (see
+class_numbers).  The stabilizer generator of a form, a matrix of trace
+t0, is form_to_matrix; the stabilizers of a count's form
+representatives must fall in distinct conjugacy classes.
 
 Primitivity is one exact test: a form (a, b, c) is primitive when the
 ideal (a, b, c) is all of O_K, that is, when its index in O_K, the gcd
 of the 2x2 minors of its Z-generators, is 1.  No gcd element is ever
 needed, so there is no division step to stall and no search.
 
-The records returned here, FormOverOK, PellSolution and
-DiscriminantRecord, live in `records`.
+The records returned here, FormOverOK, PellSolution, DiscriminantRecord
+and its AnalyticClassNumber, live in `records`.
 """
 
 import functools
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import (BudgetExceededError, HilbertSelbergError,
                      InvariantViolation, ValidationError)
-from .lfun import AnalyticClassNumber, analytic_class_number
+from .lfun import analytic_class_number
 from .modgroup import (GroupElem, conjugation_orbit, _embed_signs,
                        _MU_A, _MU_B)
 from .orbits import (GeneratorTables, Orbit, budget_error, capped_bfs,
@@ -42,7 +43,8 @@ from .orbits import (GeneratorTables, Orbit, budget_error, capped_bfs,
 from .quadfield import (FieldCtx, QuadInt, canonical_disc, exact_sqrt,
                         lattice_points, _coord_mul, _embed_consts,
                         _omega_trace_norm)
-from .records import DiscriminantRecord, FormOverOK, PellSolution
+from .records import (AnalyticClassNumber, DiscriminantRecord, FormOverOK,
+                      PellSolution)
 
 __all__ = [
     "content_norm", "in_Dpm", "trace_box", "pell_fundamental",
@@ -258,21 +260,18 @@ _BATCH_SEEDS = 6144
 
 class _Scanned(NamedTuple):
     """A discriminant ready to search: its Pell solution, the form caps,
-    the distinct form rows, and the class number formula's value, None
-    when it raised `error`."""
+    the distinct form rows, and the class number formula's value."""
 
     pell: PellSolution
     caps: Tuple[float, float]
     forms: np.ndarray
-    analytic: Optional[AnalyticClassNumber]
-    error: Optional[HilbertSelbergError]
+    h: AnalyticClassNumber
 
 
 def _scan(pell: PellSolution, F: FieldCtx, height: float) -> _Scanned:
     """Scan the form seeds of pell's discriminant and evaluate the class
     number formula.  Raises what class_numbers raises before its form
-    search; an error of the formula, which it raises after the form
-    search, is kept in the result instead."""
+    search: the caps, the form scan and the formula, in that order."""
     d = pell.d
     h1, h2 = _form_boxes(d, height)
     cap1, cap2 = 3.0 * h1, 3.0 * h2
@@ -280,11 +279,7 @@ def _scan(pell: PellSolution, F: FieldCtx, height: float) -> _Scanned:
     # seeds lie inside the caps
     _row_packer("form", F.D, cap1, cap2)
     forms = unique_rows(enumerate_forms(d, F, height=height))
-    try:
-        analytic, error = analytic_class_number(d, pell, F), None
-    except HilbertSelbergError as exc:
-        analytic, error = None, exc
-    return _Scanned(pell, (cap1, cap2), forms, analytic, error)
+    return _Scanned(pell, (cap1, cap2), forms, analytic_class_number(pell, F))
 
 
 def _stabilizer_rows(forms: Sequence[FormOverOK], pell: PellSolution
@@ -325,11 +320,9 @@ def _count_batch(batch: List[_Scanned], D: int,
     for g, c in enumerate(batch):
         r = reps[edges[g]:edges[g + 1]]
         forms = unique_rows(np.concatenate([seeds[r], -seeds[greatest[r]]]))
-        h = c.analytic
+        h = c.h
         if orbit.failed[g]:
             error = budget_error("form")
-        elif c.error is not None:
-            error = c.error
         elif len(forms) != h.count:
             error = InvariantViolation(
                 f"ambiguous class count for d={c.pell.d}: form orbits give "
@@ -357,13 +350,14 @@ def _count_batch(batch: List[_Scanned], D: int,
         for g, (c, cap) in enumerate(zip(batch, caps)):
             if conj.failed[g]:
                 raise budget_error("conjugation")
-            if classes[g] != c.analytic.count:
+            if classes[g] != c.h.count:
                 raise InvariantViolation(
                     f"conjugate stabilizers for d={c.pell.d}: the "
-                    f"{c.analytic.count} form classes' stabilizer generators "
+                    f"{c.h.count} form classes' stabilizer generators "
                     f"fall in {classes[g]} conjugacy classes within caps "
                     f"({cap[0]:.6g}, {cap[1]:.6g})")
-            records.append(DiscriminantRecord(pell=c.pell, forms=found[g]))
+            records.append(DiscriminantRecord(pell=c.pell, forms=found[g],
+                                              h=c.h))
     if error is not None:
         raise error
     return records
@@ -371,25 +365,24 @@ def _count_batch(batch: List[_Scanned], D: int,
 
 def class_numbers(pells: Sequence[PellSolution], F: FieldCtx,
                   height: float) -> List[DiscriminantRecord]:
-    """The class count of each Pell solution's discriminant, which is
-    canonical (quadfield.canonical_disc), by two independent routes, in
-    order, counted in batches.
+    """The class record of each Pell solution's discriminant, which is
+    canonical (quadfield.canonical_disc), in order, counted in batches.
 
-    The two routes, for each discriminant: the orbit partition of
-    height-bounded primitive forms, which also gives the record's
-    representatives, and Hecke's class number formula
+    The class number is Hecke's class number formula's
     (lfun.analytic_class_number), which needs no box and comes with a
-    proven error.  A count of the forms that differs from the formula's
-    integer raises instead of picking a side.  The record's forms are
-    then checked against the group side: their stabilizer generators
-    (form_to_matrix) must fall in as many conjugacy classes as there are
-    forms, by a conjugation search capped at the generators' own heights,
-    which can only find conjugacies the form search missed; no
-    conjugation search counts a class.  Caps that the form search would
-    refuse raise BudgetExceededError before its box is scanned.  The
-    failures come in this order: the caps, the form scan, the form
-    search, the formula, the stabilizers' key guard and conjugation
-    search.
+    proven error; the record carries it as h.  The orbit partition of
+    height-bounded primitive forms confirms it and gives the record's
+    representatives: a count of the forms that differs from the
+    formula's integer raises instead of picking a side.  The record's
+    forms are then checked against the group side: their stabilizer
+    generators (form_to_matrix) must fall in as many conjugacy classes
+    as there are forms, by a conjugation search capped at the
+    generators' own heights, which can only find conjugacies the form
+    search missed; no conjugation search counts a class.  Caps that the
+    form search would refuse raise BudgetExceededError before its box is
+    scanned.  The failures come in this order: the caps, the form scan,
+    the formula, the form search, the stabilizers' key guard and
+    conjugation search.
 
     A batch is a run of consecutive discriminants, each scanned just
     before it joins; it closes before its form seeds would pass
@@ -399,9 +392,10 @@ def class_numbers(pells: Sequence[PellSolution], F: FieldCtx,
     budget verdict (Orbit.failed) of a search of its own, so every
     record is class_number's.  The stabilizers of a batch's
     discriminants, up to the first that fails before that search, are
-    one conjugation search with a group each.  The first discriminant
-    that fails raises its own failure, and none after it starts a
-    search.
+    one conjugation search with a group each.  A discriminant whose
+    caps, form scan or formula fail joins no batch, and the batch before
+    it is counted first.  The first discriminant that fails raises its
+    own failure, and none after it starts a search.
 
     The search covers one definiteness half of the forms and doubles its
     count.  That is exact:
@@ -435,14 +429,12 @@ def class_numbers(pells: Sequence[PellSolution], F: FieldCtx,
             records += _count_batch(batch, F.D, height)
             batch = []
         batch.append(scanned)
-        if scanned.error is not None:
-            break  # it fails: nothing after it searches
     return records + _count_batch(batch, F.D, height)
 
 
 def class_number(d: QuadInt, F: FieldCtx,
                  height: float = 8.0) -> DiscriminantRecord:
-    """Two-route class count for the canonical associate of d: the
+    """Class record of the canonical associate of d: the
     one-discriminant batch of class_numbers, whose docstring has the
     algorithm, of its Pell solution.  Before that batch's failures come
     the check of d and the Pell search."""

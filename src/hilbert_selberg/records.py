@@ -1,14 +1,15 @@
 """The exact records of a class list, and the count reports read off it.
 
-Pell solutions, primitive forms over O_K and a discriminant's class
-census; the geodesic classes they make and the GeodesicWindow that
-holds them; and the prime-geodesic and class-number-average counts
-over a window.  This module imports no numpy and no search layer, and
-neither does unpickling what it defines, so a cached window loads and
-its rows and counts are read without either.  What does need arrays
-imports them when it first runs: the window's float columns and power
-grid, which only the analytic modules read, and a form's primitivity
-check, which construction runs and unpickling does not.
+Pell solutions, primitive forms over O_K, the class number formula's
+value and a discriminant's class census; the geodesic classes they make
+and the GeodesicWindow that holds them; and the prime-geodesic and
+class-number-average counts over a window.  This module imports no
+numpy and no search layer, and neither does unpickling what it defines,
+so a cached window loads and its rows and counts are read without
+either.  What does need arrays imports them when it first runs: the
+window's float columns and power grid, which only the analytic modules
+read, and a form's primitivity check, which construction runs and
+unpickling does not.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "FormOverOK", "PellSolution", "DiscriminantRecord", "GeodesicClass",
-    "GeodesicWindow", "PowerGrid", "CountReport", "count_reports",
+    "FormOverOK", "PellSolution", "AnalyticClassNumber", "DiscriminantRecord",
+    "GeodesicClass", "GeodesicWindow", "PowerGrid", "CountReport",
+    "count_reports",
 ]
 
 
@@ -91,13 +93,32 @@ class PellSolution:
             raise InvariantViolation("pell solution not fundamental-shaped")
 
 
+class AnalyticClassNumber(NamedTuple):
+    """h(d) by the class number formula (lfun.analytic_class_number): the
+    value at u0 = 1, its proven error, and the Dirichlet terms summed."""
+
+    value: float
+    error: float
+    terms: int
+
+    @property
+    def count(self) -> int:
+        return round(self.value)
+
+    @property
+    def off(self) -> float:
+        """|h - round h|, at most error."""
+        return abs(self.value - self.count)
+
+
 @dataclass(frozen=True)
 class DiscriminantRecord:
-    """A canonical discriminant's Pell solution and one form of each of
-    its classes: its class number is the number of forms."""
+    """A canonical discriminant's Pell solution, one form of each class,
+    and h, its class number by the formula, which the forms confirmed."""
 
     pell: PellSolution
     forms: Tuple[FormOverOK, ...]
+    h: AnalyticClassNumber
 
     @property
     def d(self) -> QuadInt:
@@ -105,7 +126,7 @@ class DiscriminantRecord:
 
     @property
     def class_number(self) -> int:
-        return len(self.forms)
+        return self.h.count
 
 
 # ------------------------------------------------------ geodesic window
@@ -113,18 +134,21 @@ class DiscriminantRecord:
 
 @dataclass(frozen=True)
 class GeodesicClass:
-    """A family of primitive hyperbolic-elliptic conjugacy classes
-    sharing one canonical discriminant.
+    """A family of primitive hyperbolic-elliptic conjugacy classes of one
+    canonical discriminant d, one for each of its form classes, the
+    multiplicity, all with the same norm and angle."""
 
-    multiplicity counts the form classes of d, each contributing one
-    conjugacy class with the same norm and angle.
-    """
-
-    d: QuadInt
     norm: float
     angle: float
-    multiplicity: int
     record: DiscriminantRecord
+
+    @property
+    def d(self) -> QuadInt:
+        return self.record.d
+
+    @property
+    def multiplicity(self) -> int:
+        return self.record.class_number
 
     def __post_init__(self) -> None:
         if not self.norm > 1.0:

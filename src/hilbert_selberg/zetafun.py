@@ -32,7 +32,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import InvariantViolation, ValidationError
+from .errors import BudgetExceededError, InvariantViolation, ValidationError
 from .quadfield import FieldCtx
 from .records import GeodesicWindow
 
@@ -42,6 +42,7 @@ TWO_PI = 2.0 * math.pi
 _ROUNDS_TO_ONE = 40.0
 # share of a class's leading size the power grid leaves out, at most
 _GRID_TAIL = 2.0 ** -60
+MAX_LEDGER_K = 10000  # the deepest k_max divisor_ledger takes
 
 
 # ------------------------------------------------------------ parameters
@@ -346,6 +347,9 @@ def divisor_ledger(m: int, F: FieldCtx, k_max: int = 20) -> DivisorLedger:
     check_weight(m)
     if k_max < 0:
         raise ValidationError(f"k_max {k_max} must be >= 0")
+    if k_max > MAX_LEDGER_K:
+        raise BudgetExceededError(
+            f"k_max {k_max} is past the ledger limit {MAX_LEDGER_K}")
     spacing = math.pi / F.regulator
     residue_note = ("order includes the -2kN residue term; a companion "
                     "closed form omits it, see the project decision log")

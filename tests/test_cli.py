@@ -240,13 +240,13 @@ def test_analytic_commands_run_without_scipy(tmp_path, capsys):
 def test_config_round_trip():
     text = ("D = 8\nx_max = 12.5\nheight = 7.25\ntrunc_norm = none\n"
             "trunc_k = 55\nbeta_grid = 0.2,0.07\nout_format = csv\n"
-            "out_path = none\ncache_dir = /tmp/hs\nseed = 7\n")
+            "out_path = none\ncache_dir = /tmp/hs\n")
     assert [ln.split(" = ")[0] for ln in text.splitlines()] \
         == [f.name for f in dataclasses.fields(RunConfig)]
     assert RunConfig.from_text(text) == RunConfig(
         D=8, x_max=12.5, height=7.25, trunc_norm=None, trunc_k=55,
         beta_grid=(0.2, 0.07), out_format="csv", out_path=None,
-        cache_dir="/tmp/hs", seed=7)
+        cache_dir="/tmp/hs")
 
 
 def test_config_comments_and_unknown_key(tmp_path, capsys):
@@ -254,7 +254,9 @@ def test_config_comments_and_unknown_key(tmp_path, capsys):
     cfg = RunConfig.from_text(text)
     assert cfg.D == 8 and cfg.x_max == 6.0
     # method and dunder names are attributes too, but not keys
-    for line in ("no_such_key = 3\n", "validate = 3\n", "__class__ = 3\n"):
+    # seed is no key: check's draws are fixed
+    for line in ("no_such_key = 3\n", "validate = 3\n", "__class__ = 3\n",
+                 "seed = 20240\n"):
         path = tmp_path / "run.cfg"
         path.write_text(line)
         assert main(["field", "--config", str(path)]) == 1
@@ -293,6 +295,7 @@ def test_unreadable_config_is_a_validation_error(name, content, tmp_path,
 def test_exit_codes(capsys):
     assert run_cli(capsys, "nosuchcmd")[0] == 1
     assert run_cli(capsys, "field", "--D", "-3")[0] == 1
+    assert run_cli(capsys, "field", "--seed", "7")[0] == 1
     assert run_cli(capsys, "zeta", "--D", "5", "--m", "4", "--s", "abc")[0] == 1
     assert run_cli(capsys, "trace", "--D", "5", "--m", "3",
                    "--test", "gaussian:beta=0.1")[0] == 1
@@ -343,7 +346,7 @@ def test_caps_refusal_runs_no_pell_search(capsys, monkeypatch):
     (("field",), "D = none\n"),
     (("field",), "x_max = none\n"),
     (("field",), "beta_grid = none\n"),
-    (("field",), "seed = none\n"),
+    (("field",), "trunc_k = none\n"),
     (("field", "--x", "nan"), None),
     (("field", "--x", "inf"), None),
     (("field", "--height", "nan"), None),
@@ -366,7 +369,7 @@ def test_malformed_numbers_are_validation_errors(argv, config, tmp_path,
 _OTHER_CONFIG = {"D": "12", "x_max": "6.0", "height": "9.0",
                  "trunc_norm": "40", "trunc_k": "3", "beta_grid": "0.1",
                  "out_format": "csv", "out_path": "o.json",
-                 "cache_dir": "c", "seed": "1"}
+                 "cache_dir": "c"}
 _FLAGS = [
     ("field", "--D", "D", "8"),
     ("field", "--x", "x_max", "12.5"),
@@ -378,7 +381,6 @@ _FLAGS = [
     ("field", "--format", "out_format", "json"),
     ("field", "--out", "out_path", "none"),
     ("field", "--cache-dir", "cache_dir", "none"),
-    ("field", "--seed", "seed", "7"),
 ]
 
 
@@ -581,6 +583,19 @@ def test_ledger_json(capsys):
     assert orders["double pole at s=1 from the squared unit factor"] == -2
     assert blob["leading"]["n0"] == 6
     assert blob["leading"]["stabilizer_product"] == 900
+
+
+@pytest.mark.parametrize("kmax,code", [(10000, 0), (10001, 2)])
+def test_ledger_depth_budget(kmax, code, capsys):
+    # the ledger lists residue points to MAX_LEDGER_K and refuses a
+    # deeper one before it builds any entry
+    got, out = run_cli(capsys, "ledger", "--D", "5", "--m", "2",
+                       "--kmax", str(kmax))
+    assert got == code
+    if code:
+        assert out == ""
+    else:
+        assert json.loads(out)["k_max"] == kmax
 
 
 def test_ledger_without_a_census_names_it(capsys):

@@ -31,11 +31,13 @@ def test_exp1_keeps_the_order_of_its_arguments():
 
 @pytest.mark.parametrize("D,x", [(5, 40.0), (8, 40.0), (12, 20.0), (13, 12.0)])
 def test_formula_matches_every_bfs_count(D, x):
+    # the record carries the formula's value, and its forms number h
     F = make_field(D)
     window = enumerate_geodesics(F, x)
     for c in window:
-        h = lfun.analytic_class_number(c.d, c.record.pell, F)
-        assert h.count == c.record.class_number, c.d
+        h = c.record.h
+        assert h == lfun.analytic_class_number(c.record.pell, F), c.d
+        assert len(c.record.forms) == h.count == c.multiplicity, c.d
         assert h.off <= h.error < 1e-6
 
 
@@ -51,7 +53,7 @@ def test_formula_with_large_coordinates():
     pell = PellSolution(d=d, t0=QuadInt(5, 238, 385),
                         u0=QuadInt(5, 233, 377))
     pell.verify()
-    value = lfun.analytic_class_number(d, pell, F)
+    value = lfun.analytic_class_number(pell, F)
     assert value.count == 192
     assert value.off <= value.error
 
@@ -70,7 +72,7 @@ FAILING_FIELDS = [
 def test_formula_on_the_failing_fields(D, d, h):
     F = make_field(D)
     dc = canonical_disc(QuadInt(D, *d), F)
-    value = lfun.analytic_class_number(dc, pell_fundamental(dc, F), F)
+    value = lfun.analytic_class_number(pell_fundamental(dc, F), F)
     assert value.count == h
     assert value.off <= value.error < 1e-6
 
@@ -84,23 +86,23 @@ def test_a_dropped_two_adic_conductor_trips_the_u0_check(monkeypatch):
     F = make_field(28)
     d = QuadInt(28, -4, 2)
     with pytest.raises(InvariantViolation, match="depends on u0"):
-        lfun.analytic_class_number(d, pell_fundamental(d, F), F)
+        lfun.analytic_class_number(pell_fundamental(d, F), F)
 
 
 def test_too_many_terms_exceed_the_budget(capsys, monkeypatch):
-    # after the form search, as class_number orders its failures
+    # before the form search, as class_number orders its failures
     monkeypatch.setattr(lfun, "MAX_TERMS", 10)
     F = make_field(5)
     d = QuadInt(5, -7, 5)
     with pytest.raises(BudgetExceededError, match="needs .* terms"):
-        lfun.analytic_class_number(d, pell_fundamental(d, F), F)
+        lfun.analytic_class_number(pell_fundamental(d, F), F)
     searched = []
     form_orbit = pellforms.form_orbit
     monkeypatch.setattr(pellforms, "form_orbit", lambda *args: (
         searched.append(1) or form_orbit(*args)))
     with pytest.raises(BudgetExceededError, match="needs .* terms"):
         class_number(d, F)
-    assert searched == [1]
+    assert searched == []
     monkeypatch.delenv("HILBERT_SELBERG_CACHE", raising=False)
     assert main(["forms", "--D", "5", "--d=-7+5*w"]) == 2
     assert capsys.readouterr().err.startswith(

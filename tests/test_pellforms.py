@@ -410,12 +410,13 @@ def test_key_space_runs_keep_the_window(monkeypatch):
 def _refusing(scan, d):
     """pellforms' `scan`, enumerate_forms or analytic_class_number,
     raising for the discriminant d, with every discriminant it is called
-    for recorded."""
+    for recorded.  enumerate_forms takes the discriminant, the formula
+    its Pell solution."""
     fn = getattr(pellforms, scan)
     called = []
 
     def refused(*args, **kwargs):
-        dc = args[0]
+        dc = args[0].d if scan == "analytic_class_number" else args[0]
         called.append(dc)
         if dc == d:
             raise BudgetExceededError(f"scan refused for {d}")
@@ -436,11 +437,16 @@ def test_a_later_failure_leaves_the_first_error(scan, monkeypatch):
         for later in (ds[1], ds[-1]):
             with monkeypatch.context() as patch:
                 patch.setattr(pellforms, "_BATCH_SEEDS", batch_seeds)
-                patch.setattr(pellforms, scan, _refusing(scan, later)[0])
+                refused, called = _refusing(scan, later)
+                patch.setattr(pellforms, scan, refused)
                 with pytest.raises(InvariantViolation,
                                    match=r"^ambiguous class count for "
                                          r"d=-385\+224\*w: "):
                     enumerate_geodesics(F, 25.0)
+            # every candidate is scanned before it joins a batch, and all
+            # of them join the one batch of 10^9 seeds
+            if later == ds[1] or batch_seeds == 10 ** 9:
+                assert later in called, (batch_seeds, later)
 
 
 @pytest.mark.parametrize("scan", ["enumerate_forms", "analytic_class_number"])
@@ -460,6 +466,33 @@ def test_an_earlier_failure_wins(scan, monkeypatch):
                                match=re.escape(f"scan refused for {ds[1]}")):
                 class_numbers([pells[i] for i in order], F, 8.0)
             assert called == [ds[1]]
+
+
+def test_a_failing_formula_puts_no_form_into_a_search(monkeypatch):
+    # the formula runs before the form search: a discriminant whose
+    # formula raises joins no batch, and the earlier -385 + 224w of
+    # D = 12 at x = 25 still raises its route mismatch first
+    F, pells = _window_candidates(12, 25.0)
+    ds = [pell.d for pell in pells]
+    first = len(pellforms.unique_rows(enumerate_forms(ds[0], F, 8.0)))
+    form_orbit = pellforms.form_orbit
+    for batch_seeds in (1, pellforms._BATCH_SEEDS, 10 ** 9):
+        searched = []
+        with monkeypatch.context() as patch:
+            patch.setattr(pellforms, "_BATCH_SEEDS", batch_seeds)
+            patch.setattr(pellforms, "form_orbit", lambda seeds, *args: (
+                searched.append(len(seeds)) or form_orbit(seeds, *args)))
+            refused, called = _refusing("analytic_class_number", ds[1])
+            patch.setattr(pellforms, "analytic_class_number", refused)
+            with pytest.raises(BudgetExceededError,
+                               match=re.escape(f"scan refused for {ds[1]}")):
+                class_numbers(pells[1:2], F, 8.0)
+            assert searched == [] and called == [ds[1]]
+            with pytest.raises(InvariantViolation,
+                               match=r"^ambiguous class count for "
+                                     r"d=-385\+224\*w: "):
+                class_numbers(pells[:2], F, 8.0)
+            assert searched == [first] and called == ds[1:2] + ds[:2]
 
 
 def test_doubling_stability(sweep5):
@@ -748,6 +781,6 @@ def test_matrix_oracle_matches_both_routes(D, x):
     F = make_field(D)
     for c in enumerate_geodesics(F, x):
         rec = c.record
-        h = lfun.analytic_class_number(rec.d, rec.pell, F)
+        h = lfun.analytic_class_number(rec.pell, F)
         assert (matrix_class_count_ref(rec.pell, F) == rec.class_number
                 == h.count), rec.d

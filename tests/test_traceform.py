@@ -322,8 +322,11 @@ def test_class_order_is_independent_of_list_order(d5):
 
 
 def test_odd_multiplicity_rejected(d5):
+    # the multiplicity is the record's class number, h.count
     _, classes = d5
-    bad = [dataclasses.replace(classes[0], multiplicity=3)]
+    c = classes[0]
+    record = dataclasses.replace(c.record, h=c.record.h._replace(value=3.0))
+    bad = [dataclasses.replace(c, record=record)]
     with pytest.raises(InvariantViolation, match="odd class multiplicity 3"):
         GeodesicWindow(bad, coverage=100.0)
 

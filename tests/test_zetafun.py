@@ -449,7 +449,7 @@ def test_power_grid_built_once_and_not_pickled(window10):
         "power_grid", "count_constant", "weighted_count_constant"}
     assert pickle.dumps(fresh) == blob
     assert set(vars(pickle.loads(blob))) == {"classes", "coverage", "bound"}
-    assert cache._FORMAT == 6
+    assert cache._FORMAT == 7
     # class-major: class c owns grid[stops[c]:stops[c + 1]], l = 1..L,
     # with L the least depth whose omitted tail the proof puts below
     # 2^-60 of the class's leading size
